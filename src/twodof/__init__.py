@@ -1,6 +1,8 @@
 """Exact two-degree-of-freedom controller synthesis via polynomial matrix fractions."""
 
 from twodof.polyalg import (  # noqa: F401
+    ONE,
+    S,
     Poly,
     PolyMat,
     RatFn,

@@ -395,10 +395,6 @@ def _as_ratfn(x: "RatFn | Poly | Scalar") -> RatFn:
     return RatFn(_as_poly(x))
 
 
-def relative_degree(r: RatFn) -> int | float:
-    return r.relative_degree()
-
-
 # ---------------------------------------------------------------------------
 # polynomial matrices
 # ---------------------------------------------------------------------------
@@ -812,26 +808,6 @@ class RatMat:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
 
     __repr__ = __str__
-
-
-def ratmat_mul(a: RatMat, b: RatMat) -> RatMat:
-    return a @ b
-
-
-def ratmat_add(a: RatMat, b: RatMat) -> RatMat:
-    return a + b
-
-
-def ratmat_inv(a: RatMat) -> RatMat:
-    return a.inv()
-
-
-def ratmat_eval(a: RatMat, s0: Scalar) -> tuple[tuple[Fraction | None, ...], ...]:
-    return a.eval_at(s0)
-
-
-def is_proper(a: RatMat) -> bool:
-    return a.is_proper()
 
 
 def linsolve_exact(

@@ -90,9 +90,6 @@ class DoublyCoprime:
         cross = self.dl @ self.n - self.nl @ self.d
         return bezout == PolyMat.identity(m) and cross == PolyMat.zeros(*cross.shape)
 
-    def plant(self) -> RatMat:
-        return self.n.to_ratmat() @ self.d.to_ratmat().inv()
-
 
 @dataclass(frozen=True)
 class StableCoprimeData:
@@ -165,6 +162,8 @@ def solve_bezout(mfd: RightMFD) -> DoublyCoprime:
     return dc
 
 
+# Kept for the plant-level API: youla_controller(plant, k) is called
+# repeatedly on the same plant, and this saves refactoring it each time.
 @lru_cache(maxsize=64)
 def _rh_data_cached(p: RatMat, shift: Fraction) -> StableCoprimeData:
     right = stable_mfd(right_coprime_mfd(p), shift)
@@ -198,44 +197,63 @@ def rh_coprime_data(p: RatMat, shift: Fraction | int = 1) -> StableCoprimeData:
     return _rh_data_cached(p, sigma)
 
 
-def youla_controller(
-    dc: DoublyCoprime | RatMat,
+def _youla_feedback(
+    plant: RatMat,
+    right: StableMFD,
     k: RatMat | None = None,
-    shift: Fraction | int = 1,
-) -> RatMat:
-    """Feedback compensator -(v - k@nl')**-1 @ (u + k@dl') for a free
-    proper stable parameter k; k = None selects the central choice k = 0.
-
-    Every such compensator internally stabilizes the plant, and every
-    internally stabilizing compensator arises this way.  The formula is
-    evaluated on the proper-stable fraction data (witness (u, v) and the
-    row-scaled left pair); each produced compensator is re-validated with
-    ``is_internally_stabilizing`` rather than trusted.
-    """
-    plant = dc.plant() if isinstance(dc, DoublyCoprime) else dc
-    data = rh_coprime_data(plant, shift)
-    m = data.dprime.shape[0]
-    rows = data.nl_prime.shape[0]
-    if k is None:
-        k = RatMat.zeros(m, rows)
-    if k.shape != (m, rows):
-        raise ShapeError(f"parameter must be {m}x{rows}, got {k.shape}")
-    if not matrix_is_rh_inf(k):
-        raise InadmissibleParameter("parameter must be proper and stable")
-    lhs = data.v - k @ data.nl_prime
+    data: StableCoprimeData | None = None,
+) -> tuple[RatMat, StabilityVerdict]:
+    """cy = -(v - k@nl')**-1 @ (u + k@dl') from the witness (u, v) of
+    ``right``, a fraction of ``plant``, with the verdict that cy is proper
+    and internally stabilizing.  k = None is the central choice k = 0 and
+    needs no left fraction; any other k needs the left pair of ``data``."""
+    lhs, rhs = right.v, right.u
+    if k is not None:
+        lhs = lhs - k @ data.nl_prime
+        rhs = rhs + k @ data.dl_prime
     try:
-        lhs_inv = lhs.inv()
+        cy = (lhs.inv() @ rhs).scale(RatFn.of(-1))
     except SingularMatrixError:
         raise InadmissibleParameter(
             "parameter makes v - k@nl' singular; no compensator exists"
         ) from None
-    cy = (lhs_inv @ (data.u + k @ data.dl_prime)).scale(RatFn.of(-1))
+    if not cy.is_proper():
+        raise InadmissibleParameter(
+            "compensator is improper: v - k@nl' is singular at infinity"
+        )
     verdict = is_internally_stabilizing(plant, cy)
     if not verdict:
         raise ArithmeticError(
             "parametrized compensator failed validation: " + verdict.describe()
         )
-    return cy
+    return cy, verdict
+
+
+def youla_controller(
+    plant: RatMat,
+    k: RatMat | None = None,
+    shift: Fraction | int = 1,
+) -> RatMat:
+    """Feedback compensator -(v - k@nl')**-1 @ (u + k@dl') for a proper
+    plant, given as a rational matrix, and a free proper stable parameter
+    k; k = None selects the central choice k = 0.
+
+    Every such compensator internally stabilizes the plant, and every
+    internally stabilizing compensator arises this way.  The formula is
+    evaluated on the proper-stable fraction data of the plant (witness
+    (u, v) and the row-scaled left pair); each produced compensator is
+    re-validated as proper and internally stabilizing rather than trusted,
+    and an improper one raises InadmissibleParameter.
+    """
+    data = rh_coprime_data(plant, shift)
+    if k is not None:
+        if k.shape != (plant.shape[1], plant.shape[0]):
+            raise ShapeError(
+                f"parameter must be {plant.shape[1]}x{plant.shape[0]}, got {k.shape}"
+            )
+        if not matrix_is_rh_inf(k):
+            raise InadmissibleParameter("parameter must be proper and stable")
+    return _youla_feedback(plant, data.right, k, data)[0]
 
 
 def gang_of_four(p: RatMat, cy: RatMat) -> tuple[RatMat, RatMat, RatMat, RatMat]:

@@ -41,9 +41,9 @@ from .stability import (
 )
 from .stabilize import (
     TwoDofController,
+    _youla_feedback,
     cr_from_x,
     is_internally_stabilizing,
-    youla_controller,
 )
 
 __all__ = [
@@ -235,10 +235,10 @@ def _xprime_from_x(smfd: StableMFD, x: RatMat) -> RatMat:
 
 
 def _controller_for_x(smfd: StableMFD, x: RatMat) -> TwoDofController:
-    plant = smfd.plant()
-    cy = youla_controller(plant, shift=smfd.shift)
+    plant = smfd.source.plant()
+    cy, verdict = _youla_feedback(plant, smfd)
     cr = cr_from_x(plant, cy, smfd.source, x)
-    return TwoDofController(cy=cy, cr=cr, certificate=is_internally_stabilizing(plant, cy))
+    return TwoDofController(cy=cy, cr=cr, certificate=verdict)
 
 
 def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat) -> list[str]:
@@ -575,7 +575,7 @@ def static_decoupling(
         gain_map = plant
     else:
         if cy is None:
-            cy = youla_controller(plant, shift=smfd.shift)
+            cy, _ = _youla_feedback(plant, smfd)
         else:
             verdict = is_internally_stabilizing(plant, cy)
             if not verdict:
@@ -930,10 +930,11 @@ def solve_design(smfd: StableMFD, problem: DesignProblem) -> DesignResult:
         plant = smfd.plant()
         if matrix_is_stable(plant):
             cr = static_decoupling(smfd, problem.lam)
-            m = smfd.dprime.shape[0]
-            cy = RatMat.zeros(m, plant.shape[0])
+            cy = RatMat.zeros(plant.shape[1], plant.shape[0])
+            # the four loop maps of cy = 0 are I, 0, plant and 0
+            verdict = rh_inf_verdict(plant)
         else:
-            cy = youla_controller(plant, shift=smfd.shift)
+            cy, verdict = _youla_feedback(plant, smfd)
             cr = static_decoupling(smfd, problem.lam, cy)
         loop_inv = (RatMat.identity(cy.shape[0]) - cy @ plant).inv()
         achieved_t = plant @ loop_inv @ cr
@@ -951,9 +952,7 @@ def solve_design(smfd: StableMFD, problem: DesignProblem) -> DesignResult:
         )
         return DesignResult(
             configuration=TwoDofConfig(cy=cy, cr=cr),
-            controller=TwoDofController(
-                cy=cy, cr=cr, certificate=is_internally_stabilizing(plant, cy)
-            ),
+            controller=TwoDofController(cy=cy, cr=cr, certificate=verdict),
             x=x,
             xprime=_xprime_from_x(smfd, x),
             achieved_t=achieved_t,
