@@ -41,9 +41,10 @@ from .polyalg import ONE, Poly, PolyMat, RatFn, RatMat, ShapeError
 from .stabilize import (
     IllPosedLoop,
     InadmissibleParameter,
+    _youla_feedback,
     is_internally_stabilizing,
+    rh_coprime_data,
     solve_bezout,
-    youla_controller,
 )
 from .synthesis import (
     DenominatorAssignment,
@@ -365,9 +366,10 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
     dc = solve_bezout(mfd)
     _print_named("bezout x1 (x1@d + x2@n = I)", dc.x1)
     _print_named("bezout x2", dc.x2)
-    cy = youla_controller(plant, shift=shift)
+    # _youla_feedback returns the verdict of the check it makes on cy
+    data = rh_coprime_data(plant, shift)
+    cy, verdict = _youla_feedback(plant, data.right)
     _print_named("central feedback map cy", cy)
-    verdict = is_internally_stabilizing(plant, cy)
     print(f"internal stability: {verdict.describe()}")
     m_in, p_out = plant.shape[1], plant.shape[0]
     sample = RatMat(
@@ -377,10 +379,9 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
         ]
     )
     try:
-        cy2 = youla_controller(plant, k=sample, shift=shift)
+        cy2, v2 = _youla_feedback(plant, data.right, sample, data)
         _print_named("sample parameter k", sample)
         _print_named("sample feedback map cy", cy2)
-        v2 = is_internally_stabilizing(plant, cy2)
         print(f"internal stability: {v2.describe()}")
     except InadmissibleParameter as exc:
         print(f"sample parameter rejected: {exc}")

@@ -178,7 +178,8 @@ def column_reduce(n: PolyMat, d: PolyMat) -> tuple[PolyMat, PolyMat]:
         degs = [max(e.degree() or 0 for e in col if not e.is_zero()) for col in dcols]
         gamma = [[dcols[j][i].coeff(degs[j]) for j in range(m)] for i in range(m)]
         solved = linsolve_exact(gamma, [Fraction(0)] * m)
-        assert solved is not None
+        if solved is None:
+            raise ArithmeticError("homogeneous system reported inconsistent")
         _, nullspace = solved
         if not nullspace:
             break
@@ -309,7 +310,8 @@ def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
     v = RatMat(
         [[RatFn(b, phi) for b in row] for row, phi in zip(beta_rows, row_phis)]
     )
-    assert u @ nprime + v @ dprime == RatMat.identity(m)
+    if u @ nprime + v @ dprime != RatMat.identity(m):
+        raise ArithmeticError("Bezout witness fails u @ n' + v @ d' = I")
     return StableMFD(nprime, dprime, u, v, sigma, col_degrees, RightMFD(n, d))
 
 

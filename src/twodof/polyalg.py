@@ -13,9 +13,13 @@ Conventions
   explicitly instead of comparing it numerically.
 * `RatFn` is always reduced to lowest terms and its denominator is monic,
   so equality of values is equality of representations.
-* `PolyMat` / `RatMat` are immutable row-major grids.  Matrix inverses are
-  computed by exact Gauss-Jordan elimination over the rational-function
-  field; polynomial determinants use fraction-free Bareiss elimination.
+* `PolyMat` / `RatMat` are immutable row-major grids.  Every exact linear
+  solve over a field runs through one Gauss-Jordan kernel,
+  ``_gauss_jordan``, on ``Fraction`` or `RatFn` entries: ``RatMat.inv``,
+  ``RatMat.det``, ``RatMat.rank``, :func:`linsolve_exact` and
+  ``synthesis.check_realizable``.  Over the polynomial ring, `hermite`
+  gives the row Hermite form and polynomial determinants use
+  fraction-free Bareiss elimination.
 * Evaluation at a rational point reports poles explicitly (``None``
   entries) instead of raising.
 
@@ -27,6 +31,7 @@ explicit ``*`` for products), which gives cheap print/parse round trips.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -717,67 +722,24 @@ class RatMat:
         n = self.shape[0]
         aug = [list(row) + [RF_ONE if i == j else RF_ZERO for j in range(n)]
                for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if not aug[i][col].is_zero()), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular")
-            if piv != col:
-                aug[col], aug[piv] = aug[piv], aug[col]
-            scale = aug[col][col].inv()
-            aug[col] = [e * scale for e in aug[col]]
-            for i in range(n):
-                if i == col or aug[i][col].is_zero():
-                    continue
-                f = aug[i][col]
-                aug[i] = [e - f * g for e, g in zip(aug[i], aug[col])]
+        cols, _, _ = _gauss_jordan(aug, n)
+        if len(cols) < n:
+            raise SingularMatrixError("matrix is singular")
         return RatMat(tuple(tuple(row[n:]) for row in aug))
 
     def det(self) -> RatFn:
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
         n = self.shape[0]
-        m = [list(row) for row in self.rows]
-        det = RF_ONE
-        for col in range(n):
-            piv = next((i for i in range(col, n) if not m[i][col].is_zero()), None)
-            if piv is None:
-                return RF_ZERO
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det = det * m[col][col]
-            inv = m[col][col].inv()
-            m[col] = [e * inv for e in m[col]]
-            for i in range(col + 1, n):
-                if m[i][col].is_zero():
-                    continue
-                f = m[i][col]
-                m[i] = [e - f * g for e, g in zip(m[i], m[col])]
-        return det
+        _, pivots, sign = _gauss_jordan([list(row) for row in self.rows], n)
+        if len(pivots) < n:
+            return RF_ZERO
+        det = math.prod(pivots, start=RF_ONE)
+        return -det if sign < 0 else det
 
     def rank(self) -> int:
         """Normal rank over the rational-function field."""
-        r, c = self.shape
-        m = [list(row) for row in self.rows]
-        rank = 0
-        row = 0
-        for col in range(c):
-            piv = next((i for i in range(row, r) if not m[i][col].is_zero()), None)
-            if piv is None:
-                continue
-            m[row], m[piv] = m[piv], m[row]
-            inv = m[row][col].inv()
-            m[row] = [e * inv for e in m[row]]
-            for i in range(r):
-                if i == row or m[i][col].is_zero():
-                    continue
-                f = m[i][col]
-                m[i] = [e - f * g for e, g in zip(m[i], m[row])]
-            rank += 1
-            row += 1
-            if row == r:
-                break
-        return rank
+        return len(_gauss_jordan([list(row) for row in self.rows], self.shape[1])[0])
 
     def is_proper(self) -> bool:
         return all(e.is_proper() for row in self.rows for e in row)
@@ -810,6 +772,43 @@ class RatMat:
     __repr__ = __str__
 
 
+def _gauss_jordan(rows: list[list], ncols: int) -> tuple[list[int], list, int]:
+    """Reduce the first ``ncols`` columns of the row list ``rows`` in place
+    to reduced row echelon form over an exact field (``Fraction`` or
+    :class:`RatFn` entries); later columns ride along as augmented data.
+
+    Returns the pivot columns, the pivot values before normalisation and
+    the sign of the row permutation.  The pivot columns of a reduced
+    echelon form are fixed by the matrix, so every read-out of the result
+    is unique.
+    """
+    is_zero = RatFn.is_zero if rows and isinstance(rows[0][0], RatFn) else operator.not_
+    cols: list[int] = []
+    pivots: list = []
+    sign = 1
+    for col in range(ncols):
+        row = len(cols)
+        if row == len(rows):
+            break
+        piv = next((i for i in range(row, len(rows)) if not is_zero(rows[i][col])), None)
+        if piv is None:
+            continue
+        if piv != row:
+            rows[row], rows[piv] = rows[piv], rows[row]
+            sign = -sign
+        pivot = rows[row][col]
+        inv = pivot.inv() if isinstance(pivot, RatFn) else 1 / pivot
+        rows[row] = [e * inv for e in rows[row]]
+        for i in range(len(rows)):
+            if i == row or is_zero(rows[i][col]):
+                continue
+            f = rows[i][col]
+            rows[i] = [e - f * g for e, g in zip(rows[i], rows[row])]
+        cols.append(col)
+        pivots.append(pivot)
+    return cols, pivots, sign
+
+
 def linsolve_exact(
     a_rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[list[Fraction], list[list[Fraction]]] | None:
@@ -818,40 +817,22 @@ def linsolve_exact(
     Returns ``(particular, nullspace_basis)`` with free variables set to
     zero in the particular solution, or ``None`` when inconsistent.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
+    n = len(a_rows[0]) if a_rows else 0
     aug = [[_frac(x) for x in row] + [_frac(rhs[i])] for i, row in enumerate(a_rows)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [e * inv for e in aug[row]]
-        for i in range(m):
-            if i == row or aug[i][col] == 0:
-                continue
-            f = aug[i][col]
-            aug[i] = [e - f * g for e, g in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            return None
+    pivots, _, _ = _gauss_jordan(aug, n)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
     particular = [Fraction(0)] * n
-    for r_i, col in enumerate(pivots):
-        particular[col] = aug[r_i][n]
-    free_cols = [c for c in range(n) if c not in pivots]
+    for row, col in zip(aug, pivots):
+        particular[col] = row[n]
     basis: list[list[Fraction]] = []
-    for fc in free_cols:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
-        for r_i, col in enumerate(pivots):
-            vec[col] = -aug[r_i][fc]
+        for row, col in zip(aug, pivots):
+            vec[col] = -row[fc]
         basis.append(vec)
     return particular, basis
 

@@ -158,7 +158,8 @@ def solve_bezout(mfd: RightMFD) -> DoublyCoprime:
     x2 = PolyMat(x2_rows)
     left = left_coprime_mfd(mfd.plant())
     dc = DoublyCoprime(n=n, d=d, x1=x1, x2=x2, nl=left.nl, dl=left.dl)
-    assert dc.check()
+    if not dc.check():
+        raise ArithmeticError("Bezout pair fails x1 @ d + x2 @ n = I or dl @ n = nl @ d")
     return dc
 
 
@@ -206,9 +207,16 @@ def _youla_feedback(
     """cy = -(v - k@nl')**-1 @ (u + k@dl') from the witness (u, v) of
     ``right``, a fraction of ``plant``, with the verdict that cy is proper
     and internally stabilizing.  k = None is the central choice k = 0 and
-    needs no left fraction; any other k needs the left pair of ``data``."""
+    needs no left fraction; any other k must be proper and stable and
+    needs the left pair of ``data``."""
     lhs, rhs = right.v, right.u
     if k is not None:
+        if k.shape != (plant.shape[1], plant.shape[0]):
+            raise ShapeError(
+                f"parameter must be {plant.shape[1]}x{plant.shape[0]}, got {k.shape}"
+            )
+        if not matrix_is_rh_inf(k):
+            raise InadmissibleParameter("parameter must be proper and stable")
         lhs = lhs - k @ data.nl_prime
         rhs = rhs + k @ data.dl_prime
     try:
@@ -246,13 +254,6 @@ def youla_controller(
     and an improper one raises InadmissibleParameter.
     """
     data = rh_coprime_data(plant, shift)
-    if k is not None:
-        if k.shape != (plant.shape[1], plant.shape[0]):
-            raise ShapeError(
-                f"parameter must be {plant.shape[1]}x{plant.shape[0]}, got {k.shape}"
-            )
-        if not matrix_is_rh_inf(k):
-            raise InadmissibleParameter("parameter must be proper and stable")
     return _youla_feedback(plant, data.right, k, data)[0]
 
 

@@ -18,6 +18,7 @@ from typing import Sequence, Union
 from .factor import RightMFD, StableMFD, left_coprime_mfd, zeros_and_poles
 from .polyalg import (
     ONE,
+    RF_ZERO,
     Poly,
     PolyMat,
     RatFn,
@@ -25,7 +26,7 @@ from .polyalg import (
     S,
     ShapeError,
     SingularMatrixError,
-    hermite,
+    _gauss_jordan,
     hstack,
     linsolve_exact,
     polymat_det,
@@ -304,43 +305,26 @@ def check_realizable(
         return Obstruction(tuple(pre))
 
     d_rat = mfd.d.to_ratmat()
+    n_rat = mfd.n.to_ratmat()
     if m is not None:
         x = d_rat.inv() @ m
-        if mfd.n.to_ratmat() @ x != t:
+        if n_rat @ x != t:
             return Obstruction(
                 ("inconsistent target pair: n @ d**-1 @ m differs from t",)
             )
     else:
-        h, u = hermite(mfd.n)
-        w = u.to_ratmat() @ t
-        q = t.shape[1]
-        pivots: list[tuple[int, int]] = []
-        for i in range(p_rows):
-            row_cols = [j for j in range(m_cols) if not h.entry(i, j).is_zero()]
-            if row_cols:
-                pivots.append((i, row_cols[0]))
-            else:
-                if any(not w.entry(i, j).is_zero() for j in range(q)):
-                    return Obstruction(
-                        (
-                            "rank violation: target lies outside the range of the"
-                            " plant numerator",
-                        )
-                    )
-        x_rows: list[list[RatFn]] = [
-            [RatFn.of(0) for _ in range(q)] for _ in range(m_cols)
-        ]
-        for i, jc in reversed(pivots):
-            pivot = RatFn(h.entry(i, jc))
-            for col in range(q):
-                acc = w.entry(i, col)
-                for j in range(jc + 1, m_cols):
-                    hij = h.entry(i, j)
-                    if not hij.is_zero():
-                        acc = acc - RatFn(hij) * x_rows[j][col]
-                x_rows[jc][col] = acc / pivot
+        aug = [list(nr) + list(tr) for nr, tr in zip(n_rat.rows, t.rows)]
+        pivots, _, _ = _gauss_jordan(aug, m_cols)
+        if any(not e.is_zero() for row in aug[len(pivots):] for e in row[m_cols:]):
+            return Obstruction(
+                ("rank violation: target lies outside the range of the plant numerator",)
+            )
+        x_rows = [[RF_ZERO] * t.shape[1] for _ in range(m_cols)]
+        for row, col in zip(aug, pivots):
+            x_rows[col] = row[m_cols:]
         x = RatMat(x_rows)
-        assert mfd.n.to_ratmat() @ x == t
+        if n_rat @ x != t:
+            raise ArithmeticError("realizability solve lost exactness: n @ x != t")
 
     reasons: list[str] = []
     xv = matrix_is_stable(x)
@@ -466,7 +450,8 @@ def diagonal_decoupling(smfd: StableMFD, targets: Sequence[RatFn]) -> DesignResu
         raise DesignObstruction(reasons)
     x = _x_from_xprime(smfd, xprime)
     achieved_t = smfd.nprime @ xprime
-    assert achieved_t == tmat
+    if achieved_t != tmat:
+        raise ArithmeticError("decoupling lost exactness: n' @ x' != diag(targets)")
     extra = [
         _equality_certificate(
             "closed-loop response equals diag(targets)", achieved_t == tmat
@@ -510,7 +495,8 @@ def inverse_problem(smfd: StableMFD) -> DesignResult:
         raise DesignObstruction(reasons)
     identity = RatMat.identity(p_rows)
     achieved_t = smfd.nprime @ xprime
-    assert achieved_t == identity
+    if achieved_t != identity:
+        raise ArithmeticError("inversion lost exactness: n' @ n'**-1 != I")
     x = _x_from_xprime(smfd, xprime)
     extra = [_equality_certificate("closed-loop response equals I", achieved_t == identity)]
     return _design_result_from_x(smfd, x, achieved_t, extra)
@@ -531,15 +517,9 @@ def _constant_matrix(mat: RatMat) -> list[list[Fraction]] | None:
     return out
 
 
-def static_decoupling(
-    smfd: StableMFD, lam: RatMat, cy: RatMat | None = None
-) -> RatMat:
-    """Constant precompensator making the closed-loop DC gain equal lam.
-
-    Stable plants use pure precompensation cr = P(0)**-1 @ lam; unstable
-    plants are first closed with a stabilizing feedback map (the central
-    one unless supplied) and cr = G(0)**-1 @ lam for G = P(I - cy P)**-1.
-    """
+def _check_static_target(smfd: StableMFD, lam: RatMat) -> None:
+    """Refuse a lam that is not a constant nonsingular diagonal matrix
+    matching a square plant, and a plant with a zero at the origin."""
     lam_const = _constant_matrix(lam)
     if lam_const is None:
         raise ValueError("lam must be a constant matrix")
@@ -569,21 +549,10 @@ def static_decoupling(
             ("plant has a zero at the origin (det n'(0) = 0); static decoupling impossible",)
         ) from None
 
-    plant = smfd.plant()
-    plant_stable = matrix_is_stable(plant)
-    if plant_stable and cy is None:
-        gain_map = plant
-    else:
-        if cy is None:
-            cy, _ = _youla_feedback(plant, smfd)
-        else:
-            verdict = is_internally_stabilizing(plant, cy)
-            if not verdict:
-                raise DesignObstruction(
-                    ("supplied feedback map is not internally stabilizing: "
-                     + verdict.describe(),)
-                )
-        gain_map = plant @ (RatMat.identity(m_cols) - cy @ plant).inv()
+
+def _dc_precompensator(plant: RatMat, lam: RatMat, cy: RatMat) -> RatMat:
+    """cr = G(0)**-1 @ lam for the closed loop G = P(I - cy P)**-1."""
+    gain_map = plant @ (RatMat.identity(cy.shape[0]) - cy @ plant).inv()
     vals = gain_map.eval_at(Fraction(0))
     if vals is None or any(v is None for row in vals for v in row):
         raise DesignObstruction(("closed loop has a pole at the origin",))
@@ -594,6 +563,31 @@ def static_decoupling(
         raise DesignObstruction(
             ("dc gain is singular for this feedback choice; pick another cy",)
         ) from None
+
+
+def static_decoupling(
+    smfd: StableMFD, lam: RatMat, cy: RatMat | None = None
+) -> RatMat:
+    """Constant precompensator making the closed-loop DC gain equal lam.
+
+    Stable plants use pure precompensation cr = P(0)**-1 @ lam; unstable
+    plants are first closed with a stabilizing feedback map (the central
+    one unless supplied) and cr = G(0)**-1 @ lam for G = P(I - cy P)**-1.
+    """
+    _check_static_target(smfd, lam)
+    plant = smfd.plant()
+    if cy is not None:
+        verdict = is_internally_stabilizing(plant, cy)
+        if not verdict:
+            raise DesignObstruction(
+                ("supplied feedback map is not internally stabilizing: "
+                 + verdict.describe(),)
+            )
+    elif matrix_is_stable(plant):
+        cy = RatMat.zeros(plant.shape[1], plant.shape[0])
+    else:
+        cy, _ = _youla_feedback(plant, smfd)
+    return _dc_precompensator(plant, lam, cy)
 
 
 # -- denominator assignment -------------------------------------------------------
@@ -776,7 +770,8 @@ def find_admissible_unity_xprime(
     d_u = _unstable_part(d_poly)
     if d_u.is_constant():
         candidate = RatMat.identity(1)
-        assert unity_feedback_admissible(smfd, candidate)
+        if not unity_feedback_admissible(smfd, candidate):
+            raise ArithmeticError("x' = 1 failed the unity-feedback restriction of a stable plant")
         return candidate
     a, b = smfd.nprime.entry(0, 0).num, smfd.nprime.entry(0, 0).den
     du_deg = d_u.degree() or 0
@@ -837,7 +832,8 @@ def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> RatMat:
         ) from None
     plant = smfd.plant()
     closed = (RatMat.identity(plant.shape[0]) - plant @ cff).inv() @ plant @ cff
-    assert closed == smfd.nprime @ xprime
+    if closed != smfd.nprime @ xprime:
+        raise ArithmeticError("unity loop does not realize n' @ x'")
     return cff
 
 
@@ -873,7 +869,8 @@ def ff_fb_realization(
         ]
     )
     cff = dc.inv()
-    assert cff @ cfb == cy and cff @ r_map == cr
+    if cff @ cfb != cy or cff @ r_map != cr:
+        raise ArithmeticError("realization blocks do not reproduce (cy, cr)")
     return r_map, cff, cfb
 
 
@@ -897,7 +894,8 @@ def direct_feedback_from_x(mfd: RightMFD, x: RatMat) -> RatMat:
     cfb = x_inv @ (x @ mfd.d.to_ratmat() - RatMat.identity(m)) @ n_inv
     plant = mfd.plant()
     closed = plant @ (RatMat.identity(m) - cfb @ plant).inv()
-    assert closed == mfd.n.to_ratmat() @ x
+    if closed != mfd.n.to_ratmat() @ x:
+        raise ArithmeticError("direct-feedback loop does not realize n @ x")
     return cfb
 
 
@@ -929,13 +927,13 @@ def solve_design(smfd: StableMFD, problem: DesignProblem) -> DesignResult:
     if isinstance(problem, StaticDecoupling):
         plant = smfd.plant()
         if matrix_is_stable(plant):
-            cr = static_decoupling(smfd, problem.lam)
             cy = RatMat.zeros(plant.shape[1], plant.shape[0])
             # the four loop maps of cy = 0 are I, 0, plant and 0
             verdict = rh_inf_verdict(plant)
         else:
             cy, verdict = _youla_feedback(plant, smfd)
-            cr = static_decoupling(smfd, problem.lam, cy)
+        _check_static_target(smfd, problem.lam)
+        cr = _dc_precompensator(plant, problem.lam, cy)
         loop_inv = (RatMat.identity(cy.shape[0]) - cy @ plant).inv()
         achieved_t = plant @ loop_inv @ cr
         achieved_m = loop_inv @ cr

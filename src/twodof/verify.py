@@ -8,9 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from scipy.linalg import expm
-
 from .polyalg import ONE, Poly, RatFn, RatMat, poly_divmod, poly_lcm
 from .stability import StabilityVerdict, matrix_is_stable, rh_inf_verdict
 from .stabilize import IllPosedLoop, gang_of_four
@@ -134,6 +131,8 @@ def _fmt(x: float) -> str:
 
 def _column_realization(col: list[RatFn]):
     """Controllable-canonical (A, b, C, d) for one input column."""
+    import numpy as np
+
     den = ONE
     for entry in col:
         den = poly_lcm(den, entry.den)
@@ -144,7 +143,8 @@ def _column_realization(col: list[RatFn]):
     for entry in col:
         strict = entry.strict_part()
         scale, rem = poly_divmod(den, strict.den)
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise ArithmeticError("column denominator does not divide its lcm")
         scaled_num = strict.num * scale
         c_rows.append([float(scaled_num.coeff(k)) for k in range(order)])
     a = np.zeros((order, order))
@@ -161,6 +161,11 @@ def simulate_step(t: RatMat, horizon: float, dt: float) -> SimulationTrace:
     """Unit-step responses of a proper, stable transfer matrix on a
     fixed grid: one column realization per input, zero-order hold via
     the exponential of [[A, b], [0, 0]]*dt."""
+    # imported here: numpy and scipy.linalg cost more than the rest of
+    # the package to import, and only simulation needs them
+    import numpy as np
+    from scipy.linalg import expm
+
     if horizon <= 0 or dt <= 0:
         raise ValueError("horizon and dt must be positive")
     if not t.is_proper():

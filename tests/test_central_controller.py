@@ -8,15 +8,25 @@ witness and checked once, without refactoring the plant.
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import twodof.stabilize
 from twodof.cli import main, parse_matrix
-from twodof.factor import right_coprime_mfd, stable_mfd
+from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, Poly, RatFn, RatMat
 from twodof.stabilize import InadmissibleParameter, youla_controller
-from twodof.synthesis import StaticDecoupling, model_matching, solve_design
+from twodof.synthesis import (
+    DesignObstruction,
+    StaticDecoupling,
+    model_matching,
+    solve_design,
+    static_decoupling,
+)
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+UNSTABLE_2X2 = "1/(s-1), 1/(s+2); 1/(s+3), 1/(s+1)"
 
 BIPROPER_2X2 = (
     "(s+3)/s, (2*s+2)/(s-2); "
@@ -125,3 +135,53 @@ def test_improper_central_controller_is_rejected(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "internal stability: stable" not in out
     assert "improper" in err
+
+
+def test_stabilize_command_checks_each_controller_once(monkeypatch, capsys):
+    counts = count_calls(monkeypatch, ["is_internally_stabilizing"])
+    assert main(["stabilize", str(PROBLEMS / "example_match.ini")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("internal stability: stable") == 2
+    assert counts == {"is_internally_stabilizing": 2}
+
+
+def count_plant_builds(monkeypatch):
+    builds = []
+    original = StableMFD.plant
+
+    def plant(self):
+        builds.append(self)
+        return original(self)
+
+    monkeypatch.setattr(StableMFD, "plant", plant)
+    return builds
+
+
+def test_static_design_builds_the_plant_once(monkeypatch, tmp_path, capsys):
+    builds = count_plant_builds(monkeypatch)
+    counts = count_calls(monkeypatch, ["is_internally_stabilizing"])
+    assert main(["static-decouple", str(PROBLEMS / "example_static_decouple.ini")]) == 0
+    assert (len(builds), counts["is_internally_stabilizing"]) == (1, 0)
+
+    builds.clear()
+    counts["is_internally_stabilizing"] = 0
+    problem = tmp_path / "unstable.ini"
+    problem.write_text(f"[plant]\nmatrix = {UNSTABLE_2X2}\n[design]\nlambda = 1, 0; 0, 1\n")
+    assert main(["static-decouple", str(problem)]) == 0
+    assert (len(builds), counts["is_internally_stabilizing"]) == (1, 1)
+    out = capsys.readouterr().out
+    assert "dc gain:\n  [ 1  0 ]\n  [ 0  1 ]" in out
+
+
+def test_static_decoupling_checks_a_supplied_feedback_map(monkeypatch):
+    plant = parse_matrix(UNSTABLE_2X2)
+    smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
+    lam = RatMat.identity(2)
+    cy = youla_controller(plant, shift=1)
+    builds = count_plant_builds(monkeypatch)
+    counts = count_calls(monkeypatch, ["is_internally_stabilizing"])
+    cr = static_decoupling(smfd, lam, cy)
+    assert (len(builds), counts["is_internally_stabilizing"]) == (1, 1)
+    assert cr == static_decoupling(smfd, lam)
+    with pytest.raises(DesignObstruction, match="supplied feedback map"):
+        static_decoupling(smfd, lam, RatMat.zeros(2, 2))

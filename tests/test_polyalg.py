@@ -259,3 +259,77 @@ def test_stack_helpers():
         hstack(a, RatMat.zeros(3, 1))
     with pytest.raises(ShapeError):
         vstack(a, RatMat.zeros(2, 3))
+
+
+# -- the shared Gauss-Jordan kernel, against independent oracles ---------------
+
+
+def random_polymat_of_rank(rng, rows, cols, rank):
+    """A rows x cols polynomial matrix b @ c of rank at most ``rank``."""
+    if rank == 0:
+        return PolyMat.zeros(rows, cols)
+    b = PolyMat([[random_poly(rng, 1) for _ in range(rank)] for _ in range(rows)])
+    c = PolyMat([[random_poly(rng, 1) for _ in range(cols)] for _ in range(rank)])
+    return b @ c
+
+
+def test_ratmat_det_matches_bareiss_including_singular():
+    rng = random.Random(37)
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        a = random_polymat_of_rank(rng, n, n, rng.randint(0, n))
+        expected = polymat_det(a)
+        singular += expected.is_zero()
+        assert a.to_ratmat().det() == RatFn(expected), a
+    assert singular >= 15
+
+
+def test_ratmat_rank_matches_hermite():
+    rng = random.Random(41)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        a = random_polymat_of_rank(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        h, _ = hermite(a)
+        nonzero_rows = sum(any(not e.is_zero() for e in row) for row in h.rows)
+        assert a.to_ratmat().rank() == nonzero_rows, a
+
+
+def test_linsolve_exact_rank_deficient_against_sympy_rref():
+    import sympy
+
+    rng = random.Random(43)
+    deficient = inconsistent = 0
+    for _ in range(80):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        r = rng.randint(0, min(m, n))
+        left = [[Fraction(rng.randint(-3, 3)) for _ in range(r)] for _ in range(m)]
+        right = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(r)]
+        a = [
+            [sum((left[i][k] * right[k][j] for k in range(r)), Fraction(0)) for j in range(n)]
+            for i in range(m)
+        ]
+        if rng.random() < 0.7:  # a consistent right-hand side a @ z
+            z = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+            rhs = [sum((a[i][j] * z[j] for j in range(n)), Fraction(0)) for i in range(m)]
+        else:
+            rhs = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
+        _, pivots = sympy.Matrix(a).rref()
+        aug_rank = sympy.Matrix([row + [b] for row, b in zip(a, rhs)]).rank()
+        solved = linsolve_exact(a, rhs)
+        if aug_rank > len(pivots):
+            assert solved is None
+            inconsistent += 1
+            continue
+        particular, basis = solved
+        free = [j for j in range(n) if j not in pivots]
+        deficient += bool(free)
+        for i in range(m):
+            assert sum(a[i][j] * particular[j] for j in range(n)) == rhs[i]
+        assert all(particular[j] == 0 for j in free)
+        assert len(basis) == n - len(pivots)
+        for fc, vec in zip(free, basis):
+            assert [vec[j] for j in free] == [Fraction(j == fc) for j in free]
+            for i in range(m):
+                assert sum(a[i][j] * vec[j] for j in range(n)) == 0
+    assert deficient >= 20 and inconsistent >= 10

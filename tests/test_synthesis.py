@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twodof.cli import parse_matrix
 from twodof.factor import right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat
 from twodof.stability import StabilityVerdict, matrix_is_rh_inf
@@ -84,6 +85,22 @@ def test_check_realizable_relative_degree_limit():
     assert isinstance(out, Obstruction)
     assert "improper" in str(out)
 
+
+
+def test_check_realizable_rank_deficient_numerator():
+    tall = right_coprime_mfd(parse_matrix("1/(s+1); 2/(s+1)"))
+    out = check_realizable(tall, parse_matrix("1/(s+1); 1/(s+1)"))
+    assert isinstance(out, Obstruction)
+    assert out.reasons == (
+        "rank violation: target lies outside the range of the plant numerator",
+    )
+    x = check_realizable(tall, parse_matrix("1/(s+2); 2/(s+2)"))
+    assert x == parse_matrix("1/(s+2)")
+
+    # rank 1 square plant: the free column of x is zero
+    square = right_coprime_mfd(parse_matrix("1/(s+1), 1/(s+1); 1/(s+2), 1/(s+2)"))
+    x = check_realizable(square, parse_matrix("1/(s+3); (s+1)/((s+2)*(s+3))"))
+    assert x == parse_matrix("1/(s^2+5*s+6); 0")
 
 def test_model_matching_example():
     plant, smfd = example_plant_data()
