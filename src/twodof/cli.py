@@ -42,7 +42,6 @@ from .stabilize import (
     IllPosedLoop,
     InadmissibleParameter,
     _youla_feedback,
-    is_internally_stabilizing,
     rh_coprime_data,
     solve_bezout,
 )
@@ -58,6 +57,7 @@ from .synthesis import (
     StaticDecoupling,
     TwoDofConfig,
     UnityFeedbackConfig,
+    _unity_feedback,
     find_admissible_unity_xprime,
     siso_conditions,
     solve_design,
@@ -366,11 +366,11 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
     dc = solve_bezout(mfd)
     _print_named("bezout x1 (x1@d + x2@n = I)", dc.x1)
     _print_named("bezout x2", dc.x2)
-    # _youla_feedback returns the verdict of the check it makes on cy
+    # _youla_feedback returns the loop maps whose verdict it checked
     data = rh_coprime_data(plant, shift)
-    cy, verdict = _youla_feedback(plant, data.right)
+    cy, loop = _youla_feedback(plant, data.right)
     _print_named("central feedback map cy", cy)
-    print(f"internal stability: {verdict.describe()}")
+    print(f"internal stability: {loop.verdict.describe()}")
     m_in, p_out = plant.shape[1], plant.shape[0]
     sample = RatMat(
         [
@@ -379,10 +379,10 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
         ]
     )
     try:
-        cy2, v2 = _youla_feedback(plant, data.right, sample, data)
+        cy2, loop2 = _youla_feedback(plant, data.right, sample, data)
         _print_named("sample parameter k", sample)
         _print_named("sample feedback map cy", cy2)
-        print(f"internal stability: {v2.describe()}")
+        print(f"internal stability: {loop2.verdict.describe()}")
     except InadmissibleParameter as exc:
         print(f"sample parameter rejected: {exc}")
     return 0
@@ -539,13 +539,12 @@ def cmd_unity_parameter(args: argparse.Namespace) -> int:
     # convenience used by `match` problem files with loop = unity when no
     # target is known yet: search for an admissible scalar parameter
     pf = load_problem(args.problem)
-    plant, smfd = _stable_plant_data(pf, args)
+    _, smfd = _stable_plant_data(pf, args)
     xprime = find_admissible_unity_xprime(smfd)
     _print_named("admissible x'", xprime)
-    cff = unity_feedback_controller(smfd, xprime)
+    cff, loop = _unity_feedback(smfd, xprime)
     _print_named("unity-loop cff", cff)
-    verdict = is_internally_stabilizing(plant, cff)
-    print(f"internal stability: {verdict.describe()}")
+    print(f"internal stability: {loop.verdict.describe()}")
     return 0
 
 

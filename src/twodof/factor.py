@@ -47,6 +47,7 @@ __all__ = [
     "is_left_coprime",
     "column_reduce",
     "stable_mfd",
+    "stable_left_mfd",
     "poly_row_diophantine",
     "zeros_and_poles",
 ]
@@ -313,6 +314,19 @@ def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
     if u @ nprime + v @ dprime != RatMat.identity(m):
         raise ArithmeticError("Bezout witness fails u @ n' + v @ d' = I")
     return StableMFD(nprime, dprime, u, v, sigma, col_degrees, RightMFD(n, d))
+
+
+def stable_left_mfd(p: RatMat, shift: Fraction | int = 1) -> tuple[RatMat, RatMat]:
+    """Left fraction p = dl'**-1 @ nl' over the proper stable rationals,
+    returned as (dl', nl'): each row of a left coprime fraction is divided
+    by (s + shift) to the power of the row degree of dl."""
+    left = left_coprime_mfd(p)
+    psis = [hurwitz_shift_polynomial(shift, deg or 0) for deg in left.dl.row_degrees()]
+    dl_prime, nl_prime = (
+        RatMat([[RatFn(e, psi) for e in row] for row, psi in zip(mat.rows, psis)])
+        for mat in (left.dl, left.nl)
+    )
+    return dl_prime, nl_prime
 
 
 @dataclass(frozen=True)

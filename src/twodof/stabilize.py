@@ -6,7 +6,10 @@ u = Cy*y + Cr*r, so a compensator stabilizes P when the four maps
     (I - Cy*P)**-1         (I - Cy*P)**-1 * Cy
     P*(I - Cy*P)**-1       P*(I - Cy*P)**-1 * Cy
 
-are all proper with no closed right-half-plane poles.  All stabilizing
+are all proper with no closed right-half-plane poles.  ``gang_of_four`` is
+the one place in the package where these maps are formed: every design,
+``is_internally_stabilizing`` and ``verify.closed_loop`` read the maps and
+their verdicts from its result.  All stabilizing
 feedback compensators are swept out by a single free parameter K ranging
 over the proper stable rationals.  The sweep is anchored at a Bezout
 witness of the proper-stable fraction data: a witness over polynomials
@@ -18,18 +21,19 @@ satisfies u@n' + v@d' = I inside the proper-stable ring.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .factor import (
-    LeftMFD,
     RightMFD,
     StableMFD,
     is_right_coprime,
     left_coprime_mfd,
     poly_row_diophantine,
     right_coprime_mfd,
+    stable_left_mfd,
     stable_mfd,
 )
 from .polyalg import (
@@ -42,7 +46,6 @@ from .polyalg import (
 )
 from .stability import (
     StabilityVerdict,
-    hurwitz_shift_polynomial,
     matrix_is_stable,
     matrix_is_rh_inf,
     rh_inf_verdict,
@@ -50,6 +53,7 @@ from .stability import (
 
 __all__ = [
     "DoublyCoprime",
+    "LoopMaps",
     "StableCoprimeData",
     "TwoDofController",
     "InadmissibleParameter",
@@ -99,7 +103,6 @@ class StableCoprimeData:
     right: StableMFD
     nl_prime: RatMat
     dl_prime: RatMat
-    left: LeftMFD
 
     @property
     def nprime(self) -> RatMat:
@@ -168,23 +171,8 @@ def solve_bezout(mfd: RightMFD) -> DoublyCoprime:
 @lru_cache(maxsize=64)
 def _rh_data_cached(p: RatMat, shift: Fraction) -> StableCoprimeData:
     right = stable_mfd(right_coprime_mfd(p), shift)
-    left = left_coprime_mfd(p)
-    rows = left.dl.shape[0]
-    row_degs = [deg if deg is not None else 0 for deg in left.dl.row_degrees()]
-    psis = [hurwitz_shift_polynomial(shift, deg) for deg in row_degs]
-    nl_prime = RatMat(
-        [
-            [RatFn(left.nl.entry(i, j), psis[i]) for j in range(left.nl.shape[1])]
-            for i in range(rows)
-        ]
-    )
-    dl_prime = RatMat(
-        [
-            [RatFn(left.dl.entry(i, j), psis[i]) for j in range(rows)]
-            for i in range(rows)
-        ]
-    )
-    return StableCoprimeData(right, nl_prime, dl_prime, left)
+    dl_prime, nl_prime = stable_left_mfd(p, shift)
+    return StableCoprimeData(right, nl_prime, dl_prime)
 
 
 def rh_coprime_data(p: RatMat, shift: Fraction | int = 1) -> StableCoprimeData:
@@ -203,12 +191,12 @@ def _youla_feedback(
     right: StableMFD,
     k: RatMat | None = None,
     data: StableCoprimeData | None = None,
-) -> tuple[RatMat, StabilityVerdict]:
+) -> tuple[RatMat, LoopMaps]:
     """cy = -(v - k@nl')**-1 @ (u + k@dl') from the witness (u, v) of
-    ``right``, a fraction of ``plant``, with the verdict that cy is proper
-    and internally stabilizing.  k = None is the central choice k = 0 and
-    needs no left fraction; any other k must be proper and stable and
-    needs the left pair of ``data``."""
+    ``right``, a fraction of ``plant``, with the loop maps of (plant, cy),
+    whose verdict says cy is internally stabilizing.  k = None is the
+    central choice k = 0 and needs no left fraction; any other k must be
+    proper and stable and needs the left pair of ``data``."""
     lhs, rhs = right.v, right.u
     if k is not None:
         if k.shape != (plant.shape[1], plant.shape[0]):
@@ -229,12 +217,12 @@ def _youla_feedback(
         raise InadmissibleParameter(
             "compensator is improper: v - k@nl' is singular at infinity"
         )
-    verdict = is_internally_stabilizing(plant, cy)
-    if not verdict:
+    loop = gang_of_four(plant, cy)
+    if not loop.verdict:
         raise ArithmeticError(
-            "parametrized compensator failed validation: " + verdict.describe()
+            "parametrized compensator failed validation: " + loop.verdict.describe()
         )
-    return cy, verdict
+    return cy, loop
 
 
 def youla_controller(
@@ -257,10 +245,37 @@ def youla_controller(
     return _youla_feedback(plant, data.right, k, data)[0]
 
 
-def gang_of_four(p: RatMat, cy: RatMat) -> tuple[RatMat, RatMat, RatMat, RatMat]:
+class LoopMaps(namedtuple("LoopMaps", "sens sens_cy p_sens p_sens_cy")):
+    """The four closed-loop maps of a feedback pair (p, cy), named in
+    NAMES; unpacks and iterates as a 4-tuple.  The verdicts are computed
+    on first read and then kept."""
+
+    NAMES = (
+        "(I - cy@p)**-1",
+        "(I - cy@p)**-1 @ cy",
+        "p @ (I - cy@p)**-1",
+        "p @ (I - cy@p)**-1 @ cy",
+    )
+
+    @cached_property
+    def verdicts(self) -> tuple[StabilityVerdict, ...]:
+        """Whether each map is proper and stable."""
+        return tuple(rh_inf_verdict(mat) for mat in self)
+
+    @cached_property
+    def verdict(self) -> StabilityVerdict:
+        """Internal stability: every map proper and stable."""
+        merged = StabilityVerdict(True)
+        for verdict in self.verdicts:
+            merged = merged.merged(verdict)
+        return merged
+
+
+def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
     """The four closed-loop maps of the feedback pair (p, cy):
     (I-cy@p)**-1, (I-cy@p)**-1 @ cy, p @ (I-cy@p)**-1, and
-    p @ (I-cy@p)**-1 @ cy."""
+    p @ (I-cy@p)**-1 @ cy.  No stability test runs until the verdicts of
+    the result are read."""
     m = cy.shape[0]
     if cy.shape != (p.shape[1], p.shape[0]):
         raise ShapeError(
@@ -271,16 +286,13 @@ def gang_of_four(p: RatMat, cy: RatMat) -> tuple[RatMat, RatMat, RatMat, RatMat]
         sens = loop.inv()
     except SingularMatrixError:
         raise IllPosedLoop("I - cy@p is singular; the loop is ill posed") from None
-    return sens, sens @ cy, p @ sens, p @ sens @ cy
+    return LoopMaps(sens, sens @ cy, p @ sens, p @ sens @ cy)
 
 
 def is_internally_stabilizing(p: RatMat, cy: RatMat) -> StabilityVerdict:
     """Verdict over all four closed-loop maps of (p, cy): internally
     stabilizing iff every map is proper and stable."""
-    verdict = StabilityVerdict(True)
-    for mat in gang_of_four(p, cy):
-        verdict = verdict.merged(rh_inf_verdict(mat))
-    return verdict
+    return gang_of_four(p, cy).verdict
 
 
 def cr_from_x(p: RatMat, cy: RatMat, mfd: RightMFD, x: RatMat) -> RatMat:

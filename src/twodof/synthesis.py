@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .factor import RightMFD, StableMFD, left_coprime_mfd, zeros_and_poles
+from .factor import RightMFD, StableMFD, stable_left_mfd, zeros_and_poles
 from .polyalg import (
     ONE,
     RF_ZERO,
@@ -41,10 +41,11 @@ from .stability import (
     rh_inf_verdict,
 )
 from .stabilize import (
+    LoopMaps,
     TwoDofController,
     _youla_feedback,
     cr_from_x,
-    is_internally_stabilizing,
+    gang_of_four,
 )
 
 __all__ = [
@@ -237,9 +238,9 @@ def _xprime_from_x(smfd: StableMFD, x: RatMat) -> RatMat:
 
 def _controller_for_x(smfd: StableMFD, x: RatMat) -> TwoDofController:
     plant = smfd.source.plant()
-    cy, verdict = _youla_feedback(plant, smfd)
+    cy, loop = _youla_feedback(plant, smfd)
     cr = cr_from_x(plant, cy, smfd.source, x)
-    return TwoDofController(cy=cy, cr=cr, certificate=verdict)
+    return TwoDofController(cy=cy, cr=cr, certificate=loop.verdict)
 
 
 def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat) -> list[str]:
@@ -505,64 +506,92 @@ def inverse_problem(smfd: StableMFD) -> DesignResult:
 # -- static decoupling -----------------------------------------------------------
 
 
-def _constant_matrix(mat: RatMat) -> list[list[Fraction]] | None:
-    out = []
-    for row in mat.rows:
-        cur = []
-        for e in row:
-            if e.den != ONE or not (e.num.is_zero() or e.num.is_constant()):
-                return None
-            cur.append(e.num.coeff(0))
-        out.append(cur)
-    return out
+def _value_at_origin(mat: RatMat) -> RatMat | None:
+    """mat(0) as a constant matrix, or None when an entry has a pole at 0."""
+    vals = mat.eval_at(Fraction(0))
+    if any(v is None for row in vals for v in row):
+        return None
+    return RatMat([[RatFn.of(v) for v in row] for row in vals])
 
 
 def _check_static_target(smfd: StableMFD, lam: RatMat) -> None:
     """Refuse a lam that is not a constant nonsingular diagonal matrix
-    matching a square plant, and a plant with a zero at the origin."""
-    lam_const = _constant_matrix(lam)
-    if lam_const is None:
+    matching a square plant, a plant singular at every s, and a plant
+    with a zero at the origin."""
+    if _value_at_origin(lam) != lam:
         raise ValueError("lam must be a constant matrix")
-    if lam.shape[0] != lam.shape[1] or any(
-        lam_const[i][j] != 0
-        for i in range(lam.shape[0])
-        for j in range(lam.shape[1])
-        if i != j
-    ):
+    diagonal = [lam.entry(i, i) for i in range(min(lam.shape))]
+    if lam != RatMat.diag(diagonal):
         raise ValueError("lam must be square and diagonal")
-    if any(lam_const[i][i] == 0 for i in range(lam.shape[0])):
+    if any(e.is_zero() for e in diagonal):
         raise ValueError("lam must be nonsingular")
     p_rows, m_cols = smfd.nprime.shape
     if p_rows != m_cols or lam.shape[0] != p_rows:
         raise ShapeError("static decoupling requires a square plant matching lam")
-
-    nprime_at_0 = RatMat(
-        [
-            [RatFn.of(v) for v in row]
-            for row in smfd.nprime.eval_at(Fraction(0))
-        ]
-    )
-    try:
-        nprime_at_0.inv()
-    except SingularMatrixError:
+    rank = smfd.nprime.rank()
+    if rank < p_rows:
+        raise DesignObstruction(
+            (f"plant is rank deficient (rank n' = {rank} < {p_rows}, singular at every s);"
+             " static decoupling impossible",)
+        )
+    # n' is proper and stable, so it has no pole at the origin
+    if _value_at_origin(smfd.nprime).rank() < p_rows:
         raise DesignObstruction(
             ("plant has a zero at the origin (det n'(0) = 0); static decoupling impossible",)
-        ) from None
+        )
 
 
-def _dc_precompensator(plant: RatMat, lam: RatMat, cy: RatMat) -> RatMat:
+def _dc_precompensator(loop: LoopMaps, lam: RatMat) -> RatMat:
     """cr = G(0)**-1 @ lam for the closed loop G = P(I - cy P)**-1."""
-    gain_map = plant @ (RatMat.identity(cy.shape[0]) - cy @ plant).inv()
-    vals = gain_map.eval_at(Fraction(0))
-    if vals is None or any(v is None for row in vals for v in row):
+    g0 = _value_at_origin(loop.p_sens)
+    if g0 is None:
         raise DesignObstruction(("closed loop has a pole at the origin",))
-    g0 = RatMat([[RatFn.of(v) for v in row] for row in vals])
     try:
         return g0.inv() @ lam
     except SingularMatrixError:
         raise DesignObstruction(
             ("dc gain is singular for this feedback choice; pick another cy",)
         ) from None
+
+
+def _static_design(
+    smfd: StableMFD, lam: RatMat, cy: RatMat | None = None
+) -> DesignResult:
+    """Static decoupling around cy: the supplied map, which must be
+    internally stabilizing, else cy = 0 for a stable plant and the central
+    feedback map for an unstable one.  lam and the plant are checked before
+    any controller work."""
+    _check_static_target(smfd, lam)
+    plant = smfd.plant()
+    if cy is not None:
+        loop = gang_of_four(plant, cy)
+        if not loop.verdict:
+            raise DesignObstruction(
+                ("supplied feedback map is not internally stabilizing: "
+                 + loop.verdict.describe(),)
+            )
+    elif matrix_is_stable(plant):
+        cy = RatMat.zeros(plant.shape[1], plant.shape[0])
+        loop = gang_of_four(plant, cy)
+    else:
+        cy, loop = _youla_feedback(plant, smfd)
+    cr = _dc_precompensator(loop, lam)
+    achieved_t = loop.p_sens @ cr
+    achieved_m = loop.sens @ cr
+    x = smfd.source.d.to_ratmat().inv() @ achieved_m
+    certs = (
+        _equality_certificate("dc gain equals lam exactly", _value_at_origin(achieved_t) == lam),
+        Certificate("closed loop stable", matrix_is_stable(achieved_t)),
+    )
+    return DesignResult(
+        configuration=TwoDofConfig(cy=cy, cr=cr),
+        controller=TwoDofController(cy=cy, cr=cr, certificate=loop.verdict),
+        x=x,
+        xprime=_xprime_from_x(smfd, x),
+        achieved_t=achieved_t,
+        achieved_m=achieved_m,
+        certificates=certs,
+    )
 
 
 def static_decoupling(
@@ -574,20 +603,7 @@ def static_decoupling(
     plants are first closed with a stabilizing feedback map (the central
     one unless supplied) and cr = G(0)**-1 @ lam for G = P(I - cy P)**-1.
     """
-    _check_static_target(smfd, lam)
-    plant = smfd.plant()
-    if cy is not None:
-        verdict = is_internally_stabilizing(plant, cy)
-        if not verdict:
-            raise DesignObstruction(
-                ("supplied feedback map is not internally stabilizing: "
-                 + verdict.describe(),)
-            )
-    elif matrix_is_stable(plant):
-        cy = RatMat.zeros(plant.shape[1], plant.shape[0])
-    else:
-        cy, _ = _youla_feedback(plant, smfd)
-    return _dc_precompensator(plant, lam, cy)
+    return _static_design(smfd, lam, cy).controller.cr
 
 
 # -- denominator assignment -------------------------------------------------------
@@ -603,7 +619,7 @@ def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
     """Unity-feedback forward compensator cff = d @ (d_t + n)**-1 driving
     y/r = n @ d_t**-1 exactly.
 
-    The loop is u = cff @ (r + y), so t = (I - p @ cff)**-1 @ p @ cff and
+    The loop is u = cff @ (r + y), so t = p @ (I - cff @ p)**-1 @ cff and
     the design certifies the identity t**-1 + I == cff**-1 @ p**-1."""
     if mfd.outputs != mfd.inputs:
         raise DesignObstruction(("denominator assignment requires a square plant",))
@@ -637,8 +653,8 @@ def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
     achieved_t = n_rat @ x
     achieved_m = d_rat @ x
     plant = mfd.plant()
-    # closed loop of u = cff@(r + y)
-    loop = (RatMat.identity(mfd.outputs) - plant @ cff).inv() @ plant @ cff
+    # I - cff@p = d @ (d_t + n)**-1 @ d_t @ d**-1, so the loop is well posed
+    loop = gang_of_four(plant, cff)
     t_inv = achieved_t.inv()
     identity_holds = (
         t_inv + RatMat.identity(mfd.outputs) == cff.inv() @ plant.inv()
@@ -646,15 +662,12 @@ def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
     certs = (
         Certificate("stability condition (d_t + n) @ d**-1", cond_verdict),
         _equality_certificate(
-            "closed loop equals n @ d_t**-1", loop == achieved_t
+            "closed loop equals n @ d_t**-1", loop.p_sens_cy == achieved_t
         ),
         _equality_certificate(
             "identity t**-1 + I == cff**-1 @ p**-1", identity_holds
         ),
-        Certificate(
-            "unity loop internally stabilizing",
-            is_internally_stabilizing(plant, cff),
-        ),
+        Certificate("unity loop internally stabilizing", loop.verdict),
     )
     return DesignResult(
         configuration=UnityFeedbackConfig(cff=cff),
@@ -690,17 +703,15 @@ def denominator_assignment_direct(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
     achieved_t = n_rat @ x
     achieved_m = d_rat @ x
     plant = mfd.plant()
-    loop = plant @ (RatMat.identity(mfd.inputs) - cfb @ plant).inv()
+    # I - cfb@p = d_t @ d**-1, so the loop is well posed
+    loop = gang_of_four(plant, cfb)
     identity_holds = (
         achieved_t.inv() - plant.inv() == cfb.scale(RatFn.of(-1))
     )
     certs = (
-        _equality_certificate("closed loop equals n @ d_t**-1", loop == achieved_t),
+        _equality_certificate("closed loop equals n @ d_t**-1", loop.p_sens == achieved_t),
         _equality_certificate("identity t**-1 - p**-1 == -cfb", identity_holds),
-        Certificate(
-            "loop internally stabilizing",
-            is_internally_stabilizing(plant, cfb),
-        ),
+        Certificate("loop internally stabilizing", loop.verdict),
     )
     return DesignResult(
         configuration=FeedbackDirectRConfig(cfb=cfb),
@@ -817,6 +828,12 @@ def find_admissible_unity_xprime(
 def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> RatMat:
     """Forward compensator cff = f**-1 @ x' realizing y/r = n'@x' in the
     unity-feedback configuration, for an admissible x'."""
+    return _unity_feedback(smfd, xprime)[0]
+
+
+def _unity_feedback(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, LoopMaps]:
+    """cff of ``unity_feedback_controller`` with the loop maps of
+    (plant, cff), whose last map it checks equals n'@x'."""
     verdict = unity_feedback_admissible(smfd, xprime)
     if not verdict:
         raise DesignObstruction(
@@ -830,11 +847,11 @@ def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> RatMat:
         raise DesignObstruction(
             ("I + x'@n' is singular; the unity loop is ill posed",)
         ) from None
-    plant = smfd.plant()
-    closed = (RatMat.identity(plant.shape[0]) - plant @ cff).inv() @ plant @ cff
-    if closed != smfd.nprime @ xprime:
+    # I - cff@p = f**-1 @ d'**-1, so the loop is well posed
+    loop = gang_of_four(smfd.plant(), cff)
+    if loop.p_sens_cy != smfd.nprime @ xprime:
         raise ArithmeticError("unity loop does not realize n' @ x'")
-    return cff
+    return cff, loop
 
 
 # -- controller realization ----------------------------------------------------------
@@ -850,24 +867,10 @@ def ff_fb_realization(
     cy, cr = controller.cy, controller.cr
     if not (cy.is_proper() and cr.is_proper()):
         raise ValueError("realization requires a proper controller")
-    stacked = hstack(cy, cr)
-    left = left_coprime_mfd(stacked)
-    rows = left.dl.shape[0]
+    dc, nl = stable_left_mfd(hstack(cy, cr), shift)
     p_cols = cy.shape[1]
-    row_degs = [deg if deg is not None else 0 for deg in left.dl.row_degrees()]
-    psis = [hurwitz_shift_polynomial(shift, deg) for deg in row_degs]
-    dc = RatMat(
-        [[RatFn(left.dl.entry(i, j), psis[i]) for j in range(rows)] for i in range(rows)]
-    )
-    cfb = RatMat(
-        [[RatFn(left.nl.entry(i, j), psis[i]) for j in range(p_cols)] for i in range(rows)]
-    )
-    r_map = RatMat(
-        [
-            [RatFn(left.nl.entry(i, j), psis[i]) for j in range(p_cols, left.nl.shape[1])]
-            for i in range(rows)
-        ]
-    )
+    cfb = RatMat([row[:p_cols] for row in nl.rows])
+    r_map = RatMat([row[p_cols:] for row in nl.rows])
     cff = dc.inv()
     if cff @ cfb != cy or cff @ r_map != cr:
         raise ArithmeticError("realization blocks do not reproduce (cy, cr)")
@@ -892,8 +895,8 @@ def direct_feedback_from_x(mfd: RightMFD, x: RatMat) -> RatMat:
         raise DesignObstruction(("plant numerator is singular",)) from None
     m = mfd.inputs
     cfb = x_inv @ (x @ mfd.d.to_ratmat() - RatMat.identity(m)) @ n_inv
-    plant = mfd.plant()
-    closed = plant @ (RatMat.identity(m) - cfb @ plant).inv()
+    # I - cfb@p = x**-1 @ d**-1, so the loop is well posed
+    closed = gang_of_four(mfd.plant(), cfb).p_sens
     if closed != mfd.n.to_ratmat() @ x:
         raise ArithmeticError("direct-feedback loop does not realize n @ x")
     return cfb
@@ -925,38 +928,7 @@ def solve_design(smfd: StableMFD, problem: DesignProblem) -> DesignResult:
     if isinstance(problem, Inverse):
         return inverse_problem(smfd)
     if isinstance(problem, StaticDecoupling):
-        plant = smfd.plant()
-        if matrix_is_stable(plant):
-            cy = RatMat.zeros(plant.shape[1], plant.shape[0])
-            # the four loop maps of cy = 0 are I, 0, plant and 0
-            verdict = rh_inf_verdict(plant)
-        else:
-            cy, verdict = _youla_feedback(plant, smfd)
-        _check_static_target(smfd, problem.lam)
-        cr = _dc_precompensator(plant, problem.lam, cy)
-        loop_inv = (RatMat.identity(cy.shape[0]) - cy @ plant).inv()
-        achieved_t = plant @ loop_inv @ cr
-        achieved_m = loop_inv @ cr
-        x = smfd.source.d.to_ratmat().inv() @ achieved_m
-        vals = achieved_t.eval_at(Fraction(0))
-        dc_matches = vals is not None and RatMat(
-            [[RatFn.of(v) for v in row] for row in vals]
-        ) == problem.lam
-        certs = (
-            _equality_certificate("dc gain equals lam exactly", bool(dc_matches)),
-            Certificate(
-                "closed loop stable", matrix_is_stable(achieved_t)
-            ),
-        )
-        return DesignResult(
-            configuration=TwoDofConfig(cy=cy, cr=cr),
-            controller=TwoDofController(cy=cy, cr=cr, certificate=verdict),
-            x=x,
-            xprime=_xprime_from_x(smfd, x),
-            achieved_t=achieved_t,
-            achieved_m=achieved_m,
-            certificates=certs,
-        )
+        return _static_design(smfd, problem.lam)
     if isinstance(problem, DenominatorAssignment):
         if problem.loop == "unity":
             return denominator_assignment_unity(smfd.source, problem.d_t)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyalg import ONE, Poly, RatFn, RatMat, poly_divmod, poly_lcm
-from .stability import StabilityVerdict, matrix_is_stable, rh_inf_verdict
-from .stabilize import IllPosedLoop, gang_of_four
+from .stability import StabilityVerdict, matrix_is_stable
+from .stabilize import gang_of_four
 from .synthesis import (
     Certificate,
     ClosedLoopConfig,
@@ -28,14 +28,6 @@ __all__ = [
     "simulate_step",
     "dc_gain",
 ]
-
-_MAP_NAMES = (
-    "(I - cy@p)**-1",
-    "(I - cy@p)**-1 @ cy",
-    "p @ (I - cy@p)**-1",
-    "p @ (I - cy@p)**-1 @ cy",
-)
-
 
 @dataclass(frozen=True)
 class ClosedLoopReport:
@@ -65,19 +57,13 @@ def closed_loop(p: RatMat, config: ClosedLoopConfig) -> ClosedLoopReport:
 
     Every configuration reduces to the pair (cy, cr) acting as
     u = cy@y + cr@r; the loop is ill posed when I - cy@p is singular.
+    The internal maps and their verdicts are those of ``gang_of_four``.
     """
     cy, cr = _feedback_and_reference(p, config)
-    if cy.shape != (p.shape[1], p.shape[0]):
-        raise ValueError(
-            f"feedback map must be {p.shape[1]}x{p.shape[0]}, got {cy.shape}"
-        )
     maps = gang_of_four(p, cy)
-    sens = maps[0]
-    t_ur = sens @ cr
+    t_ur = maps.sens @ cr
     t_yr = p @ t_ur
-    internal = tuple(
-        (name, mat, rh_inf_verdict(mat)) for name, mat in zip(_MAP_NAMES, maps)
-    )
+    internal = tuple(zip(maps.NAMES, maps, maps.verdicts))
     well_posed = all(mat.is_proper() for mat in maps)
     return ClosedLoopReport(
         t_yr=t_yr, t_ur=t_ur, internal_maps=internal, well_posed=well_posed

@@ -2,7 +2,9 @@
 
 A design receives a proper-stable fraction with its Bezout witness
 (u, v); the central feedback map cy = -v**-1 @ u is built from that
-witness and checked once, without refactoring the plant.
+witness and checked once, without refactoring the plant.  Each design
+forms its closed loop once, through gang_of_four, and reads its
+internal-stability certificate from that one call.
 """
 
 import random
@@ -15,10 +17,12 @@ import pytest
 import twodof.stabilize
 from twodof.cli import main, parse_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
-from twodof.polyalg import ONE, S, Poly, RatFn, RatMat
+from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat
 from twodof.stabilize import InadmissibleParameter, youla_controller
 from twodof.synthesis import (
+    DenominatorAssignment,
     DesignObstruction,
+    ModelMatching,
     StaticDecoupling,
     model_matching,
     solve_design,
@@ -79,14 +83,14 @@ def test_scalar_design_analyses_its_plant_once(monkeypatch):
     t = smfd.nprime
     counts = count_calls(
         monkeypatch,
-        ["right_coprime_mfd", "stable_mfd", "left_coprime_mfd", "is_internally_stabilizing"],
+        ["right_coprime_mfd", "stable_mfd", "left_coprime_mfd", "gang_of_four"],
     )
     res = model_matching(smfd, t)
     assert counts == {
         "right_coprime_mfd": 0,
         "stable_mfd": 0,
         "left_coprime_mfd": 0,
-        "is_internally_stabilizing": 1,
+        "gang_of_four": 1,
     }
     assert res.achieved_t == t
     assert all(c.passed for c in res.certificates)
@@ -138,11 +142,11 @@ def test_improper_central_controller_is_rejected(tmp_path, capsys):
 
 
 def test_stabilize_command_checks_each_controller_once(monkeypatch, capsys):
-    counts = count_calls(monkeypatch, ["is_internally_stabilizing"])
+    counts = count_calls(monkeypatch, ["gang_of_four"])
     assert main(["stabilize", str(PROBLEMS / "example_match.ini")]) == 0
     out = capsys.readouterr().out
     assert out.count("internal stability: stable") == 2
-    assert counts == {"is_internally_stabilizing": 2}
+    assert counts == {"gang_of_four": 2}
 
 
 def count_plant_builds(monkeypatch):
@@ -159,16 +163,18 @@ def count_plant_builds(monkeypatch):
 
 def test_static_design_builds_the_plant_once(monkeypatch, tmp_path, capsys):
     builds = count_plant_builds(monkeypatch)
-    counts = count_calls(monkeypatch, ["is_internally_stabilizing"])
+    counts = count_calls(monkeypatch, ["gang_of_four"])
+    # cy = 0 on the stable plant: its one loop (maps I, 0, P, 0) gives the
+    # dc gain, the achieved maps and the certificate
     assert main(["static-decouple", str(PROBLEMS / "example_static_decouple.ini")]) == 0
-    assert (len(builds), counts["is_internally_stabilizing"]) == (1, 0)
+    assert (len(builds), counts["gang_of_four"]) == (1, 1)
 
     builds.clear()
-    counts["is_internally_stabilizing"] = 0
+    counts["gang_of_four"] = 0
     problem = tmp_path / "unstable.ini"
     problem.write_text(f"[plant]\nmatrix = {UNSTABLE_2X2}\n[design]\nlambda = 1, 0; 0, 1\n")
     assert main(["static-decouple", str(problem)]) == 0
-    assert (len(builds), counts["is_internally_stabilizing"]) == (1, 1)
+    assert (len(builds), counts["gang_of_four"]) == (1, 1)
     out = capsys.readouterr().out
     assert "dc gain:\n  [ 1  0 ]\n  [ 0  1 ]" in out
 
@@ -179,9 +185,80 @@ def test_static_decoupling_checks_a_supplied_feedback_map(monkeypatch):
     lam = RatMat.identity(2)
     cy = youla_controller(plant, shift=1)
     builds = count_plant_builds(monkeypatch)
-    counts = count_calls(monkeypatch, ["is_internally_stabilizing"])
+    counts = count_calls(monkeypatch, ["gang_of_four"])
     cr = static_decoupling(smfd, lam, cy)
-    assert (len(builds), counts["is_internally_stabilizing"]) == (1, 1)
+    assert (len(builds), counts["gang_of_four"]) == (1, 1)
     assert cr == static_decoupling(smfd, lam)
     with pytest.raises(DesignObstruction, match="supplied feedback map"):
         static_decoupling(smfd, lam, RatMat.zeros(2, 2))
+
+
+def count_inversions(monkeypatch):
+    calls = []
+    original = RatMat.inv
+
+    def inv(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(RatMat, "inv", inv)
+    return calls
+
+
+# label -> (plant, shift, problem, RatMat.inv calls): fixed instances of
+# each design whose closed loop gang_of_four forms
+DESIGNS = {
+    "static, stable plant": (
+        "1/(s+1), 1/(s+2); 0, 1/(s+3)", 1, StaticDecoupling(lam=RatMat.identity(2)), 4
+    ),
+    "static, unstable plant": (UNSTABLE_2X2, 1, StaticDecoupling(lam=RatMat.identity(2)), 5),
+    "denominator, unity": (
+        "1/(s-2)", 1,
+        DenominatorAssignment(d_t=PolyMat([[Poly((Fraction(-1, 2), Fraction(-1, 4)))]])), 8,
+    ),
+    "denominator, direct": (
+        "1/(s-2)", 1, DenominatorAssignment(d_t=PolyMat([[S + 2 * ONE]]), loop="direct"), 6
+    ),
+    "model matching": (
+        "(s-1)*(s+2)/(s-2)^2", 2, ModelMatching(t=parse_matrix("(s-1)/(s+1)^2")), 3
+    ),
+}
+
+
+def test_each_design_forms_its_loop_once(monkeypatch):
+    instances = [
+        (label, stable_mfd(right_coprime_mfd(parse_matrix(plant)), shift=shift), problem)
+        for label, (plant, shift, problem, _) in DESIGNS.items()
+    ]
+    counts = count_calls(monkeypatch, ["gang_of_four"])
+    inversions = count_inversions(monkeypatch)
+    seen = {}
+    for label, smfd, problem in instances:
+        counts["gang_of_four"] = 0
+        inversions.clear()
+        res = solve_design(smfd, problem)
+        assert all(c.passed for c in res.certificates), label
+        assert res.controller.certificate, label
+        seen[label] = (counts["gang_of_four"], len(inversions))
+    assert seen == {label: (1, case[3]) for label, case in DESIGNS.items()}
+
+
+def test_cli_designs_form_each_loop_once(monkeypatch, tmp_path, capsys):
+    problem = tmp_path / "unstable.ini"
+    problem.write_text(f"[plant]\nmatrix = {UNSTABLE_2X2}\n[design]\nlambda = 1, 0; 0, 1\n")
+    # argv -> (gang_of_four calls, RatMat.inv calls); assign-denominator
+    # forms a second loop in its closed-loop cross-check
+    runs = {
+        ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (1, 5),
+        ("static-decouple", str(problem)): (1, 6),
+        ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (2, 10),
+        ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (1, 7),
+    }
+    counts = count_calls(monkeypatch, ["gang_of_four"])
+    inversions = count_inversions(monkeypatch)
+    for argv, expected in runs.items():
+        counts["gang_of_four"] = 0
+        inversions.clear()
+        assert main(list(argv)) == 0
+        assert (counts["gang_of_four"], len(inversions)) == expected, argv
+    capsys.readouterr()

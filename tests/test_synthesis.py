@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twodof.cli import parse_matrix
+from twodof.cli import main, parse_matrix
 from twodof.factor import right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat
 from twodof.stability import StabilityVerdict, matrix_is_rh_inf
@@ -32,6 +32,7 @@ from twodof.synthesis import (
     unity_feedback_admissible,
     unity_feedback_controller,
 )
+from twodof.verify import dc_gain
 
 
 def rf(num, den=ONE):
@@ -238,6 +239,51 @@ def test_static_decoupling_blocked_by_zero_at_origin():
     with pytest.raises(DesignObstruction) as err:
         static_decoupling(smfd, RatMat.identity(1))
     assert any("origin" in r for r in err.value.reasons)
+
+
+def test_static_decoupling_names_a_rank_deficient_plant(tmp_path, capsys):
+    # singular at every s, not only at the origin
+    text = "1/(s+1), 1/(s+1); 1/(s+2), 1/(s+2)"
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix(text)), shift=1)
+    lam = RatMat.identity(2)
+    for design in (
+        lambda: static_decoupling(smfd, lam),
+        lambda: solve_design(smfd, StaticDecoupling(lam=lam)),
+    ):
+        with pytest.raises(DesignObstruction) as err:
+            design()
+        assert err.value.reasons == (
+            "plant is rank deficient (rank n' = 1 < 2, singular at every s);"
+            " static decoupling impossible",
+        )
+    problem = tmp_path / "rank1.ini"
+    problem.write_text(f"[plant]\nmatrix = {text}\n")
+    assert main(["static-decouple", str(problem)]) == 2
+    out = capsys.readouterr().out
+    assert "rank deficient" in out and "origin" not in out
+
+
+def test_static_entry_points_check_lam_before_the_controller():
+    # the central controller of this plant does not exist (v = 0), so a
+    # design that built it first would fail on the controller, not on lam
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s+1)/(s-2)")), shift=1)
+    lam = parse_matrix("s")
+    with pytest.raises(ValueError, match="lam must be a constant matrix"):
+        static_decoupling(smfd, lam)
+    with pytest.raises(ValueError, match="lam must be a constant matrix"):
+        solve_design(smfd, StaticDecoupling(lam=lam))
+
+
+def test_static_entry_points_give_the_same_precompensator():
+    lam = RatMat.diag([rf(2 * ONE), rf(3 * ONE)])
+    for text in (
+        "1/(s+1), 1/(s+2); 0, 1/(s+3)",
+        "1/(s-1), 1/(s+2); 1/(s+3), 1/(s+1)",
+    ):
+        smfd = stable_mfd(right_coprime_mfd(parse_matrix(text)), shift=1)
+        res = solve_design(smfd, StaticDecoupling(lam=lam))
+        assert static_decoupling(smfd, lam) == res.configuration.cr, text
+        assert dc_gain(res.achieved_t) == ((2, 0), (0, 3))
 
 
 def test_denominator_assignment_unity_instance():
