@@ -25,10 +25,10 @@ from .polyalg import (
     S,
     ShapeError,
     SingularMatrixError,
+    common_denominator,
     hermite,
     linsolve_exact,
     poly_gcd,
-    poly_lcm,
     polymat_det,
     vstack,
 )
@@ -116,27 +116,17 @@ class StableMFD:
         return self.nprime @ self.dprime.inv()
 
 
-def _column_lcd(p: RatMat, j: int) -> Poly:
-    den = ONE
-    for i in range(p.shape[0]):
-        den = poly_lcm(den, p.entry(i, j).den)
-    return den
+def _column_fraction(p: RatMat) -> tuple[list[Poly], PolyMat]:
+    """(d, n) with p = n @ diag(d)**-1, d_j the monic lcd of column j."""
+    cols = [common_denominator(col) for col in zip(*p.rows)]
+    return [den for den, _ in cols], PolyMat(tuple(zip(*(nums for _, nums in cols))))
 
 
 def right_coprime_mfd(p: RatMat) -> RightMFD:
     """Extract a right coprime, column-reduced fraction of a rational matrix."""
-    rows, cols = p.shape
-    d0_cols = [_column_lcd(p, j) for j in range(cols)]
+    cols = p.shape[1]
+    d0_cols, n0 = _column_fraction(p)
     d0 = PolyMat.diag(d0_cols)
-    n0 = PolyMat(
-        [
-            [
-                p.entry(i, j).num * (d0_cols[j] // p.entry(i, j).den)
-                for j in range(cols)
-            ]
-            for i in range(rows)
-        ]
-    )
     stacked = vstack(d0, n0)
     h, _ = hermite(stacked)
     gcrd = PolyMat([[h.entry(i, j) for j in range(cols)] for i in range(cols)])

@@ -18,8 +18,9 @@ Conventions
   ``_gauss_jordan``, on ``Fraction`` or `RatFn` entries: ``RatMat.inv``,
   ``RatMat.det``, ``RatMat.rank``, :func:`linsolve_exact` and
   ``synthesis.check_realizable``.  Over the polynomial ring, `hermite`
-  gives the row Hermite form and polynomial determinants use
-  fraction-free Bareiss elimination.
+  gives the row Hermite form, and one fraction-free Bareiss kernel,
+  ``_bareiss``, gives determinants and adjugates, so a polynomial matrix
+  is inverted as adj / det with every entry normalised once.
 * Evaluation at a rational point reports poles explicitly (``None``
   entries) instead of raising.
 
@@ -400,6 +401,17 @@ def _as_ratfn(x: "RatFn | Poly | Scalar") -> RatFn:
     return RatFn(_as_poly(x))
 
 
+def common_denominator(entries: Iterable[RatFn]) -> tuple[Poly, list[Poly]]:
+    """Monic least common denominator of ``entries``, with each entry's
+    numerator over it."""
+    entries = list(entries)
+    den = ONE
+    for e in entries:
+        if e.den != den:
+            den = poly_lcm(den, e.den)
+    return den, [e.num if e.den == den else e.num * (den // e.den) for e in entries]
+
+
 # ---------------------------------------------------------------------------
 # polynomial matrices
 # ---------------------------------------------------------------------------
@@ -571,56 +583,66 @@ def hermite(a: PolyMat) -> tuple[PolyMat, PolyMat]:
     return PolyMat(tuple(tuple(r) for r in rows)), PolyMat(tuple(tuple(r) for r in u))
 
 
+def _bareiss(rows: list[list[Poly]], n: int) -> Poly:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the
+    leading n x n block A of the n-row list ``rows``, in place; later
+    columns B ride along.
+
+    Returns det A.  When it is nonzero, B ends as adj(A) @ B.  Every
+    entry stays a polynomial (a minor of [A | B]), so each division by the
+    previous pivot is exact; the leading block is left unspecified.
+    """
+    sign, prev = 1, ONE
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
+        if piv is None:
+            return ZERO
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row, f = rows[i], rows[i][k]
+            for j in range(k + 1, len(top)):
+                num = pivot * row[j] - f * top[j]
+                if k:
+                    num, rem = poly_divmod(num, prev)
+                    if not rem.is_zero():
+                        raise ArithmeticError("Bareiss elimination lost exactness")
+                row[j] = num
+        prev = pivot
+    # the elimination reaches det(perm @ A) * A**-1 @ B
+    if sign < 0:
+        for row in rows:
+            row[n:] = [-e for e in row[n:]]
+        return -prev
+    return prev
+
+
 def polymat_det(a: PolyMat) -> Poly:
     """Determinant by fraction-free Bareiss elimination (exact divisions)."""
     r, c = a.shape
     if r != c:
         raise ShapeError("determinant of a non-square matrix")
-    n = r
-    m = [[e for e in row] for row in a.rows]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap_with = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if swap_with is None:
-                return ZERO
-            m[k], m[swap_with] = m[swap_with], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                q, rem = poly_divmod(num, prev)
-                if not rem.is_zero():
-                    raise ArithmeticError("Bareiss elimination lost exactness")
-                m[i][j] = q
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return _bareiss([list(row) for row in a.rows], r)
 
 
-def polymat_det_cofactor(a: PolyMat) -> Poly:
-    """Cofactor-expansion determinant; an independent oracle for small sizes."""
+def _polymat_det_adj(a: PolyMat) -> tuple[Poly, PolyMat]:
+    """(det a, adj a) of a nonsingular square polynomial matrix, by one
+    Bareiss elimination of [a | I]; a**-1 = adj a / det a.  Raises
+    SingularMatrixError when det a = 0."""
     r, c = a.shape
     if r != c:
-        raise ShapeError("determinant of a non-square matrix")
-    if r > 4:
-        raise ShapeError("cofactor oracle is limited to 4x4")
-    if r == 1:
-        return a.rows[0][0]
-    total = ZERO
-    for j in range(c):
-        e = a.rows[0][j]
-        if e.is_zero():
-            continue
-        minor = PolyMat(
-            tuple(
-                tuple(a.rows[i][t] for t in range(c) if t != j) for i in range(1, r)
-            )
-        )
-        term = e * polymat_det_cofactor(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+        raise ShapeError("adjugate of a non-square matrix")
+    rows = [list(row) + [ONE if i == j else ZERO for j in range(r)]
+            for i, row in enumerate(a.rows)]
+    det = _bareiss(rows, r)
+    if det.is_zero():
+        raise SingularMatrixError("matrix is singular")
+    return det, PolyMat(tuple(tuple(row[r:]) for row in rows))
 
 
 # ---------------------------------------------------------------------------

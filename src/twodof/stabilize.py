@@ -9,7 +9,12 @@ u = Cy*y + Cr*r, so a compensator stabilizes P when the four maps
 are all proper with no closed right-half-plane poles.  ``gang_of_four`` is
 the one place in the package where these maps are formed: every design,
 ``is_internally_stabilizing`` and ``verify.closed_loop`` read the maps and
-their verdicts from its result.  All stabilizing
+their verdicts from its result.  It forms them over the one polynomial
+denominator det M, M = dc*D - Nc*N for P = N*D**-1 and Cy = Nc/dc: the
+coprime-factor form of H(P, C) (Vidyasagar, Control System Synthesis,
+1985; Kailath, Linear Systems, 1980), spelled out in ``gang_of_four``.
+The Youla controller is likewise -adj(L)*R / det L for the polynomial
+numerators [L, R] of [v - K*nl', u + K*dl'].  All stabilizing
 feedback compensators are swept out by a single free parameter K ranging
 over the proper stable rationals.  The sweep is anchored at a Bezout
 witness of the proper-stable fraction data: a witness over polynomials
@@ -29,6 +34,7 @@ from functools import cached_property, lru_cache
 from .factor import (
     RightMFD,
     StableMFD,
+    _column_fraction,
     is_right_coprime,
     left_coprime_mfd,
     poly_row_diophantine,
@@ -43,6 +49,9 @@ from .polyalg import (
     RatMat,
     ShapeError,
     SingularMatrixError,
+    _polymat_det_adj,
+    common_denominator,
+    hstack,
 )
 from .stability import (
     StabilityVerdict,
@@ -207,12 +216,16 @@ def _youla_feedback(
             raise InadmissibleParameter("parameter must be proper and stable")
         lhs = lhs - k @ data.nl_prime
         rhs = rhs + k @ data.dl_prime
+    # cy = -lhs**-1 @ rhs = -adj(l) @ r / det l, where [l, r] = den * [lhs, rhs]
+    m = lhs.shape[0]
+    _, lr = _over_lcd(hstack(lhs, rhs))
     try:
-        cy = (lhs.inv() @ rhs).scale(RatFn.of(-1))
+        det, adj = _polymat_det_adj(PolyMat(tuple(row[:m] for row in lr.rows)))
     except SingularMatrixError:
         raise InadmissibleParameter(
             "parameter makes v - k@nl' singular; no compensator exists"
         ) from None
+    cy = _over(-(adj @ PolyMat(tuple(row[m:] for row in lr.rows))), det)
     if not cy.is_proper():
         raise InadmissibleParameter(
             "compensator is improper: v - k@nl' is singular at infinity"
@@ -271,22 +284,55 @@ class LoopMaps(namedtuple("LoopMaps", "sens sens_cy p_sens p_sens_cy")):
         return merged
 
 
+def _over(mat: PolyMat, den: Poly) -> RatMat:
+    """mat / den, each entry normalised once."""
+    return RatMat(tuple(tuple(RatFn(e, den) for e in row) for row in mat.rows))
+
+
+def _over_lcd(mat: RatMat) -> tuple[Poly, PolyMat]:
+    """(den, num) with mat = num / den, den the monic lcd of the entries."""
+    cols = mat.shape[1]
+    den, nums = common_denominator(e for row in mat.rows for e in row)
+    return den, PolyMat(tuple(nums[i : i + cols] for i in range(0, len(nums), cols)))
+
+
 def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
     """The four closed-loop maps of the feedback pair (p, cy):
     (I-cy@p)**-1, (I-cy@p)**-1 @ cy, p @ (I-cy@p)**-1, and
     p @ (I-cy@p)**-1 @ cy.  No stability test runs until the verdicts of
-    the result are read."""
-    m = cy.shape[0]
+    the result are read.
+
+    The maps are formed over polynomials, in the coprime-factor form of
+    H(P, C) (Vidyasagar, Control System Synthesis, 1985; Kailath, Linear
+    Systems, 1980): with p = n @ d**-1, d the diagonal of the column lcds,
+    cy = nc / dc, dc the lcd of cy, and m = dc*d - nc@n,
+
+        (I - cy@p)**-1 = dc * d @ adj m / det m
+        (I - cy@p)**-1 @ cy = d @ adj m @ nc / det m
+        p @ (I - cy@p)**-1 = dc * n @ adj m / det m
+        p @ (I - cy@p)**-1 @ cy = n @ adj m @ nc / det m
+
+    since I - cy@p = m @ d**-1 / dc.  The loop is ill posed exactly when
+    det m = 0.
+    """
     if cy.shape != (p.shape[1], p.shape[0]):
         raise ShapeError(
             f"feedback map must be {p.shape[1]}x{p.shape[0]}, got {cy.shape}"
         )
-    loop = RatMat.identity(m) - cy @ p
+    d, n = _column_fraction(p)
+    dc, nc = _over_lcd(cy)
     try:
-        sens = loop.inv()
+        det, adj = _polymat_det_adj(PolyMat.diag([dc * dj for dj in d]) - nc @ n)
     except SingularMatrixError:
         raise IllPosedLoop("I - cy@p is singular; the loop is ill posed") from None
-    return LoopMaps(sens, sens @ cy, p @ sens, p @ sens @ cy)
+    d_adj = PolyMat(tuple(tuple(dj * e for e in row) for dj, row in zip(d, adj.rows)))
+    n_adj = n @ adj
+    return LoopMaps(
+        _over(d_adj.scale(dc), det),
+        _over(d_adj @ nc, det),
+        _over(n_adj.scale(dc), det),
+        _over(n_adj @ nc, det),
+    )
 
 
 def is_internally_stabilizing(p: RatMat, cy: RatMat) -> StabilityVerdict:

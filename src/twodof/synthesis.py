@@ -746,6 +746,11 @@ def unity_feedback_admissible(smfd: StableMFD, xprime: RatMat) -> StabilityVerdi
     denominator factors, where n' = a/b and x' = n_x/d_x); both forms are
     evaluated and must agree.
     """
+    return _unity_restriction(smfd, xprime)[1]
+
+
+def _unity_restriction(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, StabilityVerdict]:
+    """The map f of ``unity_feedback_admissible`` with its verdict."""
     m = smfd.dprime.shape[0]
     if xprime.shape[0] != m:
         raise ShapeError(f"x' must have {m} rows, got {xprime.shape[0]}")
@@ -766,7 +771,7 @@ def unity_feedback_admissible(smfd: StableMFD, xprime: RatMat) -> StabilityVerdi
             raise ArithmeticError(
                 "scalar divisibility form disagrees with the matrix form"
             )
-    return verdict
+    return f, verdict
 
 
 def find_admissible_unity_xprime(
@@ -834,13 +839,11 @@ def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> RatMat:
 def _unity_feedback(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, LoopMaps]:
     """cff of ``unity_feedback_controller`` with the loop maps of
     (plant, cff), whose last map it checks equals n'@x'."""
-    verdict = unity_feedback_admissible(smfd, xprime)
+    f, verdict = _unity_restriction(smfd, xprime)
     if not verdict:
         raise DesignObstruction(
             ("unity-feedback restriction failed: " + verdict.describe(),)
         )
-    m = smfd.dprime.shape[0]
-    f = (RatMat.identity(m) + xprime @ smfd.nprime) @ smfd.dprime.inv()
     try:
         cff = f.inv() @ xprime
     except SingularMatrixError:

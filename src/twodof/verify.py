@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyalg import ONE, Poly, RatFn, RatMat, poly_divmod, poly_lcm
+from .polyalg import RatFn, RatMat, common_denominator, poly_divmod
 from .stability import StabilityVerdict, matrix_is_stable
 from .stabilize import gang_of_four
 from .synthesis import (
@@ -119,10 +119,7 @@ def _column_realization(col: list[RatFn]):
     """Controllable-canonical (A, b, C, d) for one input column."""
     import numpy as np
 
-    den = ONE
-    for entry in col:
-        den = poly_lcm(den, entry.den)
-    den = den.monic()
+    den = common_denominator(col)[0]
     order = den.degree() or 0
     feed = np.array([float(e.at_infinity()) for e in col])
     c_rows = []

@@ -13,6 +13,8 @@ from twodof.polyalg import (
     RatMat,
     ShapeError,
     SingularMatrixError,
+    _polymat_det_adj,
+    common_denominator,
     hermite,
     hstack,
     linsolve_exact,
@@ -20,13 +22,30 @@ from twodof.polyalg import (
     poly_gcd,
     poly_lcm,
     polymat_det,
-    polymat_det_cofactor,
     vstack,
 )
 
 
 def p(*coeffs):
     return Poly(tuple(Fraction(c) for c in coeffs))
+
+
+def minor(a, i, j):
+    r, c = a.shape
+    return PolyMat(
+        tuple(tuple(a.rows[k][t] for t in range(c) if t != j) for k in range(r) if k != i)
+    )
+
+
+def polymat_det_cofactor(a):
+    """Cofactor-expansion determinant; an independent oracle for small sizes."""
+    if a.shape[0] == 1:
+        return a.rows[0][0]
+    total = ZERO
+    for j, e in enumerate(a.rows[0]):
+        term = e * polymat_det_cofactor(minor(a, 0, j))
+        total = total + (term if j % 2 == 0 else -term)
+    return total
 
 
 def random_poly(rng, max_deg=4, zero_ok=True):
@@ -201,6 +220,40 @@ def test_polymat_determinants_agree():
         a = PolyMat([[random_poly(rng, 2) for _ in range(n)] for _ in range(n)])
         assert polymat_det(a) == polymat_det_cofactor(a)
     assert polymat_det(PolyMat.identity(3)) == ONE
+
+
+def test_polymat_adjugate_agrees_with_cofactors():
+    rng = random.Random(30)
+    done = 0
+    while done < 40:
+        n = rng.randint(1, 4)
+        a = PolyMat([[random_poly(rng, 2) for _ in range(n)] for _ in range(n)])
+        det = polymat_det_cofactor(a)
+        if det.is_zero():
+            with pytest.raises(SingularMatrixError):
+                _polymat_det_adj(a)
+            continue
+        cofactor_adj = PolyMat(
+            [
+                [
+                    polymat_det_cofactor(minor(a, j, i)) * (-1) ** (i + j) if n > 1 else ONE
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        )
+        assert _polymat_det_adj(a) == (det, cofactor_adj)
+        done += 1
+    # a zero leading entry forces a row swap, which flips the sign
+    swapped = PolyMat([[ZERO, S], [ONE, S + ONE]])
+    assert _polymat_det_adj(swapped) == (-S, PolyMat([[S + ONE, -S], [-ONE, ZERO]]))
+
+
+def test_common_denominator():
+    entries = [RatFn(ONE, S + ONE), RatFn(S, (S + ONE) * (S - 2 * ONE)), RatFn(3 * ONE)]
+    den, nums = common_denominator(entries)
+    assert den == (S + ONE) * (S - 2 * ONE)
+    assert [RatFn(num, den) for num in nums] == entries
 
 
 def test_ratmat_inverse_roundtrip():
