@@ -19,13 +19,17 @@ Matrix values separate entries with ',' and rows with ';'.  Every entry
 is a rational expression over s: sums/differences of terms, '*' and '/',
 '^' with an unsigned integer exponent, parentheses, integer literals
 (so 3/4 is simply the division of two literals).  A leading '-' is
-accepted at the start of an expression or parenthesized group.
+accepted at the start of an expression or parenthesized group.  Exponents
+above MAX_EXPONENT, and any step whose unreduced numerator or denominator
+would exceed degree MAX_DEGREE, are refused before they are computed: exact
+normalisation of a high-degree fraction can take minutes.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,6 +71,9 @@ from .verify import certify, closed_loop, dc_gain, simulate_step
 
 __all__ = ["ParseError", "parse_rational", "parse_matrix", "main"]
 
+MAX_EXPONENT = 64
+MAX_DEGREE = 40
+
 
 # -- expression grammar ---------------------------------------------------------
 
@@ -78,6 +85,26 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^()")
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "^": operator.pow,
+}
+
+
+def _apply(op: str, a: RatFn, b: RatFn | int, pos: int) -> RatFn:
+    """a op b (b an int exponent for '^'), refused when its unreduced
+    numerator or denominator would exceed degree MAX_DEGREE."""
+    an, ad = a.num.degree() or 0, a.den.degree() or 0
+    if op == "^":
+        degree = b * max(an, ad)
+    else:
+        bn, bd = b.num.degree() or 0, b.den.degree() or 0
+        if op == "/":  # a / b multiplies a by bd / bn
+            bn, bd = bd, bn
+        degree = max(max(an + bd, bn + ad) if op in "+-" else an + bn, ad + bd)
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the cap of {MAX_DEGREE}", pos)
+    return _BINARY[op](a, b)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -133,9 +160,8 @@ class _Parser:
         if negate:
             value = -value
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            op, _, pos = self.take()
+            value = _apply(op, value, self.term(), pos)
         return value
 
     def term(self) -> RatFn:
@@ -143,20 +169,20 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.take()
             rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs.num.is_zero():
-                    raise ParseError("zero denominator", pos)
-                value = value / rhs
+            if op == "/" and rhs.num.is_zero():
+                raise ParseError("zero denominator", pos)
+            value = _apply(op, value, rhs, pos)
         return value
 
     def factor(self) -> RatFn:
         value = self.base()
         if self.peek()[0] == "^":
-            self.take()
-            tok = self.take("int")
-            value = value ** int(tok[1])
+            pos = self.take()[2]
+            _, text, exp_pos = self.take("int")
+            k = int(text)
+            if k > MAX_EXPONENT:
+                raise ParseError(f"exponent {k} exceeds the cap of {MAX_EXPONENT}", exp_pos)
+            value = _apply("^", value, k, pos)
         return value
 
     def base(self) -> RatFn:

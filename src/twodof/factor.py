@@ -25,7 +25,7 @@ from .polyalg import (
     S,
     ShapeError,
     SingularMatrixError,
-    common_denominator,
+    _column_fraction,
     hermite,
     linsolve_exact,
     poly_gcd,
@@ -114,12 +114,6 @@ class StableMFD:
 
     def plant(self) -> RatMat:
         return self.nprime @ self.dprime.inv()
-
-
-def _column_fraction(p: RatMat) -> tuple[list[Poly], PolyMat]:
-    """(d, n) with p = n @ diag(d)**-1, d_j the monic lcd of column j."""
-    cols = [common_denominator(col) for col in zip(*p.rows)]
-    return [den for den, _ in cols], PolyMat(tuple(zip(*(nums for _, nums in cols))))
 
 
 def right_coprime_mfd(p: RatMat) -> RightMFD:
@@ -425,7 +419,7 @@ def zeros_and_poles(mfd: RightMFD) -> ZeroReport:
     exact left null directions at the unstable zeros."""
     n, d = mfd.n, mfd.d
     p, m = n.shape
-    rank = n.to_ratmat().rank()
+    rank = n.rank()
     if rank == 0:
         zero_poly = ONE
     else:

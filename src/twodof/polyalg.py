@@ -13,14 +13,17 @@ Conventions
   explicitly instead of comparing it numerically.
 * `RatFn` is always reduced to lowest terms and its denominator is monic,
   so equality of values is equality of representations.
-* `PolyMat` / `RatMat` are immutable row-major grids.  Every exact linear
-  solve over a field runs through one Gauss-Jordan kernel,
-  ``_gauss_jordan``, on ``Fraction`` or `RatFn` entries: ``RatMat.inv``,
-  ``RatMat.det``, ``RatMat.rank``, :func:`linsolve_exact` and
-  ``synthesis.check_realizable``.  Over the polynomial ring, `hermite`
-  gives the row Hermite form, and one fraction-free Bareiss kernel,
-  ``_bareiss``, gives determinants and adjugates, so a polynomial matrix
-  is inverted as adj / det with every entry normalised once.
+* `PolyMat` / `RatMat` are immutable row-major grids.  Over the polynomial
+  ring, `hermite` gives the row Hermite form (and its unimodular
+  transform), and one fraction-free Gauss-Jordan kernel, ``_bareiss``
+  (Bareiss 1968), gives determinants, adjugates and ranks.  Every
+  rational-matrix solve runs through that kernel on the numerators over
+  one least common denominator (``_over_lcd``): ``RatMat.inv`` is
+  den * adj(num) / det(num), ``RatMat.det`` is det(num) / den**n,
+  ``RatMat.rank`` is the rank of num, and ``synthesis.check_realizable``
+  eliminates [n | t_num]; each result entry is normalised once.
+  :func:`linsolve_exact` holds the one Gauss-Jordan loop over the
+  rationals.
 * Evaluation at a rational point reports poles explicitly (``None``
   entries) instead of raising.
 
@@ -32,7 +35,6 @@ explicit ``*`` for products), which gives cheap print/parse round trips.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -412,6 +414,24 @@ def common_denominator(entries: Iterable[RatFn]) -> tuple[Poly, list[Poly]]:
     return den, [e.num if e.den == den else e.num * (den // e.den) for e in entries]
 
 
+def _over_lcd(mat: RatMat) -> tuple[Poly, PolyMat]:
+    """(den, num) with mat = num / den, den the monic lcd of the entries."""
+    cols = mat.shape[1]
+    den, nums = common_denominator(e for row in mat.rows for e in row)
+    return den, PolyMat(tuple(nums[i : i + cols] for i in range(0, len(nums), cols)))
+
+
+def _column_fraction(mat: RatMat) -> tuple[list[Poly], PolyMat]:
+    """(d, n) with mat = n @ diag(d)**-1, d_j the monic lcd of column j."""
+    cols = [common_denominator(col) for col in zip(*mat.rows)]
+    return [den for den, _ in cols], PolyMat(tuple(zip(*(nums for _, nums in cols))))
+
+
+def _over(mat: PolyMat, den: Poly) -> RatMat:
+    """mat / den, each entry normalised once."""
+    return RatMat(tuple(tuple(RatFn(e, den) for e in row) for row in mat.rows))
+
+
 # ---------------------------------------------------------------------------
 # polynomial matrices
 # ---------------------------------------------------------------------------
@@ -518,6 +538,10 @@ class PolyMat:
         s0 = _frac(s0)
         return tuple(tuple(e(s0) for e in row) for row in self.rows)
 
+    def rank(self) -> int:
+        """Normal rank: the pivot count of a Bareiss elimination."""
+        return len(_bareiss([list(row) for row in self.rows], self.shape[1])[0])
+
     def to_ratmat(self) -> "RatMat":
         return RatMat(tuple(tuple(RatFn(e) for e in row) for row in self.rows))
 
@@ -583,43 +607,46 @@ def hermite(a: PolyMat) -> tuple[PolyMat, PolyMat]:
     return PolyMat(tuple(tuple(r) for r in rows)), PolyMat(tuple(tuple(r) for r in u))
 
 
-def _bareiss(rows: list[list[Poly]], n: int) -> Poly:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the
-    leading n x n block A of the n-row list ``rows``, in place; later
-    columns B ride along.
+def _bareiss(rows: list[list[Poly]], ncols: int) -> tuple[list[int], Poly, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the first
+    ``ncols`` columns of the polynomial row list ``rows``, in place; later
+    columns ride along, and a column with no pivot left is skipped.
 
-    Returns det A.  When it is nonzero, B ends as adj(A) @ B.  Every
-    entry stays a polynomial (a minor of [A | B]), so each division by the
-    previous pivot is exact; the leading block is left unspecified.
+    Returns the pivot columns, the last pivot and the sign of the row
+    swaps.  Let A be the pivot columns of the first r = len(pivots) rows,
+    as swapped, and a the same columns of a later row i.  The last pivot is
+    det A, and a later column b ends as last * A**-1 @ b[:r] in the first r
+    rows and as last * (b[i] - a @ A**-1 @ b[:r]) in row i.  Every entry
+    is a minor, so each division by the previous pivot is exact.
     """
+    cols: list[int] = []
     sign, prev = 1, ONE
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
+    for col in range(ncols):
+        k = len(cols)
+        if k == len(rows):
+            break
+        piv = next((i for i in range(k, len(rows)) if not rows[i][col].is_zero()), None)
         if piv is None:
-            return ZERO
+            continue
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
         top = rows[k]
-        pivot = top[k]
-        for i in range(n):
+        pivot = top[col]
+        for i, row in enumerate(rows):
             if i == k:
                 continue
-            row, f = rows[i], rows[i][k]
-            for j in range(k + 1, len(top)):
+            f = row[col]
+            for j in range(col + 1, len(top)):
                 num = pivot * row[j] - f * top[j]
                 if k:
                     num, rem = poly_divmod(num, prev)
                     if not rem.is_zero():
                         raise ArithmeticError("Bareiss elimination lost exactness")
                 row[j] = num
+        cols.append(col)
         prev = pivot
-    # the elimination reaches det(perm @ A) * A**-1 @ B
-    if sign < 0:
-        for row in rows:
-            row[n:] = [-e for e in row[n:]]
-        return -prev
-    return prev
+    return cols, prev, sign
 
 
 def polymat_det(a: PolyMat) -> Poly:
@@ -627,7 +654,10 @@ def polymat_det(a: PolyMat) -> Poly:
     r, c = a.shape
     if r != c:
         raise ShapeError("determinant of a non-square matrix")
-    return _bareiss([list(row) for row in a.rows], r)
+    cols, last, sign = _bareiss([list(row) for row in a.rows], r)
+    if len(cols) < r:
+        return ZERO
+    return -last if sign < 0 else last
 
 
 def _polymat_det_adj(a: PolyMat) -> tuple[Poly, PolyMat]:
@@ -639,23 +669,17 @@ def _polymat_det_adj(a: PolyMat) -> tuple[Poly, PolyMat]:
         raise ShapeError("adjugate of a non-square matrix")
     rows = [list(row) + [ONE if i == j else ZERO for j in range(r)]
             for i, row in enumerate(a.rows)]
-    det = _bareiss(rows, r)
-    if det.is_zero():
+    cols, last, sign = _bareiss(rows, r)
+    if len(cols) < r:
         raise SingularMatrixError("matrix is singular")
-    return det, PolyMat(tuple(tuple(row[r:]) for row in rows))
+    # the elimination reaches det(perm @ a) * a**-1 = sign * adj a
+    adj = PolyMat(tuple(tuple(row[r:]) for row in rows))
+    return (-last, -adj) if sign < 0 else (last, adj)
 
 
 # ---------------------------------------------------------------------------
 # rational matrices
 # ---------------------------------------------------------------------------
-
-
-def _as_entry(x) -> RatFn:
-    if isinstance(x, RatFn):
-        return x
-    if isinstance(x, Poly):
-        return RatFn(x)
-    return RatFn(_as_poly(x))
 
 
 @dataclass(frozen=True)
@@ -665,7 +689,7 @@ class RatMat:
     rows: tuple[tuple[RatFn, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _grid(self.rows, _as_entry))
+        object.__setattr__(self, "rows", _grid(self.rows, _as_ratfn))
 
     @classmethod
     def identity(cls, n: int) -> "RatMat":
@@ -680,7 +704,7 @@ class RatMat:
         n = len(entries)
         return cls(
             tuple(
-                tuple(_as_entry(entries[i]) if i == j else RF_ZERO for j in range(n))
+                tuple(_as_ratfn(entries[i]) if i == j else RF_ZERO for j in range(n))
                 for i in range(n)
             )
         )
@@ -734,34 +758,27 @@ class RatMat:
         )
 
     def scale(self, f) -> "RatMat":
-        f = _as_entry(f)
+        f = _as_ratfn(f)
         return RatMat(tuple(tuple(e * f for e in row) for row in self.rows))
 
     def inv(self) -> "RatMat":
-        """Exact inverse by Gauss-Jordan elimination over the function field."""
+        """Exact inverse den * adj(num) / det(num) of self = num / den."""
         if not self.is_square():
             raise ShapeError("inverse of a non-square matrix")
-        n = self.shape[0]
-        aug = [list(row) + [RF_ONE if i == j else RF_ZERO for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        cols, _, _ = _gauss_jordan(aug, n)
-        if len(cols) < n:
-            raise SingularMatrixError("matrix is singular")
-        return RatMat(tuple(tuple(row[n:]) for row in aug))
+        den, num = _over_lcd(self)
+        det, adj = _polymat_det_adj(num)
+        return _over(adj.scale(den), det)
 
     def det(self) -> RatFn:
+        """det(num) / den**n of the n x n matrix self = num / den."""
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
-        n = self.shape[0]
-        _, pivots, sign = _gauss_jordan([list(row) for row in self.rows], n)
-        if len(pivots) < n:
-            return RF_ZERO
-        det = math.prod(pivots, start=RF_ONE)
-        return -det if sign < 0 else det
+        den, num = _over_lcd(self)
+        return RatFn(polymat_det(num), den ** self.shape[0])
 
     def rank(self) -> int:
         """Normal rank over the rational-function field."""
-        return len(_gauss_jordan([list(row) for row in self.rows], self.shape[1])[0])
+        return _over_lcd(self)[1].rank()
 
     def is_proper(self) -> bool:
         return all(e.is_proper() for row in self.rows for e in row)
@@ -794,43 +811,6 @@ class RatMat:
     __repr__ = __str__
 
 
-def _gauss_jordan(rows: list[list], ncols: int) -> tuple[list[int], list, int]:
-    """Reduce the first ``ncols`` columns of the row list ``rows`` in place
-    to reduced row echelon form over an exact field (``Fraction`` or
-    :class:`RatFn` entries); later columns ride along as augmented data.
-
-    Returns the pivot columns, the pivot values before normalisation and
-    the sign of the row permutation.  The pivot columns of a reduced
-    echelon form are fixed by the matrix, so every read-out of the result
-    is unique.
-    """
-    is_zero = RatFn.is_zero if rows and isinstance(rows[0][0], RatFn) else operator.not_
-    cols: list[int] = []
-    pivots: list = []
-    sign = 1
-    for col in range(ncols):
-        row = len(cols)
-        if row == len(rows):
-            break
-        piv = next((i for i in range(row, len(rows)) if not is_zero(rows[i][col])), None)
-        if piv is None:
-            continue
-        if piv != row:
-            rows[row], rows[piv] = rows[piv], rows[row]
-            sign = -sign
-        pivot = rows[row][col]
-        inv = pivot.inv() if isinstance(pivot, RatFn) else 1 / pivot
-        rows[row] = [e * inv for e in rows[row]]
-        for i in range(len(rows)):
-            if i == row or is_zero(rows[i][col]):
-                continue
-            f = rows[i][col]
-            rows[i] = [e - f * g for e, g in zip(rows[i], rows[row])]
-        cols.append(col)
-        pivots.append(pivot)
-    return cols, pivots, sign
-
-
 def linsolve_exact(
     a_rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[list[Fraction], list[list[Fraction]]] | None:
@@ -838,10 +818,27 @@ def linsolve_exact(
 
     Returns ``(particular, nullspace_basis)`` with free variables set to
     zero in the particular solution, or ``None`` when inconsistent.
+    [A | b] is reduced to reduced row echelon form by Gauss-Jordan
+    elimination; its pivot columns are fixed by A, so the result is unique.
     """
     n = len(a_rows[0]) if a_rows else 0
     aug = [[_frac(x) for x in row] + [_frac(rhs[i])] for i, row in enumerate(a_rows)]
-    pivots, _, _ = _gauss_jordan(aug, n)
+    pivots: list[int] = []
+    for col in range(n):
+        k = len(pivots)
+        if k == len(aug):
+            break
+        piv = next((i for i in range(k, len(aug)) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[k], aug[piv] = aug[piv], aug[k]
+        inv = 1 / aug[k][col]
+        top = aug[k] = [e * inv for e in aug[k]]
+        for i, row in enumerate(aug):
+            f = row[col]
+            if i != k and f:
+                aug[i] = [e - f * g for e, g in zip(row, top)]
+        pivots.append(col)
     if any(row[n] != 0 for row in aug[len(pivots):]):
         return None
     particular = [Fraction(0)] * n
@@ -859,25 +856,21 @@ def linsolve_exact(
     return particular, basis
 
 
+def _same_kind(a: PolyMat | RatMat, b: PolyMat | RatMat, name: str) -> type:
+    if type(a) is not type(b) or not isinstance(a, (PolyMat, RatMat)):
+        raise TypeError(f"{name} requires two matrices of the same kind")
+    return type(a)
+
+
 def hstack(a: PolyMat | RatMat, b: PolyMat | RatMat):
-    if isinstance(a, PolyMat) and isinstance(b, PolyMat):
-        cls = PolyMat
-    elif isinstance(a, RatMat) and isinstance(b, RatMat):
-        cls = RatMat
-    else:
-        raise TypeError("hstack requires two matrices of the same kind")
+    cls = _same_kind(a, b, "hstack")
     if len(a.rows) != len(b.rows):
         raise ShapeError("hstack with differing row counts")
     return cls(tuple(ra + rb for ra, rb in zip(a.rows, b.rows)))
 
 
 def vstack(a: PolyMat | RatMat, b: PolyMat | RatMat):
-    if isinstance(a, PolyMat) and isinstance(b, PolyMat):
-        cls = PolyMat
-    elif isinstance(a, RatMat) and isinstance(b, RatMat):
-        cls = RatMat
-    else:
-        raise TypeError("vstack requires two matrices of the same kind")
+    cls = _same_kind(a, b, "vstack")
     if len(a.rows[0]) != len(b.rows[0]):
         raise ShapeError("vstack with differing column counts")
     return cls(a.rows + b.rows)

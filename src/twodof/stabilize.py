@@ -34,7 +34,6 @@ from functools import cached_property, lru_cache
 from .factor import (
     RightMFD,
     StableMFD,
-    _column_fraction,
     is_right_coprime,
     left_coprime_mfd,
     poly_row_diophantine,
@@ -45,12 +44,13 @@ from .factor import (
 from .polyalg import (
     Poly,
     PolyMat,
-    RatFn,
     RatMat,
     ShapeError,
     SingularMatrixError,
+    _column_fraction,
+    _over,
+    _over_lcd,
     _polymat_det_adj,
-    common_denominator,
     hstack,
 )
 from .stability import (
@@ -282,18 +282,6 @@ class LoopMaps(namedtuple("LoopMaps", "sens sens_cy p_sens p_sens_cy")):
         for verdict in self.verdicts:
             merged = merged.merged(verdict)
         return merged
-
-
-def _over(mat: PolyMat, den: Poly) -> RatMat:
-    """mat / den, each entry normalised once."""
-    return RatMat(tuple(tuple(RatFn(e, den) for e in row) for row in mat.rows))
-
-
-def _over_lcd(mat: RatMat) -> tuple[Poly, PolyMat]:
-    """(den, num) with mat = num / den, den the monic lcd of the entries."""
-    cols = mat.shape[1]
-    den, nums = common_denominator(e for row in mat.rows for e in row)
-    return den, PolyMat(tuple(nums[i : i + cols] for i in range(0, len(nums), cols)))
 
 
 def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:

@@ -18,7 +18,7 @@ from typing import Sequence, Union
 from .factor import RightMFD, StableMFD, stable_left_mfd, zeros_and_poles
 from .polyalg import (
     ONE,
-    RF_ZERO,
+    ZERO,
     Poly,
     PolyMat,
     RatFn,
@@ -26,7 +26,9 @@ from .polyalg import (
     S,
     ShapeError,
     SingularMatrixError,
-    _gauss_jordan,
+    _bareiss,
+    _over,
+    _over_lcd,
     hstack,
     linsolve_exact,
     polymat_det,
@@ -217,23 +219,11 @@ def _shift_powers(smfd: StableMFD) -> list[Poly]:
 
 
 def _x_from_xprime(smfd: StableMFD, xprime: RatMat) -> RatMat:
-    psis = _shift_powers(smfd)
-    return RatMat(
-        [
-            [xprime.entry(i, j) * RatFn(ONE, psis[i]) for j in range(xprime.shape[1])]
-            for i in range(xprime.shape[0])
-        ]
-    )
+    return RatMat([[e / psi for e in row] for row, psi in zip(xprime.rows, _shift_powers(smfd))])
 
 
 def _xprime_from_x(smfd: StableMFD, x: RatMat) -> RatMat:
-    psis = _shift_powers(smfd)
-    return RatMat(
-        [
-            [x.entry(i, j) * RatFn(psis[i]) for j in range(x.shape[1])]
-            for i in range(x.shape[0])
-        ]
-    )
+    return RatMat([[e * psi for e in row] for row, psi in zip(x.rows, _shift_powers(smfd))])
 
 
 def _controller_for_x(smfd: StableMFD, x: RatMat) -> TwoDofController:
@@ -314,16 +304,19 @@ def check_realizable(
                 ("inconsistent target pair: n @ d**-1 @ m differs from t",)
             )
     else:
-        aug = [list(nr) + list(tr) for nr, tr in zip(n_rat.rows, t.rows)]
-        pivots, _, _ = _gauss_jordan(aug, m_cols)
+        # eliminate [n | t_num] for t = t_num / den_t: each pivot row ends
+        # as [last * I | last * x], and the free rows of x are zero
+        den_t, t_num = _over_lcd(t)
+        aug = [list(nr) + list(tr) for nr, tr in zip(mfd.n.rows, t_num.rows)]
+        pivots, last, _ = _bareiss(aug, m_cols)
         if any(not e.is_zero() for row in aug[len(pivots):] for e in row[m_cols:]):
             return Obstruction(
                 ("rank violation: target lies outside the range of the plant numerator",)
             )
-        x_rows = [[RF_ZERO] * t.shape[1] for _ in range(m_cols)]
+        x_rows = [[ZERO] * t.shape[1] for _ in range(m_cols)]
         for row, col in zip(aug, pivots):
             x_rows[col] = row[m_cols:]
-        x = RatMat(x_rows)
+        x = _over(PolyMat(x_rows), last * den_t)
         if n_rat @ x != t:
             raise ArithmeticError("realizability solve lost exactness: n @ x != t")
 
@@ -746,15 +739,18 @@ def unity_feedback_admissible(smfd: StableMFD, xprime: RatMat) -> StabilityVerdi
     denominator factors, where n' = a/b and x' = n_x/d_x); both forms are
     evaluated and must agree.
     """
-    return _unity_restriction(smfd, xprime)[1]
+    return _unity_restriction(smfd, xprime, smfd.dprime.inv())[1]
 
 
-def _unity_restriction(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, StabilityVerdict]:
-    """The map f of ``unity_feedback_admissible`` with its verdict."""
+def _unity_restriction(
+    smfd: StableMFD, xprime: RatMat, dprime_inv: RatMat
+) -> tuple[RatMat, StabilityVerdict]:
+    """The map f of ``unity_feedback_admissible`` with its verdict, given
+    d'**-1."""
     m = smfd.dprime.shape[0]
     if xprime.shape[0] != m:
         raise ShapeError(f"x' must have {m} rows, got {xprime.shape[0]}")
-    f = (RatMat.identity(m) + xprime @ smfd.nprime) @ smfd.dprime.inv()
+    f = (RatMat.identity(m) + xprime @ smfd.nprime) @ dprime_inv
     verdict = rh_inf_verdict(xprime).merged(rh_inf_verdict(f))
     if (
         smfd.nprime.shape == (1, 1)
@@ -839,7 +835,8 @@ def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> RatMat:
 def _unity_feedback(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, LoopMaps]:
     """cff of ``unity_feedback_controller`` with the loop maps of
     (plant, cff), whose last map it checks equals n'@x'."""
-    f, verdict = _unity_restriction(smfd, xprime)
+    dprime_inv = smfd.dprime.inv()
+    f, verdict = _unity_restriction(smfd, xprime, dprime_inv)
     if not verdict:
         raise DesignObstruction(
             ("unity-feedback restriction failed: " + verdict.describe(),)
@@ -851,7 +848,7 @@ def _unity_feedback(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, LoopMaps]:
             ("I + x'@n' is singular; the unity loop is ill posed",)
         ) from None
     # I - cff@p = f**-1 @ d'**-1, so the loop is well posed
-    loop = gang_of_four(smfd.plant(), cff)
+    loop = gang_of_four(smfd.nprime @ dprime_inv, cff)
     if loop.p_sens_cy != smfd.nprime @ xprime:
         raise ArithmeticError("unity loop does not realize n' @ x'")
     return cff, loop

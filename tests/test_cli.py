@@ -2,12 +2,15 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from twodof.cli import (
+    MAX_DEGREE,
+    MAX_EXPONENT,
     ParseError,
     load_problem,
     main,
@@ -78,6 +81,45 @@ def test_parse_rational_zero_denominator():
     assert err.value.position == 1
     with pytest.raises(ParseError):
         parse_rational("s/(s-s)")
+
+
+@pytest.mark.parametrize(
+    "text, position, cap",
+    [
+        ("(s+1)^1600/(s+2)^1600", 6, f"exponent 1600 exceeds the cap of {MAX_EXPONENT}"),
+        ("((s+1)^60)^60", 6, f"degree 60 exceeds the cap of {MAX_DEGREE}"),
+        ("2^65", 2, f"exponent 65 exceeds the cap of {MAX_EXPONENT}"),
+        ("(s+1)^20*(s+2)^21", 8, f"degree 41 exceeds the cap of {MAX_DEGREE}"),
+        ("1/(s+1)^21 + 1/(s+2)^20", 11, f"degree 41 exceeds the cap of {MAX_DEGREE}"),
+    ],
+)
+def test_parse_rational_budgets(text, position, cap):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_rational(text)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.position == position
+    assert cap in str(err.value)
+
+
+def test_parse_rational_at_the_caps():
+    assert parse_rational(f"2^{MAX_EXPONENT}") == rf(Poly((Fraction(2**MAX_EXPONENT),)))
+    # a printed polynomial sums terms of falling degree, none above the cap
+    value = rf((S + ONE) ** MAX_DEGREE, (S + 2 * ONE) ** MAX_DEGREE)
+    assert parse_rational(str(value)) == value
+    assert parse_rational(f"(s+1)^{MAX_DEGREE}/(s+2)^{MAX_DEGREE}") == value
+
+
+def test_shipped_problem_files_parse():
+    matrix_keys = {"t", "m", "lambda", "d_t", "targets", "cy", "cr", "r", "cff", "cfb"}
+    problems = sorted(PROBLEMS.glob("*.ini"))
+    assert len(problems) == 6
+    for path in problems:
+        pf = load_problem(str(path))
+        for section in (pf.design, pf.configuration):
+            for key, text in section.items():
+                if key in matrix_keys:
+                    parse_matrix(text)
 
 
 def test_printed_forms_parse_back():

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from twodof.factor import RightMFD
 from twodof.polyalg import (
     ONE,
     S,
@@ -24,6 +26,8 @@ from twodof.polyalg import (
     polymat_det,
     vstack,
 )
+from twodof.stability import matrix_is_stable
+from twodof.synthesis import Obstruction, check_realizable
 
 
 def p(*coeffs):
@@ -314,7 +318,7 @@ def test_stack_helpers():
         vstack(a, RatMat.zeros(2, 3))
 
 
-# -- the shared Gauss-Jordan kernel, against independent oracles ---------------
+# -- the elimination kernels, against independent oracles --------------------
 
 
 def random_polymat_of_rank(rng, rows, cols, rank):
@@ -386,3 +390,156 @@ def test_linsolve_exact_rank_deficient_against_sympy_rref():
             for i in range(m):
                 assert sum(a[i][j] * vec[j] for j in range(n)) == 0
     assert deficient >= 20 and inconsistent >= 10
+
+
+# -- rational-matrix solves, against Gauss-Jordan over RatFn entries ----------
+
+
+def gauss_jordan_ratfn(rows, ncols):
+    """Gauss-Jordan elimination over the function field: reduce the first
+    ``ncols`` columns of the RatFn row list ``rows`` in place to reduced
+    row echelon form, later columns riding along.  Returns the pivot
+    columns, the pivots and the sign of the row swaps.  The package
+    eliminates over one polynomial denominator instead; this is its oracle.
+    """
+    cols, pivots, sign = [], [], 1
+    for col in range(ncols):
+        row = len(cols)
+        if row == len(rows):
+            break
+        piv = next((i for i in range(row, len(rows)) if not rows[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        if piv != row:
+            rows[row], rows[piv] = rows[piv], rows[row]
+            sign = -sign
+        pivot = rows[row][col]
+        rows[row] = [e / pivot for e in rows[row]]
+        for i in range(len(rows)):
+            f = rows[i][col]
+            if i != row and not f.is_zero():
+                rows[i] = [e - f * g for e, g in zip(rows[i], rows[row])]
+        cols.append(col)
+        pivots.append(pivot)
+    return cols, pivots, sign
+
+
+def oracle_rank(a):
+    return len(gauss_jordan_ratfn([list(row) for row in a.rows], a.shape[1])[0])
+
+
+def oracle_inv_det(a):
+    """(inverse or None when singular, det, whether the row swaps flip the
+    sign) of a square matrix."""
+    n = a.shape[0]
+    aug = [list(row) + [RatFn(ONE if i == j else ZERO) for j in range(n)]
+           for i, row in enumerate(a.rows)]
+    cols, pivots, sign = gauss_jordan_ratfn(aug, n)
+    if len(cols) < n:
+        return None, RatFn(ZERO), sign < 0
+    det = math.prod(pivots, start=RatFn(ONE))
+    return RatMat([row[n:] for row in aug]), -det if sign < 0 else det, sign < 0
+
+
+def oracle_realizable_x(n, t):
+    """x with n @ x = t (free rows zero) by RatFn Gauss-Jordan of [n | t],
+    or None when t is outside the range of n."""
+    m = n.shape[1]
+    aug = [[RatFn(e) for e in nr] + list(tr) for nr, tr in zip(n.rows, t.rows)]
+    cols, _, _ = gauss_jordan_ratfn(aug, m)
+    if any(not e.is_zero() for row in aug[len(cols):] for e in row[m:]):
+        return None
+    x = [[RatFn(ZERO)] * t.shape[1] for _ in range(m)]
+    for row, col in zip(aug, cols):
+        x[col] = row[m:]
+    return RatMat(x)
+
+
+def random_ratmat_of_rank(rng, rows, cols, rank):
+    """diag(r) @ b @ c @ diag(q) for b @ c of rank at most ``rank`` and
+    nonzero rational r, q; entries zeroed at random (the leading one in a
+    third of the draws) force row swaps."""
+    base = random_polymat_of_rank(rng, rows, cols, rank)
+    if rng.random() < 0.35:
+        base = PolyMat([[ZERO if (i, j) == (0, 0) else e for j, e in enumerate(row)]
+                        for i, row in enumerate(base.rows)])
+    scale_r = [RatFn(ONE, random_poly(rng, 2, zero_ok=False)) for _ in range(rows)]
+    scale_q = [RatFn(random_poly(rng, 1, zero_ok=False), random_poly(rng, 1, zero_ok=False))
+               for _ in range(cols)]
+    return RatMat(
+        [
+            [
+                RatFn(ZERO) if rng.random() < 0.15 else RatFn(e) * scale_r[i] * scale_q[j]
+                for j, e in enumerate(row)
+            ]
+            for i, row in enumerate(base.rows)
+        ]
+    )
+
+
+def test_ratmat_solves_match_ratfn_gauss_jordan():
+    rng = random.Random(47)
+    singular = deficient = flipped = 0
+    for _ in range(120):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        if rng.random() < 0.6:
+            cols = rows
+        a = random_ratmat_of_rank(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        rank = oracle_rank(a)
+        assert a.rank() == rank, a
+        deficient += rank < min(rows, cols)
+        if rows != cols:
+            continue
+        inv, det, swap = oracle_inv_det(a)
+        flipped += swap
+        assert a.det() == det, a
+        if inv is None:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                a.inv()
+        else:
+            assert a.inv() == inv, a
+    assert singular >= 30 and deficient >= 40 and flipped >= 15
+
+
+def test_check_realizable_matches_ratfn_gauss_jordan():
+    rng = random.Random(53)
+    stable_den = (S + ONE) * (S + 2 * ONE) * (S + 3 * ONE)
+    compared = violations = obstructed = 0
+    for case in range(90):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        rank = rng.randint(0, min(rows, cols))
+        if case % 2:
+            n = random_polymat_of_rank(rng, rows, cols, rank)
+        else:  # constant numerators keep x as stable and proper as t
+            n = PolyMat([[Poly.constant(rng.randint(-2, 2)) for _ in range(cols)]
+                         for _ in range(rows)])
+        width = rng.randint(1, 2)
+        if rng.random() < 0.7:  # t = n @ x0 lies in the range of n
+            x0 = RatMat([[RatFn(random_poly(rng, 1), stable_den) for _ in range(width)]
+                         for _ in range(cols)])
+            t = n.to_ratmat() @ x0
+        else:
+            t = RatMat([[RatFn(random_poly(rng, 1), stable_den) for _ in range(width)]
+                        for _ in range(rows)])
+        expected = oracle_realizable_x(n, t)
+        got = check_realizable(RightMFD(n, PolyMat.identity(cols)), t)
+        if expected is None:
+            violations += 1
+            assert isinstance(got, Obstruction) and "rank violation" in str(got), (n, t)
+        elif not isinstance(got, Obstruction):
+            compared += 1
+            assert got == expected, (n, t)
+        else:
+            obstructed += 1
+            verdict = matrix_is_stable(expected)
+            assert verdict.stable == all(
+                "parameter x is unstable" not in r for r in got.reasons
+            ), (n, t)
+            if not verdict:
+                assert "parameter x is unstable: " + verdict.describe() in got.reasons
+            assert expected.is_proper() == (
+                "parameter x is improper (relative-degree violation)" not in got.reasons
+            ), (n, t)
+            assert not (verdict and expected.is_proper()), (n, t)
+    assert compared >= 40 and violations >= 8 and obstructed >= 4
