@@ -13,9 +13,13 @@ perturbations and no floating point:
 
 When a polynomial fails the test, the verdict names offending irreducible
 factors together with the reason (``right-half-plane root`` or
-``imaginary-axis root``).  Irreducible factorisation over the rationals is
-delegated to sympy; the per-factor classification uses exact Sturm chains
-on the even-part compression, so the reasons are exact as well.
+``imaginary-axis root``).  The irreducible factors over the rationals are
+computed in-house, over the integers, by :mod:`twodof.zfactor`: Yun's
+square-free split, Cantor-Zassenhaus factoring modulo a small prime,
+Hensel lifting to Mignotte's bound and recombination checked by exact
+division (Zassenhaus 1969; von zur Gathen & Gerhard, *Modern Computer
+Algebra*, ch. 14-16).  The per-factor classification uses exact Sturm
+chains on the even-part compression, so the reasons are exact as well.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from twodof.polyalg import ONE, Poly, RatFn, RatMat, S, ZERO, poly_divmod, poly_gcd
+from twodof.zfactor import factor_list
 
 REASON_RHP = "right-half-plane root"
 REASON_AXIS = "imaginary-axis root"
@@ -147,19 +152,16 @@ def count_real_roots(p: Poly, lo=-math.inf, hi=math.inf) -> int:
 
 
 def irreducible_factors(p: Poly) -> list[tuple[Poly, int]]:
-    """Monic irreducible factors over Q with multiplicities (sympy-backed)."""
-    import sympy
-
-    x = sympy.Symbol("s")
-    expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(p.coeffs)
-    )
-    _, factors = sympy.factor_list(sympy.Poly(expr, x, domain="QQ"))
-    out: list[tuple[Poly, int]] = []
-    for f, mult in factors:
-        coeffs = [Fraction(str(c)) for c in sympy.Poly(f, x).all_coeffs()]
-        out.append((Poly(tuple(reversed(coeffs))).monic(), int(mult)))
-    return out
+    """Monic irreducible factors over Q with multiplicities, ordered by
+    degree, then multiplicity, then the coefficients of the primitive
+    integer factor from the leading one down (sympy's ``factor_list``
+    order).  A constant has none."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * scale) for c in p.coeffs]
+    return [
+        (Poly(tuple(Fraction(c, g[-1]) for c in g)), mult)
+        for g, mult in factor_list(ints)
+    ]
 
 
 def _even_compression(q: Poly) -> Poly:

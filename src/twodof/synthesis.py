@@ -776,13 +776,20 @@ def find_admissible_unity_xprime(
     """Scalar solver for the unity-feedback restriction: scan candidate
     degrees (deg d_x, deg p) in increasing total degree and solve
     d_x*b + n_x*a = p*d_u by coefficient matching; d_x = (s+1)^k."""
+    return _admissible_unity_xprime(smfd, smfd.dprime.inv(), max_total_degree)
+
+
+def _admissible_unity_xprime(
+    smfd: StableMFD, dprime_inv: RatMat, max_total_degree: int = 16
+) -> RatMat:
+    """``find_admissible_unity_xprime`` given d'**-1."""
     if smfd.nprime.shape != (1, 1):
         raise ValueError("the scan solver handles scalar plants only")
     d_poly = smfd.source.d.entry(0, 0)
     d_u = _unstable_part(d_poly)
     if d_u.is_constant():
         candidate = RatMat.identity(1)
-        if not unity_feedback_admissible(smfd, candidate):
+        if not _unity_restriction(smfd, candidate, dprime_inv)[1]:
             raise ArithmeticError("x' = 1 failed the unity-feedback restriction of a stable plant")
         return candidate
     a, b = smfd.nprime.entry(0, 0).num, smfd.nprime.entry(0, 0).den
@@ -819,7 +826,7 @@ def find_admissible_unity_xprime(
             z, _ = solved
             n_x = Poly(tuple(z[:n_unknowns]))
             candidate = RatMat([[RatFn(n_x, d_x)]])
-            if unity_feedback_admissible(smfd, candidate):
+            if _unity_restriction(smfd, candidate, dprime_inv)[1]:
                 return candidate
     raise DesignObstruction(
         (f"no admissible x' found up to total degree {max_total_degree}",)
@@ -829,13 +836,14 @@ def find_admissible_unity_xprime(
 def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> RatMat:
     """Forward compensator cff = f**-1 @ x' realizing y/r = n'@x' in the
     unity-feedback configuration, for an admissible x'."""
-    return _unity_feedback(smfd, xprime)[0]
+    return _unity_feedback(smfd, xprime, smfd.dprime.inv())[0]
 
 
-def _unity_feedback(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, LoopMaps]:
+def _unity_feedback(
+    smfd: StableMFD, xprime: RatMat, dprime_inv: RatMat
+) -> tuple[RatMat, LoopMaps]:
     """cff of ``unity_feedback_controller`` with the loop maps of
-    (plant, cff), whose last map it checks equals n'@x'."""
-    dprime_inv = smfd.dprime.inv()
+    (plant, cff), whose last map it checks equals n'@x', given d'**-1."""
     f, verdict = _unity_restriction(smfd, xprime, dprime_inv)
     if not verdict:
         raise DesignObstruction(

@@ -253,7 +253,7 @@ def test_cli_designs_form_each_loop_once(monkeypatch, tmp_path, capsys):
         ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (1, 4),
         ("static-decouple", str(problem)): (1, 4),
         ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (2, 8),
-        ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (1, 4),
+        ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (1, 3),
     }
     counts = count_calls(monkeypatch, ["gang_of_four"])
     inversions = count_inversions(monkeypatch)

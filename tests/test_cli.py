@@ -10,6 +10,7 @@ import pytest
 
 from twodof.cli import (
     MAX_DEGREE,
+    MAX_DIGITS,
     MAX_EXPONENT,
     ParseError,
     load_problem,
@@ -102,8 +103,27 @@ def test_parse_rational_budgets(text, position, cap):
     assert cap in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, position, digits",
+    [
+        ("1" * 4400 + "*s+1", 0, 4400),  # past Python's int-from-text limit
+        (f"({'9' * 400}*s+1)^40/(s+2)^40 - (s+5)/(7*s+3)", 1, 400),
+        ("s^" + "1" * 200, 2, 200),
+    ],
+)
+def test_parse_rational_literal_cap(text, position, digits):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_rational(text)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.position == position
+    assert f"literal of {digits} digits exceeds the cap of {MAX_DIGITS}" in str(err.value)
+
+
 def test_parse_rational_at_the_caps():
     assert parse_rational(f"2^{MAX_EXPONENT}") == rf(Poly((Fraction(2**MAX_EXPONENT),)))
+    big = 10**MAX_DIGITS - 1
+    assert parse_rational(f"{big}*s+1") == rf(Poly((Fraction(1), Fraction(big))))
     # a printed polynomial sums terms of falling degree, none above the cap
     value = rf((S + ONE) ** MAX_DEGREE, (S + 2 * ONE) ** MAX_DEGREE)
     assert parse_rational(str(value)) == value
@@ -389,3 +409,26 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_runs_leave_sympy_unloaded():
+    # factoring is in-house: no subcommand on a shipped problem (simulate
+    # excluded, it only adds scipy) may import sympy, the test-only oracle
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys, twodof\n"
+        "loaded = ['sympy' in sys.modules]\n"
+        "from test_cli_golden import RUNS, run\n"
+        "for key in RUNS:\n"
+        "    run(key)\n"
+        "loaded.append('sympy' in sys.modules)\n"
+        "print(len(RUNS), loaded)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "54 [False, False]"
