@@ -62,8 +62,8 @@ from .synthesis import (
     StaticDecoupling,
     TwoDofConfig,
     UnityFeedbackConfig,
-    _admissible_unity_xprime,
     _unity_feedback,
+    find_admissible_unity_xprime,
     siso_conditions,
     solve_design,
     unity_feedback_controller,
@@ -397,13 +397,12 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
     pf = load_problem(args.problem)
     plant = _require_plant(pf)
     shift = _option(pf, args, "shift", Fraction(1), Fraction)
-    mfd = right_coprime_mfd(plant)
-    dc = solve_bezout(mfd)
+    smfd = rh_coprime_data(plant, shift)
+    dc = solve_bezout(smfd.source)
     _print_named("bezout x1 (x1@d + x2@n = I)", dc.x1)
     _print_named("bezout x2", dc.x2)
     # _youla_feedback returns the loop maps whose verdict it checked
-    data = rh_coprime_data(plant, shift)
-    cy, loop = _youla_feedback(plant, data.right)
+    cy, loop = _youla_feedback(plant, smfd)
     _print_named("central feedback map cy", cy)
     print(f"internal stability: {loop.verdict.describe()}")
     m_in, p_out = plant.shape[1], plant.shape[0]
@@ -414,7 +413,7 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
         ]
     )
     try:
-        cy2, loop2 = _youla_feedback(plant, data.right, sample, data)
+        cy2, loop2 = _youla_feedback(plant, smfd, sample)
         _print_named("sample parameter k", sample)
         _print_named("sample feedback map cy", cy2)
         print(f"internal stability: {loop2.verdict.describe()}")
@@ -557,13 +556,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("nothing to simulate: give [design] t, a [config], or a [plant]")
     horizon = float(_option(pf, args, "horizon", 10.0, float))
     dt = float(_option(pf, args, "dt", 0.01, float))
+    channel = int(pf.design.get("channel", "1"))
+    if not 1 <= channel <= target.shape[1]:
+        raise ValueError(f"channel {channel} is outside 1..{target.shape[1]}")
     trace = simulate_step(target, horizon=horizon, dt=dt)
-    channel = int(pf.design.get("channel", "1")) - 1
-    csv = trace.to_csv(channel)
+    csv = trace.to_csv(channel - 1)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(csv)
-        finals = ", ".join(f"{v:.6g}" for v in trace.final_values(channel))
+        finals = ", ".join(f"{v:.6g}" for v in trace.final_values(channel - 1))
         print(f"wrote {args.out} ({len(trace.time)} samples, final values {finals})")
     else:
         sys.stdout.write(csv)
@@ -575,10 +576,9 @@ def cmd_unity_parameter(args: argparse.Namespace) -> int:
     # target is known yet: search for an admissible scalar parameter
     pf = load_problem(args.problem)
     _, smfd = _stable_plant_data(pf, args)
-    dprime_inv = smfd.dprime.inv()
-    xprime = _admissible_unity_xprime(smfd, dprime_inv)
+    xprime = find_admissible_unity_xprime(smfd)
     _print_named("admissible x'", xprime)
-    cff, loop = _unity_feedback(smfd, xprime, dprime_inv)
+    cff, loop = _unity_feedback(smfd, xprime)
     _print_named("unity-loop cff", cff)
     print(f"internal stability: {loop.verdict.describe()}")
     return 0

@@ -6,7 +6,11 @@ P = Dl**-1 * Nl.  Dividing the columns of a column-reduced right fraction
 by powers of a fixed Hurwitz factor (s + shift) yields a fraction
 P = N' * D'**-1 whose factors are themselves proper and stable, together
 with a Bezout witness U*N' + V*D' = I certifying coprimeness over the
-proper stable rationals.
+proper stable rationals.  ``StableMFD`` holds that fraction and is the one
+analysis of a plant: what the designs need beyond it (the plant, D'**-1,
+the proper-stable left fraction) it computes once, on first use.  Every
+polynomial coefficient-matching problem is solved by
+``poly_row_diophantine``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .polyalg import (
     ONE,
@@ -97,11 +102,15 @@ class LeftMFD:
 
 @dataclass(frozen=True)
 class StableMFD:
-    """Fraction P = nprime * dprime**-1 over the proper stable rationals.
+    """Fraction P = nprime * dprime**-1 over the proper stable rationals:
+    the one analysis of a plant that every design reads.
 
     ``u`` and ``v`` witness coprimeness: u @ nprime + v @ dprime == I.
-    ``col_degrees`` records the column degrees of the underlying
-    polynomial denominator, i.e. the powers of (s + shift) divided out.
+    ``col_degrees`` records the column degrees of the polynomial fraction
+    ``source`` = n * d**-1, i.e. the powers of (s + shift) divided out.
+    The plant, d'**-1 (both from one inversion of d), the proper-stable
+    left pair P = dl_prime**-1 @ nl_prime and the unstable part of det d
+    are computed on first use and kept.
     """
 
     nprime: RatMat
@@ -113,7 +122,52 @@ class StableMFD:
     source: RightMFD
 
     def plant(self) -> RatMat:
-        return self.nprime @ self.dprime.inv()
+        """n @ d**-1, formed on first call and kept."""
+        return self._plant
+
+    @cached_property
+    def scaling(self) -> tuple[Poly, ...]:
+        """The column divisors (s + shift)**col_degrees[j]:
+        d' = d @ diag(scaling)**-1."""
+        return tuple(hurwitz_shift_polynomial(self.shift, deg) for deg in self.col_degrees)
+
+    @cached_property
+    def _d_inv(self) -> RatMat:
+        return self.source.d.to_ratmat().inv()
+
+    @cached_property
+    def _plant(self) -> RatMat:
+        return self.source.n.to_ratmat() @ self._d_inv
+
+    @cached_property
+    def dprime_inv(self) -> RatMat:
+        """d'**-1 = diag(scaling) @ d**-1."""
+        rows = zip(self._d_inv.rows, self.scaling)
+        return RatMat([[e * psi for e in row] for row, psi in rows])
+
+    @cached_property
+    def _left(self) -> tuple[RatMat, RatMat]:
+        return stable_left_mfd(self.plant(), self.shift)
+
+    @property
+    def dl_prime(self) -> RatMat:
+        """Denominator of the proper-stable left fraction (``stable_left_mfd``)."""
+        return self._left[0]
+
+    @property
+    def nl_prime(self) -> RatMat:
+        """Numerator of the proper-stable left fraction (``stable_left_mfd``)."""
+        return self._left[1]
+
+    @cached_property
+    def unstable_denominator(self) -> Poly:
+        """Product of the irreducible factors of det d that are not Hurwitz,
+        with their multiplicities: the plant's unstable pole polynomial."""
+        out = ONE
+        for factor, mult in irreducible_factors(polymat_det(self.source.d)):
+            if not is_hurwitz(factor):
+                out = out * factor**mult
+        return out
 
 
 def right_coprime_mfd(p: RatMat) -> RightMFD:
@@ -189,38 +243,27 @@ def poly_row_diophantine(
     nmat: PolyMat,
     dmat: PolyMat,
     rhs_row: Sequence[Poly],
-    bound: int,
+    alpha_bound: int,
+    beta_bound: int,
 ) -> tuple[list[Poly], list[Poly]] | None:
     """Solve alpha @ nmat + beta @ dmat = rhs for row vectors of
-    polynomials with every entry of degree at most ``bound``.
+    polynomials by equating coefficients, with every entry of alpha of
+    degree at most ``alpha_bound`` and every entry of beta of degree at
+    most ``beta_bound``.
 
-    Returns ``(alpha, beta)`` or ``None`` when no solution of that
-    degree exists.
+    Returns ``(alpha, beta)`` or ``None`` when no solution of those
+    degrees exists.  The unknowns are the coefficients of alpha's entries,
+    then beta's, each from s^0 up.
     """
     p, m = nmat.shape
     if dmat.shape != (m, m) or len(rhs_row) != m:
         raise ShapeError("incompatible shapes in row equation")
-    width = bound + 1
-    unknowns = (p + m) * width
-
-    def coeff_of(entry: int, power: int, j: int, t: int) -> Fraction:
-        # contribution of unknown coefficient (entry, power) to s^t of column j
-        if entry < p:
-            src = nmat.entry(entry, j)
-        else:
-            src = dmat.entry(entry - p, j)
-        return src.coeff(t - power) if t >= power else Fraction(0)
-
-    max_src = 0
-    for i in range(p):
-        for j in range(m):
-            max_src = max(max_src, nmat.entry(i, j).degree() or 0)
-    for i in range(m):
-        for j in range(m):
-            max_src = max(max_src, dmat.entry(i, j).degree() or 0)
-    top = bound + max_src
-    for r in rhs_row:
-        top = max(top, r.degree() or 0)
+    blocks = ((nmat, p, alpha_bound), (dmat, m, beta_bound))
+    top = max(r.degree() or 0 for r in rhs_row)
+    for mat, rows, bound in blocks:
+        for i in range(rows):
+            for j in range(m):
+                top = max(top, bound + (mat.entry(i, j).degree() or 0))
 
     a_rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -228,9 +271,10 @@ def poly_row_diophantine(
         for t in range(top + 1):
             a_rows.append(
                 [
-                    coeff_of(e, c, j, t)
-                    for e in range(p + m)
-                    for c in range(width)
+                    mat.entry(i, j).coeff(t - c) if t >= c else Fraction(0)
+                    for mat, rows, bound in blocks
+                    for i in range(rows)
+                    for c in range(bound + 1)
                 ]
             )
             rhs.append(rhs_row[j].coeff(t))
@@ -238,10 +282,26 @@ def poly_row_diophantine(
     if solved is None:
         return None
     z, _ = solved
+    coeffs = iter(z)
     polys = [
-        Poly(tuple(z[e * width : (e + 1) * width])) for e in range(p + m)
+        Poly(tuple(itertools.islice(coeffs, bound + 1)))
+        for _, rows, bound in blocks
+        for _ in range(rows)
     ]
     return polys[:p], polys[p:]
+
+
+def _least_degree_solve(
+    nmat: PolyMat, dmat: PolyMat, rhs_at: Callable[[int], Sequence[Poly]], limit: int
+) -> tuple[list[Poly], list[Poly], int] | None:
+    """``poly_row_diophantine`` at the least degree bound k <= limit for
+    which alpha @ nmat + beta @ dmat = rhs_at(k) has a solution, as
+    (alpha, beta, k), or None."""
+    for k in range(limit + 1):
+        solved = poly_row_diophantine(nmat, dmat, rhs_at(k), k, k)
+        if solved is not None:
+            return (*solved, k)
+    return None
 
 
 def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
@@ -266,35 +326,29 @@ def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
     )
 
     base = max(1, max(col_degrees, default=1))
-    alpha_rows: list[list[Poly]] = []
-    beta_rows: list[list[Poly]] = []
-    row_phis: list[Poly] = []
+    u_rows: list[list[RatFn]] = []
+    v_rows: list[list[RatFn]] = []
     for i in range(m):
-        # rows are independent: escalate each one's degree bound on its own
-        solved_row = None
-        for k in range(0, base + 41):
-            phi_k = hurwitz_shift_polynomial(sigma, k)
-            rhs = [
-                phi_k * psis[i] if j == i else Poly.constant(0) for j in range(m)
-            ]
-            solved = poly_row_diophantine(n, d, rhs, k)
-            if solved is not None:
-                solved_row = (solved[0], solved[1], phi_k)
-                break
-        if solved_row is None:
+        # rows are independent: each is solved at its own least degree
+        solved = _least_degree_solve(
+            n,
+            d,
+            lambda k: [
+                hurwitz_shift_polynomial(sigma, k) * psis[i] if j == i else Poly.constant(0)
+                for j in range(m)
+            ],
+            base + 40,
+        )
+        if solved is None:
             raise ArithmeticError(
                 "no Bezout witness found; fraction may not be coprime"
             )
-        alpha, beta, phi_k = solved_row
-        alpha_rows.append(alpha)
-        beta_rows.append(beta)
-        row_phis.append(phi_k)
-    u = RatMat(
-        [[RatFn(a, phi) for a in row] for row, phi in zip(alpha_rows, row_phis)]
-    )
-    v = RatMat(
-        [[RatFn(b, phi) for b in row] for row, phi in zip(beta_rows, row_phis)]
-    )
+        alpha, beta, k = solved
+        phi = hurwitz_shift_polynomial(sigma, k)
+        u_rows.append([RatFn(a, phi) for a in alpha])
+        v_rows.append([RatFn(b, phi) for b in beta])
+    u = RatMat(u_rows)
+    v = RatMat(v_rows)
     if u @ nprime + v @ dprime != RatMat.identity(m):
         raise ArithmeticError("Bezout witness fails u @ n' + v @ d' = I")
     return StableMFD(nprime, dprime, u, v, sigma, col_degrees, RightMFD(n, d))

@@ -81,14 +81,6 @@ class Poly:
     def constant(cls, c: Scalar) -> "Poly":
         return cls((_frac(c),))
 
-    @classmethod
-    def from_roots(cls, *roots: Scalar) -> "Poly":
-        """Monic polynomial with the given rational roots."""
-        p = ONE
-        for r in roots:
-            p = p * cls((-_frac(r), Fraction(1)))
-        return p
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -311,10 +303,6 @@ class RatFn:
 
     def is_strictly_proper(self) -> bool:
         return self.relative_degree() >= 1
-
-    def polypart(self) -> Poly:
-        """Polynomial part of the partial-fraction split."""
-        return poly_divmod(self.num, self.den)[0]
 
     def strict_part(self) -> "RatFn":
         return RatFn(poly_divmod(self.num, self.den)[1], self.den)

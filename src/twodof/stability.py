@@ -224,11 +224,6 @@ def is_stable(r: RatFn) -> StabilityVerdict:
     return is_hurwitz(r.den)
 
 
-def is_rh_inf(r: RatFn) -> bool:
-    """Membership in the ring of proper stable rational functions."""
-    return r.is_proper() and is_stable(r).stable
-
-
 def matrix_is_stable(a: RatMat) -> StabilityVerdict:
     """Entrywise lift: stable iff every entry is stable; factors are pooled."""
     offending: list[tuple[Poly, str]] = []

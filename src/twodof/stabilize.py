@@ -21,7 +21,11 @@ witness of the proper-stable fraction data: a witness over polynomials
 alone produces improper loop maps (the central candidate -x1**-1 @ x2
 has (I - Cy*P)**-1 = d@x1, a polynomial), so the parametrization is
 evaluated on the (s + shift)-scaled fractions where the witness (u, v)
-satisfies u@n' + v@d' = I inside the proper-stable ring.
+satisfies u@n' + v@d' = I inside the proper-stable ring.  Those fractions,
+the witness and the left pair (dl', nl') are one ``factor.StableMFD``:
+``rh_coprime_data`` returns it for a plant given as a rational matrix, and
+the designs and ``twodof stabilize`` read the Youla data from it without
+factoring the plant again.
 """
 
 from __future__ import annotations
@@ -34,11 +38,10 @@ from functools import cached_property, lru_cache
 from .factor import (
     RightMFD,
     StableMFD,
+    _least_degree_solve,
     is_right_coprime,
     left_coprime_mfd,
-    poly_row_diophantine,
     right_coprime_mfd,
-    stable_left_mfd,
     stable_mfd,
 )
 from .polyalg import (
@@ -63,7 +66,6 @@ from .stability import (
 __all__ = [
     "DoublyCoprime",
     "LoopMaps",
-    "StableCoprimeData",
     "TwoDofController",
     "InadmissibleParameter",
     "IllPosedLoop",
@@ -105,32 +107,6 @@ class DoublyCoprime:
 
 
 @dataclass(frozen=True)
-class StableCoprimeData:
-    """Right and left fractions of the same plant over the proper stable
-    rationals, with the right Bezout witness u@nprime + v@dprime = I."""
-
-    right: StableMFD
-    nl_prime: RatMat
-    dl_prime: RatMat
-
-    @property
-    def nprime(self) -> RatMat:
-        return self.right.nprime
-
-    @property
-    def dprime(self) -> RatMat:
-        return self.right.dprime
-
-    @property
-    def u(self) -> RatMat:
-        return self.right.u
-
-    @property
-    def v(self) -> RatMat:
-        return self.right.v
-
-
-@dataclass(frozen=True)
 class TwoDofController:
     """Feedback map cy (driven by y) and reference map cr (driven by r),
     with the internal-stability certificate recorded at build time."""
@@ -157,15 +133,11 @@ def solve_bezout(mfd: RightMFD) -> DoublyCoprime:
     x2_rows: list[list[Poly]] = []
     for i in range(m):
         rhs = [Poly.constant(1 if j == i else 0) for j in range(m)]
-        for bound in range(limit + 1):
-            solved = poly_row_diophantine(n, d, rhs, bound)
-            if solved is not None:
-                alpha, beta = solved
-                x2_rows.append(alpha)
-                x1_rows.append(beta)
-                break
-        else:
+        solved = _least_degree_solve(n, d, lambda k: rhs, limit)
+        if solved is None:
             raise ArithmeticError("Bezout solve exceeded the degree budget")
+        x2_rows.append(solved[0])
+        x1_rows.append(solved[1])
     x1 = PolyMat(x1_rows)
     x2 = PolyMat(x2_rows)
     left = left_coprime_mfd(mfd.plant())
@@ -178,15 +150,17 @@ def solve_bezout(mfd: RightMFD) -> DoublyCoprime:
 # Kept for the plant-level API: youla_controller(plant, k) is called
 # repeatedly on the same plant, and this saves refactoring it each time.
 @lru_cache(maxsize=64)
-def _rh_data_cached(p: RatMat, shift: Fraction) -> StableCoprimeData:
-    right = stable_mfd(right_coprime_mfd(p), shift)
-    dl_prime, nl_prime = stable_left_mfd(p, shift)
-    return StableCoprimeData(right, nl_prime, dl_prime)
+def _rh_data_cached(p: RatMat, shift: Fraction) -> StableMFD:
+    smfd = stable_mfd(right_coprime_mfd(p), shift)
+    smfd.dl_prime  # the left pair is part of the doubly coprime data: form it now
+    return smfd
 
 
-def rh_coprime_data(p: RatMat, shift: Fraction | int = 1) -> StableCoprimeData:
+def rh_coprime_data(p: RatMat, shift: Fraction | int = 1) -> StableMFD:
     """Doubly coprime fractions of a proper plant over the proper stable
-    rationals, using denominators built from powers of (s + shift)."""
+    rationals, using denominators built from powers of (s + shift): the
+    plant's ``StableMFD``, kept per (plant, shift), with its left pair
+    already formed."""
     if not p.is_proper():
         raise ValueError("plant must be proper")
     sigma = Fraction(shift)
@@ -196,17 +170,14 @@ def rh_coprime_data(p: RatMat, shift: Fraction | int = 1) -> StableCoprimeData:
 
 
 def _youla_feedback(
-    plant: RatMat,
-    right: StableMFD,
-    k: RatMat | None = None,
-    data: StableCoprimeData | None = None,
+    plant: RatMat, smfd: StableMFD, k: RatMat | None = None
 ) -> tuple[RatMat, LoopMaps]:
-    """cy = -(v - k@nl')**-1 @ (u + k@dl') from the witness (u, v) of
-    ``right``, a fraction of ``plant``, with the loop maps of (plant, cy),
-    whose verdict says cy is internally stabilizing.  k = None is the
-    central choice k = 0 and needs no left fraction; any other k must be
-    proper and stable and needs the left pair of ``data``."""
-    lhs, rhs = right.v, right.u
+    """cy = -(v - k@nl')**-1 @ (u + k@dl') from the witness (u, v) and the
+    left pair of ``smfd``, the analysis of ``plant``, with the loop maps
+    of (plant, cy), whose verdict says cy is internally stabilizing.
+    k = None is the central choice k = 0 and needs no left pair; any other
+    k must be proper and stable."""
+    lhs, rhs = smfd.v, smfd.u
     if k is not None:
         if k.shape != (plant.shape[1], plant.shape[0]):
             raise ShapeError(
@@ -214,8 +185,8 @@ def _youla_feedback(
             )
         if not matrix_is_rh_inf(k):
             raise InadmissibleParameter("parameter must be proper and stable")
-        lhs = lhs - k @ data.nl_prime
-        rhs = rhs + k @ data.dl_prime
+        lhs = lhs - k @ smfd.nl_prime
+        rhs = rhs + k @ smfd.dl_prime
     # cy = -lhs**-1 @ rhs = -adj(l) @ r / det l, where [l, r] = den * [lhs, rhs]
     m = lhs.shape[0]
     _, lr = _over_lcd(hstack(lhs, rhs))
@@ -254,8 +225,7 @@ def youla_controller(
     re-validated as proper and internally stabilizing rather than trusted,
     and an improper one raises InadmissibleParameter.
     """
-    data = rh_coprime_data(plant, shift)
-    return _youla_feedback(plant, data.right, k, data)[0]
+    return _youla_feedback(plant, rh_coprime_data(plant, shift), k)[0]
 
 
 class LoopMaps(namedtuple("LoopMaps", "sens sens_cy p_sens p_sens_cy")):

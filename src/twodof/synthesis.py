@@ -15,11 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .factor import RightMFD, StableMFD, stable_left_mfd, zeros_and_poles
+from .factor import (
+    RightMFD,
+    StableMFD,
+    poly_row_diophantine,
+    stable_left_mfd,
+    zeros_and_poles,
+)
 from .polyalg import (
     ONE,
     ZERO,
-    Poly,
     PolyMat,
     RatFn,
     RatMat,
@@ -30,13 +35,10 @@ from .polyalg import (
     _over,
     _over_lcd,
     hstack,
-    linsolve_exact,
     polymat_det,
 )
 from .stability import (
     StabilityVerdict,
-    hurwitz_shift_polynomial,
-    irreducible_factors,
     is_hurwitz,
     is_stable,
     matrix_is_stable,
@@ -214,20 +216,16 @@ class DesignResult:
 # -- helpers -------------------------------------------------------------------
 
 
-def _shift_powers(smfd: StableMFD) -> list[Poly]:
-    return [hurwitz_shift_polynomial(smfd.shift, deg) for deg in smfd.col_degrees]
-
-
 def _x_from_xprime(smfd: StableMFD, xprime: RatMat) -> RatMat:
-    return RatMat([[e / psi for e in row] for row, psi in zip(xprime.rows, _shift_powers(smfd))])
+    return RatMat([[e / psi for e in row] for row, psi in zip(xprime.rows, smfd.scaling)])
 
 
 def _xprime_from_x(smfd: StableMFD, x: RatMat) -> RatMat:
-    return RatMat([[e * psi for e in row] for row, psi in zip(x.rows, _shift_powers(smfd))])
+    return RatMat([[e * psi for e in row] for row, psi in zip(x.rows, smfd.scaling)])
 
 
 def _controller_for_x(smfd: StableMFD, x: RatMat) -> TwoDofController:
-    plant = smfd.source.plant()
+    plant = smfd.plant()
     cy, loop = _youla_feedback(plant, smfd)
     cr = cr_from_x(plant, cy, smfd.source, x)
     return TwoDofController(cy=cy, cr=cr, certificate=loop.verdict)
@@ -571,7 +569,7 @@ def _static_design(
     cr = _dc_precompensator(loop, lam)
     achieved_t = loop.p_sens @ cr
     achieved_m = loop.sens @ cr
-    x = smfd.source.d.to_ratmat().inv() @ achieved_m
+    xprime = smfd.dprime_inv @ achieved_m
     certs = (
         _equality_certificate("dc gain equals lam exactly", _value_at_origin(achieved_t) == lam),
         Certificate("closed loop stable", matrix_is_stable(achieved_t)),
@@ -579,8 +577,8 @@ def _static_design(
     return DesignResult(
         configuration=TwoDofConfig(cy=cy, cr=cr),
         controller=TwoDofController(cy=cy, cr=cr, certificate=loop.verdict),
-        x=x,
-        xprime=_xprime_from_x(smfd, x),
+        x=_x_from_xprime(smfd, xprime),
+        xprime=xprime,
         achieved_t=achieved_t,
         achieved_m=achieved_m,
         certificates=certs,
@@ -722,14 +720,6 @@ def denominator_assignment_direct(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
 # -- unity-feedback restriction ----------------------------------------------------
 
 
-def _unstable_part(p: Poly) -> Poly:
-    out = ONE
-    for factor, mult in irreducible_factors(p):
-        if not is_hurwitz(factor):
-            out = out * factor**mult
-    return out
-
-
 def unity_feedback_admissible(smfd: StableMFD, xprime: RatMat) -> StabilityVerdict:
     """Whether x' survives the unity-feedback restriction: the map
     f = (I + x'@n') @ d'**-1 must be proper and stable.
@@ -739,18 +729,17 @@ def unity_feedback_admissible(smfd: StableMFD, xprime: RatMat) -> StabilityVerdi
     denominator factors, where n' = a/b and x' = n_x/d_x); both forms are
     evaluated and must agree.
     """
-    return _unity_restriction(smfd, xprime, smfd.dprime.inv())[1]
+    return _unity_restriction(smfd, xprime)[1]
 
 
 def _unity_restriction(
-    smfd: StableMFD, xprime: RatMat, dprime_inv: RatMat
+    smfd: StableMFD, xprime: RatMat
 ) -> tuple[RatMat, StabilityVerdict]:
-    """The map f of ``unity_feedback_admissible`` with its verdict, given
-    d'**-1."""
+    """The map f of ``unity_feedback_admissible`` with its verdict."""
     m = smfd.dprime.shape[0]
     if xprime.shape[0] != m:
         raise ShapeError(f"x' must have {m} rows, got {xprime.shape[0]}")
-    f = (RatMat.identity(m) + xprime @ smfd.nprime) @ dprime_inv
+    f = (RatMat.identity(m) + xprime @ smfd.nprime) @ smfd.dprime_inv
     verdict = rh_inf_verdict(xprime).merged(rh_inf_verdict(f))
     if (
         smfd.nprime.shape == (1, 1)
@@ -760,9 +749,8 @@ def _unity_restriction(
         # The divisibility form presumes a stable x' (Hurwitz d_x).
         a, b = smfd.nprime.entry(0, 0).num, smfd.nprime.entry(0, 0).den
         n_x, d_x = xprime.entry(0, 0).num, xprime.entry(0, 0).den
-        d_u = _unstable_part(smfd.source.d.entry(0, 0))
         combo = d_x * b + n_x * a
-        divisible = (combo % d_u).is_zero()
+        divisible = (combo % smfd.unstable_denominator).is_zero()
         if divisible != matrix_is_stable(f).stable:
             raise ArithmeticError(
                 "scalar divisibility form disagrees with the matrix form"
@@ -776,57 +764,26 @@ def find_admissible_unity_xprime(
     """Scalar solver for the unity-feedback restriction: scan candidate
     degrees (deg d_x, deg p) in increasing total degree and solve
     d_x*b + n_x*a = p*d_u by coefficient matching; d_x = (s+1)^k."""
-    return _admissible_unity_xprime(smfd, smfd.dprime.inv(), max_total_degree)
-
-
-def _admissible_unity_xprime(
-    smfd: StableMFD, dprime_inv: RatMat, max_total_degree: int = 16
-) -> RatMat:
-    """``find_admissible_unity_xprime`` given d'**-1."""
     if smfd.nprime.shape != (1, 1):
         raise ValueError("the scan solver handles scalar plants only")
-    d_poly = smfd.source.d.entry(0, 0)
-    d_u = _unstable_part(d_poly)
+    d_u = smfd.unstable_denominator
     if d_u.is_constant():
         candidate = RatMat.identity(1)
-        if not _unity_restriction(smfd, candidate, dprime_inv)[1]:
+        if not _unity_restriction(smfd, candidate)[1]:
             raise ArithmeticError("x' = 1 failed the unity-feedback restriction of a stable plant")
         return candidate
     a, b = smfd.nprime.entry(0, 0).num, smfd.nprime.entry(0, 0).den
-    du_deg = d_u.degree() or 0
     for total in range(0, max_total_degree + 1):
         for deg_dx in range(0, total + 1):
-            deg_p = total - deg_dx
             d_x = (S + ONE) ** deg_dx
-            rhs_poly = d_x * b
-            # unknowns: n_x coefficients (deg <= deg_dx), p coefficients (deg <= deg_p)
-            n_unknowns = deg_dx + 1
-            p_unknowns = deg_p + 1
-            top = max(
-                (rhs_poly.degree() or 0),
-                deg_dx + (a.degree() or 0),
-                deg_p + du_deg,
+            # n_x*a - p*d_u = -d_x*b with deg n_x <= deg d_x, deg p <= total - deg d_x
+            solved = poly_row_diophantine(
+                PolyMat([[a]]), PolyMat([[-d_u]]), [-(d_x * b)], deg_dx, total - deg_dx
             )
-            rows = []
-            rhs = []
-            for t_pow in range(top + 1):
-                row = [
-                    a.coeff(t_pow - c) if t_pow >= c else Fraction(0)
-                    for c in range(n_unknowns)
-                ]
-                row += [
-                    -d_u.coeff(t_pow - c) if t_pow >= c else Fraction(0)
-                    for c in range(p_unknowns)
-                ]
-                rows.append(row)
-                rhs.append(-rhs_poly.coeff(t_pow))
-            solved = linsolve_exact(rows, rhs)
             if solved is None:
                 continue
-            z, _ = solved
-            n_x = Poly(tuple(z[:n_unknowns]))
-            candidate = RatMat([[RatFn(n_x, d_x)]])
-            if _unity_restriction(smfd, candidate, dprime_inv)[1]:
+            candidate = RatMat([[RatFn(solved[0][0], d_x)]])
+            if _unity_restriction(smfd, candidate)[1]:
                 return candidate
     raise DesignObstruction(
         (f"no admissible x' found up to total degree {max_total_degree}",)
@@ -836,15 +793,13 @@ def _admissible_unity_xprime(
 def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> RatMat:
     """Forward compensator cff = f**-1 @ x' realizing y/r = n'@x' in the
     unity-feedback configuration, for an admissible x'."""
-    return _unity_feedback(smfd, xprime, smfd.dprime.inv())[0]
+    return _unity_feedback(smfd, xprime)[0]
 
 
-def _unity_feedback(
-    smfd: StableMFD, xprime: RatMat, dprime_inv: RatMat
-) -> tuple[RatMat, LoopMaps]:
+def _unity_feedback(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, LoopMaps]:
     """cff of ``unity_feedback_controller`` with the loop maps of
-    (plant, cff), whose last map it checks equals n'@x', given d'**-1."""
-    f, verdict = _unity_restriction(smfd, xprime, dprime_inv)
+    (plant, cff), whose last map it checks equals n'@x'."""
+    f, verdict = _unity_restriction(smfd, xprime)
     if not verdict:
         raise DesignObstruction(
             ("unity-feedback restriction failed: " + verdict.describe(),)
@@ -856,7 +811,7 @@ def _unity_feedback(
             ("I + x'@n' is singular; the unity loop is ill posed",)
         ) from None
     # I - cff@p = f**-1 @ d'**-1, so the loop is well posed
-    loop = gang_of_four(smfd.nprime @ dprime_inv, cff)
+    loop = gang_of_four(smfd.plant(), cff)
     if loop.p_sens_cy != smfd.nprime @ xprime:
         raise ArithmeticError("unity loop does not realize n' @ x'")
     return cff, loop

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import twodof.stability
 import twodof.stabilize
 from twodof.cli import main, parse_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
@@ -24,9 +25,12 @@ from twodof.synthesis import (
     DesignObstruction,
     ModelMatching,
     StaticDecoupling,
+    find_admissible_unity_xprime,
     model_matching,
     solve_design,
     static_decoupling,
+    unity_feedback_admissible,
+    unity_feedback_controller,
 )
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -58,13 +62,13 @@ def random_proper_plant(rng, rows, cols, max_den=2):
     return RatMat(entries)
 
 
-def count_calls(monkeypatch, names):
-    """Wrap each named function under every name a twodof module holds it
-    by; returns the live call counts."""
+def count_calls(monkeypatch, names, source=twodof.stabilize):
+    """Wrap each named function of ``source`` under every name a twodof
+    module holds it by; returns the live call counts."""
     counts = dict.fromkeys(names, 0)
     modules = [mod for name, mod in sys.modules.items() if name.startswith("twodof")]
     for name in names:
-        original = getattr(twodof.stabilize, name)
+        original = getattr(source, name)
 
         def wrapper(*args, _name=name, _fn=original, **kwargs):
             counts[_name] += 1
@@ -149,6 +153,16 @@ def test_stabilize_command_checks_each_controller_once(monkeypatch, capsys):
     assert counts == {"gang_of_four": 2}
 
 
+def test_stabilize_command_factors_the_plant_three_times(monkeypatch, capsys):
+    # the analysis' right and left fractions, and solve_bezout's left
+    # fraction: the Bezout pair reuses the analysis' right fraction
+    twodof.stabilize._rh_data_cached.cache_clear()
+    counts = count_calls(monkeypatch, ["right_coprime_mfd"])
+    assert main(["stabilize", str(PROBLEMS / "example_match.ini")]) == 0
+    capsys.readouterr()
+    assert counts == {"right_coprime_mfd": 3}
+
+
 def count_plant_builds(monkeypatch):
     builds = []
     original = StableMFD.plant
@@ -210,9 +224,9 @@ def count_inversions(monkeypatch):
 # RatMat
 DESIGNS = {
     "static, stable plant": (
-        "1/(s+1), 1/(s+2); 0, 1/(s+3)", 1, StaticDecoupling(lam=RatMat.identity(2)), 3
+        "1/(s+1), 1/(s+2); 0, 1/(s+3)", 1, StaticDecoupling(lam=RatMat.identity(2)), 2
     ),
-    "static, unstable plant": (UNSTABLE_2X2, 1, StaticDecoupling(lam=RatMat.identity(2)), 3),
+    "static, unstable plant": (UNSTABLE_2X2, 1, StaticDecoupling(lam=RatMat.identity(2)), 2),
     "denominator, unity": (
         "1/(s-2)", 1,
         DenominatorAssignment(d_t=PolyMat([[Poly((Fraction(-1, 2), Fraction(-1, 4)))]])), 7,
@@ -250,8 +264,8 @@ def test_cli_designs_form_each_loop_once(monkeypatch, tmp_path, capsys):
     # argv -> (gang_of_four calls, RatMat.inv calls); assign-denominator
     # forms a second loop in its closed-loop cross-check
     runs = {
-        ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (1, 4),
-        ("static-decouple", str(problem)): (1, 4),
+        ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (1, 3),
+        ("static-decouple", str(problem)): (1, 3),
         ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (2, 8),
         ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (1, 3),
     }
@@ -263,3 +277,23 @@ def test_cli_designs_form_each_loop_once(monkeypatch, tmp_path, capsys):
         assert main(list(argv)) == 0
         assert (counts["gang_of_four"], len(inversions)) == expected, argv
     capsys.readouterr()
+
+
+def test_unity_design_inverts_the_plant_denominator_once(monkeypatch):
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s-1)*(s+2)/(s-2)^2")), shift=2)
+    inversions = count_inversions(monkeypatch)
+    xprime = find_admissible_unity_xprime(smfd)
+    assert unity_feedback_admissible(smfd, xprime)
+    unity_feedback_controller(smfd, xprime)
+    # d, for d'**-1 and the plant, then f = (I + x'@n') @ d'**-1
+    assert len(inversions) == 2
+    assert inversions[0] == smfd.source.d.to_ratmat()
+
+
+@pytest.mark.parametrize("name", ["example_unity.ini", "example_assign_denominator.ini"])
+def test_unity_parameter_factors_the_plant_denominator_once(monkeypatch, capsys, name):
+    counts = count_calls(monkeypatch, ["irreducible_factors"], twodof.stability)
+    assert main(["unity-parameter", str(PROBLEMS / name)]) == 0
+    capsys.readouterr()
+    # det d, then is_hurwitz naming its one unstable factor, s - 2
+    assert counts == {"irreducible_factors": 2}

@@ -375,6 +375,17 @@ def test_main_simulate_unstable_target(tmp_path, capsys):
     assert "unstable" in captured.err
 
 
+@pytest.mark.parametrize("channel", [0, 3])
+def test_main_simulate_refuses_a_channel_outside_the_inputs(tmp_path, capsys, channel):
+    path = tmp_path / "prob.ini"
+    path.write_text(f"[design]\nt = 1/(s+1), 2/(s+2)\nchannel = {channel}\n")
+    code = main(["simulate", str(path), "--horizon", "1", "--dt", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: channel {channel} is outside 1..2\n"
+
+
 def test_main_input_errors(tmp_path, capsys):
     code = main(["factor", str(tmp_path / "missing.ini")])
     captured = capsys.readouterr()

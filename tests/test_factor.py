@@ -9,12 +9,15 @@ from twodof.factor import (
     is_left_coprime,
     is_right_coprime,
     left_coprime_mfd,
+    poly_row_diophantine,
     right_coprime_mfd,
+    stable_left_mfd,
     stable_mfd,
     zeros_and_poles,
 )
 from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat, polymat_det
 from twodof.stability import matrix_is_rh_inf
+from twodof.stabilize import rh_coprime_data
 
 
 def rf(num, den=ONE):
@@ -106,6 +109,57 @@ def test_stable_mfd_random_sweep():
         assert ident == RatMat.identity(cols)
         for mat in (smfd.nprime, smfd.dprime, smfd.u, smfd.v):
             assert matrix_is_rh_inf(mat)
+
+
+def test_stable_mfd_left_pair_and_inverse():
+    rng = random.Random(53)
+    for trial in range(8):
+        size = 1 + trial % 2
+        shift = Fraction(1 + trial % 3, 1 + trial % 2)
+        plant = random_proper_plant(rng, size, size, max_den=2)
+        smfd = rh_coprime_data(plant, shift)
+        assert (smfd.dl_prime, smfd.nl_prime) == stable_left_mfd(plant, shift)
+        fresh = stable_mfd(right_coprime_mfd(plant), shift)
+        assert fresh.plant() == plant
+        assert fresh.dprime_inv == fresh.dprime.inv()
+        assert (fresh.dl_prime, fresh.nl_prime) == (smfd.dl_prime, smfd.nl_prime)
+
+
+def test_poly_row_diophantine_bounds_each_block():
+    # alpha*(s-1) + beta*(s-2)^2 = (s+1)*(s-1) + 3*(s-2)^2
+    a, d = S - ONE, (S - 2 * ONE) ** 2
+    rhs = [(S + ONE) * a + 3 * d]
+    nmat, dmat = PolyMat([[a]]), PolyMat([[d]])
+    assert poly_row_diophantine(nmat, dmat, rhs, 1, 0) == ([S + ONE], [Poly.constant(3)])
+    # beta of degree 1 would leave an s^3 term, so beta is a constant and
+    # a constant alpha cannot match the rest
+    assert poly_row_diophantine(nmat, dmat, rhs, 0, 1) is None
+    assert poly_row_diophantine(nmat, dmat, rhs, 0, 0) is None
+
+
+def test_poly_row_diophantine_bounds_random():
+    rng = random.Random(59)
+    outcomes = []
+    for trial in range(12):
+        size = 1 + trial % 2
+        mfd = right_coprime_mfd(random_proper_plant(rng, size, size, max_den=2))
+        rhs = [ONE] + [ZERO] * (size - 1)
+        solved = {}
+        for bounds in [(i, j) for i in range(3) for j in range(3)]:
+            solved[bounds] = found = poly_row_diophantine(mfd.n, mfd.d, rhs, *bounds)
+            outcomes.append(found is not None)
+            if found is None:
+                continue
+            alpha, beta = found
+            assert all((e.degree() or 0) <= bounds[0] for e in alpha)
+            assert all((e.degree() or 0) <= bounds[1] for e in beta)
+            assert PolyMat([alpha]) @ mfd.n + PolyMat([beta]) @ mfd.d == PolyMat([rhs])
+        # a larger bound only adds unknowns
+        for (i, j), found in solved.items():
+            for larger in [(i + 1, j), (i, j + 1)]:
+                if found is not None and larger in solved:
+                    assert solved[larger] is not None
+    assert 20 <= sum(outcomes) <= len(outcomes) - 20
 
 
 def test_stable_mfd_rejects_bad_input():
