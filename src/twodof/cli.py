@@ -398,7 +398,7 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
     plant = _require_plant(pf)
     shift = _option(pf, args, "shift", Fraction(1), Fraction)
     smfd = rh_coprime_data(plant, shift)
-    dc = solve_bezout(smfd.source)
+    dc = solve_bezout(smfd.source, smfd.left)
     _print_named("bezout x1 (x1@d + x2@n = I)", dc.x1)
     _print_named("bezout x2", dc.x2)
     # _youla_feedback returns the loop maps whose verdict it checked

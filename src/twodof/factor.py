@@ -108,9 +108,10 @@ class StableMFD:
     ``u`` and ``v`` witness coprimeness: u @ nprime + v @ dprime == I.
     ``col_degrees`` records the column degrees of the polynomial fraction
     ``source`` = n * d**-1, i.e. the powers of (s + shift) divided out.
-    The plant, d'**-1 (both from one inversion of d), the proper-stable
-    left pair P = dl_prime**-1 @ nl_prime and the unstable part of det d
-    are computed on first use and kept.
+    The plant, d**-1 and d'**-1 (from one inversion of d), the polynomial
+    left coprime fraction of the plant, the proper-stable left pair
+    P = dl_prime**-1 @ nl_prime and the unstable part of det d are
+    computed on first use and kept.
     """
 
     nprime: RatMat
@@ -132,22 +133,28 @@ class StableMFD:
         return tuple(hurwitz_shift_polynomial(self.shift, deg) for deg in self.col_degrees)
 
     @cached_property
-    def _d_inv(self) -> RatMat:
+    def d_inv(self) -> RatMat:
+        """d**-1 for the polynomial denominator d of ``source``."""
         return self.source.d.to_ratmat().inv()
 
     @cached_property
     def _plant(self) -> RatMat:
-        return self.source.n.to_ratmat() @ self._d_inv
+        return self.source.n.to_ratmat() @ self.d_inv
 
     @cached_property
     def dprime_inv(self) -> RatMat:
         """d'**-1 = diag(scaling) @ d**-1."""
-        rows = zip(self._d_inv.rows, self.scaling)
+        rows = zip(self.d_inv.rows, self.scaling)
         return RatMat([[e * psi for e in row] for row, psi in rows])
 
     @cached_property
+    def left(self) -> LeftMFD:
+        """The plant's left coprime polynomial fraction (``left_coprime_mfd``)."""
+        return left_coprime_mfd(self.plant())
+
+    @cached_property
     def _left(self) -> tuple[RatMat, RatMat]:
-        return stable_left_mfd(self.plant(), self.shift)
+        return _stable_left(self.left, self.shift)
 
     @property
     def dl_prime(self) -> RatMat:
@@ -358,7 +365,10 @@ def stable_left_mfd(p: RatMat, shift: Fraction | int = 1) -> tuple[RatMat, RatMa
     """Left fraction p = dl'**-1 @ nl' over the proper stable rationals,
     returned as (dl', nl'): each row of a left coprime fraction is divided
     by (s + shift) to the power of the row degree of dl."""
-    left = left_coprime_mfd(p)
+    return _stable_left(left_coprime_mfd(p), shift)
+
+
+def _stable_left(left: LeftMFD, shift: Fraction | int) -> tuple[RatMat, RatMat]:
     psis = [hurwitz_shift_polynomial(shift, deg or 0) for deg in left.dl.row_degrees()]
     dl_prime, nl_prime = (
         RatMat([[RatFn(e, psi) for e in row] for row, psi in zip(mat.rows, psis)])

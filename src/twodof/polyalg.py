@@ -13,10 +13,22 @@ Conventions
   explicitly instead of comparing it numerically.
 * `RatFn` is always reduced to lowest terms and its denominator is monic,
   so equality of values is equality of representations.
+* The products, gcds and exact divisions of Q[s] run over Z[s]: a `Poly`
+  a / d is cleared to an integer list ``a`` (``_over_z``), worked on by the
+  integer kernel below (``_mul``, ``_prem``, ``_exact_quo``, and ``_gcd``,
+  the primitive remainder sequence of Collins 1967 / Brown 1971) and
+  mapped back with one `Fraction` per coefficient (``_from_z``).
+  ``Poly.__mul__``, `poly_gcd`, `poly_lcm` and `RatFn` normalisation go
+  through it; :mod:`twodof.zfactor` factors over the same helpers.
+  `poly_divmod` (Euclidean division over Q) remains for the Hermite form,
+  ``//``, ``%`` and `RatFn.strict_part`.
 * `PolyMat` / `RatMat` are immutable row-major grids.  Over the polynomial
   ring, `hermite` gives the row Hermite form (and its unimodular
   transform), and one fraction-free Gauss-Jordan kernel, ``_bareiss``
-  (Bareiss 1968), gives determinants, adjugates and ranks.  Every
+  (Bareiss 1968), gives determinants, adjugates and ranks.  Its exact
+  division by the previous pivot divides by the pivot's primitive part
+  over Z (by Gauss's lemma that division is exact in Z[s]) and then by
+  its content as a rational.  Every
   rational-matrix solve runs through that kernel on the numerators over
   one least common denominator (``_over_lcd``): ``RatMat.inv`` is
   den * adj(num) / det(num), ``RatMat.det`` is det(num) / den**n,
@@ -130,12 +142,9 @@ class Poly:
         other = _as_poly(other)
         if self.is_zero() or other.is_zero():
             return ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(tuple(out))
+        a, da = _over_z(self)
+        b, db = _over_z(other)
+        return _from_z(_mul(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -235,16 +244,116 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor.  gcd(0, 0) is undefined."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    x, y = a, b
-    while not y.is_zero():
-        x, y = y, poly_divmod(x, y)[1]
-    return x.monic()
+    if a.is_zero():
+        a, b = b, a
+    g = _gcd(_over_z(a)[0], _over_z(b)[0])
+    return _from_z(g, g[-1])
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         return ZERO
-    return (poly_divmod(a * b, poly_gcd(a, b))[0]).monic()
+    za, zb = _over_z(a)[0], _over_z(b)[0]
+    lcm = _mul(za, _exact_quo(zb, _gcd(za, zb)))
+    return _from_z(lcm, lcm[-1])
+
+
+# ---------------------------------------------------------------------------
+# Z[s]: the integer kernel
+# ---------------------------------------------------------------------------
+#
+# A polynomial over Z is a plain list of ``int`` coefficients in ascending
+# order of power with no trailing zeros (the zero polynomial is ``[]``).
+# A ``Poly`` a / d is taken to Z[s] by ``_over_z`` and back by ``_from_z``;
+# ``twodof.zfactor`` factors over the same helpers.
+
+
+def _over_z(p: Poly) -> tuple[list[int], int]:
+    """(a, d) with p = a / d: d the lcm of the coefficient denominators."""
+    d = math.lcm(*(c.denominator for c in p.coeffs))
+    if d == 1:
+        return [c.numerator for c in p.coeffs], 1
+    return [c.numerator * (d // c.denominator) for c in p.coeffs], d
+
+
+def _from_z(a: list[int], d: int = 1) -> Poly:
+    """The Poly a / d, for a trimmed ``a`` and a nonzero ``d``: one
+    Fraction per coefficient and no further normalisation."""
+    p = object.__new__(Poly)
+    if d == 1:
+        coeffs = tuple(Fraction(x) for x in a)
+    else:
+        coeffs = tuple(Fraction(x, d) for x in a)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """``a`` over its content, with a positive leading coefficient."""
+    c = math.gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return [x // c for x in a]
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _exact_quo(a: list[int], b: list[int]) -> list[int] | None:
+    """``a / b`` if ``b`` divides ``a`` in Z[s], else ``None``."""
+    if not a:
+        return []
+    if len(a) < len(b) or (a[0] % b[0] if b[0] else a[0]):
+        return None  # the constant terms already rule it out
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[k + db], lb)
+        if rest:
+            return None
+        q[k] = c
+        if c:
+            for j, y in enumerate(b):
+                r[k + j] -= c * y
+    return None if any(r[:db]) else q
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of ``a`` by ``b``."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    while len(r) > db:
+        k, lr = len(r) - 1 - db, r[-1]
+        r = [lb * x for x in r]
+        for j, y in enumerate(b):
+            r[k + j] -= lr * y
+        _trim(r)
+    return r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd by the primitive remainder sequence (Collins 1967;
+    Brown 1971); ``a`` nonzero."""
+    while b:
+        if len(b) == 1:
+            return [1]
+        a, b = b, _prem(a, b)
+        if b:
+            b = _primitive(b)
+    return _primitive(a)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +375,18 @@ class RatFn:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             num, den = ZERO, ONE
+        elif den.is_constant():
+            if den != ONE:
+                num, den = num * (1 / den.coeffs[0]), ONE
         else:
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
-            lc = den.leading
-            if lc != 1:
-                num = num * (1 / lc)
-                den = den * (1 / lc)
+            # num / den = (a / da) / (b / db) = (a * db) / (b * da) over Z
+            a, da = _over_z(num)
+            b, db = _over_z(den)
+            g = _gcd(a, b)
+            if len(g) > 1:
+                a, b = _exact_quo(a, g), _exact_quo(b, g)
+            lc = b[-1]
+            num, den = _from_z([x * db for x in a], da * lc), _from_z(b, lc)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -609,6 +721,7 @@ def _bareiss(rows: list[list[Poly]], ncols: int) -> tuple[list[int], Poly, int]:
     """
     cols: list[int] = []
     sign, prev = 1, ONE
+    prim, c_num, c_den = [1], 1, 1  # prev = prim * c_num / c_den, prim primitive over Z
     for col in range(ncols):
         k = len(cols)
         if k == len(rows):
@@ -627,13 +740,19 @@ def _bareiss(rows: list[list[Poly]], ncols: int) -> tuple[list[int], Poly, int]:
             f = row[col]
             for j in range(col + 1, len(top)):
                 num = pivot * row[j] - f * top[j]
-                if k:
-                    num, rem = poly_divmod(num, prev)
-                    if not rem.is_zero():
+                if k and not num.is_zero():
+                    # prim divides num in Q[s], so in Z[s] (Gauss's lemma)
+                    a, d = _over_z(num)
+                    q = _exact_quo(a, prim)
+                    if q is None:
                         raise ArithmeticError("Bareiss elimination lost exactness")
+                    num = _from_z([x * c_den for x in q], d * c_num)
                 row[j] = num
         cols.append(col)
         prev = pivot
+        a, c_den = _over_z(prev)
+        prim = _primitive(a)
+        c_num = a[-1] // prim[-1]
     return cols, prev, sign
 
 

@@ -28,7 +28,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from twodof.polyalg import ONE, Poly, RatFn, RatMat, S, ZERO, poly_divmod, poly_gcd
+from twodof.polyalg import (
+    ONE,
+    Poly,
+    RatFn,
+    RatMat,
+    S,
+    ZERO,
+    _from_z,
+    _over_z,
+    poly_divmod,
+    poly_gcd,
+)
 from twodof.zfactor import factor_list
 
 REASON_RHP = "right-half-plane root"
@@ -156,12 +167,7 @@ def irreducible_factors(p: Poly) -> list[tuple[Poly, int]]:
     degree, then multiplicity, then the coefficients of the primitive
     integer factor from the leading one down (sympy's ``factor_list``
     order).  A constant has none."""
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * scale) for c in p.coeffs]
-    return [
-        (Poly(tuple(Fraction(c, g[-1]) for c in g)), mult)
-        for g, mult in factor_list(ints)
-    ]
+    return [(_from_z(g, g[-1]), mult) for g, mult in factor_list(_over_z(p)[0])]
 
 
 def _even_compression(q: Poly) -> Poly:

@@ -36,6 +36,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .factor import (
+    LeftMFD,
     RightMFD,
     StableMFD,
     _least_degree_solve,
@@ -116,9 +117,10 @@ class TwoDofController:
     certificate: StabilityVerdict | None = None
 
 
-def solve_bezout(mfd: RightMFD) -> DoublyCoprime:
+def solve_bezout(mfd: RightMFD, left: LeftMFD | None = None) -> DoublyCoprime:
     """Polynomial Bezout pair x1 @ d + x2 @ n = I for a right coprime
-    fraction, with the matching left fraction computed alongside.
+    fraction, with the matching left fraction: ``left`` when the caller
+    keeps it (``StableMFD.left``), else computed alongside.
 
     Each row is solved at the smallest feasible degree bound by equating
     coefficients in an exact linear system.
@@ -140,7 +142,8 @@ def solve_bezout(mfd: RightMFD) -> DoublyCoprime:
         x1_rows.append(solved[1])
     x1 = PolyMat(x1_rows)
     x2 = PolyMat(x2_rows)
-    left = left_coprime_mfd(mfd.plant())
+    if left is None:
+        left = left_coprime_mfd(mfd.plant())
     dc = DoublyCoprime(n=n, d=d, x1=x1, x2=x2, nl=left.nl, dl=left.dl)
     if not dc.check():
         raise ArithmeticError("Bezout pair fails x1 @ d + x2 @ n = I or dl @ n = nl @ d")

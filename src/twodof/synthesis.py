@@ -267,10 +267,12 @@ def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat) -> list[str]:
 
 
 def check_realizable(
-    mfd: RightMFD, t: RatMat, m: RatMat | None = None
+    mfd: RightMFD, t: RatMat, m: RatMat | None = None, d_inv: RatMat | None = None
 ) -> RatMat | Obstruction:
     """Stable parameter x with n@x = t (and d@x = m when given), or an
-    obstruction naming what rules it out."""
+    obstruction naming what rules it out.  A control target is solved as
+    x = d**-1 @ m, with ``d_inv`` as d**-1 when the caller keeps it
+    (``StableMFD.d_inv``)."""
     p_rows, m_cols = mfd.n.shape
     if t.shape[0] != p_rows:
         raise ShapeError(f"target must have {p_rows} rows, got {t.shape[0]}")
@@ -296,7 +298,7 @@ def check_realizable(
     d_rat = mfd.d.to_ratmat()
     n_rat = mfd.n.to_ratmat()
     if m is not None:
-        x = d_rat.inv() @ m
+        x = (d_rat.inv() if d_inv is None else d_inv) @ m
         if n_rat @ x != t:
             return Obstruction(
                 ("inconsistent target pair: n @ d**-1 @ m differs from t",)
@@ -364,7 +366,7 @@ def model_matching(
 ) -> DesignResult:
     """Two-degree-of-freedom design achieving y/r = t (and u/r = m when
     prescribed) exactly, or DesignObstruction."""
-    res = check_realizable(smfd.source, t, m)
+    res = check_realizable(smfd.source, t, m, smfd.d_inv if m is not None else None)
     if isinstance(res, Obstruction):
         raise DesignObstruction(res.reasons)
     x = res

@@ -2,11 +2,12 @@
 
 A polynomial here is a plain list of ``int`` coefficients in ascending
 order of power with no trailing zeros (the zero polynomial is ``[]``), the
-layout of :class:`twodof.polyalg.Poly`.  Every step is exact integer or
-modular arithmetic; nothing is approximate.  :func:`factor_list` runs the
-classical Zassenhaus pipeline (Zassenhaus 1969; von zur Gathen & Gerhard,
-*Modern Computer Algebra*, 3rd ed., ch. 14-16; Knuth, TAOCP vol. 2,
-§4.6.2):
+layout of the integer kernel of :mod:`twodof.polyalg`, whose product,
+exact quotient and primitive gcd this module shares.  Every step is exact
+integer or modular arithmetic; nothing is approximate.  :func:`factor_list`
+runs the classical Zassenhaus pipeline (Zassenhaus 1969; von zur Gathen &
+Gerhard, *Modern Computer Algebra*, 3rd ed., ch. 14-16; Knuth, TAOCP
+vol. 2, §4.6.2):
 
 1. the primitive part is split square-free by Yun's algorithm
    (MCA Alg. 14.21) over a primitive remainder sequence;
@@ -29,6 +30,8 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
+
+from twodof.polyalg import _exact_quo, _gcd, _mul, _primitive, _trim
 
 __all__ = ["factor_list"]
 
@@ -57,20 +60,6 @@ def factor_list(f: list[int]) -> list[tuple[list[int], int]]:
 # ---------------------------------------------------------------------------
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _primitive(a: list[int]) -> list[int]:
-    """``a`` over its content, with a positive leading coefficient."""
-    c = math.gcd(*a)
-    if a[-1] < 0:
-        c = -c
-    return [x // c for x in a]
-
-
 def _derivative(a: list[int]) -> list[int]:
     return [k * a[k] for k in range(1, len(a))]
 
@@ -83,57 +72,6 @@ def _add(a: list[int], b: list[int]) -> list[int]:
 
 def _sub(a: list[int], b: list[int]) -> list[int]:
     return _add(a, [-x for x in b])
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _exact_quo(a: list[int], b: list[int]) -> list[int] | None:
-    """``a / b`` if ``b`` divides ``a`` in Z[x], else ``None``."""
-    if not a:
-        return []
-    if len(a) < len(b) or (a[0] % b[0] if b[0] else a[0]):
-        return None  # the constant terms already rule it out
-    r, db, lb = list(a), len(b) - 1, b[-1]
-    q = [0] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c, rest = divmod(r[k + db], lb)
-        if rest:
-            return None
-        q[k] = c
-        if c:
-            for j, y in enumerate(b):
-                r[k + j] -= c * y
-    return None if any(r[:db]) else q
-
-
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of ``a`` by ``b``."""
-    r, db, lb = list(a), len(b) - 1, b[-1]
-    while len(r) > db:
-        k, lr = len(r) - 1 - db, r[-1]
-        r = [lb * x for x in r]
-        for j, y in enumerate(b):
-            r[k + j] -= lr * y
-        _trim(r)
-    return r
-
-
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd by the primitive remainder sequence; ``a`` nonzero."""
-    while b:
-        a, b = b, _prem(a, b)
-        if b:
-            b = _primitive(b)
-    return _primitive(a)
 
 
 def _square_free(f: list[int]) -> list[tuple[list[int], int]]:

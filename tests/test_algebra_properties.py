@@ -1,13 +1,19 @@
 """Property tests of the exact algebra: the ring laws of `Poly`, the field
 laws of `RatFn`, `poly_gcd`, and the print/parse round trip of `RatFn`
 values well inside the parser's caps (``tests/test_cli.py`` checks the
-round trip at the degree cap)."""
+round trip at the degree cap).  The product, gcd and normalisation run
+over Z; they are also checked against the plain `Fraction` algorithms
+(schoolbook product, Euclid's gcd, division by the gcd), kept here as
+oracles, and the Bareiss kernel against Gauss-Jordan over `RatFn`."""
+
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodof.cli import parse_rational
-from twodof.polyalg import ONE, ZERO, Poly, RatFn, poly_divmod, poly_gcd
+from test_polyalg import oracle_inv_det, polymat_det_cofactor
+from twodof.cli import parse_matrix, parse_rational
+from twodof.polyalg import ONE, ZERO, Poly, PolyMat, RatFn, poly_divmod, poly_gcd, polymat_det
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -80,3 +86,80 @@ def test_ratfn_field_laws(a, b, c):
 def test_printed_ratfn_parses_back(value):
     assert parse_rational(str(value)) == value
 
+
+
+# -- the integer kernel against the Fraction algorithms it replaced -----------
+
+
+def schoolbook_mul(a: Poly, b: Poly) -> Poly:
+    if a.is_zero() or b.is_zero():
+        return ZERO
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Poly(tuple(out))
+
+
+def euclid_gcd(a: Poly, b: Poly) -> Poly:
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+    return a.monic()
+
+
+def normalised(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den in lowest terms with a monic denominator, by division."""
+    if num.is_zero():
+        return ZERO, ONE
+    g = euclid_gcd(num, den)
+    num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+    lc = den.leading
+    return Poly(tuple(c / lc for c in num.coeffs)), Poly(tuple(c / lc for c in den.coeffs))
+
+
+@st.composite
+def mixed_polys(draw, max_degree=5):
+    """Integer content times coefficients over mixed denominators, with
+    either sign of the leading coefficient."""
+    size = draw(st.integers(0, max_degree + 1))
+    nums = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    dens = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
+    content = draw(st.sampled_from([1, 2, 6, 15])) * draw(st.sampled_from([1, -1]))
+    return Poly(tuple(Fraction(content * n, d) for n, d in zip(nums, dens)))
+
+
+nonzero_mixed = mixed_polys().filter(lambda p: not p.is_zero())
+
+
+@SETTINGS
+@given(mixed_polys(), mixed_polys())
+def test_product_matches_schoolbook(a, b):
+    assert a * b == schoolbook_mul(a, b)
+
+
+@SETTINGS
+@given(mixed_polys(), mixed_polys(), nonzero_mixed)
+def test_gcd_matches_euclid(a, b, h):
+    if a.is_zero() and b.is_zero():
+        return
+    a, b = schoolbook_mul(a, h), schoolbook_mul(b, h)
+    assert poly_gcd(a, b) == euclid_gcd(a, b)
+
+
+@SETTINGS
+@given(mixed_polys(), nonzero_mixed, nonzero_mixed)
+def test_ratfn_normalisation_matches_division(num, den, h):
+    num, den = schoolbook_mul(num, h), schoolbook_mul(den, h)
+    value = RatFn(num, den)
+    assert (value.num, value.den) == normalised(num, den)
+
+
+def test_bareiss_divides_by_pivots_with_integer_content():
+    # the first pivot 2s + 4 = 2(s + 2) divides every later entry of the
+    # 2x2; in the 3x3 the second pivot 4s + 12 = 4(s + 3) is divided out too
+    for text in ["2*s+4, 1; s, 3", "2*s+4, 2, 1; s, 3, s; 1, s, 2*s+2"]:
+        a = parse_matrix(text)
+        num = PolyMat([[e.num for e in row] for row in a.rows])
+        inv, det, _ = oracle_inv_det(a)
+        assert a.inv() == inv and a.det() == det
+        assert polymat_det(num) == polymat_det_cofactor(num) == det.num

@@ -153,14 +153,13 @@ def test_stabilize_command_checks_each_controller_once(monkeypatch, capsys):
     assert counts == {"gang_of_four": 2}
 
 
-def test_stabilize_command_factors_the_plant_three_times(monkeypatch, capsys):
-    # the analysis' right and left fractions, and solve_bezout's left
-    # fraction: the Bezout pair reuses the analysis' right fraction
+def test_stabilize_command_factors_the_plant_twice(monkeypatch, capsys):
+    # the analysis' right and left fractions: the Bezout pair reuses both
     twodof.stabilize._rh_data_cached.cache_clear()
     counts = count_calls(monkeypatch, ["right_coprime_mfd"])
     assert main(["stabilize", str(PROBLEMS / "example_match.ini")]) == 0
     capsys.readouterr()
-    assert counts == {"right_coprime_mfd": 3}
+    assert counts == {"right_coprime_mfd": 2}
 
 
 def count_plant_builds(monkeypatch):
@@ -236,6 +235,13 @@ DESIGNS = {
     ),
     "model matching": (
         "(s-1)*(s+2)/(s-2)^2", 2, ModelMatching(t=parse_matrix("(s-1)/(s+1)^2")), 1
+    ),
+    # the control target is solved through the analysis' kept d**-1
+    "model matching, control target": (
+        "(s-1)*(s+2)/(s-2)^2", 2,
+        ModelMatching(t=parse_matrix("(s-1)/(s+1)^2"),
+                      m=parse_matrix("(s-2)^2/((s+1)^2*(s+2))")),
+        1,
     ),
 }
 
