@@ -1,27 +1,31 @@
 """Exact polynomial and rational-function linear algebra over the rationals.
 
 This module is the arithmetic core of the package.  Everything here is
-exact: coefficients are `fractions.Fraction`, equality is structural
-equality of canonical forms, and no floating point enters any decision.
+exact: a `Poly` stores ``int`` coefficients over one positive ``int``
+denominator in lowest terms, equality is structural equality of canonical
+forms, and no floating point enters any decision.
 
 Conventions
 -----------
 * `Poly` stores coefficients in ascending order of power with no trailing
-  zeros.  The zero polynomial has an empty coefficient tuple and degree
-  ``None`` -- a deliberate sentinel, so that code which cares about the
-  degree of a possibly-zero polynomial is forced to handle that case
-  explicitly instead of comparing it numerically.
+  zeros.  The zero polynomial has no coefficients and degree ``None`` -- a
+  deliberate sentinel, so that code which cares about the degree of a
+  possibly-zero polynomial is forced to handle that case explicitly
+  instead of comparing it numerically.  ``coeffs``, ``coeff(k)`` and
+  ``leading`` read the coefficients as `fractions.Fraction`.
 * `RatFn` is always reduced to lowest terms and its denominator is monic,
   so equality of values is equality of representations.
-* The products, gcds and exact divisions of Q[s] run over Z[s]: a `Poly`
-  a / d is cleared to an integer list ``a`` (``_over_z``), worked on by the
-  integer kernel below (``_mul``, ``_prem``, ``_exact_quo``, and ``_gcd``,
-  the primitive remainder sequence of Collins 1967 / Brown 1971) and
-  mapped back with one `Fraction` per coefficient (``_from_z``).
-  ``Poly.__mul__``, `poly_gcd`, `poly_lcm` and `RatFn` normalisation go
-  through it; :mod:`twodof.zfactor` factors over the same helpers.
-  `poly_divmod` (Euclidean division over Q) remains for the Hermite form,
-  ``//``, ``%`` and `RatFn.strict_part`.
+* The arithmetic of Q[s] runs over Z[s] on the stored integers: sums over
+  the lcm of the two denominators, products, powers, derivatives, ``monic``,
+  `poly_divmod` (pseudo-division, scaled by the divisor's leading
+  coefficient only where a quotient coefficient is not an integer),
+  `poly_gcd`, `poly_lcm` and `RatFn` normalisation go through the integer
+  kernel below (``_mul``, ``_pdivmod``, ``_exact_quo`` and ``_gcd``: the
+  heuristic gcd of Char, Geddes & Gonnet 1989, with the primitive
+  remainder sequence of Collins 1967 / Brown 1971 as its fallback), and
+  each result is brought to lowest terms with one gcd of its numerators
+  and its denominator.  No `Fraction` is built on the way.
+  :mod:`twodof.zfactor` factors over the same helpers.
 * `PolyMat` / `RatMat` are immutable row-major grids.  Over the polynomial
   ring, `hermite` gives the row Hermite form (and its unimodular
   transform), and one fraction-free Gauss-Jordan kernel, ``_bareiss``
@@ -62,12 +66,16 @@ class SingularMatrixError(ZeroDivisionError):
     """A matrix required to be invertible is singular."""
 
 
-def _frac(x: Scalar | Fraction) -> Fraction:
-    if isinstance(x, Fraction):
+def _scalar(x: Scalar) -> Scalar:
+    """``x`` itself, if it is an exact rational scalar."""
+    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
     raise TypeError(f"expected an exact rational scalar, got {type(x).__name__}")
+
+
+def _frac(x: Scalar) -> Fraction:
+    x = _scalar(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -75,62 +83,105 @@ def _frac(x: Scalar | Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Poly:
-    """Univariate polynomial in ``s`` with Fraction coefficients, ascending."""
+    """Univariate polynomial in ``s`` with rational coefficients.
 
-    coeffs: tuple[Fraction, ...] = ()
+    The value is sum(_z[k] * s**k) / _d, stored as integers over one
+    denominator in lowest terms: ``_z`` is a tuple of ``int`` in ascending
+    order of power with no trailing zeros (``()`` for zero), ``_d`` is a
+    positive ``int`` and gcd(content(_z), _d) = 1 (``_d`` = 1 for zero).
+    The form is canonical, so equality and hashing are structural.  A
+    monic polynomial has a primitive ``_z`` and ``_d`` = its leading entry.
+    ``coeffs``, ``coeff(k)`` and ``leading`` read the value as `Fraction`.
+    """
 
-    def __post_init__(self) -> None:
-        cs = [_frac(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    __slots__ = ("_z", "_d")
+
+    def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
+        cs = [_scalar(c) for c in coeffs]
+        # The lcm of reduced denominators leaves the content of the
+        # numerators coprime to it, so the pair is already in lowest terms.
+        d = math.lcm(*(c.denominator for c in cs))
+        z = _trim([c.numerator * (d // c.denominator) for c in cs])
+        object.__setattr__(self, "_z", tuple(z))
+        object.__setattr__(self, "_d", d if z else 1)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: Poly is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: Poly is immutable")
+
+    def __reduce__(self):
+        return _from_z, (self._z, self._d)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return self._z == other._z and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._z, self._d))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, c: Scalar) -> "Poly":
-        return cls((_frac(c),))
+        return cls((c,))
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients in ascending order of power, as `Fraction`."""
+        return tuple(Fraction(x, self._d) for x in self._z)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._z
 
     def degree(self) -> int | None:
         """Degree, or ``None`` for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self._z) - 1 if self._z else None
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._z:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._z[-1], self._d)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self._z[k], self._d) if 0 <= k < len(self._z) else Fraction(0)
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._z) <= 1
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        z = self._z
+        if not z or z[-1] == self._d:
             return self
-        lc = self.leading
-        return self if lc == 1 else Poly(tuple(c / lc for c in self.coeffs))
+        return _monic_z(z)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
+        a, b, d = self._z, other._z, self._d
+        if d != other._d:
+            lcm = math.lcm(d, other._d)
+            a = [x * (lcm // d) for x in a]
+            b = [x * (lcm // other._d) for x in b]
+            d = lcm
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, y in enumerate(b):
+            out[k] += y
+        return _lowest(out, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _from_z([-x for x in self._z], self._d)
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         return self + (-_as_poly(other))
@@ -140,23 +191,24 @@ class Poly:
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
+        if not self._z or not other._z:
             return ZERO
-        a, da = _over_z(self)
-        b, db = _over_z(other)
-        return _from_z(_mul(a, b), da * db)
+        return _lowest(_mul(self._z, other._z), self._d * other._d)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        out, base = ONE, self
-        while k:
-            if k & 1:
-                out = out * base
-            base, k = base * base, k >> 1
-        return out
+        # content(z**k) = content(z)**k is coprime to d**k: no reduction
+        out, base, e = [1], self._z, k
+        while e:
+            if e & 1:
+                out = _mul(out, base)
+            e >>= 1
+            if e:
+                base = _mul(base, base)
+        return _from_z(out, self._d**k)
 
     def __divmod__(self, other: "Poly | Scalar") -> tuple["Poly", "Poly"]:
         return poly_divmod(self, _as_poly(other))
@@ -168,30 +220,34 @@ class Poly:
         return poly_divmod(self, _as_poly(other))[1]
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
+        return _lowest([k * x for k, x in enumerate(self._z)][1:], self._d)
 
     def reflect(self) -> "Poly":
         """p(-s)."""
-        return Poly(tuple(c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)))
+        return _from_z([-x if k % 2 else x for k, x in enumerate(self._z)], self._d)
 
     def __call__(self, s0):
-        """Evaluate by Horner's rule; exact for Fraction arguments."""
-        acc = Fraction(0) if isinstance(s0, (int, Fraction)) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * s0 + (c if isinstance(s0, (int, Fraction)) else complex(c))
+        """Evaluate by Horner's rule; exact for int and Fraction arguments."""
+        z, d = self._z, self._d
         if isinstance(s0, (int, Fraction)):
-            return Fraction(acc)
+            if not z:
+                return Fraction(0)
+            v = s0.denominator
+            return Fraction(_horner(z, s0.numerator, v), d * v ** (len(z) - 1))
+        acc = 0.0
+        for x in reversed(z):
+            acc = acc * s0 + complex(x / d)  # x / d rounds as float(Fraction(x, d))
         return acc
 
     def __str__(self) -> str:
-        if self.is_zero():
+        if not self._z:
             return "0"
         parts: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(self._z) - 1, -1, -1):
+            c = self._z[k]
             if c == 0:
                 continue
-            mag = abs(c)
+            mag = Fraction(abs(c), self._d)
             if k == 0:
                 body = str(mag)
             else:
@@ -207,37 +263,54 @@ class Poly:
         return f"Poly({self})"
 
 
-ZERO = Poly(())
-ONE = Poly((Fraction(1),))
-S = Poly((Fraction(0), Fraction(1)))
+def _from_z(a: Sequence[int], d: int = 1) -> Poly:
+    """The Poly a / d for ``a`` and ``d`` already in lowest terms."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "_z", tuple(a))
+    object.__setattr__(p, "_d", d)
+    return p
+
+
+def _lowest(a: list[int], d: int) -> Poly:
+    """The Poly a / d for any int list ``a`` and nonzero ``d``; ``a`` is
+    trimmed in place."""
+    _trim(a)
+    if not a:
+        return ZERO
+    if d != 1:
+        g = math.gcd(d, *a)
+        if d < 0:
+            g = -g
+        if g != 1:
+            a, d = [x // g for x in a], d // g
+    return _from_z(a, d)
+
+
+def _monic_z(a: Sequence[int]) -> Poly:
+    """The monic Poly a / lc(a) of a nonzero int list ``a``."""
+    a = _primitive(a)
+    return _from_z(a, a[-1])
+
+
+ZERO = _from_z(())
+ONE = _from_z((1,))
+S = _from_z((0, 1))
 
 
 def _as_poly(x: "Poly | Scalar") -> Poly:
     if isinstance(x, Poly):
         return x
-    return Poly((_frac(x),))
+    return Poly((x,))
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Euclidean division: a = q*b + r with deg r < deg b (r possibly zero)."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return ZERO, ZERO
-    q = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 1)
-    rem = list(a.coeffs)
-    db, lb = len(b.coeffs) - 1, b.leading
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db or not rem:
-            break
-        k = len(rem) - 1 - db
-        f = rem[-1] / lb
-        q[k] = f
-        for i, c in enumerate(b.coeffs):
-            rem[k + i] -= f * c
-    return Poly(tuple(q)), Poly(tuple(rem))
+    # m * a_z = q * b_z + r over Z, so a = (q * b_d / (m * a_d)) * b + r / (m * a_d)
+    q, r, m = _pdivmod(a._z, b._z)
+    e = m * a._d
+    return _lowest([x * b._d for x in q], e), _lowest(r, e)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -246,46 +319,24 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         raise ValueError("gcd(0, 0) is undefined")
     if a.is_zero():
         a, b = b, a
-    g = _gcd(_over_z(a)[0], _over_z(b)[0])
+    g = _gcd(a._z, b._z)[0]
     return _from_z(g, g[-1])
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         return ZERO
-    za, zb = _over_z(a)[0], _over_z(b)[0]
-    lcm = _mul(za, _exact_quo(zb, _gcd(za, zb)))
-    return _from_z(lcm, lcm[-1])
+    return _monic_z(_mul(a._z, _gcd(a._z, b._z)[2]))
 
 
 # ---------------------------------------------------------------------------
 # Z[s]: the integer kernel
 # ---------------------------------------------------------------------------
 #
-# A polynomial over Z is a plain list of ``int`` coefficients in ascending
-# order of power with no trailing zeros (the zero polynomial is ``[]``).
-# A ``Poly`` a / d is taken to Z[s] by ``_over_z`` and back by ``_from_z``;
-# ``twodof.zfactor`` factors over the same helpers.
-
-
-def _over_z(p: Poly) -> tuple[list[int], int]:
-    """(a, d) with p = a / d: d the lcm of the coefficient denominators."""
-    d = math.lcm(*(c.denominator for c in p.coeffs))
-    if d == 1:
-        return [c.numerator for c in p.coeffs], 1
-    return [c.numerator * (d // c.denominator) for c in p.coeffs], d
-
-
-def _from_z(a: list[int], d: int = 1) -> Poly:
-    """The Poly a / d, for a trimmed ``a`` and a nonzero ``d``: one
-    Fraction per coefficient and no further normalisation."""
-    p = object.__new__(Poly)
-    if d == 1:
-        coeffs = tuple(Fraction(x) for x in a)
-    else:
-        coeffs = tuple(Fraction(x, d) for x in a)
-    object.__setattr__(p, "coeffs", coeffs)
-    return p
+# A polynomial over Z is a sequence of ``int`` coefficients in ascending
+# order of power with no trailing zeros (the zero polynomial is empty).
+# A ``Poly`` is such a sequence over one denominator, so the kernel works
+# on ``Poly._z`` directly; ``twodof.zfactor`` factors over the same helpers.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -294,7 +345,7 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _primitive(a: list[int]) -> list[int]:
+def _primitive(a: Sequence[int]) -> list[int]:
     """``a`` over its content, with a positive leading coefficient."""
     c = math.gcd(*a)
     if a[-1] < 0:
@@ -302,7 +353,16 @@ def _primitive(a: list[int]) -> list[int]:
     return [x // c for x in a]
 
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
+def _horner(a: Sequence[int], u: int, v: int) -> int:
+    """v**deg(a) * a(u / v), an integer, for a nonzero ``a`` and v > 0."""
+    acc, vk = 0, 1
+    for x in reversed(a):
+        acc = acc * u + x * vk
+        vk *= v
+    return acc
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -313,7 +373,7 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _exact_quo(a: list[int], b: list[int]) -> list[int] | None:
+def _exact_quo(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
     """``a / b`` if ``b`` divides ``a`` in Z[s], else ``None``."""
     if not a:
         return []
@@ -332,28 +392,109 @@ def _exact_quo(a: list[int], b: list[int]) -> list[int] | None:
     return None if any(r[:db]) else q
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of ``a`` by ``b``."""
+def _pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, m) with m * a = q * b + r and deg r < deg b: pseudo-division,
+    where m is a power of lc(b), raised only when a quotient coefficient is
+    not an integer."""
     r, db, lb = list(a), len(b) - 1, b[-1]
-    while len(r) > db:
-        k, lr = len(r) - 1 - db, r[-1]
-        r = [lb * x for x in r]
+    q, m = [0] * (len(a) - db), 1
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db]
+        if not c:
+            continue
+        t, rest = divmod(c, lb)
+        if rest:
+            r, q, m, t = [lb * x for x in r], [lb * x for x in q], m * lb, c
+        q[k] = t
         for j, y in enumerate(b):
-            r[k + j] -= lr * y
-        _trim(r)
-    return r
+            r[k + j] -= t * y
+    return q, _trim(r[:db]), m
 
 
-def _gcd(a: list[int], b: list[int]) -> list[int]:
+def _gcd(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a / g, b / g) with g the primitive gcd, with a positive leading
+    coefficient, of ``a`` (nonzero) and ``b``: the heuristic gcd first, else
+    the primitive remainder sequence.  The quotients are exact over Z by
+    Gauss's lemma."""
+    if not b:
+        g = _primitive(a)
+        return g, [a[-1] // g[-1]], []
+    if len(a) == 1 or len(b) == 1:
+        return [1], list(a), list(b)
+    found = _heu_gcd(a, b)
+    if found is not None:
+        return found
+    g = _prs_gcd(a, b)
+    return g, _exact_quo(a, g), _exact_quo(b, g)
+
+
+def _prs_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Primitive gcd by the primitive remainder sequence (Collins 1967;
     Brown 1971); ``a`` nonzero."""
     while b:
         if len(b) == 1:
             return [1]
-        a, b = b, _prem(a, b)
+        a, b = b, _pdivmod(a, b)[1]
         if b:
             b = _primitive(b)
     return _primitive(a)
+
+
+def _interpolate(h: int, x: int) -> list[int]:
+    """The polynomial with coefficients in (-x/2, x/2] that takes h at x."""
+    out = []
+    while h:
+        c = h % x
+        if c > x // 2:
+            c -= x
+        out.append(c)
+        h = (h - c) // x
+    return out
+
+
+def _heu_gcd(
+    a: Sequence[int], b: Sequence[int]
+) -> tuple[list[int], list[int], list[int]] | None:
+    """``_gcd`` of two nonconstant ``a`` and ``b`` by GCDHEU (Char, Geddes &
+    Gonnet, J. Symbolic Comput. 1989), or ``None`` when six evaluation
+    points give no candidate.
+
+    The gcd is read off gcd(a(x), b(x)) (or a cofactor off a(x) / gcd, or
+    b(x) / gcd) by x-adic interpolation.  A candidate counts only if it
+    divides both inputs exactly.  Every x exceeds twice a root bound
+    1 + |f|/|lc f| of one input f, so a common divisor found that way is
+    the gcd itself: a further common factor q would have |q(x)| > x/2,
+    more than any interpolated coefficient can hold.  For the same reason
+    a constant candidate needs no division check.
+    """
+    na, nb = max(map(abs, a)), max(map(abs, b))
+    bound = 2 * min(na, nb) + 29
+    x = max(
+        min(bound, 99 * math.isqrt(bound)),
+        2 * min(na // abs(a[-1]), nb // abs(b[-1])) + 4,
+    )
+    for _ in range(6):
+        fa, fb = _horner(a, x, 1), _horner(b, x, 1)
+        if fa and fb:  # x may be a root of the input with the larger bound
+            h = math.gcd(fa, fb)
+            g = _interpolate(h, x)
+            if len(g) == 1:
+                return [1], list(a), list(b)
+            g = _primitive(g)
+            qa = _exact_quo(a, g)
+            qb = None if qa is None else _exact_quo(b, g)
+            if qb is not None:
+                return g, qa, qb
+            for f, other, cf in ((a, b, fa // h), (b, a, fb // h)):
+                cf = _interpolate(cf, x)
+                g = _exact_quo(f, cf)
+                q = None if g is None else _exact_quo(other, g)
+                if q is not None:
+                    c = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
+                    g, cf, q = [y // c for y in g], [y * c for y in cf], [y * c for y in q]
+                    return (g, cf, q) if f is a else (g, q, cf)
+        x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +517,16 @@ class RatFn:
         if num.is_zero():
             num, den = ZERO, ONE
         elif den.is_constant():
-            if den != ONE:
-                num, den = num * (1 / den.coeffs[0]), ONE
+            if den != ONE:  # (a / da) / (b0 / db) = (a * db) / (da * b0)
+                num, den = _lowest([x * den._d for x in num._z], num._d * den._z[0]), ONE
         else:
-            # num / den = (a / da) / (b / db) = (a * db) / (b * da) over Z
-            a, da = _over_z(num)
-            b, db = _over_z(den)
-            g = _gcd(a, b)
-            if len(g) > 1:
-                a, b = _exact_quo(a, g), _exact_quo(b, g)
-            lc = b[-1]
-            num, den = _from_z([x * db for x in a], da * lc), _from_z(b, lc)
+            # (a / da) / (b / db) = (a * db) / (b * da); divided by g = gcd(a, b)
+            # and made monic, the denominator is b / lc(b) and the numerator
+            # a * db / (da * lc(b))
+            g, a, b = _gcd(num._z, den._z)
+            if len(g) > 1 or b[-1] != den._d:  # else coprime and monic already
+                num = _lowest([x * den._d for x in a], num._d * b[-1])
+                den = _monic_z(b)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -742,15 +882,14 @@ def _bareiss(rows: list[list[Poly]], ncols: int) -> tuple[list[int], Poly, int]:
                 num = pivot * row[j] - f * top[j]
                 if k and not num.is_zero():
                     # prim divides num in Q[s], so in Z[s] (Gauss's lemma)
-                    a, d = _over_z(num)
-                    q = _exact_quo(a, prim)
+                    q = _exact_quo(num._z, prim)
                     if q is None:
                         raise ArithmeticError("Bareiss elimination lost exactness")
-                    num = _from_z([x * c_den for x in q], d * c_num)
+                    num = _lowest([x * c_den for x in q], num._d * c_num)
                 row[j] = num
         cols.append(col)
         prev = pivot
-        a, c_den = _over_z(prev)
+        a, c_den = prev._z, prev._d
         prim = _primitive(a)
         c_num = a[-1] // prim[-1]
     return cols, prev, sign

@@ -2,14 +2,14 @@
 
 A polynomial is Hurwitz when every root lies in the open left half plane;
 roots on the imaginary axis count as unstable.  The verdict is decided by
-an exact Routh array over ``Fraction`` coefficients -- no epsilon
-perturbations and no floating point:
+an exact, fraction-free Routh array over the polynomial's stored integer
+coefficients -- no epsilon perturbations and no floating point:
 
 * a premature zero in the first column (with a nonzero remainder of the
   row) already certifies instability and is classified as such;
-* an all-zero row is replaced by the derivative of the auxiliary
-  polynomial built from the row above; its very occurrence certifies root
-  symmetry about the origin, hence instability.
+* an all-zero row certifies root symmetry about the origin, hence
+  instability, so the table stops there instead of continuing with the
+  derivative of the auxiliary polynomial.
 
 When a polynomial fails the test, the verdict names offending irreducible
 factors together with the reason (``right-half-plane root`` or
@@ -34,9 +34,9 @@ from twodof.polyalg import (
     RatFn,
     RatMat,
     S,
-    ZERO,
     _from_z,
-    _over_z,
+    _horner,
+    _monic_z,
     poly_divmod,
     poly_gcd,
 )
@@ -84,35 +84,40 @@ class StabilityVerdict:
 
 
 def _routh_is_hurwitz(p: Poly) -> bool:
-    """Exact Routh test.  Constants are vacuously Hurwitz."""
+    """Exact Routh test over Z.  Constants are vacuously Hurwitz.
+
+    The rows are built from the stored integer coefficients, fraction-free:
+    the next row is pivot * (row above, shifted) - (first entry above) *
+    (this row, shifted), divided by its positive content.  Scaling a row by
+    a positive number changes no sign in the first column, and the test
+    stops at the first pivot that is not positive, so every pivot a row is
+    built with is positive.
+    """
     if p.is_zero():
         raise ValueError("stability of the zero polynomial is undefined")
-    n = p.degree()
+    z = p._z
+    n = len(z) - 1
     if n == 0:
         return True
-    c = list(reversed(p.monic().coeffs))  # descending: c[0] = 1
-    row_prev = [c[i] for i in range(0, n + 1, 2)]
-    row_cur = [c[i] for i in range(1, n + 1, 2)]
-    first_column = [row_prev[0]]
-    deg = n  # degree associated with row_prev
+    c = z[::-1] if z[-1] > 0 else [-x for x in reversed(z)]  # descending, c[0] > 0
+    row_prev, row_cur = c[0::2], c[1::2]
     while row_cur:
-        if all(e == 0 for e in row_cur):
-            # Auxiliary polynomial A(s) = sum row_prev[i] * s^(deg-2i); roots of
-            # A come in pairs symmetric about the origin, so p is not Hurwitz.
+        # An all-zero row (roots symmetric about the origin) or a zero or
+        # negative pivot: not Hurwitz.
+        pivot = row_cur[0]
+        if pivot <= 0:
             return False
-        if row_cur[0] == 0:
-            # Zero pivot with a nonzero row: not Hurwitz.
-            return False
-        first_column.append(row_cur[0])
-        width = max(len(row_prev) - 1, 0)
-        nxt = []
-        for i in range(width):
-            a = row_prev[i + 1] if i + 1 < len(row_prev) else Fraction(0)
-            b = row_cur[i + 1] if i + 1 < len(row_cur) else Fraction(0)
-            nxt.append((row_cur[0] * a - row_prev[0] * b) / row_cur[0])
+        top = row_prev[0]
+        nxt = [
+            pivot * (row_prev[i + 1] if i + 1 < len(row_prev) else 0)
+            - top * (row_cur[i + 1] if i + 1 < len(row_cur) else 0)
+            for i in range(len(row_prev) - 1)
+        ]
+        g = math.gcd(*nxt)
+        if g > 1:
+            nxt = [x // g for x in nxt]
         row_prev, row_cur = row_cur, nxt
-        deg -= 1
-    return all(e > 0 for e in first_column)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +137,15 @@ def _sturm_chain(p: Poly) -> list[Poly]:
 def _sign_at(p: Poly, point) -> int:
     if p.is_zero():
         return 0
+    lead = 1 if p._z[-1] > 0 else -1
     if point == -math.inf:
-        lc = p.leading
-        return (1 if lc > 0 else -1) * (1 if p.degree() % 2 == 0 else -1)
+        return lead * (1 if p.degree() % 2 == 0 else -1)
     if point == math.inf:
-        return 1 if p.leading > 0 else -1
-    v = p(Fraction(point))
+        return lead
+    if not isinstance(point, (int, Fraction)):
+        point = Fraction(point)
+    # the sign of p(u / v) is that of v**deg(p) * p(u / v), for v > 0
+    v = _horner(p._z, point.numerator, point.denominator)
     return 0 if v == 0 else (1 if v > 0 else -1)
 
 
@@ -167,14 +175,14 @@ def irreducible_factors(p: Poly) -> list[tuple[Poly, int]]:
     degree, then multiplicity, then the coefficients of the primitive
     integer factor from the leading one down (sympy's ``factor_list``
     order).  A constant has none."""
-    return [(_from_z(g, g[-1]), mult) for g, mult in factor_list(_over_z(p)[0])]
+    return [(_monic_z(g), mult) for g, mult in factor_list(p._z)]
 
 
 def _even_compression(q: Poly) -> Poly:
     """For q(s) = w(s^2), return w(x)."""
-    if any(c != 0 for k, c in enumerate(q.coeffs) if k % 2 == 1):
+    if any(q._z[1::2]):
         raise ValueError("polynomial is not even")
-    return Poly(tuple(q.coeffs[::2]))
+    return _from_z(q._z[::2], q._d)  # the same nonzero integers: still lowest terms
 
 
 def _classify_irreducible(q: Poly) -> tuple[bool, bool]:
@@ -198,7 +206,7 @@ def _classify_irreducible(q: Poly) -> tuple[bool, bool]:
     symmetric = reflected == q or reflected == -q
     if not symmetric:
         return False, not _routh_is_hurwitz(q)
-    body = poly_divmod(q, S)[0] if q.coeff(0) == 0 else q
+    body = poly_divmod(q, S)[0] if q._z[0] == 0 else q
     # An irreducible symmetric polynomial other than s itself is even.
     w = _even_compression(body)
     neg = count_real_roots(w, -math.inf, 0)

@@ -83,14 +83,12 @@ def _square_free(f: list[int]) -> list[tuple[list[int], int]]:
     carries; every quotient is exact over Z by Gauss's lemma.
     """
     df = _derivative(f)
-    g = _gcd(f, df)
-    b, c = _exact_quo(f, g), _exact_quo(df, g)
+    _, b, c = _gcd(f, df)
     out = []
     mult = 1
     while len(b) > 1:
         d = _sub(c, _derivative(b))
-        a = _gcd(b, d)
-        b, c = _exact_quo(b, a), _exact_quo(d, a)
+        a, b, c = _gcd(b, d)
         if len(a) > 1:
             out.append((a, mult))
         mult += 1

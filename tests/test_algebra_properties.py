@@ -1,19 +1,39 @@
 """Property tests of the exact algebra: the ring laws of `Poly`, the field
 laws of `RatFn`, `poly_gcd`, and the print/parse round trip of `RatFn`
 values well inside the parser's caps (``tests/test_cli.py`` checks the
-round trip at the degree cap).  The product, gcd and normalisation run
-over Z; they are also checked against the plain `Fraction` algorithms
-(schoolbook product, Euclid's gcd, division by the gcd), kept here as
-oracles, and the Bareiss kernel against Gauss-Jordan over `RatFn`."""
+round trip at the degree cap).  `Poly` stores integers over one
+denominator, and its arithmetic, gcd and normalisation run over Z; they
+are also checked against the plain `Fraction` algorithms (coefficientwise
+sum, schoolbook product, division by the leading coefficient, Euclid's
+gcd, division by the gcd), kept here as oracles, and the Bareiss kernel
+against Gauss-Jordan over `RatFn`."""
 
+import copy
+import fractions
+import math
+import pickle
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_polyalg import oracle_inv_det, polymat_det_cofactor
+from twodof import polyalg
 from twodof.cli import parse_matrix, parse_rational
-from twodof.polyalg import ONE, ZERO, Poly, PolyMat, RatFn, poly_divmod, poly_gcd, polymat_det
+from twodof.polyalg import (
+    ONE,
+    S,
+    ZERO,
+    Poly,
+    PolyMat,
+    RatFn,
+    poly_divmod,
+    poly_gcd,
+    poly_lcm,
+    polymat_det,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -101,6 +121,15 @@ def schoolbook_mul(a: Poly, b: Poly) -> Poly:
     return Poly(tuple(out))
 
 
+def coefficientwise_add(a: Poly, b: Poly) -> Poly:
+    n = max(len(a.coeffs), len(b.coeffs))
+    return Poly(tuple(a.coeff(k) + b.coeff(k) for k in range(n)))
+
+
+def divided_monic(a: Poly) -> Poly:
+    return Poly(tuple(c / a.leading for c in a.coeffs)) if a.coeffs else a
+
+
 def euclid_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, poly_divmod(a, b)[1]
@@ -143,7 +172,31 @@ def test_gcd_matches_euclid(a, b, h):
     if a.is_zero() and b.is_zero():
         return
     a, b = schoolbook_mul(a, h), schoolbook_mul(b, h)
-    assert poly_gcd(a, b) == euclid_gcd(a, b)
+    expected = euclid_gcd(a, b)
+    assert poly_gcd(a, b) == expected
+    with mock.patch.object(polyalg, "_heu_gcd", lambda a, b: None):  # the PRS alone
+        assert poly_gcd(a, b) == expected
+
+
+# Integer pairs on which GCDHEU needs a cofactor (of the first input, with
+# a gcd of content 2, and of the second), a fourth evaluation point, or a
+# fifth one that proves the gcd constant.
+GCDHEU_PATHS = [
+    ([28, -46, -28, 46], [-84, 222, -138]),
+    ([30432, 81416, 76946, 16411, -9513], [-48, -44, -19, -29, -63]),
+    ([1980, 990, 1980], [0, 2, 1, 0, -1, -2]),
+    ([-18432, 18368, 17344, 6432], [0, 0, -32, 0, -32]),
+]
+
+
+@pytest.mark.parametrize("a, b", GCDHEU_PATHS)
+def test_gcd_returns_cofactors_on_every_heuristic_path(a, b):
+    g, qa, qb = polyalg._gcd(a, b)
+    assert g == polyalg._primitive(g) == polyalg._prs_gcd(a, b)
+    assert polyalg._mul(g, qa) == a and polyalg._mul(g, qb) == b
+    assert polyalg._heu_gcd(a, b) == (g, qa, qb)
+    expected = euclid_gcd(Poly(tuple(a)), Poly(tuple(b)))
+    assert polyalg._from_z(g, g[-1]) == expected
 
 
 @SETTINGS
@@ -163,3 +216,125 @@ def test_bareiss_divides_by_pivots_with_integer_content():
         inv, det, _ = oracle_inv_det(a)
         assert a.inv() == inv and a.det() == det
         assert polymat_det(num) == polymat_det_cofactor(num) == det.num
+
+
+# -- the stored form: integers over one denominator ---------------------------
+
+
+def assert_canonical(p: Poly) -> None:
+    """Trimmed integers over a positive denominator, in lowest terms."""
+    z, d = p._z, p._d
+    assert type(z) is tuple and all(type(x) is int for x in z)
+    assert type(d) is int and d > 0
+    assert not z or z[-1] != 0
+    assert math.gcd(d, *z) == 1
+    assert p.coeffs == tuple(Fraction(x, d) for x in z)
+
+
+@st.composite
+def same_or_other(draw):
+    """A pair of polynomials that are often equal, each written with its own
+    denominators, content and trailing zeros."""
+    a = draw(mixed_polys())
+    if draw(st.booleans()):
+        return a, draw(mixed_polys())
+    k = draw(st.sampled_from([2, 3, 7]))
+    written = [Fraction(c.numerator * k, c.denominator * k) for c in a.coeffs]
+    zeros = [Fraction(0)] * draw(st.integers(0, 2))
+    return a, Poly(tuple(written + zeros))
+
+
+@SETTINGS
+@given(same_or_other())
+def test_equality_and_hash_follow_the_coefficients(pair):
+    a, b = pair
+    assert_canonical(a)
+    assert_canonical(b)
+    assert (a == b) == (a.coeffs == b.coeffs)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@SETTINGS
+@given(mixed_polys(), mixed_polys())
+def test_arithmetic_matches_the_fraction_oracles(a, b):
+    results = [a + b, a - b, a * b, -a, a.monic(), a.derivative(), a.reflect(), a**3]
+    for r in results:
+        assert_canonical(r)
+    assert a + b == coefficientwise_add(a, b)
+    assert a - b == coefficientwise_add(a, Poly(tuple(-c for c in b.coeffs)))
+    assert a * b == schoolbook_mul(a, b)
+    assert a.monic() == divided_monic(a)
+    assert a**3 == schoolbook_mul(a, schoolbook_mul(a, a))
+    assert a.derivative() == Poly(tuple(k * c for k, c in enumerate(a.coeffs))[1:])
+    assert a.reflect() == Poly(tuple(-c if k % 2 else c for k, c in enumerate(a.coeffs)))
+    point = Fraction(-3, 2)
+    assert a(point) == sum((c * point**k for k, c in enumerate(a.coeffs)), Fraction(0))
+    if not b.is_zero():
+        q, r = poly_divmod(a, b)
+        assert_canonical(q)
+        assert_canonical(r)
+        value = RatFn(a, b)
+        assert_canonical(value.num)
+        assert_canonical(value.den)
+
+
+@SETTINGS
+@given(mixed_polys())
+def test_poly_survives_copy_and_pickle(p):
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(q) is Poly and q == p and hash(q) == hash(p)
+        assert (q._z, q._d) == (p._z, p._d)
+    value = RatFn(p, S + ONE)
+    assert pickle.loads(pickle.dumps(value)) == copy.deepcopy(value) == value
+
+
+def test_poly_is_immutable():
+    p = Poly((Fraction(1, 2), Fraction(3)))
+    for name in ("coeffs", "_z", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (1,))
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p == Poly((Fraction(1, 2), Fraction(3)))
+
+
+@SETTINGS
+@given(mixed_polys(), st.integers(-2, 8))
+def test_coefficients_read_as_fractions(p, k):
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert type(p.coeff(k)) is Fraction
+    if not p.is_zero():
+        assert type(p.leading) is Fraction and p.leading == p.coeffs[-1]
+
+
+def test_poly_rejects_inexact_coefficients():
+    for bad in (0.5, True, "1"):
+        with pytest.raises(TypeError):
+            Poly((Fraction(1), bad))
+
+
+class FractionCounter:
+    """Counts `Fraction` objects built while active (patched ``__new__``)."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        original = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            self.count += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+
+
+def test_poly_arithmetic_builds_no_fraction(monkeypatch):
+    a = Poly((Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)))
+    b = Poly((Fraction(2), Fraction(-1, 3), Fraction(0), Fraction(7, 5)))
+    counter = FractionCounter(monkeypatch)
+    a + b, a - b, a * b, -a, a**4, 3 * a, a + 1
+    a.monic(), a.derivative(), a.reflect(), divmod(b, a), b // a, b % a
+    poly_gcd(a * b, b), poly_lcm(a, b), RatFn(a * b, b * (S + ONE))
+    a == b, hash(a), a.degree(), a.is_constant()
+    assert counter.count == 0
+

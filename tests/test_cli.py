@@ -131,20 +131,22 @@ def test_parse_rational_at_the_caps():
 
 
 def test_parse_rational_short_degree_40_input_is_fast():
-    # short literals that reach the degree cap: the sum's gcd and the
-    # normalisation run over Z in well under the half second allowed
-    a, b = 9 * S + ONE, S + 9 * ONE
+    # short literals that reach the degree cap, up to the 100-digit cap: the
+    # sum's gcd and the normalisation run over Z in well under the half
+    # second allowed
+    b = S + 9 * ONE
     p, q = 99 * S**2 + 99 * S + ONE, S**2 + 99 * S + 99 * ONE
     cases = [
         (
-            "(9*s+1)^20/(s+2)^20 + (s+9)^20/(s+3)^20",
+            f"({n}*s+1)^20/(s+2)^20 + (s+9)^20/(s+3)^20",
             # already in lowest terms: the numerator vanishes at neither -2 nor -3
-            a**20 * (S + 3 * ONE) ** 20 + b**20 * (S + 2 * ONE) ** 20,
+            (n * S + ONE) ** 20 * (S + 3 * ONE) ** 20 + b**20 * (S + 2 * ONE) ** 20,
             ((S + 2 * ONE) * (S + 3 * ONE)) ** 20,
-        ),
-        # the roots of p are the reciprocals of those of q, and none is +-1
-        ("(99*s^2+99*s+1)^20/(s^2+99*s+99)^20", p**20, q**20),
+        )
+        for n in (9, 10**20 - 1, 10**100 - 1)
     ]
+    # the roots of p are the reciprocals of those of q, and none is +-1
+    cases.append(("(99*s^2+99*s+1)^20/(s^2+99*s+99)^20", p**20, q**20))
     for text, num, den in cases:
         start = time.perf_counter()
         value = parse_rational(text)

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from test_algebra_properties import FractionCounter
 from twodof.polyalg import ONE, S, Poly, RatFn, RatMat
 from twodof.stability import (
     REASON_AXIS,
     REASON_RHP,
     StabilityVerdict,
+    _routh_is_hurwitz,
     count_real_roots,
     hurwitz_shift_polynomial,
     irreducible_factors,
@@ -112,3 +116,73 @@ def test_hurwitz_shift_polynomial():
     assert hurwitz_shift_polynomial(1, 2) == (S + ONE) ** 2
     assert hurwitz_shift_polynomial(Fraction(1, 2), 1) == p(Fraction(1, 2), 1)
     assert hurwitz_shift_polynomial(3, 0) == ONE
+
+
+# -- the Routh table over Z against the Fraction table it replaced ------------
+
+
+def routh_over_fractions(p: Poly) -> bool:
+    """The Routh test on the monic polynomial's `Fraction` coefficients."""
+    n = p.degree()
+    if n == 0:
+        return True
+    c = list(reversed(p.monic().coeffs))  # descending: c[0] = 1
+    row_prev = [c[i] for i in range(0, n + 1, 2)]
+    row_cur = [c[i] for i in range(1, n + 1, 2)]
+    first_column = [row_prev[0]]
+    while row_cur:
+        if all(e == 0 for e in row_cur) or row_cur[0] == 0:
+            return False  # an all-zero row, or a zero pivot with a nonzero row
+        first_column.append(row_cur[0])
+        nxt = []
+        for i in range(max(len(row_prev) - 1, 0)):
+            a = row_prev[i + 1] if i + 1 < len(row_prev) else Fraction(0)
+            b = row_cur[i + 1] if i + 1 < len(row_cur) else Fraction(0)
+            nxt.append((row_cur[0] * a - row_prev[0] * b) / row_cur[0])
+        row_prev, row_cur = row_cur, nxt
+    return all(e > 0 for e in first_column)
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+positive = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4)
+# stable factors, and factors with a root on the axis or to the right
+stable_factor = st.one_of(
+    positive.map(lambda a: S + a * ONE),
+    st.tuples(positive, positive).map(lambda bc: S * S + bc[0] * S + bc[1] * ONE),
+)
+marginal_factor = st.sampled_from([S, S * S + ONE, S * S + 4 * ONE, S - ONE, S * S - S + ONE])
+
+
+@st.composite
+def routh_cases(draw):
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(rationals, min_size=1, max_size=8))
+        p = Poly(tuple(coeffs))
+        return p if not p.is_zero() else ONE
+    factors = draw(st.lists(stable_factor, min_size=1, max_size=4))
+    factors += draw(st.lists(marginal_factor, max_size=2))
+    p = draw(st.sampled_from([ONE, -ONE, Fraction(3, 7) * ONE]))
+    for f in factors:
+        p = p * f
+    return p
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(routh_cases())
+@example(p(1, 1, 1, 1, 1))  # s^4 + s^3 + s^2 + s + 1: a zero pivot, the row nonzero
+@example(p(4, 0, 5, 0, 1))  # s^4 + 5*s^2 + 4: an all-zero row
+@example(p(2, 1, 2, 1))  # (s^2 + 1)(s + 2): an all-zero row further down
+@example(Poly((Fraction(1, 3), Fraction(5, 6), Fraction(1, 2))))  # (s + 1)(s + 2/3) / 2
+@example(p(-6, -5, -1))  # -(s + 2)(s + 3): Hurwitz whatever the sign
+def test_routh_over_z_matches_the_fraction_table(q):
+    assert _routh_is_hurwitz(q) == routh_over_fractions(q)
+
+
+def test_is_hurwitz_builds_no_fraction(monkeypatch):
+    cases = [(S + ONE) ** 3 * (S * S + S + 3 * ONE), (S - 2 * ONE) * (S + ONE) * p(4, 0, 1)]
+    counter = FractionCounter(monkeypatch)
+    verdicts = [is_hurwitz(q) for q in cases]
+    assert counter.count == 0
+    assert verdicts[0].stable and not verdicts[1].stable
+    assert len(verdicts[1].offending_factors) == 2
+
