@@ -16,6 +16,7 @@ polynomial coefficient-matching problem is solved by
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,6 +32,8 @@ from .polyalg import (
     ShapeError,
     SingularMatrixError,
     _column_fraction,
+    _lowest,
+    _rref_z,
     hermite,
     linsolve_exact,
     poly_gcd,
@@ -272,30 +275,37 @@ def poly_row_diophantine(
             for j in range(m):
                 top = max(top, bound + (mat.entry(i, j).degree() or 0))
 
-    a_rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # The equations of column j, over the lcm of the denominators there,
+    # are rows of integers read from the stored numerators.
+    bounds = [bound for _, rows, bound in blocks for _ in range(rows)]
+    aug: list[list[int]] = []
     for j in range(m):
+        polys = [mat.entry(i, j) for mat, rows, _ in blocks for i in range(rows)]
+        polys.append(rhs_row[j])
+        lcd = math.lcm(*(e._d for e in polys))
+        zs = [[x * (lcd // e._d) for x in e._z] for e in polys]
+        rhs_z = zs.pop()
         for t in range(top + 1):
-            a_rows.append(
-                [
-                    mat.entry(i, j).coeff(t - c) if t >= c else Fraction(0)
-                    for mat, rows, bound in blocks
-                    for i in range(rows)
-                    for c in range(bound + 1)
-                ]
-            )
-            rhs.append(rhs_row[j].coeff(t))
-    solved = linsolve_exact(a_rows, rhs)
-    if solved is None:
+            row = [
+                z[t - c] if 0 <= t - c < len(z) else 0
+                for z, bound in zip(zs, bounds)
+                for c in range(bound + 1)
+            ]
+            row.append(rhs_z[t] if t < len(rhs_z) else 0)
+            aug.append(row)
+    n = sum(bound + 1 for bound in bounds)
+    pivots = _rref_z(aug, n)
+    if pivots is None:
         return None
-    z, _ = solved
-    coeffs = iter(z)
-    polys = [
-        Poly(tuple(itertools.islice(coeffs, bound + 1)))
-        for _, rows, bound in blocks
-        for _ in range(rows)
-    ]
-    return polys[:p], polys[p:]
+    # unknown col is row[n] / row[col] of its pivot row, and 0 if free
+    value = {col: (row[n], row[col]) for row, col in zip(aug, pivots)}
+    out, col = [], 0
+    for bound in bounds:
+        pairs = [value.get(c, (0, 1)) for c in range(col, col + bound + 1)]
+        lcd = math.lcm(*(q for _, q in pairs))
+        out.append(_lowest([x * (lcd // q) for x, q in pairs], lcd))
+        col += bound + 1
+    return out[:p], out[p:]
 
 
 def _least_degree_solve(

@@ -38,8 +38,16 @@ Conventions
   den * adj(num) / det(num), ``RatMat.det`` is det(num) / den**n,
   ``RatMat.rank`` is the rank of num, and ``synthesis.check_realizable``
   eliminates [n | t_num]; each result entry is normalised once.
-  :func:`linsolve_exact` holds the one Gauss-Jordan loop over the
-  rationals.
+  ``RatMat @`` takes each row of the left factor over its lcd and each
+  column of the right factor over its lcd, and forms an entry as one dot
+  product over Z[s], normalised once.
+* Linear systems over Q: :func:`linsolve_exact` clears each row of
+  [A | b] to integers and reduces it by a fraction-free Gauss-Jordan
+  elimination over Z, ``_rref_z``, with the pivots of the elimination
+  over Q; each updated row is divided by its content, and a value is read
+  out as a quotient of two entries of its pivot row only at the end.
+  ``factor.poly_row_diophantine`` runs ``_rref_z`` on rows read from the
+  stored integers.
 * Evaluation at a rational point reports poles explicitly (``None``
   entries) instead of raising.
 
@@ -373,6 +381,18 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _dot(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[int]:
+    """sum(a[t] * b[t]) over Z[s], untrimmed."""
+    out: list[int] = []
+    for x, y in zip(a, b):
+        p = _mul(x, y)
+        if len(out) < len(p):
+            out, p = p, out
+        for i, v in enumerate(p):
+            out[i] += v
+    return out
+
+
 def _exact_quo(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
     """``a / b`` if ``b`` divides ``a`` in Z[s], else ``None``."""
     if not a:
@@ -652,6 +672,14 @@ def common_denominator(entries: Iterable[RatFn]) -> tuple[Poly, list[Poly]]:
         if e.den != den:
             den = poly_lcm(den, e.den)
     return den, [e.num if e.den == den else e.num * (den // e.den) for e in entries]
+
+
+def _integer_line(entries: Iterable[RatFn]) -> tuple[Poly, list[list[int]], int]:
+    """(den, zs, c) with entry k = zs[k] / (c * den), den the monic lcd of
+    ``entries`` and zs[k] over Z[s]."""
+    den, nums = common_denominator(entries)
+    c = math.lcm(*(e._d for e in nums))
+    return den, [[x * (c // e._d) for x in e._z] for e in nums], c
 
 
 def _over_lcd(mat: RatMat) -> tuple[Poly, PolyMat]:
@@ -993,13 +1021,15 @@ class RatMat:
         k2, c = other.shape
         if k != k2:
             raise ShapeError(f"cannot multiply {self.shape} @ {other.shape}")
+        # row i of self is a_i / (ca_i * ad_i) and column j of other is
+        # b_j / (cb_j * bd_j), a_i and b_j over Z[s]: entry (i, j) is one
+        # dot product over Z[s], normalised once
+        left = [_integer_line(row) for row in self.rows]
+        right = [_integer_line(col) for col in zip(*other.rows)]
         return RatMat(
             tuple(
-                tuple(
-                    sum((self.rows[i][t] * other.rows[t][j] for t in range(k)), RF_ZERO)
-                    for j in range(c)
-                )
-                for i in range(r)
+                tuple(RatFn(_lowest(_dot(a, b), ca * cb), ad * bd) for bd, b, cb in right)
+                for ad, a, ca in left
             )
         )
 
@@ -1058,7 +1088,7 @@ class RatMat:
 
 
 def linsolve_exact(
-    a_rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    a_rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
 ) -> tuple[list[Fraction], list[list[Fraction]]] | None:
     """Solve A z = b exactly over the rationals.
 
@@ -1066,9 +1096,46 @@ def linsolve_exact(
     zero in the particular solution, or ``None`` when inconsistent.
     [A | b] is reduced to reduced row echelon form by Gauss-Jordan
     elimination; its pivot columns are fixed by A, so the result is unique.
+    Each row is cleared to integers by the lcm of its denominators and
+    eliminated over Z (``_rref_z``); a value is read out as a quotient of
+    two entries of its pivot row.
     """
     n = len(a_rows[0]) if a_rows else 0
-    aug = [[_frac(x) for x in row] + [_frac(rhs[i])] for i, row in enumerate(a_rows)]
+    aug = []
+    for i, row in enumerate(a_rows):
+        xs = [_scalar(x) for x in (*row, rhs[i])]
+        d = math.lcm(*(x.denominator for x in xs))
+        aug.append([x.numerator * (d // x.denominator) for x in xs])
+    pivots = _rref_z(aug, n)
+    if pivots is None:
+        return None
+    particular = [Fraction(0)] * n
+    for row, col in zip(aug, pivots):
+        particular[col] = Fraction(row[n], row[col])
+    basis: list[list[Fraction]] = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for row, col in zip(aug, pivots):
+            vec[col] = Fraction(-row[fc], row[col])
+        basis.append(vec)
+    return particular, basis
+
+
+def _rref_z(aug: list[list[int]], n: int) -> list[int] | None:
+    """Fraction-free Gauss-Jordan elimination of the first ``n`` columns of
+    the integer rows ``aug``, in place; the later columns ride along.
+
+    The pivot of each column is the first remaining row with a nonzero
+    entry there, as over Q.  Every other row with a nonzero entry f in
+    that column becomes p * row - f * top over gcd(p, f), p the pivot,
+    and is then divided by its content, so each row stays a nonzero
+    multiple of its row in the reduced row echelon form of [A | b] over
+    Q.  Returns the pivot columns, or ``None`` when a row beyond them has
+    a nonzero entry in column ``n`` (the system is inconsistent).
+    """
     pivots: list[int] = []
     for col in range(n):
         k = len(pivots)
@@ -1078,28 +1145,20 @@ def linsolve_exact(
         if piv is None:
             continue
         aug[k], aug[piv] = aug[piv], aug[k]
-        inv = 1 / aug[k][col]
-        top = aug[k] = [e * inv for e in aug[k]]
+        top = aug[k]
+        p = top[col]
         for i, row in enumerate(aug):
             f = row[col]
             if i != k and f:
-                aug[i] = [e - f * g for e, g in zip(row, top)]
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(row, top)]
+                c = math.gcd(*new)
+                aug[i] = [x // c for x in new] if c > 1 else new
         pivots.append(col)
-    if any(row[n] != 0 for row in aug[len(pivots):]):
+    if any(row[n] for row in aug[len(pivots):]):
         return None
-    particular = [Fraction(0)] * n
-    for row, col in zip(aug, pivots):
-        particular[col] = row[n]
-    basis: list[list[Fraction]] = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for row, col in zip(aug, pivots):
-            vec[col] = -row[fc]
-        basis.append(vec)
-    return particular, basis
+    return pivots
 
 
 def _same_kind(a: PolyMat | RatMat, b: PolyMat | RatMat, name: str) -> type:

@@ -5,8 +5,9 @@ round trip at the degree cap).  `Poly` stores integers over one
 denominator, and its arithmetic, gcd and normalisation run over Z; they
 are also checked against the plain `Fraction` algorithms (coefficientwise
 sum, schoolbook product, division by the leading coefficient, Euclid's
-gcd, division by the gcd), kept here as oracles, and the Bareiss kernel
-against Gauss-Jordan over `RatFn`."""
+gcd, division by the gcd), kept here as oracles, the Bareiss kernel
+against Gauss-Jordan over `RatFn`, `linsolve_exact` against Gauss-Jordan
+over `Fraction`, and `RatMat @` against sums of `RatFn` products."""
 
 import copy
 import fractions
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from test_polyalg import oracle_inv_det, polymat_det_cofactor
 from twodof import polyalg
 from twodof.cli import parse_matrix, parse_rational
+from twodof.factor import right_coprime_mfd, stable_mfd
 from twodof.polyalg import (
     ONE,
     S,
@@ -29,6 +31,7 @@ from twodof.polyalg import (
     Poly,
     PolyMat,
     RatFn,
+    RatMat,
     poly_divmod,
     poly_gcd,
     poly_lcm,
@@ -218,6 +221,190 @@ def test_bareiss_divides_by_pivots_with_integer_content():
         assert polymat_det(num) == polymat_det_cofactor(num) == det.num
 
 
+def gauss_jordan(a_rows, rhs):
+    """Gauss-Jordan elimination over `Fraction`, each pivot row scaled to a
+    leading 1: the reduced row echelon form that ``linsolve_exact`` reads
+    its (particular, basis) from, or None when inconsistent."""
+    n = len(a_rows[0]) if a_rows else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(a_rows)]
+    pivots = []
+    for col in range(n):
+        k = len(pivots)
+        if k == len(aug):
+            break
+        piv = next((i for i in range(k, len(aug)) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[k], aug[piv] = aug[piv], aug[k]
+        inv = 1 / aug[k][col]
+        top = aug[k] = [e * inv for e in aug[k]]
+        for i, row in enumerate(aug):
+            f = row[col]
+            if i != k and f:
+                aug[i] = [e - f * g for e, g in zip(row, top)]
+        pivots.append(col)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
+    particular = [Fraction(0)] * n
+    for row, col in zip(aug, pivots):
+        particular[col] = row[n]
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for row, col in zip(aug, pivots):
+            vec[col] = -row[fc]
+        basis.append(vec)
+    return particular, basis
+
+
+def assert_same_solution(a_rows, rhs):
+    expected = gauss_jordan(a_rows, rhs)
+    solved = polyalg.linsolve_exact(a_rows, rhs)
+    assert solved == expected
+    if solved is not None:
+        particular, basis = solved
+        assert all(type(x) is Fraction for x in particular)
+        assert all(type(x) is Fraction for vec in basis for x in vec)
+    return solved
+
+
+@st.composite
+def linear_systems(draw):
+    """[A | b] over mixed denominators and either sign, often rank-deficient
+    (a row combined from two others), with zero columns, all-zero A, a
+    zero, consistent or arbitrary (mostly inconsistent) right-hand side, and
+    integral entries given as `int` or as `Fraction`."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.builds(
+        lambda num, den, keep: Fraction(num * keep, den),
+        st.integers(-9, 9).filter(bool), st.integers(1, 6), st.sampled_from([1, 1, 1, 0]),
+    )
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if m >= 3 and draw(st.booleans()):
+        x, y = draw(coefficients), draw(coefficients)
+        a[-1] = [x * u + y * v for u, v in zip(a[0], a[1])]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in a:
+            row[j] = Fraction(0)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        a = [[Fraction(0)] * n for _ in range(m)]
+    kind = draw(st.sampled_from(["consistent", "zero", "arbitrary"]))
+    if kind == "consistent":
+        z = [draw(coefficients) for _ in range(n)]
+        rhs = [sum((u * v for u, v in zip(row, z)), Fraction(0)) for row in a]
+    elif kind == "zero":
+        rhs = [Fraction(0)] * m
+    else:
+        rhs = [draw(coefficients) for _ in range(m)]
+    if draw(st.booleans()):
+        a = [[int(x) if x.denominator == 1 else x for x in row] for row in a]
+        rhs = [int(x) if x.denominator == 1 else x for x in rhs]
+    return a, rhs
+
+
+@SETTINGS
+@given(linear_systems())
+def test_linsolve_over_z_matches_the_fraction_elimination(system):
+    assert_same_solution(*system)
+
+
+F = Fraction
+LINEAR_SYSTEMS = [
+    # all-zero systems, consistent and not
+    ([[0, 0], [0, 0]], [0, 0], "solved"),
+    ([[0, 0], [0, 0]], [0, 1], None),
+    # rank-deficient and inconsistent
+    ([[1, 2], [2, 4]], [3, 7], None),
+    ([[F(1, 2), F(1, 3)], [F(3, 2), 1]], [1, 3], "solved"),
+    # zero columns around the pivots, negative pivots, mixed denominators,
+    # and a third row that is the sum of the first two
+    ([[0, -3, 0, F(5, 4)], [0, F(-2, 7), 0, 1], [0, F(-23, 7), 0, F(9, 4)]], [F(-1, 2), 2, F(3, 2)], "solved"),
+    ([[-6, F(4, 9)], [F(-3, 10), -1]], [F(7, 3), -4], "solved"),
+    # more rows than columns, consistent
+    ([[2], [-4], [F(1, 3)]], [F(2, 5), F(-4, 5), F(1, 15)], "solved"),
+]
+
+
+@pytest.mark.parametrize("a_rows, rhs, outcome", LINEAR_SYSTEMS)
+def test_linsolve_over_z_on_named_systems(a_rows, rhs, outcome):
+    solved = assert_same_solution(a_rows, rhs)
+    assert (solved is None) == (outcome is None)
+
+
+def entrywise_product(a: RatMat, b: RatMat) -> tuple:
+    """a @ b as sums of `RatFn` products, each partial sum normalised."""
+    (r, k), c = a.shape, b.shape[1]
+    return tuple(
+        tuple(sum((a.rows[i][t] * b.rows[t][j] for t in range(k)), RatFn(ZERO)) for j in range(c))
+        for i in range(r)
+    )
+
+
+SHARED_DENOMINATORS = [ONE, S + 1, S - 2, (S + 1) * (S - 2), 2 * S + 3, S * S + 1]
+
+
+@st.composite
+def ratmat_pairs(draw):
+    """Operands of r x k @ k x c, each of 1 to 3, whose entries are zero,
+    or over a denominator from a shared list, or a `RatFn` of its own."""
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def entry():
+        kind = draw(st.sampled_from(["zero", "shared", "own"]))
+        if kind == "zero":
+            return RatFn(ZERO)
+        if kind == "shared":
+            return RatFn(draw(mixed_polys(3)), draw(st.sampled_from(SHARED_DENOMINATORS)))
+        return draw(ratfns())
+
+    return (
+        RatMat([[entry() for _ in range(k)] for _ in range(r)]),
+        RatMat([[entry() for _ in range(c)] for _ in range(k)]),
+    )
+
+
+def assert_canonical_ratfn(e: RatFn) -> None:
+    assert_canonical(e.num)
+    assert_canonical(e.den)
+    assert e.den.leading == 1
+    if e.is_zero():
+        assert e.den == ONE
+    else:
+        assert poly_gcd(e.num, e.den) == ONE
+
+
+def assert_product_matches(a: RatMat, b: RatMat) -> None:
+    product = a @ b
+    assert product.rows == entrywise_product(a, b)
+    for row in product.rows:
+        for e in row:
+            assert_canonical_ratfn(e)
+
+
+@SETTINGS
+@given(ratmat_pairs())
+def test_ratmat_product_matches_the_entrywise_sums(pair):
+    assert_product_matches(*pair)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("(s+1)/(s-2)", "(s-2)/(s+1)"),  # 1x1 operands that cancel to 1
+        ("0", "1/(s+3)"),  # a zero operand
+        ("1/(s+1), 1/(s+1)", "1/(s-2); -1/(s-2)"),  # shared denominators that sum to 0
+        ("1/(s+1), 2/(s+2), 3/(s+3)", "s; 1; 2*s"),  # coprime row denominators, 1x3 @ 3x1
+        ("1/(2*s+1); s/3", "(s+4)/(s^2+1), 0"),  # 2x1 @ 1x2, rational content
+    ],
+)
+def test_ratmat_product_on_named_operands(a, b):
+    assert_product_matches(parse_matrix(a), parse_matrix(b))
+
+
 # -- the stored form: integers over one denominator ---------------------------
 
 
@@ -337,4 +524,15 @@ def test_poly_arithmetic_builds_no_fraction(monkeypatch):
     poly_gcd(a * b, b), poly_lcm(a, b), RatFn(a * b, b * (S + ONE))
     a == b, hash(a), a.degree(), a.is_constant()
     assert counter.count == 0
+
+
+def test_plant_analysis_builds_few_fractions(monkeypatch):
+    # The coprime fraction, its column reduction and the Bezout witnesses
+    # eliminate over Z.  The Fractions left are a few scalar reads (the
+    # shift, the Hermite pivots, column_reduce's leading coefficients and
+    # its null vector); at the elimination over Fraction this was 171.
+    plant = parse_matrix("(s+1)/((s-2)*(s+3))")
+    counter = FractionCounter(monkeypatch)
+    stable_mfd(right_coprime_mfd(plant))
+    assert counter.count <= 17
 
