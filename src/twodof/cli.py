@@ -42,7 +42,7 @@ from .factor import (
     stable_mfd,
     zeros_and_poles,
 )
-from .polyalg import ONE, Poly, PolyMat, RatFn, RatMat, ShapeError
+from .polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat, ShapeError
 from .stabilize import (
     IllPosedLoop,
     InadmissibleParameter,
@@ -198,10 +198,10 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "s":
             self.take()
-            return RatFn(Poly((Fraction(0), Fraction(1))))
+            return RatFn(S)
         if kind == "int":
             self.take()
-            return RatFn(Poly((Fraction(int(text)),)))
+            return RatFn(Poly((int(text),)))
         if kind == "(":
             self.take()
             inner = self.expression()
@@ -406,12 +406,7 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
     _print_named("central feedback map cy", cy)
     print(f"internal stability: {loop.verdict.describe()}")
     m_in, p_out = plant.shape[1], plant.shape[0]
-    sample = RatMat(
-        [
-            [RatFn(ONE, Poly((Fraction(1) + shift, Fraction(1)))) for _ in range(p_out)]
-            for _ in range(m_in)
-        ]
-    )
+    sample = RatMat([[RatFn(ONE, S + (1 + shift)) for _ in range(p_out)] for _ in range(m_in)])
     try:
         cy2, loop2 = _youla_feedback(plant, smfd, sample)
         _print_named("sample parameter k", sample)
@@ -596,6 +591,15 @@ class _UsageError(ValueError):
     pass
 
 
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``; a zero denominator is refused like any other
+    malformed number, as a usage error rather than a traceback."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="twodof",
@@ -606,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, func: Callable[[argparse.Namespace], int], **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("problem", help="problem file (INI sections: plant/design/config/options)")
-        p.add_argument("--shift", type=Fraction, default=None,
+        p.add_argument("--shift", type=_fraction, default=None,
                        help="stable divisor shift for the proper-stable factorization (default 1)")
         p.set_defaults(func=func)
         return p

@@ -26,8 +26,9 @@ Conventions
   each result is brought to lowest terms with one gcd of its numerators
   and its denominator.  No `Fraction` is built on the way.
   :mod:`twodof.zfactor` factors over the same helpers.
-* `PolyMat` / `RatMat` are immutable row-major grids.  Over the polynomial
-  ring, `hermite` gives the row Hermite form (and its unimodular
+* `PolyMat` / `RatMat` are immutable row-major grids that share one
+  ring-independent base, ``_Grid``; each names only its entry coercion
+  and its ring's zero and one.  Over the polynomial ring, `hermite` gives the row Hermite form (and its unimodular
   transform), and one fraction-free Gauss-Jordan kernel, ``_bareiss``
   (Bareiss 1968), gives determinants, adjugates and ranks.  Its exact
   division by the previous pivot divides by the pivot's primitive part
@@ -38,9 +39,10 @@ Conventions
   den * adj(num) / det(num), ``RatMat.det`` is det(num) / den**n,
   ``RatMat.rank`` is the rank of num, and ``synthesis.check_realizable``
   eliminates [n | t_num]; each result entry is normalised once.
-  ``RatMat @`` takes each row of the left factor over its lcd and each
-  column of the right factor over its lcd, and forms an entry as one dot
-  product over Z[s], normalised once.
+  Both products run on one kernel: ``PolyMat @`` takes each row of the
+  left factor and each column of the right factor to Z[s] over one
+  integer (``_z_line``), ``RatMat @`` does so after taking the line over
+  its lcd, and each entry is one dot product over Z[s], normalised once.
 * Linear systems over Q: :func:`linsolve_exact` clears each row of
   [A | b] to integers and reduces it by a fraction-free Gauss-Jordan
   elimination over Z, ``_rref_z``, with the pivots of the elimination
@@ -678,8 +680,14 @@ def _integer_line(entries: Iterable[RatFn]) -> tuple[Poly, list[list[int]], int]
     """(den, zs, c) with entry k = zs[k] / (c * den), den the monic lcd of
     ``entries`` and zs[k] over Z[s]."""
     den, nums = common_denominator(entries)
-    c = math.lcm(*(e._d for e in nums))
-    return den, [[x * (c // e._d) for x in e._z] for e in nums], c
+    return (den, *_z_line(nums))
+
+
+def _z_line(polys: Sequence[Poly]) -> tuple[list[list[int]], int]:
+    """(zs, c) with polys[k] = zs[k] / c, zs[k] over Z[s] and c the lcm of
+    the denominators."""
+    c = math.lcm(*(p._d for p in polys))
+    return [[x * (c // p._d) for x in p._z] for p in polys], c
 
 
 def _over_lcd(mat: RatMat) -> tuple[Poly, PolyMat]:
@@ -701,43 +709,51 @@ def _over(mat: PolyMat, den: Poly) -> RatMat:
 
 
 # ---------------------------------------------------------------------------
-# polynomial matrices
+# matrices
 # ---------------------------------------------------------------------------
 
 
-def _grid(rows: Iterable[Iterable], coerce) -> tuple[tuple, ...]:
-    out = tuple(tuple(coerce(e) for e in row) for row in rows)
-    if not out or not out[0]:
-        raise ShapeError("matrix must have at least one row and one column")
-    width = len(out[0])
-    if any(len(r) != width for r in out):
-        raise ShapeError("ragged matrix rows")
-    return out
-
-
 @dataclass(frozen=True)
-class PolyMat:
-    """Immutable matrix of :class:`Poly` entries."""
+class _Grid:
+    """Immutable row-major matrix over a ring, with at least one row and one
+    column: the half of `PolyMat` and `RatMat` that does not depend on the
+    ring.  A subclass names its ring: ``_coerce`` makes an entry of a value,
+    ``_zero`` and ``_one`` are the ring's zero and one.  Equality and
+    hashing follow ``rows`` within one kind of matrix.
+    """
 
-    rows: tuple[tuple[Poly, ...], ...]
+    # no instance dict, so that no attribute can be added to a subclass's
+    # instance either; a subclass declares empty slots
+    __slots__ = ("rows",)
+    rows: tuple[tuple, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _grid(self.rows, _as_poly))
+        coerce = self._coerce
+        rows = tuple(tuple(coerce(e) for e in row) for row in self.rows)
+        if not rows or not rows[0]:
+            raise ShapeError("matrix must have at least one row and one column")
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
+            raise ShapeError("ragged matrix rows")
+        object.__setattr__(self, "rows", rows)
+
+    def __reduce__(self):
+        return type(self), (self.rows,)
 
     @classmethod
-    def identity(cls, n: int) -> "PolyMat":
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+    def identity(cls, n: int):
+        return cls.diag([cls._one] * n)
 
     @classmethod
-    def zeros(cls, r: int, c: int) -> "PolyMat":
-        return cls(tuple(tuple(ZERO for _ in range(c)) for _ in range(r)))
+    def zeros(cls, r: int, c: int):
+        return cls(tuple(tuple(cls._zero for _ in range(c)) for _ in range(r)))
 
     @classmethod
-    def diag(cls, entries: Sequence[Poly | Scalar]) -> "PolyMat":
+    def diag(cls, entries: Sequence):
         n = len(entries)
         return cls(
             tuple(
-                tuple(_as_poly(entries[i]) if i == j else ZERO for j in range(n))
+                tuple(entries[i] if i == j else cls._zero for j in range(n))
                 for i in range(n)
             )
         )
@@ -746,49 +762,63 @@ class PolyMat:
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.rows[0])
 
-    def entry(self, i: int, j: int) -> Poly:
+    def entry(self, i: int, j: int):
         return self.rows[i][j]
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
 
-    def transpose(self) -> "PolyMat":
-        r, c = self.shape
-        return PolyMat(tuple(tuple(self.rows[i][j] for i in range(r)) for j in range(c)))
+    def transpose(self):
+        return type(self)(tuple(zip(*self.rows)))
 
-    def __add__(self, other: "PolyMat") -> "PolyMat":
+    def __add__(self, other):
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return PolyMat(
+        return type(self)(
             tuple(
                 tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
             )
         )
 
-    def __neg__(self) -> "PolyMat":
-        return PolyMat(tuple(tuple(-e for e in row) for row in self.rows))
+    def __neg__(self):
+        return type(self)(tuple(tuple(-e for e in row) for row in self.rows))
 
-    def __sub__(self, other: "PolyMat") -> "PolyMat":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __matmul__(self, other: "PolyMat") -> "PolyMat":
-        r, k = self.shape
-        k2, c = other.shape
-        if k != k2:
-            raise ShapeError(f"cannot multiply {self.shape} @ {other.shape}")
-        return PolyMat(
-            tuple(
-                tuple(
-                    sum((self.rows[i][t] * other.rows[t][j] for t in range(k)), ZERO)
-                    for j in range(c)
-                )
-                for i in range(r)
-            )
-        )
+    def scale(self, f):
+        f = self._coerce(f)
+        return type(self)(tuple(tuple(e * f for e in row) for row in self.rows))
 
-    def scale(self, f: Poly | Scalar) -> "PolyMat":
-        f = _as_poly(f)
-        return PolyMat(tuple(tuple(e * f for e in row) for row in self.rows))
+    def __str__(self) -> str:
+        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
+
+    __repr__ = __str__
+
+
+def _same_kind(a: _Grid, b: _Grid, name: str) -> type:
+    if type(a) is not type(b) or not isinstance(a, _Grid):
+        raise TypeError(f"{name} requires two matrices of the same kind")
+    return type(a)
+
+
+class PolyMat(_Grid):
+    """Immutable matrix of :class:`Poly` entries."""
+
+    __slots__ = ()
+    _coerce = staticmethod(_as_poly)
+    _zero, _one = ZERO, ONE
+
+    def __matmul__(self, other: "PolyMat") -> "PolyMat":
+        if self.shape[1] != other.shape[0]:
+            raise ShapeError(f"cannot multiply {self.shape} @ {other.shape}")
+        # row i of self is a_i / ca_i and column j of other is b_j / cb_j,
+        # a_i and b_j over Z[s]: entry (i, j) is one dot product over Z[s]
+        left = [_z_line(row) for row in self.rows]
+        right = [_z_line(col) for col in zip(*other.rows)]
+        return PolyMat(
+            tuple(tuple(_lowest(_dot(a, b), ca * cb) for b, cb in right) for a, ca in left)
+        )
 
     def column_degrees(self) -> list[int | None]:
         """Per-column maximum entry degree (``None`` for a zero column)."""
@@ -811,12 +841,7 @@ class PolyMat:
         return len(_bareiss([list(row) for row in self.rows], self.shape[1])[0])
 
     def to_ratmat(self) -> "RatMat":
-        return RatMat(tuple(tuple(RatFn(e) for e in row) for row in self.rows))
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
-
-    __repr__ = __str__
+        return RatMat(self.rows)
 
 
 def hermite(a: PolyMat) -> tuple[PolyMat, PolyMat]:
@@ -956,70 +981,19 @@ def _polymat_det_adj(a: PolyMat) -> tuple[Poly, PolyMat]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RatMat:
+class RatMat(_Grid):
     """Immutable matrix of :class:`RatFn` entries."""
 
-    rows: tuple[tuple[RatFn, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", _grid(self.rows, _as_ratfn))
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMat":
-        return cls(tuple(tuple(RF_ONE if i == j else RF_ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, r: int, c: int) -> "RatMat":
-        return cls(tuple(tuple(RF_ZERO for _ in range(c)) for _ in range(r)))
-
-    @classmethod
-    def diag(cls, entries: Sequence) -> "RatMat":
-        n = len(entries)
-        return cls(
-            tuple(
-                tuple(_as_ratfn(entries[i]) if i == j else RF_ZERO for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.rows[0])
-
-    def entry(self, i: int, j: int) -> RatFn:
-        return self.rows[i][j]
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
+    __slots__ = ()
+    _coerce = staticmethod(_as_ratfn)
+    _zero, _one = RF_ZERO, RF_ONE
 
     def is_square(self) -> bool:
         r, c = self.shape
         return r == c
 
-    def transpose(self) -> "RatMat":
-        r, c = self.shape
-        return RatMat(tuple(tuple(self.rows[i][j] for i in range(r)) for j in range(c)))
-
-    def __add__(self, other: "RatMat") -> "RatMat":
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return RatMat(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
-    def __neg__(self) -> "RatMat":
-        return RatMat(tuple(tuple(-e for e in row) for row in self.rows))
-
-    def __sub__(self, other: "RatMat") -> "RatMat":
-        return self + (-other)
-
     def __matmul__(self, other: "RatMat") -> "RatMat":
-        r, k = self.shape
-        k2, c = other.shape
-        if k != k2:
+        if self.shape[1] != other.shape[0]:
             raise ShapeError(f"cannot multiply {self.shape} @ {other.shape}")
         # row i of self is a_i / (ca_i * ad_i) and column j of other is
         # b_j / (cb_j * bd_j), a_i and b_j over Z[s]: entry (i, j) is one
@@ -1032,10 +1006,6 @@ class RatMat:
                 for ad, a, ca in left
             )
         )
-
-    def scale(self, f) -> "RatMat":
-        f = _as_ratfn(f)
-        return RatMat(tuple(tuple(e * f for e in row) for row in self.rows))
 
     def inv(self) -> "RatMat":
         """Exact inverse den * adj(num) / det(num) of self = num / den."""
@@ -1080,11 +1050,6 @@ class RatMat:
 
     def __call__(self, s0: complex):
         return tuple(tuple(e(s0) for e in row) for row in self.rows)
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
-
-    __repr__ = __str__
 
 
 def linsolve_exact(
@@ -1159,12 +1124,6 @@ def _rref_z(aug: list[list[int]], n: int) -> list[int] | None:
     if any(row[n] for row in aug[len(pivots):]):
         return None
     return pivots
-
-
-def _same_kind(a: PolyMat | RatMat, b: PolyMat | RatMat, name: str) -> type:
-    if type(a) is not type(b) or not isinstance(a, (PolyMat, RatMat)):
-        raise TypeError(f"{name} requires two matrices of the same kind")
-    return type(a)
 
 
 def hstack(a: PolyMat | RatMat, b: PolyMat | RatMat):

@@ -88,6 +88,10 @@ def certify(report: ClosedLoopReport, desired_t: RatMat) -> tuple[Certificate, .
 
 # -- simulation ---------------------------------------------------------------
 
+# a trace holds a float per sample and output, so an unbounded grid (say a
+# horizon of 1e9 at a step of 1e-3) would exhaust memory before it ran
+_MAX_SAMPLES = 10**6
+
 
 @dataclass(frozen=True)
 class SimulationTrace:
@@ -151,13 +155,15 @@ def simulate_step(t: RatMat, horizon: float, dt: float) -> SimulationTrace:
 
     if horizon <= 0 or dt <= 0:
         raise ValueError("horizon and dt must be positive")
+    count = int(round(horizon / dt))
+    if count + 1 > _MAX_SAMPLES:
+        raise ValueError(f"{count + 1} samples exceed the cap of {_MAX_SAMPLES}")
     if not t.is_proper():
         raise ValueError("cannot simulate an improper transfer matrix")
     verdict = matrix_is_stable(t)
     if not verdict:
         raise ValueError("cannot simulate an unstable transfer matrix: " + verdict.describe())
     p_rows, m_cols = t.shape
-    count = int(round(horizon / dt))
     times = tuple(k * dt for k in range(count + 1))
     all_outputs = []
     for j in range(m_cols):

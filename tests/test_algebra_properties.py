@@ -335,11 +335,12 @@ def test_linsolve_over_z_on_named_systems(a_rows, rhs, outcome):
     assert (solved is None) == (outcome is None)
 
 
-def entrywise_product(a: RatMat, b: RatMat) -> tuple:
-    """a @ b as sums of `RatFn` products, each partial sum normalised."""
+def entrywise_product(a: RatMat | PolyMat, b: RatMat | PolyMat) -> tuple:
+    """a @ b as sums of entry products, each partial sum normalised."""
     (r, k), c = a.shape, b.shape[1]
+    zero = type(a).zeros(1, 1).entry(0, 0)
     return tuple(
-        tuple(sum((a.rows[i][t] * b.rows[t][j] for t in range(k)), RatFn(ZERO)) for j in range(c))
+        tuple(sum((a.rows[i][t] * b.rows[t][j] for t in range(k)), zero) for j in range(c))
         for i in range(r)
     )
 
@@ -348,22 +349,26 @@ SHARED_DENOMINATORS = [ONE, S + 1, S - 2, (S + 1) * (S - 2), 2 * S + 3, S * S + 
 
 
 @st.composite
-def ratmat_pairs(draw):
-    """Operands of r x k @ k x c, each of 1 to 3, whose entries are zero,
-    or over a denominator from a shared list, or a `RatFn` of its own."""
+def matrix_pairs(draw):
+    """Operands of r x k @ k x c, each of 1 to 3, of one kind.  An entry is
+    zero or, in a `PolyMat`, a polynomial over mixed denominators; in a
+    `RatMat`, over a denominator from a shared list or a `RatFn` of its own."""
+    kind = draw(st.sampled_from([RatMat, PolyMat]))
     r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
 
     def entry():
-        kind = draw(st.sampled_from(["zero", "shared", "own"]))
-        if kind == "zero":
-            return RatFn(ZERO)
-        if kind == "shared":
+        kind_of_entry = draw(st.sampled_from(["zero", "shared", "own"]))
+        if kind_of_entry == "zero":
+            return ZERO
+        if kind is PolyMat:
+            return draw(mixed_polys(3))
+        if kind_of_entry == "shared":
             return RatFn(draw(mixed_polys(3)), draw(st.sampled_from(SHARED_DENOMINATORS)))
         return draw(ratfns())
 
     return (
-        RatMat([[entry() for _ in range(k)] for _ in range(r)]),
-        RatMat([[entry() for _ in range(c)] for _ in range(k)]),
+        kind([[entry() for _ in range(k)] for _ in range(r)]),
+        kind([[entry() for _ in range(c)] for _ in range(k)]),
     )
 
 
@@ -377,16 +382,23 @@ def assert_canonical_ratfn(e: RatFn) -> None:
         assert poly_gcd(e.num, e.den) == ONE
 
 
-def assert_product_matches(a: RatMat, b: RatMat) -> None:
-    product = a @ b
-    assert product.rows == entrywise_product(a, b)
+def assert_product_matches(a: RatMat | PolyMat, b: RatMat | PolyMat) -> None:
+    expected = entrywise_product(a, b)
+    # each entry is one dot product over Z[s]: no Poly is summed on the way
+    with mock.patch.object(Poly, "__add__", side_effect=AssertionError("Poly sum")):
+        product = a @ b
+    assert type(product) is type(a)
+    assert product.rows == expected
     for row in product.rows:
         for e in row:
-            assert_canonical_ratfn(e)
+            if isinstance(e, RatFn):
+                assert_canonical_ratfn(e)
+            else:
+                assert_canonical(e)
 
 
 @SETTINGS
-@given(ratmat_pairs())
+@given(matrix_pairs())
 def test_ratmat_product_matches_the_entrywise_sums(pair):
     assert_product_matches(*pair)
 
@@ -523,6 +535,12 @@ def test_poly_arithmetic_builds_no_fraction(monkeypatch):
     a.monic(), a.derivative(), a.reflect(), divmod(b, a), b // a, b % a
     poly_gcd(a * b, b), poly_lcm(a, b), RatFn(a * b, b * (S + ONE))
     a == b, hash(a), a.degree(), a.is_constant()
+    assert counter.count == 0
+
+
+def test_parsing_builds_no_fraction(monkeypatch):
+    counter = FractionCounter(monkeypatch)
+    parse_matrix("(s+1)/((s-2)*(s+3)), 3*s^2 - 4; 1/(2*s+5), -(s-1)^2/7")
     assert counter.count == 0
 
 

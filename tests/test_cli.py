@@ -258,6 +258,15 @@ def test_main_factor_report(capsys):
     assert "diag((s + 2)^2)" in out
 
 
+@pytest.mark.parametrize("shift", ["1/0", "abc"])
+def test_main_refuses_a_malformed_shift_as_a_usage_error(capsys, shift):
+    code = main(["match", str(PROBLEMS / "example_match.ini"), "--shift", shift])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: argument --shift: invalid Fraction value: {shift!r}\n"
+
+
 def test_main_factor_shift_precedence(tmp_path, capsys):
     path = tmp_path / "prob.ini"
     path.write_text("[plant]\nmatrix = 1/(s-1)\n[options]\nshift = 3\n")

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -316,6 +318,49 @@ def test_stack_helpers():
         hstack(a, RatMat.zeros(3, 1))
     with pytest.raises(ShapeError):
         vstack(a, RatMat.zeros(2, 3))
+
+
+@pytest.mark.parametrize(
+    "kind, ring",
+    [pytest.param(PolyMat, lambda e: e, id="PolyMat"), pytest.param(RatMat, RatFn, id="RatMat")],
+)
+def test_the_grid_behaves_alike_for_both_kinds(kind, ring):
+    rows = [[S, ONE, ZERO], [2 * ONE, S + 1, S * S]]
+    a = kind(rows)
+    assert a.rows == tuple(tuple(ring(e) for e in row) for row in rows)
+    assert kind([[S, 1, 0], [2, S + 1, S * S]]) == a
+    assert hash(kind(rows)) == hash(a)
+    assert a.shape == (2, 3) and a.entry(1, 2) == ring(S * S)
+    assert not a.is_zero() and kind.zeros(2, 3).is_zero()
+    assert kind.identity(2) == kind([[1, 0], [0, 1]])
+    assert kind.diag([S, 2]) == kind([[S, 0], [0, 2]])
+    assert a.transpose() == kind([[S, 2], [1, S + 1], [0, S * S]])
+    assert a + a == a.scale(2) == kind([[2 * S, 2, 0], [4, 2 * S + 2, 2 * S * S]])
+    assert a - a == -a + a == kind.zeros(2, 3)
+    assert -a == a.scale(-1)
+    assert a.scale(S) == kind([[S * S, S, 0], [2 * S, S * S + S, S**3]])
+    assert str(a) == repr(a) == "[s, 1, 0; 2, s + 1, s^2]"
+    assert hstack(a, a) == kind([row + row for row in rows])
+    assert vstack(a, a) == kind(rows + rows)
+    assert pickle.loads(pickle.dumps(a)) == copy.deepcopy(a) == a
+    with pytest.raises(ShapeError):
+        a + a.transpose()
+    for bad in ([], [[]], [[S], [S, ONE]]):
+        with pytest.raises(ShapeError):
+            kind(bad)
+    for name in ("rows", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, ())
+
+
+def test_the_two_kinds_of_matrix_do_not_mix():
+    p = PolyMat([[S, ONE]])
+    r = p.to_ratmat()
+    assert p != r and r.to_polymat() == p
+    for stack in (hstack, vstack):
+        for x, y in ((p, r), (r, p)):
+            with pytest.raises(TypeError):
+                stack(x, y)
 
 
 # -- the elimination kernels, against independent oracles --------------------

@@ -130,6 +130,12 @@ def test_simulate_constant_gain():
     assert all(y == 2.0 for y in trace.outputs[0][0])
 
 
+def test_simulate_refuses_a_grid_over_the_sample_cap():
+    # 10**6 steps give 10**6 + 1 samples, one over the cap
+    with pytest.raises(ValueError, match="1000001 samples exceed the cap of 1000000"):
+        simulate_step(RatMat([[rf(2 * ONE)]]), horizon=1.0, dt=1e-6)
+
+
 def test_simulate_assigned_loop_settles_at_minus_two():
     trace = simulate_step(RatMat([[rf(-4 * ONE, S + 2 * ONE)]]), horizon=10.0, dt=0.01)
     final = trace.final_values()[0]
