@@ -291,8 +291,20 @@ def _option(pf: ProblemFile, args: argparse.Namespace, name: str, default, conv)
     if cli_value is not None:
         return cli_value
     if name in pf.options:
-        return conv(pf.options[name])
+        try:
+            return conv(pf.options[name])
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(str(exc)) from None
     return default
+
+
+def _shift(pf: ProblemFile, args: argparse.Namespace) -> Fraction:
+    """The stable divisor shift (--shift, else [options] shift, else 1),
+    refused before anything is printed unless it is positive."""
+    shift = _option(pf, args, "shift", Fraction(1), _fraction)
+    if shift <= 0:
+        raise ValueError("shift must be positive")
+    return shift
 
 
 # -- report helpers ---------------------------------------------------------------
@@ -361,7 +373,7 @@ def _verify_against(plant: RatMat, res: DesignResult, desired_t: RatMat) -> None
 def cmd_factor(args: argparse.Namespace) -> int:
     pf = load_problem(args.problem)
     plant = _require_plant(pf)
-    shift = _option(pf, args, "shift", Fraction(1), Fraction)
+    shift = _shift(pf, args)
     mfd = right_coprime_mfd(plant)
     left = left_coprime_mfd(plant)
     print(f"plant: {plant.shape[0]} outputs, {plant.shape[1]} inputs")
@@ -396,19 +408,19 @@ def cmd_factor(args: argparse.Namespace) -> int:
 def cmd_stabilize(args: argparse.Namespace) -> int:
     pf = load_problem(args.problem)
     plant = _require_plant(pf)
-    shift = _option(pf, args, "shift", Fraction(1), Fraction)
+    shift = _shift(pf, args)
     smfd = rh_coprime_data(plant, shift)
     dc = solve_bezout(smfd.source, smfd.left)
     _print_named("bezout x1 (x1@d + x2@n = I)", dc.x1)
     _print_named("bezout x2", dc.x2)
     # _youla_feedback returns the loop maps whose verdict it checked
-    cy, loop = _youla_feedback(plant, smfd)
+    cy, loop = _youla_feedback(smfd)
     _print_named("central feedback map cy", cy)
     print(f"internal stability: {loop.verdict.describe()}")
     m_in, p_out = plant.shape[1], plant.shape[0]
     sample = RatMat([[RatFn(ONE, S + (1 + shift)) for _ in range(p_out)] for _ in range(m_in)])
     try:
-        cy2, loop2 = _youla_feedback(plant, smfd, sample)
+        cy2, loop2 = _youla_feedback(smfd, sample)
         _print_named("sample parameter k", sample)
         _print_named("sample feedback map cy", cy2)
         print(f"internal stability: {loop2.verdict.describe()}")
@@ -419,7 +431,7 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
 
 def _stable_plant_data(pf: ProblemFile, args: argparse.Namespace):
     plant = _require_plant(pf)
-    shift = _option(pf, args, "shift", Fraction(1), Fraction)
+    shift = _shift(pf, args)
     return plant, stable_mfd(right_coprime_mfd(plant), shift=shift)
 
 

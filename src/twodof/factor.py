@@ -33,8 +33,10 @@ from .polyalg import (
     SingularMatrixError,
     _column_fraction,
     _lowest,
+    _over_lcd,
     _rref_z,
     hermite,
+    hstack,
     linsolve_exact,
     poly_gcd,
     polymat_det,
@@ -113,8 +115,9 @@ class StableMFD:
     ``source`` = n * d**-1, i.e. the powers of (s + shift) divided out.
     The plant, d**-1 and d'**-1 (from one inversion of d), the polynomial
     left coprime fraction of the plant, the proper-stable left pair
-    P = dl_prime**-1 @ nl_prime and the unstable part of det d are
-    computed on first use and kept.
+    P = dl_prime**-1 @ nl_prime, the three polynomial factors of the Youla
+    loop (``witness_row``, ``left_row`` and ``stacked``) and the unstable
+    part of det d are computed on first use and kept.
     """
 
     nprime: RatMat
@@ -168,6 +171,23 @@ class StableMFD:
     def nl_prime(self) -> RatMat:
         """Numerator of the proper-stable left fraction (``stable_left_mfd``)."""
         return self._left[1]
+
+    @cached_property
+    def stacked(self) -> tuple[Poly, PolyMat]:
+        """(psi, [d^; n^]) with [d'; n'] = [d^; n^] / psi, psi the monic lcd
+        of d' and n': the left factor of the Youla loop maps."""
+        return _over_lcd(vstack(self.dprime, self.nprime))
+
+    @cached_property
+    def witness_row(self) -> tuple[Poly, PolyMat]:
+        """(phi, [v^ | u^]) with [v | u] = [v^ | u^] / phi, phi the monic lcd."""
+        return _over_lcd(hstack(self.v, self.u))
+
+    @cached_property
+    def left_row(self) -> tuple[Poly, PolyMat]:
+        """(psi, w) with [-nl' | dl'] = w / psi, psi the monic lcd: a Youla
+        parameter k turns [v | u] into [v | u] + k @ [-nl' | dl']."""
+        return _over_lcd(hstack(-self.nl_prime, self.dl_prime))
 
     @cached_property
     def unstable_denominator(self) -> Poly:

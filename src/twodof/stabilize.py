@@ -6,15 +6,20 @@ u = Cy*y + Cr*r, so a compensator stabilizes P when the four maps
     (I - Cy*P)**-1         (I - Cy*P)**-1 * Cy
     P*(I - Cy*P)**-1       P*(I - Cy*P)**-1 * Cy
 
-are all proper with no closed right-half-plane poles.  ``gang_of_four`` is
-the one place in the package where these maps are formed: every design,
-``is_internally_stabilizing`` and ``verify.closed_loop`` read the maps and
-their verdicts from its result.  It forms them over the one polynomial
-denominator det M, M = dc*D - Nc*N for P = N*D**-1 and Cy = Nc/dc: the
-coprime-factor form of H(P, C) (Vidyasagar, Control System Synthesis,
-1985; Kailath, Linear Systems, 1980), spelled out in ``gang_of_four``.
-The Youla controller is likewise -adj(L)*R / det L for the polynomial
-numerators [L, R] of [v - K*nl', u + K*dl'].  All stabilizing
+are all proper with no closed right-half-plane poles.  The Youla controller
+is -adj(L)*R / det L for the polynomial numerators [L, R] of
+[v - K*nl', u + K*dl'].  Its maps are affine in K and are formed with it,
+as the blocks of one polynomial product [d'; n'] @ [v - K*nl', -(u + K*dl')]
+(``_youla_feedback``), certified by two polynomial identities: the
+controller solves (v - K*nl') @ Cy = -(u + K*dl'), and
+(v - K*nl') @ d' + (u + K*dl') @ n' = I.  Every other pair (P, Cy) (a
+supplied feedback map, the unity and direct loops,
+``is_internally_stabilizing`` and ``verify.closed_loop``, which checks a
+design apart from the design) has its maps formed by ``gang_of_four``,
+over the one polynomial denominator det M, M = dc*D - Nc*N for
+P = N*D**-1 and Cy = Nc/dc: the coprime-factor form of H(P, C)
+(Vidyasagar, Control System Synthesis, 1985; Kailath, Linear Systems,
+1980), spelled out in ``gang_of_four``.  All stabilizing
 feedback compensators are swept out by a single free parameter K ranging
 over the proper stable rationals.  The sweep is anchored at a Bezout
 witness of the proper-stable fraction data: a witness over polynomials
@@ -56,6 +61,7 @@ from .polyalg import (
     _over_lcd,
     _polymat_det_adj,
     hstack,
+    poly_lcm,
 )
 from .stability import (
     StabilityVerdict,
@@ -172,39 +178,66 @@ def rh_coprime_data(p: RatMat, shift: Fraction | int = 1) -> StableMFD:
     return _rh_data_cached(p, sigma)
 
 
-def _youla_feedback(
-    plant: RatMat, smfd: StableMFD, k: RatMat | None = None
-) -> tuple[RatMat, LoopMaps]:
+def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, LoopMaps]:
     """cy = -(v - k@nl')**-1 @ (u + k@dl') from the witness (u, v) and the
-    left pair of ``smfd``, the analysis of ``plant``, with the loop maps
-    of (plant, cy), whose verdict says cy is internally stabilizing.
-    k = None is the central choice k = 0 and needs no left pair; any other
-    k must be proper and stable."""
-    lhs, rhs = smfd.v, smfd.u
+    left pair of ``smfd``, with the four loop maps of cy and the plant
+    ``smfd`` is a fraction of, whose verdict says cy is internally
+    stabilizing.  k = None is the central choice k = 0 and needs no left
+    pair; any other k must be proper and stable.
+
+    With lhs = v - k@nl' and rhs = u + k@dl', lhs@d' + rhs@n' = I, so
+    I - cy@p = lhs**-1 @ d'**-1 and the maps are affine in k:
+
+        (I - cy@p)**-1 = d'@lhs        (I - cy@p)**-1 @ cy = -d'@rhs
+        p@(I - cy@p)**-1 = n'@lhs      p@(I - cy@p)**-1 @ cy = -n'@rhs
+
+    They are the blocks of one polynomial product [d^; n^] @ [l | -r]
+    over den*psi, where [l | r] = den*[lhs | rhs] for a common
+    denominator den of [v | u] and k @ [-nl' | dl'], and [d^; n^] =
+    psi*[d'; n'] (``StableMFD.stacked``).  Two polynomial identities
+    certify them, and a failed one raises ArithmeticError: l @ C ==
+    -det(l)*r for the numerator C = -adj(l) @ r of cy, so lhs@cy = -rhs;
+    and [l | r] @ [d^; n^] == den*psi*I, the Bezout identity that
+    ``stable_mfd`` has already checked when k = None.
+    """
+    outputs, m = smfd.nprime.shape
+    den, lr = smfd.witness_row
     if k is not None:
-        if k.shape != (plant.shape[1], plant.shape[0]):
-            raise ShapeError(
-                f"parameter must be {plant.shape[1]}x{plant.shape[0]}, got {k.shape}"
-            )
+        if k.shape != (m, outputs):
+            raise ShapeError(f"parameter must be {m}x{outputs}, got {k.shape}")
         if not matrix_is_rh_inf(k):
             raise InadmissibleParameter("parameter must be proper and stable")
-        lhs = lhs - k @ smfd.nl_prime
-        rhs = rhs + k @ smfd.dl_prime
-    # cy = -lhs**-1 @ rhs = -adj(l) @ r / det l, where [l, r] = den * [lhs, rhs]
-    m = lhs.shape[0]
-    _, lr = _over_lcd(hstack(lhs, rhs))
+        # [v | u] + k @ [-nl' | dl'] over the lcm of the two denominators
+        dk, kn = _over_lcd(k)
+        psi_l, w = smfd.left_row
+        dkw = dk * psi_l
+        lcm = poly_lcm(den, dkw)
+        lr = lr.scale(lcm // den) + (kn @ w).scale(lcm // dkw)
+        den = lcm
+    l = PolyMat(tuple(row[:m] for row in lr.rows))
+    r = PolyMat(tuple(row[m:] for row in lr.rows))
     try:
-        det, adj = _polymat_det_adj(PolyMat(tuple(row[:m] for row in lr.rows)))
+        det, adj = _polymat_det_adj(l)
     except SingularMatrixError:
         raise InadmissibleParameter(
             "parameter makes v - k@nl' singular; no compensator exists"
         ) from None
-    cy = _over(-(adj @ PolyMat(tuple(row[m:] for row in lr.rows))), det)
+    c = -(adj @ r)
+    if l @ c != r.scale(-det):
+        raise ArithmeticError("compensator fails (v - k@nl') @ cy = -(u + k@dl')")
+    cy = _over(c, det)
     if not cy.is_proper():
         raise InadmissibleParameter(
             "compensator is improper: v - k@nl' is singular at infinity"
         )
-    loop = gang_of_four(plant, cy)
+    psi, dn = smfd.stacked
+    if k is not None and lr @ dn != PolyMat.identity(m).scale(den * psi):
+        raise ArithmeticError("parametrized loop fails (v - k@nl')@d' + (u + k@dl')@n' = I")
+    maps = _over(dn @ hstack(l, -r), den * psi).rows
+    halves = (slice(m), slice(m, None))
+    loop = LoopMaps(
+        *(RatMat(tuple(row[cols] for row in maps[rows])) for rows in halves for cols in halves)
+    )
     if not loop.verdict:
         raise ArithmeticError(
             "parametrized compensator failed validation: " + loop.verdict.describe()
@@ -225,10 +258,14 @@ def youla_controller(
     internally stabilizing compensator arises this way.  The formula is
     evaluated on the proper-stable fraction data of the plant (witness
     (u, v) and the row-scaled left pair); each produced compensator is
-    re-validated as proper and internally stabilizing rather than trusted,
-    and an improper one raises InadmissibleParameter.
+    checked rather than trusted: an improper one raises
+    InadmissibleParameter, and its four loop maps, formed with it, must
+    pass two polynomial identities (it solves
+    (v - k@nl') @ cy = -(u + k@dl'), and
+    (v - k@nl') @ d' + (u + k@dl') @ n' = I) and be proper and stable,
+    else ArithmeticError is raised.
     """
-    return _youla_feedback(plant, rh_coprime_data(plant, shift), k)[0]
+    return _youla_feedback(rh_coprime_data(plant, shift), k)[0]
 
 
 class LoopMaps(namedtuple("LoopMaps", "sens sens_cy p_sens p_sens_cy")):
@@ -261,7 +298,8 @@ def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
     """The four closed-loop maps of the feedback pair (p, cy):
     (I-cy@p)**-1, (I-cy@p)**-1 @ cy, p @ (I-cy@p)**-1, and
     p @ (I-cy@p)**-1 @ cy.  No stability test runs until the verdicts of
-    the result are read.
+    the result are read.  This serves any pair (p, cy); a Youla design
+    forms its own loop with its controller (``_youla_feedback``).
 
     The maps are formed over polynomials, in the coprime-factor form of
     H(P, C) (Vidyasagar, Control System Synthesis, 1985; Kailath, Linear

@@ -226,7 +226,7 @@ def _xprime_from_x(smfd: StableMFD, x: RatMat) -> RatMat:
 
 def _controller_for_x(smfd: StableMFD, x: RatMat) -> TwoDofController:
     plant = smfd.plant()
-    cy, loop = _youla_feedback(plant, smfd)
+    cy, loop = _youla_feedback(smfd)
     cr = cr_from_x(plant, cy, smfd.source, x)
     return TwoDofController(cy=cy, cr=cr, certificate=loop.verdict)
 
@@ -567,7 +567,7 @@ def _static_design(
         cy = RatMat.zeros(plant.shape[1], plant.shape[0])
         loop = gang_of_four(plant, cy)
     else:
-        cy, loop = _youla_feedback(plant, smfd)
+        cy, loop = _youla_feedback(smfd)
     cr = _dc_precompensator(loop, lam)
     achieved_t = loop.p_sens @ cr
     achieved_m = loop.sens @ cr

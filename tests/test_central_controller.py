@@ -3,8 +3,9 @@
 A design receives a proper-stable fraction with its Bezout witness
 (u, v); the central feedback map cy = -v**-1 @ u is built from that
 witness and checked once, without refactoring the plant.  Each design
-forms its closed loop once, through gang_of_four, and reads its
-internal-stability certificate from that one call.
+forms its closed loop once and reads its internal-stability certificate
+from that one formation: a Youla controller's loop comes from the one
+product in _youla_feedback, any other (p, cy) from gang_of_four.
 """
 
 import random
@@ -62,6 +63,10 @@ def random_proper_plant(rng, rows, cols, max_den=2):
     return RatMat(entries)
 
 
+# the two places a closed loop is formed
+LOOP_FORMERS = ["gang_of_four", "_youla_feedback"]
+
+
 def count_calls(monkeypatch, names, source=twodof.stabilize):
     """Wrap each named function of ``source`` under every name a twodof
     module holds it by; returns the live call counts."""
@@ -87,14 +92,16 @@ def test_scalar_design_analyses_its_plant_once(monkeypatch):
     t = smfd.nprime
     counts = count_calls(
         monkeypatch,
-        ["right_coprime_mfd", "stable_mfd", "left_coprime_mfd", "gang_of_four"],
+        ["right_coprime_mfd", "stable_mfd", "left_coprime_mfd", "gang_of_four",
+         "_youla_feedback"],
     )
     res = model_matching(smfd, t)
     assert counts == {
         "right_coprime_mfd": 0,
         "stable_mfd": 0,
         "left_coprime_mfd": 0,
-        "gang_of_four": 1,
+        "gang_of_four": 0,
+        "_youla_feedback": 1,
     }
     assert res.achieved_t == t
     assert all(c.passed for c in res.certificates)
@@ -146,11 +153,11 @@ def test_improper_central_controller_is_rejected(tmp_path, capsys):
 
 
 def test_stabilize_command_checks_each_controller_once(monkeypatch, capsys):
-    counts = count_calls(monkeypatch, ["gang_of_four"])
+    counts = count_calls(monkeypatch, LOOP_FORMERS)
     assert main(["stabilize", str(PROBLEMS / "example_match.ini")]) == 0
     out = capsys.readouterr().out
     assert out.count("internal stability: stable") == 2
-    assert counts == {"gang_of_four": 2}
+    assert counts == {"gang_of_four": 0, "_youla_feedback": 2}
 
 
 def test_stabilize_command_factors_the_plant_twice(monkeypatch, capsys):
@@ -176,18 +183,19 @@ def count_plant_builds(monkeypatch):
 
 def test_static_design_builds_the_plant_once(monkeypatch, tmp_path, capsys):
     builds = count_plant_builds(monkeypatch)
-    counts = count_calls(monkeypatch, ["gang_of_four"])
+    counts = count_calls(monkeypatch, LOOP_FORMERS)
     # cy = 0 on the stable plant: its one loop (maps I, 0, P, 0) gives the
     # dc gain, the achieved maps and the certificate
     assert main(["static-decouple", str(PROBLEMS / "example_static_decouple.ini")]) == 0
-    assert (len(builds), counts["gang_of_four"]) == (1, 1)
+    assert (len(builds), counts) == (1, {"gang_of_four": 1, "_youla_feedback": 0})
 
     builds.clear()
-    counts["gang_of_four"] = 0
+    counts.update(dict.fromkeys(counts, 0))
     problem = tmp_path / "unstable.ini"
     problem.write_text(f"[plant]\nmatrix = {UNSTABLE_2X2}\n[design]\nlambda = 1, 0; 0, 1\n")
     assert main(["static-decouple", str(problem)]) == 0
-    assert (len(builds), counts["gang_of_four"]) == (1, 1)
+    # the central controller's loop
+    assert (len(builds), counts) == (1, {"gang_of_four": 0, "_youla_feedback": 1})
     out = capsys.readouterr().out
     assert "dc gain:\n  [ 1  0 ]\n  [ 0  1 ]" in out
 
@@ -218,30 +226,34 @@ def count_inversions(monkeypatch):
     return calls
 
 
-# label -> (plant, shift, problem, RatMat.inv calls): fixed instances of
-# each design whose closed loop gang_of_four forms, which inverts no
-# RatMat
+# label -> (plant, shift, problem, (gang_of_four, _youla_feedback,
+# RatMat.inv) calls): fixed instances of each design, whose one closed
+# loop is formed without inverting a RatMat
 DESIGNS = {
     "static, stable plant": (
-        "1/(s+1), 1/(s+2); 0, 1/(s+3)", 1, StaticDecoupling(lam=RatMat.identity(2)), 2
+        "1/(s+1), 1/(s+2); 0, 1/(s+3)", 1, StaticDecoupling(lam=RatMat.identity(2)), (1, 0, 2)
     ),
-    "static, unstable plant": (UNSTABLE_2X2, 1, StaticDecoupling(lam=RatMat.identity(2)), 2),
+    "static, unstable plant": (
+        UNSTABLE_2X2, 1, StaticDecoupling(lam=RatMat.identity(2)), (0, 1, 2)
+    ),
     "denominator, unity": (
         "1/(s-2)", 1,
-        DenominatorAssignment(d_t=PolyMat([[Poly((Fraction(-1, 2), Fraction(-1, 4)))]])), 7,
+        DenominatorAssignment(d_t=PolyMat([[Poly((Fraction(-1, 2), Fraction(-1, 4)))]])),
+        (1, 0, 7),
     ),
     "denominator, direct": (
-        "1/(s-2)", 1, DenominatorAssignment(d_t=PolyMat([[S + 2 * ONE]]), loop="direct"), 5
+        "1/(s-2)", 1, DenominatorAssignment(d_t=PolyMat([[S + 2 * ONE]]), loop="direct"),
+        (1, 0, 5),
     ),
     "model matching": (
-        "(s-1)*(s+2)/(s-2)^2", 2, ModelMatching(t=parse_matrix("(s-1)/(s+1)^2")), 1
+        "(s-1)*(s+2)/(s-2)^2", 2, ModelMatching(t=parse_matrix("(s-1)/(s+1)^2")), (0, 1, 1)
     ),
     # the control target is solved through the analysis' kept d**-1
     "model matching, control target": (
         "(s-1)*(s+2)/(s-2)^2", 2,
         ModelMatching(t=parse_matrix("(s-1)/(s+1)^2"),
                       m=parse_matrix("(s-2)^2/((s+1)^2*(s+2))")),
-        1,
+        (0, 1, 1),
     ),
 }
 
@@ -251,37 +263,39 @@ def test_each_design_forms_its_loop_once(monkeypatch):
         (label, stable_mfd(right_coprime_mfd(parse_matrix(plant)), shift=shift), problem)
         for label, (plant, shift, problem, _) in DESIGNS.items()
     ]
-    counts = count_calls(monkeypatch, ["gang_of_four"])
+    counts = count_calls(monkeypatch, LOOP_FORMERS)
     inversions = count_inversions(monkeypatch)
     seen = {}
     for label, smfd, problem in instances:
-        counts["gang_of_four"] = 0
+        counts.update(dict.fromkeys(counts, 0))
         inversions.clear()
         res = solve_design(smfd, problem)
         assert all(c.passed for c in res.certificates), label
         assert res.controller.certificate, label
-        seen[label] = (counts["gang_of_four"], len(inversions))
-    assert seen == {label: (1, case[3]) for label, case in DESIGNS.items()}
+        assert sum(counts.values()) == 1, label
+        seen[label] = (counts["gang_of_four"], counts["_youla_feedback"], len(inversions))
+    assert seen == {label: case[3] for label, case in DESIGNS.items()}
 
 
 def test_cli_designs_form_each_loop_once(monkeypatch, tmp_path, capsys):
     problem = tmp_path / "unstable.ini"
     problem.write_text(f"[plant]\nmatrix = {UNSTABLE_2X2}\n[design]\nlambda = 1, 0; 0, 1\n")
-    # argv -> (gang_of_four calls, RatMat.inv calls); assign-denominator
-    # forms a second loop in its closed-loop cross-check
+    # argv -> (gang_of_four, _youla_feedback, RatMat.inv) calls;
+    # assign-denominator forms a second loop in its closed-loop cross-check
     runs = {
-        ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (1, 3),
-        ("static-decouple", str(problem)): (1, 3),
-        ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (2, 8),
-        ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (1, 3),
+        ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (1, 0, 3),
+        ("static-decouple", str(problem)): (0, 1, 3),
+        ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (2, 0, 8),
+        ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (1, 0, 3),
     }
-    counts = count_calls(monkeypatch, ["gang_of_four"])
+    counts = count_calls(monkeypatch, LOOP_FORMERS)
     inversions = count_inversions(monkeypatch)
     for argv, expected in runs.items():
-        counts["gang_of_four"] = 0
+        counts.update(dict.fromkeys(counts, 0))
         inversions.clear()
         assert main(list(argv)) == 0
-        assert (counts["gang_of_four"], len(inversions)) == expected, argv
+        seen = (counts["gang_of_four"], counts["_youla_feedback"], len(inversions))
+        assert seen == expected, argv
     capsys.readouterr()
 
 

@@ -267,6 +267,35 @@ def test_main_refuses_a_malformed_shift_as_a_usage_error(capsys, shift):
     assert captured.err == f"error: argument --shift: invalid Fraction value: {shift!r}\n"
 
 
+SHIFT_COMMANDS = [
+    "factor", "stabilize", "match", "decouple", "invert", "static-decouple",
+    "assign-denominator", "unity-parameter",
+]
+
+
+@pytest.mark.parametrize("command", SHIFT_COMMANDS)
+@pytest.mark.parametrize("given", ["option", "flag"])
+def test_main_refuses_a_nonpositive_shift_before_printing(tmp_path, capsys, command, given):
+    path = tmp_path / "prob.ini"
+    options = "[options]\nshift = -1\n" if given == "option" else ""
+    path.write_text("[plant]\nmatrix = 1/(s-1)\n" + options)
+    argv = [command, str(path)] + (["--shift", "0"] if given == "flag" else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: shift must be positive\n"
+
+
+@pytest.mark.parametrize("command", ["factor", "stabilize", "match"])
+def test_main_refuses_a_malformed_shift_option(tmp_path, capsys, command):
+    path = tmp_path / "prob.ini"
+    path.write_text("[plant]\nmatrix = 1/(s-1)\n[options]\nshift = 1/0\n")
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: invalid Fraction value: '1/0'\n"
+
+
 def test_main_factor_shift_precedence(tmp_path, capsys):
     path = tmp_path / "prob.ini"
     path.write_text("[plant]\nmatrix = 1/(s-1)\n[options]\nshift = 3\n")

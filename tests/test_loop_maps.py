@@ -1,26 +1,35 @@
 """gang_of_four and the Youla controller, formed over one polynomial
-denominator, agree with the inversion formulas over rational entries.
+denominator, agree with the inversion formulas over rational entries, and
+the loop maps a Youla design forms as one product agree with both.
 
 The oracles below invert I - cy@p and v - k@nl' with RatMat.inv, as the
 package did before both were written as adj / det of a polynomial matrix.
 """
 
+import dataclasses
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
+import twodof.stabilize
+import twodof.verify
 from twodof.polyalg import ONE, S, Poly, RatFn, RatMat, SingularMatrixError
 from twodof.stabilize import (
     IllPosedLoop,
     InadmissibleParameter,
+    _youla_feedback,
     gang_of_four,
     rh_coprime_data,
     youla_controller,
 )
+from twodof.synthesis import TwoDofConfig
 
 SHAPES = [(1, 1), (2, 2), (2, 1), (1, 2)]
+UNSTABLE_2X2 = RatMat([[RatFn(ONE, S - ONE), RatFn(2 * ONE, S + 2 * ONE)],
+                       [RatFn(ONE, S + 3 * ONE), RatFn(ONE, S + ONE)]])
+K_2X2 = RatMat([[RatFn(S, S + ONE), RatFn(ONE)], [RatFn(ONE, S + 2 * ONE), RatFn(-2 * ONE)]])
 
 
 def oracle_gang_of_four(p, cy):
@@ -77,9 +86,7 @@ def test_loop_maps_equal_the_inversion_formula():
 
 
 def test_loop_maps_and_youla_controller_invert_no_rational_matrix(monkeypatch):
-    plant = RatMat([[RatFn(ONE, S - ONE), RatFn(2 * ONE, S + 2 * ONE)],
-                    [RatFn(ONE, S + 3 * ONE), RatFn(ONE, S + ONE)]])
-    k = RatMat([[RatFn(S, S + ONE), RatFn(ONE)], [RatFn(ONE, S + 2 * ONE), RatFn(-2 * ONE)]])
+    plant, k = UNSTABLE_2X2, K_2X2
     rh_coprime_data(plant, 1)  # the plant's analysis, cached, may invert
     calls = []
     original = RatMat.inv
@@ -111,3 +118,58 @@ def test_singular_youla_denominator_is_refused():
         match=re.escape("parameter makes v - k@nl' singular; no compensator exists"),
     ):
         youla_controller(plant, k)
+
+
+def test_youla_loop_maps_equal_gang_of_four_and_the_oracle():
+    rng = random.Random(72)
+    for trial in range(12):
+        rows, cols = SHAPES[trial % len(SHAPES)]
+        # strictly proper plants, so v(oo) is invertible and cy is proper
+        plant = random_matrix(rng, rows, cols, 2, range(-3, 4), strict=True)
+        data = rh_coprime_data(plant, Fraction(1 + trial % 3))
+        for k in (None, random_matrix(rng, cols, rows, 1, range(1, 6))):
+            cy, loop = _youla_feedback(data, k)
+            expected = gang_of_four(plant, cy)
+            assert tuple(loop) == tuple(expected) == oracle_gang_of_four(plant, cy)
+            assert loop.verdicts == expected.verdicts
+            assert loop.verdict == expected.verdict
+
+
+def test_a_wrong_witness_fails_the_bezout_certificate():
+    data = rh_coprime_data(UNSTABLE_2X2, 1)
+    # a strictly proper nudge keeps cy proper; only u@n' + v@d' = I breaks
+    bad = dataclasses.replace(data, u=data.u + RatMat([[RatFn(ONE, S + ONE), 0], [0, 0]]))
+    with pytest.raises(ArithmeticError, match=re.escape("parametrized loop fails")):
+        _youla_feedback(bad, K_2X2)
+
+
+def test_a_wrong_adjugate_fails_the_compensator_certificate(monkeypatch):
+    data = rh_coprime_data(UNSTABLE_2X2, 1)
+    original = twodof.stabilize._polymat_det_adj
+
+    def wrong(a):
+        det, adj = original(a)
+        return det, adj.scale(2)
+
+    monkeypatch.setattr(twodof.stabilize, "_polymat_det_adj", wrong)
+    for k in (None, K_2X2):
+        with pytest.raises(ArithmeticError, match=re.escape("compensator fails")):
+            _youla_feedback(data, k)
+
+
+def test_closed_loop_forms_its_maps_through_gang_of_four(monkeypatch):
+    cy = youla_controller(UNSTABLE_2X2, K_2X2)
+    calls = []
+    original = twodof.verify.gang_of_four
+
+    def counted(p, c):
+        calls.append((p, c))
+        return original(p, c)
+
+    monkeypatch.setattr(twodof.verify, "gang_of_four", counted)
+    config = TwoDofConfig(cy=cy, cr=RatMat.identity(2))
+    report = twodof.verify.closed_loop(UNSTABLE_2X2, config)
+    assert calls == [(UNSTABLE_2X2, cy)]
+    assert tuple(mat for _, mat, _ in report.internal_maps) == tuple(
+        _youla_feedback(rh_coprime_data(UNSTABLE_2X2, 1), K_2X2)[1]
+    )

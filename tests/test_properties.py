@@ -1,7 +1,7 @@
 """Property tests: on random solvable scalar and 2x2 instances of each
-design whose closed loop gang_of_four forms, the loop built from the
-returned configuration realizes the achieved response exactly and every
-certificate of the design passes.
+design, the loop built from the returned configuration (by
+verify.closed_loop, apart from the design) realizes the achieved response
+exactly and every certificate of the design passes.
 
 Instances are drawn so that the design exists: denominator-assignment
 plants are built around the target denominator, matching targets are
