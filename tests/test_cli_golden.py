@@ -47,7 +47,7 @@ def golden():
 
 
 def test_golden_covers_every_run(golden):
-    assert len(RUNS) == 54
+    assert len(RUNS) == 72
     assert sorted(golden) == sorted(RUNS)
 
 
