@@ -36,7 +36,6 @@ from twodof.stabilize import (  # noqa: F401
     InadmissibleParameter,
     TwoDofController,
     all_controllers_from_LX,
-    cr_from_x,
     gang_of_four,
     is_internally_stabilizing,
     solve_bezout,

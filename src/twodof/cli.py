@@ -32,7 +32,7 @@ import argparse
 import configparser
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -232,18 +232,13 @@ def parse_matrix(text: str) -> RatMat:
 
 def parse_poly_matrix(text: str) -> PolyMat:
     mat = parse_matrix(text)
-    rows = []
-    for i in range(mat.shape[0]):
-        row = []
-        for j in range(mat.shape[1]):
-            entry = mat.entry(i, j)
+    for i, row in enumerate(mat.rows):
+        for j, entry in enumerate(row):
             if entry.den != ONE:
                 raise ValueError(
                     f"entry ({i + 1},{j + 1}) must be a polynomial, got {entry}"
                 )
-            row.append(entry.num)
-        rows.append(row)
-    return PolyMat(rows)
+    return PolyMat(tuple(tuple(e.num for e in row) for row in mat.rows))
 
 
 # -- problem files ---------------------------------------------------------------
@@ -505,32 +500,28 @@ def cmd_assign_denominator(args: argparse.Namespace) -> int:
     return 0
 
 
-_CONFIG_KEYS = {
-    "two-dof": ("cy", "cr"),
-    "ff-fb-r": ("r", "cff", "cfb"),
-    "unity": ("cff",),
-    "feedback-direct": ("cfb",),
+_CONFIGS = {
+    "two-dof": TwoDofConfig,
+    "ff-fb-r": FfFbRConfig,
+    "unity": UnityFeedbackConfig,
+    "feedback-direct": FeedbackDirectRConfig,
 }
 
 
 def _configuration(pf: ProblemFile) -> object:
+    """The [config] section's loop, its matrices named by the fields of the
+    loop's configuration class."""
     loop = pf.configuration.get("loop", "two-dof")
-    if loop not in _CONFIG_KEYS:
+    if loop not in _CONFIGS:
         raise ValueError(
-            f"unknown loop {loop!r}; expected one of {sorted(_CONFIG_KEYS)}"
+            f"unknown loop {loop!r}; expected one of {sorted(_CONFIGS)}"
         )
     mats = {}
-    for key in _CONFIG_KEYS[loop]:
+    for key in (f.name for f in fields(_CONFIGS[loop])):
         if key not in pf.configuration:
             raise ValueError(f"[config] section needs {key} for loop {loop!r}")
         mats[key] = parse_matrix(pf.configuration[key])
-    if loop == "two-dof":
-        return TwoDofConfig(cy=mats["cy"], cr=mats["cr"])
-    if loop == "ff-fb-r":
-        return FfFbRConfig(r=mats["r"], cff=mats["cff"], cfb=mats["cfb"])
-    if loop == "unity":
-        return UnityFeedbackConfig(cff=mats["cff"])
-    return FeedbackDirectRConfig(cfb=mats["cfb"])
+    return _CONFIGS[loop](**mats)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -2,22 +2,23 @@
 
 A rational transfer matrix P is written as a right fraction P = N * D**-1
 with N, D polynomial and right coprime, or as a left fraction
-P = Dl**-1 * Nl.  Dividing the columns of a column-reduced right fraction
-by powers of a fixed Hurwitz factor (s + shift) yields a fraction
-P = N' * D'**-1 whose factors are themselves proper and stable, together
-with a Bezout witness U*N' + V*D' = I certifying coprimeness over the
-proper stable rationals.  ``StableMFD`` holds that fraction and is the one
-analysis of a plant: what the designs need beyond it (the plant, D'**-1,
-the proper-stable left fraction) it computes once, on first use.  Every
-polynomial coefficient-matching problem is solved by
-``poly_row_diophantine``.
+P = Dl**-1 * Nl.  One Hermite transform gives the right fraction with a
+certificate W @ [D; N] = I of its coprimeness (``RightMFD.w``).  Dividing
+the columns of a column-reduced right fraction by powers of a fixed
+Hurwitz factor (s + shift) yields a fraction P = N' * D'**-1 whose factors
+are themselves proper and stable, together with a Bezout witness
+U*N' + V*D' = I certifying coprimeness over the proper stable rationals.
+``StableMFD`` holds that fraction and is the one analysis of a plant:
+what the designs need beyond it (the plant, D'**-1, the proper-stable
+left fraction) it computes once, on first use.  Every polynomial
+coefficient-matching problem is solved by ``poly_row_diophantine``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
@@ -29,11 +30,13 @@ from .polyalg import (
     RatFn,
     RatMat,
     S,
+    ZERO,
     ShapeError,
     SingularMatrixError,
     _column_fraction,
     _lowest,
     _over_lcd,
+    _polymat_det_adj,
     _rref_z,
     hermite,
     hstack,
@@ -65,16 +68,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RightMFD:
-    """Right polynomial fraction P = n * d**-1 with d nonsingular."""
+    """Right polynomial fraction P = n * d**-1 with d nonsingular.
+
+    ``w``, when given, certifies that n and d are right coprime by the
+    generalized Bezout identity w @ [d; n] == I (Kailath, Linear Systems,
+    1980, ch. 6), checked here: a failing ``w`` raises ValueError."""
 
     n: PolyMat
     d: PolyMat
+    w: PolyMat | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n.shape[1] != self.d.shape[0] or self.d.shape[0] != self.d.shape[1]:
             raise ShapeError(
                 f"incompatible fraction shapes {self.n.shape} and {self.d.shape}"
             )
+        if self.w is not None and self.w @ vstack(self.d, self.n) != PolyMat.identity(
+            self.d.shape[0]
+        ):
+            raise ValueError("coprimeness certificate fails w @ [d; n] = I")
 
     @property
     def outputs(self) -> int:
@@ -112,12 +124,14 @@ class StableMFD:
 
     ``u`` and ``v`` witness coprimeness: u @ nprime + v @ dprime == I.
     ``col_degrees`` records the column degrees of the polynomial fraction
-    ``source`` = n * d**-1, i.e. the powers of (s + shift) divided out.
+    ``source`` = n * d**-1 (with its certificate ``w`` when it came from
+    ``right_coprime_mfd``), i.e. the powers of (s + shift) divided out.
     The plant, d**-1 and d'**-1 (from one inversion of d), the polynomial
     left coprime fraction of the plant, the proper-stable left pair
     P = dl_prime**-1 @ nl_prime, the three polynomial factors of the Youla
-    loop (``witness_row``, ``left_row`` and ``stacked``) and the unstable
-    part of det d are computed on first use and kept.
+    loop (``witness_row``, ``left_row`` and ``stacked``), the central
+    loop's v**-1 (``witness_inverse``) and the unstable part of det d are
+    computed on first use and kept.
     """
 
     nprime: RatMat
@@ -184,6 +198,13 @@ class StableMFD:
         return _over_lcd(hstack(self.v, self.u))
 
     @cached_property
+    def witness_inverse(self) -> tuple[Poly, PolyMat]:
+        """(det l, adj l) for l = phi * v of ``witness_row``: v**-1 = phi *
+        adj l / det l.  Raises SingularMatrixError when v is singular."""
+        m = self.dprime.shape[0]
+        return _polymat_det_adj(PolyMat(tuple(row[:m] for row in self.witness_row[1].rows)))
+
+    @cached_property
     def left_row(self) -> tuple[Poly, PolyMat]:
         """(psi, w) with [-nl' | dl'] = w / psi, psi the monic lcd: a Youla
         parameter k turns [v | u] into [v | u] + k @ [-nl' | dl']."""
@@ -201,18 +222,22 @@ class StableMFD:
 
 
 def right_coprime_mfd(p: RatMat) -> RightMFD:
-    """Extract a right coprime, column-reduced fraction of a rational matrix."""
+    """Extract a right coprime, column-reduced fraction of a rational matrix,
+    certified by one Hermite transform: u @ [d0; n0] = [r; 0] for the
+    column fraction p = n0 @ d0**-1 gives [d; n] = [d0; n0] @ r**-1, exact
+    polynomial division by det r, and the top rows w of u satisfy
+    w @ [d; n] = I (``RightMFD.w``)."""
     cols = p.shape[1]
     d0_cols, n0 = _column_fraction(p)
-    d0 = PolyMat.diag(d0_cols)
-    stacked = vstack(d0, n0)
-    h, _ = hermite(stacked)
-    gcrd = PolyMat([[h.entry(i, j) for j in range(cols)] for i in range(cols)])
-    gcrd_inv = gcrd.to_ratmat().inv()
-    d = (d0.to_ratmat() @ gcrd_inv).to_polymat()
-    n = (n0.to_ratmat() @ gcrd_inv).to_polymat()
-    n, d = column_reduce(n, d)
-    return RightMFD(n, d)
+    stacked = vstack(PolyMat.diag(d0_cols), n0)
+    h, u = hermite(stacked)
+    det, adj = _polymat_det_adj(PolyMat(tuple(row[:cols] for row in h.rows[:cols])))
+    quotients = [[divmod(e, det) for e in row] for row in (stacked @ adj).rows]
+    if any(not r.is_zero() for row in quotients for _, r in row):
+        raise ArithmeticError("Hermite pivot block does not divide [d0; n0]")
+    d, n = (PolyMat([[q for q, _ in row] for row in rows])
+            for rows in (quotients[:cols], quotients[cols:]))
+    return RightMFD(*_column_reduce(n, d, PolyMat(u.rows[:cols])))
 
 
 def left_coprime_mfd(p: RatMat) -> LeftMFD:
@@ -237,12 +262,21 @@ def is_left_coprime(dl: PolyMat, nl: PolyMat) -> bool:
 def column_reduce(n: PolyMat, d: PolyMat) -> tuple[PolyMat, PolyMat]:
     """Right-multiply both factors by a unimodular matrix until the
     highest-column-degree coefficient matrix of ``d`` is nonsingular."""
+    return _column_reduce(n, d, None)[:2]
+
+
+def _column_reduce(
+    n: PolyMat, d: PolyMat, w: PolyMat | None
+) -> tuple[PolyMat, PolyMat, PolyMat | None]:
+    """``column_reduce`` carrying a certificate w @ [d; n] = I along: each
+    column operation on [d; n] is undone by a row operation on w."""
     if polymat_det(d).is_zero():
         raise SingularMatrixError("denominator matrix is singular")
     m = d.shape[0]
     p = n.shape[0]
     dcols = [[d.entry(i, j) for i in range(m)] for j in range(m)]
     ncols = [[n.entry(i, j) for i in range(p)] for j in range(m)]
+    wrows = None if w is None else [list(row) for row in w.rows]
     while True:
         degs = [max(e.degree() or 0 for e in col if not e.is_zero()) for col in dcols]
         gamma = [[dcols[j][i].coeff(degs[j]) for j in range(m)] for i in range(m)]
@@ -256,17 +290,26 @@ def column_reduce(n: PolyMat, d: PolyMat) -> tuple[PolyMat, PolyMat]:
         target = max(
             (j for j in range(m) if c[j] != 0), key=lambda j: (degs[j], j)
         )
+        mults = {
+            j: Poly.constant(c[j]) * S ** (degs[target] - degs[j])
+            for j in range(m)
+            if j != target and c[j] != 0
+        }
         for vec in (dcols, ncols):
             new_col = [e * c[target] for e in vec[target]]
-            for j in range(m):
-                if j == target or c[j] == 0:
-                    continue
-                mult = Poly.constant(c[j]) * S ** (degs[target] - degs[j])
+            for j, mult in mults.items():
                 new_col = [e + mult * g for e, g in zip(new_col, vec[j])]
             vec[target] = new_col
+        if wrows is not None:
+            # column target became c_t*col_t + sum_j mult_j*col_j: the
+            # inverse divides row target by c_t, then takes mult_j times
+            # it from row j
+            wrows[target] = [e * (1 / c[target]) for e in wrows[target]]
+            for j, mult in mults.items():
+                wrows[j] = [e - mult * g for e, g in zip(wrows[j], wrows[target])]
     d_out = PolyMat([[dcols[j][i] for j in range(m)] for i in range(m)])
     n_out = PolyMat([[ncols[j][i] for j in range(m)] for i in range(p)])
-    return n_out, d_out
+    return n_out, d_out, None if wrows is None else PolyMat(wrows)
 
 
 def poly_row_diophantine(
@@ -343,52 +386,47 @@ def _least_degree_solve(
 
 def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
     """Divide the columns of a right coprime fraction by powers of
-    (s + shift), producing proper stable factors and a Bezout witness."""
+    (s + shift), producing proper stable factors and a Bezout witness.
+    Coprimeness is read off the fraction's certificate ``w`` when it has
+    one, else checked by a Hermite elimination."""
     sigma = Fraction(shift)
     if sigma <= 0:
         raise ValueError("shift must be positive")
-    n, d = column_reduce(mfd.n, mfd.d)
-    if not is_right_coprime(n, d):
+    source = RightMFD(*_column_reduce(mfd.n, mfd.d, mfd.w))
+    n, d = source.n, source.d
+    if source.w is None and not is_right_coprime(n, d):
         raise ValueError("matrix fraction is not right coprime")
     m = d.shape[0]
-    p = n.shape[0]
-    degs = d.column_degrees()
-    col_degrees = tuple(deg if deg is not None else 0 for deg in degs)
+    col_degrees = tuple(deg if deg is not None else 0 for deg in d.column_degrees())
     psis = [hurwitz_shift_polynomial(sigma, deg) for deg in col_degrees]
-    nprime = RatMat(
-        [[RatFn(n.entry(i, j), psis[j]) for j in range(m)] for i in range(p)]
-    )
-    dprime = RatMat(
-        [[RatFn(d.entry(i, j), psis[j]) for j in range(m)] for i in range(m)]
+    nprime, dprime = (
+        RatMat([[RatFn(e, psi) for e, psi in zip(row, psis)] for row in mat.rows])
+        for mat in (n, d)
     )
 
     base = max(1, max(col_degrees, default=1))
-    u_rows: list[list[RatFn]] = []
-    v_rows: list[list[RatFn]] = []
+    solutions = []
     for i in range(m):
         # rows are independent: each is solved at its own least degree
-        solved = _least_degree_solve(
-            n,
-            d,
-            lambda k: [
-                hurwitz_shift_polynomial(sigma, k) * psis[i] if j == i else Poly.constant(0)
-                for j in range(m)
-            ],
-            base + 40,
-        )
+        rhs_at = lambda k: [
+            hurwitz_shift_polynomial(sigma, k) * psis[i] if j == i else ZERO for j in range(m)
+        ]
+        solved = _least_degree_solve(n, d, rhs_at, base + 40)
         if solved is None:
-            raise ArithmeticError(
-                "no Bezout witness found; fraction may not be coprime"
-            )
-        alpha, beta, k = solved
-        phi = hurwitz_shift_polynomial(sigma, k)
-        u_rows.append([RatFn(a, phi) for a in alpha])
-        v_rows.append([RatFn(b, phi) for b in beta])
-    u = RatMat(u_rows)
-    v = RatMat(v_rows)
-    if u @ nprime + v @ dprime != RatMat.identity(m):
+            raise ArithmeticError("no Bezout witness found; fraction may not be coprime")
+        solutions.append(solved)
+    alphas, betas, degrees = zip(*solutions)
+    phis = [hurwitz_shift_polynomial(sigma, k) for k in degrees]
+    # u = diag(phi)**-1 @ alpha and v = diag(phi)**-1 @ beta, so this is
+    # u @ n' + v @ d' = I times diag(phi) on the left and diag(psi) on the right
+    rhs = PolyMat.diag([phi * psi for phi, psi in zip(phis, psis)])
+    if PolyMat(alphas) @ n + PolyMat(betas) @ d != rhs:
         raise ArithmeticError("Bezout witness fails u @ n' + v @ d' = I")
-    return StableMFD(nprime, dprime, u, v, sigma, col_degrees, RightMFD(n, d))
+    u, v = (
+        RatMat([[RatFn(e, phi) for e in row] for row, phi in zip(mat, phis)])
+        for mat in (alphas, betas)
+    )
+    return StableMFD(nprime, dprime, u, v, sigma, col_degrees, source)
 
 
 def stable_left_mfd(p: RatMat, shift: Fraction | int = 1) -> tuple[RatMat, RatMat]:
@@ -517,35 +555,28 @@ def zeros_and_poles(mfd: RightMFD) -> ZeroReport:
     if rank == 0:
         zero_poly = ONE
     else:
-        zero_poly = Poly.constant(0)
-        for rows in itertools.combinations(range(p), rank):
-            for cols in itertools.combinations(range(m), rank):
-                sub = PolyMat([[n.entry(i, j) for j in cols] for i in rows])
-                minor = polymat_det(sub)
-                if minor.is_zero():
-                    continue
+        zero_poly = ZERO
+        for rows, cols in itertools.product(
+            itertools.combinations(range(p), rank), itertools.combinations(range(m), rank)
+        ):
+            minor = polymat_det(PolyMat([[n.entry(i, j) for j in cols] for i in rows]))
+            if not minor.is_zero():
                 zero_poly = minor if zero_poly.is_zero() else poly_gcd(zero_poly, minor)
                 if zero_poly.is_constant():
                     break
-            if not zero_poly.is_zero() and zero_poly.is_constant():
-                break
         zero_poly = ONE if zero_poly.is_constant() else zero_poly.monic()
     pole_poly = polymat_det(d).monic()
 
-    zeros: list[ZeroInfo] = []
-    if not zero_poly.is_constant():
-        for factor, mult in irreducible_factors(zero_poly):
+    def roots(poly: Poly):
+        """(root, multiplicity, factor, unstable) of each root of poly."""
+        for factor, mult in [] if poly.is_constant() else irreducible_factors(poly):
             hurwitz = bool(is_hurwitz(factor))
             for root in _factor_roots(factor):
-                unstable = _root_unstable(root, hurwitz)
-                direction = _left_null_direction(n, root) if unstable else None
-                zeros.append(ZeroInfo(root, mult, factor, unstable, direction))
-    poles: list[PoleInfo] = []
-    if not pole_poly.is_constant():
-        for factor, mult in irreducible_factors(pole_poly):
-            hurwitz = bool(is_hurwitz(factor))
-            for root in _factor_roots(factor):
-                poles.append(
-                    PoleInfo(root, mult, factor, _root_unstable(root, hurwitz))
-                )
-    return ZeroReport(tuple(zeros), tuple(poles), zero_poly, pole_poly)
+                yield root, mult, factor, _root_unstable(root, hurwitz)
+
+    zeros = tuple(
+        ZeroInfo(*info, _left_null_direction(n, info[0]) if info[3] else None)
+        for info in roots(zero_poly)
+    )
+    poles = tuple(PoleInfo(*info) for info in roots(pole_poly))
+    return ZeroReport(zeros, poles, zero_poly, pole_poly)

@@ -81,7 +81,6 @@ __all__ = [
     "youla_controller",
     "gang_of_four",
     "is_internally_stabilizing",
-    "cr_from_x",
     "all_controllers_from_LX",
 ]
 
@@ -132,7 +131,8 @@ def solve_bezout(mfd: RightMFD, left: LeftMFD | None = None) -> DoublyCoprime:
     coefficients in an exact linear system.
     """
     n, d = mfd.n, mfd.d
-    if not is_right_coprime(n, d):
+    # a fraction with a certificate w is coprime; one without is eliminated
+    if mfd.w is None and not is_right_coprime(n, d):
         raise ValueError("fraction is not right coprime; no Bezout solution exists")
     m = d.shape[0]
     degs = [deg if deg is not None else 0 for deg in d.column_degrees()]
@@ -198,7 +198,9 @@ def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, L
     certify them, and a failed one raises ArithmeticError: l @ C ==
     -det(l)*r for the numerator C = -adj(l) @ r of cy, so lhs@cy = -rhs;
     and [l | r] @ [d^; n^] == den*psi*I, the Bezout identity that
-    ``stable_mfd`` has already checked when k = None.
+    ``stable_mfd`` has already checked when k = None.  For k = None,
+    (det l, adj l) is the analysis' ``witness_inverse``, from which the
+    designs also form their reference map cr = lhs**-1 @ x'.
     """
     outputs, m = smfd.nprime.shape
     den, lr = smfd.witness_row
@@ -217,7 +219,7 @@ def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, L
     l = PolyMat(tuple(row[:m] for row in lr.rows))
     r = PolyMat(tuple(row[m:] for row in lr.rows))
     try:
-        det, adj = _polymat_det_adj(l)
+        det, adj = smfd.witness_inverse if k is None else _polymat_det_adj(l)
     except SingularMatrixError:
         raise InadmissibleParameter(
             "parameter makes v - k@nl' singular; no compensator exists"
@@ -338,25 +340,6 @@ def is_internally_stabilizing(p: RatMat, cy: RatMat) -> StabilityVerdict:
     """Verdict over all four closed-loop maps of (p, cy): internally
     stabilizing iff every map is proper and stable."""
     return gang_of_four(p, cy).verdict
-
-
-def cr_from_x(p: RatMat, cy: RatMat, mfd: RightMFD, x: RatMat) -> RatMat:
-    """Reference map cr = (I - cy@p) @ d @ x, achieving y/r = n@x and
-    u/r = d@x alongside a stabilizing feedback map cy."""
-    m = mfd.inputs
-    if x.shape[0] != m:
-        raise ShapeError(f"parameter must have {m} rows, got {x.shape[0]}")
-    if not matrix_is_stable(x):
-        raise InadmissibleParameter("parameter x has unstable poles")
-    dx = mfd.d.to_ratmat() @ x
-    if not dx.is_proper():
-        raise InadmissibleParameter("d@x is improper")
-    cr = (RatMat.identity(m) - cy @ p) @ dx
-    if not cr.is_proper():
-        raise InadmissibleParameter(
-            "resulting reference map is improper for this feedback map"
-        )
-    return cr
 
 
 def all_controllers_from_LX(

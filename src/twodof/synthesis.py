@@ -45,10 +45,10 @@ from .stability import (
     rh_inf_verdict,
 )
 from .stabilize import (
+    InadmissibleParameter,
     LoopMaps,
     TwoDofController,
     _youla_feedback,
-    cr_from_x,
     gang_of_four,
 )
 
@@ -224,13 +224,6 @@ def _xprime_from_x(smfd: StableMFD, x: RatMat) -> RatMat:
     return RatMat([[e * psi for e in row] for row, psi in zip(x.rows, smfd.scaling)])
 
 
-def _controller_for_x(smfd: StableMFD, x: RatMat) -> TwoDofController:
-    plant = smfd.plant()
-    cy, loop = _youla_feedback(smfd)
-    cr = cr_from_x(plant, cy, smfd.source, x)
-    return TwoDofController(cy=cy, cr=cr, certificate=loop.verdict)
-
-
 def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat) -> list[str]:
     """Name the plant's unstable zeros the target fails to inherit."""
     reasons: list[str] = []
@@ -267,12 +260,34 @@ def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat) -> list[str]:
 
 
 def check_realizable(
-    mfd: RightMFD, t: RatMat, m: RatMat | None = None, d_inv: RatMat | None = None
+    mfd: RightMFD, t: RatMat, m: RatMat | None = None
 ) -> RatMat | Obstruction:
     """Stable parameter x with n@x = t (and d@x = m when given), or an
-    obstruction naming what rules it out.  A control target is solved as
-    x = d**-1 @ m, with ``d_inv`` as d**-1 when the caller keeps it
-    (``StableMFD.d_inv``)."""
+    obstruction naming what rules it out."""
+    res = _realization(mfd, t, m)
+    return res if isinstance(res, Obstruction) else res[0]
+
+
+def _solve_polymat(a: PolyMat, b: RatMat) -> RatMat | None:
+    """x with a @ x = b, its rows at free columns of a zero, or None when b
+    lies outside the range of a.  [a | b_num] for b = b_num / den is
+    eliminated: each pivot row ends as [last * I | last * x]."""
+    cols = a.shape[1]
+    den, b_num = _over_lcd(b)
+    aug = [list(ar) + list(br) for ar, br in zip(a.rows, b_num.rows)]
+    pivots, last, _ = _bareiss(aug, cols)
+    if any(not e.is_zero() for row in aug[len(pivots):] for e in row[cols:]):
+        return None
+    x_rows = [[ZERO] * b.shape[1] for _ in range(cols)]
+    for row, col in zip(aug, pivots):
+        x_rows[col] = row[cols:]
+    return _over(PolyMat(x_rows), last * den)
+
+
+def _realization(
+    mfd: RightMFD, t: RatMat, m: RatMat | None
+) -> Obstruction | tuple[RatMat, RatMat, RatMat]:
+    """(x, n@x, d@x) for ``check_realizable``'s x, or its obstruction."""
     p_rows, m_cols = mfd.n.shape
     if t.shape[0] != p_rows:
         raise ShapeError(f"target must have {p_rows} rows, got {t.shape[0]}")
@@ -281,44 +296,28 @@ def check_realizable(
             f"control target must be {m_cols}x{t.shape[1]}, got {m.shape}"
         )
     pre: list[str] = []
-    if not t.is_proper():
-        pre.append("target t is improper")
-    tv = matrix_is_stable(t)
-    if not tv:
-        pre.append("target t is unstable: " + tv.describe())
-    if m is not None:
-        if not m.is_proper():
-            pre.append("control target m is improper")
-        mv = matrix_is_stable(m)
-        if not mv:
-            pre.append("control target m is unstable: " + mv.describe())
+    for label, mat in (("target t", t), ("control target m", m)):
+        if mat is None:
+            continue
+        if not mat.is_proper():
+            pre.append(f"{label} is improper")
+        verdict = matrix_is_stable(mat)
+        if not verdict:
+            pre.append(f"{label} is unstable: " + verdict.describe())
     if pre:
         return Obstruction(tuple(pre))
 
-    d_rat = mfd.d.to_ratmat()
-    n_rat = mfd.n.to_ratmat()
-    if m is not None:
-        x = (d_rat.inv() if d_inv is None else d_inv) @ m
-        if n_rat @ x != t:
-            return Obstruction(
-                ("inconsistent target pair: n @ d**-1 @ m differs from t",)
-            )
-    else:
-        # eliminate [n | t_num] for t = t_num / den_t: each pivot row ends
-        # as [last * I | last * x], and the free rows of x are zero
-        den_t, t_num = _over_lcd(t)
-        aug = [list(nr) + list(tr) for nr, tr in zip(mfd.n.rows, t_num.rows)]
-        pivots, last, _ = _bareiss(aug, m_cols)
-        if any(not e.is_zero() for row in aug[len(pivots):] for e in row[m_cols:]):
-            return Obstruction(
-                ("rank violation: target lies outside the range of the plant numerator",)
-            )
-        x_rows = [[ZERO] * t.shape[1] for _ in range(m_cols)]
-        for row, col in zip(aug, pivots):
-            x_rows[col] = row[m_cols:]
-        x = _over(PolyMat(x_rows), last * den_t)
-        if n_rat @ x != t:
+    # a control target fixes x = d**-1 @ m (d is nonsingular), else n @ x = t is solved
+    x = _solve_polymat(mfd.n, t) if m is None else _solve_polymat(mfd.d, m)
+    if x is None:
+        return Obstruction(
+            ("rank violation: target lies outside the range of the plant numerator",)
+        )
+    nx = mfd.n.to_ratmat() @ x
+    if nx != t:
+        if m is None:
             raise ArithmeticError("realizability solve lost exactness: n @ x != t")
+        return Obstruction(("inconsistent target pair: n @ d**-1 @ m differs from t",))
 
     reasons: list[str] = []
     xv = matrix_is_stable(x)
@@ -327,36 +326,50 @@ def check_realizable(
         reasons.append("parameter x is unstable: " + xv.describe())
     if not x.is_proper():
         reasons.append("parameter x is improper (relative-degree violation)")
-    if not (d_rat @ x).is_proper():
+    dx = mfd.d.to_ratmat() @ x
+    if not dx.is_proper():
         reasons.append(
             "control map d@x is improper (target relative degree below the plant's)"
         )
     if reasons:
         return Obstruction(tuple(reasons))
-    return x
+    return x, nx, dx
 
 
-def _design_result_from_x(
+def _design_result(
     smfd: StableMFD,
     x: RatMat,
+    xprime: RatMat,
+    dx: RatMat,
     achieved_t: RatMat,
     extra: Sequence[Certificate] = (),
 ) -> DesignResult:
-    controller = _controller_for_x(smfd, x)
-    achieved_m = smfd.source.d.to_ratmat() @ x
+    """The two-dof design of parameter x (x' = diag(psi) @ x, dx = d@x):
+    the central cy, and cr = (I - cy@p) @ d@x = v**-1 @ x', formed from
+    ``StableMFD.witness_inverse``, realizing y/r = n@x and u/r = d@x."""
+    cy, loop = _youla_feedback(smfd)
+    if not matrix_is_stable(x):
+        raise InadmissibleParameter("parameter x has unstable poles")
+    if not dx.is_proper():
+        raise InadmissibleParameter("d@x is improper")
+    det, adj = smfd.witness_inverse
+    x_den, x_num = _over_lcd(xprime)
+    cr = _over((adj @ x_num).scale(smfd.witness_row[0]), det * x_den)
+    if not cr.is_proper():
+        raise InadmissibleParameter("resulting reference map is improper for this feedback map")
     certs = [
         Certificate("parameter x proper and stable", rh_inf_verdict(x)),
-        Certificate("control map d@x proper and stable", rh_inf_verdict(achieved_m)),
-        Certificate("feedback map internally stabilizing", controller.certificate),
+        Certificate("control map d@x proper and stable", rh_inf_verdict(dx)),
+        Certificate("feedback map internally stabilizing", loop.verdict),
         *extra,
     ]
     return DesignResult(
-        configuration=TwoDofConfig(cy=controller.cy, cr=controller.cr),
-        controller=controller,
+        configuration=TwoDofConfig(cy=cy, cr=cr),
+        controller=TwoDofController(cy=cy, cr=cr, certificate=loop.verdict),
         x=x,
-        xprime=_xprime_from_x(smfd, x),
+        xprime=xprime,
         achieved_t=achieved_t,
-        achieved_m=achieved_m,
+        achieved_m=dx,
         certificates=tuple(certs),
     )
 
@@ -366,11 +379,10 @@ def model_matching(
 ) -> DesignResult:
     """Two-degree-of-freedom design achieving y/r = t (and u/r = m when
     prescribed) exactly, or DesignObstruction."""
-    res = check_realizable(smfd.source, t, m, smfd.d_inv if m is not None else None)
+    res = _realization(smfd.source, t, m)
     if isinstance(res, Obstruction):
         raise DesignObstruction(res.reasons)
-    x = res
-    achieved_t = smfd.source.n.to_ratmat() @ x
+    x, achieved_t, dx = res
     extra = [
         _equality_certificate(
             "closed-loop response equals the target", achieved_t == t
@@ -378,12 +390,9 @@ def model_matching(
     ]
     if m is not None:
         extra.append(
-            _equality_certificate(
-                "control map equals the prescribed m",
-                smfd.source.d.to_ratmat() @ x == m,
-            )
+            _equality_certificate("control map equals the prescribed m", dx == m)
         )
-    return _design_result_from_x(smfd, x, achieved_t, extra)
+    return _design_result(smfd, x, _xprime_from_x(smfd, x), dx, achieved_t, extra)
 
 
 # -- decoupling and inversion ---------------------------------------------------
@@ -460,7 +469,7 @@ def diagonal_decoupling(smfd: StableMFD, targets: Sequence[RatFn]) -> DesignResu
             ),
         ),
     ]
-    return _design_result_from_x(smfd, x, achieved_t, extra)
+    return _design_result(smfd, x, xprime, control, achieved_t, extra)
 
 
 def inverse_problem(smfd: StableMFD) -> DesignResult:
@@ -493,7 +502,7 @@ def inverse_problem(smfd: StableMFD) -> DesignResult:
         raise ArithmeticError("inversion lost exactness: n' @ n'**-1 != I")
     x = _x_from_xprime(smfd, xprime)
     extra = [_equality_certificate("closed-loop response equals I", achieved_t == identity)]
-    return _design_result_from_x(smfd, x, achieved_t, extra)
+    return _design_result(smfd, x, xprime, control, achieved_t, extra)
 
 
 # -- static decoupling -----------------------------------------------------------
@@ -602,10 +611,24 @@ def static_decoupling(
 # -- denominator assignment -------------------------------------------------------
 
 
-def _square_invertible(mat: PolyMat, label: str) -> None:
-    det = polymat_det(mat)
-    if det.is_zero():
-        raise DesignObstruction((f"{label} is singular",))
+def _denominator_target(
+    mfd: RightMFD, d_t: PolyMat, unstable: str
+) -> tuple[RatMat, RatMat, RatMat]:
+    """(x, n@x, d@x) for x = d_t**-1, after refusing a non-square plant, a
+    d_t not shaped like d, a singular n or d_t, and a d_t with a
+    non-Hurwitz determinant (reason after ``unstable``)."""
+    if mfd.outputs != mfd.inputs:
+        raise DesignObstruction(("denominator assignment requires a square plant",))
+    if d_t.shape != mfd.d.shape:
+        raise ShapeError(f"d_t must be {mfd.d.shape}, got {d_t.shape}")
+    for mat, label in ((mfd.n, "plant numerator"), (d_t, "target denominator")):
+        if polymat_det(mat).is_zero():
+            raise DesignObstruction((f"{label} is singular",))
+    verdict = is_hurwitz(polymat_det(d_t).monic())
+    if not verdict:
+        raise DesignObstruction((unstable + verdict.describe(),))
+    x = d_t.to_ratmat().inv()
+    return x, mfd.n.to_ratmat() @ x, mfd.d.to_ratmat() @ x
 
 
 def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
@@ -614,19 +637,10 @@ def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
 
     The loop is u = cff @ (r + y), so t = p @ (I - cff @ p)**-1 @ cff and
     the design certifies the identity t**-1 + I == cff**-1 @ p**-1."""
-    if mfd.outputs != mfd.inputs:
-        raise DesignObstruction(("denominator assignment requires a square plant",))
-    if d_t.shape != mfd.d.shape:
-        raise ShapeError(f"d_t must be {mfd.d.shape}, got {d_t.shape}")
-    _square_invertible(mfd.n, "plant numerator")
-    _square_invertible(d_t, "target denominator")
-    dt_det_verdict = is_hurwitz(polymat_det(d_t).monic())
-    if not dt_det_verdict:
-        raise DesignObstruction(
-            ("target denominator is not Hurwitz: " + dt_det_verdict.describe(),)
-        )
+    x, achieved_t, achieved_m = _denominator_target(
+        mfd, d_t, "target denominator is not Hurwitz: "
+    )
     d_rat = mfd.d.to_ratmat()
-    n_rat = mfd.n.to_ratmat()
     sum_rat = (d_t + mfd.n).to_ratmat()
     try:
         sum_inv = sum_rat.inv()
@@ -641,10 +655,6 @@ def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
     cff = d_rat @ sum_inv
     if not cff.is_proper():
         raise DesignObstruction(("compensator d @ (d_t + n)**-1 is improper",))
-
-    x = d_t.to_ratmat().inv()
-    achieved_t = n_rat @ x
-    achieved_m = d_rat @ x
     plant = mfd.plant()
     # I - cff@p = d @ (d_t + n)**-1 @ d_t @ d**-1, so the loop is well posed
     loop = gang_of_four(plant, cff)
@@ -676,25 +686,10 @@ def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
 def denominator_assignment_direct(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
     """Feedback compensator cfb = (d - d_t) @ n**-1 with the reference
     injected directly at the plant input; y/r = n @ d_t**-1 exactly."""
-    if mfd.outputs != mfd.inputs:
-        raise DesignObstruction(("denominator assignment requires a square plant",))
-    if d_t.shape != mfd.d.shape:
-        raise ShapeError(f"d_t must be {mfd.d.shape}, got {d_t.shape}")
-    _square_invertible(mfd.n, "plant numerator")
-    _square_invertible(d_t, "target denominator")
-    dt_det_verdict = is_hurwitz(polymat_det(d_t).monic())
-    if not dt_det_verdict:
-        raise DesignObstruction(
-            ("x = d_t**-1 is unstable: " + dt_det_verdict.describe(),)
-        )
-    n_rat = mfd.n.to_ratmat()
-    d_rat = mfd.d.to_ratmat()
-    cfb = (mfd.d - d_t).to_ratmat() @ n_rat.inv()
+    x, achieved_t, achieved_m = _denominator_target(mfd, d_t, "x = d_t**-1 is unstable: ")
+    cfb = (mfd.d - d_t).to_ratmat() @ mfd.n.to_ratmat().inv()
     if not cfb.is_proper():
         raise DesignObstruction(("feedback compensator (d - d_t) @ n**-1 is improper",))
-    x = d_t.to_ratmat().inv()
-    achieved_t = n_rat @ x
-    achieved_m = d_rat @ x
     plant = mfd.plant()
     # I - cfb@p = d_t @ d**-1, so the loop is well posed
     loop = gang_of_four(plant, cfb)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from test_polyalg import oracle_inv_det, polymat_det_cofactor
 from twodof import polyalg
 from twodof.cli import parse_matrix, parse_rational
-from twodof.factor import right_coprime_mfd, stable_mfd
+from twodof.factor import is_right_coprime, right_coprime_mfd, stable_mfd
 from twodof.polyalg import (
     ONE,
     S,
@@ -36,6 +36,7 @@ from twodof.polyalg import (
     poly_gcd,
     poly_lcm,
     polymat_det,
+    vstack,
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -554,3 +555,19 @@ def test_plant_analysis_builds_few_fractions(monkeypatch):
     stable_mfd(right_coprime_mfd(plant))
     assert counter.count <= 17
 
+
+@st.composite
+def plants(draw):
+    """1 x 1 to 2 x 2 rational matrices, zero entries and shared factors
+    of numerators and denominators included."""
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return RatMat([[draw(ratfns(max_degree=2)) for _ in range(cols)] for _ in range(rows)])
+
+
+@SETTINGS
+@given(plants())
+def test_hermite_transform_certifies_the_coprime_fraction(plant):
+    mfd = right_coprime_mfd(plant)
+    assert mfd.w @ vstack(mfd.d, mfd.n) == PolyMat.identity(plant.shape[1])
+    assert mfd.plant() == plant
+    assert is_right_coprime(mfd.n, mfd.d)

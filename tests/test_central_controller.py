@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import twodof.polyalg
 import twodof.stability
 import twodof.stabilize
 from twodof.cli import main, parse_matrix
@@ -169,6 +170,21 @@ def test_stabilize_command_factors_the_plant_twice(monkeypatch, capsys):
     assert counts == {"right_coprime_mfd": 2}
 
 
+@pytest.mark.parametrize(
+    "command, eliminations",
+    # the plant's right coprime fraction, certified by its one Hermite
+    # transform; factor and stabilize add the left fraction
+    [("factor", 2), ("stabilize", 2), ("match", 1), ("unity-parameter", 1),
+     ("static-decouple", 1)],
+)
+def test_each_command_eliminates_the_plant_once(monkeypatch, capsys, command, eliminations):
+    twodof.stabilize._rh_data_cached.cache_clear()
+    counts = count_calls(monkeypatch, ["hermite"], twodof.polyalg)
+    assert main([command, str(PROBLEMS / "example_match.ini")]) == 0
+    capsys.readouterr()
+    assert counts == {"hermite": eliminations}
+
+
 def count_plant_builds(monkeypatch):
     builds = []
     original = StableMFD.plant
@@ -246,14 +262,14 @@ DESIGNS = {
         (1, 0, 5),
     ),
     "model matching": (
-        "(s-1)*(s+2)/(s-2)^2", 2, ModelMatching(t=parse_matrix("(s-1)/(s+1)^2")), (0, 1, 1)
+        "(s-1)*(s+2)/(s-2)^2", 2, ModelMatching(t=parse_matrix("(s-1)/(s+1)^2")), (0, 1, 0)
     ),
-    # the control target is solved through the analysis' kept d**-1
+    # the control target is solved by eliminating [d | m], not through d**-1
     "model matching, control target": (
         "(s-1)*(s+2)/(s-2)^2", 2,
         ModelMatching(t=parse_matrix("(s-1)/(s+1)^2"),
                       m=parse_matrix("(s-2)^2/((s+1)^2*(s+2))")),
-        (0, 1, 1),
+        (0, 1, 0),
     ),
 }
 
@@ -283,10 +299,10 @@ def test_cli_designs_form_each_loop_once(monkeypatch, tmp_path, capsys):
     # argv -> (gang_of_four, _youla_feedback, RatMat.inv) calls;
     # assign-denominator forms a second loop in its closed-loop cross-check
     runs = {
-        ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (1, 0, 3),
-        ("static-decouple", str(problem)): (0, 1, 3),
-        ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (2, 0, 8),
-        ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (1, 0, 3),
+        ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (1, 0, 2),
+        ("static-decouple", str(problem)): (0, 1, 2),
+        ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (2, 0, 7),
+        ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (1, 0, 2),
     }
     counts = count_calls(monkeypatch, LOOP_FORMERS)
     inversions = count_inversions(monkeypatch)

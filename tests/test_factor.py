@@ -15,9 +15,9 @@ from twodof.factor import (
     stable_mfd,
     zeros_and_poles,
 )
-from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat, polymat_det
+from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat, polymat_det, vstack
 from twodof.stability import matrix_is_rh_inf
-from twodof.stabilize import rh_coprime_data
+from twodof.stabilize import rh_coprime_data, solve_bezout
 
 
 def rf(num, den=ONE):
@@ -84,6 +84,41 @@ def test_column_reduce_repairs_degree_inflation():
     assert sum(deg or 0 for deg in d2.column_degrees()) == det.degree()
     # same fraction
     assert n.to_ratmat() @ d.to_ratmat().inv() == n2.to_ratmat() @ d2.to_ratmat().inv()
+
+
+def test_hermite_transform_certifies_the_fraction():
+    plant = RatMat([[rf((S - ONE) * (S + 2 * ONE), (S - 2 * ONE) ** 2)]])
+    mfd = right_coprime_mfd(plant)
+    assert mfd.w @ vstack(mfd.d, mfd.n) == PolyMat.identity(1)
+    # the certificate rides along into the analysis and the Bezout pair
+    assert stable_mfd(mfd, shift=2).source.w == mfd.w
+    assert solve_bezout(mfd).check()
+    with pytest.raises(ValueError, match="certificate"):
+        RightMFD(mfd.n, mfd.d, mfd.w.scale(2))
+    with pytest.raises(ValueError, match="certificate"):
+        RightMFD(mfd.n, mfd.d, PolyMat([[ZERO, ONE]]))
+
+
+def test_non_coprime_fraction_without_certificate_is_refused():
+    # n and d share the factor s + 1: no w with w @ [d; n] = I exists
+    mfd = RightMFD(PolyMat([[S + ONE]]), PolyMat([[(S + ONE) * (S - 2 * ONE)]]))
+    assert mfd.w is None
+    with pytest.raises(ValueError, match="not right coprime"):
+        stable_mfd(mfd)
+    with pytest.raises(ValueError, match="not right coprime"):
+        solve_bezout(mfd)
+
+
+def test_column_reduction_carries_the_certificate():
+    # d is not column reduced; w = [0 | I] certifies n = I against it
+    d = PolyMat([[S ** 2, S ** 2 + ONE], [ZERO, ONE]])
+    n = PolyMat.identity(2)
+    w = PolyMat([[ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, ONE]])
+    smfd = stable_mfd(RightMFD(n, d, w))
+    source = smfd.source
+    assert source.d != d and source.w is not None
+    assert source.w @ vstack(source.d, source.n) == PolyMat.identity(2)
+    assert source.n.to_ratmat() @ source.d.to_ratmat().inv() == d.to_ratmat().inv()
 
 
 def test_stable_mfd_example_plant():

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import twodof.factor
 import twodof.stabilize
 import twodof.verify
 from twodof.polyalg import ONE, S, Poly, RatFn, RatMat, SingularMatrixError
@@ -152,9 +153,12 @@ def test_a_wrong_adjugate_fails_the_compensator_certificate(monkeypatch):
         return det, adj.scale(2)
 
     monkeypatch.setattr(twodof.stabilize, "_polymat_det_adj", wrong)
-    for k in (None, K_2X2):
+    # the central loop's adjugate is the analysis' own (witness_inverse),
+    # formed on first use: a copy of the analysis has none yet
+    monkeypatch.setattr(twodof.factor, "_polymat_det_adj", wrong)
+    for smfd, k in ((dataclasses.replace(data), None), (data, K_2X2)):
         with pytest.raises(ArithmeticError, match=re.escape("compensator fails")):
-            _youla_feedback(data, k)
+            _youla_feedback(smfd, k)
 
 
 def test_closed_loop_forms_its_maps_through_gang_of_four(monkeypatch):

@@ -9,7 +9,6 @@ from twodof.stabilize import (
     IllPosedLoop,
     InadmissibleParameter,
     all_controllers_from_LX,
-    cr_from_x,
     gang_of_four,
     is_internally_stabilizing,
     rh_coprime_data,
@@ -17,6 +16,12 @@ from twodof.stabilize import (
     youla_controller,
 )
 from twodof.stability import matrix_is_rh_inf
+from twodof.synthesis import (
+    DesignObstruction,
+    _design_result,
+    _xprime_from_x,
+    model_matching,
+)
 
 
 def rf(num, den=ONE):
@@ -132,25 +137,33 @@ def test_internal_stability_verdicts():
     assert good
 
 
-def test_cr_from_x_places_response_exactly():
+def test_design_reference_map_places_response_exactly():
     plant = RatMat([[rf(ONE, S - 2 * ONE)]])
-    mfd = right_coprime_mfd(plant)
-    cy = youla_controller(plant, shift=1)
+    smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
+    mfd = smfd.source
     x = RatMat([[rf(ONE, (S + ONE) ** 2)]])
-    cr = cr_from_x(plant, cy, mfd, x)
+    res = model_matching(smfd, mfd.n.to_ratmat() @ x)
+    cy, cr = res.controller.cy, res.controller.cr
+    assert res.x == x and cy == youla_controller(plant, shift=1)
     sens = (RatMat.identity(1) - cy @ plant).inv()
     assert plant @ sens @ cr == mfd.n.to_ratmat() @ x  # y/r = n@x
     assert sens @ cr == mfd.d.to_ratmat() @ x  # u/r = d@x
+    # the reference map (I - cy@p) @ d@x that the loop's own v**-1 forms
+    assert cr == (RatMat.identity(1) - cy @ plant) @ mfd.d.to_ratmat() @ x
 
 
-def test_cr_from_x_rejects_bad_parameters():
+def test_design_reference_map_rejects_bad_parameters():
     plant = RatMat([[rf(ONE, S - 2 * ONE)]])
-    mfd = right_coprime_mfd(plant)
-    cy = youla_controller(plant, shift=1)
-    with pytest.raises(InadmissibleParameter):
-        cr_from_x(plant, cy, mfd, RatMat([[rf(ONE, S - ONE)]]))  # unstable x
-    with pytest.raises(InadmissibleParameter):
-        cr_from_x(plant, cy, mfd, RatMat([[rf(S, ONE)]]))  # d@x improper
+    smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
+    n, d = smfd.source.n.to_ratmat(), smfd.source.d.to_ratmat()
+    for x in (
+        RatMat([[rf(ONE, S - ONE)]]),  # unstable x
+        RatMat([[rf(S, ONE)]]),  # d@x improper
+    ):
+        with pytest.raises(InadmissibleParameter):
+            _design_result(smfd, x, _xprime_from_x(smfd, x), d @ x, n @ x)
+        with pytest.raises(DesignObstruction):
+            model_matching(smfd, n @ x)
 
 
 def test_all_controllers_from_lx_roundtrip():
