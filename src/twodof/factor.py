@@ -83,9 +83,8 @@ class RightMFD:
             raise ShapeError(
                 f"incompatible fraction shapes {self.n.shape} and {self.d.shape}"
             )
-        if self.w is not None and self.w @ vstack(self.d, self.n) != PolyMat.identity(
-            self.d.shape[0]
-        ):
+        identity = PolyMat.identity(self.d.shape[0])
+        if self.w is not None and self.w @ vstack(self.d, self.n) != identity:
             raise ValueError("coprimeness certificate fails w @ [d; n] = I")
 
     @property
@@ -235,8 +234,10 @@ def right_coprime_mfd(p: RatMat) -> RightMFD:
     quotients = [[divmod(e, det) for e in row] for row in (stacked @ adj).rows]
     if any(not r.is_zero() for row in quotients for _, r in row):
         raise ArithmeticError("Hermite pivot block does not divide [d0; n0]")
-    d, n = (PolyMat([[q for q, _ in row] for row in rows])
-            for rows in (quotients[:cols], quotients[cols:]))
+    d, n = (
+        PolyMat([[q for q, _ in row] for row in rows])
+        for rows in (quotients[:cols], quotients[cols:])
+    )
     return RightMFD(*_column_reduce(n, d, PolyMat(u.rows[:cols])))
 
 
