@@ -3,15 +3,17 @@
 A rational transfer matrix P is written as a right fraction P = N * D**-1
 with N, D polynomial and right coprime, or as a left fraction
 P = Dl**-1 * Nl.  One Hermite transform gives the right fraction with a
-certificate W @ [D; N] = I of its coprimeness (``RightMFD.w``).  Dividing
-the columns of a column-reduced right fraction by powers of a fixed
-Hurwitz factor (s + shift) yields a fraction P = N' * D'**-1 whose factors
-are themselves proper and stable, together with a Bezout witness
+certificate W @ [D; N] = I of its coprimeness (``RightMFD.w``) and a
+row-reduced basis L of the left kernel of [D; N] (``RightMFD.kernel``).
+Dividing the columns of a column-reduced right fraction by powers of a
+fixed Hurwitz factor (s + shift) yields a fraction P = N' * D'**-1 whose
+factors are themselves proper and stable, together with a Bezout witness
 U*N' + V*D' = I certifying coprimeness over the proper stable rationals.
+Each row of a witness is read off W and L by division, with at most one
+coefficient-matching elimination (``poly_row_diophantine``) per row.
 ``StableMFD`` holds that fraction and is the one analysis of a plant:
 what the designs need beyond it (the plant, D'**-1, the proper-stable
-left fraction) it computes once, on first use.  Every polynomial
-coefficient-matching problem is solved by ``poly_row_diophantine``.
+left fraction) it computes once, on first use.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .polyalg import (
     ONE,
@@ -35,9 +37,12 @@ from .polyalg import (
     SingularMatrixError,
     _column_fraction,
     _lowest,
+    _mul,
     _over_lcd,
     _polymat_det_adj,
     _rref_z,
+    _trim,
+    _z_line,
     hermite,
     hstack,
     linsolve_exact,
@@ -72,11 +77,14 @@ class RightMFD:
 
     ``w``, when given, certifies that n and d are right coprime by the
     generalized Bezout identity w @ [d; n] == I (Kailath, Linear Systems,
-    1980, ch. 6), checked here: a failing ``w`` raises ValueError."""
+    1980, ch. 6), checked here: a failing ``w`` raises ValueError.  With
+    it ``right_coprime_mfd`` keeps ``kernel``, a row-reduced basis of the
+    left kernel of [d; n]; a fraction that carries one is column reduced."""
 
     n: PolyMat
     d: PolyMat
     w: PolyMat | None = field(default=None, compare=False)
+    kernel: PolyMat | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n.shape[1] != self.d.shape[0] or self.d.shape[0] != self.d.shape[1]:
@@ -223,22 +231,23 @@ class StableMFD:
 def right_coprime_mfd(p: RatMat) -> RightMFD:
     """Extract a right coprime, column-reduced fraction of a rational matrix,
     certified by one Hermite transform: u @ [d0; n0] = [r; 0] for the
-    column fraction p = n0 @ d0**-1 gives [d; n] = [d0; n0] @ r**-1, exact
-    polynomial division by det r, and the top rows w of u satisfy
-    w @ [d; n] = I (``RightMFD.w``)."""
+    column fraction p = n0 @ d0**-1 gives [d; n] = [d0; n0] @ r**-1 (exact
+    division by det r, and none when r is I, as for every scalar plant),
+    the certificate w = u[:m] of w @ [d; n] = I and the kernel u[m:]."""
     cols = p.shape[1]
     d0_cols, n0 = _column_fraction(p)
-    stacked = vstack(PolyMat.diag(d0_cols), n0)
-    h, u = hermite(stacked)
-    det, adj = _polymat_det_adj(PolyMat(tuple(row[:cols] for row in h.rows[:cols])))
-    quotients = [[divmod(e, det) for e in row] for row in (stacked @ adj).rows]
-    if any(not r.is_zero() for row in quotients for _, r in row):
-        raise ArithmeticError("Hermite pivot block does not divide [d0; n0]")
-    d, n = (
-        PolyMat([[q for q, _ in row] for row in rows])
-        for rows in (quotients[:cols], quotients[cols:])
-    )
-    return RightMFD(*_column_reduce(n, d, PolyMat(u.rows[:cols])))
+    d, n = PolyMat.diag(d0_cols), n0
+    h, u = hermite(vstack(d, n))
+    if PolyMat(h.rows[:cols]) != PolyMat.identity(cols):
+        det, adj = _polymat_det_adj(PolyMat(h.rows[:cols]))
+        quotients = [[divmod(e, det) for e in row] for row in (vstack(d, n) @ adj).rows]
+        if any(not rem.is_zero() for row in quotients for _, rem in row):
+            raise ArithmeticError("Hermite pivot block does not divide [d0; n0]")
+        d, n = (
+            PolyMat([[q for q, _ in row] for row in rows])
+            for rows in (quotients[:cols], quotients[cols:])
+        )
+    return RightMFD(*_column_reduce(n, d, PolyMat(u.rows[:cols])), _reduce(u.rows[cols:]))
 
 
 def left_coprime_mfd(p: RatMat) -> LeftMFD:
@@ -249,11 +258,18 @@ def left_coprime_mfd(p: RatMat) -> LeftMFD:
 
 def is_right_coprime(n: PolyMat, d: PolyMat) -> bool:
     """Whether the only common right divisors of n and d are unimodular."""
-    cols = d.shape[1]
-    h, _ = hermite(vstack(d, n))
-    top = PolyMat([[h.entry(i, j) for j in range(cols)] for i in range(cols)])
-    det = polymat_det(top)
-    return det.is_constant() and not det.is_zero()
+    return _hermite_certificate(n, d) is not None
+
+
+def _hermite_certificate(n: PolyMat, d: PolyMat) -> RightMFD | None:
+    """n @ d**-1 with w = u[:m] and the kernel u[m:] of the Hermite transform
+    u @ [d; n] = [r; 0], or None when r is not I: its pivots are monic, so
+    r is I exactly when n and d are right coprime."""
+    m = d.shape[1]
+    h, u = hermite(vstack(d, n))
+    if PolyMat(h.rows[:m]) != PolyMat.identity(m):
+        return None
+    return RightMFD(n, d, PolyMat(u.rows[:m]), _reduce(u.rows[m:]))
 
 
 def is_left_coprime(dl: PolyMat, nl: PolyMat) -> bool:
@@ -269,48 +285,51 @@ def column_reduce(n: PolyMat, d: PolyMat) -> tuple[PolyMat, PolyMat]:
 def _column_reduce(
     n: PolyMat, d: PolyMat, w: PolyMat | None
 ) -> tuple[PolyMat, PolyMat, PolyMat | None]:
-    """``column_reduce`` carrying a certificate w @ [d; n] = I along: each
-    column operation on [d; n] is undone by a row operation on w."""
+    """``column_reduce`` carrying a certificate w @ [d; n] = I along."""
     if polymat_det(d).is_zero():
         raise SingularMatrixError("denominator matrix is singular")
     m = d.shape[0]
-    p = n.shape[0]
-    dcols = [[d.entry(i, j) for i in range(m)] for j in range(m)]
-    ncols = [[n.entry(i, j) for i in range(p)] for j in range(m)]
     wrows = None if w is None else [list(row) for row in w.rows]
-    while True:
-        degs = [max(e.degree() or 0 for e in col if not e.is_zero()) for col in dcols]
-        gamma = [[dcols[j][i].coeff(degs[j]) for j in range(m)] for i in range(m)]
-        solved = linsolve_exact(gamma, [Fraction(0)] * m)
+    rows = _reduce(vstack(d, n).transpose().rows, m, wrows).transpose().rows
+    return PolyMat(rows[m:]), PolyMat(rows[:m]), None if w is None else PolyMat(wrows)
+
+
+def _reduce(
+    rows: Sequence[Sequence[Poly]], lead: int | None = None, wrows: list | None = None
+) -> PolyMat:
+    """Row-reduce independent polynomial rows by unimodular row operations:
+    combine them until the coefficients of s**deg of their first ``lead``
+    entries (all by default), deg a row's degree over those entries, are
+    linearly independent.  Each operation is undone on the rows ``wrows``."""
+    vecs = [list(row) for row in rows]
+    lead = lead or len(vecs[0])
+    while len(vecs) > 1:  # one nonzero row is reduced
+        degs = [max(e.degree() for e in vec[:lead] if not e.is_zero()) for vec in vecs]
+        gamma = [[vec[i].coeff(deg) for vec, deg in zip(vecs, degs)] for i in range(lead)]
+        solved = linsolve_exact(gamma, [Fraction(0)] * lead)
         if solved is None:
             raise ArithmeticError("homogeneous system reported inconsistent")
         _, nullspace = solved
         if not nullspace:
             break
         c = nullspace[0]
-        target = max(
-            (j for j in range(m) if c[j] != 0), key=lambda j: (degs[j], j)
-        )
+        used = [j for j in range(len(vecs)) if c[j] != 0]
+        target = max(used, key=lambda j: (degs[j], j))
         mults = {
-            j: Poly.constant(c[j]) * S ** (degs[target] - degs[j])
-            for j in range(m)
-            if j != target and c[j] != 0
+            j: Poly.constant(c[j]) * S ** (degs[target] - degs[j]) for j in used if j != target
         }
-        for vec in (dcols, ncols):
-            new_col = [e * c[target] for e in vec[target]]
-            for j, mult in mults.items():
-                new_col = [e + mult * g for e, g in zip(new_col, vec[j])]
-            vec[target] = new_col
+        new_vec = [e * c[target] for e in vecs[target]]
+        for j, mult in mults.items():
+            new_vec = [e + mult * g for e, g in zip(new_vec, vecs[j])]
+        vecs[target] = new_vec
         if wrows is not None:
-            # column target became c_t*col_t + sum_j mult_j*col_j: the
-            # inverse divides row target by c_t, then takes mult_j times
-            # it from row j
+            # row target became c_t*row_t + sum_j mult_j*row_j: the
+            # inverse divides row target of w by c_t, then takes mult_j
+            # times it from row j
             wrows[target] = [e * (1 / c[target]) for e in wrows[target]]
             for j, mult in mults.items():
                 wrows[j] = [e - mult * g for e, g in zip(wrows[j], wrows[target])]
-    d_out = PolyMat([[dcols[j][i] for j in range(m)] for i in range(m)])
-    n_out = PolyMat([[ncols[j][i] for j in range(m)] for i in range(p)])
-    return n_out, d_out, None if wrows is None else PolyMat(wrows)
+    return PolyMat(vecs)
 
 
 def poly_row_diophantine(
@@ -372,31 +391,76 @@ def poly_row_diophantine(
     return out[:p], out[p:]
 
 
-def _least_degree_solve(
-    nmat: PolyMat, dmat: PolyMat, rhs_at: Callable[[int], Sequence[Poly]], limit: int
+def _least_degree_witness(
+    mfd: RightMFD, rhs: list[Poly], shift: Fraction | None, limit: int
 ) -> tuple[list[Poly], list[Poly], int] | None:
-    """``poly_row_diophantine`` at the least degree bound k <= limit for
-    which alpha @ nmat + beta @ dmat = rhs_at(k) has a solution, as
-    (alpha, beta, k), or None."""
-    for k in range(limit + 1):
-        solved = poly_row_diophantine(nmat, dmat, rhs_at(k), k, k)
-        if solved is not None:
-            return (*solved, k)
-    return None
+    """(alpha, beta, k) with alpha @ n + beta @ d = (s + shift)**k * rhs (rhs
+    when shift is None) and entries of degree at most k, at the least such
+    k <= limit, as ``poly_row_diophantine(n, d, rhs_k, k, k)`` gives it; or
+    None.  Each solution [beta | alpha] is rhs_k @ w plus a combination of
+    kernel rows, and cancelling the top coefficients of x = rhs_k @ w by
+    kernel rows, while they lie in the span of those rows' leading ones,
+    leaves x of least degree (predictable-degree property; Forney, SIAM J.
+    Control 13, 1975).  Below the least kernel row degree x is the only
+    solution; from there on the elimination runs once, for its choice of
+    free coefficients.  The division runs over Z, with x = xz / den."""
+    m = mfd.d.shape[0]
+    rows = [_z_line(row)[0] for row in mfd.kernel.rows]
+    mus = [max(map(len, zs)) - 1 for zs in rows]
+    xz, den = _z_line((PolyMat([rhs]) @ mfd.w).rows[0])
+    k = 0
+    while True:
+        top = max(map(len, xz)) - 1
+        use = [i for i, mu in enumerate(mus) if mu <= top]
+        # y @ (the s**mu coefficients of the rows in use) = those of s**top in x
+        aug = [
+            [rows[i][j][mus[i]] if mus[i] < len(rows[i][j]) else 0 for i in use]
+            + [z[top] if top < len(z) else 0]
+            for j, z in enumerate(xz)
+        ]
+        pivots = _rref_z(aug, len(use)) if use else None
+        if pivots is not None:
+            q = math.lcm(*(row[col] for row, col in zip(aug, pivots)))
+            xz = [[v * q for v in z] + [0] * (top + 1 - len(z)) for z in xz]
+            for row, col in zip(aug, pivots):
+                y, i = row[-1] * (q // row[col]), use[col]
+                for z, lz in zip(xz, rows[i]):
+                    for t, v in enumerate(lz, top - mus[i]):
+                        z[t] -= y * v
+            g = math.gcd(den * q, *(v for z in xz for v in z))
+            den = den * q // g
+            xz = [_trim([v // g for v in z]) for z in xz]
+        elif top <= k:
+            break
+        else:  # no solution of degree k: on to k + 1, with rhs_k times s + shift
+            k = top if shift is None else k + 1
+            if k > limit:
+                return None
+            if shift is not None:
+                xz = [_mul(z, [shift.numerator, shift.denominator]) for z in xz]
+                den *= shift.denominator
+    if k < min(mus):
+        x = [_lowest(z, den) for z in xz]
+        return x[m:], x[:m], k
+    scale = ONE if shift is None else hurwitz_shift_polynomial(shift, k)
+    solved = poly_row_diophantine(mfd.n, mfd.d, [scale * e for e in rhs], k, k)
+    return None if solved is None else (*solved, k)
 
 
 def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
     """Divide the columns of a right coprime fraction by powers of
-    (s + shift), producing proper stable factors and a Bezout witness.
-    Coprimeness is read off the fraction's certificate ``w`` when it has
-    one, else checked by a Hermite elimination."""
+    (s + shift), producing proper stable factors and a Bezout witness whose
+    rows are read off ``w`` and ``kernel`` by division, with at most one
+    elimination each (``_least_degree_witness``).  A fraction with a kernel
+    is taken as it is; any other is column reduced and certified by a
+    Hermite elimination."""
     sigma = Fraction(shift)
     if sigma <= 0:
         raise ValueError("shift must be positive")
-    source = RightMFD(*_column_reduce(mfd.n, mfd.d, mfd.w))
-    n, d = source.n, source.d
-    if source.w is None and not is_right_coprime(n, d):
+    source = mfd if mfd.kernel is not None else _hermite_certificate(*column_reduce(mfd.n, mfd.d))
+    if source is None:
         raise ValueError("matrix fraction is not right coprime")
+    n, d = source.n, source.d
     m = d.shape[0]
     col_degrees = tuple(deg if deg is not None else 0 for deg in d.column_degrees())
     psis = [hurwitz_shift_polynomial(sigma, deg) for deg in col_degrees]
@@ -409,10 +473,8 @@ def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
     solutions = []
     for i in range(m):
         # rows are independent: each is solved at its own least degree
-        rhs_at = lambda k: [
-            hurwitz_shift_polynomial(sigma, k) * psis[i] if j == i else ZERO for j in range(m)
-        ]
-        solved = _least_degree_solve(n, d, rhs_at, base + 40)
+        rhs = [psis[i] if j == i else ZERO for j in range(m)]
+        solved = _least_degree_witness(source, rhs, sigma, base + 40)
         if solved is None:
             raise ArithmeticError("no Bezout witness found; fraction may not be coprime")
         solutions.append(solved)

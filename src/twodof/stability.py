@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from twodof.polyalg import (
     ONE,
@@ -266,8 +267,10 @@ def rh_inf_verdict(a: RatMat) -> StabilityVerdict:
     return verdict
 
 
+@lru_cache(maxsize=256)
 def hurwitz_shift_polynomial(shift: Fraction | int, power: int) -> Poly:
-    """(s + shift)^power, the canonical stable denominator used for scaling."""
+    """(s + shift)^power, the canonical stable denominator used for scaling,
+    built once per (shift, power)."""
     shift = Fraction(shift)
     if shift <= 0:
         raise ValueError("shift must be positive for a Hurwitz scaling polynomial")

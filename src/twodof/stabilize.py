@@ -44,8 +44,8 @@ from .factor import (
     LeftMFD,
     RightMFD,
     StableMFD,
-    _least_degree_solve,
-    is_right_coprime,
+    _hermite_certificate,
+    _least_degree_witness,
     left_coprime_mfd,
     right_coprime_mfd,
     stable_mfd,
@@ -127,27 +127,26 @@ def solve_bezout(mfd: RightMFD, left: LeftMFD | None = None) -> DoublyCoprime:
     fraction, with the matching left fraction: ``left`` when the caller
     keeps it (``StableMFD.left``), else computed alongside.
 
-    Each row is solved at the smallest feasible degree bound by equating
-    coefficients in an exact linear system.
+    Each row is the least-degree solution, read off the fraction's
+    certificate w and kernel by division (``factor._least_degree_witness``)
+    with at most one elimination; a fraction without them is certified by
+    a Hermite elimination first.
     """
     n, d = mfd.n, mfd.d
-    # a fraction with a certificate w is coprime; one without is eliminated
-    if mfd.w is None and not is_right_coprime(n, d):
+    source = mfd if mfd.kernel is not None else _hermite_certificate(n, d)
+    if source is None:
         raise ValueError("fraction is not right coprime; no Bezout solution exists")
     m = d.shape[0]
     degs = [deg if deg is not None else 0 for deg in d.column_degrees()]
     limit = sum(degs) + max(degs, default=0) + 2
-    x1_rows: list[list[Poly]] = []
-    x2_rows: list[list[Poly]] = []
+    rows = []
     for i in range(m):
         rhs = [Poly.constant(1 if j == i else 0) for j in range(m)]
-        solved = _least_degree_solve(n, d, lambda k: rhs, limit)
+        solved = _least_degree_witness(source, rhs, None, limit)
         if solved is None:
             raise ArithmeticError("Bezout solve exceeded the degree budget")
-        x2_rows.append(solved[0])
-        x1_rows.append(solved[1])
-    x1 = PolyMat(x1_rows)
-    x2 = PolyMat(x2_rows)
+        rows.append(solved)
+    x2, x1 = (PolyMat([row[block] for row in rows]) for block in (0, 1))
     if left is None:
         left = left_coprime_mfd(mfd.plant())
     dc = DoublyCoprime(n=n, d=d, x1=x1, x2=x2, nl=left.nl, dl=left.dl)

@@ -7,7 +7,9 @@ are also checked against the plain `Fraction` algorithms (coefficientwise
 sum, schoolbook product, division by the leading coefficient, Euclid's
 gcd, division by the gcd), kept here as oracles, the Bareiss kernel
 against Gauss-Jordan over `RatFn`, `linsolve_exact` against Gauss-Jordan
-over `Fraction`, and `RatMat @` against sums of `RatFn` products."""
+over `Fraction`, `RatMat @` against sums of `RatFn` products, and the
+Bezout witnesses read off the Hermite certificate against the least-degree
+search by `poly_row_diophantine`."""
 
 import copy
 import fractions
@@ -17,13 +19,19 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_polyalg import oracle_inv_det, polymat_det_cofactor
 from twodof import polyalg
 from twodof.cli import parse_matrix, parse_rational
-from twodof.factor import is_right_coprime, right_coprime_mfd, stable_mfd
+from twodof.factor import (
+    RightMFD,
+    is_right_coprime,
+    poly_row_diophantine,
+    right_coprime_mfd,
+    stable_mfd,
+)
 from twodof.polyalg import (
     ONE,
     S,
@@ -38,6 +46,7 @@ from twodof.polyalg import (
     polymat_det,
     vstack,
 )
+from twodof.stabilize import solve_bezout
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -571,3 +580,45 @@ def test_hermite_transform_certifies_the_coprime_fraction(plant):
     assert mfd.w @ vstack(mfd.d, mfd.n) == PolyMat.identity(plant.shape[1])
     assert mfd.plant() == plant
     assert is_right_coprime(mfd.n, mfd.d)
+
+
+def escalation_witness(mfd, rhs_at):
+    """The least-degree search the witnesses are read off by division,
+    kept as an oracle: (alpha, beta, k) from poly_row_diophantine at the
+    degree bounds k = 0, 1, ... until one is feasible."""
+    for k in range(60):
+        solved = poly_row_diophantine(mfd.n, mfd.d, rhs_at(k), k, k)
+        if solved is not None:
+            return (*solved, k)
+    raise AssertionError("no witness of degree below 60")
+
+
+@SETTINGS
+@given(plants())
+# 3 takes the one elimination (its kernel row has degree 0); the others
+# are read off by division alone
+@example(parse_matrix("3"))
+@example(parse_matrix("(s+1)/(s-2)"))
+@example(parse_matrix("(s-1)^2/(s+1)^2"))
+@example(parse_matrix("5/s^3"))
+def test_witnesses_by_division_match_the_escalation_search(plant):
+    mfd = right_coprime_mfd(plant)
+    m = plant.shape[1]
+    unit = [[ONE if j == i else ZERO for j in range(m)] for i in range(m)]
+    # with the fraction's certificate, and certified by a Hermite elimination
+    for source in (mfd, RightMFD(mfd.n, mfd.d)):
+        pair = solve_bezout(source)
+        for i in range(m):
+            alpha, beta, _ = escalation_witness(mfd, lambda k: unit[i])
+            assert (list(pair.x2.rows[i]), list(pair.x1.rows[i])) == (alpha, beta)
+    for shift in (1, 2, Fraction(1, 2)):
+        smfd = stable_mfd(mfd, shift)
+        hand_built = stable_mfd(RightMFD(mfd.n, mfd.d), shift)
+        assert (hand_built.u, hand_built.v) == (smfd.u, smfd.v)
+        for i, psi in enumerate(smfd.scaling):
+            alpha, beta, k = escalation_witness(
+                smfd.source, lambda k: [(S + shift) ** k * psi * e for e in unit[i]]
+            )
+            phi = (S + shift) ** k
+            assert list(smfd.u.rows[i]) == [RatFn(a, phi) for a in alpha]
+            assert list(smfd.v.rows[i]) == [RatFn(b, phi) for b in beta]

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import twodof.factor
 import twodof.polyalg
 import twodof.stability
 import twodof.stabilize
@@ -183,6 +184,33 @@ def test_each_command_eliminates_the_plant_once(monkeypatch, capsys, command, el
     assert main([command, str(PROBLEMS / "example_match.ini")]) == 0
     capsys.readouterr()
     assert counts == {"hermite": eliminations}
+
+
+@pytest.mark.parametrize(
+    "problem, command, eliminations",
+    # the Bezout witnesses of a scalar plant are read off its Hermite
+    # certificate; each row of the 2x2 plant's takes at most one
+    # coefficient-matching elimination (the unity scan's own solves in
+    # synthesis are not counted here)
+    [("example_match.ini", command, 0)
+     for command in ("factor", "stabilize", "match", "unity-parameter", "static-decouple")]
+    + [("example_decouple.ini", "factor", 1), ("example_decouple.ini", "stabilize", 3)],
+)
+def test_each_command_reads_its_witnesses_off_the_certificate(
+    monkeypatch, capsys, problem, command, eliminations
+):
+    twodof.stabilize._rh_data_cached.cache_clear()
+    calls = []
+    original = twodof.factor.poly_row_diophantine
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(twodof.factor, "poly_row_diophantine", counted)
+    assert main([command, str(PROBLEMS / problem)]) == 0
+    capsys.readouterr()
+    assert len(calls) == eliminations
 
 
 def count_plant_builds(monkeypatch):

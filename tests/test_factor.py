@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import twodof.factor
+from twodof.cli import parse_matrix
 from twodof.factor import (
     RightMFD,
     column_reduce,
@@ -110,15 +112,53 @@ def test_non_coprime_fraction_without_certificate_is_refused():
 
 
 def test_column_reduction_carries_the_certificate():
-    # d is not column reduced; w = [0 | I] certifies n = I against it
+    # d is not column reduced; stable_mfd reduces the hand-built fraction
+    # and certifies the result by its own Hermite transform
     d = PolyMat([[S ** 2, S ** 2 + ONE], [ZERO, ONE]])
     n = PolyMat.identity(2)
     w = PolyMat([[ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, ONE]])
     smfd = stable_mfd(RightMFD(n, d, w))
     source = smfd.source
-    assert source.d != d and source.w is not None
+    assert source.d != d and source.w is not None and source.kernel is not None
     assert source.w @ vstack(source.d, source.n) == PolyMat.identity(2)
     assert source.n.to_ratmat() @ source.d.to_ratmat().inv() == d.to_ratmat().inv()
+    # this plant's Hermite fraction is not column reduced: right_coprime_mfd
+    # undoes each column operation on w, and RightMFD refuses a w that fails
+    plant = parse_matrix("1/(s+2), 1/(s+2); 1/(s-1), 3")
+    mfd = right_coprime_mfd(plant)
+    assert mfd.w @ vstack(mfd.d, mfd.n) == PolyMat.identity(2)
+    assert mfd.plant() == plant
+
+
+@pytest.mark.parametrize(
+    "text, u, v, eliminations",
+    [
+        # a static gain: at k = 0 the kernel row [-3, 1] has degree 0 too, so
+        # the witness is not unique and the one elimination keeps u = 1/3,
+        # v = 0 (division alone would give u = 0, v = 1)
+        ("3", rf(Poly.constant(Fraction(1, 3))), rf(ZERO), 1),
+        # v = 0: the central design of this plant is refused
+        ("(s+1)/(s-2)", rf(ONE), rf(ZERO), 0),
+        ("(s-1)^2/(s+1)^2", rf(ZERO), rf(ONE), 0),
+        (
+            "5/s^3",
+            rf(2 * S**2 + S + Fraction(1, 5), (S + ONE) ** 2),
+            rf(S**2 + 5 * S + 10, (S + ONE) ** 2),
+            0,
+        ),
+    ],
+)
+def test_scalar_witness_is_read_off_the_certificate(monkeypatch, text, u, v, eliminations):
+    calls = []
+    original = twodof.factor.poly_row_diophantine
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(twodof.factor, "poly_row_diophantine", counted)
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix(text)))
+    assert (smfd.u.entry(0, 0), smfd.v.entry(0, 0), len(calls)) == (u, v, eliminations)
 
 
 def test_stable_mfd_example_plant():
