@@ -605,12 +605,11 @@ def test_witnesses_by_division_match_the_escalation_search(plant):
     mfd = right_coprime_mfd(plant)
     m = plant.shape[1]
     unit = [[ONE if j == i else ZERO for j in range(m)] for i in range(m)]
+    expected = [escalation_witness(mfd, lambda k: unit[i])[:2] for i in range(m)]
     # with the fraction's certificate, and certified by a Hermite elimination
     for source in (mfd, RightMFD(mfd.n, mfd.d)):
         pair = solve_bezout(source)
-        for i in range(m):
-            alpha, beta, _ = escalation_witness(mfd, lambda k: unit[i])
-            assert (list(pair.x2.rows[i]), list(pair.x1.rows[i])) == (alpha, beta)
+        assert [(list(a), list(b)) for a, b in zip(pair.x2.rows, pair.x1.rows)] == expected
     for shift in (1, 2, Fraction(1, 2)):
         smfd = stable_mfd(mfd, shift)
         hand_built = stable_mfd(RightMFD(mfd.n, mfd.d), shift)
