@@ -4,7 +4,9 @@ file, run in-process through ``main()`` and compared byte for byte with
 ``tests/data/cli_golden.json``.
 
 A change meant to alter what the CLI prints regenerates the file with
-``PYTHONPATH=src python tests/test_cli_golden.py`` and says so.
+``PYTHONPATH=src python tests/test_cli_golden.py`` and says so; the script
+prints the keys it adds and the keys whose stored entry it changes, so a
+commit that only adds problem files shows 0 changed.
 """
 
 import contextlib
@@ -47,7 +49,7 @@ def golden():
 
 
 def test_golden_covers_every_run(golden):
-    assert len(RUNS) == 72
+    assert len(RUNS) == 108
     assert sorted(golden) == sorted(RUNS)
 
 
@@ -57,5 +59,11 @@ def test_cli_output_matches_golden(golden, key):
 
 
 if __name__ == "__main__":
+    stored = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    fresh = {key: run(key) for key in RUNS}
+    added = [key for key in RUNS if key not in stored]
+    changed = [key for key in RUNS if key in stored and stored[key] != fresh[key]]
+    for label, keys in (("added", added), ("changed", changed)):
+        print(f"{label} {len(keys)}", *keys, sep="\n  ")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({key: run(key) for key in RUNS}, indent=1) + "\n")
+    GOLDEN.write_text(json.dumps(fresh, indent=1) + "\n")
