@@ -408,7 +408,7 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
     dc = solve_bezout(smfd.source, smfd.left)
     _print_named("bezout x1 (x1@d + x2@n = I)", dc.x1)
     _print_named("bezout x2", dc.x2)
-    # _youla_feedback returns the loop maps whose verdict it checked
+    # the loop's verdict is decided on its one denominator; its maps are not formed
     cy, loop = _youla_feedback(smfd)
     _print_named("central feedback map cy", cy)
     print(f"internal stability: {loop.verdict.describe()}")

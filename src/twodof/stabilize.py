@@ -8,10 +8,11 @@ u = Cy*y + Cr*r, so a compensator stabilizes P when the four maps
 
 are all proper with no closed right-half-plane poles.  The Youla controller
 is -adj(L)*R / det L for the polynomial numerators [L, R] of
-[v - K*nl', u + K*dl'].  Its maps are affine in K and are formed with it,
-as the blocks of one polynomial product [d'; n'] @ [v - K*nl', -(u + K*dl')]
-(``_youla_feedback``), certified by two polynomial identities: the
-controller solves (v - K*nl') @ Cy = -(u + K*dl'), and
+[v - K*nl', u + K*dl'].  Its maps, affine in K, are the blocks of one
+product [d'; n'] @ [v - K*nl', -(u + K*dl')] over one denominator den*psi
+(``_youla_feedback``): stability is decided on den*psi, the maps formed
+when read.  Two identities certify it: the controller solves
+(v - K*nl') @ Cy = -(u + K*dl'), and
 (v - K*nl') @ d' + (u + K*dl') @ n' = I.  Every other pair (P, Cy) (a
 supplied feedback map, the unity and direct loops,
 ``is_internally_stabilizing`` and ``verify.closed_loop``, which checks a
@@ -65,6 +66,7 @@ from .polyalg import (
 )
 from .stability import (
     StabilityVerdict,
+    _routh_is_hurwitz,
     matrix_is_stable,
     matrix_is_rh_inf,
     rh_inf_verdict,
@@ -177,10 +179,10 @@ def rh_coprime_data(p: RatMat, shift: Fraction | int = 1) -> StableMFD:
     return _rh_data_cached(p, sigma)
 
 
-def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, LoopMaps]:
+def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, _YoulaLoop]:
     """cy = -(v - k@nl')**-1 @ (u + k@dl') from the witness (u, v) and the
-    left pair of ``smfd``, with the four loop maps of cy and the plant
-    ``smfd`` is a fraction of, whose verdict says cy is internally
+    left pair of ``smfd``, with the loop of cy and the plant ``smfd`` is a
+    fraction of (``_YoulaLoop``), whose verdict says cy is internally
     stabilizing.  k = None is the central choice k = 0 and needs no left
     pair; any other k must be proper and stable.
 
@@ -193,8 +195,10 @@ def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, L
     They are the blocks of one polynomial product [d^; n^] @ [l | -r]
     over den*psi, where [l | r] = den*[lhs | rhs] for a common
     denominator den of [v | u] and k @ [-nl' | dl'], and [d^; n^] =
-    psi*[d'; n'] (``StableMFD.stacked``).  Two polynomial identities
-    certify them, and a failed one raises ArithmeticError: l @ C ==
+    psi*[d'; n'] (``StableMFD.stacked``).  The loop keeps these factors,
+    decides its verdict on den*psi and forms the maps only when read.
+    An unstable verdict, or a failed one of the two polynomial identities
+    that certify the loop, raises ArithmeticError.  They are l @ C ==
     -det(l)*r for the numerator C = -adj(l) @ r of cy, so lhs@cy = -rhs;
     and [l | r] @ [d^; n^] == den*psi*I, the Bezout identity that
     ``stable_mfd`` has already checked when k = None.  For k = None,
@@ -234,11 +238,7 @@ def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, L
     psi, dn = smfd.stacked
     if k is not None and lr @ dn != PolyMat.identity(m).scale(den * psi):
         raise ArithmeticError("parametrized loop fails (v - k@nl')@d' + (u + k@dl')@n' = I")
-    maps = _over(dn @ hstack(l, -r), den * psi).rows
-    halves = (slice(m), slice(m, None))
-    loop = LoopMaps(
-        *(RatMat(tuple(row[cols] for row in maps[rows])) for rows in halves for cols in halves)
-    )
+    loop = _YoulaLoop(dn, hstack(l, -r), den * psi)
     if not loop.verdict:
         raise ArithmeticError(
             "parametrized compensator failed validation: " + loop.verdict.describe()
@@ -260,10 +260,10 @@ def youla_controller(
     evaluated on the proper-stable fraction data of the plant (witness
     (u, v) and the row-scaled left pair); each produced compensator is
     checked rather than trusted: an improper one raises
-    InadmissibleParameter, and its four loop maps, formed with it, must
-    pass two polynomial identities (it solves
-    (v - k@nl') @ cy = -(u + k@dl'), and
-    (v - k@nl') @ d' + (u + k@dl') @ n' = I) and be proper and stable,
+    InadmissibleParameter, and its loop must pass two polynomial
+    identities (it solves (v - k@nl') @ cy = -(u + k@dl'), and
+    (v - k@nl') @ d' + (u + k@dl') @ n' = I) and be internally stable,
+    decided on the one denominator of its four maps, which are not formed,
     else ArithmeticError is raised.
     """
     return _youla_feedback(rh_coprime_data(plant, shift), k)[0]
@@ -293,6 +293,35 @@ class LoopMaps(namedtuple("LoopMaps", "sens sens_cy p_sens p_sens_cy")):
         for verdict in self.verdicts:
             merged = merged.merged(verdict)
         return merged
+
+
+@dataclass(frozen=True)
+class _YoulaLoop:
+    """A Youla loop's four maps [d^; n^] @ [l | -r] / q, q = den*psi, kept
+    as these factors; the maps (``LoopMaps``) are formed on first read.
+    The verdict is stable when q is Hurwitz and the factors' largest entry
+    degrees add up to at most deg q (each reduced map denominator divides
+    the monic q, and cancellation keeps relative degree), else the maps'."""
+
+    stacked: PolyMat
+    row: PolyMat
+    q: Poly
+
+    @cached_property
+    def maps(self) -> LoopMaps:
+        m = self.row.shape[0]
+        maps = _over(self.stacked @ self.row, self.q).rows
+        halves = (slice(m), slice(m, None))
+        return LoopMaps(
+            *(RatMat(tuple(row[cols] for row in maps[rows])) for rows in halves for cols in halves)
+        )
+
+    @cached_property
+    def verdict(self) -> StabilityVerdict:
+        top = lambda mat: max(e.degree() or 0 for row in mat.rows for e in row)
+        if top(self.stacked) + top(self.row) <= self.q.degree() and _routh_is_hurwitz(self.q):
+            return StabilityVerdict(True)
+        return self.maps.verdict
 
 
 def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:

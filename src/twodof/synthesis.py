@@ -576,7 +576,8 @@ def _static_design(
         cy = RatMat.zeros(plant.shape[1], plant.shape[0])
         loop = gang_of_four(plant, cy)
     else:
-        cy, loop = _youla_feedback(smfd)
+        cy, youla = _youla_feedback(smfd)
+        loop = youla.maps
     cr = _dc_precompensator(loop, lam)
     achieved_t = loop.p_sens @ cr
     achieved_m = loop.sens @ cr

@@ -16,6 +16,7 @@ import fractions
 import math
 import pickle
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from test_polyalg import oracle_inv_det, polymat_det_cofactor
 from twodof import polyalg
-from twodof.cli import parse_matrix, parse_rational
+from twodof.cli import load_problem, parse_matrix, parse_rational
 from twodof.factor import (
     RightMFD,
     is_right_coprime,
@@ -46,7 +47,15 @@ from twodof.polyalg import (
     polymat_det,
     vstack,
 )
-from twodof.stabilize import solve_bezout
+from twodof.stabilize import (
+    _rh_data_cached,
+    _youla_feedback,
+    gang_of_four,
+    rh_coprime_data,
+    solve_bezout,
+    youla_controller,
+)
+from twodof.synthesis import model_matching
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -563,6 +572,60 @@ def test_plant_analysis_builds_few_fractions(monkeypatch):
     counter = FractionCounter(monkeypatch)
     stable_mfd(right_coprime_mfd(plant))
     assert counter.count <= 17
+
+
+class RatFnCounter:
+    """Counts `RatFn` normalisations while active (patched ``__post_init__``)."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        original = RatFn.__post_init__
+
+        def counting_post_init(ratfn):
+            self.count += 1
+            original(ratfn)
+
+        monkeypatch.setattr(RatFn, "__post_init__", counting_post_init)
+
+    def take(self) -> int:
+        count, self.count = self.count, 0
+        return count
+
+
+def test_youla_loop_normalises_its_maps_only_when_read(monkeypatch):
+    # A Youla loop's verdict is decided on its one denominator den*psi, and
+    # its four maps are normalised only when read.  On a fresh 2x2 analysis
+    # a controller with a given k normalises the 4 entries of cy and the 4
+    # of the left row [-nl' | dl'] (24 while the 16 map entries were
+    # normalised with it); gang_of_four still normalises its 16.
+    plant = parse_matrix("1/(s-1), 2/(s+2); 1/(s+3), 1/(s+1)")
+    k = parse_matrix("s/(s+1), 1; 1/(s+2), -2")
+    _rh_data_cached.cache_clear()
+    data = rh_coprime_data(plant, 1)
+    counter = RatFnCounter(monkeypatch)
+    cy = youla_controller(plant, k)
+    assert counter.take() == 8
+    gang_of_four(plant, cy)
+    assert counter.take() == 16
+    _, loop = _youla_feedback(data, k)
+    assert loop.verdict and counter.take() == 4
+    maps = loop.maps
+    assert counter.take() == 16
+    assert loop.maps is maps and counter.take() == 0
+    assert tuple(maps) == tuple(gang_of_four(plant, cy))
+
+
+def test_model_matching_normalises_no_loop_map(monkeypatch):
+    # the design reads only the central loop's verdict: 9 normalisations on
+    # example_match.ini's analysis, 13 while the loop's maps were formed
+    problems = Path(__file__).resolve().parent.parent / "problems"
+    problem = load_problem(str(problems / "example_match.ini"))
+    smfd = stable_mfd(right_coprime_mfd(problem.plant), 2)
+    t = parse_matrix(problem.design["t"])
+    model_matching(smfd, t)  # the analysis forms and keeps what a design reads
+    counter = RatFnCounter(monkeypatch)
+    model_matching(smfd, t)
+    assert counter.count == 9
 
 
 @st.composite

@@ -16,7 +16,8 @@ import pytest
 import twodof.factor
 import twodof.stabilize
 import twodof.verify
-from twodof.polyalg import ONE, S, Poly, RatFn, RatMat, SingularMatrixError
+from twodof.polyalg import ONE, S, ZERO, Poly, RatFn, RatMat, SingularMatrixError
+from twodof.stability import is_hurwitz
 from twodof.stabilize import (
     IllPosedLoop,
     InadmissibleParameter,
@@ -131,9 +132,9 @@ def test_youla_loop_maps_equal_gang_of_four_and_the_oracle():
         for k in (None, random_matrix(rng, cols, rows, 1, range(1, 6))):
             cy, loop = _youla_feedback(data, k)
             expected = gang_of_four(plant, cy)
-            assert tuple(loop) == tuple(expected) == oracle_gang_of_four(plant, cy)
-            assert loop.verdicts == expected.verdicts
-            assert loop.verdict == expected.verdict
+            assert tuple(loop.maps) == tuple(expected) == oracle_gang_of_four(plant, cy)
+            assert loop.maps.verdicts == expected.verdicts
+            assert loop.verdict == loop.maps.verdict == expected.verdict
 
 
 def test_a_wrong_witness_fails_the_bezout_certificate():
@@ -142,6 +143,39 @@ def test_a_wrong_witness_fails_the_bezout_certificate():
     bad = dataclasses.replace(data, u=data.u + RatMat([[RatFn(ONE, S + ONE), 0], [0, 0]]))
     with pytest.raises(ArithmeticError, match=re.escape("parametrized loop fails")):
         _youla_feedback(bad, K_2X2)
+
+
+def test_an_unstable_witness_fails_the_loop_verdict():
+    # Nothing checks the central witness of a copy of the analysis: den*psi
+    # then has the root 1, the verdict falls back to the formed maps, and
+    # the refusal names the factor.
+    data = rh_coprime_data(UNSTABLE_2X2, 1)
+    bad = dataclasses.replace(data, u=data.u + RatMat([[RatFn(ONE, S - ONE), 0], [0, 0]]))
+    with pytest.raises(
+        ArithmeticError,
+        match=re.escape(
+            "parametrized compensator failed validation: "
+            "unstable; offending factors: s - 1 (right-half-plane root)"
+        ),
+    ):
+        _youla_feedback(bad)
+
+
+def test_a_cancelled_unstable_factor_is_decided_on_the_reduced_maps():
+    # A left pair scaled by (s+1)/(s-1) still solves [-nl' | dl'] @ [d'; n'] = 0,
+    # so k = 0 passes both certificates, while den and every entry of
+    # [l | r] carry the factor s - 1.  den*psi is not Hurwitz, and the
+    # verdict read off the reduced maps is stable.
+    data = rh_coprime_data(UNSTABLE_2X2, 1)
+    scaled = dataclasses.replace(data)
+    g = RatFn(S + ONE, S - ONE)
+    object.__setattr__(scaled, "_left", tuple(mat.scale(g) for mat in data._left))
+    cy, loop = _youla_feedback(scaled, RatMat.zeros(2, 2))
+    assert not is_hurwitz(loop.q)
+    assert all(e % (S - ONE) == ZERO for row in loop.row.rows for e in row)
+    assert "maps" in vars(loop) and loop.verdict
+    assert cy == youla_controller(UNSTABLE_2X2)
+    assert tuple(loop.maps) == tuple(gang_of_four(UNSTABLE_2X2, cy))
 
 
 def test_a_wrong_adjugate_fails_the_compensator_certificate(monkeypatch):
@@ -175,5 +209,5 @@ def test_closed_loop_forms_its_maps_through_gang_of_four(monkeypatch):
     report = twodof.verify.closed_loop(UNSTABLE_2X2, config)
     assert calls == [(UNSTABLE_2X2, cy)]
     assert tuple(mat for _, mat, _ in report.internal_maps) == tuple(
-        _youla_feedback(rh_coprime_data(UNSTABLE_2X2, 1), K_2X2)[1]
+        _youla_feedback(rh_coprime_data(UNSTABLE_2X2, 1), K_2X2)[1].maps
     )
