@@ -295,7 +295,6 @@ class LoopMaps(namedtuple("LoopMaps", "sens sens_cy p_sens p_sens_cy")):
         return merged
 
 
-@dataclass(frozen=True)
 class _YoulaLoop:
     """A Youla loop's four maps [d^; n^] @ [l | -r] / q, q = den*psi, kept
     as these factors; the maps (``LoopMaps``) are formed on first read.
@@ -303,9 +302,8 @@ class _YoulaLoop:
     degrees add up to at most deg q (each reduced map denominator divides
     the monic q, and cancellation keeps relative degree), else the maps'."""
 
-    stacked: PolyMat
-    row: PolyMat
-    q: Poly
+    def __init__(self, stacked: PolyMat, row: PolyMat, q: Poly):
+        self.stacked, self.row, self.q = stacked, row, q
 
     @cached_property
     def maps(self) -> LoopMaps:

@@ -1,6 +1,7 @@
 """gang_of_four and the Youla controller, formed over one polynomial
 denominator, agree with the inversion formulas over rational entries, and
-the loop maps a Youla design forms as one product agree with both.
+the loop maps of a Youla design, formed as one product when read, agree
+with both; its verdict, decided on their one denominator, agrees too.
 
 The oracles below invert I - cy@p and v - k@nl' with RatMat.inv, as the
 package did before both were written as adj / det of a polynomial matrix.
