@@ -31,13 +31,11 @@ from twodof.factor import (  # noqa: F401
     zeros_and_poles,
 )
 from twodof.stabilize import (  # noqa: F401
-    DoublyCoprime,
     IllPosedLoop,
     InadmissibleParameter,
-    TwoDofController,
+    TwoDofConfig,
     all_controllers_from_LX,
     gang_of_four,
-    is_internally_stabilizing,
     solve_bezout,
     youla_controller,
 )
@@ -45,12 +43,10 @@ from twodof.synthesis import (  # noqa: F401
     Certificate,
     DesignObstruction,
     DesignResult,
-    Obstruction,
     check_realizable,
     denominator_assignment_direct,
     denominator_assignment_unity,
     diagonal_decoupling,
-    direct_feedback_from_x,
     ff_fb_realization,
     find_admissible_unity_xprime,
     inverse_problem,
@@ -61,8 +57,6 @@ from twodof.synthesis import (  # noqa: F401
     unity_feedback_controller,
 )
 from twodof.verify import (  # noqa: F401
-    ClosedLoopReport,
-    SimulationTrace,
     certify,
     closed_loop,
     dc_gain,

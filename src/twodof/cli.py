@@ -46,26 +46,25 @@ from .polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat, ShapeError
 from .stabilize import (
     IllPosedLoop,
     InadmissibleParameter,
+    TwoDofConfig,
     _youla_feedback,
     rh_coprime_data,
     solve_bezout,
 )
 from .synthesis import (
-    DenominatorAssignment,
     DesignObstruction,
     DesignResult,
-    DiagonalDecoupling,
     FeedbackDirectRConfig,
     FfFbRConfig,
-    Inverse,
-    ModelMatching,
-    StaticDecoupling,
-    TwoDofConfig,
     UnityFeedbackConfig,
-    _unity_feedback,
+    denominator_assignment_direct,
+    denominator_assignment_unity,
+    diagonal_decoupling,
     find_admissible_unity_xprime,
+    inverse_problem,
+    model_matching,
     siso_conditions,
-    solve_design,
+    static_decoupling,
     unity_feedback_controller,
 )
 from .verify import certify, closed_loop, dc_gain, simulate_step
@@ -439,12 +438,12 @@ def cmd_match(args: argparse.Namespace) -> int:
     if plant.shape == (1, 1) and t.shape == (1, 1):
         feas = siso_conditions(plant.entry(0, 0), t.entry(0, 0), sign=sign)
         print(f"scalar restricted-loop feasibility ((1{'+' if sign >= 0 else '-'}t)/d, t/n): {feas.describe()}")
-    res = solve_design(smfd, ModelMatching(t=t, m=m))
+    res = model_matching(smfd, t, m)
     _print_design_result(res)
     if pf.configuration.get("loop") == "unity":
         if res.xprime is None or res.xprime.shape != (1, 1):
             raise ValueError("unity-loop realization is implemented for scalar designs")
-        cff = unity_feedback_controller(smfd, res.xprime)
+        cff, _ = unity_feedback_controller(smfd, res.xprime)
         _print_named("unity-loop cff", cff)
     _verify_against(plant, res, t)
     return 0
@@ -456,7 +455,7 @@ def cmd_decouple(args: argparse.Namespace) -> int:
     if "targets" not in pf.design:
         raise ValueError("problem file needs targets in the [design] section")
     targets = tuple(parse_rational(cell) for cell in pf.design["targets"].split(","))
-    res = solve_design(smfd, DiagonalDecoupling(targets=targets))
+    res = diagonal_decoupling(smfd, targets)
     _print_design_result(res)
     _verify_against(plant, res, res.achieved_t)
     return 0
@@ -465,7 +464,7 @@ def cmd_decouple(args: argparse.Namespace) -> int:
 def cmd_invert(args: argparse.Namespace) -> int:
     pf = load_problem(args.problem)
     plant, smfd = _stable_plant_data(pf, args)
-    res = solve_design(smfd, Inverse())
+    res = inverse_problem(smfd)
     _print_design_result(res)
     _verify_against(plant, res, RatMat.identity(plant.shape[0]))
     return 0
@@ -479,12 +478,16 @@ def cmd_static_decouple(args: argparse.Namespace) -> int:
         if "lambda" in pf.design
         else RatMat.identity(plant.shape[0])
     )
-    res = solve_design(smfd, StaticDecoupling(lam=lam))
+    res = static_decoupling(smfd, lam)
     _print_design_result(res)
     gain = dc_gain(res.achieved_t)
     print("dc gain:")
     print(_fmt_matrix(RatMat([[RatFn.of(v) for v in row] for row in gain])))
     return 0
+
+
+# [design] loop -> the denominator assignment of that loop
+_ASSIGNMENTS = {"unity": denominator_assignment_unity, "direct": denominator_assignment_direct}
 
 
 def cmd_assign_denominator(args: argparse.Namespace) -> int:
@@ -494,7 +497,9 @@ def cmd_assign_denominator(args: argparse.Namespace) -> int:
         raise ValueError("problem file needs d_t in the [design] section")
     d_t = parse_poly_matrix(pf.design["d_t"])
     loop = pf.design.get("loop", "unity")
-    res = solve_design(smfd, DenominatorAssignment(d_t=d_t, loop=loop))
+    if loop not in _ASSIGNMENTS:
+        raise ValueError(f"unknown loop variant {loop!r}")
+    res = _ASSIGNMENTS[loop](smfd.source, d_t)
     _print_design_result(res)
     _verify_against(plant, res, res.achieved_t)
     return 0
@@ -576,7 +581,7 @@ def cmd_unity_parameter(args: argparse.Namespace) -> int:
     _, smfd = _stable_plant_data(pf, args)
     xprime = find_admissible_unity_xprime(smfd)
     _print_named("admissible x'", xprime)
-    cff, loop = _unity_feedback(smfd, xprime)
+    cff, loop = unity_feedback_controller(smfd, xprime)
     _print_named("unity-loop cff", cff)
     print(f"internal stability: {loop.verdict.describe()}")
     return 0

@@ -14,13 +14,13 @@ product [d'; n'] @ [v - K*nl', -(u + K*dl')] over one denominator den*psi
 when read.  Two identities certify it: the controller solves
 (v - K*nl') @ Cy = -(u + K*dl'), and
 (v - K*nl') @ d' + (u + K*dl') @ n' = I.  Every other pair (P, Cy) (a
-supplied feedback map, the unity and direct loops,
-``is_internally_stabilizing`` and ``verify.closed_loop``, which checks a
-design apart from the design) has its maps formed by ``gang_of_four``,
-over the one polynomial denominator det M, M = dc*D - Nc*N for
-P = N*D**-1 and Cy = Nc/dc: the coprime-factor form of H(P, C)
-(Vidyasagar, Control System Synthesis, 1985; Kailath, Linear Systems,
-1980), spelled out in ``gang_of_four``.  All stabilizing
+supplied feedback map, the unity and direct loops, the (L, X) sweep and
+``verify.closed_loop``, which checks a design apart from the design) has
+its maps formed by ``gang_of_four``, over the one polynomial denominator
+det M, M = dc*D - Nc*N for P = N*D**-1 and Cy = Nc/dc: the
+coprime-factor form of H(P, C) (Vidyasagar, Control System Synthesis,
+1985; Kailath, Linear Systems, 1980), spelled out in ``gang_of_four``,
+whose ``verdict`` is the pair's internal stability.  All stabilizing
 feedback compensators are swept out by a single free parameter K ranging
 over the proper stable rationals.  The sweep is anchored at a Bezout
 witness of the proper-stable fraction data: a witness over polynomials
@@ -75,14 +75,13 @@ from .stability import (
 __all__ = [
     "DoublyCoprime",
     "LoopMaps",
-    "TwoDofController",
+    "TwoDofConfig",
     "InadmissibleParameter",
     "IllPosedLoop",
     "solve_bezout",
     "rh_coprime_data",
     "youla_controller",
     "gang_of_four",
-    "is_internally_stabilizing",
     "all_controllers_from_LX",
 ]
 
@@ -115,13 +114,12 @@ class DoublyCoprime:
 
 
 @dataclass(frozen=True)
-class TwoDofController:
-    """Feedback map cy (driven by y) and reference map cr (driven by r),
-    with the internal-stability certificate recorded at build time."""
+class TwoDofConfig:
+    """u = cy@y + cr@r: feedback map cy (driven by y) and reference map cr
+    (driven by r)."""
 
     cy: RatMat
     cr: RatMat
-    certificate: StabilityVerdict | None = None
 
 
 def solve_bezout(mfd: RightMFD, left: LeftMFD | None = None) -> DoublyCoprime:
@@ -362,17 +360,12 @@ def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
     )
 
 
-def is_internally_stabilizing(p: RatMat, cy: RatMat) -> StabilityVerdict:
-    """Verdict over all four closed-loop maps of (p, cy): internally
-    stabilizing iff every map is proper and stable."""
-    return gang_of_four(p, cy).verdict
-
-
 def all_controllers_from_LX(
     mfd: RightMFD, l: RatMat, x: RatMat
-) -> TwoDofController:
+) -> tuple[TwoDofConfig, StabilityVerdict]:
     """Two-parameter sweep of every stabilizing pair: cy = f**-1 @ l and
-    cr = f**-1 @ x with f = (I + l@n) @ d**-1.
+    cr = f**-1 @ x with f = (I + l@n) @ d**-1, with the loop's
+    internal-stability verdict (``gang_of_four``).
 
     The closed loop realizes y/r = n@x and u/r = d@x.  Admissibility:
     l and x stable, d@l and d@x proper, f stable, and the loop
@@ -408,4 +401,4 @@ def all_controllers_from_LX(
         raise InadmissibleParameter("(I + d@l@p)**-1 is improper")
     cy = loop_inv @ q
     cr = loop_inv @ d_r @ x
-    return TwoDofController(cy=cy, cr=cr, certificate=is_internally_stabilizing(p, cy))
+    return TwoDofConfig(cy=cy, cr=cr), gang_of_four(p, cy).verdict

@@ -5,8 +5,10 @@ target T is achievable through a two-degree-of-freedom loop exactly when
 T = N*X for some stable X with D*X proper, and the restricted loop
 shapes (unity feedback, feedback with the reference injected directly at
 the plant input) carve admissible subsets out of that parameter set.
-Designs return exact symbolic results together with certificates; every
-certificate names the condition it checked and carries the verdict.
+Each design is one function that returns its ``DesignResult`` (exact
+symbolic maps, the loop's internal-stability verdict and certificates,
+each naming the condition it checked with its verdict) or raises
+``DesignObstruction`` with the reasons no admissible design exists.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .stability import (
 from .stabilize import (
     InadmissibleParameter,
     LoopMaps,
-    TwoDofController,
+    TwoDofConfig,
     _youla_feedback,
     gang_of_four,
 )
@@ -55,19 +57,11 @@ from .stabilize import (
 __all__ = [
     "Certificate",
     "DesignObstruction",
-    "Obstruction",
     "DesignResult",
-    "TwoDofConfig",
     "FfFbRConfig",
     "UnityFeedbackConfig",
     "FeedbackDirectRConfig",
     "ClosedLoopConfig",
-    "ModelMatching",
-    "DiagonalDecoupling",
-    "Inverse",
-    "StaticDecoupling",
-    "DenominatorAssignment",
-    "DesignProblem",
     "check_realizable",
     "model_matching",
     "diagonal_decoupling",
@@ -81,7 +75,6 @@ __all__ = [
     "ff_fb_realization",
     "direct_feedback_from_x",
     "siso_conditions",
-    "solve_design",
 ]
 
 
@@ -114,28 +107,7 @@ class DesignObstruction(Exception):
         super().__init__("; ".join(self.reasons))
 
 
-@dataclass(frozen=True)
-class Obstruction:
-    """Falsy result of a realizability check, naming what failed."""
-
-    reasons: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __str__(self) -> str:
-        return "; ".join(self.reasons)
-
-
 # -- closed-loop configurations ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwoDofConfig:
-    """u = cy@y + cr@r."""
-
-    cy: RatMat
-    cr: RatMat
 
 
 @dataclass(frozen=True)
@@ -167,45 +139,13 @@ ClosedLoopConfig = Union[
 ]
 
 
-# -- design problems -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModelMatching:
-    t: RatMat
-    m: RatMat | None = None
-
-
-@dataclass(frozen=True)
-class DiagonalDecoupling:
-    targets: tuple[RatFn, ...]
-
-
-@dataclass(frozen=True)
-class Inverse:
-    pass
-
-
-@dataclass(frozen=True)
-class StaticDecoupling:
-    lam: RatMat
-
-
-@dataclass(frozen=True)
-class DenominatorAssignment:
-    d_t: PolyMat
-    loop: str = "unity"  # or "direct"
-
-
-DesignProblem = Union[
-    ModelMatching, DiagonalDecoupling, Inverse, StaticDecoupling, DenominatorAssignment
-]
-
-
 @dataclass(frozen=True)
 class DesignResult:
+    """A design's loop and its exact maps; ``verdict`` says the loop is
+    internally stabilizing."""
+
     configuration: ClosedLoopConfig
-    controller: TwoDofController
+    verdict: StabilityVerdict
     x: RatMat
     xprime: RatMat | None
     achieved_t: RatMat
@@ -259,15 +199,6 @@ def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat) -> list[str]:
 # -- model matching ------------------------------------------------------------
 
 
-def check_realizable(
-    mfd: RightMFD, t: RatMat, m: RatMat | None = None
-) -> RatMat | Obstruction:
-    """Stable parameter x with n@x = t (and d@x = m when given), or an
-    obstruction naming what rules it out."""
-    res = _realization(mfd, t, m)
-    return res if isinstance(res, Obstruction) else res[0]
-
-
 def _solve_polymat(a: PolyMat, b: RatMat) -> RatMat | None:
     """x with a @ x = b, its rows at free columns of a zero, or None when b
     lies outside the range of a.  [a | b_num] for b = b_num / den is
@@ -284,10 +215,11 @@ def _solve_polymat(a: PolyMat, b: RatMat) -> RatMat | None:
     return _over(PolyMat(x_rows), last * den)
 
 
-def _realization(
-    mfd: RightMFD, t: RatMat, m: RatMat | None
-) -> Obstruction | tuple[RatMat, RatMat, RatMat]:
-    """(x, n@x, d@x) for ``check_realizable``'s x, or its obstruction."""
+def check_realizable(
+    mfd: RightMFD, t: RatMat, m: RatMat | None = None
+) -> tuple[RatMat, RatMat, RatMat]:
+    """(x, n@x, d@x) for the stable parameter x with n@x = t (and d@x = m
+    when given), or DesignObstruction naming what rules it out."""
     p_rows, m_cols = mfd.n.shape
     if t.shape[0] != p_rows:
         raise ShapeError(f"target must have {p_rows} rows, got {t.shape[0]}")
@@ -305,19 +237,19 @@ def _realization(
         if not verdict:
             pre.append(f"{label} is unstable: " + verdict.describe())
     if pre:
-        return Obstruction(tuple(pre))
+        raise DesignObstruction(pre)
 
     # a control target fixes x = d**-1 @ m (d is nonsingular), else n @ x = t is solved
     x = _solve_polymat(mfd.n, t) if m is None else _solve_polymat(mfd.d, m)
     if x is None:
-        return Obstruction(
+        raise DesignObstruction(
             ("rank violation: target lies outside the range of the plant numerator",)
         )
     nx = mfd.n.to_ratmat() @ x
     if nx != t:
         if m is None:
             raise ArithmeticError("realizability solve lost exactness: n @ x != t")
-        return Obstruction(("inconsistent target pair: n @ d**-1 @ m differs from t",))
+        raise DesignObstruction(("inconsistent target pair: n @ d**-1 @ m differs from t",))
 
     reasons: list[str] = []
     xv = matrix_is_stable(x)
@@ -332,7 +264,7 @@ def _realization(
             "control map d@x is improper (target relative degree below the plant's)"
         )
     if reasons:
-        return Obstruction(tuple(reasons))
+        raise DesignObstruction(reasons)
     return x, nx, dx
 
 
@@ -365,7 +297,7 @@ def _design_result(
     ]
     return DesignResult(
         configuration=TwoDofConfig(cy=cy, cr=cr),
-        controller=TwoDofController(cy=cy, cr=cr, certificate=loop.verdict),
+        verdict=loop.verdict,
         x=x,
         xprime=xprime,
         achieved_t=achieved_t,
@@ -379,10 +311,7 @@ def model_matching(
 ) -> DesignResult:
     """Two-degree-of-freedom design achieving y/r = t (and u/r = m when
     prescribed) exactly, or DesignObstruction."""
-    res = _realization(smfd.source, t, m)
-    if isinstance(res, Obstruction):
-        raise DesignObstruction(res.reasons)
-    x, achieved_t, dx = res
+    x, achieved_t, dx = check_realizable(smfd.source, t, m)
     extra = [
         _equality_certificate(
             "closed-loop response equals the target", achieved_t == t
@@ -556,28 +485,31 @@ def _dc_precompensator(loop: LoopMaps, lam: RatMat) -> RatMat:
         ) from None
 
 
-def _static_design(
+def static_decoupling(
     smfd: StableMFD, lam: RatMat, cy: RatMat | None = None
 ) -> DesignResult:
-    """Static decoupling around cy: the supplied map, which must be
-    internally stabilizing, else cy = 0 for a stable plant and the central
-    feedback map for an unstable one.  lam and the plant are checked before
-    any controller work."""
+    """Constant precompensator cr making the closed-loop DC gain equal lam.
+
+    Stable plants use pure precompensation (cy = 0, cr = P(0)**-1 @ lam);
+    unstable plants are first closed with a stabilizing feedback map (the
+    central one unless supplied; a supplied one must be internally
+    stabilizing) and cr = G(0)**-1 @ lam for G = P(I - cy P)**-1.  lam and
+    the plant are checked before any controller work."""
     _check_static_target(smfd, lam)
     plant = smfd.plant()
-    if cy is not None:
-        loop = gang_of_four(plant, cy)
-        if not loop.verdict:
-            raise DesignObstruction(
-                ("supplied feedback map is not internally stabilizing: "
-                 + loop.verdict.describe(),)
-            )
-    elif matrix_is_stable(plant):
-        cy = RatMat.zeros(plant.shape[1], plant.shape[0])
-        loop = gang_of_four(plant, cy)
-    else:
+    if cy is None and not matrix_is_stable(plant):
+        # the Youla loop's verdict is decided on its one denominator
         cy, youla = _youla_feedback(smfd)
-        loop = youla.maps
+        loop, verdict = youla.maps, youla.verdict
+    else:
+        if cy is None:
+            cy = RatMat.zeros(plant.shape[1], plant.shape[0])
+        loop = gang_of_four(plant, cy)
+        verdict = loop.verdict
+        if not verdict:
+            raise DesignObstruction(
+                ("supplied feedback map is not internally stabilizing: " + verdict.describe(),)
+            )
     cr = _dc_precompensator(loop, lam)
     achieved_t = loop.p_sens @ cr
     achieved_m = loop.sens @ cr
@@ -588,25 +520,13 @@ def _static_design(
     )
     return DesignResult(
         configuration=TwoDofConfig(cy=cy, cr=cr),
-        controller=TwoDofController(cy=cy, cr=cr, certificate=loop.verdict),
+        verdict=verdict,
         x=_x_from_xprime(smfd, xprime),
         xprime=xprime,
         achieved_t=achieved_t,
         achieved_m=achieved_m,
         certificates=certs,
     )
-
-
-def static_decoupling(
-    smfd: StableMFD, lam: RatMat, cy: RatMat | None = None
-) -> RatMat:
-    """Constant precompensator making the closed-loop DC gain equal lam.
-
-    Stable plants use pure precompensation cr = P(0)**-1 @ lam; unstable
-    plants are first closed with a stabilizing feedback map (the central
-    one unless supplied) and cr = G(0)**-1 @ lam for G = P(I - cy P)**-1.
-    """
-    return _static_design(smfd, lam, cy).controller.cr
 
 
 # -- denominator assignment -------------------------------------------------------
@@ -675,7 +595,7 @@ def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
     )
     return DesignResult(
         configuration=UnityFeedbackConfig(cff=cff),
-        controller=TwoDofController(cy=cff, cr=cff, certificate=certs[3].verdict),
+        verdict=loop.verdict,
         x=x,
         xprime=None,
         achieved_t=achieved_t,
@@ -704,9 +624,7 @@ def denominator_assignment_direct(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
     )
     return DesignResult(
         configuration=FeedbackDirectRConfig(cfb=cfb),
-        controller=TwoDofController(
-            cy=cfb, cr=RatMat.identity(mfd.inputs), certificate=certs[2].verdict
-        ),
+        verdict=loop.verdict,
         x=x,
         xprime=None,
         achieved_t=achieved_t,
@@ -756,12 +674,15 @@ def _unity_restriction(
     return f, verdict
 
 
-def find_admissible_unity_xprime(
-    smfd: StableMFD, max_total_degree: int = 16
-) -> RatMat:
+# the unity scan's largest total degree deg d_x + deg p
+UNITY_SCAN_DEGREE = 16
+
+
+def find_admissible_unity_xprime(smfd: StableMFD) -> RatMat:
     """Scalar solver for the unity-feedback restriction: scan candidate
-    degrees (deg d_x, deg p) in increasing total degree and solve
-    d_x*b + n_x*a = p*d_u by coefficient matching; d_x = (s+1)^k."""
+    degrees (deg d_x, deg p) in increasing total degree, up to
+    UNITY_SCAN_DEGREE, and solve d_x*b + n_x*a = p*d_u by coefficient
+    matching; d_x = (s+1)^k."""
     if smfd.nprime.shape != (1, 1):
         raise ValueError("the scan solver handles scalar plants only")
     d_u = smfd.unstable_denominator
@@ -771,7 +692,7 @@ def find_admissible_unity_xprime(
             raise ArithmeticError("x' = 1 failed the unity-feedback restriction of a stable plant")
         return candidate
     a, b = smfd.nprime.entry(0, 0).num, smfd.nprime.entry(0, 0).den
-    for total in range(0, max_total_degree + 1):
+    for total in range(0, UNITY_SCAN_DEGREE + 1):
         for deg_dx in range(0, total + 1):
             d_x = (S + ONE) ** deg_dx
             # n_x*a - p*d_u = -d_x*b with deg n_x <= deg d_x, deg p <= total - deg d_x
@@ -784,19 +705,14 @@ def find_admissible_unity_xprime(
             if _unity_restriction(smfd, candidate)[1]:
                 return candidate
     raise DesignObstruction(
-        (f"no admissible x' found up to total degree {max_total_degree}",)
+        (f"no admissible x' found up to total degree {UNITY_SCAN_DEGREE}",)
     )
 
 
-def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> RatMat:
+def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, LoopMaps]:
     """Forward compensator cff = f**-1 @ x' realizing y/r = n'@x' in the
-    unity-feedback configuration, for an admissible x'."""
-    return _unity_feedback(smfd, xprime)[0]
-
-
-def _unity_feedback(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, LoopMaps]:
-    """cff of ``unity_feedback_controller`` with the loop maps of
-    (plant, cff), whose last map it checks equals n'@x'."""
+    unity-feedback configuration, for an admissible x', with the loop maps
+    of (plant, cff), whose last map it checks equals n'@x'."""
     f, verdict = _unity_restriction(smfd, xprime)
     if not verdict:
         raise DesignObstruction(
@@ -819,7 +735,7 @@ def _unity_feedback(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, LoopMaps]:
 
 
 def ff_fb_realization(
-    controller: TwoDofController, shift: Fraction | int = 1
+    controller: TwoDofConfig, shift: Fraction | int = 1
 ) -> tuple[RatMat, RatMat, RatMat]:
     """Split a proper pair (cy, cr) into blocks (r, cff, cfb) with
     u = cff@(cfb@y + r_map@r): left fraction [cy, cr] = dl**-1 @ [nly, nlr],
@@ -875,25 +791,3 @@ def siso_conditions(p: RatFn, t: RatFn, sign: int = 1) -> StabilityVerdict:
     s_over_d = one_pm_t / RatFn(d)
     t_over_n = t / RatFn(n)
     return is_stable(s_over_d).merged(is_stable(t_over_n))
-
-
-# -- problem dispatch ------------------------------------------------------------
-
-
-def solve_design(smfd: StableMFD, problem: DesignProblem) -> DesignResult:
-    """Run the design matching the problem variant and return its result."""
-    if isinstance(problem, ModelMatching):
-        return model_matching(smfd, problem.t, problem.m)
-    if isinstance(problem, DiagonalDecoupling):
-        return diagonal_decoupling(smfd, problem.targets)
-    if isinstance(problem, Inverse):
-        return inverse_problem(smfd)
-    if isinstance(problem, StaticDecoupling):
-        return _static_design(smfd, problem.lam)
-    if isinstance(problem, DenominatorAssignment):
-        if problem.loop == "unity":
-            return denominator_assignment_unity(smfd.source, problem.d_t)
-        if problem.loop == "direct":
-            return denominator_assignment_direct(smfd.source, problem.d_t)
-        raise ValueError(f"unknown loop variant {problem.loop!r}")
-    raise TypeError(f"unknown design problem {type(problem).__name__}")

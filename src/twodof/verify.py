@@ -10,13 +10,12 @@ from fractions import Fraction
 
 from .polyalg import RatFn, RatMat, common_denominator, poly_divmod
 from .stability import StabilityVerdict, matrix_is_stable
-from .stabilize import gang_of_four
+from .stabilize import TwoDofConfig, gang_of_four
 from .synthesis import (
     Certificate,
     ClosedLoopConfig,
     FeedbackDirectRConfig,
     FfFbRConfig,
-    TwoDofConfig,
     UnityFeedbackConfig,
 )
 

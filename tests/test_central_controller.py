@@ -19,18 +19,16 @@ import twodof.factor
 import twodof.polyalg
 import twodof.stability
 import twodof.stabilize
-from twodof.cli import main, parse_matrix
+from twodof.cli import load_problem, main, parse_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat
 from twodof.stabilize import InadmissibleParameter, youla_controller
 from twodof.synthesis import (
-    DenominatorAssignment,
     DesignObstruction,
-    ModelMatching,
-    StaticDecoupling,
+    denominator_assignment_direct,
+    denominator_assignment_unity,
     find_admissible_unity_xprime,
     model_matching,
-    solve_design,
     static_decoupling,
     unity_feedback_admissible,
     unity_feedback_controller,
@@ -107,7 +105,7 @@ def test_scalar_design_analyses_its_plant_once(monkeypatch):
     }
     assert res.achieved_t == t
     assert all(c.passed for c in res.certificates)
-    assert res.controller.cy == youla_controller(plant, shift=1)
+    assert res.configuration.cy == youla_controller(plant, shift=1)
 
 
 def test_design_controller_matches_plant_level_youla_controller():
@@ -126,8 +124,8 @@ def test_design_controller_matches_plant_level_youla_controller():
             refused += 1
             continue
         res = model_matching(smfd, smfd.nprime)
-        assert res.controller.cy == expected, (plant, shift)
-        assert res.controller.certificate
+        assert res.configuration.cy == expected, (plant, shift)
+        assert res.verdict
         designed += 1
     assert designed >= 10 and designed + refused == 16
 
@@ -135,9 +133,9 @@ def test_design_controller_matches_plant_level_youla_controller():
 def test_static_design_uses_the_central_controller():
     plant = RatMat([[rf(S + 3 * ONE, (S - ONE) * (S + 4 * ONE))]])
     smfd = stable_mfd(right_coprime_mfd(plant), shift=2)
-    res = solve_design(smfd, StaticDecoupling(lam=RatMat([[rf(2 * ONE)]])))
-    assert res.controller.cy == youla_controller(plant, shift=2)
-    assert res.controller.certificate
+    res = static_decoupling(smfd, RatMat([[rf(2 * ONE)]]))
+    assert res.configuration.cy == youla_controller(plant, shift=2)
+    assert res.verdict
     assert all(c.passed for c in res.certificates)
 
 
@@ -244,6 +242,21 @@ def test_static_design_builds_the_plant_once(monkeypatch, tmp_path, capsys):
     assert "dc gain:\n  [ 1  0 ]\n  [ 0  1 ]" in out
 
 
+def test_static_design_takes_the_youla_loops_verdict(monkeypatch):
+    # an unstable plant's central loop is decided on its one denominator,
+    # so the Hurwitz tests left are the entries of the plant (is it
+    # stable?) and of the achieved y/r (the "closed loop stable"
+    # certificate); the loop's four maps, formed for G(0), are not tested
+    plant = load_problem(str(PROBLEMS / "example_decouple.ini")).plant
+    smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
+    lam = RatMat.identity(2)
+    static_decoupling(smfd, lam)  # the analysis forms its parts once
+    counts = count_calls(monkeypatch, ["is_hurwitz"], twodof.stability)
+    res = static_decoupling(smfd, lam)
+    assert counts == {"is_hurwitz": 8}
+    assert res.verdict and all(c.passed for c in res.certificates)
+
+
 def test_static_decoupling_checks_a_supplied_feedback_map(monkeypatch):
     plant = parse_matrix(UNSTABLE_2X2)
     smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
@@ -251,9 +264,10 @@ def test_static_decoupling_checks_a_supplied_feedback_map(monkeypatch):
     cy = youla_controller(plant, shift=1)
     builds = count_plant_builds(monkeypatch)
     counts = count_calls(monkeypatch, ["gang_of_four"])
-    cr = static_decoupling(smfd, lam, cy)
+    res = static_decoupling(smfd, lam, cy)
     assert (len(builds), counts["gang_of_four"]) == (1, 1)
-    assert cr == static_decoupling(smfd, lam)
+    assert res.configuration.cy == cy and res.verdict
+    assert res.configuration.cr == static_decoupling(smfd, lam).configuration.cr
     with pytest.raises(DesignObstruction, match="supplied feedback map"):
         static_decoupling(smfd, lam, RatMat.zeros(2, 2))
 
@@ -270,33 +284,39 @@ def count_inversions(monkeypatch):
     return calls
 
 
-# label -> (plant, shift, problem, (gang_of_four, _youla_feedback,
-# RatMat.inv) calls): fixed instances of each design, whose one closed
-# loop is formed without inverting a RatMat
+# label -> (plant, shift, design of the plant's StableMFD, (gang_of_four,
+# _youla_feedback, RatMat.inv) calls): fixed instances of each design,
+# whose one closed loop is formed without inverting a RatMat
 DESIGNS = {
     "static, stable plant": (
-        "1/(s+1), 1/(s+2); 0, 1/(s+3)", 1, StaticDecoupling(lam=RatMat.identity(2)), (1, 0, 2)
+        "1/(s+1), 1/(s+2); 0, 1/(s+3)", 1,
+        lambda smfd: static_decoupling(smfd, RatMat.identity(2)), (1, 0, 2),
     ),
     "static, unstable plant": (
-        UNSTABLE_2X2, 1, StaticDecoupling(lam=RatMat.identity(2)), (0, 1, 2)
+        UNSTABLE_2X2, 1, lambda smfd: static_decoupling(smfd, RatMat.identity(2)), (0, 1, 2)
     ),
     "denominator, unity": (
         "1/(s-2)", 1,
-        DenominatorAssignment(d_t=PolyMat([[Poly((Fraction(-1, 2), Fraction(-1, 4)))]])),
+        lambda smfd: denominator_assignment_unity(
+            smfd.source, PolyMat([[Poly((Fraction(-1, 2), Fraction(-1, 4)))]])
+        ),
         (1, 0, 7),
     ),
     "denominator, direct": (
-        "1/(s-2)", 1, DenominatorAssignment(d_t=PolyMat([[S + 2 * ONE]]), loop="direct"),
+        "1/(s-2)", 1,
+        lambda smfd: denominator_assignment_direct(smfd.source, PolyMat([[S + 2 * ONE]])),
         (1, 0, 5),
     ),
     "model matching": (
-        "(s-1)*(s+2)/(s-2)^2", 2, ModelMatching(t=parse_matrix("(s-1)/(s+1)^2")), (0, 1, 0)
+        "(s-1)*(s+2)/(s-2)^2", 2,
+        lambda smfd: model_matching(smfd, parse_matrix("(s-1)/(s+1)^2")), (0, 1, 0),
     ),
     # the control target is solved by eliminating [d | m], not through d**-1
     "model matching, control target": (
         "(s-1)*(s+2)/(s-2)^2", 2,
-        ModelMatching(t=parse_matrix("(s-1)/(s+1)^2"),
-                      m=parse_matrix("(s-2)^2/((s+1)^2*(s+2))")),
+        lambda smfd: model_matching(
+            smfd, parse_matrix("(s-1)/(s+1)^2"), parse_matrix("(s-2)^2/((s+1)^2*(s+2))")
+        ),
         (0, 1, 0),
     ),
 }
@@ -304,18 +324,18 @@ DESIGNS = {
 
 def test_each_design_forms_its_loop_once(monkeypatch):
     instances = [
-        (label, stable_mfd(right_coprime_mfd(parse_matrix(plant)), shift=shift), problem)
-        for label, (plant, shift, problem, _) in DESIGNS.items()
+        (label, stable_mfd(right_coprime_mfd(parse_matrix(plant)), shift=shift), design)
+        for label, (plant, shift, design, _) in DESIGNS.items()
     ]
     counts = count_calls(monkeypatch, LOOP_FORMERS)
     inversions = count_inversions(monkeypatch)
     seen = {}
-    for label, smfd, problem in instances:
+    for label, smfd, design in instances:
         counts.update(dict.fromkeys(counts, 0))
         inversions.clear()
-        res = solve_design(smfd, problem)
+        res = design(smfd)
         assert all(c.passed for c in res.certificates), label
-        assert res.controller.certificate, label
+        assert res.verdict, label
         assert sum(counts.values()) == 1, label
         seen[label] = (counts["gang_of_four"], counts["_youla_feedback"], len(inversions))
     assert seen == {label: case[3] for label, case in DESIGNS.items()}

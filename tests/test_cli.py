@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import twodof.synthesis
 from twodof.cli import (
     MAX_DEGREE,
     MAX_DIGITS,
@@ -331,6 +332,20 @@ def test_main_assign_denominator(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
+
+
+def test_main_assign_denominator_refuses_an_unknown_loop(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "prob.ini"
+    path.write_text("[plant]\nmatrix = 1/(s-2)\n[design]\nd_t = s + 3\nloop = sideways\n")
+
+    def no_design(*args):
+        raise AssertionError("a design ran for an unknown loop")
+
+    monkeypatch.setattr(twodof.synthesis, "_denominator_target", no_design)
+    code = main(["assign-denominator", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: unknown loop variant 'sideways'\n"
 
 
 def test_main_unity_parameter(capsys):

@@ -22,12 +22,12 @@ from twodof.stability import is_hurwitz
 from twodof.stabilize import (
     IllPosedLoop,
     InadmissibleParameter,
+    TwoDofConfig,
     _youla_feedback,
     gang_of_four,
     rh_coprime_data,
     youla_controller,
 )
-from twodof.synthesis import TwoDofConfig
 
 SHAPES = [(1, 1), (2, 2), (2, 1), (1, 2)]
 UNSTABLE_2X2 = RatMat([[RatFn(ONE, S - ONE), RatFn(2 * ONE, S + 2 * ONE)],

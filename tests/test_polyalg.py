@@ -29,7 +29,7 @@ from twodof.polyalg import (
     vstack,
 )
 from twodof.stability import matrix_is_stable
-from twodof.synthesis import Obstruction, check_realizable
+from twodof.synthesis import DesignObstruction, check_realizable
 
 
 def p(*coeffs):
@@ -568,23 +568,28 @@ def test_check_realizable_matches_ratfn_gauss_jordan():
             t = RatMat([[RatFn(random_poly(rng, 1), stable_den) for _ in range(width)]
                         for _ in range(rows)])
         expected = oracle_realizable_x(n, t)
-        got = check_realizable(RightMFD(n, PolyMat.identity(cols)), t)
-        if expected is None:
-            violations += 1
-            assert isinstance(got, Obstruction) and "rank violation" in str(got), (n, t)
-        elif not isinstance(got, Obstruction):
+        try:
+            got, _, _ = check_realizable(RightMFD(n, PolyMat.identity(cols)), t)
+        except DesignObstruction as exc:
+            obstruction = exc
+        else:
+            assert expected is not None, (n, t)
             compared += 1
             assert got == expected, (n, t)
+            continue
+        if expected is None:
+            violations += 1
+            assert "rank violation" in str(obstruction), (n, t)
         else:
             obstructed += 1
             verdict = matrix_is_stable(expected)
             assert verdict.stable == all(
-                "parameter x is unstable" not in r for r in got.reasons
+                "parameter x is unstable" not in r for r in obstruction.reasons
             ), (n, t)
             if not verdict:
-                assert "parameter x is unstable: " + verdict.describe() in got.reasons
+                assert "parameter x is unstable: " + verdict.describe() in obstruction.reasons
             assert expected.is_proper() == (
-                "parameter x is improper (relative-degree violation)" not in got.reasons
+                "parameter x is improper (relative-degree violation)" not in obstruction.reasons
             ), (n, t)
             assert not (verdict and expected.is_proper()), (n, t)
     assert compared >= 40 and violations >= 8 and obstructed >= 4

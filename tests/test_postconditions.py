@@ -1,8 +1,14 @@
 """Postconditions of the package raise, so they also hold under python -O,
-and every public function and method of the package has a user."""
+every public function and method of the package has a user, and README
+documents exactly the names the package exports."""
 
 import ast
+import importlib
+import re
+import types
 from pathlib import Path
+
+import twodof
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "twodof"
@@ -53,3 +59,24 @@ def test_every_public_function_has_a_user():
         if qualname.rpartition(".")[2] not in used
     ]
     assert unused == []
+
+
+def readme_api_table():
+    """(module, name) pairs of README's table of the names twodof exports."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("### Names exported by `twodof`"):]
+    section = section[: section.index("\n## ")]
+    rows = re.findall(r"^\| `(twodof\.\w+)` \| (.*) \|$", section, re.M)
+    return [(module, name) for module, names in rows for name in re.findall(r"`(\w+)`", names)]
+
+
+def test_readme_documents_exactly_the_exported_names():
+    table = readme_api_table()
+    exported = {
+        name
+        for name, value in vars(twodof).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(name for _, name in table) == sorted(exported)
+    for module, name in table:
+        assert getattr(twodof, name) is vars(importlib.import_module(module))[name], name

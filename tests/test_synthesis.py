@@ -7,16 +7,10 @@ from twodof.cli import main, parse_matrix
 from twodof.factor import right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat
 from twodof.stability import StabilityVerdict, matrix_is_rh_inf
-from twodof.stabilize import TwoDofController, is_internally_stabilizing
+from twodof.stabilize import TwoDofConfig, gang_of_four
 from twodof.synthesis import (
     Certificate,
-    DenominatorAssignment,
     DesignObstruction,
-    DiagonalDecoupling,
-    Inverse,
-    ModelMatching,
-    Obstruction,
-    StaticDecoupling,
     check_realizable,
     denominator_assignment_direct,
     denominator_assignment_unity,
@@ -27,7 +21,6 @@ from twodof.synthesis import (
     inverse_problem,
     model_matching,
     siso_conditions,
-    solve_design,
     static_decoupling,
     unity_feedback_admissible,
     unity_feedback_controller,
@@ -57,50 +50,49 @@ def triangular_plant_data():
 def test_check_realizable_accepts_matched_target():
     plant, smfd = example_plant_data()
     t = RatMat([[rf(S - ONE, (S + ONE) ** 2)]])
-    x = check_realizable(smfd.source, t)
-    assert not isinstance(x, Obstruction)
+    x, nx, dx = check_realizable(smfd.source, t)
     assert x.entry(0, 0) == rf(ONE, (S + ONE) ** 2 * (S + 2 * ONE))
+    assert nx == t
+    assert dx == smfd.source.d.to_ratmat() @ x
 
 
 def test_check_realizable_rejects_missing_zero():
     plant, smfd = example_plant_data()
-    out = check_realizable(smfd.source, RatMat([[rf(ONE, S + ONE)]]))
-    assert isinstance(out, Obstruction)
-    assert not out
-    assert "s = 1" in str(out)
+    with pytest.raises(DesignObstruction) as err:
+        check_realizable(smfd.source, RatMat([[rf(ONE, S + ONE)]]))
+    assert "s = 1" in str(err.value)
 
 
 def test_check_realizable_rejects_improper_and_unstable_targets():
     plant, smfd = example_plant_data()
-    out = check_realizable(smfd.source, RatMat([[rf(S ** 2, S + ONE)]]))
-    assert isinstance(out, Obstruction) and "improper" in str(out)
-    out = check_realizable(smfd.source, RatMat([[rf(ONE, S - ONE)]]))
-    assert isinstance(out, Obstruction) and "unstable" in str(out)
+    with pytest.raises(DesignObstruction, match="improper"):
+        check_realizable(smfd.source, RatMat([[rf(S ** 2, S + ONE)]]))
+    with pytest.raises(DesignObstruction, match="unstable"):
+        check_realizable(smfd.source, RatMat([[rf(ONE, S - ONE)]]))
 
 
 def test_check_realizable_relative_degree_limit():
     # plant with relative degree 2: a biproper target needs d@x improper
     plant = RatMat([[rf(ONE, (S + ONE) ** 2)]])
     mfd = right_coprime_mfd(plant)
-    out = check_realizable(mfd, RatMat([[rf(S, S + ONE)]]))
-    assert isinstance(out, Obstruction)
-    assert "improper" in str(out)
+    with pytest.raises(DesignObstruction, match="improper"):
+        check_realizable(mfd, RatMat([[rf(S, S + ONE)]]))
 
 
 
 def test_check_realizable_rank_deficient_numerator():
     tall = right_coprime_mfd(parse_matrix("1/(s+1); 2/(s+1)"))
-    out = check_realizable(tall, parse_matrix("1/(s+1); 1/(s+1)"))
-    assert isinstance(out, Obstruction)
-    assert out.reasons == (
+    with pytest.raises(DesignObstruction) as err:
+        check_realizable(tall, parse_matrix("1/(s+1); 1/(s+1)"))
+    assert err.value.reasons == (
         "rank violation: target lies outside the range of the plant numerator",
     )
-    x = check_realizable(tall, parse_matrix("1/(s+2); 2/(s+2)"))
+    x, _, _ = check_realizable(tall, parse_matrix("1/(s+2); 2/(s+2)"))
     assert x == parse_matrix("1/(s+2)")
 
     # rank 1 square plant: the free column of x is zero
     square = right_coprime_mfd(parse_matrix("1/(s+1), 1/(s+1); 1/(s+2), 1/(s+2)"))
-    x = check_realizable(square, parse_matrix("1/(s+3); (s+1)/((s+2)*(s+3))"))
+    x, _, _ = check_realizable(square, parse_matrix("1/(s+3); (s+1)/((s+2)*(s+3))"))
     assert x == parse_matrix("1/(s^2+5*s+6); 0")
 
 def test_model_matching_example():
@@ -111,8 +103,9 @@ def test_model_matching_example():
     assert res.achieved_t == t
     assert all(c.passed for c in res.certificates)
     # the produced two-dof loop really places the response
-    sens = (RatMat.identity(1) - res.controller.cy @ plant).inv()
-    assert plant @ sens @ res.controller.cr == t
+    sens = (RatMat.identity(1) - res.configuration.cy @ plant).inv()
+    assert plant @ sens @ res.configuration.cr == t
+    assert res.verdict
 
 
 def test_model_matching_with_control_target():
@@ -137,12 +130,15 @@ def test_model_matching_obstruction_raises():
 
 def test_diagonal_decoupling_triangular_plant():
     plant, smfd = triangular_plant_data()
-    targets = (rf(ONE, S + ONE), rf(2 * ONE, S + 3 * ONE))
-    res = diagonal_decoupling(smfd, targets)
-    assert res.achieved_t == RatMat.diag(list(targets))
-    assert res.achieved_t.entry(0, 1) == rf(ZERO)
-    assert res.achieved_t.entry(1, 0) == rf(ZERO)
-    assert all(c.passed for c in res.certificates)
+    for targets in (
+        (rf(ONE, S + ONE), rf(2 * ONE, S + 3 * ONE)),
+        (rf(ONE, S + ONE), rf(ONE, S + ONE)),
+    ):
+        res = diagonal_decoupling(smfd, targets)
+        assert res.achieved_t == RatMat.diag(list(targets))
+        assert res.achieved_t.entry(0, 1) == rf(ZERO)
+        assert res.achieved_t.entry(1, 0) == rf(ZERO)
+        assert all(c.passed for c in res.certificates)
 
 
 def test_diagonal_decoupling_blocked_by_unstable_zero():
@@ -189,16 +185,20 @@ def test_inverse_problem_blocked_by_unstable_zero():
 
 def test_static_decoupling_stable_plant():
     plant, smfd = triangular_plant_data()
-    cr = static_decoupling(smfd, RatMat.identity(2))
+    res = static_decoupling(smfd, RatMat.identity(2))
+    cr = res.configuration.cr
     expected = RatMat(
         [[rf(ONE), rf(Poly((Fraction(-3, 2),)))], [rf(ZERO), rf(3 * ONE)]]
     )
     assert cr == expected
+    assert res.configuration.cy == RatMat.zeros(2, 2) and res.verdict
     gain = (plant @ cr).eval_at(Fraction(0))
     assert [list(row) for row in gain] == [
         [Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(1)],
     ]
+    res = static_decoupling(smfd, RatMat.diag([rf(2 * ONE), rf(3 * ONE)]))
+    assert dc_gain(res.achieved_t) == ((2, 0), (0, 3))
 
 
 def test_static_decoupling_unstable_plant_uses_feedback():
@@ -210,15 +210,19 @@ def test_static_decoupling_unstable_plant_uses_feedback():
     )
     smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
     lam = RatMat.diag([rf(ONE), rf(2 * ONE)])
-    res = solve_design(smfd, StaticDecoupling(lam=lam))
+    res = static_decoupling(smfd, lam)
     assert all(c.passed for c in res.certificates), [
         c.describe() for c in res.certificates
     ]
+    assert res.verdict
     gain = res.achieved_t.eval_at(Fraction(0))
     assert [list(row) for row in gain] == [
         [Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(2)],
     ]
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix("1/(s-1), 1/(s+2); 1/(s+3), 1/(s+1)")), shift=1)
+    res = static_decoupling(smfd, RatMat.diag([rf(2 * ONE), rf(3 * ONE)]))
+    assert dc_gain(res.achieved_t) == ((2, 0), (0, 3))
 
 
 def test_static_decoupling_validates_lambda():
@@ -231,6 +235,11 @@ def test_static_decoupling_validates_lambda():
         )  # not diagonal
     with pytest.raises(ValueError):
         static_decoupling(smfd, RatMat.zeros(2, 2))  # singular
+    # the central controller of this plant does not exist (v = 0), so a
+    # design that built it first would fail on the controller, not on lam
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s+1)/(s-2)")), shift=1)
+    with pytest.raises(ValueError, match="lam must be a constant matrix"):
+        static_decoupling(smfd, parse_matrix("s"))
 
 
 def test_static_decoupling_blocked_by_zero_at_origin():
@@ -245,45 +254,17 @@ def test_static_decoupling_names_a_rank_deficient_plant(tmp_path, capsys):
     # singular at every s, not only at the origin
     text = "1/(s+1), 1/(s+1); 1/(s+2), 1/(s+2)"
     smfd = stable_mfd(right_coprime_mfd(parse_matrix(text)), shift=1)
-    lam = RatMat.identity(2)
-    for design in (
-        lambda: static_decoupling(smfd, lam),
-        lambda: solve_design(smfd, StaticDecoupling(lam=lam)),
-    ):
-        with pytest.raises(DesignObstruction) as err:
-            design()
-        assert err.value.reasons == (
-            "plant is rank deficient (rank n' = 1 < 2, singular at every s);"
-            " static decoupling impossible",
-        )
+    with pytest.raises(DesignObstruction) as err:
+        static_decoupling(smfd, RatMat.identity(2))
+    assert err.value.reasons == (
+        "plant is rank deficient (rank n' = 1 < 2, singular at every s);"
+        " static decoupling impossible",
+    )
     problem = tmp_path / "rank1.ini"
     problem.write_text(f"[plant]\nmatrix = {text}\n")
     assert main(["static-decouple", str(problem)]) == 2
     out = capsys.readouterr().out
     assert "rank deficient" in out and "origin" not in out
-
-
-def test_static_entry_points_check_lam_before_the_controller():
-    # the central controller of this plant does not exist (v = 0), so a
-    # design that built it first would fail on the controller, not on lam
-    smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s+1)/(s-2)")), shift=1)
-    lam = parse_matrix("s")
-    with pytest.raises(ValueError, match="lam must be a constant matrix"):
-        static_decoupling(smfd, lam)
-    with pytest.raises(ValueError, match="lam must be a constant matrix"):
-        solve_design(smfd, StaticDecoupling(lam=lam))
-
-
-def test_static_entry_points_give_the_same_precompensator():
-    lam = RatMat.diag([rf(2 * ONE), rf(3 * ONE)])
-    for text in (
-        "1/(s+1), 1/(s+2); 0, 1/(s+3)",
-        "1/(s-1), 1/(s+2); 1/(s+3), 1/(s+1)",
-    ):
-        smfd = stable_mfd(right_coprime_mfd(parse_matrix(text)), shift=1)
-        res = solve_design(smfd, StaticDecoupling(lam=lam))
-        assert static_decoupling(smfd, lam) == res.configuration.cr, text
-        assert dc_gain(res.achieved_t) == ((2, 0), (0, 3))
 
 
 def test_denominator_assignment_unity_instance():
@@ -353,9 +334,9 @@ def test_unity_feedback_admissibility_instances():
     )
     witness = RatMat([[rf(3 * S - 42 * ONE, (S + ONE) ** 2)]])
     assert unity_feedback_admissible(smfd, witness)
-    cff = unity_feedback_controller(smfd, witness)
+    cff, loop = unity_feedback_controller(smfd, witness)
     assert cff.entry(0, 0) == rf(3 * S - 42 * ONE, (S + 11 * ONE) * (S + 2 * ONE))
-    assert is_internally_stabilizing(plant, cff)
+    assert loop.verdict and gang_of_four(plant, cff).verdict
 
 
 def test_unity_feedback_controller_rejects_inadmissible():
@@ -383,8 +364,9 @@ def test_find_admissible_unity_xprime_stable_plant_shortcut():
 def test_unity_closed_loop_matches_parameter():
     plant, smfd = example_plant_data()
     witness = RatMat([[rf(3 * S - 42 * ONE, (S + ONE) ** 2)]])
-    cff = unity_feedback_controller(smfd, witness)
+    cff, maps = unity_feedback_controller(smfd, witness)
     loop = (RatMat.identity(1) - plant @ cff).inv() @ plant @ cff
+    assert maps.p_sens_cy == loop
     assert loop == smfd.nprime @ witness
     control = (RatMat.identity(1) - cff @ plant).inv() @ cff
     assert control == smfd.dprime @ witness
@@ -394,16 +376,16 @@ def test_ff_fb_realization_roundtrip():
     plant, smfd = example_plant_data()
     t = RatMat([[rf(S - ONE, (S + ONE) ** 2)]])
     res = model_matching(smfd, t)
-    r_map, cff, cfb = ff_fb_realization(res.controller, shift=2)
-    assert cff @ cfb == res.controller.cy
-    assert cff @ r_map == res.controller.cr
+    r_map, cff, cfb = ff_fb_realization(res.configuration, shift=2)
+    assert cff @ cfb == res.configuration.cy
+    assert cff @ r_map == res.configuration.cr
     assert matrix_is_rh_inf(r_map)
     assert matrix_is_rh_inf(cfb)
     assert matrix_is_rh_inf(cff.inv())
 
 
 def test_ff_fb_realization_trivial_split():
-    triv = TwoDofController(
+    triv = TwoDofConfig(
         cy=RatMat([[rf(ZERO)]]), cr=RatMat([[rf(ONE, (S + ONE) ** 2)]])
     )
     r_map, cff, cfb = ff_fb_realization(triv, shift=1)
@@ -413,7 +395,7 @@ def test_ff_fb_realization_trivial_split():
 
 
 def test_ff_fb_realization_requires_proper_controller():
-    improper = TwoDofController(cy=RatMat([[rf(S)]]), cr=RatMat([[rf(ONE)]]))
+    improper = TwoDofConfig(cy=RatMat([[rf(S)]]), cr=RatMat([[rf(ONE)]]))
     with pytest.raises(ValueError):
         ff_fb_realization(improper)
 
@@ -442,28 +424,6 @@ def test_siso_conditions_signs():
     assert not siso_conditions(neg_plant, t, sign=-1)
     t2 = rf(2 * ONE, S + ONE)  # 1 - t2 = (s-1)/(s+1)
     assert siso_conditions(neg_plant, t2, sign=-1)
-
-
-def test_solve_design_dispatch():
-    plant, smfd = example_plant_data()
-    t = RatMat([[rf(S - ONE, (S + ONE) ** 2)]])
-    assert solve_design(smfd, ModelMatching(t=t)).achieved_t == t
-    tri_plant, tri = triangular_plant_data()
-    res = solve_design(tri, DiagonalDecoupling(targets=(rf(ONE, S + ONE), rf(ONE, S + ONE))))
-    assert res.achieved_t == RatMat.diag([rf(ONE, S + ONE), rf(ONE, S + ONE)])
-    with pytest.raises(DesignObstruction):
-        solve_design(tri, Inverse())
-    mfd = right_coprime_mfd(RatMat([[rf(ONE, S - 2 * ONE)]]))
-    res = solve_design(
-        stable_mfd(mfd, shift=1),
-        DenominatorAssignment(d_t=PolyMat([[S + 2 * ONE]]), loop="direct"),
-    )
-    assert res.configuration.cfb == RatMat([[rf(-4 * ONE)]])
-    with pytest.raises(ValueError):
-        solve_design(
-            stable_mfd(mfd, shift=1),
-            DenominatorAssignment(d_t=PolyMat([[S + 2 * ONE]]), loop="sideways"),
-        )
 
 
 def test_certificate_reporting():

@@ -6,11 +6,10 @@ import pytest
 
 from twodof.factor import right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat
-from twodof.stabilize import IllPosedLoop
+from twodof.stabilize import IllPosedLoop, TwoDofConfig
 from twodof.synthesis import (
     FeedbackDirectRConfig,
     FfFbRConfig,
-    TwoDofConfig,
     UnityFeedbackConfig,
     denominator_assignment_direct,
     ff_fb_realization,
@@ -50,7 +49,7 @@ def test_closed_loop_two_dof_places_response():
 def test_closed_loop_configurations_agree():
     plant, smfd, res = worked_design()
     two_dof = closed_loop(plant, res.configuration)
-    r_map, cff, cfb = ff_fb_realization(res.controller, shift=2)
+    r_map, cff, cfb = ff_fb_realization(res.configuration, shift=2)
     split = closed_loop(plant, FfFbRConfig(r=r_map, cff=cff, cfb=cfb))
     assert split.t_yr == two_dof.t_yr
     assert split.t_ur == two_dof.t_ur
@@ -61,7 +60,7 @@ def test_closed_loop_configurations_agree():
 def test_closed_loop_unity_configuration():
     plant, smfd, _ = worked_design()
     witness = RatMat([[rf(3 * S - 42 * ONE, (S + ONE) ** 2)]])
-    cff = unity_feedback_controller(smfd, witness)
+    cff, _ = unity_feedback_controller(smfd, witness)
     report = closed_loop(plant, UnityFeedbackConfig(cff=cff))
     assert report.t_yr == smfd.nprime @ witness
     assert report.t_ur == smfd.dprime @ witness
