@@ -36,19 +36,13 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .factor import (
-    left_coprime_mfd,
-    right_coprime_mfd,
-    stable_mfd,
-    zeros_and_poles,
-)
+from .factor import StableMFD, left_coprime_mfd, right_coprime_mfd, stable_mfd, zeros_and_poles
 from .polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat, ShapeError
 from .stabilize import (
     IllPosedLoop,
     InadmissibleParameter,
     TwoDofConfig,
     _youla_feedback,
-    rh_coprime_data,
     solve_bezout,
 )
 from .synthesis import (
@@ -301,6 +295,14 @@ def _shift(pf: ProblemFile, args: argparse.Namespace) -> Fraction:
     return shift
 
 
+def _stable_plant_data(pf: ProblemFile, args: argparse.Namespace) -> tuple[RatMat, StableMFD]:
+    """The plant and its one analysis (``stable_mfd``), which refuses an
+    improper plant before anything is printed."""
+    plant = _require_plant(pf)
+    shift = _shift(pf, args)
+    return plant, stable_mfd(right_coprime_mfd(plant), shift=shift)
+
+
 # -- report helpers ---------------------------------------------------------------
 
 
@@ -366,18 +368,16 @@ def _verify_against(plant: RatMat, res: DesignResult, desired_t: RatMat) -> None
 
 def cmd_factor(args: argparse.Namespace) -> int:
     pf = load_problem(args.problem)
-    plant = _require_plant(pf)
-    shift = _shift(pf, args)
-    mfd = right_coprime_mfd(plant)
+    plant, smfd = _stable_plant_data(pf, args)
+    mfd = smfd.source
     left = left_coprime_mfd(plant)
     print(f"plant: {plant.shape[0]} outputs, {plant.shape[1]} inputs")
     _print_named("right numerator n", mfd.n)
     _print_named("right denominator d", mfd.d)
     _print_named("left numerator n~", left.nl)
     _print_named("left denominator d~", left.dl)
-    smfd = stable_mfd(mfd, shift=shift)
     scaling = ", ".join(
-        _shift_power(Fraction(shift), deg) if deg else "1" for deg in smfd.col_degrees
+        _shift_power(smfd.shift, deg) if deg else "1" for deg in smfd.col_degrees
     )
     print(f"column scaling: diag({scaling})")
     _print_named("stable numerator n'", smfd.nprime)
@@ -401,18 +401,16 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 def cmd_stabilize(args: argparse.Namespace) -> int:
     pf = load_problem(args.problem)
-    plant = _require_plant(pf)
-    shift = _shift(pf, args)
-    smfd = rh_coprime_data(plant, shift)
-    dc = solve_bezout(smfd.source, smfd.left)
-    _print_named("bezout x1 (x1@d + x2@n = I)", dc.x1)
-    _print_named("bezout x2", dc.x2)
+    plant, smfd = _stable_plant_data(pf, args)
+    x1, x2 = solve_bezout(smfd.source)
+    _print_named("bezout x1 (x1@d + x2@n = I)", x1)
+    _print_named("bezout x2", x2)
     # the loop's verdict is decided on its one denominator; its maps are not formed
     cy, loop = _youla_feedback(smfd)
     _print_named("central feedback map cy", cy)
     print(f"internal stability: {loop.verdict.describe()}")
     m_in, p_out = plant.shape[1], plant.shape[0]
-    sample = RatMat([[RatFn(ONE, S + (1 + shift)) for _ in range(p_out)] for _ in range(m_in)])
+    sample = RatMat([[RatFn(ONE, S + (1 + smfd.shift)) for _ in range(p_out)] for _ in range(m_in)])
     try:
         cy2, loop2 = _youla_feedback(smfd, sample)
         _print_named("sample parameter k", sample)
@@ -421,12 +419,6 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
     except InadmissibleParameter as exc:
         print(f"sample parameter rejected: {exc}")
     return 0
-
-
-def _stable_plant_data(pf: ProblemFile, args: argparse.Namespace):
-    plant = _require_plant(pf)
-    shift = _shift(pf, args)
-    return plant, stable_mfd(right_coprime_mfd(plant), shift=shift)
 
 
 def cmd_match(args: argparse.Namespace) -> int:

@@ -61,8 +61,6 @@ __all__ = [
     "ZeroReport",
     "right_coprime_mfd",
     "left_coprime_mfd",
-    "is_right_coprime",
-    "is_left_coprime",
     "column_reduce",
     "stable_mfd",
     "stable_left_mfd",
@@ -181,7 +179,7 @@ class StableMFD:
 
     @cached_property
     def _left(self) -> tuple[RatMat, RatMat]:
-        return _stable_left(self.left, self.shift)
+        return stable_left_mfd(self.left, self.shift)
 
     @property
     def dl_prime(self) -> RatMat:
@@ -256,11 +254,6 @@ def left_coprime_mfd(p: RatMat) -> LeftMFD:
     return LeftMFD(dl=right.d.transpose(), nl=right.n.transpose())
 
 
-def is_right_coprime(n: PolyMat, d: PolyMat) -> bool:
-    """Whether the only common right divisors of n and d are unimodular."""
-    return _hermite_certificate(n, d) is not None
-
-
 def _hermite_certificate(n: PolyMat, d: PolyMat) -> RightMFD | None:
     """n @ d**-1 with w = u[:m] and the kernel u[m:] of the Hermite transform
     u @ [d; n] = [r; 0], or None when r is not I: its pivots are monic, so
@@ -270,10 +263,6 @@ def _hermite_certificate(n: PolyMat, d: PolyMat) -> RightMFD | None:
     if PolyMat(h.rows[:m]) != PolyMat.identity(m):
         return None
     return RightMFD(n, d, PolyMat(u.rows[:m]), _reduce(u.rows[m:]))
-
-
-def is_left_coprime(dl: PolyMat, nl: PolyMat) -> bool:
-    return is_right_coprime(nl.transpose(), dl.transpose())
 
 
 def column_reduce(n: PolyMat, d: PolyMat) -> tuple[PolyMat, PolyMat]:
@@ -453,7 +442,10 @@ def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
     rows are read off ``w`` and ``kernel`` by division, with at most one
     elimination each (``_least_degree_witness``).  A fraction with a kernel
     is taken as it is; any other is column reduced and certified by a
-    Hermite elimination."""
+    Hermite elimination.  A fraction of an improper plant is refused: with
+    d column reduced, n @ d**-1 is proper exactly when no column of n has
+    a higher degree than the same column of d (Kailath, Linear Systems,
+    1980, section 6.3)."""
     sigma = Fraction(shift)
     if sigma <= 0:
         raise ValueError("shift must be positive")
@@ -463,6 +455,8 @@ def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
     n, d = source.n, source.d
     m = d.shape[0]
     col_degrees = tuple(deg if deg is not None else 0 for deg in d.column_degrees())
+    if any((deg or 0) > top for deg, top in zip(n.column_degrees(), col_degrees)):
+        raise ValueError("plant must be proper")
     psis = [hurwitz_shift_polynomial(sigma, deg) for deg in col_degrees]
     nprime, dprime = (
         RatMat([[RatFn(e, psi) for e, psi in zip(row, psis)] for row in mat.rows])
@@ -492,14 +486,10 @@ def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
     return StableMFD(nprime, dprime, u, v, sigma, col_degrees, source)
 
 
-def stable_left_mfd(p: RatMat, shift: Fraction | int = 1) -> tuple[RatMat, RatMat]:
-    """Left fraction p = dl'**-1 @ nl' over the proper stable rationals,
-    returned as (dl', nl'): each row of a left coprime fraction is divided
-    by (s + shift) to the power of the row degree of dl."""
-    return _stable_left(left_coprime_mfd(p), shift)
-
-
-def _stable_left(left: LeftMFD, shift: Fraction | int) -> tuple[RatMat, RatMat]:
+def stable_left_mfd(left: LeftMFD, shift: Fraction | int = 1) -> tuple[RatMat, RatMat]:
+    """The left fraction dl**-1 @ nl over the proper stable rationals,
+    returned as (dl', nl'): each row of the left coprime fraction ``left``
+    is divided by (s + shift) to the power of the row degree of dl."""
     psis = [hurwitz_shift_polynomial(shift, deg or 0) for deg in left.dl.row_degrees()]
     dl_prime, nl_prime = (
         RatMat([[RatFn(e, psi) for e in row] for row, psi in zip(mat.rows, psis)])

@@ -575,9 +575,6 @@ class RatFn:
     def is_proper(self) -> bool:
         return self.relative_degree() >= 0
 
-    def is_strictly_proper(self) -> bool:
-        return self.relative_degree() >= 1
-
     def strict_part(self) -> "RatFn":
         return RatFn(poly_divmod(self.num, self.den)[1], self.den)
 
@@ -1028,9 +1025,6 @@ class RatMat(_Grid):
 
     def is_proper(self) -> bool:
         return all(e.is_proper() for row in self.rows for e in row)
-
-    def is_strictly_proper(self) -> bool:
-        return all(e.is_strictly_proper() for row in self.rows for e in row)
 
     def is_polynomial(self) -> bool:
         return all(e.is_polynomial() for row in self.rows for e in row)

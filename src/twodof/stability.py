@@ -254,10 +254,6 @@ def matrix_is_stable(a: RatMat) -> StabilityVerdict:
     return StabilityVerdict(stable, tuple(offending))
 
 
-def matrix_is_rh_inf(a: RatMat) -> bool:
-    return a.is_proper() and matrix_is_stable(a).stable
-
-
 def rh_inf_verdict(a: RatMat) -> StabilityVerdict:
     """Verdict on membership in proper-stable: pooled pole factors, plus an
     ``improper entry`` marker when some entry has negative relative degree."""

@@ -28,10 +28,10 @@ alone produces improper loop maps (the central candidate -x1**-1 @ x2
 has (I - Cy*P)**-1 = d@x1, a polynomial), so the parametrization is
 evaluated on the (s + shift)-scaled fractions where the witness (u, v)
 satisfies u@n' + v@d' = I inside the proper-stable ring.  Those fractions,
-the witness and the left pair (dl', nl') are one ``factor.StableMFD``:
-``rh_coprime_data`` returns it for a plant given as a rational matrix, and
-the designs and ``twodof stabilize`` read the Youla data from it without
-factoring the plant again.
+the witness and the left pair (dl', nl') are one ``factor.StableMFD``,
+which ``stable_mfd`` builds (refusing an improper plant), and the designs
+and ``twodof stabilize`` read the Youla data from it without factoring the
+plant again.
 """
 
 from __future__ import annotations
@@ -42,12 +42,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .factor import (
-    LeftMFD,
     RightMFD,
     StableMFD,
     _hermite_certificate,
     _least_degree_witness,
-    left_coprime_mfd,
     right_coprime_mfd,
     stable_mfd,
 )
@@ -68,18 +66,15 @@ from .stability import (
     StabilityVerdict,
     _routh_is_hurwitz,
     matrix_is_stable,
-    matrix_is_rh_inf,
     rh_inf_verdict,
 )
 
 __all__ = [
-    "DoublyCoprime",
     "LoopMaps",
     "TwoDofConfig",
     "InadmissibleParameter",
     "IllPosedLoop",
     "solve_bezout",
-    "rh_coprime_data",
     "youla_controller",
     "gang_of_four",
     "all_controllers_from_LX",
@@ -95,25 +90,6 @@ class IllPosedLoop(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class DoublyCoprime:
-    """Polynomial fraction data P = n*d**-1 = dl**-1*nl together with a
-    Bezout pair: x1 @ d + x2 @ n = I."""
-
-    n: PolyMat
-    d: PolyMat
-    x1: PolyMat
-    x2: PolyMat
-    nl: PolyMat
-    dl: PolyMat
-
-    def check(self) -> bool:
-        m = self.d.shape[0]
-        bezout = self.x1 @ self.d + self.x2 @ self.n
-        cross = self.dl @ self.n - self.nl @ self.d
-        return bezout == PolyMat.identity(m) and cross == PolyMat.zeros(*cross.shape)
-
-
-@dataclass(frozen=True)
 class TwoDofConfig:
     """u = cy@y + cr@r: feedback map cy (driven by y) and reference map cr
     (driven by r)."""
@@ -122,10 +98,9 @@ class TwoDofConfig:
     cr: RatMat
 
 
-def solve_bezout(mfd: RightMFD, left: LeftMFD | None = None) -> DoublyCoprime:
-    """Polynomial Bezout pair x1 @ d + x2 @ n = I for a right coprime
-    fraction, with the matching left fraction: ``left`` when the caller
-    keeps it (``StableMFD.left``), else computed alongside.
+def solve_bezout(mfd: RightMFD) -> tuple[PolyMat, PolyMat]:
+    """Polynomial Bezout pair (x1, x2) with x1 @ d + x2 @ n = I for a right
+    coprime fraction.
 
     Each row is the least-degree solution, read off the fraction's
     certificate w and kernel by division (``factor._least_degree_witness``)
@@ -147,12 +122,9 @@ def solve_bezout(mfd: RightMFD, left: LeftMFD | None = None) -> DoublyCoprime:
             raise ArithmeticError("Bezout solve exceeded the degree budget")
         rows.append(solved)
     x2, x1 = (PolyMat([row[block] for row in rows]) for block in (0, 1))
-    if left is None:
-        left = left_coprime_mfd(mfd.plant())
-    dc = DoublyCoprime(n=n, d=d, x1=x1, x2=x2, nl=left.nl, dl=left.dl)
-    if not dc.check():
-        raise ArithmeticError("Bezout pair fails x1 @ d + x2 @ n = I or dl @ n = nl @ d")
-    return dc
+    if x1 @ d + x2 @ n != PolyMat.identity(m):
+        raise ArithmeticError("Bezout pair fails x1 @ d + x2 @ n = I")
+    return x1, x2
 
 
 # Kept for the plant-level API: youla_controller(plant, k) is called
@@ -160,21 +132,8 @@ def solve_bezout(mfd: RightMFD, left: LeftMFD | None = None) -> DoublyCoprime:
 @lru_cache(maxsize=64)
 def _rh_data_cached(p: RatMat, shift: Fraction) -> StableMFD:
     smfd = stable_mfd(right_coprime_mfd(p), shift)
-    smfd.dl_prime  # the left pair is part of the doubly coprime data: form it now
+    smfd.dl_prime  # a parameter k reads the left pair: form it now, once per plant
     return smfd
-
-
-def rh_coprime_data(p: RatMat, shift: Fraction | int = 1) -> StableMFD:
-    """Doubly coprime fractions of a proper plant over the proper stable
-    rationals, using denominators built from powers of (s + shift): the
-    plant's ``StableMFD``, kept per (plant, shift), with its left pair
-    already formed."""
-    if not p.is_proper():
-        raise ValueError("plant must be proper")
-    sigma = Fraction(shift)
-    if sigma <= 0:
-        raise ValueError("shift must be positive")
-    return _rh_data_cached(p, sigma)
 
 
 def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, _YoulaLoop]:
@@ -208,7 +167,7 @@ def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, _
     if k is not None:
         if k.shape != (m, outputs):
             raise ShapeError(f"parameter must be {m}x{outputs}, got {k.shape}")
-        if not matrix_is_rh_inf(k):
+        if not rh_inf_verdict(k):
             raise InadmissibleParameter("parameter must be proper and stable")
         # [v | u] + k @ [-nl' | dl'] over the lcm of the two denominators
         dk, kn = _over_lcd(k)
@@ -264,7 +223,7 @@ def youla_controller(
     decided on the one denominator of its four maps, which are not formed,
     else ArithmeticError is raised.
     """
-    return _youla_feedback(rh_coprime_data(plant, shift), k)[0]
+    return _youla_feedback(_rh_data_cached(plant, Fraction(shift)), k)[0]
 
 
 class LoopMaps(namedtuple("LoopMaps", "sens sens_cy p_sens p_sens_cy")):

@@ -20,6 +20,7 @@ from typing import Sequence, Union
 from .factor import (
     RightMFD,
     StableMFD,
+    left_coprime_mfd,
     poly_row_diophantine,
     stable_left_mfd,
     zeros_and_poles,
@@ -73,7 +74,6 @@ __all__ = [
     "find_admissible_unity_xprime",
     "unity_feedback_controller",
     "ff_fb_realization",
-    "direct_feedback_from_x",
     "siso_conditions",
 ]
 
@@ -744,7 +744,7 @@ def ff_fb_realization(
     cy, cr = controller.cy, controller.cr
     if not (cy.is_proper() and cr.is_proper()):
         raise ValueError("realization requires a proper controller")
-    dc, nl = stable_left_mfd(hstack(cy, cr), shift)
+    dc, nl = stable_left_mfd(left_coprime_mfd(hstack(cy, cr)), shift)
     p_cols = cy.shape[1]
     cfb = RatMat([row[:p_cols] for row in nl.rows])
     r_map = RatMat([row[p_cols:] for row in nl.rows])
@@ -752,31 +752,6 @@ def ff_fb_realization(
     if cff @ cfb != cy or cff @ r_map != cr:
         raise ArithmeticError("realization blocks do not reproduce (cy, cr)")
     return r_map, cff, cfb
-
-
-def direct_feedback_from_x(mfd: RightMFD, x: RatMat) -> RatMat:
-    """Feedback compensator cfb = x**-1 @ (x@d - I) @ n**-1 for the
-    reference-at-input configuration, realizing y/r = n@x exactly."""
-    if mfd.outputs != mfd.inputs:
-        raise DesignObstruction(("this configuration requires a square plant",))
-    xv = matrix_is_stable(x)
-    if not xv:
-        raise ValueError("x must be stable: " + xv.describe())
-    try:
-        x_inv = x.inv()
-    except SingularMatrixError:
-        raise ValueError("x is singular") from None
-    try:
-        n_inv = mfd.n.to_ratmat().inv()
-    except SingularMatrixError:
-        raise DesignObstruction(("plant numerator is singular",)) from None
-    m = mfd.inputs
-    cfb = x_inv @ (x @ mfd.d.to_ratmat() - RatMat.identity(m)) @ n_inv
-    # I - cfb@p = x**-1 @ d**-1, so the loop is well posed
-    closed = gang_of_four(mfd.plant(), cfb).p_sens
-    if closed != mfd.n.to_ratmat() @ x:
-        raise ArithmeticError("direct-feedback loop does not realize n @ x")
-    return cfb
 
 
 def siso_conditions(p: RatFn, t: RatFn, sign: int = 1) -> StabilityVerdict:

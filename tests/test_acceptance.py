@@ -333,8 +333,8 @@ def test_criterion_8_structural_properties():
         size = 1 if case % 2 else 2
         p = random_proper_matrix(size, size)
         mfd = right_coprime_mfd(p)
-        dc = solve_bezout(mfd)
-        assert dc.x1 @ mfd.d + dc.x2 @ mfd.n == PolyMat.identity(size)
+        x1, x2 = solve_bezout(mfd)
+        assert x1 @ mfd.d + x2 @ mfd.n == PolyMat.identity(size)
         smfd = stable_mfd(mfd, shift=1)
         assert smfd.u @ smfd.nprime + smfd.v @ smfd.dprime == RatMat.identity(size)
 

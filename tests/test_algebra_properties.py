@@ -28,7 +28,7 @@ from twodof import polyalg
 from twodof.cli import load_problem, parse_matrix, parse_rational
 from twodof.factor import (
     RightMFD,
-    is_right_coprime,
+    _hermite_certificate,
     poly_row_diophantine,
     right_coprime_mfd,
     stable_mfd,
@@ -51,7 +51,6 @@ from twodof.stabilize import (
     _rh_data_cached,
     _youla_feedback,
     gang_of_four,
-    rh_coprime_data,
     solve_bezout,
     youla_controller,
 )
@@ -601,7 +600,7 @@ def test_youla_loop_normalises_its_maps_only_when_read(monkeypatch):
     plant = parse_matrix("1/(s-1), 2/(s+2); 1/(s+3), 1/(s+1)")
     k = parse_matrix("s/(s+1), 1; 1/(s+2), -2")
     _rh_data_cached.cache_clear()
-    data = rh_coprime_data(plant, 1)
+    data = _rh_data_cached(plant, Fraction(1))  # the analysis youla_controller reads
     counter = RatFnCounter(monkeypatch)
     cy = youla_controller(plant, k)
     assert counter.take() == 8
@@ -642,7 +641,24 @@ def test_hermite_transform_certifies_the_coprime_fraction(plant):
     mfd = right_coprime_mfd(plant)
     assert mfd.w @ vstack(mfd.d, mfd.n) == PolyMat.identity(plant.shape[1])
     assert mfd.plant() == plant
-    assert is_right_coprime(mfd.n, mfd.d)
+    assert _hermite_certificate(mfd.n, mfd.d) is not None
+
+
+@SETTINGS
+@given(plants())
+@example(parse_matrix("(s+1)^2/(s+2)"))
+@example(parse_matrix("1/(s+1), s^2/(s-1); 2, 1/s"))
+def test_stable_mfd_refuses_exactly_the_improper_plants(plant):
+    # the column degrees of n against those of the column-reduced d decide
+    # properness, for the fraction right_coprime_mfd builds and for one
+    # built by hand
+    mfd = right_coprime_mfd(plant)
+    for source in (mfd, RightMFD(mfd.n, mfd.d)):
+        if plant.is_proper():
+            assert stable_mfd(source).plant() == plant
+        else:
+            with pytest.raises(ValueError, match="plant must be proper"):
+                stable_mfd(source)
 
 
 def escalation_witness(mfd, rhs_at):
@@ -671,8 +687,10 @@ def test_witnesses_by_division_match_the_escalation_search(plant):
     expected = [escalation_witness(mfd, lambda k: unit[i])[:2] for i in range(m)]
     # with the fraction's certificate, and certified by a Hermite elimination
     for source in (mfd, RightMFD(mfd.n, mfd.d)):
-        pair = solve_bezout(source)
-        assert [(list(a), list(b)) for a, b in zip(pair.x2.rows, pair.x1.rows)] == expected
+        x1, x2 = solve_bezout(source)
+        assert [(list(a), list(b)) for a, b in zip(x2.rows, x1.rows)] == expected
+    if not plant.is_proper():
+        return  # stable_mfd refuses it
     for shift in (1, 2, Fraction(1, 2)):
         smfd = stable_mfd(mfd, shift)
         hand_built = stable_mfd(RightMFD(mfd.n, mfd.d), shift)

@@ -90,13 +90,12 @@ def test_scalar_design_analyses_its_plant_once(monkeypatch):
     plant = RatMat([[rf(S + 3 * ONE, (S - ONE) * (S + 4 * ONE))]])
     smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
     t = smfd.nprime
-    counts = count_calls(
-        monkeypatch,
-        ["right_coprime_mfd", "stable_mfd", "left_coprime_mfd", "gang_of_four",
-         "_youla_feedback"],
+    analyses = count_calls(
+        monkeypatch, ["right_coprime_mfd", "stable_mfd", "left_coprime_mfd"], twodof.factor
     )
+    loops = count_calls(monkeypatch, LOOP_FORMERS)
     res = model_matching(smfd, t)
-    assert counts == {
+    assert {**analyses, **loops} == {
         "right_coprime_mfd": 0,
         "stable_mfd": 0,
         "left_coprime_mfd": 0,
@@ -161,7 +160,8 @@ def test_stabilize_command_checks_each_controller_once(monkeypatch, capsys):
 
 
 def test_stabilize_command_factors_the_plant_twice(monkeypatch, capsys):
-    # the analysis' right and left fractions: the Bezout pair reuses both
+    # the analysis' right fraction, whose certificate the Bezout pair reuses,
+    # and the left fraction that the sample parameter reads
     twodof.stabilize._rh_data_cached.cache_clear()
     counts = count_calls(monkeypatch, ["right_coprime_mfd"])
     assert main(["stabilize", str(PROBLEMS / "example_match.ini")]) == 0

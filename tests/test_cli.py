@@ -348,6 +348,20 @@ def test_main_assign_denominator_refuses_an_unknown_loop(tmp_path, monkeypatch, 
     assert captured.err == "error: unknown loop variant 'sideways'\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["factor", "stabilize", "match", "decouple", "invert", "static-decouple",
+     "assign-denominator", "unity-parameter"],
+)
+def test_main_refuses_an_improper_plant_before_printing(tmp_path, capsys, command):
+    # every subcommand that analyses the plant goes through stable_mfd
+    path = tmp_path / "prob.ini"
+    path.write_text("[plant]\nmatrix = (s+1)^2/(s+2)\n")
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: plant must be proper\n")
+
+
 def test_main_unity_parameter(capsys):
     code = main(["unity-parameter", str(PROBLEMS / "example_unity.ini")])
     out = capsys.readouterr().out

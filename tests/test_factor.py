@@ -7,9 +7,8 @@ import twodof.factor
 from twodof.cli import parse_matrix
 from twodof.factor import (
     RightMFD,
+    _hermite_certificate,
     column_reduce,
-    is_left_coprime,
-    is_right_coprime,
     left_coprime_mfd,
     poly_row_diophantine,
     right_coprime_mfd,
@@ -18,8 +17,8 @@ from twodof.factor import (
     zeros_and_poles,
 )
 from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat, polymat_det, vstack
-from twodof.stability import matrix_is_rh_inf
-from twodof.stabilize import rh_coprime_data, solve_bezout
+from twodof.stability import rh_inf_verdict
+from twodof.stabilize import solve_bezout
 
 
 def rf(num, den=ONE):
@@ -47,7 +46,7 @@ def test_right_mfd_example_plant():
     mfd = right_coprime_mfd(plant)
     assert mfd.n.entry(0, 0) == (S - ONE) * (S + 2 * ONE)
     assert mfd.d.entry(0, 0) == (S - 2 * ONE) ** 2
-    assert is_right_coprime(mfd.n, mfd.d)
+    assert _hermite_certificate(mfd.n, mfd.d) is not None
     assert mfd.plant() == plant
 
 
@@ -67,10 +66,10 @@ def test_mfd_reconstruction_random():
         plant = random_proper_plant(rng, rows, cols)
         mfd = right_coprime_mfd(plant)
         assert mfd.plant() == plant
-        assert is_right_coprime(mfd.n, mfd.d)
+        assert _hermite_certificate(mfd.n, mfd.d) is not None
         left = left_coprime_mfd(plant)
         assert left.plant() == plant
-        assert is_left_coprime(left.dl, left.nl)
+        assert _hermite_certificate(left.nl.transpose(), left.dl.transpose()) is not None
         # the two fractions describe the same object: dl@n == nl@d
         assert left.dl @ mfd.n == left.nl @ mfd.d
 
@@ -94,7 +93,10 @@ def test_hermite_transform_certifies_the_fraction():
     assert mfd.w @ vstack(mfd.d, mfd.n) == PolyMat.identity(1)
     # the certificate rides along into the analysis and the Bezout pair
     assert stable_mfd(mfd, shift=2).source.w == mfd.w
-    assert solve_bezout(mfd).check()
+    x1, x2 = solve_bezout(mfd)
+    assert x1 @ mfd.d + x2 @ mfd.n == PolyMat.identity(1)
+    left = left_coprime_mfd(plant)
+    assert left.dl @ mfd.n == left.nl @ mfd.d
     with pytest.raises(ValueError, match="certificate"):
         RightMFD(mfd.n, mfd.d, mfd.w.scale(2))
     with pytest.raises(ValueError, match="certificate"):
@@ -170,7 +172,7 @@ def test_stable_mfd_example_plant():
     # witness identity and memberships
     assert smfd.u @ smfd.nprime + smfd.v @ smfd.dprime == RatMat.identity(1)
     for mat in (smfd.nprime, smfd.dprime, smfd.u, smfd.v):
-        assert matrix_is_rh_inf(mat)
+        assert rh_inf_verdict(mat)
 
 
 def test_stable_mfd_random_sweep():
@@ -183,7 +185,7 @@ def test_stable_mfd_random_sweep():
         ident = smfd.u @ smfd.nprime + smfd.v @ smfd.dprime
         assert ident == RatMat.identity(cols)
         for mat in (smfd.nprime, smfd.dprime, smfd.u, smfd.v):
-            assert matrix_is_rh_inf(mat)
+            assert rh_inf_verdict(mat)
 
 
 def test_stable_mfd_left_pair_and_inverse():
@@ -192,12 +194,12 @@ def test_stable_mfd_left_pair_and_inverse():
         size = 1 + trial % 2
         shift = Fraction(1 + trial % 3, 1 + trial % 2)
         plant = random_proper_plant(rng, size, size, max_den=2)
-        smfd = rh_coprime_data(plant, shift)
-        assert (smfd.dl_prime, smfd.nl_prime) == stable_left_mfd(plant, shift)
-        fresh = stable_mfd(right_coprime_mfd(plant), shift)
-        assert fresh.plant() == plant
-        assert fresh.dprime_inv == fresh.dprime.inv()
-        assert (fresh.dl_prime, fresh.nl_prime) == (smfd.dl_prime, smfd.nl_prime)
+        smfd = stable_mfd(right_coprime_mfd(plant), shift)
+        assert smfd.plant() == plant
+        assert smfd.dprime_inv == smfd.dprime.inv()
+        left = left_coprime_mfd(plant)
+        assert (smfd.dl_prime, smfd.nl_prime) == stable_left_mfd(left, shift)
+        assert smfd.dl_prime.inv() @ smfd.nl_prime == plant
 
 
 def test_poly_row_diophantine_bounds_each_block():
@@ -246,6 +248,8 @@ def test_stable_mfd_rejects_bad_input():
     )
     with pytest.raises(ValueError):
         stable_mfd(bogus)
+    with pytest.raises(ValueError, match="plant must be proper"):
+        stable_mfd(right_coprime_mfd(parse_matrix("(s+1)^2/(s+2)")))
 
 
 def test_zeros_and_poles_example():

@@ -17,6 +17,7 @@ import pytest
 import twodof.factor
 import twodof.stabilize
 import twodof.verify
+from twodof.factor import right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, ZERO, Poly, RatFn, RatMat, SingularMatrixError
 from twodof.stability import is_hurwitz
 from twodof.stabilize import (
@@ -25,7 +26,6 @@ from twodof.stabilize import (
     TwoDofConfig,
     _youla_feedback,
     gang_of_four,
-    rh_coprime_data,
     youla_controller,
 )
 
@@ -73,7 +73,7 @@ def test_loop_maps_equal_the_inversion_formula():
         k = random_matrix(rng, cols, rows, 1, range(1, 6))
         shift = Fraction(1 + trial % 3)
         cy = youla_controller(plant, k, shift=shift)
-        assert cy == oracle_youla(rh_coprime_data(plant, shift), k)
+        assert cy == oracle_youla(stable_mfd(right_coprime_mfd(plant), shift), k)
         loop = gang_of_four(plant, cy)
         assert tuple(loop) == oracle_gang_of_four(plant, cy)
         assert loop.verdict
@@ -90,7 +90,7 @@ def test_loop_maps_equal_the_inversion_formula():
 
 def test_loop_maps_and_youla_controller_invert_no_rational_matrix(monkeypatch):
     plant, k = UNSTABLE_2X2, K_2X2
-    rh_coprime_data(plant, 1)  # the plant's analysis, cached, may invert
+    youla_controller(plant)  # the plant's analysis, cached by a first call, may invert
     calls = []
     original = RatMat.inv
 
@@ -114,7 +114,7 @@ def test_singular_youla_denominator_is_refused():
     # biproper, stable and minimum phase: k = v / nl' is proper and stable
     # and makes v - k@nl' = 0
     plant = RatMat([[RatFn(S + 2 * ONE, S + 3 * ONE)]])
-    data = rh_coprime_data(plant, 1)
+    data = stable_mfd(right_coprime_mfd(plant), 1)
     k = data.v @ data.nl_prime.inv()
     with pytest.raises(
         InadmissibleParameter,
@@ -129,7 +129,7 @@ def test_youla_loop_maps_equal_gang_of_four_and_the_oracle():
         rows, cols = SHAPES[trial % len(SHAPES)]
         # strictly proper plants, so v(oo) is invertible and cy is proper
         plant = random_matrix(rng, rows, cols, 2, range(-3, 4), strict=True)
-        data = rh_coprime_data(plant, Fraction(1 + trial % 3))
+        data = stable_mfd(right_coprime_mfd(plant), Fraction(1 + trial % 3))
         for k in (None, random_matrix(rng, cols, rows, 1, range(1, 6))):
             cy, loop = _youla_feedback(data, k)
             expected = gang_of_four(plant, cy)
@@ -139,7 +139,7 @@ def test_youla_loop_maps_equal_gang_of_four_and_the_oracle():
 
 
 def test_a_wrong_witness_fails_the_bezout_certificate():
-    data = rh_coprime_data(UNSTABLE_2X2, 1)
+    data = stable_mfd(right_coprime_mfd(UNSTABLE_2X2), 1)
     # a strictly proper nudge keeps cy proper; only u@n' + v@d' = I breaks
     bad = dataclasses.replace(data, u=data.u + RatMat([[RatFn(ONE, S + ONE), 0], [0, 0]]))
     with pytest.raises(ArithmeticError, match=re.escape("parametrized loop fails")):
@@ -150,7 +150,7 @@ def test_an_unstable_witness_fails_the_loop_verdict():
     # Nothing checks the central witness of a copy of the analysis: den*psi
     # then has the root 1, the verdict falls back to the formed maps, and
     # the refusal names the factor.
-    data = rh_coprime_data(UNSTABLE_2X2, 1)
+    data = stable_mfd(right_coprime_mfd(UNSTABLE_2X2), 1)
     bad = dataclasses.replace(data, u=data.u + RatMat([[RatFn(ONE, S - ONE), 0], [0, 0]]))
     with pytest.raises(
         ArithmeticError,
@@ -167,7 +167,7 @@ def test_a_cancelled_unstable_factor_is_decided_on_the_reduced_maps():
     # so k = 0 passes both certificates, while den and every entry of
     # [l | r] carry the factor s - 1.  den*psi is not Hurwitz, and the
     # verdict read off the reduced maps is stable.
-    data = rh_coprime_data(UNSTABLE_2X2, 1)
+    data = stable_mfd(right_coprime_mfd(UNSTABLE_2X2), 1)
     scaled = dataclasses.replace(data)
     g = RatFn(S + ONE, S - ONE)
     object.__setattr__(scaled, "_left", tuple(mat.scale(g) for mat in data._left))
@@ -180,7 +180,8 @@ def test_a_cancelled_unstable_factor_is_decided_on_the_reduced_maps():
 
 
 def test_a_wrong_adjugate_fails_the_compensator_certificate(monkeypatch):
-    data = rh_coprime_data(UNSTABLE_2X2, 1)
+    data = stable_mfd(right_coprime_mfd(UNSTABLE_2X2), 1)
+    data.dl_prime  # the left pair, formed before the adjugate is broken
     original = twodof.stabilize._polymat_det_adj
 
     def wrong(a):
@@ -210,5 +211,5 @@ def test_closed_loop_forms_its_maps_through_gang_of_four(monkeypatch):
     report = twodof.verify.closed_loop(UNSTABLE_2X2, config)
     assert calls == [(UNSTABLE_2X2, cy)]
     assert tuple(mat for _, mat, _ in report.internal_maps) == tuple(
-        _youla_feedback(rh_coprime_data(UNSTABLE_2X2, 1), K_2X2)[1].maps
+        _youla_feedback(stable_mfd(right_coprime_mfd(UNSTABLE_2X2), 1), K_2X2)[1].maps
     )

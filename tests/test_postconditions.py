@@ -31,33 +31,35 @@ def test_package_uses_no_assert_statements():
 
 
 def public_definitions(tree):
-    """Top-level public functions, and public methods of public classes."""
+    """Top-level public functions, and public methods of public classes,
+    each with its definition node."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name
+            yield node.name, node
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}"
+                    yield f"{node.name}.{item.name}", item
 
 
 def test_every_public_function_has_a_user():
-    # A use is a name or attribute read anywhere in src/ or tests/: the
-    # definition itself, the strings of __all__ and re-exporting imports
-    # do not count.
+    # A use is a name or attribute read anywhere in src/ or tests/ outside
+    # the definition's own body: the definition itself, a read of its name
+    # inside it (a self-call, or a call of a like-named method), the
+    # strings of __all__ and re-exporting imports do not count.
     package = parsed(sorted(PACKAGE.glob("*.py")))
-    used = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for _, tree in package + parsed(sorted((ROOT / "tests").glob("*.py")))
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
-    unused = [
-        f"{path.name}:{qualname}"
-        for path, tree in package
-        for qualname in public_definitions(tree)
-        if qualname.rpartition(".")[2] not in used
-    ]
+    reads = {}
+    for _, tree in package + parsed(sorted((ROOT / "tests").glob("*.py"))):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                reads.setdefault(name, []).append(node)
+    unused = []
+    for path, tree in package:
+        for qualname, definition in public_definitions(tree):
+            own = set(map(id, ast.walk(definition)))
+            if all(id(node) in own for node in reads.get(qualname.rpartition(".")[2], ())):
+                unused.append(f"{path.name}:{qualname}")
     assert unused == []
 
 

@@ -17,7 +17,6 @@ from twodof.stability import (
     irreducible_factors,
     is_hurwitz,
     is_stable,
-    matrix_is_rh_inf,
     matrix_is_stable,
     rh_inf_verdict,
 )
@@ -108,8 +107,7 @@ def test_rh_inf_verdict_improper():
     verdict = rh_inf_verdict(improper)
     assert not verdict
     assert "improper" in verdict.describe()
-    assert not matrix_is_rh_inf(improper)
-    assert matrix_is_rh_inf(RatMat([[RatFn(S, S + ONE)]]))
+    assert rh_inf_verdict(RatMat([[RatFn(S, S + ONE)]]))
 
 
 def test_hurwitz_shift_polynomial():

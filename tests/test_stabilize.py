@@ -3,18 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from twodof.factor import right_coprime_mfd, stable_mfd
+from twodof.factor import left_coprime_mfd, right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat, ShapeError
 from twodof.stabilize import (
     IllPosedLoop,
     InadmissibleParameter,
     all_controllers_from_LX,
     gang_of_four,
-    rh_coprime_data,
     solve_bezout,
     youla_controller,
 )
-from twodof.stability import matrix_is_rh_inf
+from twodof.stability import rh_inf_verdict
 from twodof.synthesis import (
     DesignObstruction,
     _design_result,
@@ -45,13 +44,15 @@ def random_stable_param(rng, rows, cols, max_deg=2):
 
 
 def test_bezout_on_unstable_first_order_plant():
-    mfd = right_coprime_mfd(RatMat([[rf(ONE, S - 2 * ONE)]]))
-    dc = solve_bezout(mfd)
-    assert dc.x1 @ mfd.d + dc.x2 @ mfd.n == PolyMat.identity(1)
-    assert dc.check()
+    plant = RatMat([[rf(ONE, S - 2 * ONE)]])
+    mfd = right_coprime_mfd(plant)
+    x1, x2 = solve_bezout(mfd)
+    assert x1 @ mfd.d + x2 @ mfd.n == PolyMat.identity(1)
+    left = left_coprime_mfd(plant)
+    assert left.dl @ mfd.n == left.nl @ mfd.d
     # for n = 1 the minimal witness is the trivial one
-    assert dc.x1.entry(0, 0) == ZERO
-    assert dc.x2.entry(0, 0) == ONE
+    assert x1.entry(0, 0) == ZERO
+    assert x2.entry(0, 0) == ONE
 
 
 def test_bezout_random_sweep():
@@ -69,9 +70,10 @@ def test_bezout_random_sweep():
             entries.append(row)
         plant = RatMat(entries)
         mfd = right_coprime_mfd(plant)
-        dc = solve_bezout(mfd)
-        assert dc.check()
-        assert dc.x1 @ mfd.d + dc.x2 @ mfd.n == PolyMat.identity(cols)
+        x1, x2 = solve_bezout(mfd)
+        assert x1 @ mfd.d + x2 @ mfd.n == PolyMat.identity(cols)
+        left = left_coprime_mfd(plant)
+        assert left.dl @ mfd.n == left.nl @ mfd.d
 
 
 def test_central_controller_values():
@@ -80,9 +82,9 @@ def test_central_controller_values():
     assert youla_controller(plant, shift=2) == RatMat([[rf(-4 * ONE)]])
 
 
-def test_rh_coprime_data_identity():
+def test_stable_mfd_identity():
     plant = RatMat([[rf(ONE, S - 2 * ONE)]])
-    data = rh_coprime_data(plant, shift=1)
+    data = stable_mfd(right_coprime_mfd(plant), shift=1)
     ident = data.u @ data.nprime + data.v @ data.dprime
     assert ident == RatMat.identity(1)
     # left fractions reproduce the plant
@@ -198,10 +200,10 @@ def test_two_by_two_youla_sweep():
             [rf(ZERO), rf(ONE, S - ONE)],
         ]
     )
-    data = rh_coprime_data(plant, shift=1)
+    data = stable_mfd(right_coprime_mfd(plant), shift=1)
     assert data.u @ data.nprime + data.v @ data.dprime == RatMat.identity(2)
     for mat in (data.nprime, data.dprime, data.u, data.v):
-        assert matrix_is_rh_inf(mat)
+        assert rh_inf_verdict(mat)
     for _ in range(10):
         k = random_stable_param(rng, 2, 2, max_deg=1)
         try:

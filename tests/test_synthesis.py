@@ -6,7 +6,7 @@ import pytest
 from twodof.cli import main, parse_matrix
 from twodof.factor import right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat
-from twodof.stability import StabilityVerdict, matrix_is_rh_inf
+from twodof.stability import StabilityVerdict, rh_inf_verdict
 from twodof.stabilize import TwoDofConfig, gang_of_four
 from twodof.synthesis import (
     Certificate,
@@ -15,7 +15,6 @@ from twodof.synthesis import (
     denominator_assignment_direct,
     denominator_assignment_unity,
     diagonal_decoupling,
-    direct_feedback_from_x,
     ff_fb_realization,
     find_admissible_unity_xprime,
     inverse_problem,
@@ -379,9 +378,9 @@ def test_ff_fb_realization_roundtrip():
     r_map, cff, cfb = ff_fb_realization(res.configuration, shift=2)
     assert cff @ cfb == res.configuration.cy
     assert cff @ r_map == res.configuration.cr
-    assert matrix_is_rh_inf(r_map)
-    assert matrix_is_rh_inf(cfb)
-    assert matrix_is_rh_inf(cff.inv())
+    assert rh_inf_verdict(r_map)
+    assert rh_inf_verdict(cfb)
+    assert rh_inf_verdict(cff.inv())
 
 
 def test_ff_fb_realization_trivial_split():
@@ -398,16 +397,6 @@ def test_ff_fb_realization_requires_proper_controller():
     improper = TwoDofConfig(cy=RatMat([[rf(S)]]), cr=RatMat([[rf(ONE)]]))
     with pytest.raises(ValueError):
         ff_fb_realization(improper)
-
-
-def test_direct_feedback_from_x():
-    mfd = right_coprime_mfd(RatMat([[rf(ONE, S - 2 * ONE)]]))
-    cfb = direct_feedback_from_x(mfd, RatMat([[rf(ONE, S + 2 * ONE)]]))
-    assert cfb == RatMat([[rf(-4 * ONE)]])
-    with pytest.raises(ValueError):
-        direct_feedback_from_x(mfd, RatMat([[rf(ZERO)]]))  # singular x
-    with pytest.raises(ValueError):
-        direct_feedback_from_x(mfd, RatMat([[rf(ONE, S - ONE)]]))  # unstable x
 
 
 def test_siso_conditions_signs():
