@@ -32,9 +32,8 @@ import argparse
 import configparser
 import operator
 import sys
-from dataclasses import dataclass, fields
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .factor import StableMFD, left_coprime_mfd, right_coprime_mfd, stable_mfd, zeros_and_poles
 from .polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat, ShapeError
@@ -237,12 +236,12 @@ def parse_poly_matrix(text: str) -> PolyMat:
 # -- problem files ---------------------------------------------------------------
 
 
-@dataclass
 class ProblemFile:
-    plant: RatMat | None
-    design: dict[str, str]
-    configuration: dict[str, str]
-    options: dict[str, str]
+    __slots__ = ("plant", "design", "configuration", "options")
+
+    def __init__(self, plant: RatMat | None, design: dict, configuration: dict, options: dict):
+        self.plant, self.design = plant, design
+        self.configuration, self.options = configuration, options
 
 
 def load_problem(path: str) -> ProblemFile:
@@ -506,7 +505,7 @@ _CONFIGS = {
 
 
 def _configuration(pf: ProblemFile) -> object:
-    """The [config] section's loop, its matrices named by the fields of the
+    """The [config] section's loop, its matrices named by the slots of the
     loop's configuration class."""
     loop = pf.configuration.get("loop", "two-dof")
     if loop not in _CONFIGS:
@@ -514,7 +513,7 @@ def _configuration(pf: ProblemFile) -> object:
             f"unknown loop {loop!r}; expected one of {sorted(_CONFIGS)}"
         )
     mats = {}
-    for key in (f.name for f in fields(_CONFIGS[loop])):
+    for key in _CONFIGS[loop].__slots__:
         if key not in pf.configuration:
             raise ValueError(f"[config] section needs {key} for loop {loop!r}")
         mats[key] = parse_matrix(pf.configuration[key])

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .polyalg import (
     ONE,
@@ -69,7 +68,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class RightMFD:
     """Right polynomial fraction P = n * d**-1 with d nonsingular.
 
@@ -77,21 +75,27 @@ class RightMFD:
     generalized Bezout identity w @ [d; n] == I (Kailath, Linear Systems,
     1980, ch. 6), checked here: a failing ``w`` raises ValueError.  With
     it ``right_coprime_mfd`` keeps ``kernel``, a row-reduced basis of the
-    left kernel of [d; n]; a fraction that carries one is column reduced."""
+    left kernel of [d; n]; a fraction that carries one is column reduced.
+    Equality and hashing follow n and d alone."""
 
-    n: PolyMat
-    d: PolyMat
-    w: PolyMat | None = field(default=None, compare=False)
-    kernel: PolyMat | None = field(default=None, compare=False)
+    __slots__ = ("n", "d", "w", "kernel")
 
-    def __post_init__(self) -> None:
-        if self.n.shape[1] != self.d.shape[0] or self.d.shape[0] != self.d.shape[1]:
-            raise ShapeError(
-                f"incompatible fraction shapes {self.n.shape} and {self.d.shape}"
-            )
-        identity = PolyMat.identity(self.d.shape[0])
-        if self.w is not None and self.w @ vstack(self.d, self.n) != identity:
+    def __init__(
+        self, n: PolyMat, d: PolyMat, w: PolyMat | None = None, kernel: PolyMat | None = None
+    ) -> None:
+        if n.shape[1] != d.shape[0] or d.shape[0] != d.shape[1]:
+            raise ShapeError(f"incompatible fraction shapes {n.shape} and {d.shape}")
+        if w is not None and w @ vstack(d, n) != PolyMat.identity(d.shape[0]):
             raise ValueError("coprimeness certificate fails w @ [d; n] = I")
+        self.n, self.d, self.w, self.kernel = n, d, w, kernel
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RightMFD:
+            return NotImplemented
+        return self.n == other.n and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.d))
 
     @property
     def outputs(self) -> int:
@@ -105,24 +109,20 @@ class RightMFD:
         return self.n.to_ratmat() @ self.d.to_ratmat().inv()
 
 
-@dataclass(frozen=True)
 class LeftMFD:
     """Left polynomial fraction P = dl**-1 * nl with dl nonsingular."""
 
-    dl: PolyMat
-    nl: PolyMat
+    __slots__ = ("dl", "nl")
 
-    def __post_init__(self) -> None:
-        if self.dl.shape[0] != self.dl.shape[1] or self.dl.shape[1] != self.nl.shape[0]:
-            raise ShapeError(
-                f"incompatible fraction shapes {self.dl.shape} and {self.nl.shape}"
-            )
+    def __init__(self, dl: PolyMat, nl: PolyMat) -> None:
+        if dl.shape[0] != dl.shape[1] or dl.shape[1] != nl.shape[0]:
+            raise ShapeError(f"incompatible fraction shapes {dl.shape} and {nl.shape}")
+        self.dl, self.nl = dl, nl
 
     def plant(self) -> RatMat:
         return self.dl.to_ratmat().inv() @ self.nl.to_ratmat()
 
 
-@dataclass(frozen=True)
 class StableMFD:
     """Fraction P = nprime * dprime**-1 over the proper stable rationals:
     the one analysis of a plant that every design reads.
@@ -139,13 +139,21 @@ class StableMFD:
     computed on first use and kept.
     """
 
-    nprime: RatMat
-    dprime: RatMat
-    u: RatMat
-    v: RatMat
-    shift: Fraction
-    col_degrees: tuple[int, ...]
-    source: RightMFD
+    # the instance dict holds the values formed on first use
+    __slots__ = ("nprime", "dprime", "u", "v", "shift", "col_degrees", "source", "__dict__")
+
+    def __init__(
+        self,
+        nprime: RatMat,
+        dprime: RatMat,
+        u: RatMat,
+        v: RatMat,
+        shift: Fraction,
+        col_degrees: tuple[int, ...],
+        source: RightMFD,
+    ) -> None:
+        self.nprime, self.dprime, self.u, self.v = nprime, dprime, u, v
+        self.shift, self.col_degrees, self.source = shift, col_degrees, source
 
     def plant(self) -> RatMat:
         """n @ d**-1, formed on first call and kept."""
@@ -498,35 +506,46 @@ def stable_left_mfd(left: LeftMFD, shift: Fraction | int = 1) -> tuple[RatMat, R
     return dl_prime, nl_prime
 
 
-@dataclass(frozen=True)
 class ZeroInfo:
-    location: Fraction | complex
-    multiplicity: int
-    factor: Poly
-    unstable: bool
-    direction: tuple[Fraction, ...] | tuple[complex, ...] | None = None
+    __slots__ = ("location", "multiplicity", "factor", "unstable", "direction")
+
+    def __init__(
+        self,
+        location: Fraction | complex,
+        multiplicity: int,
+        factor: Poly,
+        unstable: bool,
+        direction: tuple[Fraction, ...] | tuple[complex, ...] | None = None,
+    ) -> None:
+        self.location, self.multiplicity, self.factor = location, multiplicity, factor
+        self.unstable, self.direction = unstable, direction
 
 
-@dataclass(frozen=True)
 class PoleInfo:
-    location: Fraction | complex
-    multiplicity: int
-    factor: Poly
-    unstable: bool
+    __slots__ = ("location", "multiplicity", "factor", "unstable")
+
+    def __init__(
+        self, location: Fraction | complex, multiplicity: int, factor: Poly, unstable: bool
+    ) -> None:
+        self.location, self.multiplicity = location, multiplicity
+        self.factor, self.unstable = factor, unstable
 
 
-@dataclass(frozen=True)
 class ZeroReport:
-    zeros: tuple[ZeroInfo, ...]
-    poles: tuple[PoleInfo, ...]
-    zero_polynomial: Poly
-    pole_polynomial: Poly
+    __slots__ = ("zeros", "poles", "zero_polynomial", "pole_polynomial")
+
+    def __init__(
+        self,
+        zeros: tuple[ZeroInfo, ...],
+        poles: tuple[PoleInfo, ...],
+        zero_polynomial: Poly,
+        pole_polynomial: Poly,
+    ) -> None:
+        self.zeros, self.poles = zeros, poles
+        self.zero_polynomial, self.pole_polynomial = zero_polynomial, pole_polynomial
 
     def unstable_zeros(self) -> tuple[ZeroInfo, ...]:
         return tuple(z for z in self.zeros if z.unstable)
-
-    def unstable_poles(self) -> tuple[PoleInfo, ...]:
-        return tuple(z for z in self.poles if z.unstable)
 
 
 def _refined_roots(q: Poly) -> list[complex]:

@@ -61,11 +61,10 @@ explicit ``*`` for products), which gives cheap print/parse round trips.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class ShapeError(ValueError):
@@ -88,12 +87,25 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+class _Value:
+    """Base of the immutable value types: ``__init__`` sets each slot once
+    through ``object.__setattr__``, and nothing is assigned or deleted after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
 
-class Poly:
+class Poly(_Value):
     """Univariate polynomial in ``s`` with rational coefficients.
 
     The value is sum(_z[k] * s**k) / _d, stored as integers over one
@@ -115,12 +127,6 @@ class Poly:
         z = _trim([c.numerator * (d // c.denominator) for c in cs])
         object.__setattr__(self, "_z", tuple(z))
         object.__setattr__(self, "_d", d if z else 1)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}: Poly is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}: Poly is immutable")
 
     def __reduce__(self):
         return _from_z, (self._z, self._d)
@@ -524,16 +530,16 @@ def _heu_gcd(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RatFn:
+class RatFn(_Value):
     """Reduced rational function num/den with a monic denominator."""
 
-    num: Poly
-    den: Poly = ONE
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        num = self.num if isinstance(self.num, Poly) else _as_poly(self.num)
-        den = self.den if isinstance(self.den, Poly) else _as_poly(self.den)
+    def __init__(self, num: Poly, den: Poly = ONE) -> None:
+        if num.__class__ is not Poly:
+            num = _as_poly(num)
+        if den.__class__ is not Poly:
+            den = _as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
@@ -552,6 +558,17 @@ class RatFn:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    def __reduce__(self):
+        return RatFn, (self.num, self.den)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RatFn:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
     @classmethod
     def of(cls, num: "Poly | RatFn | Scalar", den: "Poly | Scalar" = 1) -> "RatFn":
         if isinstance(num, RatFn):
@@ -562,9 +579,6 @@ class RatFn:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den == ONE
 
     def relative_degree(self) -> int | float:
         """deg(den) - deg(num); +inf for the zero function."""
@@ -710,8 +724,7 @@ def _over(mat: PolyMat, den: Poly) -> RatMat:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Grid:
+class _Grid(_Value):
     """Immutable row-major matrix over a ring, with at least one row and one
     column: the half of `PolyMat` and `RatMat` that does not depend on the
     ring.  A subclass names its ring: ``_coerce`` makes an entry of a value,
@@ -722,11 +735,10 @@ class _Grid:
     # no instance dict, so that no attribute can be added to a subclass's
     # instance either; a subclass declares empty slots
     __slots__ = ("rows",)
-    rows: tuple[tuple, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: Sequence[Sequence]) -> None:
         coerce = self._coerce
-        rows = tuple(tuple(coerce(e) for e in row) for row in self.rows)
+        rows = tuple(tuple(coerce(e) for e in row) for row in rows)
         if not rows or not rows[0]:
             raise ShapeError("matrix must have at least one row and one column")
         width = len(rows[0])
@@ -736,6 +748,14 @@ class _Grid:
 
     def __reduce__(self):
         return type(self), (self.rows,)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @classmethod
     def identity(cls, n: int):
@@ -1025,14 +1045,6 @@ class RatMat(_Grid):
 
     def is_proper(self) -> bool:
         return all(e.is_proper() for row in self.rows for e in row)
-
-    def is_polynomial(self) -> bool:
-        return all(e.is_polynomial() for row in self.rows for e in row)
-
-    def to_polymat(self) -> PolyMat:
-        if not self.is_polynomial():
-            raise ValueError("matrix has non-polynomial entries")
-        return PolyMat(tuple(tuple(e.num for e in row) for row in self.rows))
 
     def at_infinity(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(e.at_infinity() for e in row) for row in self.rows)

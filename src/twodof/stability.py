@@ -25,7 +25,6 @@ chains on the even-part compression, so the reasons are exact as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,12 +47,21 @@ REASON_AXIS = "imaginary-axis root"
 REASON_IMPROPER = "improper entry"
 
 
-@dataclass(frozen=True)
 class StabilityVerdict:
     """Outcome of an exact stability test."""
 
-    stable: bool
-    offending_factors: tuple[tuple[Poly, str], ...] = ()
+    __slots__ = ("stable", "offending_factors")
+
+    def __init__(self, stable: bool, offending_factors: tuple[tuple[Poly, str], ...] = ()):
+        self.stable, self.offending_factors = stable, offending_factors
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not StabilityVerdict:
+            return NotImplemented
+        return self.stable == other.stable and self.offending_factors == other.offending_factors
+
+    def __hash__(self) -> int:
+        return hash((self.stable, self.offending_factors))
 
     def __bool__(self) -> bool:
         return self.stable

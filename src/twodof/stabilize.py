@@ -37,7 +37,6 @@ plant again.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -89,13 +88,14 @@ class IllPosedLoop(ArithmeticError):
     """The feedback interconnection has no well-defined closed-loop maps."""
 
 
-@dataclass(frozen=True)
 class TwoDofConfig:
     """u = cy@y + cr@r: feedback map cy (driven by y) and reference map cr
     (driven by r)."""
 
-    cy: RatMat
-    cr: RatMat
+    __slots__ = ("cy", "cr")
+
+    def __init__(self, cy: RatMat, cr: RatMat) -> None:
+        self.cy, self.cr = cy, cr
 
 
 def solve_bezout(mfd: RightMFD) -> tuple[PolyMat, PolyMat]:

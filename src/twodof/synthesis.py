@@ -13,9 +13,8 @@ each naming the condition it checked with its verdict) or raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .factor import (
     RightMFD,
@@ -78,13 +77,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Certificate:
     """A named, checked condition with its verdict."""
 
-    name: str
-    verdict: StabilityVerdict
-    detail: str = ""
+    __slots__ = ("name", "verdict", "detail")
+
+    def __init__(self, name: str, verdict: StabilityVerdict, detail: str = "") -> None:
+        self.name, self.verdict, self.detail = name, verdict, detail
 
     @property
     def passed(self) -> bool:
@@ -110,47 +109,57 @@ class DesignObstruction(Exception):
 # -- closed-loop configurations ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class FfFbRConfig:
     """u = cff@(cfb@y + r_map@r): feedforward block behind a feedback
     block and a reference prefilter."""
 
-    r: RatMat
-    cff: RatMat
-    cfb: RatMat
+    __slots__ = ("r", "cff", "cfb")
+
+    def __init__(self, r: RatMat, cff: RatMat, cfb: RatMat) -> None:
+        self.r, self.cff, self.cfb = r, cff, cfb
 
 
-@dataclass(frozen=True)
 class UnityFeedbackConfig:
     """u = cff@(r + y): the measured output is added to the reference."""
 
-    cff: RatMat
+    __slots__ = ("cff",)
+
+    def __init__(self, cff: RatMat) -> None:
+        self.cff = cff
 
 
-@dataclass(frozen=True)
 class FeedbackDirectRConfig:
     """u = cfb@y + r: the reference enters at the plant input directly."""
 
-    cfb: RatMat
+    __slots__ = ("cfb",)
+
+    def __init__(self, cfb: RatMat) -> None:
+        self.cfb = cfb
 
 
-ClosedLoopConfig = Union[
-    TwoDofConfig, FfFbRConfig, UnityFeedbackConfig, FeedbackDirectRConfig
-]
+ClosedLoopConfig = TwoDofConfig | FfFbRConfig | UnityFeedbackConfig | FeedbackDirectRConfig
 
 
-@dataclass(frozen=True)
 class DesignResult:
     """A design's loop and its exact maps; ``verdict`` says the loop is
     internally stabilizing."""
 
-    configuration: ClosedLoopConfig
-    verdict: StabilityVerdict
-    x: RatMat
-    xprime: RatMat | None
-    achieved_t: RatMat
-    achieved_m: RatMat
-    certificates: tuple[Certificate, ...]
+    __slots__ = (
+        "configuration", "verdict", "x", "xprime", "achieved_t", "achieved_m", "certificates"
+    )
+
+    def __init__(
+        self,
+        configuration: ClosedLoopConfig,
+        verdict: StabilityVerdict,
+        x: RatMat,
+        xprime: RatMat | None,
+        achieved_t: RatMat,
+        achieved_m: RatMat,
+        certificates: tuple[Certificate, ...],
+    ) -> None:
+        self.configuration, self.verdict, self.x, self.xprime = configuration, verdict, x, xprime
+        self.achieved_t, self.achieved_m, self.certificates = achieved_t, achieved_m, certificates
 
 
 # -- helpers -------------------------------------------------------------------

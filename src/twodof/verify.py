@@ -5,7 +5,6 @@ a numerical cross-check on the symbolic results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyalg import RatFn, RatMat, common_denominator, poly_divmod
@@ -28,15 +27,15 @@ __all__ = [
     "dc_gain",
 ]
 
-@dataclass(frozen=True)
 class ClosedLoopReport:
-    t_yr: RatMat
-    t_ur: RatMat
-    internal_maps: tuple[tuple[str, RatMat, StabilityVerdict], ...]
-    well_posed: bool
+    """The loop's maps y/r and u/r, and its internal maps as (name, map,
+    verdict) triples."""
 
-    def internally_stable(self) -> bool:
-        return all(verdict.stable for _, _, verdict in self.internal_maps)
+    __slots__ = ("t_yr", "t_ur", "internal_maps", "well_posed")
+
+    def __init__(self, t_yr: RatMat, t_ur: RatMat, internal_maps: tuple, well_posed: bool):
+        self.t_yr, self.t_ur = t_yr, t_ur
+        self.internal_maps, self.well_posed = internal_maps, well_posed
 
 
 def _feedback_and_reference(p: RatMat, config: ClosedLoopConfig) -> tuple[RatMat, RatMat]:
@@ -92,14 +91,13 @@ def certify(report: ClosedLoopReport, desired_t: RatMat) -> tuple[Certificate, .
 _MAX_SAMPLES = 10**6
 
 
-@dataclass(frozen=True)
 class SimulationTrace:
     """Sampled step responses: outputs[input_channel][output][sample]."""
 
-    time: tuple[float, ...]
-    outputs: tuple[tuple[tuple[float, ...], ...], ...]
-    inputs: tuple[str, ...]
-    step_size: float
+    __slots__ = ("time", "outputs", "inputs", "step_size")
+
+    def __init__(self, time: tuple, outputs: tuple, inputs: tuple, step_size: float):
+        self.time, self.outputs, self.inputs, self.step_size = time, outputs, inputs, step_size
 
     def to_csv(self, channel: int = 0) -> str:
         chan = self.outputs[channel]

@@ -517,6 +517,26 @@ def test_poly_is_immutable():
 
 
 @SETTINGS
+@given(ratfns(max_degree=4))
+def test_ratfn_survives_copy_and_pickle(value):
+    for q in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(q) is RatFn and q == value and hash(q) == hash(value)
+        assert (q.num, q.den) == (value.num, value.den)
+
+
+def test_ratfn_is_immutable_and_takes_keywords():
+    value = RatFn(num=S - ONE, den=2 * S + 4)
+    assert value == RatFn(S - ONE, 2 * S + 4) and value.den == S + 2 * ONE
+    assert RatFn(num=S) == RatFn(S, ONE) and RatFn(3) == RatFn(Poly((3,)))
+    for name in ("num", "den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ONE)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == RatFn(S - ONE, 2 * S + 4)
+
+
+@SETTINGS
 @given(mixed_polys(), st.integers(-2, 8))
 def test_coefficients_read_as_fractions(p, k):
     assert all(type(c) is Fraction for c in p.coeffs)
@@ -574,17 +594,17 @@ def test_plant_analysis_builds_few_fractions(monkeypatch):
 
 
 class RatFnCounter:
-    """Counts `RatFn` normalisations while active (patched ``__post_init__``)."""
+    """Counts `RatFn` normalisations while active (patched ``__init__``)."""
 
     def __init__(self, monkeypatch):
         self.count = 0
-        original = RatFn.__post_init__
+        original = RatFn.__init__
 
-        def counting_post_init(ratfn):
+        def counting_init(ratfn, *args, **kwargs):
             self.count += 1
-            original(ratfn)
+            original(ratfn, *args, **kwargs)
 
-        monkeypatch.setattr(RatFn, "__post_init__", counting_post_init)
+        monkeypatch.setattr(RatFn, "__init__", counting_init)
 
     def take(self) -> int:
         count, self.count = self.count, 0

@@ -513,6 +513,35 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+def test_cli_starts_without_dataclasses_inspect_or_typing():
+    # start-up cost: import twodof, import twodof.cli and twodof match on
+    # both shipped match problems load none of these; -S keeps the .pth
+    # files of site-packages, which may import typing, out of the process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import contextlib, io, sys\n"
+        "heavy = ('dataclasses', 'inspect', 'typing')\n"
+        "seen = lambda: [m for m in heavy if m in sys.modules]\n"
+        "import twodof\n"
+        "loaded = [seen()]\n"
+        "import twodof.cli\n"
+        "loaded.append(seen())\n"
+        "for path in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = twodof.cli.main(['match', path])\n"
+        "    loaded.append((code, seen()))\n"
+        "print(loaded)\n"
+    )
+    files = sorted(str(path) for path in PROBLEMS.glob("example_match*.ini"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, *files],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert [Path(f).name for f in files] == ["example_match.ini", "example_match_reject.ini"]
+    assert out.strip() == "[[], [], (0, []), (2, [])]"
+
+
 def test_cli_runs_leave_sympy_unloaded():
     # factoring is in-house: no subcommand on a shipped problem (simulate
     # excluded, it only adds scipy) may import sympy, the test-only oracle

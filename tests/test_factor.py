@@ -103,6 +103,15 @@ def test_hermite_transform_certifies_the_fraction():
         RightMFD(mfd.n, mfd.d, PolyMat([[ZERO, ONE]]))
 
 
+def test_right_mfd_equality_ignores_certificate_and_kernel():
+    mfd = right_coprime_mfd(parse_matrix("1/(s+2), 1/(s+2); 1/(s-1), 3"))
+    assert mfd.w is not None and mfd.kernel is not None
+    bare = RightMFD(mfd.n, mfd.d)
+    assert bare == mfd and hash(bare) == hash(mfd) and {bare, mfd} == {mfd}
+    assert RightMFD(mfd.n, mfd.d, mfd.w) == RightMFD(mfd.n, mfd.d, kernel=mfd.kernel)
+    assert RightMFD(-mfd.n, -mfd.d) != mfd and mfd != (mfd.n, mfd.d)
+
+
 def test_non_coprime_fraction_without_certificate_is_refused():
     # n and d share the factor s + 1: no w with w @ [d; n] = I exists
     mfd = RightMFD(PolyMat([[S + ONE]]), PolyMat([[(S + ONE) * (S - 2 * ONE)]]))
@@ -261,7 +270,7 @@ def test_zeros_and_poles_example():
     assert locs == {Fraction(1), Fraction(-2)}
     unstable = report.unstable_zeros()
     assert len(unstable) == 1 and unstable[0].location == Fraction(1)
-    poles = report.unstable_poles()
+    poles = [p for p in report.poles if p.unstable]
     assert len(poles) == 1 and poles[0].location == Fraction(2)
     assert poles[0].multiplicity == 2
 

@@ -7,7 +7,6 @@ The oracles below invert I - cy@p and v - k@nl' with RatMat.inv, as the
 package did before both were written as adj / det of a polynomial matrix.
 """
 
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -17,7 +16,7 @@ import pytest
 import twodof.factor
 import twodof.stabilize
 import twodof.verify
-from twodof.factor import right_coprime_mfd, stable_mfd
+from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, ZERO, Poly, RatFn, RatMat, SingularMatrixError
 from twodof.stability import is_hurwitz
 from twodof.stabilize import (
@@ -141,7 +140,8 @@ def test_youla_loop_maps_equal_gang_of_four_and_the_oracle():
 def test_a_wrong_witness_fails_the_bezout_certificate():
     data = stable_mfd(right_coprime_mfd(UNSTABLE_2X2), 1)
     # a strictly proper nudge keeps cy proper; only u@n' + v@d' = I breaks
-    bad = dataclasses.replace(data, u=data.u + RatMat([[RatFn(ONE, S + ONE), 0], [0, 0]]))
+    u = data.u + RatMat([[RatFn(ONE, S + ONE), 0], [0, 0]])
+    bad = StableMFD(data.nprime, data.dprime, u, data.v, data.shift, data.col_degrees, data.source)
     with pytest.raises(ArithmeticError, match=re.escape("parametrized loop fails")):
         _youla_feedback(bad, K_2X2)
 
@@ -151,7 +151,8 @@ def test_an_unstable_witness_fails_the_loop_verdict():
     # then has the root 1, the verdict falls back to the formed maps, and
     # the refusal names the factor.
     data = stable_mfd(right_coprime_mfd(UNSTABLE_2X2), 1)
-    bad = dataclasses.replace(data, u=data.u + RatMat([[RatFn(ONE, S - ONE), 0], [0, 0]]))
+    u = data.u + RatMat([[RatFn(ONE, S - ONE), 0], [0, 0]])
+    bad = StableMFD(data.nprime, data.dprime, u, data.v, data.shift, data.col_degrees, data.source)
     with pytest.raises(
         ArithmeticError,
         match=re.escape(
@@ -168,7 +169,9 @@ def test_a_cancelled_unstable_factor_is_decided_on_the_reduced_maps():
     # [l | r] carry the factor s - 1.  den*psi is not Hurwitz, and the
     # verdict read off the reduced maps is stable.
     data = stable_mfd(right_coprime_mfd(UNSTABLE_2X2), 1)
-    scaled = dataclasses.replace(data)
+    scaled = StableMFD(
+        data.nprime, data.dprime, data.u, data.v, data.shift, data.col_degrees, data.source
+    )
     g = RatFn(S + ONE, S - ONE)
     object.__setattr__(scaled, "_left", tuple(mat.scale(g) for mat in data._left))
     cy, loop = _youla_feedback(scaled, RatMat.zeros(2, 2))
@@ -192,7 +195,10 @@ def test_a_wrong_adjugate_fails_the_compensator_certificate(monkeypatch):
     # the central loop's adjugate is the analysis' own (witness_inverse),
     # formed on first use: a copy of the analysis has none yet
     monkeypatch.setattr(twodof.factor, "_polymat_det_adj", wrong)
-    for smfd, k in ((dataclasses.replace(data), None), (data, K_2X2)):
+    fresh = StableMFD(
+        data.nprime, data.dprime, data.u, data.v, data.shift, data.col_degrees, data.source
+    )
+    for smfd, k in ((fresh, None), (data, K_2X2)):
         with pytest.raises(ArithmeticError, match=re.escape("compensator fails")):
             _youla_feedback(smfd, k)
 

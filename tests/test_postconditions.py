@@ -1,6 +1,7 @@
 """Postconditions of the package raise, so they also hold under python -O,
-every public function and method of the package has a user, and README
-documents exactly the names the package exports."""
+every public function and method of the package has a user, README
+documents exactly the names the package exports, and its records take no
+attribute beyond their slots."""
 
 import ast
 import importlib
@@ -8,7 +9,21 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
 import twodof
+from twodof.cli import ProblemFile
+from twodof.factor import LeftMFD, PoleInfo, RightMFD, ZeroInfo, ZeroReport
+from twodof.stability import StabilityVerdict
+from twodof.stabilize import TwoDofConfig
+from twodof.synthesis import (
+    Certificate,
+    DesignResult,
+    FeedbackDirectRConfig,
+    FfFbRConfig,
+    UnityFeedbackConfig,
+)
+from twodof.verify import ClosedLoopReport, SimulationTrace
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "twodof"
@@ -82,3 +97,19 @@ def test_readme_documents_exactly_the_exported_names():
     assert sorted(name for _, name in table) == sorted(exported)
     for module, name in table:
         assert getattr(twodof, name) is vars(importlib.import_module(module))[name], name
+
+
+RECORDS = (
+    StabilityVerdict, Certificate, TwoDofConfig, FfFbRConfig, UnityFeedbackConfig,
+    FeedbackDirectRConfig, DesignResult, ZeroInfo, PoleInfo, ZeroReport, RightMFD,
+    LeftMFD, ClosedLoopReport, SimulationTrace, ProblemFile,
+)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_refuse_a_new_attribute(cls):
+    # slots alone decide this, so a record built without __init__ shows it
+    record = object.__new__(cls)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert not hasattr(record, "__dict__")

@@ -81,7 +81,7 @@ def assert_realized(plant, res):
 def test_direct_denominator_assignment_realizes_its_target(data):
     # d = d_t + K n makes the feedback map (d - d_t) @ n**-1 = K proper
     n, d_t, k = data
-    mfd = RightMFD(n, d_t + (k @ n.to_ratmat()).to_polymat())
+    mfd = RightMFD(n, d_t + PolyMat(k.at_infinity()) @ n)
     res = denominator_assignment_direct(mfd, d_t)
     assert res.configuration.cfb == k
     assert_realized(mfd.plant(), res)
@@ -92,7 +92,7 @@ def test_direct_denominator_assignment_realizes_its_target(data):
 def test_unity_denominator_assignment_realizes_its_target(data):
     # d = C (d_t + n) makes the forward map d @ (d_t + n)**-1 = C proper
     n, d_t, c = data
-    mfd = RightMFD(n, (c @ (d_t + n).to_ratmat()).to_polymat())
+    mfd = RightMFD(n, PolyMat(c.at_infinity()) @ (d_t + n))
     res = denominator_assignment_unity(mfd, d_t)
     assert res.configuration.cff == c
     assert_realized(mfd.plant(), res)

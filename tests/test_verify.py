@@ -42,7 +42,7 @@ def test_closed_loop_two_dof_places_response():
     assert report.t_yr == res.achieved_t
     assert report.t_ur == smfd.dprime @ res.xprime
     assert report.well_posed
-    assert report.internally_stable()
+    assert all(verdict.stable for _, _, verdict in report.internal_maps)
     assert len(report.internal_maps) == 4
 
 
@@ -64,7 +64,7 @@ def test_closed_loop_unity_configuration():
     report = closed_loop(plant, UnityFeedbackConfig(cff=cff))
     assert report.t_yr == smfd.nprime @ witness
     assert report.t_ur == smfd.dprime @ witness
-    assert report.internally_stable()
+    assert all(verdict.stable for _, _, verdict in report.internal_maps)
 
 
 def test_closed_loop_feedback_direct_configuration():
@@ -73,7 +73,7 @@ def test_closed_loop_feedback_direct_configuration():
     plant = mfd.plant()
     report = closed_loop(plant, res.configuration)
     assert report.t_yr == RatMat([[rf(ONE, S + 2 * ONE)]])
-    assert report.internally_stable()
+    assert all(verdict.stable for _, _, verdict in report.internal_maps)
 
 
 def test_closed_loop_rejects_mismatched_feedback_shape():
@@ -105,7 +105,7 @@ def test_certify_flags_internal_instability():
     plant = RatMat([[rf(ONE, S - 2 * ONE)]])
     config = TwoDofConfig(cy=RatMat.zeros(1, 1), cr=RatMat.identity(1))
     report = closed_loop(plant, config)
-    assert not report.internally_stable()
+    assert not all(verdict.stable for _, _, verdict in report.internal_maps)
     certs = certify(report, report.t_yr)
     assert certs[0].passed
     assert any(not c.passed for c in certs[2:])
