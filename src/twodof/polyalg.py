@@ -493,14 +493,23 @@ def _heu_gcd(
     1 + |f|/|lc f| of one input f, so a common divisor found that way is
     the gcd itself: a further common factor q would have |q(x)| > x/2,
     more than any interpolated coefficient can hold.  For the same reason
-    a constant candidate needs no division check.
+    a constant candidate needs no division check.  The first x is
+    min(2m + 29, 99 * sqrt(2m + 29)), m the smaller input's largest
+    coefficient, shifted left by min(len(a), len(b)) bits: room for the
+    2**deg growth of a divisor's coefficients (Mignotte), so a second x is
+    rarely needed, while the square-root cut keeps long inputs' x short.
+    Where the cut acts, m is taken over the inputs' primitive parts, so a
+    long content does not inflate x.
     """
     na, nb = max(map(abs, a)), max(map(abs, b))
     bound = 2 * min(na, nb) + 29
-    x = max(
-        min(bound, 99 * math.isqrt(bound)),
-        2 * min(na // abs(a[-1]), nb // abs(b[-1])) + 4,
-    )
+    cut = 99 * math.isqrt(bound)
+    if cut < bound:  # long coefficients: evaluate the primitive parts
+        ca, cb = math.gcd(*a), math.gcd(*b)
+        if ca != 1 or cb != 1:
+            found = _heu_gcd([x // ca for x in a], [x // cb for x in b])
+            return found and (found[0], [x * ca for x in found[1]], [x * cb for x in found[2]])
+    x = max(min(bound, cut) << min(len(a), len(b)), 2 * min(na // abs(a[-1]), nb // abs(b[-1])) + 4)
     for _ in range(6):
         fa, fb = _horner(a, x, 1), _horner(b, x, 1)
         if fa and fb:  # x may be a root of the input with the larger bound
@@ -867,20 +876,23 @@ def hermite(a: PolyMat) -> tuple[PolyMat, PolyMat]:
     The form is upper echelon with monic pivots; entries above each pivot
     have strictly lower degree than the pivot.  Pivots are chosen as the
     lowest-degree nonzero candidate in the leftmost unfinished column
-    (topmost row on ties), which keeps intermediate degrees small.
+    (topmost row on ties), which keeps intermediate degrees small.  Each
+    row of [a | I] is integer polynomials over one denominator; a row step
+    row_i -= q * row_p (q the Euclidean quotient over Q of their entries in
+    the pivot column) is one pseudo-division k * e_i = z * e_p + r over Z,
+    giving (k * row_i - z * row_p) / (k * c_i), and one row content gcd.
     """
     m, n = a.shape
-    rows = [list(r) for r in a.rows]
-    u = [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
+    rows = [
+        _row_lowest(*_z_line([*row, *(ONE if j == i else ZERO for j in range(m))]))
+        for i, row in enumerate(a.rows)
+    ]
 
-    def swap(i: int, j: int) -> None:
-        rows[i], rows[j] = rows[j], rows[i]
-        u[i], u[j] = u[j], u[i]
-
-    def combine(i: int, j: int, q: Poly) -> None:
-        # row_i -= q * row_j
-        rows[i] = [e - q * f for e, f in zip(rows[i], rows[j])]
-        u[i] = [e - q * f for e, f in zip(u[i], u[j])]
+    def reduce(i: int, p: int, col: int) -> None:
+        (ri, ci), rp = rows[i], rows[p][0]
+        z, _, k = _pdivmod(ri[col], rp[col])
+        z = [-x for x in z]
+        rows[i] = _row_lowest([_trim(_dot(([k], z), (e, f))) for e, f in zip(ri, rp)], k * ci)
 
     pivot_row = 0
     for col in range(n):
@@ -888,33 +900,35 @@ def hermite(a: PolyMat) -> tuple[PolyMat, PolyMat]:
             break
         placed = False
         while True:
-            cand = [i for i in range(pivot_row, m) if not rows[i][col].is_zero()]
+            cand = [i for i in range(pivot_row, m) if rows[i][0][col]]
             if not cand:
                 break
-            best = min(cand, key=lambda i: rows[i][col].degree())
-            if best != pivot_row:
-                swap(best, pivot_row)
-            lower = [i for i in range(pivot_row + 1, m) if not rows[i][col].is_zero()]
+            best = min(cand, key=lambda i: len(rows[i][0][col]))
+            rows[best], rows[pivot_row] = rows[pivot_row], rows[best]
+            lower = [i for i in range(pivot_row + 1, m) if rows[i][0][col]]
             if not lower:
                 placed = True
                 break
             for i in lower:
-                q, _ = poly_divmod(rows[i][col], rows[pivot_row][col])
-                combine(i, pivot_row, q)
+                reduce(i, pivot_row, col)
         if placed:
-            lc = rows[pivot_row][col].leading
-            if lc != 1:
-                inv = 1 / lc
-                rows[pivot_row] = [e * inv for e in rows[pivot_row]]
-                u[pivot_row] = [e * inv for e in u[pivot_row]]
+            zs, c = rows[pivot_row]
+            if zs[col][-1] != c:  # row / (lc / c) = zs / lc
+                rows[pivot_row] = _row_lowest(zs, zs[col][-1])
             for i in range(pivot_row):
-                if rows[i][col].is_zero():
-                    continue
-                q, _ = poly_divmod(rows[i][col], rows[pivot_row][col])
-                if not q.is_zero():
-                    combine(i, pivot_row, q)
+                if len(rows[i][0][col]) >= len(zs[col]):
+                    reduce(i, pivot_row, col)
             pivot_row += 1
-    return PolyMat(tuple(tuple(r) for r in rows)), PolyMat(tuple(tuple(r) for r in u))
+    return tuple(
+        PolyMat(tuple(tuple(_lowest(e, c) for e in zs[part]) for zs, c in rows))
+        for part in (slice(n), slice(n, None))
+    )
+
+
+def _row_lowest(zs: list[list[int]], c: int) -> tuple[list[list[int]], int]:
+    """The row zs / c in lowest terms, with c > 0."""
+    g = math.gcd(c, *(x for e in zs for x in e)) * (-1 if c < 0 else 1)
+    return ([[x // g for x in e] for e in zs], c // g) if g != 1 else (zs, c)
 
 
 def _bareiss(rows: list[list[Poly]], ncols: int) -> tuple[list[int], Poly, int]:

@@ -15,17 +15,18 @@ import copy
 import fractions
 import math
 import pickle
+import random
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from test_polyalg import oracle_inv_det, polymat_det_cofactor
 from twodof import polyalg
-from twodof.cli import load_problem, parse_matrix, parse_rational
+from twodof.cli import ParseError, load_problem, parse_matrix, parse_rational
 from twodof.factor import (
     RightMFD,
     _hermite_certificate,
@@ -55,6 +56,7 @@ from twodof.stabilize import (
     youla_controller,
 )
 from twodof.synthesis import model_matching
+from twodof.verify import closed_loop
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -129,6 +131,61 @@ def test_printed_ratfn_parses_back(value):
 
 
 
+# Expression texts of the parser's grammar: literals (up to the 100-digit
+# cap), s, unsigned exponents, parenthesized groups and a leading '-' on an
+# expression.  Every product, quotient and power is drawn, so '/' by a zero
+# value occurs, and the parser must refuse it.
+atoms = st.one_of(
+    st.just("s"), st.integers(0, 12).map(str), st.integers(0, 10**100 - 1).map(str)
+)
+
+
+def expression_texts(inner):
+    base = st.one_of(atoms, inner.map(lambda e: f"({e})"))
+    factor = st.tuples(base, st.sampled_from(["", "", "^0", "^1", "^2", "^3"])).map("".join)
+    tail = st.lists(st.tuples(st.sampled_from(["*", "/"]), factor).map("".join), max_size=2)
+    term = st.tuples(factor, tail).map(lambda t: t[0] + "".join(t[1]))
+    more = st.lists(st.tuples(st.sampled_from([" + ", " - "]), term).map("".join), max_size=2)
+    return st.tuples(st.sampled_from(["", "-"]), term, more).map(
+        lambda t: t[0] + t[1] + "".join(t[2])
+    )
+
+
+@SETTINGS
+@given(st.recursive(atoms, expression_texts, max_leaves=12))
+@example("(s+1)^40/(s+1)^40*s")
+@example("-1/4*s - 1/2 + (3*s^2 - 1)/(2*s)")
+@example("0^0 - (s-s)^0")
+@example("s/(s/0)")
+@example("s/0^1")
+def test_parse_matches_sympy(text):
+    import sympy
+
+    s = sympy.Symbol("s")
+    source = text.replace("^", "**")
+    # a '/' by a zero value, found on the unevaluated tree (a/b is a*b**-1)
+    tree = sympy.parse_expr(source, local_dict={"s": s}, evaluate=False)
+    divides_by_zero = any(
+        isinstance(node, sympy.Pow) and node.exp == -1 and sympy.cancel(node.base.doit()) == 0
+        for node in sympy.preorder_traversal(tree)
+    )
+    try:
+        value = parse_rational(text)
+    except ParseError as err:
+        if "exceeds the cap" in str(err):
+            reject()  # drawn past the degree cap: out of this test's range
+        assert "zero denominator" in str(err) and divides_by_zero, text
+        return
+    assert not divides_by_zero, text
+    expected = sympy.cancel(sympy.together(sympy.parse_expr(source, local_dict={"s": s})))
+    num, den = (sympy.Poly(p, s, domain="QQ") for p in sympy.fraction(expected))
+    lc = den.LC()
+    assert (value.num.coeffs, value.den.coeffs) == tuple(
+        tuple(Fraction(int(c.p), int(c.q)) for c in reversed(p.quo_ground(lc).all_coeffs()))
+        if not p.is_zero else ()
+        for p in (num, den)
+    ), text
+
 # -- the integer kernel against the Fraction algorithms it replaced -----------
 
 
@@ -199,14 +256,18 @@ def test_gcd_matches_euclid(a, b, h):
         assert poly_gcd(a, b) == expected
 
 
-# Integer pairs on which GCDHEU needs a cofactor (of the first input, with
-# a gcd of content 2, and of the second), a fourth evaluation point, or a
-# fifth one that proves the gcd constant.
+# Integer pairs on which GCDHEU takes each of its paths: a cofactor of the
+# first input, and of the second (the gcd 10**9*s + 7 is longer than the
+# first point x, which the square-root cut keeps near 99 * sqrt(2 * 10**9)
+# * 2**2); contents (6 and 1) taken out where the cut acts; a second and a
+# third evaluation point; and a third point that proves the gcd constant.
 GCDHEU_PATHS = [
-    ([28, -46, -28, 46], [-84, 222, -138]),
-    ([30432, 81416, 76946, 16411, -9513], [-48, -44, -19, -29, -63]),
-    ([1980, 990, 1980], [0, 2, 1, 0, -1, -2]),
-    ([-18432, 18368, 17344, 6432], [0, 0, -32, 0, -32]),
+    ([7, 10**9 + 7, 10**9], [21, 10**10, 10**18]),
+    ([21, 10**10, 10**18], [7, 10**9 + 7, 10**9]),
+    ([39732, -82578, 70860, -26550], [1892, 2014, -1648, -10284, 7965]),
+    ([-7553, 10323, -3010], [0, 0, 83, -35]),
+    ([220, -1469, -1785], [-11, 63, 159, 107, -170]),
+    ([626, 313, -313, -626], [28796, 5321]),
 ]
 
 
@@ -218,6 +279,93 @@ def test_gcd_returns_cofactors_on_every_heuristic_path(a, b):
     assert polyalg._heu_gcd(a, b) == (g, qa, qb)
     expected = euclid_gcd(Poly(tuple(a)), Poly(tuple(b)))
     assert polyalg._from_z(g, g[-1]) == expected
+
+
+@st.composite
+def big_gcd_products(draw):
+    """(g * f1, g * f2) over Z with g's coefficients larger than those of
+    f1 and f2: g is drawn with coefficients up to 10**12, or as a power of
+    s + 1 (coefficients up to 2**deg), times an integer content."""
+    small = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(polyalg._trim)
+    f1, f2 = draw(small.filter(bool)), draw(small.filter(bool))
+    if draw(st.booleans()):
+        g = draw(st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=4))
+        g = polyalg._trim(g) or [1]
+    else:
+        k = draw(st.integers(1, 12))
+        g = [math.comb(k, i) for i in range(k + 1)]
+    g = [draw(st.sampled_from([1, -2, 6])) * x for x in g]
+    return polyalg._mul(g, f1), polyalg._mul(g, f2)
+
+
+@SETTINGS
+@given(big_gcd_products())
+@example(([21, 10**10, 10**18], [7, 10**9 + 7, 10**9]))
+def test_gcd_matches_the_remainder_sequence(pair):
+    a, b = pair
+    g = polyalg._prs_gcd(a, b)
+    assert polyalg._gcd(a, b) == (g, polyalg._exact_quo(a, g), polyalg._exact_quo(b, g))
+
+
+def heu_points(monkeypatch) -> list[int]:
+    """The number of evaluation points of each `_heu_gcd` call, while
+    active: the distinct x at which it evaluates its inputs."""
+    counts: list[int] = []
+    points: list[set] = []
+    heu_gcd, horner = polyalg._heu_gcd, polyalg._horner
+
+    def counting_heu_gcd(a, b):
+        points.append(set())
+        try:
+            return heu_gcd(a, b)
+        finally:
+            counts.append(len(points.pop()))
+
+    def recording_horner(a, u, v):
+        if points and v == 1:
+            points[-1].add(u)
+        return horner(a, u, v)
+
+    monkeypatch.setattr(polyalg, "_heu_gcd", counting_heu_gcd)
+    monkeypatch.setattr(polyalg, "_horner", recording_horner)
+    return counts
+
+
+def test_heuristic_gcd_rarely_needs_a_second_point(monkeypatch):
+    # Scalar model matching from text on plants with three integer poles
+    # and two integer zeros, and the Youla loops of 2 x 2 plants with drawn
+    # parameters.  The first point makes room for the 2**deg growth of a
+    # divisor's coefficients; at the smaller point 2 * min(|a|, |b|) + 29
+    # (cut to 99 times its square root) 133 of these 476 calls needed a
+    # second point.
+    rng = random.Random(22)
+    counts = heu_points(monkeypatch)
+
+    def factors(roots):
+        return "*".join(f"(s-{r})" if r > 0 else f"(s+{-r})" for r in roots)
+
+    for _ in range(12):
+        poles = [rng.randint(1, 4)] + rng.sample(range(-6, 0), 2)
+        zeros = rng.sample([z for z in range(-7, 6) if z not in poles and z != 0], 2)
+        gain, sigma = rng.choice([-3, -2, 2, 3]), rng.randint(1, 4)
+        plant = parse_matrix(f"{gain}*{factors(zeros)}/({factors(poles)})")
+        t = parse_matrix(f"{gain}*{factors(zeros)}/(s+{sigma})^3")
+        res = model_matching(stable_mfd(right_coprime_mfd(plant)), t)
+        assert res.verdict.stable and closed_loop(plant, res.configuration).t_yr == t
+    # strictly proper, with unstable poles: every proper stable k gives a
+    # proper cy
+    plants_2x2 = ["3/(s-3), 1/(s+2); 1/(s+4), 2/(s+1)",
+                  "1/(s-2), 1/(s+1); 1/(s+2), (s-1)/((s+3)*(s+1))"]
+    for plant in map(parse_matrix, plants_2x2):
+        for _ in range(3):
+            entries = [
+                f"({rng.choice([-3, -2, -1, 1, 2, 3])}*s + {rng.randint(0, 4)})/(s + {rng.randint(1, 5)})"
+                for _ in range(4)
+            ]
+            k = parse_matrix(f"{entries[0]}, {entries[1]}; {entries[2]}, {entries[3]}")
+            assert gang_of_four(plant, youla_controller(plant, k)).verdict.stable
+    assert len(counts) >= 300
+    assert sum(n > 1 for n in counts) * 100 <= len(counts), counts
 
 
 @SETTINGS
@@ -722,3 +870,97 @@ def test_witnesses_by_division_match_the_escalation_search(plant):
             phi = (S + shift) ** k
             assert list(smfd.u.rows[i]) == [RatFn(a, phi) for a in alpha]
             assert list(smfd.v.rows[i]) == [RatFn(b, phi) for b in beta]
+
+
+# -- hermite over Z[s] against the Poly loop it replaced ----------------------
+
+
+def poly_loop_hermite(a: PolyMat) -> tuple[PolyMat, PolyMat]:
+    """The row Hermite form by Euclid steps over `Poly` entries, kept as an
+    oracle: the same pivots (lowest degree, topmost on ties) and the same
+    quotients as `polyalg.hermite`."""
+    m, n = a.shape
+    rows = [list(r) for r in a.rows]
+    u = [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
+
+    def combine(i, j, q):
+        rows[i] = [e - q * f for e, f in zip(rows[i], rows[j])]
+        u[i] = [e - q * f for e, f in zip(u[i], u[j])]
+
+    pivot_row = 0
+    for col in range(n):
+        if pivot_row >= m:
+            break
+        placed = False
+        while True:
+            cand = [i for i in range(pivot_row, m) if not rows[i][col].is_zero()]
+            if not cand:
+                break
+            best = min(cand, key=lambda i: rows[i][col].degree())
+            rows[best], rows[pivot_row] = rows[pivot_row], rows[best]
+            u[best], u[pivot_row] = u[pivot_row], u[best]
+            lower = [i for i in range(pivot_row + 1, m) if not rows[i][col].is_zero()]
+            if not lower:
+                placed = True
+                break
+            for i in lower:
+                combine(i, pivot_row, poly_divmod(rows[i][col], rows[pivot_row][col])[0])
+        if placed:
+            inv = 1 / rows[pivot_row][col].leading
+            rows[pivot_row] = [e * inv for e in rows[pivot_row]]
+            u[pivot_row] = [e * inv for e in u[pivot_row]]
+            for i in range(pivot_row):
+                if not rows[i][col].is_zero():
+                    q = poly_divmod(rows[i][col], rows[pivot_row][col])[0]
+                    if not q.is_zero():
+                        combine(i, pivot_row, q)
+            pivot_row += 1
+    return PolyMat(rows), PolyMat(u)
+
+
+@st.composite
+def hermite_stacks(draw):
+    """1 x 1 to 3 x 3 polynomial matrices over Q: rational coefficients,
+    a common factor of every entry (a non-coprime stack), a row that is a
+    multiple of another (rank deficient) and zero columns."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = [[draw(mixed_polys(3)) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        common = draw(nonzero_mixed)
+        entries = [[e * common for e in row] for row in entries]
+    if rows > 1 and draw(st.booleans()):
+        factor = draw(mixed_polys(2))
+        entries[-1] = [e * factor for e in entries[0]]
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in entries:
+            row[j] = ZERO
+    return PolyMat(entries)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(hermite_stacks())
+@example(PolyMat([[ZERO]]))
+@example(PolyMat([[2 * S + 4], [3 * S**2 - 12], [Poly((Fraction(1, 2),))]]))
+@example(PolyMat([[S - 1, S**2], [2 * S - 2, 2 * S**2], [ZERO, S + 1]]))
+def test_hermite_over_z_matches_the_poly_loop(a):
+    h, u = polyalg.hermite(a)
+    assert (h, u) == poly_loop_hermite(a)
+    assert u @ a == h
+    det_u = polymat_det(u)
+    assert det_u.is_constant() and not det_u.is_zero()
+    m, n = a.shape
+    pivots = []
+    for row in h.rows:
+        nonzero = [j for j in range(n) if not row[j].is_zero()]
+        if not nonzero:
+            continue
+        pivots.append(nonzero[0])
+        assert row[nonzero[0]].leading == 1  # monic pivot
+    # echelon: pivot columns increase and the zero rows are at the bottom
+    assert pivots == sorted(set(pivots))
+    assert all(not e.is_zero() for e in (h.rows[i][j] for i, j in enumerate(pivots)))
+    assert all(all(e.is_zero() for e in row) for row in h.rows[len(pivots):])
+    for i, j in enumerate(pivots):
+        for above in range(i):
+            e = h.rows[above][j]
+            assert e.is_zero() or e.degree() < h.rows[i][j].degree()

@@ -77,12 +77,10 @@ def test_parse_rational_error_positions():
 
 
 def test_parse_rational_zero_denominator():
-    with pytest.raises(ParseError) as err:
-        parse_rational("1/0")
-    assert "zero denominator" in str(err.value)
-    assert err.value.position == 1
-    with pytest.raises(ParseError):
-        parse_rational("s/(s-s)")
+    for text, position in [("1/0", 1), ("1/(s-s)", 1), ("s/(s-s)", 1), ("s/(s+1)/0", 7)]:
+        with pytest.raises(ParseError) as err:
+            parse_rational(text)
+        assert str(err.value) == f"zero denominator at position {position}"
 
 
 @pytest.mark.parametrize(
@@ -93,6 +91,12 @@ def test_parse_rational_zero_denominator():
         ("2^65", 2, f"exponent 65 exceeds the cap of {MAX_EXPONENT}"),
         ("(s+1)^20*(s+2)^21", 8, f"degree 41 exceeds the cap of {MAX_DEGREE}"),
         ("1/(s+1)^21 + 1/(s+2)^20", 11, f"degree 41 exceeds the cap of {MAX_DEGREE}"),
+        # one past each cap
+        ("(s+1)^41", 5, f"degree 41 exceeds the cap of {MAX_DEGREE}"),
+        ("(s+1)^40*s", 8, f"degree 41 exceeds the cap of {MAX_DEGREE}"),
+        ("s*(s+1)^40", 1, f"degree 41 exceeds the cap of {MAX_DEGREE}"),
+        ("(s+1)^40/(s+2)^40/s", 17, f"degree 41 exceeds the cap of {MAX_DEGREE}"),
+        ("1/s^40 + s", 7, f"degree 41 exceeds the cap of {MAX_DEGREE}"),
     ],
 )
 def test_parse_rational_budgets(text, position, cap):
@@ -101,7 +105,7 @@ def test_parse_rational_budgets(text, position, cap):
         parse_rational(text)
     assert time.perf_counter() - start < 1.0
     assert err.value.position == position
-    assert cap in str(err.value)
+    assert str(err.value) == f"{cap} at position {position}"
 
 
 @pytest.mark.parametrize(
@@ -110,6 +114,8 @@ def test_parse_rational_budgets(text, position, cap):
         ("1" * 4400 + "*s+1", 0, 4400),  # past Python's int-from-text limit
         (f"({'9' * 400}*s+1)^40/(s+2)^40 - (s+5)/(7*s+3)", 1, 400),
         ("s^" + "1" * 200, 2, 200),
+        ("1" * 101, 0, 101),
+        ("s + " + "1" * 101 + "*s", 4, 101),
     ],
 )
 def test_parse_rational_literal_cap(text, position, digits):
@@ -118,13 +124,19 @@ def test_parse_rational_literal_cap(text, position, digits):
         parse_rational(text)
     assert time.perf_counter() - start < 1.0
     assert err.value.position == position
-    assert f"literal of {digits} digits exceeds the cap of {MAX_DIGITS}" in str(err.value)
+    cap = f"literal of {digits} digits exceeds the cap of {MAX_DIGITS}"
+    assert str(err.value) == f"{cap} at position {position}"
 
 
 def test_parse_rational_at_the_caps():
     assert parse_rational(f"2^{MAX_EXPONENT}") == rf(Poly((Fraction(2**MAX_EXPONENT),)))
     big = 10**MAX_DIGITS - 1
     assert parse_rational(f"{big}*s+1") == rf(Poly((Fraction(1), Fraction(big))))
+    assert parse_rational(str(big)) == rf(Poly((big,)))
+    assert parse_rational("(s+1)^40") == rf((S + ONE) ** 40)
+    assert parse_rational("(s+1)^40/(s+1)^40*s") == rf(S)  # reduced before the '*'
+    assert parse_rational("(s+1)^20*(s+2)^20") == rf((S + ONE) ** 20 * (S + 2 * ONE) ** 20)
+    assert parse_rational("1/s^39 + s") == rf(S**40 + ONE, S**39)
     # a printed polynomial sums terms of falling degree, none above the cap
     value = rf((S + ONE) ** MAX_DEGREE, (S + 2 * ONE) ** MAX_DEGREE)
     assert parse_rational(str(value)) == value
@@ -148,6 +160,20 @@ def test_parse_rational_short_degree_40_input_is_fast():
     ]
     # the roots of p are the reciprocals of those of q, and none is +-1
     cases.append(("(99*s^2+99*s+1)^20/(s^2+99*s+99)^20", p**20, q**20))
+    # degree-40 sides with 100-digit coefficients: coprime, and sharing a
+    # degree-20 factor (with the content 10**100 // 9 of 9...9*s + 7...7)
+    nines, sevens = 10**100 - 1, 7 * (10**100 // 9)
+    cases.append((
+        f"({nines}*s+1)^40/({sevens}*s+3)^40",
+        (nines * S + ONE) ** 40 * Fraction(1, sevens**40),
+        (S + Poly((Fraction(3, sevens),))) ** 40,
+    ))
+    shared = f"({nines}*s+{sevens})^20"
+    cases.append((
+        f"({shared}*(s+2)^20)/({shared}*({nines}*s+3)^20)",
+        (S + 2 * ONE) ** 20 * Fraction(1, nines**20),
+        (S + Poly((Fraction(3, nines),))) ** 20,
+    ))
     for text, num, den in cases:
         start = time.perf_counter()
         value = parse_rational(text)
