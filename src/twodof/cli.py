@@ -66,10 +66,10 @@ __all__ = ["ParseError", "parse_rational", "parse_matrix", "main"]
 
 MAX_EXPONENT = 64
 MAX_DEGREE = 40
-# In-cap inputs parse in under 0.3 s (2 cores, CPython 3.11.7); the slowest
-# found sum two quotients of 20th powers of linear factors with 100-digit
-# coefficients.  A literal of more than 4300 digits would overflow Python's
-# int-from-text limit.
+# The slowest in-cap inputs found parse in 0.2-0.3 s (2 cores, CPython
+# 3.11.7): sums of two quotients of 20th powers of linear factors with
+# 100-digit coefficients.  A literal of more than 4300 digits would overflow
+# Python's int-from-text limit.
 MAX_DIGITS = 100
 
 

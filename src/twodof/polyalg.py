@@ -876,11 +876,11 @@ def hermite(a: PolyMat) -> tuple[PolyMat, PolyMat]:
     The form is upper echelon with monic pivots; entries above each pivot
     have strictly lower degree than the pivot.  Pivots are chosen as the
     lowest-degree nonzero candidate in the leftmost unfinished column
-    (topmost row on ties), which keeps intermediate degrees small.  Each
-    row of [a | I] is integer polynomials over one denominator; a row step
+    (topmost row on ties), which keeps intermediate degrees small.  Row i
+    of [a | I] is kept as r_i / c_i, r_i over Z[s] and c_i > 0; a row step
     row_i -= q * row_p (q the Euclidean quotient over Q of their entries in
-    the pivot column) is one pseudo-division k * e_i = z * e_p + r over Z,
-    giving (k * row_i - z * row_p) / (k * c_i), and one row content gcd.
+    the pivot column) is one pseudo-division k * e_i = z * e_p + rem over
+    Z, giving (k * r_i - z * r_p) / (k * c_i), and one row content gcd.
     """
     m, n = a.shape
     rows = [

@@ -7,9 +7,11 @@ are also checked against the plain `Fraction` algorithms (coefficientwise
 sum, schoolbook product, division by the leading coefficient, Euclid's
 gcd, division by the gcd), kept here as oracles, the Bareiss kernel
 against Gauss-Jordan over `RatFn`, `linsolve_exact` against Gauss-Jordan
-over `Fraction`, `RatMat @` against sums of `RatFn` products, and the
+over `Fraction`, `RatMat @` against sums of `RatFn` products, the
 Bezout witnesses read off the Hermite certificate against the least-degree
-search by `poly_row_diophantine`."""
+search by `poly_row_diophantine`, `hermite` over Z[s] against the `Poly`
+loop it replaced, GCDHEU against the primitive remainder sequence, and
+`parse_rational` against sympy."""
 
 import copy
 import fractions
@@ -186,6 +188,7 @@ def test_parse_matches_sympy(text):
         for p in (num, den)
     ), text
 
+
 # -- the integer kernel against the Fraction algorithms it replaced -----------
 
 
@@ -268,6 +271,12 @@ GCDHEU_PATHS = [
     ([-7553, 10323, -3010], [0, 0, 83, -35]),
     ([220, -1469, -1785], [-11, 63, 159, 107, -170]),
     ([626, 313, -313, -626], [28796, 5321]),
+    # the cofactor paths, a fourth point and a fifth that proves the gcd
+    # constant, at the first point 2 * min(|a|, |b|) + 29 without the shift
+    ([28, -46, -28, 46], [-84, 222, -138]),
+    ([30432, 81416, 76946, 16411, -9513], [-48, -44, -19, -29, -63]),
+    ([1980, 990, 1980], [0, 2, 1, 0, -1, -2]),
+    ([-18432, 18368, 17344, 6432], [0, 0, -32, 0, -32]),
 ]
 
 
