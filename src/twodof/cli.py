@@ -123,9 +123,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in "0123456789":  # not str.isdigit, which takes superscript and Arabic-Indic digits
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in "0123456789":
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ParseError(

@@ -16,11 +16,11 @@ when read.  Two identities certify it: the controller solves
 (v - K*nl') @ d' + (u + K*dl') @ n' = I.  Every other pair (P, Cy) (a
 supplied feedback map, the unity and direct loops, the (L, X) sweep and
 ``verify.closed_loop``, which checks a design apart from the design) has
-its maps formed by ``gang_of_four``, over the one polynomial denominator
-det M, M = dc*D - Nc*N for P = N*D**-1 and Cy = Nc/dc: the
-coprime-factor form of H(P, C) (Vidyasagar, Control System Synthesis,
-1985; Kailath, Linear Systems, 1980), spelled out in ``gang_of_four``,
-whose ``verdict`` is the pair's internal stability.  All stabilizing
+its maps formed by ``gang_of_four`` in the same form, the coprime-factor
+form [D; N] @ adj M @ [dc*I | Nc] / det M of H(P, C), M = dc*D - Nc*N for
+P = N*D**-1 and Cy = Nc/dc (Vidyasagar, Control System Synthesis, 1985;
+Kailath, Linear Systems, 1980), over det M less a factor every map
+cancels; its ``verdict`` is the pair's internal stability.  All stabilizing
 feedback compensators are swept out by a single free parameter K ranging
 over the proper stable rationals.  The sweep is anchored at a Bezout
 witness of the proper-stable fraction data: a witness over polynomials
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .factor import (
     RightMFD,
@@ -55,10 +55,13 @@ from .polyalg import (
     ShapeError,
     SingularMatrixError,
     _column_fraction,
+    _exact_quo,
+    _from_z,
     _over,
     _over_lcd,
     _polymat_det_adj,
     hstack,
+    poly_gcd,
     poly_lcm,
 )
 from .stability import (
@@ -136,10 +139,10 @@ def _rh_data_cached(p: RatMat, shift: Fraction) -> StableMFD:
     return smfd
 
 
-def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, _YoulaLoop]:
+def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, _Loop]:
     """cy = -(v - k@nl')**-1 @ (u + k@dl') from the witness (u, v) and the
     left pair of ``smfd``, with the loop of cy and the plant ``smfd`` is a
-    fraction of (``_YoulaLoop``), whose verdict says cy is internally
+    fraction of (``_Loop``), whose verdict says cy is internally
     stabilizing.  k = None is the central choice k = 0 and needs no left
     pair; any other k must be proper and stable.
 
@@ -195,7 +198,7 @@ def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, _
     psi, dn = smfd.stacked
     if k is not None and lr @ dn != PolyMat.identity(m).scale(den * psi):
         raise ArithmeticError("parametrized loop fails (v - k@nl')@d' + (u + k@dl')@n' = I")
-    loop = _YoulaLoop(dn, hstack(l, -r), den * psi)
+    loop = _Loop(dn, hstack(l, -r), den * psi)
     if not loop.verdict:
         raise ArithmeticError(
             "parametrized compensator failed validation: " + loop.verdict.describe()
@@ -246,18 +249,16 @@ class LoopMaps(namedtuple("LoopMaps", "sens sens_cy p_sens p_sens_cy")):
     @cached_property
     def verdict(self) -> StabilityVerdict:
         """Internal stability: every map proper and stable."""
-        merged = StabilityVerdict(True)
-        for verdict in self.verdicts:
-            merged = merged.merged(verdict)
-        return merged
+        return reduce(StabilityVerdict.merged, self.verdicts, StabilityVerdict(True))
 
 
-class _YoulaLoop:
-    """A Youla loop's four maps [d^; n^] @ [l | -r] / q, q = den*psi, kept
-    as these factors; the maps (``LoopMaps``) are formed on first read.
-    The verdict is stable when q is Hurwitz and the factors' largest entry
-    degrees add up to at most deg q (each reduced map denominator divides
-    the monic q, and cancellation keeps relative degree), else the maps'."""
+class _Loop:
+    """The four maps of a feedback pair, stacked @ row / q, kept as these
+    polynomial factors (``_youla_feedback``, ``gang_of_four``); the maps
+    (``LoopMaps``) are formed on first read.  The verdict is stable when q
+    is Hurwitz and the factors' largest entry degrees add up to at most
+    deg q (each reduced map denominator divides the monic q, and
+    cancellation keeps relative degree), else the maps'."""
 
     def __init__(self, stacked: PolyMat, row: PolyMat, q: Poly):
         self.stacked, self.row, self.q = stacked, row, q
@@ -287,17 +288,18 @@ def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
     forms its own loop with its controller (``_youla_feedback``).
 
     The maps are formed over polynomials, in the coprime-factor form of
-    H(P, C) (Vidyasagar, Control System Synthesis, 1985; Kailath, Linear
-    Systems, 1980): with p = n @ d**-1, d the diagonal of the column lcds,
-    cy = nc / dc, dc the lcd of cy, and m = dc*d - nc@n,
-
-        (I - cy@p)**-1 = dc * d @ adj m / det m
-        (I - cy@p)**-1 @ cy = d @ adj m @ nc / det m
-        p @ (I - cy@p)**-1 = dc * n @ adj m / det m
-        p @ (I - cy@p)**-1 @ cy = n @ adj m @ nc / det m
-
-    since I - cy@p = m @ d**-1 / dc.  The loop is ill posed exactly when
-    det m = 0.
+    H(P, C) (Vidyasagar, Control System Synthesis, 1985, ch. 4-5; Kailath,
+    Linear Systems, 1980): with p = n @ d**-1, d the diagonal of the
+    column lcds, cy = nc / dc, dc the lcd of cy, and M = dc*d - nc@n,
+    I - cy@p = M @ d**-1 / dc, so the maps are the blocks of
+    [d; n] @ row / det M with row = adj M @ [dc*I | nc] (``_Loop``), and
+    the loop is ill posed exactly when det M = 0.  The greatest common
+    left divisor of [dc*I | nc] is a left factor of M, and its
+    determinant, the gcd of the maximal minors of [dc*I | nc], divides
+    dc**(m-1) for m inputs, det M and every entry of row.  So the maps are
+    normalised over det M / g, g a common divisor of det M and row that
+    starts at gcd(det M, dc**(m-1)) (1, and no gcd, when m = 1) and drops
+    to gcd(g, e) at an entry e of row that it does not divide.
     """
     if cy.shape != (p.shape[1], p.shape[0]):
         raise ShapeError(
@@ -305,18 +307,21 @@ def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
         )
     d, n = _column_fraction(p)
     dc, nc = _over_lcd(cy)
+    m = len(d)
     try:
         det, adj = _polymat_det_adj(PolyMat.diag([dc * dj for dj in d]) - nc @ n)
     except SingularMatrixError:
         raise IllPosedLoop("I - cy@p is singular; the loop is ill posed") from None
-    d_adj = PolyMat(tuple(tuple(dj * e for e in row) for dj, row in zip(d, adj.rows)))
-    n_adj = n @ adj
-    return LoopMaps(
-        _over(d_adj.scale(dc), det),
-        _over(d_adj @ nc, det),
-        _over(n_adj.scale(dc), det),
-        _over(n_adj @ nc, det),
-    )
+    row = adj @ hstack(PolyMat.diag([dc] * m), nc)
+    if m > 1:
+        entries = [e for r in row.rows for e in r]
+        g = poly_gcd(det, dc ** (m - 1))
+        while None in (quos := [_exact_quo(e._z, g._z) for e in entries]):
+            g = poly_gcd(g, entries[quos.index(None)])
+        quos = iter(_from_z(z, e._d) for z, e in zip(quos, entries))  # lowest terms: g is primitive
+        row = PolyMat(tuple(tuple(next(quos) for _ in r) for r in row.rows))
+        det = _from_z(_exact_quo(det._z, g._z), det._d)
+    return _Loop(PolyMat(PolyMat.diag(d).rows + n.rows), row, det).maps
 
 
 def all_controllers_from_LX(

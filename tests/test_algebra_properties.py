@@ -791,6 +791,28 @@ def test_youla_loop_normalises_its_maps_only_when_read(monkeypatch):
     assert tuple(maps) == tuple(gang_of_four(plant, cy))
 
 
+def test_gang_of_four_normalises_over_det_m_less_dc(monkeypatch):
+    # dc = gcd(det M, dc) divides det M and every entry of
+    # adj M @ [dc*I | nc], so the 16 map entries are normalised over
+    # det M / dc, of degree 10 here, not over det M, of degree 16
+    plant = parse_matrix("1/(s-1), 2/(s+2); 1/(s+3), 1/(s+1)")
+    cy = youla_controller(plant, parse_matrix("s/(s+1), 1; 1/(s+2), -2"))
+    d, n = polyalg._column_fraction(plant)
+    dc, nc = polyalg._over_lcd(cy)
+    det_m = polymat_det(PolyMat.diag([dc * dj for dj in d]) - nc @ n)
+    dens = []
+    original = RatFn.__init__
+
+    def recording_init(ratfn, num, den=ONE):
+        dens.append(den)
+        original(ratfn, num, den)
+
+    monkeypatch.setattr(RatFn, "__init__", recording_init)
+    gang_of_four(plant, cy)
+    assert (det_m.degree(), dc.degree()) == (16, 6)
+    assert [den.degree() for den in dens] == [det_m.degree() - dc.degree()] * 16
+
+
 def test_model_matching_normalises_no_loop_map(monkeypatch):
     # the design reads only the central loop's verdict: 9 normalisations on
     # example_match.ini's analysis, 13 while the loop's maps were formed

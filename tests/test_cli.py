@@ -76,6 +76,18 @@ def test_parse_rational_error_positions():
     assert "position" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("s^\u00b2", 2), ("1/(s+\u00b2)", 5), ("\u0663*s", 0), ("s^\u0661", 2)],
+)
+def test_parse_rational_refuses_non_ascii_digits(text, position):
+    # a superscript or Arabic-Indic digit is no literal: it is refused
+    # where it stands, not read as its value or failed without a position
+    with pytest.raises(ParseError) as err:
+        parse_rational(text)
+    assert str(err.value) == f"unexpected character {text[position]!r} at position {position}"
+
+
 def test_parse_rational_zero_denominator():
     for text, position in [("1/0", 1), ("1/(s-s)", 1), ("s/(s-s)", 1), ("s/(s+1)/0", 7)]:
         with pytest.raises(ParseError) as err:

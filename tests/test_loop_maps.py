@@ -2,6 +2,9 @@
 denominator, agree with the inversion formulas over rational entries, and
 the loop maps of a Youla design, formed as one product when read, agree
 with both; its verdict, decided on their one denominator, agrees too.
+gang_of_four divides a common factor of det M and its row out first; it
+agrees on pairs where that factor is smaller than gcd(det M, dc**(m-1)),
+on 3x3 and non-square plants, and runs no gcd for a scalar loop.
 
 The oracles below invert I - cy@p and v - k@nl' with RatMat.inv, as the
 package did before both were written as adj / det of a polynomial matrix.
@@ -85,6 +88,44 @@ def test_loop_maps_equal_the_inversion_formula():
                 gang_of_four(plant, other)
             continue
         assert tuple(gang_of_four(plant, other)) == expected
+
+
+def count_gcds(monkeypatch):
+    calls = []
+    original = twodof.stabilize.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(twodof.stabilize, "poly_gcd", counted)
+    return calls
+
+
+def test_a_common_factor_smaller_than_its_start_is_found(monkeypatch):
+    # dc = s+1 and det M = (s^2+3s+1)(s+1)^2 start g at s+1, but the row
+    # entry s^2+3s+1 of adj M @ [dc*I | nc] leaves a remainder: g drops to 1
+    plant = RatMat([[RatFn(ONE, S + 2 * ONE), 0], [0, RatFn(S + ONE, S + 2 * ONE)]])
+    cy = RatMat([[RatFn(ONE, S + ONE), 0], [0, RatFn(ONE, S + ONE)]])
+    calls = count_gcds(monkeypatch)
+    assert tuple(gang_of_four(plant, cy)) == oracle_gang_of_four(plant, cy)
+    assert [g for _, g in calls] == [S + ONE, S**2 + 3 * S + ONE]
+
+
+def test_loop_maps_of_larger_and_non_square_plants():
+    rng = random.Random(73)
+    for rows, cols in [(3, 3), (2, 3), (3, 2)] * 2:
+        plant = random_matrix(rng, rows, cols, 2, range(-3, 4), strict=True)
+        cy = youla_controller(plant, random_matrix(rng, cols, rows, 1, range(1, 6)))
+        assert tuple(gang_of_four(plant, cy)) == oracle_gang_of_four(plant, cy)
+
+
+def test_a_scalar_loop_runs_no_gcd(monkeypatch):
+    plant = RatMat([[RatFn(S + 2 * ONE, (S - ONE) * (S + 3 * ONE))]])
+    cy = youla_controller(plant, RatMat([[RatFn(2 * ONE, S + ONE)]]))
+    calls = count_gcds(monkeypatch)
+    assert tuple(gang_of_four(plant, cy)) == oracle_gang_of_four(plant, cy)
+    assert calls == []
 
 
 def test_loop_maps_and_youla_controller_invert_no_rational_matrix(monkeypatch):
