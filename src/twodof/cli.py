@@ -436,7 +436,9 @@ def cmd_match(args: argparse.Namespace) -> int:
     plant, smfd = _stable_plant_data(pf, args)
     t = _design_matrix(pf, "t")
     m = parse_matrix(pf.design["m"]) if "m" in pf.design else None
-    sign = 1 if _option(pf, args, "sign", "pos", str) == "pos" else -1
+    sign = {"pos": 1, "neg": -1}.get(text := _option(pf, args, "sign", "pos", str))
+    if sign is None:
+        raise ValueError(f"invalid sign: {text!r} (choose from 'pos', 'neg')")
     if plant.shape == (1, 1) and t.shape == (1, 1):
         feas = siso_conditions(plant.entry(0, 0), t.entry(0, 0), sign=sign)
         print(f"scalar restricted-loop feasibility ((1{'+' if sign >= 0 else '-'}t)/d, t/n): {feas.describe()}")
@@ -602,12 +604,19 @@ class _UsageError(ValueError):
 
 
 def _fraction(text: str) -> Fraction:
-    """``Fraction(text)``; a zero denominator is refused like any other
-    malformed number, as a usage error rather than a traceback."""
+    """``Fraction(text)``, refused as a usage error rather than a traceback
+    when malformed, with a zero denominator, or with a numerator or
+    denominator of more than MAX_DIGITS digits; an exponent past MAX_DIGITS
+    plus the mantissa's length breaks that cap before 10**exponent is formed."""
+    mantissa, _, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        big = bool(exponent) and abs(int(exponent)) > MAX_DIGITS + len(mantissa)
+        value = None if big else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+    if big or max(abs(value.numerator), value.denominator) >= 10**MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"Fraction value {text!r} exceeds the cap of {MAX_DIGITS} digits")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -57,6 +57,7 @@ from .polyalg import (
     _column_fraction,
     _exact_quo,
     _from_z,
+    _monic_z,
     _over,
     _over_lcd,
     _polymat_det_adj,
@@ -293,13 +294,12 @@ def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
     column lcds, cy = nc / dc, dc the lcd of cy, and M = dc*d - nc@n,
     I - cy@p = M @ d**-1 / dc, so the maps are the blocks of
     [d; n] @ row / det M with row = adj M @ [dc*I | nc] (``_Loop``), and
-    the loop is ill posed exactly when det M = 0.  The greatest common
-    left divisor of [dc*I | nc] is a left factor of M, and its
-    determinant, the gcd of the maximal minors of [dc*I | nc], divides
-    dc**(m-1) for m inputs, det M and every entry of row.  So the maps are
-    normalised over det M / g, g a common divisor of det M and row that
-    starts at gcd(det M, dc**(m-1)) (1, and no gcd, when m = 1) and drops
-    to gcd(g, e) at an entry e of row that it does not divide.
+    the loop is ill posed exactly when det M = 0.  A common divisor of
+    det M and every entry of row cancels from every map, so the maps are
+    normalised over det M / g, g the gcd of det M and the entries of row:
+    g starts at det M and drops to gcd(g, e) at each entry e of row that
+    it does not divide.  For m = 1, row = [dc | nc] and g = 1, as dc is
+    the lcd of cy, so a scalar loop runs no gcd.
     """
     if cy.shape != (p.shape[1], p.shape[0]):
         raise ShapeError(
@@ -315,7 +315,7 @@ def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
     row = adj @ hstack(PolyMat.diag([dc] * m), nc)
     if m > 1:
         entries = [e for r in row.rows for e in r]
-        g = poly_gcd(det, dc ** (m - 1))
+        g = _monic_z(det._z)
         while None in (quos := [_exact_quo(e._z, g._z) for e in entries]):
             g = poly_gcd(g, entries[quos.index(None)])
         quos = iter(_from_z(z, e._d) for z, e in zip(quos, entries))  # lowest terms: g is primitive

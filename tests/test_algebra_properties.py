@@ -19,6 +19,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 from unittest import mock
 
@@ -44,6 +45,7 @@ from twodof.polyalg import (
     PolyMat,
     RatFn,
     RatMat,
+    SingularMatrixError,
     poly_divmod,
     poly_gcd,
     poly_lcm,
@@ -51,6 +53,7 @@ from twodof.polyalg import (
     vstack,
 )
 from twodof.stabilize import (
+    IllPosedLoop,
     _rh_data_cached,
     _youla_feedback,
     gang_of_four,
@@ -394,6 +397,43 @@ def test_bareiss_divides_by_pivots_with_integer_content():
         inv, det, _ = oracle_inv_det(a)
         assert a.inv() == inv and a.det() == det
         assert polymat_det(num) == polymat_det_cofactor(num) == det.num
+        # a.inv() takes cofactors up to 3x3; the elimination is called apart
+        bareiss_det, bareiss_adj = polyalg._bareiss_det_adj(num)
+        assert (bareiss_det, bareiss_adj) == polyalg._polymat_det_adj(num)
+        assert polyalg._over(bareiss_adj, bareiss_det) == inv
+
+
+@st.composite
+def square_polymats(draw):
+    """1x1 to 4x4 polynomial matrices, on both sides of the cofactor /
+    elimination switch; about half singular, their last row a polynomial
+    combination of the others (zero for a 1x1)."""
+    n = draw(st.integers(1, 4))
+    rows = [[draw(polys(2)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        weights = [draw(polys(1)) for _ in range(n - 1)]
+        rows[-1] = [sum((w * row[j] for w, row in zip(weights, rows)), ZERO) for j in range(n)]
+    return PolyMat(rows)
+
+
+@SETTINGS
+@given(square_polymats())
+def test_cofactor_adjugate_matches_the_elimination(a):
+    n = a.shape[0]
+    det = polymat_det_cofactor(a)
+    if det.is_zero():
+        for kernel in (polyalg._polymat_det_adj, polyalg._bareiss_det_adj):
+            with pytest.raises(SingularMatrixError):
+                kernel(a)
+        return
+    det_adj = polyalg._polymat_det_adj(a)
+    assert det_adj == polyalg._bareiss_det_adj(a)
+    assert det_adj[0] == det and a @ det_adj[1] == PolyMat.identity(n).scale(det)
+    # cy = e @ p**-1 with e = diag(1, 0, ...) makes I - cy@p singular
+    p = a.to_ratmat()
+    cy = RatMat.diag([RatFn(ONE)] + [RatFn(ZERO)] * (n - 1)) @ p.inv()
+    with pytest.raises(IllPosedLoop):
+        gang_of_four(p, cy)
 
 
 def gauss_jordan(a_rows, rhs):
@@ -792,14 +832,16 @@ def test_youla_loop_normalises_its_maps_only_when_read(monkeypatch):
 
 
 def test_gang_of_four_normalises_over_det_m_less_dc(monkeypatch):
-    # dc = gcd(det M, dc) divides det M and every entry of
-    # adj M @ [dc*I | nc], so the 16 map entries are normalised over
-    # det M / dc, of degree 10 here, not over det M, of degree 16
+    # g = gcd(det M, every entry of adj M @ [dc*I | nc]) cancels from every
+    # map, so the 16 map entries are normalised over det M / g, of degree 6
+    # here, the degree of the maps' lcm (10 over det M / dc, 16 over det M)
     plant = parse_matrix("1/(s-1), 2/(s+2); 1/(s+3), 1/(s+1)")
     cy = youla_controller(plant, parse_matrix("s/(s+1), 1; 1/(s+2), -2"))
     d, n = polyalg._column_fraction(plant)
     dc, nc = polyalg._over_lcd(cy)
-    det_m = polymat_det(PolyMat.diag([dc * dj for dj in d]) - nc @ n)
+    det_m, adj_m = polyalg._polymat_det_adj(PolyMat.diag([dc * dj for dj in d]) - nc @ n)
+    row = adj_m @ polyalg.hstack(PolyMat.diag([dc, dc]), nc)
+    g = reduce(poly_gcd, (e for r in row.rows for e in r), det_m)
     dens = []
     original = RatFn.__init__
 
@@ -808,9 +850,11 @@ def test_gang_of_four_normalises_over_det_m_less_dc(monkeypatch):
         original(ratfn, num, den)
 
     monkeypatch.setattr(RatFn, "__init__", recording_init)
-    gang_of_four(plant, cy)
-    assert (det_m.degree(), dc.degree()) == (16, 6)
-    assert [den.degree() for den in dens] == [det_m.degree() - dc.degree()] * 16
+    maps = gang_of_four(plant, cy)
+    monkeypatch.undo()
+    lcm = reduce(poly_lcm, (e.den for mat in maps for r in mat.rows for e in r))
+    assert (det_m.degree(), dc.degree(), g.degree(), lcm.degree()) == (16, 6, 10, 6)
+    assert [den.degree() for den in dens] == [det_m.degree() - g.degree()] * 16
 
 
 def test_model_matching_normalises_no_loop_map(monkeypatch):

@@ -14,6 +14,7 @@ from twodof.cli import (
     MAX_DIGITS,
     MAX_EXPONENT,
     ParseError,
+    _fraction,
     load_problem,
     main,
     parse_matrix,
@@ -333,6 +334,71 @@ def test_main_refuses_a_malformed_shift_option(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err == "error: invalid Fraction value: '1/0'\n"
+
+
+@pytest.mark.parametrize("given", ["option", "flag"])
+@pytest.mark.parametrize(
+    "shift", ["1e2000", "1e-20000", "1e-999999999", "1" * (MAX_DIGITS + 1), "1/" + "3" * (MAX_DIGITS + 1)]
+)
+def test_main_refuses_a_shift_beyond_the_digit_cap(tmp_path, capsys, given, shift):
+    # exponent notation reaches the cap of an expression literal too; the
+    # last exponent would take minutes to form as a power of ten
+    path = tmp_path / "prob.ini"
+    options = f"[options]\nshift = {shift}\n" if given == "option" else ""
+    path.write_text("[plant]\nmatrix = 1/(s-1)\n" + options)
+    argv = ["match", str(path)] + (["--shift", shift] if given == "flag" else [])
+    started = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    prefix = "argument --shift: " if given == "flag" else ""
+    assert captured.err == (
+        f"error: {prefix}Fraction value {shift!r} exceeds the cap of {MAX_DIGITS} digits\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "shift, value",
+    [
+        ("9" * MAX_DIGITS, Fraction("9" * MAX_DIGITS)),
+        ("1/" + "7" * MAX_DIGITS, 1 / Fraction("7" * MAX_DIGITS)),
+        ("1e99", Fraction(10) ** 99),
+        ("0.5e-99", Fraction(1, 2 * 10**99)),
+        ("2.5E+3", Fraction(2500)),
+    ],
+)
+def test_a_shift_within_the_digit_cap_is_read_exactly(shift, value):
+    assert _fraction(shift) == value
+
+
+@pytest.mark.parametrize("given", ["option", "flag"])
+def test_main_match_refuses_an_unknown_sign(tmp_path, capsys, given):
+    # any sign but pos/neg is refused before printing: "positive" once read
+    # as the negative-feedback test ((1-t)/d, t/n)
+    path = tmp_path / "prob.ini"
+    options = "[options]\nsign = positive\n" if given == "option" else ""
+    path.write_text("[plant]\nmatrix = 1/(s-1)\n[design]\nt = 1/(s+1)\n" + options)
+    argv = ["match", str(path)] + (["--sign", "positive"] if given == "flag" else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.count("\n") == 1
+    if given == "option":
+        assert captured.err == "error: invalid sign: 'positive' (choose from 'pos', 'neg')\n"
+    else:
+        assert captured.err.startswith("error: argument --sign: invalid choice: 'positive'")
+
+
+@pytest.mark.parametrize("sign, shown", [("pos", "(1+t)/d"), ("neg", "(1-t)/d")])
+def test_main_match_reads_the_sign_option(tmp_path, capsys, sign, shown):
+    path = tmp_path / "prob.ini"
+    path.write_text(
+        f"[plant]\nmatrix = 1/(s-1)\n[design]\nt = 1/(s+1)\n[options]\nsign = {sign}\n"
+    )
+    main(["match", str(path)])
+    out = capsys.readouterr().out
+    assert out.startswith(f"scalar restricted-loop feasibility ({shown}, t/n): ")
 
 
 def test_main_factor_shift_precedence(tmp_path, capsys):

@@ -2,9 +2,9 @@
 denominator, agree with the inversion formulas over rational entries, and
 the loop maps of a Youla design, formed as one product when read, agree
 with both; its verdict, decided on their one denominator, agrees too.
-gang_of_four divides a common factor of det M and its row out first; it
-agrees on pairs where that factor is smaller than gcd(det M, dc**(m-1)),
-on 3x3 and non-square plants, and runs no gcd for a scalar loop.
+gang_of_four divides the gcd of det M and its row out first; it agrees
+on pairs where that gcd is found in several steps, on 3x3 and non-square
+plants, and runs no gcd for a scalar loop.
 
 The oracles below invert I - cy@p and v - k@nl' with RatMat.inv, as the
 package did before both were written as adj / det of a polynomial matrix.
@@ -103,13 +103,15 @@ def count_gcds(monkeypatch):
 
 
 def test_a_common_factor_smaller_than_its_start_is_found(monkeypatch):
-    # dc = s+1 and det M = (s^2+3s+1)(s+1)^2 start g at s+1, but the row
-    # entry s^2+3s+1 of adj M @ [dc*I | nc] leaves a remainder: g drops to 1
+    # g starts at det M = (s+1)^2 (s^2+3s+1); the entries (s+1)^3,
+    # (s+1)(s^2+3s+1) and s^2+3s+1 of adj M @ [dc*I | nc] each leave a
+    # remainder, and g drops to (s+1)^2, s+1 and 1 in turn
     plant = RatMat([[RatFn(ONE, S + 2 * ONE), 0], [0, RatFn(S + ONE, S + 2 * ONE)]])
     cy = RatMat([[RatFn(ONE, S + ONE), 0], [0, RatFn(ONE, S + ONE)]])
     calls = count_gcds(monkeypatch)
     assert tuple(gang_of_four(plant, cy)) == oracle_gang_of_four(plant, cy)
-    assert [g for _, g in calls] == [S + ONE, S**2 + 3 * S + ONE]
+    s1, q = S + ONE, S**2 + 3 * S + ONE
+    assert calls == [(s1**2 * q, s1**3), (s1**2, s1 * q), (s1, q)]
 
 
 def test_loop_maps_of_larger_and_non_square_plants():
@@ -176,6 +178,20 @@ def test_youla_loop_maps_equal_gang_of_four_and_the_oracle():
             assert tuple(loop.maps) == tuple(expected) == oracle_gang_of_four(plant, cy)
             assert loop.maps.verdicts == expected.verdicts
             assert loop.verdict == loop.maps.verdict == expected.verdict
+
+
+def test_youla_loops_of_drawn_2x2_plants_agree_with_gang_of_four():
+    # the Youla loop of a proper stable k and gang_of_four on the same pair
+    # give the same maps and verdict, and both call the loop stable
+    rng = random.Random(74)
+    for _ in range(10):
+        plant = random_matrix(rng, 2, 2, 2, range(-3, 4), strict=True)
+        k = random_matrix(rng, 2, 2, 1, range(1, 6))
+        cy, loop = _youla_feedback(stable_mfd(right_coprime_mfd(plant), 1), k)
+        expected = gang_of_four(plant, cy)
+        assert loop.maps == expected
+        assert loop.maps.verdicts == expected.verdicts
+        assert loop.verdict == expected.verdict and expected.verdict
 
 
 def test_a_wrong_witness_fails_the_bezout_certificate():
