@@ -992,24 +992,20 @@ def polymat_det(a: PolyMat) -> Poly:
 
 def _polymat_det_adj(a: PolyMat) -> tuple[Poly, PolyMat]:
     """(det a, adj a) of a nonsingular square polynomial matrix; a**-1 =
-    adj a / det a.  Raises SingularMatrixError when det a = 0.  Up to 3x3,
-    adj a holds the cofactors, each minor formed once with no division, and
-    det a is row 0 of a against column 0 of adj a; from 4x4, ``_bareiss_det_adj``."""
+    adj a / det a.  Raises SingularMatrixError when det a = 0.  Up to 2x2,
+    det a and adj a are read off the cofactors with no division; from 3x3,
+    ``_bareiss_det_adj``."""
     r, c = a.shape
     if r != c:
         raise ShapeError("adjugate of a non-square matrix")
-    if r > 3:
+    if r > 2:
         return _bareiss_det_adj(a)
     x = a.rows
     if r == 1:
         adj = ((ONE,),)
-    elif r == 2:
+    else:
         adj = ((x[1][1], -x[0][1]), (-x[1][0], x[0][0]))
-    else:  # cyclic indices give each 2x2 minor its cofactor sign
-        at = lambda i, j: x[i % 3][j % 3]
-        adj = tuple(tuple(at(j + 1, i + 1) * at(j + 2, i + 2) - at(j + 1, i + 2) * at(j + 2, i + 1)
-                          for j in range(3)) for i in range(3))
-    det = x[0][0] if r == 1 else sum((e * row[0] for e, row in zip(x[0], adj)), ZERO)
+    det = x[0][0] if r == 1 else x[0][0] * x[1][1] - x[0][1] * x[1][0]
     if det.is_zero():
         raise SingularMatrixError("matrix is singular")
     return det, PolyMat(adj)

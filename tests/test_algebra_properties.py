@@ -397,7 +397,7 @@ def test_bareiss_divides_by_pivots_with_integer_content():
         inv, det, _ = oracle_inv_det(a)
         assert a.inv() == inv and a.det() == det
         assert polymat_det(num) == polymat_det_cofactor(num) == det.num
-        # a.inv() takes cofactors up to 3x3; the elimination is called apart
+        # a.inv() of the 2x2 takes cofactors; the elimination is called apart
         bareiss_det, bareiss_adj = polyalg._bareiss_det_adj(num)
         assert (bareiss_det, bareiss_adj) == polyalg._polymat_det_adj(num)
         assert polyalg._over(bareiss_adj, bareiss_det) == inv
