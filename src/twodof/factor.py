@@ -49,7 +49,7 @@ from .polyalg import (
     polymat_det,
     vstack,
 )
-from .stability import hurwitz_shift_polynomial, irreducible_factors, is_hurwitz
+from .stability import _routh_is_hurwitz, hurwitz_shift_polynomial, irreducible_factors
 
 __all__ = [
     "RightMFD",
@@ -229,7 +229,7 @@ class StableMFD:
         with their multiplicities: the plant's unstable pole polynomial."""
         out = ONE
         for factor, mult in irreducible_factors(polymat_det(self.source.d)):
-            if not is_hurwitz(factor):
+            if not _routh_is_hurwitz(factor):
                 out = out * factor**mult
         return out
 
@@ -532,17 +532,20 @@ class PoleInfo:
 
 
 class ZeroReport:
-    __slots__ = ("zeros", "poles", "zero_polynomial", "pole_polynomial")
+    __slots__ = ("zeros", "zero_polynomial", "pole_polynomial", "_poles")
 
     def __init__(
-        self,
-        zeros: tuple[ZeroInfo, ...],
-        poles: tuple[PoleInfo, ...],
-        zero_polynomial: Poly,
-        pole_polynomial: Poly,
+        self, zeros: tuple[ZeroInfo, ...], zero_polynomial: Poly, pole_polynomial: Poly
     ) -> None:
-        self.zeros, self.poles = zeros, poles
-        self.zero_polynomial, self.pole_polynomial = zero_polynomial, pole_polynomial
+        self.zeros, self.zero_polynomial = zeros, zero_polynomial
+        self.pole_polynomial, self._poles = pole_polynomial, None
+
+    @property
+    def poles(self) -> tuple[PoleInfo, ...]:
+        """The roots of the pole polynomial, factored on first read."""
+        if self._poles is None:
+            self._poles = tuple(PoleInfo(*info) for info in _roots(self.pole_polynomial))
+        return self._poles
 
     def unstable_zeros(self) -> tuple[ZeroInfo, ...]:
         return tuple(z for z in self.zeros if z.unstable)
@@ -618,37 +621,41 @@ def _left_null_direction(
     return tuple(complex(x) for x in vec)
 
 
-def zeros_and_poles(mfd: RightMFD) -> ZeroReport:
-    """Transmission zeros and poles of a right coprime fraction, with
-    exact left null directions at the unstable zeros."""
-    n, d = mfd.n, mfd.d
+def _zero_polynomial(n: PolyMat) -> Poly:
+    """The monic gcd of the maximal nonzero minors of n: its transmission
+    zero polynomial (ONE when n has rank 0 or no zeros)."""
     p, m = n.shape
     rank = n.rank()
     if rank == 0:
-        zero_poly = ONE
-    else:
-        zero_poly = ZERO
-        for rows, cols in itertools.product(
-            itertools.combinations(range(p), rank), itertools.combinations(range(m), rank)
-        ):
-            minor = polymat_det(PolyMat([[n.entry(i, j) for j in cols] for i in rows]))
-            if not minor.is_zero():
-                zero_poly = minor if zero_poly.is_zero() else poly_gcd(zero_poly, minor)
-                if zero_poly.is_constant():
-                    break
-        zero_poly = ONE if zero_poly.is_constant() else zero_poly.monic()
-    pole_poly = polymat_det(d).monic()
+        return ONE
+    zero_poly = ZERO
+    for rows, cols in itertools.product(
+        itertools.combinations(range(p), rank), itertools.combinations(range(m), rank)
+    ):
+        minor = polymat_det(PolyMat([[n.entry(i, j) for j in cols] for i in rows]))
+        if not minor.is_zero():
+            zero_poly = minor if zero_poly.is_zero() else poly_gcd(zero_poly, minor)
+            if zero_poly.is_constant():
+                break
+    return ONE if zero_poly.is_constant() else zero_poly.monic()
 
-    def roots(poly: Poly):
-        """(root, multiplicity, factor, unstable) of each root of poly."""
-        for factor, mult in [] if poly.is_constant() else irreducible_factors(poly):
-            hurwitz = bool(is_hurwitz(factor))
-            for root in _factor_roots(factor):
-                yield root, mult, factor, _root_unstable(root, hurwitz)
 
+def _roots(poly: Poly):
+    """(root, multiplicity, factor, unstable) of each root of poly."""
+    for factor, mult in [] if poly.is_constant() else irreducible_factors(poly):
+        hurwitz = _routh_is_hurwitz(factor)
+        for root in _factor_roots(factor):
+            yield root, mult, factor, _root_unstable(root, hurwitz)
+
+
+def zeros_and_poles(mfd: RightMFD) -> ZeroReport:
+    """Transmission zeros and poles of a right coprime fraction, with
+    exact left null directions at the unstable zeros.  The zero polynomial
+    is factored here; the poles are formed from det d only when read."""
+    n = mfd.n
+    zero_poly = _zero_polynomial(n)
     zeros = tuple(
         ZeroInfo(*info, _left_null_direction(n, info[0]) if info[3] else None)
-        for info in roots(zero_poly)
+        for info in _roots(zero_poly)
     )
-    poles = tuple(PoleInfo(*info) for info in roots(pole_poly))
-    return ZeroReport(zeros, poles, zero_poly, pole_poly)
+    return ZeroReport(zeros, zero_poly, polymat_det(mfd.d).monic())

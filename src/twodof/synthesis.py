@@ -19,6 +19,8 @@ from fractions import Fraction
 from .factor import (
     RightMFD,
     StableMFD,
+    _left_null_direction,
+    _zero_polynomial,
     left_coprime_mfd,
     poly_row_diophantine,
     stable_left_mfd,
@@ -37,6 +39,7 @@ from .polyalg import (
     _over,
     _over_lcd,
     hstack,
+    poly_divmod,
     polymat_det,
 )
 from .stability import (
@@ -173,21 +176,34 @@ def _xprime_from_x(smfd: StableMFD, x: RatMat) -> RatMat:
     return RatMat([[e * psi for e in row] for row, psi in zip(x.rows, smfd.scaling)])
 
 
-def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat) -> list[str]:
-    """Name the plant's unstable zeros the target fails to inherit."""
-    reasons: list[str] = []
-    report = zeros_and_poles(mfd)
-    for zero in report.unstable_zeros():
-        z = zero.location
-        if not isinstance(z, Fraction):
-            continue  # irrational locations are covered by the exact verdict
-        vals = t.eval_at(z)
-        if vals is None or any(v is None for row in vals for v in row):
+def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat, xv: StabilityVerdict) -> list[str]:
+    """Name the plant's unstable zeros the target fails to inherit, read off
+    ``xv``, the verdict on the parameter x with n@x = t.
+
+    A reason at z needs eta^T n(z) = 0 and eta^T t(z) != 0, and then x has
+    a pole at z: the candidates are the roots z >= 0 of the linear factors
+    ``xv`` names.  A candidate is kept when it is a root of the plant's zero
+    polynomial, which is not factored; irrational zeros are left to the
+    verdict.  The kept points come in ``irreducible_factors`` order (their
+    multiplicity there, then the coefficients of q*s - p for z = p/q).
+    """
+    zero_poly = _zero_polynomial(mfd.n)
+    points: dict[Fraction, int] = {}
+    for factor, _reason in xv.offending_factors:
+        if factor.degree() != 1 or factor.coeff(0) > 0:
             continue
-        if zero.direction is not None and all(
-            isinstance(c, Fraction) for c in zero.direction
-        ):
-            eta = zero.direction
+        z, rest, mult = -factor.coeff(0), zero_poly, 0
+        while rest(z) == 0:
+            rest, mult = poly_divmod(rest, factor)[0], mult + 1
+        if mult:
+            points[z] = mult
+    reasons: list[str] = []
+    for z in sorted(points, key=lambda z: (points[z], z.denominator, -z.numerator)):
+        vals = t.eval_at(z)
+        if any(v is None for row in vals for v in row):
+            continue
+        eta = _left_null_direction(mfd.n, z)
+        if eta is not None:
             combo = [
                 sum(eta[i] * vals[i][j] for i in range(len(eta)))
                 for j in range(t.shape[1])
@@ -197,11 +213,8 @@ def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat) -> list[str]:
                     f"plant unstable zero at s = {z} is not inherited by the target"
                     f" (direction eta with eta^T N({z}) = 0 has eta^T T({z}) != 0)"
                 )
-        else:
-            if any(v != 0 for row in vals for v in row):
-                reasons.append(
-                    f"plant unstable zero at s = {z} is not a zero of the target"
-                )
+        elif any(v != 0 for row in vals for v in row):
+            reasons.append(f"plant unstable zero at s = {z} is not a zero of the target")
     return reasons
 
 
@@ -263,7 +276,7 @@ def check_realizable(
     reasons: list[str] = []
     xv = matrix_is_stable(x)
     if not xv:
-        reasons.extend(_unstable_zero_diagnosis(mfd, t))
+        reasons.extend(_unstable_zero_diagnosis(mfd, t, xv))
         reasons.append("parameter x is unstable: " + xv.describe())
     if not x.is_proper():
         reasons.append("parameter x is improper (relative-degree violation)")
@@ -336,7 +349,11 @@ def model_matching(
 # -- decoupling and inversion ---------------------------------------------------
 
 
-def _decoupling_zero_diagnosis(smfd: StableMFD, targets: Sequence[RatFn]) -> list[str]:
+def _decoupling_zero_diagnosis(
+    smfd: StableMFD, targets: Sequence[RatFn], xprime: RatMat
+) -> list[str]:
+    """Name, at each rational unstable zero z of the plant, the targets
+    that must vanish there: t_i(z) != 0 and column i of x' has a pole at z."""
     reasons = []
     report = zeros_and_poles(smfd.source)
     for zero in report.unstable_zeros():
@@ -347,6 +364,7 @@ def _decoupling_zero_diagnosis(smfd: StableMFD, targets: Sequence[RatFn]) -> lis
             i + 1
             for i, tgt in enumerate(targets)
             if tgt.at(z) not in (None, Fraction(0))
+            and any(row[i].den(z) == 0 for row in xprime.rows)
         ]
         if misses:
             reasons.append(
@@ -383,7 +401,7 @@ def diagonal_decoupling(smfd: StableMFD, targets: Sequence[RatFn]) -> DesignResu
     verdict = rh_inf_verdict(xprime)
     control = smfd.dprime @ xprime
     if not verdict or not control.is_proper():
-        reasons = _decoupling_zero_diagnosis(smfd, targets)
+        reasons = _decoupling_zero_diagnosis(smfd, targets, xprime)
         if not verdict:
             reasons.append("parameter x' not proper-stable: " + verdict.describe())
         if not control.is_proper():

@@ -19,6 +19,7 @@ import twodof.factor
 import twodof.polyalg
 import twodof.stability
 import twodof.stabilize
+import twodof.zfactor
 from twodof.cli import load_problem, main, parse_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat
@@ -379,5 +380,26 @@ def test_unity_parameter_factors_the_plant_denominator_once(monkeypatch, capsys,
     counts = count_calls(monkeypatch, ["irreducible_factors"], twodof.stability)
     assert main(["unity-parameter", str(PROBLEMS / name)]) == 0
     capsys.readouterr()
-    # det d, then is_hurwitz naming its one unstable factor, s - 2
-    assert counts == {"irreducible_factors": 2}
+    # det d alone: its unstable factor, s - 2, is picked by the Routh test
+    assert counts == {"irreducible_factors": 1}
+
+
+def test_factor_command_factors_the_zero_and_pole_polynomials_once(monkeypatch, capsys):
+    counts = count_calls(monkeypatch, ["factor_list"], twodof.zfactor)
+    assert main(["factor", str(PROBLEMS / "example_match.ini")]) == 0
+    capsys.readouterr()
+    # (s - 1)(s + 2) and (s - 2)^2; each factor's tag comes from a Routh test
+    assert counts == {"factor_list": 2}
+
+
+def test_refused_matching_factors_only_the_parameter_denominator(monkeypatch):
+    problem = load_problem(PROBLEMS / "example_match_reject.ini")
+    assert problem.options == {"shift": "2"}
+    smfd = stable_mfd(right_coprime_mfd(problem.plant), shift=2)
+    t = parse_matrix(problem.design["t"])
+    counts = count_calls(monkeypatch, ["factor_list"], twodof.zfactor)
+    with pytest.raises(DesignObstruction) as err:
+        model_matching(smfd, t)
+    # the verdict on x names s - 1, and the zero reason is read off it
+    assert counts == {"factor_list": 1}
+    assert err.value.reasons[0].startswith("plant unstable zero at s = 1 is not inherited")

@@ -157,6 +157,21 @@ def test_diagonal_decoupling_blocked_by_unstable_zero():
     blocked = rf(S - ONE, (S + ONE) ** 2)
     res = diagonal_decoupling(smfd, (blocked, blocked))
     assert res.achieved_t == RatMat.diag([blocked, blocked])
+    assert err.value.reasons[0] == "plant unstable zero at s = 1 must be a zero of target(s) 1, 2"
+
+
+def test_decoupling_refusal_names_only_the_targets_whose_column_takes_the_pole():
+    # the zero at s = 1 sits in the first channel alone: column 2 of x'
+    # never has a pole there, so target 2 need not vanish at it
+    plant = RatMat([[rf(S - ONE, (S + ONE) ** 2), rf(ZERO)], [rf(ZERO), rf(ONE, S + 2 * ONE)]])
+    smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
+    with pytest.raises(DesignObstruction) as err:
+        diagonal_decoupling(smfd, (rf(ONE, S + ONE), rf(ONE, S + ONE)))
+    assert err.value.reasons[0] == "plant unstable zero at s = 1 must be a zero of target(s) 1"
+    blocked = rf(S - ONE, (S + ONE) ** 2)
+    res = diagonal_decoupling(smfd, (blocked, rf(ONE, S + ONE)))
+    assert res.achieved_t == RatMat.diag([blocked, rf(ONE, S + ONE)])
+    assert res.verdict
 
 
 def test_inverse_problem_biproper_plant():
