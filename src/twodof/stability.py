@@ -203,9 +203,9 @@ def _classify_irreducible(q: Poly) -> tuple[bool, bool]:
     axis and a failed Routh test alone certifies a right-half-plane root.
     For the symmetric case, roots come in +/- pairs classified through
     the even compression w(x) = q(sqrt(x)): negative real roots of w are
-    axis pairs, positive real roots give one right-half-plane root each,
-    and complex roots of w give quadruples with two right-half-plane
-    members.
+    axis pairs, and every other root of w (positive, as w(0) != 0, or
+    complex) gives q a right-half-plane root; w is irreducible, so its
+    roots are distinct and one Sturm count decides both.
     """
     if q.degree() == 0:
         return False, False
@@ -219,9 +219,7 @@ def _classify_irreducible(q: Poly) -> tuple[bool, bool]:
     # An irreducible symmetric polynomial other than s itself is even.
     w = _even_compression(body)
     neg = count_real_roots(w, -math.inf, 0)
-    pos = count_real_roots(w, 0, math.inf)
-    complex_count = (w.degree() or 0) - neg - pos
-    return neg > 0, pos > 0 or complex_count > 0
+    return neg > 0, neg < w.degree()
 
 
 def is_hurwitz(p: Poly) -> StabilityVerdict:

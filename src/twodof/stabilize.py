@@ -13,19 +13,18 @@ product [d'; n'] @ [v - K*nl', -(u + K*dl')] over one denominator den*psi
 (``_youla_feedback``): stability is decided on den*psi, the maps formed
 when read.  Two identities certify it: the controller solves
 (v - K*nl') @ Cy = -(u + K*dl'), and
-(v - K*nl') @ d' + (u + K*dl') @ n' = I.  Every other pair (P, Cy) (a
-supplied feedback map, the unity and direct loops, the (L, X) sweep and
-``verify.closed_loop``, which checks a design apart from the design) has
-its maps formed by ``gang_of_four`` in the same form, the coprime-factor
-form [D; N] @ adj M @ [dc*I | Nc] / det M of H(P, C), M = dc*D - Nc*N for
+(v - K*nl') @ d' + (u + K*dl') @ n' = I.  Every other loop has its maps
+formed by ``_fraction_loop`` in the same form, the coprime-factor form
+[D; N] @ adj M @ [dc*I | Nc] / det M of H(P, C), M = dc*D - Nc*N for
 P = N*D**-1 and Cy = Nc/dc (Vidyasagar, Control System Synthesis, 1985;
 Kailath, Linear Systems, 1980), over det M less a factor every map
-cancels; its ``verdict`` is the pair's internal stability.  All stabilizing
-feedback compensators are swept out by a single free parameter K ranging
-over the proper stable rationals.  The sweep is anchored at a Bezout
-witness of the proper-stable fraction data: a witness over polynomials
-alone produces improper loop maps (the central candidate -x1**-1 @ x2
-has (I - Cy*P)**-1 = d@x1, a polynomial), so the parametrization is
+cancels, from the fractions a design holds or those ``gang_of_four``
+reads off a pair of rational matrices.  All stabilizing feedback
+compensators are swept out by a single free parameter K ranging over the
+proper stable rationals.  The sweep is anchored at a Bezout witness of
+the proper-stable fraction data: a witness over polynomials alone
+produces improper loop maps (the central candidate -x1**-1 @ x2 has
+(I - Cy*P)**-1 = d@x1, a polynomial), so the parametrization is
 evaluated on the (s + shift)-scaled fractions where the witness (u, v)
 satisfies u@n' + v@d' = I inside the proper-stable ring.  Those fractions,
 the witness and the left pair (dl', nl') are one ``factor.StableMFD``,
@@ -64,6 +63,7 @@ from .polyalg import (
     hstack,
     poly_gcd,
     poly_lcm,
+    vstack,
 )
 from .stability import (
     StabilityVerdict,
@@ -285,31 +285,34 @@ def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
     """The four closed-loop maps of the feedback pair (p, cy):
     (I-cy@p)**-1, (I-cy@p)**-1 @ cy, p @ (I-cy@p)**-1, and
     p @ (I-cy@p)**-1 @ cy.  No stability test runs until the verdicts of
-    the result are read.  This serves any pair (p, cy); a Youla design
-    forms its own loop with its controller (``_youla_feedback``).
-
-    The maps are formed over polynomials, in the coprime-factor form of
-    H(P, C) (Vidyasagar, Control System Synthesis, 1985, ch. 4-5; Kailath,
-    Linear Systems, 1980): with p = n @ d**-1, d the diagonal of the
-    column lcds, cy = nc / dc, dc the lcd of cy, and M = dc*d - nc@n,
-    I - cy@p = M @ d**-1 / dc, so the maps are the blocks of
-    [d; n] @ row / det M with row = adj M @ [dc*I | nc] (``_Loop``), and
-    the loop is ill posed exactly when det M = 0.  A common divisor of
-    det M and every entry of row cancels from every map, so the maps are
-    normalised over det M / g, g the gcd of det M and the entries of row:
-    g starts at det M and drops to gcd(g, e) at each entry e of row that
-    it does not divide.  For m = 1, row = [dc | nc] and g = 1, as dc is
-    the lcd of cy, so a scalar loop runs no gcd.
+    the result are read.  This serves any pair (p, cy) of rational
+    matrices: p = n @ diag(d)**-1, d the column lcds, and cy = nc / dc, dc
+    the lcd of cy, go to ``_fraction_loop``.
     """
     if cy.shape != (p.shape[1], p.shape[0]):
         raise ShapeError(
             f"feedback map must be {p.shape[1]}x{p.shape[0]}, got {cy.shape}"
         )
     d, n = _column_fraction(p)
-    dc, nc = _over_lcd(cy)
-    m = len(d)
+    return _fraction_loop(PolyMat.diag(d), n, *_over_lcd(cy))
+
+
+def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> LoopMaps:
+    """The maps of ``gang_of_four`` for the plant n @ d**-1, any right
+    fraction with d nonsingular, and the feedback map cy = nc / dc.
+
+    With M = dc*d - nc@n, I - cy@p = M @ d**-1 / dc, so the maps are the
+    blocks of [d; n] @ row / det M with row = adj M @ [dc*I | nc]
+    (``_Loop``), and the loop is ill posed exactly when det M = 0.  A
+    common divisor of det M and every entry of row cancels from every map,
+    so the maps are normalised over det M / g, g the gcd of det M and the
+    entries of row: g starts at det M and drops to gcd(g, e) at each entry
+    e of row that it does not divide.  For m = 1, row = [dc | nc] and
+    g = 1 when dc and nc are coprime, so a scalar loop runs no gcd.
+    """
+    m = d.shape[0]
     try:
-        det, adj = _polymat_det_adj(PolyMat.diag([dc * dj for dj in d]) - nc @ n)
+        det, adj = _polymat_det_adj(d.scale(dc) - nc @ n)
     except SingularMatrixError:
         raise IllPosedLoop("I - cy@p is singular; the loop is ill posed") from None
     row = adj @ hstack(PolyMat.diag([dc] * m), nc)
@@ -321,7 +324,7 @@ def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
         quos = iter(_from_z(z, e._d) for z, e in zip(quos, entries))  # lowest terms: g is primitive
         row = PolyMat(tuple(tuple(next(quos) for _ in r) for r in row.rows))
         det = _from_z(_exact_quo(det._z, g._z), det._d)
-    return _Loop(PolyMat(PolyMat.diag(d).rows + n.rows), row, det).maps
+    return _Loop(vstack(d, n), row, det).maps
 
 
 def all_controllers_from_LX(
@@ -329,15 +332,13 @@ def all_controllers_from_LX(
 ) -> tuple[TwoDofConfig, StabilityVerdict]:
     """Two-parameter sweep of every stabilizing pair: cy = f**-1 @ l and
     cr = f**-1 @ x with f = (I + l@n) @ d**-1, with the loop's
-    internal-stability verdict (``gang_of_four``).
+    internal-stability verdict (``_fraction_loop`` on n @ d**-1 and cy).
 
     The closed loop realizes y/r = n@x and u/r = d@x.  Admissibility:
     l and x stable, d@l and d@x proper, f stable, and the loop
-    (I + d@l@p)**-1 well posed and proper.  Each violated condition is
-    reported separately.
+    (I + d@l@p)**-1 = f**-1 @ d**-1 well posed and proper, as
+    I + d@l@p = d@f.  Each violated condition is reported separately.
     """
-    p = mfd.plant()
-    n_r = mfd.n.to_ratmat()
     d_r = mfd.d.to_ratmat()
     m = mfd.inputs
     if l.shape != (m, mfd.outputs):
@@ -348,21 +349,20 @@ def all_controllers_from_LX(
         raise InadmissibleParameter("feedback parameter l has unstable poles")
     if not matrix_is_stable(x):
         raise InadmissibleParameter("reference parameter x has unstable poles")
-    q = d_r @ l
-    if not q.is_proper():
+    if not (d_r @ l).is_proper():
         raise InadmissibleParameter("d@l is improper")
     if not (d_r @ x).is_proper():
         raise InadmissibleParameter("d@x is improper")
-    f = (RatMat.identity(m) + l @ n_r) @ d_r.inv()
+    d_inv = d_r.inv()
+    f = (RatMat.identity(m) + l @ mfd.n.to_ratmat()) @ d_inv
     if not matrix_is_stable(f):
         raise InadmissibleParameter("(I + l@n) @ d**-1 has unstable poles")
-    loop = RatMat.identity(m) + q @ p
     try:
-        loop_inv = loop.inv()
+        f_inv = f.inv()
     except SingularMatrixError:
         raise IllPosedLoop("I + d@l@p is singular; the loop is ill posed") from None
-    if not loop_inv.is_proper():
+    if not (f_inv @ d_inv).is_proper():
         raise InadmissibleParameter("(I + d@l@p)**-1 is improper")
-    cy = loop_inv @ q
-    cr = loop_inv @ d_r @ x
-    return TwoDofConfig(cy=cy, cr=cr), gang_of_four(p, cy).verdict
+    cy = f_inv @ l
+    loop = _fraction_loop(mfd.d, mfd.n, *_over_lcd(cy))
+    return TwoDofConfig(cy=cy, cr=f_inv @ x), loop.verdict

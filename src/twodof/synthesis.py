@@ -38,6 +38,7 @@ from .polyalg import (
     _bareiss,
     _over,
     _over_lcd,
+    _polymat_det_adj,
     hstack,
     poly_divmod,
     polymat_det,
@@ -53,6 +54,7 @@ from .stabilize import (
     InadmissibleParameter,
     LoopMaps,
     TwoDofConfig,
+    _fraction_loop,
     _youla_feedback,
     gang_of_four,
 )
@@ -176,20 +178,14 @@ def _xprime_from_x(smfd: StableMFD, x: RatMat) -> RatMat:
     return RatMat([[e * psi for e in row] for row, psi in zip(x.rows, smfd.scaling)])
 
 
-def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat, xv: StabilityVerdict) -> list[str]:
-    """Name the plant's unstable zeros the target fails to inherit, read off
-    ``xv``, the verdict on the parameter x with n@x = t.
-
-    A reason at z needs eta^T n(z) = 0 and eta^T t(z) != 0, and then x has
-    a pole at z: the candidates are the roots z >= 0 of the linear factors
-    ``xv`` names.  A candidate is kept when it is a root of the plant's zero
-    polynomial, which is not factored; irrational zeros are left to the
-    verdict.  The kept points come in ``irreducible_factors`` order (their
-    multiplicity there, then the coefficients of q*s - p for z = p/q).
-    """
-    zero_poly = _zero_polynomial(mfd.n)
+def _verdict_zero_points(n: PolyMat, verdict: StabilityVerdict) -> list[Fraction]:
+    """The roots z >= 0 of the linear factors ``verdict`` names that are
+    roots of the zero polynomial of n, which is not factored, in
+    ``irreducible_factors`` order: their multiplicity there, then the
+    coefficients of q*s - p for z = p/q."""
+    zero_poly = _zero_polynomial(n)
     points: dict[Fraction, int] = {}
-    for factor, _reason in xv.offending_factors:
+    for factor, _reason in verdict.offending_factors:
         if factor.degree() != 1 or factor.coeff(0) > 0:
             continue
         z, rest, mult = -factor.coeff(0), zero_poly, 0
@@ -197,8 +193,19 @@ def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat, xv: StabilityVerdict) -> 
             rest, mult = poly_divmod(rest, factor)[0], mult + 1
         if mult:
             points[z] = mult
+    return sorted(points, key=lambda z: (points[z], z.denominator, -z.numerator))
+
+
+def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat, xv: StabilityVerdict) -> list[str]:
+    """Name the plant's unstable zeros the target fails to inherit, read off
+    ``xv``, the verdict on the parameter x with n@x = t.
+
+    A reason at z needs eta^T n(z) = 0 and eta^T t(z) != 0, and then x has
+    a pole at z: the candidates are the points ``_verdict_zero_points``
+    reads off ``xv``; irrational zeros are left to the verdict.
+    """
     reasons: list[str] = []
-    for z in sorted(points, key=lambda z: (points[z], z.denominator, -z.numerator)):
+    for z in _verdict_zero_points(mfd.n, xv):
         vals = t.eval_at(z)
         if any(v is None for row in vals for v in row):
             continue
@@ -350,16 +357,12 @@ def model_matching(
 
 
 def _decoupling_zero_diagnosis(
-    smfd: StableMFD, targets: Sequence[RatFn], xprime: RatMat
+    smfd: StableMFD, targets: Sequence[RatFn], xprime: RatMat, verdict: StabilityVerdict
 ) -> list[str]:
-    """Name, at each rational unstable zero z of the plant, the targets
-    that must vanish there: t_i(z) != 0 and column i of x' has a pole at z."""
+    """Name, at each point z ``_verdict_zero_points`` reads off the verdict
+    on x', the targets t_i(z) != 0 whose column of x' has a pole at z."""
     reasons = []
-    report = zeros_and_poles(smfd.source)
-    for zero in report.unstable_zeros():
-        z = zero.location
-        if not isinstance(z, Fraction):
-            continue
+    for z in _verdict_zero_points(smfd.source.n, verdict):
         misses = [
             i + 1
             for i, tgt in enumerate(targets)
@@ -401,7 +404,7 @@ def diagonal_decoupling(smfd: StableMFD, targets: Sequence[RatFn]) -> DesignResu
     verdict = rh_inf_verdict(xprime)
     control = smfd.dprime @ xprime
     if not verdict or not control.is_proper():
-        reasons = _decoupling_zero_diagnosis(smfd, targets, xprime)
+        reasons = _decoupling_zero_diagnosis(smfd, targets, xprime, verdict)
         if not verdict:
             reasons.append("parameter x' not proper-stable: " + verdict.describe())
         if not control.is_proper():
@@ -580,43 +583,38 @@ def _denominator_target(
 
 
 def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
-    """Unity-feedback forward compensator cff = d @ (d_t + n)**-1 driving
-    y/r = n @ d_t**-1 exactly.
+    """Unity-feedback forward compensator cff = d @ adj S / det S, S =
+    d_t + n, driving y/r = n @ d_t**-1 exactly.
 
-    The loop is u = cff @ (r + y), so t = p @ (I - cff @ p)**-1 @ cff and
-    the design certifies the identity t**-1 + I == cff**-1 @ p**-1."""
+    The loop is u = cff @ (r + y), so t = p @ (I - cff @ p)**-1 @ cff; the
+    design certifies t**-1 + I == cff**-1 @ p**-1 as d @ adj S @ S ==
+    det S * d."""
     x, achieved_t, achieved_m = _denominator_target(
         mfd, d_t, "target denominator is not Hurwitz: "
     )
-    d_rat = mfd.d.to_ratmat()
-    sum_rat = (d_t + mfd.n).to_ratmat()
+    total = d_t + mfd.n
     try:
-        sum_inv = sum_rat.inv()
+        det, adj = _polymat_det_adj(total)
     except SingularMatrixError:
         raise DesignObstruction(("d_t + n is singular; no compensator exists",)) from None
-    condition = sum_rat @ d_rat.inv()
-    cond_verdict = matrix_is_stable(condition)
+    cond_verdict = matrix_is_stable(total.to_ratmat() @ mfd.d.to_ratmat().inv())
     if not cond_verdict:
         raise DesignObstruction(
             ("stability condition (d_t + n) @ d**-1 failed: " + cond_verdict.describe(),)
         )
-    cff = d_rat @ sum_inv
+    num = mfd.d @ adj
+    cff = _over(num, det)
     if not cff.is_proper():
         raise DesignObstruction(("compensator d @ (d_t + n)**-1 is improper",))
-    plant = mfd.plant()
     # I - cff@p = d @ (d_t + n)**-1 @ d_t @ d**-1, so the loop is well posed
-    loop = gang_of_four(plant, cff)
-    t_inv = achieved_t.inv()
-    identity_holds = (
-        t_inv + RatMat.identity(mfd.outputs) == cff.inv() @ plant.inv()
-    )
+    loop = _fraction_loop(mfd.d, mfd.n, det, num)
     certs = (
         Certificate("stability condition (d_t + n) @ d**-1", cond_verdict),
         _equality_certificate(
             "closed loop equals n @ d_t**-1", loop.p_sens_cy == achieved_t
         ),
         _equality_certificate(
-            "identity t**-1 + I == cff**-1 @ p**-1", identity_holds
+            "identity t**-1 + I == cff**-1 @ p**-1", num @ total == mfd.d.scale(det)
         ),
         Certificate("unity loop internally stabilizing", loop.verdict),
     )
@@ -632,21 +630,23 @@ def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
 
 
 def denominator_assignment_direct(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
-    """Feedback compensator cfb = (d - d_t) @ n**-1 with the reference
-    injected directly at the plant input; y/r = n @ d_t**-1 exactly."""
+    """Feedback compensator cfb = (d - d_t) @ adj n / det n, the reference
+    entering at the plant input: y/r = n @ d_t**-1, and t**-1 - p**-1 ==
+    -cfb is certified as (d - d_t) @ adj n @ n == det n * (d - d_t)."""
     x, achieved_t, achieved_m = _denominator_target(mfd, d_t, "x = d_t**-1 is unstable: ")
-    cfb = (mfd.d - d_t).to_ratmat() @ mfd.n.to_ratmat().inv()
+    gap = mfd.d - d_t
+    det, adj = _polymat_det_adj(mfd.n)
+    num = gap @ adj
+    cfb = _over(num, det)
     if not cfb.is_proper():
         raise DesignObstruction(("feedback compensator (d - d_t) @ n**-1 is improper",))
-    plant = mfd.plant()
     # I - cfb@p = d_t @ d**-1, so the loop is well posed
-    loop = gang_of_four(plant, cfb)
-    identity_holds = (
-        achieved_t.inv() - plant.inv() == cfb.scale(RatFn.of(-1))
-    )
+    loop = _fraction_loop(mfd.d, mfd.n, det, num)
     certs = (
         _equality_certificate("closed loop equals n @ d_t**-1", loop.p_sens == achieved_t),
-        _equality_certificate("identity t**-1 - p**-1 == -cfb", identity_holds),
+        _equality_certificate(
+            "identity t**-1 - p**-1 == -cfb", num @ mfd.n == gap.scale(det)
+        ),
         Certificate("loop internally stabilizing", loop.verdict),
     )
     return DesignResult(
@@ -752,7 +752,7 @@ def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, 
             ("I + x'@n' is singular; the unity loop is ill posed",)
         ) from None
     # I - cff@p = f**-1 @ d'**-1, so the loop is well posed
-    loop = gang_of_four(smfd.plant(), cff)
+    loop = _fraction_loop(smfd.source.d, smfd.source.n, *_over_lcd(cff))
     if loop.p_sens_cy != smfd.nprime @ xprime:
         raise ArithmeticError("unity loop does not realize n' @ x'")
     return cff, loop

@@ -5,6 +5,7 @@ a numerical cross-check on the symbolic results.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .polyalg import RatFn, RatMat, common_denominator, poly_divmod
@@ -150,8 +151,8 @@ def simulate_step(t: RatMat, horizon: float, dt: float) -> SimulationTrace:
     import numpy as np
     from scipy.linalg import expm
 
-    if horizon <= 0 or dt <= 0:
-        raise ValueError("horizon and dt must be positive")
+    if not (0 < horizon < math.inf and 0 < dt < math.inf):  # nan compares false
+        raise ValueError("horizon and dt must be positive and finite")
     count = int(round(horizon / dt))
     if count + 1 > _MAX_SAMPLES:
         raise ValueError(f"{count + 1} samples exceed the cap of {_MAX_SAMPLES}")

@@ -109,6 +109,37 @@ def test_criterion_2_unity_feedback_restriction():
     assert time.perf_counter() - start < 1.0
 
 
+def criterion_3_instances():
+    """Criterion 3's drawn 2x2 plants n @ d**-1, as right coprime fractions,
+    each with d_t = d - I/2 of Hurwitz determinant: an endless seeded
+    stream."""
+    rng = random.Random(9)
+    while True:
+        d = PolyMat.diag(
+            [
+                (S + Poly((Fraction(rng.randint(1, 4)),)))
+                * (S + Poly((Fraction(rng.randint(1, 4)),))),
+                (S + Poly((Fraction(rng.randint(1, 4)),)))
+                * (S + Poly((Fraction(rng.randint(1, 4)),))),
+            ]
+        )
+        n = PolyMat(
+            [
+                [
+                    Poly((Fraction(rng.randint(1, 3)),)),
+                    Poly((Fraction(rng.randint(0, 2)),)),
+                ],
+                [ZERO, Poly((Fraction(rng.randint(1, 3)),))],
+            ]
+        )
+        plant = n.to_ratmat() @ d.to_ratmat().inv()
+        mfd = right_coprime_mfd(plant)
+        half = Poly((Fraction(1, 2),))
+        d_t = mfd.d - PolyMat.diag([half, half])
+        if is_hurwitz(polymat_det(d_t).monic()):
+            yield mfd, d_t
+
+
 def test_criterion_3_denominator_assignment():
     start = time.perf_counter()
     failures = []
@@ -172,37 +203,15 @@ def test_criterion_3_denominator_assignment():
         siso, PolyMat([[S + 2 * ONE]])
     ).configuration.cfb == RatMat([[rf(-4 * ONE)]])
 
-    rng = random.Random(9)
     built = 0
-    while built < 50:
-        d = PolyMat.diag(
-            [
-                (S + Poly((Fraction(rng.randint(1, 4)),)))
-                * (S + Poly((Fraction(rng.randint(1, 4)),))),
-                (S + Poly((Fraction(rng.randint(1, 4)),)))
-                * (S + Poly((Fraction(rng.randint(1, 4)),))),
-            ]
-        )
-        n = PolyMat(
-            [
-                [
-                    Poly((Fraction(rng.randint(1, 3)),)),
-                    Poly((Fraction(rng.randint(0, 2)),)),
-                ],
-                [ZERO, Poly((Fraction(rng.randint(1, 3)),))],
-            ]
-        )
-        plant = n.to_ratmat() @ d.to_ratmat().inv()
-        mfd = right_coprime_mfd(plant)
-        half = Poly((Fraction(1, 2),))
-        d_t = mfd.d - PolyMat.diag([half, half])
-        if not is_hurwitz(polymat_det(d_t).monic()):
-            continue
+    for mfd, d_t in criterion_3_instances():
         try:
             check_instance(f"random {built}", mfd, d_t, d_t)
         except DesignObstruction:
             continue
         built += 1
+        if built == 50:
+            break
 
     assert time.perf_counter() - start < 10.0
     assert not failures, "\n".join(failures)

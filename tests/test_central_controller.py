@@ -5,7 +5,9 @@ A design receives a proper-stable fraction with its Bezout witness
 witness and checked once, without refactoring the plant.  Each design
 forms its closed loop once and reads its internal-stability certificate
 from that one formation: a Youla controller's loop comes from the one
-product in _youla_feedback, any other (p, cy) from gang_of_four.
+product in _youla_feedback, a restricted-loop design's from _fraction_loop
+on the fractions it holds, and any other (p, cy) from gang_of_four, which
+hands their fractions to _fraction_loop.
 """
 
 import random
@@ -28,6 +30,7 @@ from twodof.synthesis import (
     DesignObstruction,
     denominator_assignment_direct,
     denominator_assignment_unity,
+    diagonal_decoupling,
     find_admissible_unity_xprime,
     model_matching,
     static_decoupling,
@@ -64,8 +67,10 @@ def random_proper_plant(rng, rows, cols, max_den=2):
     return RatMat(entries)
 
 
-# the two places a closed loop is formed
-LOOP_FORMERS = ["gang_of_four", "_youla_feedback"]
+# the two places a closed loop is formed, the Youla loop and the loop of a
+# right fraction and a feedback fraction, and gang_of_four, which hands a
+# pair of rational matrices to the second
+LOOP_FORMERS = ["gang_of_four", "_youla_feedback", "_fraction_loop"]
 
 
 def count_calls(monkeypatch, names, source=twodof.stabilize):
@@ -102,6 +107,7 @@ def test_scalar_design_analyses_its_plant_once(monkeypatch):
         "left_coprime_mfd": 0,
         "gang_of_four": 0,
         "_youla_feedback": 1,
+        "_fraction_loop": 0,
     }
     assert res.achieved_t == t
     assert all(c.passed for c in res.certificates)
@@ -157,7 +163,7 @@ def test_stabilize_command_checks_each_controller_once(monkeypatch, capsys):
     assert main(["stabilize", str(PROBLEMS / "example_match.ini")]) == 0
     out = capsys.readouterr().out
     assert out.count("internal stability: stable") == 2
-    assert counts == {"gang_of_four": 0, "_youla_feedback": 2}
+    assert counts == {"gang_of_four": 0, "_youla_feedback": 2, "_fraction_loop": 0}
 
 
 def test_stabilize_command_factors_the_plant_twice(monkeypatch, capsys):
@@ -230,7 +236,9 @@ def test_static_design_builds_the_plant_once(monkeypatch, tmp_path, capsys):
     # cy = 0 on the stable plant: its one loop (maps I, 0, P, 0) gives the
     # dc gain, the achieved maps and the certificate
     assert main(["static-decouple", str(PROBLEMS / "example_static_decouple.ini")]) == 0
-    assert (len(builds), counts) == (1, {"gang_of_four": 1, "_youla_feedback": 0})
+    assert (len(builds), counts) == (
+        1, {"gang_of_four": 1, "_youla_feedback": 0, "_fraction_loop": 1}
+    )
 
     builds.clear()
     counts.update(dict.fromkeys(counts, 0))
@@ -238,7 +246,9 @@ def test_static_design_builds_the_plant_once(monkeypatch, tmp_path, capsys):
     problem.write_text(f"[plant]\nmatrix = {UNSTABLE_2X2}\n[design]\nlambda = 1, 0; 0, 1\n")
     assert main(["static-decouple", str(problem)]) == 0
     # the central controller's loop
-    assert (len(builds), counts) == (1, {"gang_of_four": 0, "_youla_feedback": 1})
+    assert (len(builds), counts) == (
+        1, {"gang_of_four": 0, "_youla_feedback": 1, "_fraction_loop": 0}
+    )
     out = capsys.readouterr().out
     assert "dc gain:\n  [ 1  0 ]\n  [ 0  1 ]" in out
 
@@ -286,31 +296,33 @@ def count_inversions(monkeypatch):
 
 
 # label -> (plant, shift, design of the plant's StableMFD, (gang_of_four,
-# _youla_feedback, RatMat.inv) calls): fixed instances of each design,
-# whose one closed loop is formed without inverting a RatMat
+# _youla_feedback, _fraction_loop, RatMat.inv) calls): fixed instances of
+# each design, whose one closed loop is formed without inverting a RatMat;
+# the denominator assignments invert d_t alone, the unity loop also d for
+# its stability condition
 DESIGNS = {
     "static, stable plant": (
         "1/(s+1), 1/(s+2); 0, 1/(s+3)", 1,
-        lambda smfd: static_decoupling(smfd, RatMat.identity(2)), (1, 0, 2),
+        lambda smfd: static_decoupling(smfd, RatMat.identity(2)), (1, 0, 1, 2),
     ),
     "static, unstable plant": (
-        UNSTABLE_2X2, 1, lambda smfd: static_decoupling(smfd, RatMat.identity(2)), (0, 1, 2)
+        UNSTABLE_2X2, 1, lambda smfd: static_decoupling(smfd, RatMat.identity(2)), (0, 1, 0, 2)
     ),
     "denominator, unity": (
         "1/(s-2)", 1,
         lambda smfd: denominator_assignment_unity(
             smfd.source, PolyMat([[Poly((Fraction(-1, 2), Fraction(-1, 4)))]])
         ),
-        (1, 0, 7),
+        (0, 0, 1, 2),
     ),
     "denominator, direct": (
         "1/(s-2)", 1,
         lambda smfd: denominator_assignment_direct(smfd.source, PolyMat([[S + 2 * ONE]])),
-        (1, 0, 5),
+        (0, 0, 1, 1),
     ),
     "model matching": (
         "(s-1)*(s+2)/(s-2)^2", 2,
-        lambda smfd: model_matching(smfd, parse_matrix("(s-1)/(s+1)^2")), (0, 1, 0),
+        lambda smfd: model_matching(smfd, parse_matrix("(s-1)/(s+1)^2")), (0, 1, 0, 0),
     ),
     # the control target is solved by eliminating [d | m], not through d**-1
     "model matching, control target": (
@@ -318,7 +330,7 @@ DESIGNS = {
         lambda smfd: model_matching(
             smfd, parse_matrix("(s-1)/(s+1)^2"), parse_matrix("(s-2)^2/((s+1)^2*(s+2))")
         ),
-        (0, 1, 0),
+        (0, 1, 0, 0),
     ),
 }
 
@@ -337,21 +349,22 @@ def test_each_design_forms_its_loop_once(monkeypatch):
         res = design(smfd)
         assert all(c.passed for c in res.certificates), label
         assert res.verdict, label
-        assert sum(counts.values()) == 1, label
-        seen[label] = (counts["gang_of_four"], counts["_youla_feedback"], len(inversions))
+        assert counts["_youla_feedback"] + counts["_fraction_loop"] == 1, label
+        seen[label] = (*counts.values(), len(inversions))
     assert seen == {label: case[3] for label, case in DESIGNS.items()}
 
 
 def test_cli_designs_form_each_loop_once(monkeypatch, tmp_path, capsys):
     problem = tmp_path / "unstable.ini"
     problem.write_text(f"[plant]\nmatrix = {UNSTABLE_2X2}\n[design]\nlambda = 1, 0; 0, 1\n")
-    # argv -> (gang_of_four, _youla_feedback, RatMat.inv) calls;
-    # assign-denominator forms a second loop in its closed-loop cross-check
+    # argv -> (gang_of_four, _youla_feedback, _fraction_loop, RatMat.inv)
+    # calls; assign-denominator forms a second loop in its closed-loop
+    # cross-check, from the printed controller through gang_of_four
     runs = {
-        ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (1, 0, 2),
-        ("static-decouple", str(problem)): (0, 1, 2),
-        ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (2, 0, 7),
-        ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (1, 0, 2),
+        ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (1, 0, 1, 2),
+        ("static-decouple", str(problem)): (0, 1, 0, 2),
+        ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (1, 0, 2, 2),
+        ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (0, 0, 1, 2),
     }
     counts = count_calls(monkeypatch, LOOP_FORMERS)
     inversions = count_inversions(monkeypatch)
@@ -359,8 +372,7 @@ def test_cli_designs_form_each_loop_once(monkeypatch, tmp_path, capsys):
         counts.update(dict.fromkeys(counts, 0))
         inversions.clear()
         assert main(list(argv)) == 0
-        seen = (counts["gang_of_four"], counts["_youla_feedback"], len(inversions))
-        assert seen == expected, argv
+        assert (*counts.values(), len(inversions)) == expected, argv
     capsys.readouterr()
 
 
@@ -403,3 +415,14 @@ def test_refused_matching_factors_only_the_parameter_denominator(monkeypatch):
     # the verdict on x names s - 1, and the zero reason is read off it
     assert counts == {"factor_list": 1}
     assert err.value.reasons[0].startswith("plant unstable zero at s = 1 is not inherited")
+
+
+def test_refused_decoupling_factors_only_the_parameter_denominators(monkeypatch):
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s-1)/(s+1)^2, 0; 0, 1/(s+2)")), shift=1)
+    target = parse_matrix("1/(s+1)").entry(0, 0)
+    counts = count_calls(monkeypatch, ["factor_list"], twodof.zfactor)
+    with pytest.raises(DesignObstruction) as err:
+        diagonal_decoupling(smfd, (target, target))
+    # the verdict on x' names s - 1, and the zero reason is read off it
+    assert counts == {"factor_list": 1}
+    assert err.value.reasons[0] == "plant unstable zero at s = 1 must be a zero of target(s) 1"

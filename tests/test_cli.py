@@ -581,6 +581,14 @@ def test_main_simulate_unstable_target(tmp_path, capsys):
     assert "unstable" in captured.err
 
 
+def test_main_simulate_refuses_an_infinite_step(capsys):
+    code = main(["simulate", str(PROBLEMS / "example_simulate.ini"), "--dt", "inf"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: horizon and dt must be positive and finite\n"
+
+
 @pytest.mark.parametrize("channel", [0, 3])
 def test_main_simulate_refuses_a_channel_outside_the_inputs(tmp_path, capsys, channel):
     path = tmp_path / "prob.ini"

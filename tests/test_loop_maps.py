@@ -4,7 +4,10 @@ the loop maps of a Youla design, formed as one product when read, agree
 with both; its verdict, decided on their one denominator, agrees too.
 gang_of_four divides the gcd of det M and its row out first; it agrees
 on pairs where that gcd is found in several steps, on 3x3 and non-square
-plants, and runs no gcd for a scalar loop.
+plants, and runs no gcd for a scalar loop.  The one loop a restricted-loop
+design forms from its own fractions (``_fraction_loop``) equals
+gang_of_four's on the plant and the design's controller, and the (L, X)
+sweep returns a Youla controller pulled back into it.
 
 The oracles below invert I - cy@p and v - k@nl' with RatMat.inv, as the
 package did before both were written as adj / det of a polynomial matrix.
@@ -18,17 +21,28 @@ import pytest
 
 import twodof.factor
 import twodof.stabilize
+import twodof.synthesis
 import twodof.verify
+from test_acceptance import criterion_3_instances
+from twodof.cli import parse_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
-from twodof.polyalg import ONE, S, ZERO, Poly, RatFn, RatMat, SingularMatrixError
+from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat, SingularMatrixError
 from twodof.stability import is_hurwitz
 from twodof.stabilize import (
     IllPosedLoop,
     InadmissibleParameter,
     TwoDofConfig,
     _youla_feedback,
+    all_controllers_from_LX,
     gang_of_four,
     youla_controller,
+)
+from twodof.synthesis import (
+    DesignObstruction,
+    denominator_assignment_direct,
+    denominator_assignment_unity,
+    find_admissible_unity_xprime,
+    unity_feedback_controller,
 )
 
 SHAPES = [(1, 1), (2, 2), (2, 1), (1, 2)]
@@ -192,6 +206,89 @@ def test_youla_loops_of_drawn_2x2_plants_agree_with_gang_of_four():
         assert loop.maps == expected
         assert loop.maps.verdicts == expected.verdicts
         assert loop.verdict == expected.verdict and expected.verdict
+
+
+def fraction_loops(monkeypatch):
+    """The loops ``_fraction_loop`` forms, in order, as they are returned."""
+    formed = []
+    original = twodof.stabilize._fraction_loop
+
+    def spy(*args):
+        formed.append(original(*args))
+        return formed[-1]
+
+    for module in (twodof.stabilize, twodof.synthesis):
+        monkeypatch.setattr(module, "_fraction_loop", spy)
+    return formed
+
+
+def assert_loop_is_the_reference(formed, plant, controller, verdict):
+    """The one loop a design formed from its fractions has the maps, the
+    per-map verdicts and the verdict of gang_of_four on (plant,
+    controller), and the design returned that verdict."""
+    (loop,) = formed
+    expected = gang_of_four(plant, controller)
+    assert loop == expected
+    assert loop.verdicts == expected.verdicts
+    assert loop.verdict == expected.verdict == verdict
+    formed.clear()
+
+
+def test_restricted_loop_designs_form_the_loop_of_gang_of_four(monkeypatch):
+    # the scalar examples, then criterion 3's drawn 2x2 instances
+    siso = right_coprime_mfd(parse_matrix("1/(s-2)"))
+    cases = [
+        (siso, PolyMat([[Poly((Fraction(-1, 2), Fraction(-1, 4)))]]), PolyMat([[S + 2 * ONE]])),
+        (siso, PolyMat([[Poly((Fraction(-1, 3), Fraction(-1, 3)))]]), PolyMat([[S + 3 * ONE]])),
+    ]
+    for mfd, d_t in criterion_3_instances():
+        if len(cases) == 52:
+            break
+        try:
+            denominator_assignment_unity(mfd, d_t)
+            denominator_assignment_direct(mfd, d_t)
+        except DesignObstruction:
+            continue  # criterion 3 skips the same instances
+        cases.append((mfd, d_t, d_t))
+    formed = fraction_loops(monkeypatch)
+    for mfd, d_unity, d_direct in cases:
+        plant = mfd.plant()
+        res = denominator_assignment_unity(mfd, d_unity)
+        assert all(c.passed for c in res.certificates)
+        assert_loop_is_the_reference(formed, plant, res.configuration.cff, res.verdict)
+        res = denominator_assignment_direct(mfd, d_direct)
+        assert all(c.passed for c in res.certificates)
+        assert_loop_is_the_reference(formed, plant, res.configuration.cfb, res.verdict)
+
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s-1)*(s+2)/(s-2)^2")), 2)
+    witness = RatMat([[RatFn(3 * S - 42 * ONE, (S + ONE) ** 2)]])
+    for xprime in (find_admissible_unity_xprime(smfd), witness):
+        cff, maps = unity_feedback_controller(smfd, xprime)
+        assert_loop_is_the_reference(formed, smfd.plant(), cff, maps.verdict)
+
+
+def test_lx_sweep_returns_the_pulled_back_youla_controller(monkeypatch):
+    # l = d**-1 @ cy @ (I - p@cy)**-1 pulls a stabilizing cy back into the
+    # sweep, which must return that cy with the loop of gang_of_four
+    rng = random.Random(75)
+    formed = fraction_loops(monkeypatch)
+    plants = [parse_matrix("1/(s-2)")] + [
+        random_matrix(rng, 2, 2, 2, range(-3, 4), strict=True) for _ in range(6)
+    ]
+    for plant in plants:
+        m = plant.shape[0]
+        mfd = right_coprime_mfd(plant)
+        k = None if m == 1 else random_matrix(rng, m, m, 1, range(1, 6))
+        cy = youla_controller(plant, k)
+        l = mfd.d.to_ratmat().inv() @ cy @ (RatMat.identity(m) - plant @ cy).inv()
+        top = max(e.degree() or 0 for row in mfd.d.rows for e in row)
+        x = RatMat.identity(m).scale(RatFn(ONE, (S + ONE) ** top))
+        formed.clear()
+        controller, verdict = all_controllers_from_LX(mfd, l, x)
+        assert controller.cy == cy
+        assert_loop_is_the_reference(formed, plant, cy, verdict)
+        assert verdict
+        assert plant @ gang_of_four(plant, cy).sens @ controller.cr == mfd.n.to_ratmat() @ x
 
 
 def test_a_wrong_witness_fails_the_bezout_certificate():

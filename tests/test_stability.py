@@ -46,6 +46,15 @@ def test_offending_factor_classification():
     assert reasons["s - 2"] == REASON_RHP
     assert reasons["s^2 + 4"] == REASON_AXIS
     assert "s + 1" not in reasons
+    # symmetric factors: a positive real root of the even compression w,
+    # complex roots of w, and one negative and one positive root of w
+    for q, want in (
+        (p(-2, 0, 1), [REASON_RHP]),
+        (p(1, 0, 0, 0, 1), [REASON_RHP]),
+        (p(-1, 0, 1, 0, 1), [REASON_RHP, REASON_AXIS]),
+    ):
+        verdict = is_hurwitz(q)
+        assert verdict.offending_factors == tuple((q, reason) for reason in want)
 
 
 def test_verdict_bool_and_merge():

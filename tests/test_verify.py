@@ -187,6 +187,10 @@ def test_simulate_rejections():
         simulate_step(good, horizon=0.0, dt=0.1)
     with pytest.raises(ValueError):
         simulate_step(good, horizon=1.0, dt=-0.1)
+    for bad in (math.nan, math.inf):
+        for grid in ({"horizon": bad, "dt": 0.1}, {"horizon": 1.0, "dt": bad}):
+            with pytest.raises(ValueError, match="^horizon and dt must be positive and finite$"):
+                simulate_step(good, **grid)
 
 
 def test_csv_output_format():

@@ -1,12 +1,14 @@
-"""A refused model matching names the plant's unstable zeros from the
-verdict that refused it.
+"""A refused model matching or diagonal decoupling names the plant's
+unstable zeros from the verdict that refused it.
 
-``synthesis._unstable_zero_diagnosis`` takes its candidate points from the
-linear factors of the verdict on the parameter x, keeps those that are
-roots of the plant's zero polynomial, and factors nothing of the plant.
-The oracle below is the former diagnosis, which read every unstable zero
-off ``zeros_and_poles``: both must give the same reasons in the same
-order, on scalar, 2x2, 2x1 and 1x2 plants.
+``synthesis._unstable_zero_diagnosis`` and ``_decoupling_zero_diagnosis``
+take their candidate points from the linear factors of the verdict on the
+parameter (x, or x' for decoupling), keep those that are roots of the
+plant's zero polynomial, and factor nothing of the plant.  The oracles
+below are the former diagnoses, which read every unstable zero off
+``zeros_and_poles``: each pair must give the same reasons in the same
+order, on scalar, 2x2, 2x1 and 1x2 plants for matching, and on scalar and
+2x2 plants for decoupling.
 """
 
 from fractions import Fraction
@@ -15,10 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twodof.cli import parse_matrix
-from twodof.factor import right_coprime_mfd, zeros_and_poles
-from twodof.polyalg import ONE, S, ZERO, RatFn, RatMat
-from twodof.stability import matrix_is_stable
-from twodof.synthesis import _solve_polymat, _unstable_zero_diagnosis
+from twodof.factor import right_coprime_mfd, stable_mfd, zeros_and_poles
+from twodof.polyalg import ONE, S, ZERO, RatFn, RatMat, SingularMatrixError
+from twodof.stability import matrix_is_stable, rh_inf_verdict
+from twodof.synthesis import (
+    _decoupling_zero_diagnosis,
+    _solve_polymat,
+    _unstable_zero_diagnosis,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=80, database=None)
 
@@ -127,3 +133,54 @@ def test_a_simple_zero_is_named_before_a_double_one():
     assert [r.split(" is ")[0] for r in reasons] == [
         "plant unstable zero at s = 1", "plant unstable zero at s = 2"
     ]
+
+
+def oracle_decoupling_diagnosis(smfd, targets, xprime):
+    """The decoupling diagnosis as it read the factored zeros of
+    ``zeros_and_poles``."""
+    reasons = []
+    for zero in zeros_and_poles(smfd.source).unstable_zeros():
+        z = zero.location
+        if not isinstance(z, Fraction):
+            continue
+        misses = [
+            i + 1
+            for i, tgt in enumerate(targets)
+            if tgt.at(z) not in (None, Fraction(0))
+            and any(row[i].den(z) == 0 for row in xprime.rows)
+        ]
+        if misses:
+            reasons.append(
+                f"plant unstable zero at s = {z} must be a zero of target(s) "
+                + ", ".join(str(i) for i in misses)
+            )
+    return reasons
+
+
+@st.composite
+def square_plants_and_targets(draw):
+    size = draw(st.sampled_from([1, 2]))
+    plant = RatMat([[draw(plant_entries()) for _ in range(size)] for _ in range(size)])
+    return plant, tuple(draw(target_entries()) for _ in range(size))
+
+
+ONE_OVER = parse_matrix("1/(s+1)").entry(0, 0)
+
+
+# the simple zero s = 1 before the double zero s = 2, against the order of
+# the coefficients and of the factors the verdict on x' names
+@example((parse_matrix(DIAGONAL), (ONE_OVER, ONE_OVER)))
+# the zero s = 1 sits in column 1 alone: target 2 is not named
+@example((parse_matrix("(s-1)/(s+1)^2, 0; 0, 1/(s+2)"), (ONE_OVER, ONE_OVER)))
+@example((parse_matrix("(s-1)/(s+1), 1/(s+2); 1/(s+3), (s-2)/(s+1)"), (ONE_OVER, ONE_OVER)))
+@SETTINGS
+@given(square_plants_and_targets())
+def test_decoupling_diagnosis_from_the_verdict_matches_the_factored_zeros(case):
+    plant, targets = case
+    smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
+    try:
+        xprime = smfd.nprime.inv() @ RatMat.diag(list(targets))
+    except SingularMatrixError:
+        return  # a singular plant is refused before any zero is named
+    reasons = _decoupling_zero_diagnosis(smfd, targets, xprime, rh_inf_verdict(xprime))
+    assert tuple(reasons) == tuple(oracle_decoupling_diagnosis(smfd, targets, xprime))
