@@ -20,10 +20,12 @@ is a rational expression over s: sums/differences of terms, '*' and '/',
 '^' with an unsigned integer exponent, parentheses, integer literals
 (so 3/4 is simply the division of two literals).  A leading '-' is
 accepted at the start of an expression or parenthesized group.  Literals
-longer than MAX_DIGITS digits, exponents above MAX_EXPONENT, and any step
-whose unreduced numerator or denominator would exceed degree MAX_DEGREE,
-are refused before they are computed: exact normalisation of a
-high-degree fraction with long coefficients can take minutes.
+longer than MAX_DIGITS digits, exponents above MAX_EXPONENT, parentheses
+nested deeper than MAX_NESTING, and any step whose unreduced numerator or
+denominator would exceed degree MAX_DEGREE, are refused before they are
+computed: exact normalisation of a high-degree fraction with long
+coefficients can take minutes, and each level of nesting takes four
+frames of the recursive parser.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .verify import certify, closed_loop, dc_gain, simulate_step
 __all__ = ["ParseError", "parse_rational", "parse_matrix", "main"]
 
 MAX_EXPONENT = 64
+MAX_NESTING = 64
 MAX_DEGREE = 40
 # The slowest in-cap inputs found parse in 0.2-0.3 s (2 cores, CPython
 # 3.11.7): sums of two quotients of 20th powers of linear factors with
@@ -151,6 +154,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0  # parentheses open
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.k]
@@ -206,9 +210,13 @@ class _Parser:
             self.take()
             return Poly((int(text),))
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.take()
+            self.depth += 1
             inner = self.expression()
             self.take(")")
+            self.depth -= 1
             return inner
         raise ParseError(
             f"expected 's', a number, or '(', found {text or 'end of input'!r}", pos

@@ -37,6 +37,7 @@ from .polyalg import (
     _column_fraction,
     _lowest,
     _mul,
+    _null_vector,
     _over_lcd,
     _polymat_det_adj,
     _rref_z,
@@ -44,7 +45,6 @@ from .polyalg import (
     _z_line,
     hermite,
     hstack,
-    linsolve_exact,
     poly_gcd,
     polymat_det,
     vstack,
@@ -303,13 +303,9 @@ def _reduce(
     while len(vecs) > 1:  # one nonzero row is reduced
         degs = [max(e.degree() for e in vec[:lead] if not e.is_zero()) for vec in vecs]
         gamma = [[vec[i].coeff(deg) for vec, deg in zip(vecs, degs)] for i in range(lead)]
-        solved = linsolve_exact(gamma, [Fraction(0)] * lead)
-        if solved is None:
-            raise ArithmeticError("homogeneous system reported inconsistent")
-        _, nullspace = solved
-        if not nullspace:
+        c = _null_vector(gamma)
+        if c is None:
             break
-        c = nullspace[0]
         used = [j for j in range(len(vecs)) if c[j] != 0]
         target = max(used, key=lambda j: (degs[j], j))
         mults = {
@@ -551,15 +547,14 @@ class ZeroReport:
         return tuple(z for z in self.zeros if z.unstable)
 
 
-def _refined_roots(q: Poly) -> list[complex]:
+def _factor_roots(q: Poly) -> list[Fraction | complex]:
+    """The roots of an irreducible factor q: exact when q is linear, else
+    numpy's, each refined by Newton steps."""
+    if q.degree() == 1:
+        return [-q.coeff(0) / q.coeff(1)]
     import numpy as np
 
-    deg = q.degree() or 0
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [complex(-q.coeff(0) / q.coeff(1))]
-    coeffs = [float(q.coeff(k)) for k in range(deg, -1, -1)]
+    coeffs = [float(q.coeff(k)) for k in range(q.degree(), -1, -1)]
     roots = [complex(r) for r in np.roots(coeffs)]
     dq = q.derivative()
     refined = []
@@ -576,12 +571,6 @@ def _refined_roots(q: Poly) -> list[complex]:
     return refined
 
 
-def _factor_roots(q: Poly) -> list[Fraction | complex]:
-    if (q.degree() or 0) == 1:
-        return [-q.coeff(0) / q.coeff(1)]
-    return list(_refined_roots(q))
-
-
 def _root_unstable(root: Fraction | complex, factor_hurwitz: bool) -> bool:
     if factor_hurwitz:
         return False
@@ -595,14 +584,8 @@ def _left_null_direction(
 ) -> tuple[Fraction, ...] | tuple[complex, ...] | None:
     p, m = n.shape
     if isinstance(root, Fraction):
-        vals = [[n.entry(i, j)(root) for i in range(p)] for j in range(m)]
-        solved = linsolve_exact(vals, [Fraction(0)] * m)
-        if solved is None:
-            return None
-        _, basis = solved
-        if not basis:
-            return None
-        return tuple(basis[0])
+        vec = _null_vector([[n.entry(i, j)(root) for i in range(p)] for j in range(m)])
+        return None if vec is None else tuple(vec)
     import numpy as np
 
     mat = np.array(

@@ -43,13 +43,13 @@ Conventions
   left factor and each column of the right factor to Z[s] over one
   integer (``_z_line``), ``RatMat @`` does so after taking the line over
   its lcd, and each entry is one dot product over Z[s], normalised once.
-* Linear systems over Q: :func:`linsolve_exact` clears each row of
-  [A | b] to integers and reduces it by a fraction-free Gauss-Jordan
+* Linear systems over Q run on one fraction-free Gauss-Jordan
   elimination over Z, ``_rref_z``, with the pivots of the elimination
   over Q; each updated row is divided by its content, and a value is read
   out as a quotient of two entries of its pivot row only at the end.
-  ``factor.poly_row_diophantine`` runs ``_rref_z`` on rows read from the
-  stored integers.
+  ``_null_vector`` clears each row of a constant matrix to integers and
+  reads off its first null vector; ``factor.poly_row_diophantine`` runs
+  ``_rref_z`` on rows read from the stored integers.
 * Evaluation at a rational point reports poles explicitly (``None``
   entries) instead of raising.
 
@@ -661,9 +661,6 @@ class RatFn(_Value):
             return None
         return self.num(s0) / d
 
-    def __call__(self, s0: complex) -> complex:
-        return complex(self.num(s0)) / complex(self.den(s0))
-
     def __str__(self) -> str:
         if self.den == ONE:
             return str(self.num)
@@ -857,10 +854,6 @@ class PolyMat(_Grid):
 
     def row_degrees(self) -> list[int | None]:
         return self.transpose().column_degrees()
-
-    def eval_at(self, s0: Scalar) -> tuple[tuple[Fraction, ...], ...]:
-        s0 = _frac(s0)
-        return tuple(tuple(e(s0) for e in row) for row in self.rows)
 
     def rank(self) -> int:
         """Normal rank: the pivot count of a Bareiss elimination."""
@@ -1085,45 +1078,28 @@ class RatMat(_Grid):
         s0 = _frac(s0)
         return tuple(tuple(e.at(s0) for e in row) for row in self.rows)
 
-    def __call__(self, s0: complex):
-        return tuple(tuple(e(s0) for e in row) for row in self.rows)
 
-
-def linsolve_exact(
-    a_rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
-) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Solve A z = b exactly over the rationals.
-
-    Returns ``(particular, nullspace_basis)`` with free variables set to
-    zero in the particular solution, or ``None`` when inconsistent.
-    [A | b] is reduced to reduced row echelon form by Gauss-Jordan
-    elimination; its pivot columns are fixed by A, so the result is unique.
-    Each row is cleared to integers by the lcm of its denominators and
-    eliminated over Z (``_rref_z``); a value is read out as a quotient of
-    two entries of its pivot row.
-    """
-    n = len(a_rows[0]) if a_rows else 0
+def _null_vector(rows: Sequence[Sequence[Scalar]]) -> list[Fraction] | None:
+    """The first null vector of the reduced row echelon form of the
+    rational matrix ``rows``: 1 at its first free column, -row[free] /
+    row[pivot] at each pivot and 0 elsewhere; ``None`` when the columns
+    are independent.  Each row is cleared to integers by the lcm of its
+    denominators and eliminated over Z (``_rref_z``)."""
+    n = len(rows[0])
     aug = []
-    for i, row in enumerate(a_rows):
-        xs = [_scalar(x) for x in (*row, rhs[i])]
+    for row in rows:
+        xs = [_scalar(x) for x in row]
         d = math.lcm(*(x.denominator for x in xs))
-        aug.append([x.numerator * (d // x.denominator) for x in xs])
+        aug.append([x.numerator * (d // x.denominator) for x in xs] + [0])  # b = 0
     pivots = _rref_z(aug, n)
-    if pivots is None:
+    free = next((j for j in range(n) if j not in pivots), None)
+    if free is None:
         return None
-    particular = [Fraction(0)] * n
+    vec = [Fraction(0)] * n
+    vec[free] = Fraction(1)
     for row, col in zip(aug, pivots):
-        particular[col] = Fraction(row[n], row[col])
-    basis: list[list[Fraction]] = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for row, col in zip(aug, pivots):
-            vec[col] = Fraction(-row[fc], row[col])
-        basis.append(vec)
-    return particular, basis
+        vec[col] = Fraction(-row[free], row[col])
+    return vec
 
 
 def _rref_z(aug: list[list[int]], n: int) -> list[int] | None:

@@ -207,17 +207,15 @@ def _classify_irreducible(q: Poly) -> tuple[bool, bool]:
     complex) gives q a right-half-plane root; w is irreducible, so its
     roots are distinct and one Sturm count decides both.
     """
-    if q.degree() == 0:
-        return False, False
     if q == S:
         return True, False
     reflected = q.reflect()
     symmetric = reflected == q or reflected == -q
     if not symmetric:
         return False, not _routh_is_hurwitz(q)
-    body = poly_divmod(q, S)[0] if q._z[0] == 0 else q
-    # An irreducible symmetric polynomial other than s itself is even.
-    w = _even_compression(body)
+    # An irreducible symmetric polynomial other than s itself is even: an
+    # odd one has the factor s.
+    w = _even_compression(q)
     neg = count_real_roots(w, -math.inf, 0)
     return neg > 0, neg < w.degree()
 

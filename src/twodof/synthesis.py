@@ -19,16 +19,18 @@ from fractions import Fraction
 from .factor import (
     RightMFD,
     StableMFD,
+    _factor_roots,
     _left_null_direction,
+    _root_unstable,
     _zero_polynomial,
     left_coprime_mfd,
     poly_row_diophantine,
     stable_left_mfd,
-    zeros_and_poles,
 )
 from .polyalg import (
     ONE,
     ZERO,
+    Poly,
     PolyMat,
     RatFn,
     RatMat,
@@ -41,7 +43,6 @@ from .polyalg import (
     _polymat_det_adj,
     hstack,
     poly_divmod,
-    polymat_det,
 )
 from .stability import (
     StabilityVerdict,
@@ -178,22 +179,27 @@ def _xprime_from_x(smfd: StableMFD, x: RatMat) -> RatMat:
     return RatMat([[e * psi for e in row] for row, psi in zip(x.rows, smfd.scaling)])
 
 
-def _verdict_zero_points(n: PolyMat, verdict: StabilityVerdict) -> list[Fraction]:
-    """The roots z >= 0 of the linear factors ``verdict`` names that are
-    roots of the zero polynomial of n, which is not factored, in
-    ``irreducible_factors`` order: their multiplicity there, then the
-    coefficients of q*s - p for z = p/q."""
+def _verdict_zero_factors(n: PolyMat, verdict: StabilityVerdict) -> list[Poly]:
+    """The pole factors ``verdict`` names that divide the zero polynomial of
+    n, which is not factored, each once, in ``irreducible_factors`` order:
+    degree, then multiplicity in the zero polynomial, then coefficients."""
     zero_poly = _zero_polynomial(n)
-    points: dict[Fraction, int] = {}
+    mults: dict[Poly, int] = {}
     for factor, _reason in verdict.offending_factors:
-        if factor.degree() != 1 or factor.coeff(0) > 0:
+        if factor.is_constant() or factor in mults:  # the improper-entry marker
             continue
-        z, rest, mult = -factor.coeff(0), zero_poly, 0
-        while rest(z) == 0:
-            rest, mult = poly_divmod(rest, factor)[0], mult + 1
+        rest, mult = zero_poly, 0
+        while (split := poly_divmod(rest, factor))[1].is_zero():
+            rest, mult = split[0], mult + 1
         if mult:
-            points[z] = mult
-    return sorted(points, key=lambda z: (points[z], z.denominator, -z.numerator))
+            mults[factor] = mult
+    return sorted(mults, key=lambda q: (len(q._z), mults[q], q._z[::-1]))
+
+
+def _verdict_zero_points(n: PolyMat, verdict: StabilityVerdict) -> list[Fraction]:
+    """The roots of the linear ``_verdict_zero_factors``: the rational
+    unstable zeros of n that ``verdict`` names."""
+    return [-q.coeff(0) for q in _verdict_zero_factors(n, verdict) if q.degree() == 1]
 
 
 def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat, xv: StabilityVerdict) -> list[str]:
@@ -446,10 +452,12 @@ def inverse_problem(smfd: StableMFD) -> DesignResult:
     verdict = rh_inf_verdict(xprime)
     control = smfd.dprime @ xprime
     if not verdict or not control.is_proper():
+        # every unstable zero of the square plant is a pole of x' the verdict names
         reasons = ["exact inversion impossible for this plant"]
-        report = zeros_and_poles(smfd.source)
-        for zero in report.unstable_zeros():
-            reasons.append(f"plant has an unstable zero at s = {zero.location}")
+        for factor in _verdict_zero_factors(smfd.source.n, verdict):
+            for z in _factor_roots(factor):
+                if _root_unstable(z, False):
+                    reasons.append(f"plant has an unstable zero at s = {z}")
         if not xprime.is_proper() or not control.is_proper():
             reasons.append("plant has positive relative degree (n'**-1 improper)")
         if not verdict.stable:
@@ -562,24 +570,32 @@ def static_decoupling(
 # -- denominator assignment -------------------------------------------------------
 
 
+def _det_adj(mat: PolyMat, singular: str) -> tuple[Poly, PolyMat]:
+    """``_polymat_det_adj(mat)``, refusing a singular mat with ``singular``."""
+    try:
+        return _polymat_det_adj(mat)
+    except SingularMatrixError:
+        raise DesignObstruction((singular,)) from None
+
+
 def _denominator_target(
     mfd: RightMFD, d_t: PolyMat, unstable: str
-) -> tuple[RatMat, RatMat, RatMat]:
-    """(x, n@x, d@x) for x = d_t**-1, after refusing a non-square plant, a
-    d_t not shaped like d, a singular n or d_t, and a d_t with a
-    non-Hurwitz determinant (reason after ``unstable``)."""
+) -> tuple[RatMat, RatMat, RatMat, tuple[Poly, PolyMat]]:
+    """(x, n@x, d@x, (det n, adj n)) for x = d_t**-1, after refusing a
+    non-square plant, a d_t not shaped like d, a singular n or d_t, and a
+    d_t with a non-Hurwitz determinant (reason after ``unstable``); each
+    determinant is taken once."""
     if mfd.outputs != mfd.inputs:
         raise DesignObstruction(("denominator assignment requires a square plant",))
     if d_t.shape != mfd.d.shape:
         raise ShapeError(f"d_t must be {mfd.d.shape}, got {d_t.shape}")
-    for mat, label in ((mfd.n, "plant numerator"), (d_t, "target denominator")):
-        if polymat_det(mat).is_zero():
-            raise DesignObstruction((f"{label} is singular",))
-    verdict = is_hurwitz(polymat_det(d_t).monic())
+    n_det_adj = _det_adj(mfd.n, "plant numerator is singular")
+    det, adj = _det_adj(d_t, "target denominator is singular")
+    verdict = is_hurwitz(det.monic())
     if not verdict:
         raise DesignObstruction((unstable + verdict.describe(),))
-    x = d_t.to_ratmat().inv()
-    return x, mfd.n.to_ratmat() @ x, mfd.d.to_ratmat() @ x
+    x = _over(adj, det)
+    return x, mfd.n.to_ratmat() @ x, mfd.d.to_ratmat() @ x, n_det_adj
 
 
 def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
@@ -589,14 +605,11 @@ def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
     The loop is u = cff @ (r + y), so t = p @ (I - cff @ p)**-1 @ cff; the
     design certifies t**-1 + I == cff**-1 @ p**-1 as d @ adj S @ S ==
     det S * d."""
-    x, achieved_t, achieved_m = _denominator_target(
+    x, achieved_t, achieved_m, _ = _denominator_target(
         mfd, d_t, "target denominator is not Hurwitz: "
     )
     total = d_t + mfd.n
-    try:
-        det, adj = _polymat_det_adj(total)
-    except SingularMatrixError:
-        raise DesignObstruction(("d_t + n is singular; no compensator exists",)) from None
+    det, adj = _det_adj(total, "d_t + n is singular; no compensator exists")
     cond_verdict = matrix_is_stable(total.to_ratmat() @ mfd.d.to_ratmat().inv())
     if not cond_verdict:
         raise DesignObstruction(
@@ -633,9 +646,10 @@ def denominator_assignment_direct(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
     """Feedback compensator cfb = (d - d_t) @ adj n / det n, the reference
     entering at the plant input: y/r = n @ d_t**-1, and t**-1 - p**-1 ==
     -cfb is certified as (d - d_t) @ adj n @ n == det n * (d - d_t)."""
-    x, achieved_t, achieved_m = _denominator_target(mfd, d_t, "x = d_t**-1 is unstable: ")
+    x, achieved_t, achieved_m, (det, adj) = _denominator_target(
+        mfd, d_t, "x = d_t**-1 is unstable: "
+    )
     gap = mfd.d - d_t
-    det, adj = _polymat_det_adj(mfd.n)
     num = gap @ adj
     cfb = _over(num, det)
     if not cfb.is_proper():

@@ -6,8 +6,8 @@ denominator, and its arithmetic, gcd and normalisation run over Z; they
 are also checked against the plain `Fraction` algorithms (coefficientwise
 sum, schoolbook product, division by the leading coefficient, Euclid's
 gcd, division by the gcd), kept here as oracles, the Bareiss kernel
-against Gauss-Jordan over `RatFn`, `linsolve_exact` against Gauss-Jordan
-over `Fraction`, `RatMat @` against sums of `RatFn` products, the
+against Gauss-Jordan over `RatFn`, ``_rref_z`` and ``_null_vector`` against
+Gauss-Jordan over `Fraction`, `RatMat @` against sums of `RatFn` products, the
 Bezout witnesses read off the Hermite certificate against the least-degree
 search by `poly_row_diophantine`, `hermite` over Z[s] against the `Poly`
 loop it replaced, GCDHEU against the primitive remainder sequence, and
@@ -438,8 +438,9 @@ def test_cofactor_adjugate_matches_the_elimination(a):
 
 def gauss_jordan(a_rows, rhs):
     """Gauss-Jordan elimination over `Fraction`, each pivot row scaled to a
-    leading 1: the reduced row echelon form that ``linsolve_exact`` reads
-    its (particular, basis) from, or None when inconsistent."""
+    leading 1: (particular, basis) read off the reduced row echelon form,
+    free unknowns at 0 in the particular solution, or None when
+    inconsistent."""
     n = len(a_rows[0]) if a_rows else 0
     aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(a_rows)]
     pivots = []
@@ -476,22 +477,40 @@ def gauss_jordan(a_rows, rhs):
 
 
 def assert_same_solution(a_rows, rhs):
+    """The elimination over Z, ``_rref_z``, of [A | b] cleared to integers
+    row by row, read as ``poly_row_diophantine`` reads it (an unknown is
+    row[n] / row[col] of its pivot row, and 0 if free), and ``_null_vector``
+    of A, against the elimination over `Fraction`."""
     expected = gauss_jordan(a_rows, rhs)
-    solved = polyalg.linsolve_exact(a_rows, rhs)
-    assert solved == expected
-    if solved is not None:
-        particular, basis = solved
-        assert all(type(x) is Fraction for x in particular)
-        assert all(type(x) is Fraction for vec in basis for x in vec)
-    return solved
+    n = len(a_rows[0])
+    aug = []
+    for row, b in zip(a_rows, rhs):
+        xs = [Fraction(x) for x in (*row, b)]
+        lcd = math.lcm(*(x.denominator for x in xs))
+        aug.append([int(x * lcd) for x in xs])
+    pivots = polyalg._rref_z(aug, n)
+    if expected is None:
+        assert pivots is None
+    else:
+        particular = [Fraction(0)] * n
+        for row, col in zip(aug, pivots):
+            particular[col] = Fraction(row[n], row[col])
+        assert particular == expected[0]
+    # the first null vector of A is the first basis vector of [A | 0]
+    basis = gauss_jordan(a_rows, [0] * len(a_rows))[1]
+    vec = polyalg._null_vector(a_rows)
+    assert vec == (basis[0] if basis else None)
+    assert vec is None or all(type(x) is Fraction for x in vec)
+    return expected
 
 
 @st.composite
 def linear_systems(draw):
-    """[A | b] over mixed denominators and either sign, often rank-deficient
-    (a row combined from two others), with zero columns, all-zero A, a
-    zero, consistent or arbitrary (mostly inconsistent) right-hand side, and
-    integral entries given as `int` or as `Fraction`."""
+    """[A | b] over mixed denominators and either sign: A full rank or
+    rank-deficient (a row or a column combined from two others), with zero
+    columns or all zero; a zero, consistent or arbitrary (mostly
+    inconsistent) right-hand side; integral entries given as `int` or as
+    `Fraction`."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     entry = st.builds(
         lambda num, den, keep: Fraction(num * keep, den),
@@ -501,6 +520,10 @@ def linear_systems(draw):
     if m >= 3 and draw(st.booleans()):
         x, y = draw(coefficients), draw(coefficients)
         a[-1] = [x * u + y * v for u, v in zip(a[0], a[1])]
+    if n >= 3 and draw(st.booleans()):
+        x, y, j = draw(coefficients), draw(coefficients), draw(st.integers(2, n - 1))
+        for row in a:
+            row[j] = x * row[0] + y * row[1]
     if draw(st.booleans()):
         j = draw(st.integers(0, n - 1))
         for row in a:
@@ -541,6 +564,8 @@ LINEAR_SYSTEMS = [
     ([[-6, F(4, 9)], [F(-3, 10), -1]], [F(7, 3), -4], "solved"),
     # more rows than columns, consistent
     ([[2], [-4], [F(1, 3)]], [F(2, 5), F(-4, 5), F(1, 15)], "solved"),
+    # a free column before the last pivot: the null vector is (-2, 1, 0)
+    ([[1, 2, 3], [2, 4, 7]], [1, 3], "solved"),
 ]
 
 

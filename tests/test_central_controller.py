@@ -21,8 +21,9 @@ import twodof.factor
 import twodof.polyalg
 import twodof.stability
 import twodof.stabilize
+import twodof.synthesis
 import twodof.zfactor
-from twodof.cli import load_problem, main, parse_matrix
+from twodof.cli import load_problem, main, parse_matrix, parse_poly_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat
 from twodof.stabilize import InadmissibleParameter, youla_controller
@@ -32,6 +33,7 @@ from twodof.synthesis import (
     denominator_assignment_unity,
     diagonal_decoupling,
     find_admissible_unity_xprime,
+    inverse_problem,
     model_matching,
     static_decoupling,
     unity_feedback_admissible,
@@ -298,8 +300,8 @@ def count_inversions(monkeypatch):
 # label -> (plant, shift, design of the plant's StableMFD, (gang_of_four,
 # _youla_feedback, _fraction_loop, RatMat.inv) calls): fixed instances of
 # each design, whose one closed loop is formed without inverting a RatMat;
-# the denominator assignments invert d_t alone, the unity loop also d for
-# its stability condition
+# the denominator assignments form d_t**-1 from the adjugate they take, and
+# only the unity loop inverts a RatMat, d, for its stability condition
 DESIGNS = {
     "static, stable plant": (
         "1/(s+1), 1/(s+2); 0, 1/(s+3)", 1,
@@ -313,12 +315,12 @@ DESIGNS = {
         lambda smfd: denominator_assignment_unity(
             smfd.source, PolyMat([[Poly((Fraction(-1, 2), Fraction(-1, 4)))]])
         ),
-        (0, 0, 1, 2),
+        (0, 0, 1, 1),
     ),
     "denominator, direct": (
         "1/(s-2)", 1,
         lambda smfd: denominator_assignment_direct(smfd.source, PolyMat([[S + 2 * ONE]])),
-        (0, 0, 1, 1),
+        (0, 0, 1, 0),
     ),
     "model matching": (
         "(s-1)*(s+2)/(s-2)^2", 2,
@@ -359,11 +361,12 @@ def test_cli_designs_form_each_loop_once(monkeypatch, tmp_path, capsys):
     problem.write_text(f"[plant]\nmatrix = {UNSTABLE_2X2}\n[design]\nlambda = 1, 0; 0, 1\n")
     # argv -> (gang_of_four, _youla_feedback, _fraction_loop, RatMat.inv)
     # calls; assign-denominator forms a second loop in its closed-loop
-    # cross-check, from the printed controller through gang_of_four
+    # cross-check, from the printed controller through gang_of_four, and
+    # inverts d alone, for the unity loop's stability condition
     runs = {
         ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (1, 0, 1, 2),
         ("static-decouple", str(problem)): (0, 1, 0, 2),
-        ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (1, 0, 2, 2),
+        ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (1, 0, 2, 1),
         ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (0, 0, 1, 2),
     }
     counts = count_calls(monkeypatch, LOOP_FORMERS)
@@ -374,6 +377,50 @@ def test_cli_designs_form_each_loop_once(monkeypatch, tmp_path, capsys):
         assert main(list(argv)) == 0
         assert (*counts.values(), len(inversions)) == expected, argv
     capsys.readouterr()
+
+
+def record_determinants(monkeypatch):
+    """The matrix of each determinant a design takes: ``polymat_det`` and
+    ``_polymat_det_adj`` as ``synthesis`` and ``polyalg`` (so ``RatMat.inv``)
+    call them.  ``_fraction_loop``'s det M, of the loop it forms, is not
+    recorded."""
+    taken = []
+    for name in ("polymat_det", "_polymat_det_adj"):
+        original = getattr(twodof.polyalg, name)
+
+        def wrapper(a, _fn=original):
+            taken.append(a)
+            return _fn(a)
+
+        for mod in (twodof.polyalg, twodof.synthesis):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    return taken
+
+
+# (plant, design, d_t, the matrices whose determinant it takes, in order)
+DENOMINATOR_DESIGNS = [
+    ("1/(s-2)", denominator_assignment_unity, "-1/4*s - 1/2",
+     ["n", "d_t", "d_t + n", "d"]),
+    ("1/(s-2)", denominator_assignment_direct, "s + 3", ["n", "d_t"]),
+    ("1/(s-2), 0; 0, 1/(s-3)", denominator_assignment_unity,
+     "-1/4*s - 1/2, 0; 0, -1/4*s - 1/4", ["n", "d_t", "d_t + n", "d"]),
+    (UNSTABLE_2X2, denominator_assignment_direct, "s^2 + 2*s + 1, 0; 0, s^2 + 3*s + 2",
+     ["n", "d_t"]),
+]
+
+
+@pytest.mark.parametrize("plant, design, d_t, expected", DENOMINATOR_DESIGNS)
+def test_denominator_assignment_takes_each_determinant_once(
+    monkeypatch, plant, design, d_t, expected
+):
+    mfd = right_coprime_mfd(parse_matrix(plant))
+    d_t = parse_poly_matrix(d_t)
+    taken = record_determinants(monkeypatch)
+    res = design(mfd, d_t)
+    assert all(c.passed for c in res.certificates) and res.verdict
+    named = {"n": mfd.n, "d": mfd.d, "d_t": d_t, "d_t + n": d_t + mfd.n}
+    assert taken == [named[key] for key in expected]
 
 
 def test_unity_design_inverts_the_plant_denominator_once(monkeypatch):
@@ -415,6 +462,20 @@ def test_refused_matching_factors_only_the_parameter_denominator(monkeypatch):
     # the verdict on x names s - 1, and the zero reason is read off it
     assert counts == {"factor_list": 1}
     assert err.value.reasons[0].startswith("plant unstable zero at s = 1 is not inherited")
+
+
+@pytest.mark.parametrize("plant, zero", [
+    ("(s-1)/(s+1)^2, 0; 0, 1/(s+2)", "1"),
+    ("(s^2-2)/(s+1)^3", "(1.414213562373095+0j)"),
+])
+def test_refused_inversion_factors_only_the_parameter_denominators(monkeypatch, plant, zero):
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix(plant)), shift=1)
+    counts = count_calls(monkeypatch, ["factor_list"], twodof.zfactor)
+    with pytest.raises(DesignObstruction) as err:
+        inverse_problem(smfd)
+    # the verdict on x' = n'**-1 names every unstable zero factor of the plant
+    assert counts == {"factor_list": 1}
+    assert err.value.reasons[1] == f"plant has an unstable zero at s = {zero}"
 
 
 def test_refused_decoupling_factors_only_the_parameter_denominators(monkeypatch):

@@ -1,4 +1,5 @@
 import argparse
+import math
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ from twodof.cli import (
     MAX_DEGREE,
     MAX_DIGITS,
     MAX_EXPONENT,
+    MAX_NESTING,
     ParseError,
     _fraction,
     load_problem,
@@ -156,6 +158,25 @@ def test_parse_rational_at_the_caps():
     value = rf((S + ONE) ** MAX_DEGREE, (S + 2 * ONE) ** MAX_DEGREE)
     assert parse_rational(str(value)) == value
     assert parse_rational(f"(s+1)^{MAX_DEGREE}/(s+2)^{MAX_DEGREE}") == value
+
+
+def test_parse_rational_nesting_cap():
+    # each level of nesting takes four frames of the recursive parser
+    assert MAX_NESTING == 64
+    assert parse_rational("(" * 64 + "s+1" + ")" * 64) == rf(S + ONE)
+    with pytest.raises(ParseError) as err:
+        parse_rational("(" * 65 + "s+1" + ")" * 65)
+    assert err.value.position == 64
+    assert str(err.value) == "parentheses nested deeper than 64 at position 64"
+
+
+def test_main_refuses_deep_nesting_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "deep.ini"
+    path.write_text(f"[plant]\nmatrix = 1/(s+1)\n[design]\nt = {'(' * 1000}s{')' * 1000}\n")
+    code = main(["match", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "parse error: parentheses nested deeper than 64 at position 64\n"
 
 
 def test_parse_rational_short_degree_40_input_is_fast():
@@ -579,6 +600,36 @@ def test_main_simulate_unstable_target(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "unstable" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, final",
+    [
+        # y/r = p @ (I - cy@p)**-1 @ cr = 2/(s + 2)
+        ("[plant]\nmatrix = 1/(s+1)\n[config]\nloop = two-dof\ncy = -1\ncr = 2\n", 1 - math.exp(-2)),
+        ("[plant]\nmatrix = 3/(s+3)\n", 1 - math.exp(-3)),
+    ],
+    ids=["config loop", "bare plant"],
+)
+def test_main_simulate_a_loop_or_a_bare_plant(tmp_path, capsys, text, final):
+    path = tmp_path / "prob.ini"
+    path.write_text(text)
+    code = main(["simulate", str(path), "--horizon", "1", "--dt", "0.5"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "t,y1" and len(lines) == 4
+    assert abs(float(lines[-1].split(",")[1]) - final) < 1e-9
+
+
+def test_main_simulate_refuses_a_file_with_nothing_to_simulate(tmp_path, capsys):
+    path = tmp_path / "prob.ini"
+    path.write_text("[options]\nhorizon = 1\n")
+    code = main(["simulate", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (
+        "error: nothing to simulate: give [design] t, a [config], or a [plant]\n"
+    )
 
 
 def test_main_simulate_refuses_an_infinite_step(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twodof.cli import parse_matrix
 from twodof.factor import left_coprime_mfd, right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat, ShapeError
 from twodof.stabilize import (
@@ -190,6 +191,34 @@ def test_all_controllers_from_lx_rejects_destabilizing_l():
     x = RatMat([[rf(ONE, (S + ONE) ** 2)]])
     with pytest.raises(InadmissibleParameter):
         all_controllers_from_LX(mfd, bad_l, x)
+
+
+# (plant, l, x, exception, message): each refusal in its order
+LX_REFUSALS = [
+    ("1/(s-2)", "1/(s+1); 1/(s+1)", "1/(s+1)", ShapeError,
+     "feedback parameter must be 1x1, got (2, 1)"),
+    ("1/(s-2)", "1/(s-1)", "1/(s+1)", InadmissibleParameter,
+     "feedback parameter l has unstable poles"),
+    ("1/(s-2)", "-7/(s+1)^2", "1/(s-1)", InadmissibleParameter,
+     "reference parameter x has unstable poles"),
+    ("1/(s-2)", "1", "1/(s+1)", InadmissibleParameter, "d@l is improper"),
+    ("1/(s-2)", "-7/(s+1)^2", "1", InadmissibleParameter, "d@x is improper"),
+    # l = -n**-1: f = (I + l@n) @ d**-1 = 0
+    ("(s+1)/(s-2)", "-1/(s+1)", "1/(s+1)", IllPosedLoop,
+     "I + d@l@p is singular; the loop is ill posed"),
+    # 1 + l*n = (s-2)/(s+1)^2: f = 1/(s+1)^2, and f**-1 @ d**-1 = (s+1)^2/(s-2)
+    ("(s+1)/(s-2)", "((s-2) - (s+1)^2)/(s+1)^3", "1/(s+1)", InadmissibleParameter,
+     "(I + d@l@p)**-1 is improper"),
+]
+
+
+@pytest.mark.parametrize("plant, l, x, error, message", LX_REFUSALS)
+def test_all_controllers_from_lx_refusals(plant, l, x, error, message):
+    mfd = right_coprime_mfd(parse_matrix(plant))
+    with pytest.raises(error) as err:
+        all_controllers_from_LX(mfd, parse_matrix(l), parse_matrix(x))
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_two_by_two_youla_sweep():

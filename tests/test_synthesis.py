@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from twodof.cli import main, parse_matrix
+from twodof.cli import main, parse_matrix, parse_poly_matrix
 from twodof.factor import right_coprime_mfd, stable_mfd
-from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat
+from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat, ShapeError
 from twodof.stability import StabilityVerdict, rh_inf_verdict
 from twodof.stabilize import TwoDofConfig, gang_of_four
 from twodof.synthesis import (
@@ -306,6 +306,40 @@ def test_denominator_assignment_rejects_non_hurwitz_target():
         denominator_assignment_unity(mfd, PolyMat([[S - ONE]]))
     with pytest.raises(DesignObstruction):
         denominator_assignment_direct(mfd, PolyMat([[S - ONE]]))
+
+
+# (design, plant, d_t, exception, message): each refusal in its order
+DENOMINATOR_REFUSALS = [
+    (denominator_assignment_unity, "1/(s+1), 1/(s+2)", "s + 1", DesignObstruction,
+     "denominator assignment requires a square plant"),
+    (denominator_assignment_direct, "1/(s-2)", "s + 1, 0; 0, s + 1", ShapeError,
+     "d_t must be (1, 1), got (2, 2)"),
+    (denominator_assignment_unity, "1/(s+1), 1/(s+1); 1/(s+1), 1/(s+1)", "s + 1, 0; 0, s + 1",
+     DesignObstruction, "plant numerator is singular"),
+    (denominator_assignment_direct, "1/(s-2)", "0", DesignObstruction,
+     "target denominator is singular"),
+    # d_t = -n: a constant, so its determinant is Hurwitz
+    (denominator_assignment_unity, "1/(s-2)", "-1", DesignObstruction,
+     "d_t + n is singular; no compensator exists"),
+    (denominator_assignment_unity, "1/(s-2)", "s + 3", DesignObstruction,
+     "stability condition (d_t + n) @ d**-1 failed: unstable; offending factors:"
+     " s - 2 (right-half-plane root)"),
+    # cff = d @ (d_t + n)**-1 = -4*(s + 1)
+    (denominator_assignment_unity, "1/((s-2)*(s+1))", "-1/4*s - 1/2", DesignObstruction,
+     "compensator d @ (d_t + n)**-1 is improper"),
+    # cfb = d - d_t = -s^2 - 5*s - 3
+    (denominator_assignment_direct, "1/(s-2)", "s^2 + 6*s + 1", DesignObstruction,
+     "feedback compensator (d - d_t) @ n**-1 is improper"),
+]
+
+
+@pytest.mark.parametrize("design, plant, d_t, error, message", DENOMINATOR_REFUSALS)
+def test_denominator_assignment_refusals(design, plant, d_t, error, message):
+    mfd = right_coprime_mfd(parse_matrix(plant))
+    with pytest.raises(error) as err:
+        design(mfd, parse_poly_matrix(d_t))
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_denominator_assignment_two_by_two():

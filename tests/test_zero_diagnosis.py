@@ -1,18 +1,20 @@
-"""A refused model matching or diagonal decoupling names the plant's
-unstable zeros from the verdict that refused it.
+"""A refused model matching, diagonal decoupling or inversion names the
+plant's unstable zeros from the verdict that refused it.
 
 ``synthesis._unstable_zero_diagnosis`` and ``_decoupling_zero_diagnosis``
 take their candidate points from the linear factors of the verdict on the
 parameter (x, or x' for decoupling), keep those that are roots of the
-plant's zero polynomial, and factor nothing of the plant.  The oracles
-below are the former diagnoses, which read every unstable zero off
-``zeros_and_poles``: each pair must give the same reasons in the same
-order, on scalar, 2x2, 2x1 and 1x2 plants for matching, and on scalar and
-2x2 plants for decoupling.
+plant's zero polynomial, and factor nothing of the plant;
+``inverse_problem`` lists the roots of every factor the verdict on
+x' = n'**-1 names.  The oracles below are the former diagnoses, which read
+every unstable zero off ``zeros_and_poles``: each pair must give the same
+reasons in the same order, on scalar, 2x2, 2x1 and 1x2 plants for
+matching, and on scalar and 2x2 plants for decoupling and inversion.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +23,11 @@ from twodof.factor import right_coprime_mfd, stable_mfd, zeros_and_poles
 from twodof.polyalg import ONE, S, ZERO, RatFn, RatMat, SingularMatrixError
 from twodof.stability import matrix_is_stable, rh_inf_verdict
 from twodof.synthesis import (
+    DesignObstruction,
     _decoupling_zero_diagnosis,
     _solve_polymat,
     _unstable_zero_diagnosis,
+    inverse_problem,
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=80, database=None)
@@ -69,9 +73,9 @@ def product(factors):
 
 
 @st.composite
-def plant_entries(draw):
+def plant_entries(draw, zero_factors=ZERO_FACTORS):
     """c * (zero factors) / (pole factors), proper: a factor may repeat."""
-    num = product(draw(st.lists(st.sampled_from(ZERO_FACTORS), max_size=2)))
+    num = product(draw(st.lists(st.sampled_from(zero_factors), max_size=2)))
     extra = draw(st.integers(0, 1))
     den = product(draw(st.lists(
         st.sampled_from(POLE_FACTORS), min_size=num.degree() + extra,
@@ -184,3 +188,56 @@ def test_decoupling_diagnosis_from_the_verdict_matches_the_factored_zeros(case):
         return  # a singular plant is refused before any zero is named
     reasons = _decoupling_zero_diagnosis(smfd, targets, xprime, rh_inf_verdict(xprime))
     assert tuple(reasons) == tuple(oracle_decoupling_diagnosis(smfd, targets, xprime))
+
+
+def oracle_inversion_reasons(smfd):
+    """The reasons ``inverse_problem`` gave when it listed the unstable
+    zeros of ``zeros_and_poles``, or None when it inverts the plant."""
+    try:
+        xprime = smfd.nprime.inv()
+    except SingularMatrixError:
+        return ("plant transfer matrix is singular; no inverse exists",)
+    verdict = rh_inf_verdict(xprime)
+    control = smfd.dprime @ xprime
+    if verdict and control.is_proper():
+        return None
+    reasons = ["exact inversion impossible for this plant"]
+    for zero in zeros_and_poles(smfd.source).unstable_zeros():
+        reasons.append(f"plant has an unstable zero at s = {zero.location}")
+    if not xprime.is_proper() or not control.is_proper():
+        reasons.append("plant has positive relative degree (n'**-1 improper)")
+    if not verdict.stable:
+        reasons.append("parameter verdict: " + verdict.describe())
+    return tuple(reasons)
+
+
+# the zero factors above, with an axis pair and a factor with both an axis
+# pair and a right-half-plane root, which the verdict names twice
+INVERSION_ZERO_FACTORS = [*ZERO_FACTORS, S * S + ONE, S**4 + S * S - ONE]
+
+
+@st.composite
+def square_plants(draw):
+    size = draw(st.sampled_from([1, 2]))
+    entries = plant_entries(INVERSION_ZERO_FACTORS)
+    return RatMat([[draw(entries) for _ in range(size)] for _ in range(size)])
+
+
+# the simple zero s = 1 before the double zero s = 2, against the order of
+# the coefficients and of the factors the verdict on x' names
+@example(parse_matrix(DIAGONAL))
+# s^4 + s^2 - 1, named for both reasons, is listed once
+@example(parse_matrix("(s^4+s^2-1)*(s-1)/(s+1)^5"))
+@example(parse_matrix("(s^2-2)/(s+1)^3"))
+@example(parse_matrix("(s-1)^2*(s^2+1)/(s+1)^4, 1/(s+2); 1/(s+3), (s^2-2)/(s+1)^2"))
+@example(parse_matrix("(s-1)/(s+1)^2, 0; 0, 1/(s+2)"))
+@SETTINGS
+@given(square_plants())
+def test_inversion_refusal_from_the_verdict_matches_the_factored_zeros(plant):
+    smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
+    expected = oracle_inversion_reasons(smfd)
+    if expected is None:
+        return  # the plant is inverted: no zero is named
+    with pytest.raises(DesignObstruction) as err:
+        inverse_problem(smfd)
+    assert err.value.reasons == expected
