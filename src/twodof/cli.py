@@ -34,6 +34,7 @@ import argparse
 import configparser
 import operator
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
@@ -255,12 +256,7 @@ def parse_poly_matrix(text: str) -> PolyMat:
 # -- problem files ---------------------------------------------------------------
 
 
-class ProblemFile:
-    __slots__ = ("plant", "design", "configuration", "options")
-
-    def __init__(self, plant: RatMat | None, design: dict, configuration: dict, options: dict):
-        self.plant, self.design = plant, design
-        self.configuration, self.options = configuration, options
+ProblemFile = namedtuple("ProblemFile", "plant design configuration options")
 
 
 def load_problem(path: str) -> ProblemFile:
@@ -384,8 +380,7 @@ def _verify_against(plant: RatMat, res: DesignResult, desired_t: RatMat) -> None
 # -- subcommands --------------------------------------------------------------------
 
 
-def cmd_factor(args: argparse.Namespace) -> int:
-    pf = load_problem(args.problem)
+def cmd_factor(pf: ProblemFile, args: argparse.Namespace) -> int:
     plant, smfd = _stable_plant_data(pf, args)
     mfd = smfd.source
     left = left_coprime_mfd(plant)
@@ -417,8 +412,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_stabilize(args: argparse.Namespace) -> int:
-    pf = load_problem(args.problem)
+def cmd_stabilize(pf: ProblemFile, args: argparse.Namespace) -> int:
     plant, smfd = _stable_plant_data(pf, args)
     x1, x2 = solve_bezout(smfd.source)
     _print_named("bezout x1 (x1@d + x2@n = I)", x1)
@@ -439,8 +433,7 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_match(args: argparse.Namespace) -> int:
-    pf = load_problem(args.problem)
+def cmd_match(pf: ProblemFile, args: argparse.Namespace) -> int:
     plant, smfd = _stable_plant_data(pf, args)
     t = _design_matrix(pf, "t")
     m = parse_matrix(pf.design["m"]) if "m" in pf.design else None
@@ -461,8 +454,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_decouple(args: argparse.Namespace) -> int:
-    pf = load_problem(args.problem)
+def cmd_decouple(pf: ProblemFile, args: argparse.Namespace) -> int:
     plant, smfd = _stable_plant_data(pf, args)
     if "targets" not in pf.design:
         raise ValueError("problem file needs targets in the [design] section")
@@ -473,8 +465,7 @@ def cmd_decouple(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_invert(args: argparse.Namespace) -> int:
-    pf = load_problem(args.problem)
+def cmd_invert(pf: ProblemFile, args: argparse.Namespace) -> int:
     plant, smfd = _stable_plant_data(pf, args)
     res = inverse_problem(smfd)
     _print_design_result(res)
@@ -482,8 +473,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_static_decouple(args: argparse.Namespace) -> int:
-    pf = load_problem(args.problem)
+def cmd_static_decouple(pf: ProblemFile, args: argparse.Namespace) -> int:
     plant, smfd = _stable_plant_data(pf, args)
     lam = (
         parse_matrix(pf.design["lambda"])
@@ -502,8 +492,7 @@ def cmd_static_decouple(args: argparse.Namespace) -> int:
 _ASSIGNMENTS = {"unity": denominator_assignment_unity, "direct": denominator_assignment_direct}
 
 
-def cmd_assign_denominator(args: argparse.Namespace) -> int:
-    pf = load_problem(args.problem)
+def cmd_assign_denominator(pf: ProblemFile, args: argparse.Namespace) -> int:
     plant, smfd = _stable_plant_data(pf, args)
     if "d_t" not in pf.design:
         raise ValueError("problem file needs d_t in the [design] section")
@@ -526,23 +515,22 @@ _CONFIGS = {
 
 
 def _configuration(pf: ProblemFile) -> object:
-    """The [config] section's loop, its matrices named by the slots of the
-    loop's configuration class."""
+    """The [config] section's loop, its matrices named by the fields of the
+    loop's configuration record."""
     loop = pf.configuration.get("loop", "two-dof")
     if loop not in _CONFIGS:
         raise ValueError(
             f"unknown loop {loop!r}; expected one of {sorted(_CONFIGS)}"
         )
     mats = {}
-    for key in _CONFIGS[loop].__slots__:
+    for key in _CONFIGS[loop]._fields:
         if key not in pf.configuration:
             raise ValueError(f"[config] section needs {key} for loop {loop!r}")
         mats[key] = parse_matrix(pf.configuration[key])
     return _CONFIGS[loop](**mats)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    pf = load_problem(args.problem)
+def cmd_verify(pf: ProblemFile, args: argparse.Namespace) -> int:
     plant = _require_plant(pf)
     config = _configuration(pf)
     report = closed_loop(plant, config)
@@ -558,8 +546,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    pf = load_problem(args.problem)
+def cmd_simulate(pf: ProblemFile, args: argparse.Namespace) -> int:
     if "t" in pf.design:
         target = _design_matrix(pf, "t")
     elif pf.configuration:
@@ -586,10 +573,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_unity_parameter(args: argparse.Namespace) -> int:
+def cmd_unity_parameter(pf: ProblemFile, args: argparse.Namespace) -> int:
     # convenience used by `match` problem files with loop = unity when no
     # target is known yet: search for an admissible scalar parameter
-    pf = load_problem(args.problem)
     _, smfd = _stable_plant_data(pf, args)
     xprime = find_admissible_unity_xprime(smfd)
     _print_named("admissible x'", xprime)
@@ -634,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func: Callable[[argparse.Namespace], int], **kwargs):
+    def add(name: str, func: Callable[[ProblemFile, argparse.Namespace], int], **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("problem", help="problem file (INI sections: plant/design/config/options)")
         p.add_argument("--shift", type=_fraction, default=None,
@@ -668,7 +654,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        return args.func(load_problem(args.problem), args)
     except DesignObstruction as exc:
         print("design obstruction:")
         for reason in exc.reasons:

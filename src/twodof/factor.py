@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -502,29 +503,12 @@ def stable_left_mfd(left: LeftMFD, shift: Fraction | int = 1) -> tuple[RatMat, R
     return dl_prime, nl_prime
 
 
-class ZeroInfo:
-    __slots__ = ("location", "multiplicity", "factor", "unstable", "direction")
-
-    def __init__(
-        self,
-        location: Fraction | complex,
-        multiplicity: int,
-        factor: Poly,
-        unstable: bool,
-        direction: tuple[Fraction, ...] | tuple[complex, ...] | None = None,
-    ) -> None:
-        self.location, self.multiplicity, self.factor = location, multiplicity, factor
-        self.unstable, self.direction = unstable, direction
-
-
-class PoleInfo:
-    __slots__ = ("location", "multiplicity", "factor", "unstable")
-
-    def __init__(
-        self, location: Fraction | complex, multiplicity: int, factor: Poly, unstable: bool
-    ) -> None:
-        self.location, self.multiplicity = location, multiplicity
-        self.factor, self.unstable = factor, unstable
+# A zero or pole of a plant: its location, multiplicity, irreducible factor
+# and whether it is unstable; an unstable zero also gives its direction.
+ZeroInfo = namedtuple(
+    "ZeroInfo", "location multiplicity factor unstable direction", defaults=(None,)
+)
+PoleInfo = namedtuple("PoleInfo", "location multiplicity factor unstable")
 
 
 class ZeroReport:

@@ -25,8 +25,9 @@ chains on the even-part compression, so the reasons are exact as well.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from twodof.polyalg import (
     ONE,
@@ -47,21 +48,10 @@ REASON_AXIS = "imaginary-axis root"
 REASON_IMPROPER = "improper entry"
 
 
-class StabilityVerdict:
+class StabilityVerdict(namedtuple("StabilityVerdict", "stable offending_factors", defaults=((),))):
     """Outcome of an exact stability test."""
 
-    __slots__ = ("stable", "offending_factors")
-
-    def __init__(self, stable: bool, offending_factors: tuple[tuple[Poly, str], ...] = ()):
-        self.stable, self.offending_factors = stable, offending_factors
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not StabilityVerdict:
-            return NotImplemented
-        return self.stable == other.stable and self.offending_factors == other.offending_factors
-
-    def __hash__(self) -> int:
-        return hash((self.stable, self.offending_factors))
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.stable
@@ -245,17 +235,8 @@ def is_stable(r: RatFn) -> StabilityVerdict:
 
 def matrix_is_stable(a: RatMat) -> StabilityVerdict:
     """Entrywise lift: stable iff every entry is stable; factors are pooled."""
-    offending: list[tuple[Poly, str]] = []
-    stable = True
-    for row in a.rows:
-        for e in row:
-            v = is_stable(e)
-            if not v.stable:
-                stable = False
-                for item in v.offending_factors:
-                    if item not in offending:
-                        offending.append(item)
-    return StabilityVerdict(stable, tuple(offending))
+    verdicts = (is_stable(e) for row in a.rows for e in row)
+    return reduce(StabilityVerdict.merged, verdicts, StabilityVerdict(True))
 
 
 def rh_inf_verdict(a: RatMat) -> StabilityVerdict:

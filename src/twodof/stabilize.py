@@ -92,14 +92,8 @@ class IllPosedLoop(ArithmeticError):
     """The feedback interconnection has no well-defined closed-loop maps."""
 
 
-class TwoDofConfig:
-    """u = cy@y + cr@r: feedback map cy (driven by y) and reference map cr
-    (driven by r)."""
-
-    __slots__ = ("cy", "cr")
-
-    def __init__(self, cy: RatMat, cr: RatMat) -> None:
-        self.cy, self.cr = cy, cr
+# u = cy@y + cr@r: feedback map cy (driven by y) and reference map cr (driven by r)
+TwoDofConfig = namedtuple("TwoDofConfig", "cy cr")
 
 
 def solve_bezout(mfd: RightMFD) -> tuple[PolyMat, PolyMat]:

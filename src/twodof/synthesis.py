@@ -13,6 +13,7 @@ each naming the condition it checked with its verdict) or raises
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -83,13 +84,10 @@ __all__ = [
 ]
 
 
-class Certificate:
+class Certificate(namedtuple("Certificate", "name verdict detail", defaults=("",))):
     """A named, checked condition with its verdict."""
 
-    __slots__ = ("name", "verdict", "detail")
-
-    def __init__(self, name: str, verdict: StabilityVerdict, detail: str = "") -> None:
-        self.name, self.verdict, self.detail = name, verdict, detail
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -115,57 +113,22 @@ class DesignObstruction(Exception):
 # -- closed-loop configurations ----------------------------------------------
 
 
-class FfFbRConfig:
-    """u = cff@(cfb@y + r_map@r): feedforward block behind a feedback
-    block and a reference prefilter."""
-
-    __slots__ = ("r", "cff", "cfb")
-
-    def __init__(self, r: RatMat, cff: RatMat, cfb: RatMat) -> None:
-        self.r, self.cff, self.cfb = r, cff, cfb
-
-
-class UnityFeedbackConfig:
-    """u = cff@(r + y): the measured output is added to the reference."""
-
-    __slots__ = ("cff",)
-
-    def __init__(self, cff: RatMat) -> None:
-        self.cff = cff
-
-
-class FeedbackDirectRConfig:
-    """u = cfb@y + r: the reference enters at the plant input directly."""
-
-    __slots__ = ("cfb",)
-
-    def __init__(self, cfb: RatMat) -> None:
-        self.cfb = cfb
-
+# u = cff@(cfb@y + r_map@r): a feedforward block behind a feedback block and
+# a reference prefilter, r_map held as r
+FfFbRConfig = namedtuple("FfFbRConfig", "r cff cfb")
+# u = cff@(r + y): the measured output is added to the reference
+UnityFeedbackConfig = namedtuple("UnityFeedbackConfig", "cff")
+# u = cfb@y + r: the reference enters at the plant input directly
+FeedbackDirectRConfig = namedtuple("FeedbackDirectRConfig", "cfb")
 
 ClosedLoopConfig = TwoDofConfig | FfFbRConfig | UnityFeedbackConfig | FeedbackDirectRConfig
 
-
-class DesignResult:
-    """A design's loop and its exact maps; ``verdict`` says the loop is
-    internally stabilizing."""
-
-    __slots__ = (
-        "configuration", "verdict", "x", "xprime", "achieved_t", "achieved_m", "certificates"
-    )
-
-    def __init__(
-        self,
-        configuration: ClosedLoopConfig,
-        verdict: StabilityVerdict,
-        x: RatMat,
-        xprime: RatMat | None,
-        achieved_t: RatMat,
-        achieved_m: RatMat,
-        certificates: tuple[Certificate, ...],
-    ) -> None:
-        self.configuration, self.verdict, self.x, self.xprime = configuration, verdict, x, xprime
-        self.achieved_t, self.achieved_m, self.certificates = achieved_t, achieved_m, certificates
+# A design's loop (a ClosedLoopConfig) and its exact maps; ``verdict`` says
+# the loop is internally stabilizing, and ``xprime`` is None when the design
+# has no x'.
+DesignResult = namedtuple(
+    "DesignResult", "configuration verdict x xprime achieved_t achieved_m certificates"
+)
 
 
 # -- helpers -------------------------------------------------------------------

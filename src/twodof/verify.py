@@ -6,6 +6,7 @@ a numerical cross-check on the symbolic results.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .polyalg import RatFn, RatMat, common_denominator, poly_divmod
@@ -28,15 +29,10 @@ __all__ = [
     "dc_gain",
 ]
 
-class ClosedLoopReport:
-    """The loop's maps y/r and u/r, and its internal maps as (name, map,
-    verdict) triples."""
 
-    __slots__ = ("t_yr", "t_ur", "internal_maps", "well_posed")
-
-    def __init__(self, t_yr: RatMat, t_ur: RatMat, internal_maps: tuple, well_posed: bool):
-        self.t_yr, self.t_ur = t_yr, t_ur
-        self.internal_maps, self.well_posed = internal_maps, well_posed
+# The loop's maps y/r and u/r, and its internal maps as (name, map, verdict)
+# triples.
+ClosedLoopReport = namedtuple("ClosedLoopReport", "t_yr t_ur internal_maps well_posed")
 
 
 def _feedback_and_reference(p: RatMat, config: ClosedLoopConfig) -> tuple[RatMat, RatMat]:
@@ -92,13 +88,10 @@ def certify(report: ClosedLoopReport, desired_t: RatMat) -> tuple[Certificate, .
 _MAX_SAMPLES = 10**6
 
 
-class SimulationTrace:
+class SimulationTrace(namedtuple("SimulationTrace", "time outputs inputs step_size")):
     """Sampled step responses: outputs[input_channel][output][sample]."""
 
-    __slots__ = ("time", "outputs", "inputs", "step_size")
-
-    def __init__(self, time: tuple, outputs: tuple, inputs: tuple, step_size: float):
-        self.time, self.outputs, self.inputs, self.step_size = time, outputs, inputs, step_size
+    __slots__ = ()
 
     def to_csv(self, channel: int = 0) -> str:
         chan = self.outputs[channel]
@@ -153,9 +146,10 @@ def simulate_step(t: RatMat, horizon: float, dt: float) -> SimulationTrace:
 
     if not (0 < horizon < math.inf and 0 < dt < math.inf):  # nan compares false
         raise ValueError("horizon and dt must be positive and finite")
-    count = int(round(horizon / dt))
+    steps = horizon / dt  # inf once the quotient overflows, which round() refuses
+    count = round(steps) if steps < _MAX_SAMPLES else steps
     if count + 1 > _MAX_SAMPLES:
-        raise ValueError(f"{count + 1} samples exceed the cap of {_MAX_SAMPLES}")
+        raise ValueError(f"{count + 1:.7g} samples exceed the cap of {_MAX_SAMPLES}")
     if not t.is_proper():
         raise ValueError("cannot simulate an improper transfer matrix")
     verdict = matrix_is_stable(t)

@@ -640,6 +640,17 @@ def test_main_simulate_refuses_an_infinite_step(capsys):
     assert captured.err == "error: horizon and dt must be positive and finite\n"
 
 
+def test_main_simulate_refuses_a_step_count_past_float_range(capsys):
+    # 1e200 / 1e-200 overflows to inf, which is over the sample cap
+    code = main([
+        "simulate", str(PROBLEMS / "example_simulate.ini"), "--horizon", "1e200", "--dt", "1e-200",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: inf samples exceed the cap of 1000000\n"
+
+
 @pytest.mark.parametrize("channel", [0, 3])
 def test_main_simulate_refuses_a_channel_outside_the_inputs(tmp_path, capsys, channel):
     path = tmp_path / "prob.ini"

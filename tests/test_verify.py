@@ -135,6 +135,17 @@ def test_simulate_refuses_a_grid_over_the_sample_cap():
         simulate_step(RatMat([[rf(2 * ONE)]]), horizon=1.0, dt=1e-6)
 
 
+@pytest.mark.parametrize(
+    "horizon, dt, shown",
+    [(1e200, 1e-200, "inf"), (1e200, 1.0, "1e\\+200"), (999999.5, 1.0, "1000001")],
+)
+def test_simulate_refuses_a_step_count_past_the_cap_before_rounding_it(horizon, dt, shown):
+    # 1e200 / 1e-200 overflows to inf, which round() cannot take; 999999.5
+    # steps round to 10**6, one sample over the cap
+    with pytest.raises(ValueError, match=f"^{shown} samples exceed the cap of 1000000$"):
+        simulate_step(RatMat([[rf(2 * ONE)]]), horizon=horizon, dt=dt)
+
+
 def test_simulate_assigned_loop_settles_at_minus_two():
     trace = simulate_step(RatMat([[rf(-4 * ONE, S + 2 * ONE)]]), horizon=10.0, dt=0.01)
     final = trace.final_values()[0]
