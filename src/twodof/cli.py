@@ -38,7 +38,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
-from .factor import StableMFD, left_coprime_mfd, right_coprime_mfd, stable_mfd, zeros_and_poles
+from .factor import StableMFD, _fmt_root, right_coprime_mfd, stable_mfd, zeros_and_poles
 from .polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat, ShapeError, _as_ratfn
 from .stabilize import (
     IllPosedLoop,
@@ -282,10 +282,10 @@ def _require_plant(pf: ProblemFile) -> RatMat:
     return pf.plant
 
 
-def _design_matrix(pf: ProblemFile, key: str) -> RatMat:
+def _design(pf: ProblemFile, key: str) -> str:
     if key not in pf.design:
         raise ValueError(f"problem file needs {key} in the [design] section")
-    return parse_matrix(pf.design[key])
+    return pf.design[key]
 
 
 def _option(pf: ProblemFile, args: argparse.Namespace, name: str, default, conv):
@@ -320,13 +320,13 @@ def _stable_plant_data(pf: ProblemFile, args: argparse.Namespace) -> tuple[RatMa
 # -- report helpers ---------------------------------------------------------------
 
 
-def _fmt_matrix(mat: RatMat | PolyMat, indent: str = "  ") -> str:
-    cells = [[str(mat.entry(i, j)) for j in range(mat.shape[1])] for i in range(mat.shape[0])]
-    widths = [max(len(cells[i][j]) for i in range(mat.shape[0])) for j in range(mat.shape[1])]
+def _fmt_matrix(rows: Sequence[Sequence]) -> str:
+    cells = [[str(e) for e in row] for row in rows]
+    widths = [max(map(len, col)) for col in zip(*cells)]
     lines = []
     for row in cells:
         padded = [cell.ljust(w) for cell, w in zip(row, widths)]
-        lines.append(indent + "[ " + "  ".join(padded).rstrip() + " ]")
+        lines.append("  [ " + "  ".join(padded).rstrip() + " ]")
     return "\n".join(lines)
 
 
@@ -335,15 +335,7 @@ def _print_named(name: str, mat: RatMat | PolyMat) -> None:
         print(f"{name} = {mat.entry(0, 0)}")
     else:
         print(f"{name} =")
-        print(_fmt_matrix(mat))
-
-
-def _fmt_root(z) -> str:
-    if isinstance(z, Fraction):
-        return str(z)
-    if abs(z.imag) < 1e-12:
-        return f"{z.real:.6g}"
-    return f"{z.real:.6g}{z.imag:+.6g}j"
+        print(_fmt_matrix(mat.rows))
 
 
 def _shift_power(shift: Fraction, degree: int) -> str:
@@ -355,14 +347,8 @@ def _print_design_result(res: DesignResult) -> None:
     _print_named("x", res.x)
     if res.xprime is not None:
         _print_named("x'", res.xprime)
-    config = res.configuration
-    if isinstance(config, TwoDofConfig):
-        _print_named("cy", config.cy)
-        _print_named("cr", config.cr)
-    elif isinstance(config, UnityFeedbackConfig):
-        _print_named("cff", config.cff)
-    elif isinstance(config, FeedbackDirectRConfig):
-        _print_named("cfb", config.cfb)
+    for name, mat in zip(res.configuration._fields, res.configuration):
+        _print_named(name, mat)
     _print_named("achieved y/r", res.achieved_t)
     _print_named("achieved u/r", res.achieved_m)
     print("certificates:")
@@ -380,10 +366,9 @@ def _verify_against(plant: RatMat, res: DesignResult, desired_t: RatMat) -> None
 # -- subcommands --------------------------------------------------------------------
 
 
-def cmd_factor(pf: ProblemFile, args: argparse.Namespace) -> int:
+def cmd_factor(pf: ProblemFile, args: argparse.Namespace) -> None:
     plant, smfd = _stable_plant_data(pf, args)
-    mfd = smfd.source
-    left = left_coprime_mfd(plant)
+    mfd, left = smfd.source, smfd.left
     print(f"plant: {plant.shape[0]} outputs, {plant.shape[1]} inputs")
     _print_named("right numerator n", mfd.n)
     _print_named("right denominator d", mfd.d)
@@ -409,10 +394,9 @@ def cmd_factor(pf: ProblemFile, args: argparse.Namespace) -> int:
     for pole in report.poles:
         tag = "unstable" if pole.unstable else "stable"
         print(f"pole at s = {_fmt_root(pole.location)} (multiplicity {pole.multiplicity}, {tag})")
-    return 0
 
 
-def cmd_stabilize(pf: ProblemFile, args: argparse.Namespace) -> int:
+def cmd_stabilize(pf: ProblemFile, args: argparse.Namespace) -> None:
     plant, smfd = _stable_plant_data(pf, args)
     x1, x2 = solve_bezout(smfd.source)
     _print_named("bezout x1 (x1@d + x2@n = I)", x1)
@@ -430,50 +414,45 @@ def cmd_stabilize(pf: ProblemFile, args: argparse.Namespace) -> int:
         print(f"internal stability: {loop2.verdict.describe()}")
     except InadmissibleParameter as exc:
         print(f"sample parameter rejected: {exc}")
-    return 0
 
 
-def cmd_match(pf: ProblemFile, args: argparse.Namespace) -> int:
+def cmd_match(pf: ProblemFile, args: argparse.Namespace) -> None:
     plant, smfd = _stable_plant_data(pf, args)
-    t = _design_matrix(pf, "t")
+    t = parse_matrix(_design(pf, "t"))
     m = parse_matrix(pf.design["m"]) if "m" in pf.design else None
     sign = {"pos": 1, "neg": -1}.get(text := _option(pf, args, "sign", "pos", str))
     if sign is None:
         raise ValueError(f"invalid sign: {text!r} (choose from 'pos', 'neg')")
-    if plant.shape == (1, 1) and t.shape == (1, 1):
+    unity = pf.configuration.get("loop") == "unity"
+    if unity and (plant.shape[1], t.shape[1]) != (1, 1):  # the shape of x'
+        raise ValueError("unity-loop realization is implemented for scalar designs")
+    if plant.shape == (1, 1) and t.shape == (1, 1) and not plant.entry(0, 0).is_zero():
         feas = siso_conditions(plant.entry(0, 0), t.entry(0, 0), sign=sign)
         print(f"scalar restricted-loop feasibility ((1{'+' if sign >= 0 else '-'}t)/d, t/n): {feas.describe()}")
     res = model_matching(smfd, t, m)
     _print_design_result(res)
-    if pf.configuration.get("loop") == "unity":
-        if res.xprime is None or res.xprime.shape != (1, 1):
-            raise ValueError("unity-loop realization is implemented for scalar designs")
+    if unity:
         cff, _ = unity_feedback_controller(smfd, res.xprime)
         _print_named("unity-loop cff", cff)
     _verify_against(plant, res, t)
-    return 0
 
 
-def cmd_decouple(pf: ProblemFile, args: argparse.Namespace) -> int:
+def cmd_decouple(pf: ProblemFile, args: argparse.Namespace) -> None:
     plant, smfd = _stable_plant_data(pf, args)
-    if "targets" not in pf.design:
-        raise ValueError("problem file needs targets in the [design] section")
-    targets = tuple(parse_rational(cell) for cell in pf.design["targets"].split(","))
+    targets = tuple(parse_rational(cell) for cell in _design(pf, "targets").split(","))
     res = diagonal_decoupling(smfd, targets)
     _print_design_result(res)
     _verify_against(plant, res, res.achieved_t)
-    return 0
 
 
-def cmd_invert(pf: ProblemFile, args: argparse.Namespace) -> int:
+def cmd_invert(pf: ProblemFile, args: argparse.Namespace) -> None:
     plant, smfd = _stable_plant_data(pf, args)
     res = inverse_problem(smfd)
     _print_design_result(res)
     _verify_against(plant, res, RatMat.identity(plant.shape[0]))
-    return 0
 
 
-def cmd_static_decouple(pf: ProblemFile, args: argparse.Namespace) -> int:
+def cmd_static_decouple(pf: ProblemFile, args: argparse.Namespace) -> None:
     plant, smfd = _stable_plant_data(pf, args)
     lam = (
         parse_matrix(pf.design["lambda"])
@@ -484,26 +463,22 @@ def cmd_static_decouple(pf: ProblemFile, args: argparse.Namespace) -> int:
     _print_design_result(res)
     gain = dc_gain(res.achieved_t)
     print("dc gain:")
-    print(_fmt_matrix(RatMat([[RatFn.of(v) for v in row] for row in gain])))
-    return 0
+    print(_fmt_matrix(gain))
 
 
 # [design] loop -> the denominator assignment of that loop
 _ASSIGNMENTS = {"unity": denominator_assignment_unity, "direct": denominator_assignment_direct}
 
 
-def cmd_assign_denominator(pf: ProblemFile, args: argparse.Namespace) -> int:
+def cmd_assign_denominator(pf: ProblemFile, args: argparse.Namespace) -> None:
     plant, smfd = _stable_plant_data(pf, args)
-    if "d_t" not in pf.design:
-        raise ValueError("problem file needs d_t in the [design] section")
-    d_t = parse_poly_matrix(pf.design["d_t"])
+    d_t = parse_poly_matrix(_design(pf, "d_t"))
     loop = pf.design.get("loop", "unity")
     if loop not in _ASSIGNMENTS:
         raise ValueError(f"unknown loop variant {loop!r}")
     res = _ASSIGNMENTS[loop](smfd.source, d_t)
     _print_design_result(res)
     _verify_against(plant, res, res.achieved_t)
-    return 0
 
 
 _CONFIGS = {
@@ -530,7 +505,7 @@ def _configuration(pf: ProblemFile) -> object:
     return _CONFIGS[loop](**mats)
 
 
-def cmd_verify(pf: ProblemFile, args: argparse.Namespace) -> int:
+def cmd_verify(pf: ProblemFile, args: argparse.Namespace) -> None:
     plant = _require_plant(pf)
     config = _configuration(pf)
     report = closed_loop(plant, config)
@@ -540,15 +515,14 @@ def cmd_verify(pf: ProblemFile, args: argparse.Namespace) -> int:
     for name, _, verdict in report.internal_maps:
         print(f"internal map {name}: {verdict.describe()}")
     if "t" in pf.design:
-        desired = _design_matrix(pf, "t")
+        desired = parse_matrix(pf.design["t"])
         for cert in certify(report, desired):
             print(cert.describe())
-    return 0
 
 
-def cmd_simulate(pf: ProblemFile, args: argparse.Namespace) -> int:
+def cmd_simulate(pf: ProblemFile, args: argparse.Namespace) -> None:
     if "t" in pf.design:
-        target = _design_matrix(pf, "t")
+        target = parse_matrix(pf.design["t"])
     elif pf.configuration:
         plant = _require_plant(pf)
         target = closed_loop(plant, _configuration(pf)).t_yr
@@ -570,10 +544,9 @@ def cmd_simulate(pf: ProblemFile, args: argparse.Namespace) -> int:
         print(f"wrote {args.out} ({len(trace.time)} samples, final values {finals})")
     else:
         sys.stdout.write(csv)
-    return 0
 
 
-def cmd_unity_parameter(pf: ProblemFile, args: argparse.Namespace) -> int:
+def cmd_unity_parameter(pf: ProblemFile, args: argparse.Namespace) -> None:
     # convenience used by `match` problem files with loop = unity when no
     # target is known yet: search for an admissible scalar parameter
     _, smfd = _stable_plant_data(pf, args)
@@ -582,7 +555,6 @@ def cmd_unity_parameter(pf: ProblemFile, args: argparse.Namespace) -> int:
     cff, loop = unity_feedback_controller(smfd, xprime)
     _print_named("unity-loop cff", cff)
     print(f"internal stability: {loop.verdict.describe()}")
-    return 0
 
 
 # -- driver ----------------------------------------------------------------------
@@ -620,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func: Callable[[ProblemFile, argparse.Namespace], int], **kwargs):
+    def add(name: str, func: Callable[[ProblemFile, argparse.Namespace], None], **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("problem", help="problem file (INI sections: plant/design/config/options)")
         p.add_argument("--shift", type=_fraction, default=None,
@@ -654,7 +626,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(load_problem(args.problem), args)
+        args.func(load_problem(args.problem), args)
+        return 0
     except DesignObstruction as exc:
         print("design obstruction:")
         for reason in exc.reasons:

@@ -12,8 +12,8 @@ U*N' + V*D' = I certifying coprimeness over the proper stable rationals.
 Each row of a witness is read off W and L by division, with at most one
 coefficient-matching elimination (``poly_row_diophantine``) per row.
 ``StableMFD`` holds that fraction and is the one analysis of a plant:
-what the designs need beyond it (the plant, D'**-1, the proper-stable
-left fraction) it computes once, on first use.
+what the designs need beyond it (D'**-1, the proper-stable left
+fraction) it computes once, on first use.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class LeftMFD:
         return self.dl.to_ratmat().inv() @ self.nl.to_ratmat()
 
 
-class StableMFD:
+class StableMFD(namedtuple("StableMFD", "nprime dprime u v shift col_degrees source")):
     """Fraction P = nprime * dprime**-1 over the proper stable rationals:
     the one analysis of a plant that every design reads.
 
@@ -132,33 +132,17 @@ class StableMFD:
     ``col_degrees`` records the column degrees of the polynomial fraction
     ``source`` = n * d**-1 (with its certificate ``w`` when it came from
     ``right_coprime_mfd``), i.e. the powers of (s + shift) divided out.
-    The plant, d**-1 and d'**-1 (from one inversion of d), the polynomial
-    left coprime fraction of the plant, the proper-stable left pair
+    d**-1 and d'**-1 (from one inversion of d), the polynomial left coprime
+    fraction of the plant, the proper-stable left pair
     P = dl_prime**-1 @ nl_prime, the three polynomial factors of the Youla
     loop (``witness_row``, ``left_row`` and ``stacked``), the central
     loop's v**-1 (``witness_inverse``) and the unstable part of det d are
-    computed on first use and kept.
+    computed on first use and kept in the instance dict.
     """
 
-    # the instance dict holds the values formed on first use
-    __slots__ = ("nprime", "dprime", "u", "v", "shift", "col_degrees", "source", "__dict__")
-
-    def __init__(
-        self,
-        nprime: RatMat,
-        dprime: RatMat,
-        u: RatMat,
-        v: RatMat,
-        shift: Fraction,
-        col_degrees: tuple[int, ...],
-        source: RightMFD,
-    ) -> None:
-        self.nprime, self.dprime, self.u, self.v = nprime, dprime, u, v
-        self.shift, self.col_degrees, self.source = shift, col_degrees, source
-
     def plant(self) -> RatMat:
-        """n @ d**-1, formed on first call and kept."""
-        return self._plant
+        """n @ d**-1."""
+        return self.source.n.to_ratmat() @ self.d_inv
 
     @cached_property
     def scaling(self) -> tuple[Poly, ...]:
@@ -170,10 +154,6 @@ class StableMFD:
     def d_inv(self) -> RatMat:
         """d**-1 for the polynomial denominator d of ``source``."""
         return self.source.d.to_ratmat().inv()
-
-    @cached_property
-    def _plant(self) -> RatMat:
-        return self.source.n.to_ratmat() @ self.d_inv
 
     @cached_property
     def dprime_inv(self) -> RatMat:
@@ -511,21 +491,8 @@ ZeroInfo = namedtuple(
 PoleInfo = namedtuple("PoleInfo", "location multiplicity factor unstable")
 
 
-class ZeroReport:
-    __slots__ = ("zeros", "zero_polynomial", "pole_polynomial", "_poles")
-
-    def __init__(
-        self, zeros: tuple[ZeroInfo, ...], zero_polynomial: Poly, pole_polynomial: Poly
-    ) -> None:
-        self.zeros, self.zero_polynomial = zeros, zero_polynomial
-        self.pole_polynomial, self._poles = pole_polynomial, None
-
-    @property
-    def poles(self) -> tuple[PoleInfo, ...]:
-        """The roots of the pole polynomial, factored on first read."""
-        if self._poles is None:
-            self._poles = tuple(PoleInfo(*info) for info in _roots(self.pole_polynomial))
-        return self._poles
+class ZeroReport(namedtuple("ZeroReport", "zeros zero_polynomial pole_polynomial poles")):
+    __slots__ = ()
 
     def unstable_zeros(self) -> tuple[ZeroInfo, ...]:
         return tuple(z for z in self.zeros if z.unstable)
@@ -553,6 +520,15 @@ def _factor_roots(q: Poly) -> list[Fraction | complex]:
             z = z - fz / dz
         refined.append(z)
     return refined
+
+
+def _fmt_root(z: Fraction | complex) -> str:
+    """A root as text: exact when rational, else to 6 significant digits."""
+    if isinstance(z, Fraction):
+        return str(z)
+    if abs(z.imag) < 1e-12:
+        return f"{z.real:.6g}"
+    return f"{z.real:.6g}{z.imag:+.6g}j"
 
 
 def _root_unstable(root: Fraction | complex, factor_hurwitz: bool) -> bool:
@@ -617,12 +593,14 @@ def _roots(poly: Poly):
 
 def zeros_and_poles(mfd: RightMFD) -> ZeroReport:
     """Transmission zeros and poles of a right coprime fraction, with
-    exact left null directions at the unstable zeros.  The zero polynomial
-    is factored here; the poles are formed from det d only when read."""
+    exact left null directions at the unstable zeros: the zero polynomial
+    and the pole polynomial det d are each factored once."""
     n = mfd.n
     zero_poly = _zero_polynomial(n)
     zeros = tuple(
         ZeroInfo(*info, _left_null_direction(n, info[0]) if info[3] else None)
         for info in _roots(zero_poly)
     )
-    return ZeroReport(zeros, zero_poly, polymat_det(mfd.d).monic())
+    pole_poly = polymat_det(mfd.d).monic()
+    poles = tuple(PoleInfo(*info) for info in _roots(pole_poly))
+    return ZeroReport(zeros, zero_poly, pole_poly, poles)

@@ -578,12 +578,6 @@ class RatFn(_Value):
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    @classmethod
-    def of(cls, num: "Poly | RatFn | Scalar", den: "Poly | Scalar" = 1) -> "RatFn":
-        if isinstance(num, RatFn):
-            return num / cls(_as_poly(den)) if den != 1 else num
-        return cls(_as_poly(num), _as_poly(den))
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:

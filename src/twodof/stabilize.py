@@ -247,16 +247,13 @@ class LoopMaps(namedtuple("LoopMaps", "sens sens_cy p_sens p_sens_cy")):
         return reduce(StabilityVerdict.merged, self.verdicts, StabilityVerdict(True))
 
 
-class _Loop:
+class _Loop(namedtuple("_Loop", "stacked row q")):
     """The four maps of a feedback pair, stacked @ row / q, kept as these
     polynomial factors (``_youla_feedback``, ``gang_of_four``); the maps
     (``LoopMaps``) are formed on first read.  The verdict is stable when q
     is Hurwitz and the factors' largest entry degrees add up to at most
     deg q (each reduced map denominator divides the monic q, and
     cancellation keeps relative degree), else the maps'."""
-
-    def __init__(self, stacked: PolyMat, row: PolyMat, q: Poly):
-        self.stacked, self.row, self.q = stacked, row, q
 
     @cached_property
     def maps(self) -> LoopMaps:

@@ -21,6 +21,7 @@ from .factor import (
     RightMFD,
     StableMFD,
     _factor_roots,
+    _fmt_root,
     _left_null_direction,
     _root_unstable,
     _zero_polynomial,
@@ -84,7 +85,7 @@ __all__ = [
 ]
 
 
-class Certificate(namedtuple("Certificate", "name verdict detail", defaults=("",))):
+class Certificate(namedtuple("Certificate", "name verdict")):
     """A named, checked condition with its verdict."""
 
     __slots__ = ()
@@ -94,12 +95,11 @@ class Certificate(namedtuple("Certificate", "name verdict detail", defaults=("",
         return self.verdict.stable
 
     def describe(self) -> str:
-        tail = f" -- {self.detail}" if self.detail else ""
-        return f"{self.name}: {'PASS' if self.passed else 'FAIL'} ({self.verdict.describe()}){tail}"
+        return f"{self.name}: {'PASS' if self.passed else 'FAIL'} ({self.verdict.describe()})"
 
 
-def _equality_certificate(name: str, holds: bool, detail: str = "") -> Certificate:
-    return Certificate(name, StabilityVerdict(holds), detail)
+def _equality_certificate(name: str, holds: bool) -> Certificate:
+    return Certificate(name, StabilityVerdict(holds))
 
 
 class DesignObstruction(Exception):
@@ -420,7 +420,7 @@ def inverse_problem(smfd: StableMFD) -> DesignResult:
         for factor in _verdict_zero_factors(smfd.source.n, verdict):
             for z in _factor_roots(factor):
                 if _root_unstable(z, False):
-                    reasons.append(f"plant has an unstable zero at s = {z}")
+                    reasons.append(f"plant has an unstable zero at s = {_fmt_root(z)}")
         if not xprime.is_proper() or not control.is_proper():
             reasons.append("plant has positive relative degree (n'**-1 improper)")
         if not verdict.stable:
@@ -443,7 +443,7 @@ def _value_at_origin(mat: RatMat) -> RatMat | None:
     vals = mat.eval_at(Fraction(0))
     if any(v is None for row in vals for v in row):
         return None
-    return RatMat([[RatFn.of(v) for v in row] for row in vals])
+    return RatMat(vals)
 
 
 def _check_static_target(smfd: StableMFD, lam: RatMat) -> None:
@@ -738,10 +738,8 @@ def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, 
 # -- controller realization ----------------------------------------------------------
 
 
-def ff_fb_realization(
-    controller: TwoDofConfig, shift: Fraction | int = 1
-) -> tuple[RatMat, RatMat, RatMat]:
-    """Split a proper pair (cy, cr) into blocks (r, cff, cfb) with
+def ff_fb_realization(controller: TwoDofConfig, shift: Fraction | int = 1) -> FfFbRConfig:
+    """Split a proper pair (cy, cr) into the blocks of an ``FfFbRConfig`` with
     u = cff@(cfb@y + r_map@r): left fraction [cy, cr] = dl**-1 @ [nly, nlr],
     rows scaled by powers of (s + shift) so that cfb and r are proper
     stable and cff**-1 is proper stable."""
@@ -755,7 +753,7 @@ def ff_fb_realization(
     cff = dc.inv()
     if cff @ cfb != cy or cff @ r_map != cr:
         raise ArithmeticError("realization blocks do not reproduce (cy, cr)")
-    return r_map, cff, cfb
+    return FfFbRConfig(r_map, cff, cfb)
 
 
 def siso_conditions(p: RatFn, t: RatFn, sign: int = 1) -> StabilityVerdict:

@@ -466,7 +466,7 @@ def test_refused_matching_factors_only_the_parameter_denominator(monkeypatch):
 
 @pytest.mark.parametrize("plant, zero", [
     ("(s-1)/(s+1)^2, 0; 0, 1/(s+2)", "1"),
-    ("(s^2-2)/(s+1)^3", "(1.414213562373095+0j)"),
+    ("(s^2-2)/(s+1)^3", "1.41421"),
 ])
 def test_refused_inversion_factors_only_the_parameter_denominators(monkeypatch, plant, zero):
     smfd = stable_mfd(right_coprime_mfd(parse_matrix(plant)), shift=1)

@@ -662,6 +662,76 @@ def test_main_simulate_refuses_a_channel_outside_the_inputs(tmp_path, capsys, ch
     assert captured.err == f"error: channel {channel} is outside 1..2\n"
 
 
+@pytest.mark.parametrize("plant, zero", [("(s^2-2)/(s+1)^3", "1.41421"), ("(s^2-2*s+5)/(s+1)^3", "1+2j")])
+def test_invert_and_factor_print_an_irrational_zero_alike(tmp_path, capsys, plant, zero):
+    path = tmp_path / "prob.ini"
+    path.write_text(f"[plant]\nmatrix = {plant}\n")
+    assert main(["invert", str(path)]) == 2
+    assert f"  - plant has an unstable zero at s = {zero}\n" in capsys.readouterr().out
+    assert main(["factor", str(path)]) == 0
+    assert f"zero at s = {zero} (multiplicity 1, unstable)" in capsys.readouterr().out
+
+
+def test_main_match_realizes_the_scalar_zero_plant(tmp_path, capsys):
+    # the restricted-loop feasibility line divides by the plant, so a zero
+    # plant goes without it
+    path = tmp_path / "prob.ini"
+    path.write_text("[plant]\nmatrix = 0\n[design]\nt = 0\n")
+    code = main(["match", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.startswith("x = 0\nx' = 0\ncy = 0\ncr = 0\n")
+    assert "PASS" in captured.out and "FAIL" not in captured.out
+
+
+def test_main_match_refuses_a_non_scalar_unity_loop_before_designing(tmp_path, capsys):
+    path = tmp_path / "prob.ini"
+    diag = "1/(s+1), 0; 0, 1/(s+2)"
+    path.write_text(f"[plant]\nmatrix = {diag}\n[design]\nt = {diag}\n[config]\nloop = unity\n")
+    code = main(["match", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: unity-loop realization is implemented for scalar designs\n"
+
+
+def _obstruction(reason):
+    return 2, f"design obstruction:\n  - {reason}\n", ""
+
+
+def _error(message):
+    return 1, "", f"error: {message}\n"
+
+
+ROW_PLANT = "[plant]\nmatrix = 1/(s+1), 1/(s+2)\n"
+DIAGONAL_PLANT = "[plant]\nmatrix = 1/(s+1), 0; 0, 1/(s+2)\n"
+
+
+@pytest.mark.parametrize("command, text, expected", [
+    ("decouple", ROW_PLANT + "[design]\ntargets = 1/(s+1)\n",
+     _obstruction("decoupling requires a square plant")),
+    ("invert", ROW_PLANT, _obstruction("exact inversion requires a square plant")),
+    ("decouple", DIAGONAL_PLANT + "[design]\ntargets = 1/(s+1)\n",
+     _error("expected 2 targets, got 1")),
+    ("decouple", DIAGONAL_PLANT + "[design]\ntargets = s, 1/(s+1)\n",
+     _obstruction("target 1 is improper")),
+    ("decouple", DIAGONAL_PLANT + "[design]\ntargets = 1/(s-1), 1/(s+1)\n",
+     _obstruction("target 1 is unstable: unstable; offending factors: s - 1 (right-half-plane root)")),
+    ("decouple",
+     "[plant]\nmatrix = 1/(s+1), 1/(s+1); 1/(s+1), 1/(s+1)\n[design]\ntargets = 1/(s+1), 1/(s+1)\n",
+     _obstruction("plant transfer matrix is singular (det n' = 0); cannot decouple")),
+    ("verify", "[plant]\nmatrix = 1/(s+1)\n[config]\nloop = cascade\n",
+     _error("unknown loop 'cascade'; expected one of "
+            "['feedback-direct', 'ff-fb-r', 'two-dof', 'unity']")),
+], ids=["decouple-row", "invert-row", "one-target", "improper-target", "unstable-target",
+        "singular-plant", "unknown-loop"])
+def test_main_refuses_a_design_it_cannot_make(tmp_path, capsys, command, text, expected):
+    path = tmp_path / "prob.ini"
+    path.write_text(text)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+
+
 def test_main_input_errors(tmp_path, capsys):
     code = main(["factor", str(tmp_path / "missing.ini")])
     captured = capsys.readouterr()

@@ -62,7 +62,7 @@ def oracle_gang_of_four(p, cy):
 def oracle_youla(data, k):
     lhs = data.v - k @ data.nl_prime
     rhs = data.u + k @ data.dl_prime
-    return (lhs.inv() @ rhs).scale(RatFn.of(-1))
+    return (lhs.inv() @ rhs).scale(-1)
 
 
 def random_entry(rng, max_den, den_roots, strict):

@@ -143,11 +143,11 @@ def test_model_matching_realizes_its_target(plant, data):
 @given(plants(st.sampled_from((-3, -2, -1, 1, 2))), st.data())
 def test_static_decoupling_realizes_its_dc_gain(plant, data):
     size = plant.shape[0]
-    if RatMat([[RatFn.of(v) for v in row] for row in plant.eval_at(Fraction(0))]).rank() < size:
+    if RatMat(plant.eval_at(Fraction(0))).rank() < size:
         plant = plant + RatMat.identity(size).scale(RatFn(ONE, S + ONE))
     smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
     gains = [data.draw(st.sampled_from((1, -1, 2, -2, 3, -3))) for _ in range(size)]
-    lam = RatMat.diag([RatFn.of(g) for g in gains])
+    lam = RatMat.diag(gains)
     try:
         res = design_or_refusal(lambda: static_decoupling(smfd, lam))
     except DesignObstruction as exc:

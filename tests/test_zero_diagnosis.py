@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twodof.cli import parse_matrix
-from twodof.factor import right_coprime_mfd, stable_mfd, zeros_and_poles
+from twodof.factor import _fmt_root, right_coprime_mfd, stable_mfd, zeros_and_poles
 from twodof.polyalg import ONE, S, ZERO, RatFn, RatMat, SingularMatrixError
 from twodof.stability import matrix_is_stable, rh_inf_verdict
 from twodof.synthesis import (
@@ -203,7 +203,7 @@ def oracle_inversion_reasons(smfd):
         return None
     reasons = ["exact inversion impossible for this plant"]
     for zero in zeros_and_poles(smfd.source).unstable_zeros():
-        reasons.append(f"plant has an unstable zero at s = {zero.location}")
+        reasons.append(f"plant has an unstable zero at s = {_fmt_root(zero.location)}")
     if not xprime.is_proper() or not control.is_proper():
         reasons.append("plant has positive relative degree (n'**-1 improper)")
     if not verdict.stable:
