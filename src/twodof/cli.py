@@ -21,10 +21,12 @@ is a rational expression over s: sums/differences of terms, '*' and '/',
 (so 3/4 is simply the division of two literals).  A leading '-' is
 accepted at the start of an expression or parenthesized group.  Literals
 longer than MAX_DIGITS digits, exponents above MAX_EXPONENT, parentheses
-nested deeper than MAX_NESTING, and any step whose unreduced numerator or
-denominator would exceed degree MAX_DEGREE, are refused before they are
-computed: exact normalisation of a high-degree fraction with long
-coefficients can take minutes, and each level of nesting takes four
+nested deeper than MAX_NESTING, any step whose unreduced numerator or
+denominator would exceed degree MAX_DEGREE, and any power that could have
+a coefficient of more than MAX_DIGITS * MAX_EXPONENT digits, are refused
+before they are computed: exact normalisation of a high-degree fraction
+with long coefficients can take minutes, a power of a power of a power
+can take minutes and gigabytes, and each level of nesting takes four
 frames of the recursive parser.
 """
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import operator
 import sys
 from collections import namedtuple
@@ -40,13 +43,7 @@ from fractions import Fraction
 
 from .factor import StableMFD, _fmt_root, right_coprime_mfd, stable_mfd, zeros_and_poles
 from .polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat, ShapeError, _as_ratfn
-from .stabilize import (
-    IllPosedLoop,
-    InadmissibleParameter,
-    TwoDofConfig,
-    _youla_feedback,
-    solve_bezout,
-)
+from .stabilize import IllPosedLoop, TwoDofConfig, _youla_feedback, solve_bezout
 from .synthesis import (
     DesignObstruction,
     DesignResult,
@@ -94,12 +91,16 @@ _BINARY = {
 
 
 def _apply(op: str, a: Poly | RatFn, b: Poly | RatFn | int, pos: int) -> Poly | RatFn:
-    """a op b (b an int exponent for '^'), refused when its unreduced
-    numerator or denominator would exceed degree MAX_DEGREE.  It stays a
+    """a op b (b an int exponent for '^'), refused past the degree cap or,
+    for '^', the digit cap of a power (see the module docstring).  It stays a
     `Poly` until a '/', or a `Poly` meeting a `RatFn`, makes it a `RatFn`."""
     an, ad = _degrees(a)
     if op == "^":
         degree = b * max(an, ad)
+        # each integer storing a**b is at most (sum of |c|)**b over those storing a
+        size = max(max(sum(map(abs, p._z)), p._d) for p in _parts(a))
+        if b * math.log10(size) > MAX_DIGITS * MAX_EXPONENT:
+            raise ParseError(f"power exceeds the cap of {MAX_DIGITS * MAX_EXPONENT} digits", pos)
     else:
         bn, bd = _degrees(b)
         if op == "/":  # a / b multiplies a by bd / bn
@@ -114,8 +115,12 @@ def _apply(op: str, a: Poly | RatFn, b: Poly | RatFn | int, pos: int) -> Poly | 
     return _BINARY[op](a, b)
 
 
+def _parts(x: Poly | RatFn) -> tuple[Poly, Poly]:
+    return (x, ONE) if x.__class__ is Poly else (x.num, x.den)
+
+
 def _degrees(x: Poly | RatFn) -> tuple[int, int]:
-    num, den = (x, ONE) if x.__class__ is Poly else (x.num, x.den)
+    num, den = _parts(x)
     return num.degree() or 0, den.degree() or 0
 
 
@@ -406,14 +411,13 @@ def cmd_stabilize(pf: ProblemFile, args: argparse.Namespace) -> None:
     _print_named("central feedback map cy", cy)
     print(f"internal stability: {loop.verdict.describe()}")
     m_in, p_out = plant.shape[1], plant.shape[0]
+    # k is strictly proper, so v - k@nl' equals the nonsingular v at infinity
+    # and its cy is proper: the sample is admissible
     sample = RatMat([[RatFn(ONE, S + (1 + smfd.shift)) for _ in range(p_out)] for _ in range(m_in)])
-    try:
-        cy2, loop2 = _youla_feedback(smfd, sample)
-        _print_named("sample parameter k", sample)
-        _print_named("sample feedback map cy", cy2)
-        print(f"internal stability: {loop2.verdict.describe()}")
-    except InadmissibleParameter as exc:
-        print(f"sample parameter rejected: {exc}")
+    cy2, loop2 = _youla_feedback(smfd, sample)
+    _print_named("sample parameter k", sample)
+    _print_named("sample feedback map cy", cy2)
+    print(f"internal stability: {loop2.verdict.describe()}")
 
 
 def cmd_match(pf: ProblemFile, args: argparse.Namespace) -> None:

@@ -72,23 +72,19 @@ __all__ = [
 class RightMFD:
     """Right polynomial fraction P = n * d**-1 with d nonsingular.
 
-    ``w``, when given, certifies that n and d are right coprime by the
-    generalized Bezout identity w @ [d; n] == I (Kailath, Linear Systems,
-    1980, ch. 6), checked here: a failing ``w`` raises ValueError.  With
-    it ``right_coprime_mfd`` keeps ``kernel``, a row-reduced basis of the
-    left kernel of [d; n]; a fraction that carries one is column reduced.
+    ``w`` and ``kernel`` are None unless ``_certified`` attached them: ``w``
+    certifies that n and d are right coprime by the generalized Bezout
+    identity w @ [d; n] == I (Kailath, Linear Systems, 1980, ch. 6), and
+    ``kernel`` is a row-reduced basis of the left kernel of [d; n]; the
+    fractions ``right_coprime_mfd`` certifies are column reduced.
     Equality and hashing follow n and d alone."""
 
     __slots__ = ("n", "d", "w", "kernel")
 
-    def __init__(
-        self, n: PolyMat, d: PolyMat, w: PolyMat | None = None, kernel: PolyMat | None = None
-    ) -> None:
+    def __init__(self, n: PolyMat, d: PolyMat) -> None:
         if n.shape[1] != d.shape[0] or d.shape[0] != d.shape[1]:
             raise ShapeError(f"incompatible fraction shapes {n.shape} and {d.shape}")
-        if w is not None and w @ vstack(d, n) != PolyMat.identity(d.shape[0]):
-            raise ValueError("coprimeness certificate fails w @ [d; n] = I")
-        self.n, self.d, self.w, self.kernel = n, d, w, kernel
+        self.n, self.d, self.w, self.kernel = n, d, None, None
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not RightMFD:
@@ -215,6 +211,16 @@ class StableMFD(namedtuple("StableMFD", "nprime dprime u v shift col_degrees sou
         return out
 
 
+def _certified(n: PolyMat, d: PolyMat, w: PolyMat, kernel: PolyMat) -> RightMFD:
+    """n @ d**-1 carrying the rows w and kernel of one Hermite transform of
+    [d; n]; a w that fails w @ [d; n] = I raises ValueError."""
+    mfd = RightMFD(n, d)
+    if w @ vstack(d, n) != PolyMat.identity(d.shape[0]):
+        raise ValueError("coprimeness certificate fails w @ [d; n] = I")
+    mfd.w, mfd.kernel = w, kernel
+    return mfd
+
+
 def right_coprime_mfd(p: RatMat) -> RightMFD:
     """Extract a right coprime, column-reduced fraction of a rational matrix,
     certified by one Hermite transform: u @ [d0; n0] = [r; 0] for the
@@ -234,7 +240,7 @@ def right_coprime_mfd(p: RatMat) -> RightMFD:
             PolyMat([[q for q, _ in row] for row in rows])
             for rows in (quotients[:cols], quotients[cols:])
         )
-    return RightMFD(*_column_reduce(n, d, PolyMat(u.rows[:cols])), _reduce(u.rows[cols:]))
+    return _certified(*_column_reduce(n, d, PolyMat(u.rows[:cols])), _reduce(u.rows[cols:]))
 
 
 def left_coprime_mfd(p: RatMat) -> LeftMFD:
@@ -251,7 +257,7 @@ def _hermite_certificate(n: PolyMat, d: PolyMat) -> RightMFD | None:
     h, u = hermite(vstack(d, n))
     if PolyMat(h.rows[:m]) != PolyMat.identity(m):
         return None
-    return RightMFD(n, d, PolyMat(u.rows[:m]), _reduce(u.rows[m:]))
+    return _certified(n, d, PolyMat(u.rows[:m]), _reduce(u.rows[m:]))
 
 
 def column_reduce(n: PolyMat, d: PolyMat) -> tuple[PolyMat, PolyMat]:
@@ -409,7 +415,7 @@ def _least_degree_witness(
         else:  # no solution of degree k: on to k + 1, with rhs_k times s + shift
             k = top if shift is None else k + 1
             if k > limit:
-                return None
+                return None  # no witness of degree up to limit
             if shift is not None:
                 xz = [_mul(z, [shift.numerator, shift.denominator]) for z in xz]
                 den *= shift.denominator
@@ -516,7 +522,7 @@ def _factor_roots(q: Poly) -> list[Fraction | complex]:
                 break
             dz = dq(z)
             if dz == 0:
-                break
+                break  # float guard: q is square-free, so q' is nonzero at its roots
             z = z - fz / dz
         refined.append(z)
     return refined

@@ -202,9 +202,6 @@ class Poly(_Value):
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         return self + (-_as_poly(other))
 
-    def __rsub__(self, other: "Poly | Scalar") -> "Poly":
-        return _as_poly(other) + (-self)
-
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         other = _as_poly(other)
         if not self._z or not other._z:
@@ -531,7 +528,7 @@ def _heu_gcd(
                     g, cf, q = [y // c for y in g], [y * c for y in cf], [y * c for y in q]
                     return (g, cf, q) if f is a else (g, q, cf)
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
-    return None
+    return None  # no candidate at six points: the caller falls back to the PRS
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +544,6 @@ class RatFn(_Value):
     def __init__(self, num: Poly, den: Poly = ONE) -> None:
         if num.__class__ is not Poly:
             num = _as_poly(num)
-        if den.__class__ is not Poly:
-            den = _as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
@@ -620,9 +615,6 @@ class RatFn(_Value):
     def __sub__(self, other: "RatFn | Poly | Scalar") -> "RatFn":
         return self + (-_as_ratfn(other))
 
-    def __rsub__(self, other: "RatFn | Poly | Scalar") -> "RatFn":
-        return _as_ratfn(other) + (-self)
-
     def __mul__(self, other: "RatFn | Poly | Scalar") -> "RatFn":
         other = _as_ratfn(other)
         return RatFn(self.num * other.num, self.den * other.den)
@@ -637,12 +629,7 @@ class RatFn(_Value):
     def __truediv__(self, other: "RatFn | Poly | Scalar") -> "RatFn":
         return self * _as_ratfn(other).inv()
 
-    def __rtruediv__(self, other: "RatFn | Poly | Scalar") -> "RatFn":
-        return _as_ratfn(other) * self.inv()
-
     def __pow__(self, k: int) -> "RatFn":
-        if k < 0:
-            return self.inv() ** (-k)
         return RatFn(self.num**k, self.den**k)
 
     # -- evaluation ---------------------------------------------------------

@@ -133,16 +133,13 @@ def _sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
-def _sign_at(p: Poly, point) -> int:
-    if p.is_zero():
-        return 0
+def _sign_at(p: Poly, point: Fraction | int | float) -> int:
+    """The sign of the nonzero ``p`` at a rational point or at -inf or inf."""
     lead = 1 if p._z[-1] > 0 else -1
     if point == -math.inf:
         return lead * (1 if p.degree() % 2 == 0 else -1)
     if point == math.inf:
         return lead
-    if not isinstance(point, (int, Fraction)):
-        point = Fraction(point)
     # the sign of p(u / v) is that of v**deg(p) * p(u / v), for v > 0
     v = _horner(p._z, point.numerator, point.denominator)
     return 0 if v == 0 else (1 if v > 0 else -1)
@@ -154,7 +151,8 @@ def _sign_variations(chain: list[Poly], point) -> int:
 
 
 def count_real_roots(p: Poly, lo=-math.inf, hi=math.inf) -> int:
-    """Number of distinct real roots of ``p`` in (lo, hi], by Sturm's theorem."""
+    """Number of distinct real roots of ``p`` in (lo, hi], by Sturm's theorem;
+    each bound is a rational (int or `Fraction`) or -inf or inf."""
     if p.is_zero():
         raise ValueError("root count of the zero polynomial is undefined")
     if p.degree() == 0:

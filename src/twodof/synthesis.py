@@ -171,26 +171,20 @@ def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat, xv: StabilityVerdict) -> 
 
     A reason at z needs eta^T n(z) = 0 and eta^T t(z) != 0, and then x has
     a pole at z: the candidates are the points ``_verdict_zero_points``
-    reads off ``xv``; irrational zeros are left to the verdict.
+    reads off ``xv``; irrational zeros are left to the verdict.  Each z >= 0
+    is a root of the zero polynomial, so n(z) loses rank and eta exists, and
+    t, stable (``check_realizable``), has no pole there.
     """
     reasons: list[str] = []
     for z in _verdict_zero_points(mfd.n, xv):
         vals = t.eval_at(z)
-        if any(v is None for row in vals for v in row):
-            continue
         eta = _left_null_direction(mfd.n, z)
-        if eta is not None:
-            combo = [
-                sum(eta[i] * vals[i][j] for i in range(len(eta)))
-                for j in range(t.shape[1])
-            ]
-            if any(c != 0 for c in combo):
-                reasons.append(
-                    f"plant unstable zero at s = {z} is not inherited by the target"
-                    f" (direction eta with eta^T N({z}) = 0 has eta^T T({z}) != 0)"
-                )
-        elif any(v != 0 for row in vals for v in row):
-            reasons.append(f"plant unstable zero at s = {z} is not a zero of the target")
+        combo = [sum(eta[i] * vals[i][j] for i in range(len(eta))) for j in range(t.shape[1])]
+        if any(c != 0 for c in combo):
+            reasons.append(
+                f"plant unstable zero at s = {z} is not inherited by the target"
+                f" (direction eta with eta^T N({z}) = 0 has eta^T T({z}) != 0)"
+            )
     return reasons
 
 
@@ -474,12 +468,10 @@ def _check_static_target(smfd: StableMFD, lam: RatMat) -> None:
 
 
 def _dc_precompensator(loop: LoopMaps, lam: RatMat) -> RatMat:
-    """cr = G(0)**-1 @ lam for the closed loop G = P(I - cy P)**-1."""
-    g0 = _value_at_origin(loop.p_sens)
-    if g0 is None:
-        raise DesignObstruction(("closed loop has a pole at the origin",))
+    """cr = G(0)**-1 @ lam for the closed loop G = P(I - cy P)**-1, which
+    has no pole at 0: every caller's loop has a stable verdict."""
     try:
-        return g0.inv() @ lam
+        return _value_at_origin(loop.p_sens).inv() @ lam
     except SingularMatrixError:
         raise DesignObstruction(
             ("dc gain is singular for this feedback choice; pick another cy",)
@@ -672,9 +664,7 @@ def _unity_restriction(
         combo = d_x * b + n_x * a
         divisible = (combo % smfd.unstable_denominator).is_zero()
         if divisible != matrix_is_stable(f).stable:
-            raise ArithmeticError(
-                "scalar divisibility form disagrees with the matrix form"
-            )
+            raise ArithmeticError("scalar divisibility form disagrees with the matrix form")
     return f, verdict
 
 

@@ -114,6 +114,10 @@ def test_parse_rational_zero_denominator():
         ("s*(s+1)^40", 1, f"degree 41 exceeds the cap of {MAX_DEGREE}"),
         ("(s+1)^40/(s+2)^40/s", 17, f"degree 41 exceeds the cap of {MAX_DEGREE}"),
         ("1/s^40 + s", 7, f"degree 41 exceeds the cap of {MAX_DEGREE}"),
+        # powers of powers: one more ^64 would form a 55.7-million-bit integer
+        ("((10^64)^64)^64", 12, f"power exceeds the cap of {MAX_DIGITS * MAX_EXPONENT} digits"),
+        ("(((10^64)^64)^64)^64", 13, f"power exceeds the cap of {MAX_DIGITS * MAX_EXPONENT} digits"),
+        ("((1/10^64)^64)^64", 14, f"power exceeds the cap of {MAX_DIGITS * MAX_EXPONENT} digits"),
     ],
 )
 def test_parse_rational_budgets(text, position, cap):
@@ -150,6 +154,9 @@ def test_parse_rational_at_the_caps():
     big = 10**MAX_DIGITS - 1
     assert parse_rational(f"{big}*s+1") == rf(Poly((Fraction(1), Fraction(big))))
     assert parse_rational(str(big)) == rf(Poly((big,)))
+    # the longest coefficient one power of an in-cap literal makes
+    assert parse_rational(f"({big})^{MAX_EXPONENT}") == rf(Poly((big**MAX_EXPONENT,)))
+    assert parse_rational(f"(1/{big})^{MAX_EXPONENT}") == rf(Poly((Fraction(1, big**MAX_EXPONENT),)))
     assert parse_rational("(s+1)^40") == rf((S + ONE) ** 40)
     assert parse_rational("(s+1)^40/(s+1)^40*s") == rf(S)  # reduced before the '*'
     assert parse_rational("(s+1)^20*(s+2)^20") == rf((S + ONE) ** 20 * (S + 2 * ONE) ** 20)
@@ -694,8 +701,8 @@ def test_main_match_refuses_a_non_scalar_unity_loop_before_designing(tmp_path, c
     assert captured.err == "error: unity-loop realization is implemented for scalar designs\n"
 
 
-def _obstruction(reason):
-    return 2, f"design obstruction:\n  - {reason}\n", ""
+def _obstruction(*reasons):
+    return 2, "design obstruction:\n" + "".join(f"  - {r}\n" for r in reasons), ""
 
 
 def _error(message):
@@ -704,6 +711,7 @@ def _error(message):
 
 ROW_PLANT = "[plant]\nmatrix = 1/(s+1), 1/(s+2)\n"
 DIAGONAL_PLANT = "[plant]\nmatrix = 1/(s+1), 0; 0, 1/(s+2)\n"
+SCALAR_PLANT = "[plant]\nmatrix = 1/(s+1)\n"
 
 
 @pytest.mark.parametrize("command, text, expected", [
@@ -722,14 +730,52 @@ DIAGONAL_PLANT = "[plant]\nmatrix = 1/(s+1), 0; 0, 1/(s+2)\n"
     ("verify", "[plant]\nmatrix = 1/(s+1)\n[config]\nloop = cascade\n",
      _error("unknown loop 'cascade'; expected one of "
             "['feedback-direct', 'ff-fb-r', 'two-dof', 'unity']")),
+    ("match", "[plant]\nmatrix = 0, -1/((s+1)*(s-3)); 2/(s-3), 2*(s+1)/(s+3)\n[design]\nt = 1; 0\n",
+     _obstruction("parameter x is improper (relative-degree violation)",
+                  "control map d@x is improper (target relative degree below the plant's)")),
+    ("decouple",
+     "[plant]\nmatrix = 1/(s-3), 2*(s-3)/((s+1)*(s+3)); 0, -2/((s+2)*(s+1))\n"
+     "[design]\ntargets = 1/(s+1), 1/(s+1)\n",
+     _obstruction("parameter x' not proper-stable: unstable; offending factors: improper entry",
+                  "control map d'@x' is improper")),
+    ("unity-parameter", "[plant]\nmatrix = 1/(s-1)^17\n",
+     _obstruction("no admissible x' found up to total degree 16")),
+    ("static-decouple", SCALAR_PLANT + "[design]\nlambda = 1/s\n",
+     _error("lam must be a constant matrix")),
+    ("static-decouple", DIAGONAL_PLANT + "[design]\nlambda = 1\n",
+     _error("static decoupling requires a square plant matching lam")),
+    ("match", SCALAR_PLANT + "[design]\nt = 1/(s+1); 1/(s+2)\n",
+     _error("target must have 1 rows, got 2")),
 ], ids=["decouple-row", "invert-row", "one-target", "improper-target", "unstable-target",
-        "singular-plant", "unknown-loop"])
+        "singular-plant", "unknown-loop", "improper-x", "improper-control-map",
+        "unity-scan-exhausted", "lambda-pole", "lambda-shape", "target-rows"])
 def test_main_refuses_a_design_it_cannot_make(tmp_path, capsys, command, text, expected):
     path = tmp_path / "prob.ini"
     path.write_text(text)
     code = main([command, str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == expected
+
+
+@pytest.mark.parametrize("command, text, code, out_tail, err", [
+    ("match", "[plant]\nmatrix = (s+2)/(s+1)\n[design]\nt = -1\n[config]\nloop = unity\n", 2,
+     "design obstruction:\n  - I + x'@n' is singular; the unity loop is ill posed\n", ""),
+    ("match", SCALAR_PLANT + "[design]\nt = 1/(s+1)\nm = 1, 1\n", 1,
+     "scalar restricted-loop feasibility ((1+t)/d, t/n): stable\n",
+     "error: control target must be 1x1, got (1, 2)\n"),
+    ("factor", "[plant]\nmatrix = 0\n", 0, "zero polynomial: 1\npole polynomial: 1\n", ""),
+    ("verify", SCALAR_PLANT + "[config]\nloop = two-dof\ncy = 0\ncr = 1\n[design]\nt = 1/(s+2)\n", 0,
+     "closed-loop response equals the desired t: FAIL (unstable)\nloop well posed: PASS (stable)\n"
+     + "".join(f"internal map {name} proper and stable: PASS (stable)\n"
+               for name in ("(I - cy@p)**-1", "(I - cy@p)**-1 @ cy",
+                            "p @ (I - cy@p)**-1", "p @ (I - cy@p)**-1 @ cy")), ""),
+], ids=["unity-loop-ill-posed", "control-target-shape", "zero-plant", "target-not-realized"])
+def test_main_ends_its_report_with(tmp_path, capsys, command, text, code, out_tail, err):
+    path = tmp_path / "prob.ini"
+    path.write_text(text)
+    assert main([command, str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.endswith(out_tail) and captured.err == err
 
 
 def test_main_input_errors(tmp_path, capsys):

@@ -6,7 +6,9 @@ import pytest
 import twodof.factor
 from twodof.cli import parse_matrix
 from twodof.factor import (
+    LeftMFD,
     RightMFD,
+    _certified,
     _hermite_certificate,
     column_reduce,
     left_coprime_mfd,
@@ -16,7 +18,19 @@ from twodof.factor import (
     stable_mfd,
     zeros_and_poles,
 )
-from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat, polymat_det, vstack
+from twodof.polyalg import (
+    ONE,
+    S,
+    ZERO,
+    Poly,
+    PolyMat,
+    RatFn,
+    RatMat,
+    ShapeError,
+    SingularMatrixError,
+    polymat_det,
+    vstack,
+)
 from twodof.stability import rh_inf_verdict
 from twodof.stabilize import solve_bezout
 
@@ -98,9 +112,20 @@ def test_hermite_transform_certifies_the_fraction():
     left = left_coprime_mfd(plant)
     assert left.dl @ mfd.n == left.nl @ mfd.d
     with pytest.raises(ValueError, match="certificate"):
-        RightMFD(mfd.n, mfd.d, mfd.w.scale(2))
+        _certified(mfd.n, mfd.d, mfd.w.scale(2), mfd.kernel)
     with pytest.raises(ValueError, match="certificate"):
-        RightMFD(mfd.n, mfd.d, PolyMat([[ZERO, ONE]]))
+        _certified(mfd.n, mfd.d, PolyMat([[ZERO, ONE]]), mfd.kernel)
+
+
+def test_a_certificate_is_attached_only_by_a_hermite_transform():
+    # n @ d**-1 = [1, -s] is improper; with a hand-attached w and kernel,
+    # stable_mfd once took the pair as it was and returned an improper d'
+    n, d = PolyMat([[ONE, ZERO]]), PolyMat([[ONE, S], [ZERO, ONE]])
+    w = PolyMat([[ONE, -S, ZERO], [ZERO, ONE, ZERO]])
+    with pytest.raises(TypeError):
+        RightMFD(n, d, w, PolyMat([[ONE, -S, -ONE]]))
+    with pytest.raises(ValueError, match="plant must be proper"):
+        stable_mfd(RightMFD(n, d))
 
 
 def test_right_mfd_equality_ignores_certificate_and_kernel():
@@ -108,7 +133,6 @@ def test_right_mfd_equality_ignores_certificate_and_kernel():
     assert mfd.w is not None and mfd.kernel is not None
     bare = RightMFD(mfd.n, mfd.d)
     assert bare == mfd and hash(bare) == hash(mfd) and {bare, mfd} == {mfd}
-    assert RightMFD(mfd.n, mfd.d, mfd.w) == RightMFD(mfd.n, mfd.d, kernel=mfd.kernel)
     assert RightMFD(-mfd.n, -mfd.d) != mfd and mfd != (mfd.n, mfd.d)
 
 
@@ -127,8 +151,7 @@ def test_column_reduction_carries_the_certificate():
     # and certifies the result by its own Hermite transform
     d = PolyMat([[S ** 2, S ** 2 + ONE], [ZERO, ONE]])
     n = PolyMat.identity(2)
-    w = PolyMat([[ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, ONE]])
-    smfd = stable_mfd(RightMFD(n, d, w))
+    smfd = stable_mfd(RightMFD(n, d))
     source = smfd.source
     assert source.d != d and source.w is not None and source.kernel is not None
     assert source.w @ vstack(source.d, source.n) == PolyMat.identity(2)
@@ -309,3 +332,19 @@ def test_scalar_pole_zero_disjoint_for_coprime_fractions():
         report = zeros_and_poles(right_coprime_mfd(plant))
         g = poly_gcd(report.zero_polynomial, report.pole_polynomial)
         assert g == ONE
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: RightMFD(PolyMat([[ONE, ONE]]), PolyMat.identity(1)), ShapeError,
+     "incompatible fraction shapes (1, 2) and (1, 1)"),
+    (lambda: LeftMFD(PolyMat.identity(1), PolyMat([[ONE], [ONE]])), ShapeError,
+     "incompatible fraction shapes (1, 1) and (2, 1)"),
+    (lambda: poly_row_diophantine(PolyMat([[ONE]]), PolyMat.identity(2), [ONE, ONE], 0, 0),
+     ShapeError, "incompatible shapes in row equation"),
+    (lambda: column_reduce(PolyMat([[ONE]]), PolyMat([[ZERO]])), SingularMatrixError,
+     "denominator matrix is singular"),
+], ids=["right-fraction", "left-fraction", "row-equation", "singular-denominator"])
+def test_invalid_fractions_are_refused(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message

@@ -557,3 +557,28 @@ def test_check_realizable_matches_ratfn_gauss_jordan():
             ), (n, t)
             assert not (verdict and expected.is_proper()), (n, t)
     assert compared >= 40 and violations >= 8 and obstructed >= 4
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: polymat_det(PolyMat([[ONE, S]])), ShapeError, "determinant of a non-square matrix"),
+    (lambda: _polymat_det_adj(PolyMat([[ONE, S]])), ShapeError, "adjugate of a non-square matrix"),
+    (lambda: RatMat([[ONE, S]]) @ RatMat([[ONE, S]]), ShapeError, "cannot multiply (1, 2) @ (1, 2)"),
+    (lambda: RatMat([[ONE, S]]).inv(), ShapeError, "inverse of a non-square matrix"),
+    (lambda: RatMat([[ONE, S]]).det(), ShapeError, "determinant of a non-square matrix"),
+    (lambda: ZERO.leading, ValueError, "zero polynomial has no leading coefficient"),
+    (lambda: S ** -1, ValueError, "negative polynomial power"),
+    (lambda: RatFn(ONE, S) ** -1, ValueError, "negative polynomial power"),
+    (lambda: poly_gcd(ZERO, ZERO), ValueError, "gcd(0, 0) is undefined"),
+    (lambda: RatFn(ZERO).inv(), ZeroDivisionError, "inverse of the zero rational function"),
+], ids=["det-shape", "adjugate-shape", "product-shape", "inverse-shape", "ratmat-det-shape",
+        "zero-leading", "negative-power", "negative-ratfn-power", "gcd-of-zeros", "zero-inverse"])
+def test_invalid_operands_are_refused(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_values_of_different_kinds_are_unequal_and_lcm_with_zero_is_zero():
+    assert ONE.__eq__(1) is NotImplemented and RatFn(ONE).__eq__(ONE) is NotImplemented
+    assert ONE != 1 and RatFn(ONE) != ONE
+    assert poly_lcm(ZERO, S) == ZERO == poly_lcm(S + ONE, ZERO)

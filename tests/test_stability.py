@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_algebra_properties import FractionCounter
-from twodof.polyalg import ONE, S, Poly, RatFn, RatMat
+from twodof.polyalg import ONE, S, ZERO, Poly, RatFn, RatMat
 from twodof.stability import (
     REASON_AXIS,
     REASON_RHP,
@@ -81,6 +82,7 @@ def test_count_real_roots_sturm():
     assert count_real_roots(q, Fraction(0)) == 2  # roots at 1 and 5
     assert count_real_roots(q, Fraction(0), Fraction(2)) == 1
     assert count_real_roots(p(1, 0, 1)) == 0
+    assert count_real_roots(p(3)) == 0
 
 
 def test_random_against_companion_eigenvalues():
@@ -123,6 +125,18 @@ def test_hurwitz_shift_polynomial():
     assert hurwitz_shift_polynomial(1, 2) == (S + ONE) ** 2
     assert hurwitz_shift_polynomial(Fraction(1, 2), 1) == p(Fraction(1, 2), 1)
     assert hurwitz_shift_polynomial(3, 0) == ONE
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _routh_is_hurwitz(ZERO), "stability of the zero polynomial is undefined"),
+    (lambda: is_hurwitz(ZERO), "stability of the zero polynomial is undefined"),
+    (lambda: count_real_roots(ZERO), "root count of the zero polynomial is undefined"),
+    (lambda: hurwitz_shift_polynomial(0, 1), "shift must be positive for a Hurwitz scaling polynomial"),
+], ids=["routh", "hurwitz", "root-count", "shift"])
+def test_zero_or_nonpositive_input_is_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 # -- the Routh table over Z against the Fraction table it replaced ------------

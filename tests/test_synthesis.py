@@ -472,3 +472,15 @@ def test_certificate_reporting():
     assert not bad.passed
     assert "FAIL" in bad.describe()
     assert "s - 1" in bad.describe()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: unity_feedback_admissible(stable_mfd(right_coprime_mfd(parse_matrix("1/(s-1)"))),
+                                       RatMat([[ONE], [ONE]])),
+     ShapeError, "x' must have 1 rows, got 2"),
+    (lambda: siso_conditions(RatFn(ZERO), RatFn(ONE)), ValueError, "plant is identically zero"),
+], ids=["unity-parameter-rows", "zero-plant"])
+def test_invalid_design_input_is_refused(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message

@@ -289,3 +289,9 @@ def test_simulation_settles_for_random_lags():
         trace = simulate_step(t, horizon=20.0, dt=0.02)
         expected = float(dc_gain(t)[0][0])
         assert abs(trace.final_values()[0] - expected) < 1e-5
+
+
+def test_closed_loop_refuses_an_unknown_configuration():
+    with pytest.raises(TypeError) as err:
+        closed_loop(RatMat([[rf(ONE, S + ONE)]]), (RatMat([[ONE]]),))
+    assert str(err.value) == "unknown configuration tuple"
