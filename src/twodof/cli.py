@@ -36,6 +36,7 @@ import argparse
 import configparser
 import math
 import operator
+import re
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Sequence
@@ -83,7 +84,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-_OPS = set("+-*/^()")
+_SYMBOLS = set("s+-*/^()")
 _BINARY = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
     "^": operator.pow,
@@ -126,34 +127,18 @@ def _degrees(x: Poly | RatFn) -> tuple[int, int]:
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "0123456789":  # not str.isdigit, which takes superscript and Arabic-Indic digits
-            j = i
-            while j < len(text) and text[j] in "0123456789":
-                j += 1
-            if j - i > MAX_DIGITS:
-                raise ParseError(
-                    f"literal of {j - i} digits exceeds the cap of {MAX_DIGITS}", i
-                )
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch == "s":
-            tokens.append(("s", ch, i))
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", len(text)))
-    return tokens
+    # [0-9], not \d or str.isdigit, which take superscript and Arabic-Indic digits
+    for match in re.finditer(r"[0-9]+|\S", text):
+        tok, i = match.group(), match.start()
+        if tok[0] in "0123456789":
+            if len(tok) > MAX_DIGITS:
+                raise ParseError(f"literal of {len(tok)} digits exceeds the cap of {MAX_DIGITS}", i)
+            tokens.append(("int", tok, i))
+        elif tok in _SYMBOLS:
+            tokens.append((tok, tok, i))
+        else:
+            raise ParseError(f"unexpected character {tok!r}", i)
+    return tokens + [("end", "", len(text))]
 
 
 class _Parser:
@@ -174,13 +159,10 @@ class _Parser:
         return tok
 
     def expression(self) -> Poly | RatFn:
-        negate = False
-        if self.peek()[0] == "-":
-            self.take()
-            negate = True
-        value = self.term()
+        negate = self.peek()[0] == "-"
         if negate:
-            value = -value
+            self.take()
+        value = -self.term() if negate else self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, pos = self.take()
             value = _apply(op, value, self.term(), pos)
@@ -237,12 +219,8 @@ def parse_rational(text: str) -> RatFn:
 
 
 def parse_matrix(text: str) -> RatMat:
-    rows = []
-    for row_text in text.split(";"):
-        entries = [parse_rational(cell) for cell in row_text.split(",")]
-        rows.append(entries)
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+    rows = [[parse_rational(cell) for cell in row.split(",")] for row in text.split(";")]
+    if len({len(row) for row in rows}) != 1:
         raise ValueError("matrix rows have unequal lengths")
     return RatMat(rows)
 
@@ -629,6 +607,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # in-cap values can outgrow Python's 4300-digit int-to-text limit (README)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args.func(load_problem(args.problem), args)
         return 0
@@ -646,6 +627,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ShapeError, ArithmeticError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -18,12 +18,13 @@ fraction) it computes once, on first use.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .polyalg import (
     ONE,
@@ -504,28 +505,62 @@ class ZeroReport(namedtuple("ZeroReport", "zeros zero_polynomial pole_polynomial
         return tuple(z for z in self.zeros if z.unstable)
 
 
+def _scaled(polys: Sequence[Poly], e: int) -> list[list[float]]:
+    """The ascending coefficients of each p(2**e * u), over one common
+    divisor that makes the largest 1: floats that cannot overflow."""
+    cs = [[Fraction(x, p._d) * Fraction(2) ** (e * k) for k, x in enumerate(p._z)] for p in polys]
+    top = max((abs(c) for row in cs for c in row), default=1)
+    return [[float(c / top) for c in row] for row in cs]
+
+
+def _at(coeffs: Sequence[float], u: complex) -> complex:
+    return reduce(lambda acc, x: acc * u + x, reversed(coeffs), 0j)
+
+
+def _newton(c: list[float], u: complex) -> complex:
+    """p(u) / p'(u) for p = sum(c[k] * u**k), or 0 once p(u) is within the
+    rounding error of its evaluation.  For |u| > 1 it reads the reversed
+    polynomial r at 1/u, p(u) = u**n * r(1/u), so no power of u overflows."""
+    flip = abs(u) > 1
+    x, cc = (1 / u, c[::-1]) if flip else (u, c)
+    px, dpx = _at(cc, x), _at([k * t for k, t in enumerate(cc)][1:], x)
+    if abs(px) <= 1e-14 * _at([abs(t) for t in cc], abs(x)).real:
+        return 0j
+    return u * px / ((len(c) - 1) * px - x * dpx) if flip else px / dpx
+
+
 def _factor_roots(q: Poly) -> list[Fraction | complex]:
-    """The roots of an irreducible factor q: exact when q is linear, else
-    numpy's, each refined by Newton steps."""
+    """The roots of an irreducible factor q: exact when q is linear, else by
+    Aberth-Ehrlich iteration (Bini, Numer. Algorithms 13, 1996) on q(2**e * u),
+    2**e near the roots' geometric mean size.  A root that is its own nearest
+    conjugate is real, one of an even q that is its own nearest -conjugate is
+    on the axis; by real part descending, each before its conjugate."""
     if q.degree() == 1:
         return [-q.coeff(0) / q.coeff(1)]
-    import numpy as np
-
-    coeffs = [float(q.coeff(k)) for k in range(q.degree(), -1, -1)]
-    roots = [complex(r) for r in np.roots(coeffs)]
-    dq = q.derivative()
-    refined = []
-    for z in roots:
-        for _ in range(60):
-            fz = q(z)
-            if abs(fz) <= 1e-13:
-                break
-            dz = dq(z)
-            if dz == 0:
-                break  # float guard: q is square-free, so q' is nonzero at its roots
-            z = z - fz / dz
-        refined.append(z)
-    return refined
+    n, z = q.degree(), q._z
+    e = round((abs(z[0]).bit_length() - abs(z[-1]).bit_length()) / n)
+    c = _scaled([q], e)[0]
+    if not (c[0] and c[-1]):  # an end coefficient underflowed: no one scale holds every root
+        raise ArithmeticError(f"the roots of a degree-{n} factor span more than the float range")
+    us = [cmath.rect(1, 2 * math.pi * k / n + 0.4) for k in range(n)]
+    for _ in range(500):
+        moved = False
+        for i, u in enumerate(us):
+            w = _newton(c, u)
+            if w:
+                us[i] = u - w / (1 - w * sum(1 / (u - v) for j, v in enumerate(us) if j != i))
+                moved = True
+        if not moved:
+            break
+    roots, own = [], lambda i, image: min(range(n), key=lambda j: abs(us[j] - image)) == i
+    for i, u in enumerate(us):
+        if own(i, u.conjugate()):
+            roots.append(complex(u.real))
+        elif u.imag > 0:
+            roots.append(complex(0, u.imag) if not any(z[1::2]) and own(i, -u.conjugate()) else u)
+    scaled = [complex(math.ldexp(u.real, e), math.ldexp(u.imag, e)) for u in roots]
+    scaled.sort(key=lambda u: -u.real)
+    return [v for u in scaled for v in ((u, u.conjugate()) if u.imag else (u,))]
 
 
 def _fmt_root(z: Fraction | complex) -> str:
@@ -538,36 +573,34 @@ def _fmt_root(z: Fraction | complex) -> str:
 
 
 def _root_unstable(root: Fraction | complex, factor_hurwitz: bool) -> bool:
-    if factor_hurwitz:
-        return False
-    if isinstance(root, Fraction):
-        return root >= 0
-    return root.real > -1e-9
+    return not factor_hurwitz and (root >= 0 if isinstance(root, Fraction) else root.real > -1e-9)
 
 
 def _left_null_direction(
     n: PolyMat, root: Fraction | complex
 ) -> tuple[Fraction, ...] | tuple[complex, ...] | None:
+    """eta with eta^T n(root) = 0, 1 at the first free column of a Gauss-Jordan
+    elimination of n(root)^T: exact at a rational root, else over complex at
+    u = root / 2**e, each column of n(2**e * u) over one constant, by complete
+    pivoting for rank(n) - 1 steps (n(root) has a lower rank than n): no
+    threshold decides a pivot, and no multiplier exceeds 1."""
     p, m = n.shape
     if isinstance(root, Fraction):
         vec = _null_vector([[n.entry(i, j)(root) for i in range(p)] for j in range(m)])
         return None if vec is None else tuple(vec)
-    import numpy as np
-
-    mat = np.array(
-        [[complex(n.entry(i, j)(root)) for j in range(m)] for i in range(p)]
-    )
-    _, sing, vh = np.linalg.svd(mat.T)
-    scale = float(sing[0]) if len(sing) and sing[0] > 0 else 1.0
-    null_rows = [
-        i
-        for i in range(vh.shape[0])
-        if i >= len(sing) or sing[i] <= 1e-9 * scale
-    ]
-    if not null_rows:
-        null_rows = [vh.shape[0] - 1]
-    vec = vh[null_rows[0]].conj()
-    return tuple(complex(x) for x in vec)
+    e = math.frexp(abs(root))[1]
+    u = complex(math.ldexp(root.real, -e), math.ldexp(root.imag, -e))
+    a = [[_at(c, u) for c in _scaled([n.entry(i, j) for i in range(p)], e)] for j in range(m)]
+    pivots = []
+    for r in range(n.rank() - 1):
+        cells = [(i, k) for i in range(r, m) for k in range(p) if k not in pivots]
+        i, k = max(cells, key=lambda cell: abs(a[cell[0]][cell[1]]))
+        top = [x / a[i][k] for x in a[i]]
+        a[i] = a[r]
+        a = [top if t == r else [x - row[k] * y for x, y in zip(row, top)] for t, row in enumerate(a)]
+        pivots.append(k)
+    free, rows = min(set(range(p)) - set(pivots)), dict(zip(pivots, a))
+    return tuple(0j - rows[k][free] if k in rows else complex(k == free) for k in range(p))
 
 
 def _zero_polynomial(n: PolyMat) -> Poly:

@@ -239,18 +239,12 @@ class Poly(_Value):
         """p(-s)."""
         return _from_z([-x if k % 2 else x for k, x in enumerate(self._z)], self._d)
 
-    def __call__(self, s0):
-        """Evaluate by Horner's rule; exact for int and Fraction arguments."""
-        z, d = self._z, self._d
-        if isinstance(s0, (int, Fraction)):
-            if not z:
-                return Fraction(0)
-            v = s0.denominator
-            return Fraction(_horner(z, s0.numerator, v), d * v ** (len(z) - 1))
-        acc = 0.0
-        for x in reversed(z):
-            acc = acc * s0 + complex(x / d)  # x / d rounds as float(Fraction(x, d))
-        return acc
+    def __call__(self, s0: int | Fraction) -> Fraction:
+        """Evaluate exactly at a rational point, by Horner's rule."""
+        z, v = self._z, s0.denominator
+        if not z:
+            return Fraction(0)
+        return Fraction(_horner(z, s0.numerator, v), self._d * v ** (len(z) - 1))
 
     def __str__(self) -> str:
         if not self._z:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .polyalg import RatFn, RatMat, common_denominator, poly_divmod
 from .stability import StabilityVerdict, matrix_is_stable
@@ -95,28 +96,19 @@ class SimulationTrace(namedtuple("SimulationTrace", "time outputs inputs step_si
 
     def to_csv(self, channel: int = 0) -> str:
         chan = self.outputs[channel]
-        header = "t," + ",".join(f"y{i + 1}" for i in range(len(chan)))
-        lines = [header]
-        for k, t in enumerate(self.time):
-            row = [_fmt(t)] + [_fmt(chan[i][k]) for i in range(len(chan))]
-            lines.append(",".join(row))
+        lines = ["t," + ",".join(f"y{i + 1}" for i in range(len(chan)))]
+        lines += [",".join(f"{x:.12g}" for x in row) for row in zip(self.time, *chan)]
         return "\n".join(lines) + "\n"
 
     def final_values(self, channel: int = 0) -> tuple[float, ...]:
         return tuple(series[-1] for series in self.outputs[channel])
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _column_realization(col: list[RatFn]):
-    """Controllable-canonical (A, b, C, d) for one input column."""
-    import numpy as np
-
+    """Controllable-canonical realization of one input column as lists of
+    floats: the rows [A | b] (b the last unit vector), C and d."""
     den = common_denominator(col)[0]
     order = den.degree() or 0
-    feed = np.array([float(e.at_infinity()) for e in col])
     c_rows = []
     for entry in col:
         strict = entry.strict_part()
@@ -125,25 +117,35 @@ def _column_realization(col: list[RatFn]):
             raise ArithmeticError("column denominator does not divide its lcm")
         scaled_num = strict.num * scale
         c_rows.append([float(scaled_num.coeff(k)) for k in range(order)])
-    a = np.zeros((order, order))
-    if order:
-        a[:-1, 1:] = np.eye(order - 1)
-        a[-1, :] = [-float(den.coeff(k)) for k in range(order)]
-    b = np.zeros(order)
-    if order:
-        b[-1] = 1.0
-    return a, b, np.array(c_rows).reshape(len(col), order), feed
+    ab = [[float(k == i + 1) if k == order or i < order - 1 else -float(den.coeff(k))
+           for k in range(order + 1)] for i in range(order)]
+    return ab, c_rows, [float(e.at_infinity()) for e in col]
+
+
+def _matmul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _expm1(m: list[list[float]]) -> list[list[float]]:
+    """exp(m) - I by scaling and squaring (Moler and Van Loan, SIAM Review
+    45, 2003): m / 2**k has a row-sum norm of at most 1/2, where 18 Taylor
+    terms leave a remainder below 1e-21, and each of k squarings maps
+    e - I to 2(e - I) + (e - I)**2.  Kept apart from I, a hold close to I
+    keeps its relative accuracy."""
+    k = max(0, math.frexp(max(sum(map(abs, row)) for row in m))[1] + 1)
+    out = term = m = [[x / 2**k for x in row] for row in m]
+    for j in range(2, 19):
+        term = [[x / j for x in row] for row in _matmul(term, m)]
+        out = [[x + y for x, y in zip(r, t)] for r, t in zip(out, term)]
+    for _ in range(k):
+        out = [[2 * x + y for x, y in zip(r, t)] for r, t in zip(out, _matmul(out, out))]
+    return out
 
 
 def simulate_step(t: RatMat, horizon: float, dt: float) -> SimulationTrace:
     """Unit-step responses of a proper, stable transfer matrix on a
     fixed grid: one column realization per input, zero-order hold via
     the exponential of [[A, b], [0, 0]]*dt."""
-    # imported here: numpy and scipy.linalg cost more than the rest of
-    # the package to import, and only simulation needs them
-    import numpy as np
-    from scipy.linalg import expm
-
     if not (0 < horizon < math.inf and 0 < dt < math.inf):  # nan compares false
         raise ValueError("horizon and dt must be positive and finite")
     steps = horizon / dt  # inf once the quotient overflows, which round() refuses
@@ -159,29 +161,17 @@ def simulate_step(t: RatMat, horizon: float, dt: float) -> SimulationTrace:
     times = tuple(k * dt for k in range(count + 1))
     all_outputs = []
     for j in range(m_cols):
-        col = [t.entry(i, j) for i in range(p_rows)]
-        a, b, c, d = _column_realization(col)
-        order = a.shape[0]
-        if order == 0:
-            series = tuple(tuple(float(d[i]) for _ in times) for i in range(p_rows))
-            all_outputs.append(series)
-            continue
-        block = np.zeros((order + 1, order + 1))
-        block[:order, :order] = a * dt
-        block[:order, order] = b * dt
-        m = expm(block)
-        ad = m[:order, :order]
-        bd = m[:order, order]
-        x = np.zeros(order)
-        samples = np.empty((p_rows, count + 1))
-        for k in range(count + 1):
-            samples[:, k] = c @ x + d
-            x = ad @ x + bd
-        all_outputs.append(tuple(tuple(row) for row in samples))
+        ab, c, d = _column_realization([t.entry(i, j) for i in range(p_rows)])
+        order = len(ab)
+        # rows [Ad - I | bd] of exp([[A, b], [0, 0]] * dt) - I
+        hold = _expm1([[x * dt for x in row] for row in ab] + [[0.0] * (order + 1)])[:order]
+        x, samples = [0.0] * order, []
+        for _ in range(count + 1):
+            samples.append([sum(map(mul, row, x)) + di for row, di in zip(c, d)])
+            x = [xi + (sum(map(mul, row, x)) + row[order]) for xi, row in zip(x, hold)]
+        all_outputs.append(tuple(zip(*samples)))
     labels = tuple(f"unit step at input {j + 1}" for j in range(m_cols))
-    return SimulationTrace(
-        time=times, outputs=tuple(all_outputs), inputs=labels, step_size=dt
-    )
+    return SimulationTrace(times, tuple(all_outputs), labels, dt)
 
 
 def dc_gain(t: RatMat) -> tuple[tuple[Fraction, ...], ...]:

@@ -35,8 +35,6 @@ ALLOWED = (
      "self-check: the certified fraction is coprime"),
     ("factor.py", "raise ArithmeticError(\"Bezout witness fails u @ n' + v @ d' = I\")",
      "self-check: each witness row solves its equation"),
-    ("factor.py", "break  # float guard: q is square-free, so q' is nonzero at its roots",
-     "float guard in the Newton refinement of a root"),
     ("polyalg.py", "return None  # no candidate at six points: the caller falls back to the PRS",
      "GCDHEU's give-up; 2.6 million random pairs never reached it"),
     ("polyalg.py", 'raise ArithmeticError("Bareiss elimination lost exactness")',

@@ -679,6 +679,125 @@ def test_invert_and_factor_print_an_irrational_zero_alike(tmp_path, capsys, plan
     assert f"zero at s = {zero} (multiplicity 1, unstable)" in capsys.readouterr().out
 
 
+# 10^320 is past the float range (about 1.8e308): each root is found on a
+# variable scaled by a power of two, so no coefficient becomes such a float
+HUGE = "10^64*10^64*10^64*10^64*10^64"
+
+
+def run_main(tmp_path, capsys, command, plant):
+    path = tmp_path / "prob.ini"
+    path.write_text(f"[plant]\nmatrix = {plant}\n")
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_invert_names_zeros_past_the_float_range_of_their_square(tmp_path, capsys):
+    assert run_main(tmp_path, capsys, "invert", f"(s^2 + {HUGE})/(s+1)^3") == (2, (
+        "design obstruction:\n"
+        "  - exact inversion impossible for this plant\n"
+        "  - plant has an unstable zero at s = 0+1e+160j\n"
+        "  - plant has an unstable zero at s = 0-1e+160j\n"
+        "  - plant has positive relative degree (n'**-1 improper)\n"
+        f"  - parameter verdict: unstable; offending factors: s^2 + {10**320}"
+        " (imaginary-axis root), improper entry\n"
+    ), "")
+
+
+def test_factor_prints_poles_past_the_float_range_of_their_square(tmp_path, capsys):
+    assert run_main(tmp_path, capsys, "factor", f"1/(s^2 + {HUGE})") == (0, (
+        "plant: 1 outputs, 1 inputs\n"
+        "right numerator n = 1\n"
+        f"right denominator d = s^2 + {10**320}\n"
+        "left numerator n~ = 1\n"
+        f"left denominator d~ = s^2 + {10**320}\n"
+        "column scaling: diag((s + 1)^2)\n"
+        "stable numerator n' = (1)/(s^2 + 2*s + 1)\n"
+        f"stable denominator d' = (s^2 + {10**320})/(s^2 + 2*s + 1)\n"
+        f"witness u (u@n' + v@d' = I) = ({3 - 10**320}*s - {3 * 10**320 - 1})/(s + 1)\n"
+        "witness v = (s + 3)/(s + 1)\n"
+        "zero polynomial: 1\n"
+        f"pole polynomial: s^2 + {10**320}\n"
+        "pole at s = 0+1e+160j (multiplicity 1, unstable)\n"
+        "pole at s = 0-1e+160j (multiplicity 1, unstable)\n"
+    ), "")
+
+
+def test_factor_prints_zeros_past_the_float_range_of_their_square(tmp_path, capsys):
+    assert run_main(tmp_path, capsys, "factor", f"(s^2 + {HUGE})/(s+1)^3") == (0, (
+        "plant: 1 outputs, 1 inputs\n"
+        f"right numerator n = s^2 + {10**320}\n"
+        "right denominator d = s^3 + 3*s^2 + 3*s + 1\n"
+        f"left numerator n~ = s^2 + {10**320}\n"
+        "left denominator d~ = s^3 + 3*s^2 + 3*s + 1\n"
+        "column scaling: diag((s + 1)^3)\n"
+        f"stable numerator n' = (s^2 + {10**320})/(s^3 + 3*s^2 + 3*s + 1)\n"
+        "stable denominator d' = 1\n"
+        "witness u (u@n' + v@d' = I) = 0\n"
+        "witness v = 1\n"
+        f"zero polynomial: s^2 + {10**320}\n"
+        "pole polynomial: s^3 + 3*s^2 + 3*s + 1\n"
+        "zero at s = 0+1e+160j (multiplicity 1, unstable)  direction [1]\n"
+        "zero at s = 0-1e+160j (multiplicity 1, unstable)  direction [1]\n"
+        "pole at s = -1 (multiplicity 3, stable)\n"
+    ), "")
+
+
+def test_factor_refuses_roots_no_one_float_scale_holds(tmp_path, capsys):
+    # roots near -10^448 and -10^-448: scaled to one size, an end coefficient
+    # of s^2 + 10^448*s + 1 is 10^-448 of the largest, below the float range
+    code, out, err = run_main(tmp_path, capsys, "factor", "1/(s^2 + (10^64)^7*s + 1)")
+    assert (code, err) == (1, "error: the roots of a degree-2 factor span more than the float range\n")
+    assert out.startswith("plant: 1 outputs, 1 inputs\n") and "pole at" not in out
+
+
+# the zeros of s^6 + 2*s^5 - 2*s^4 + 2*s^3 + 36*s^2 + 57*s + 23, one
+# irreducible factor: real part descending, each pair upper root first
+ORDERED = "(s^3 - 2)/(s+1)^4, 1/(s+2); (s-3)/(s+1)^2, (s^2+s+1)/(s+3)^2"
+
+
+def test_factor_lists_the_roots_of_a_factor_in_one_order(tmp_path, capsys):
+    code, out, err = run_main(tmp_path, capsys, "factor", ORDERED)
+    assert (code, err) == (0, "")
+    assert [line for line in out.splitlines() if line.startswith("zero at")] == [
+        "zero at s = 1.80393+1.68653j (multiplicity 1, unstable)  direction [1, -0.448351+0.589702j]",
+        "zero at s = 1.80393-1.68653j (multiplicity 1, unstable)  direction [1, -0.448351-0.589702j]",
+        "zero at s = -0.656117 (multiplicity 1, stable)",
+        "zero at s = -1.5977+0.848573j (multiplicity 1, stable)",
+        "zero at s = -1.5977-0.848573j (multiplicity 1, stable)",
+        "zero at s = -1.75635 (multiplicity 1, stable)",
+    ]
+
+
+def test_invert_lists_the_unstable_zeros_in_the_order_of_factor(tmp_path, capsys):
+    code, out, err = run_main(tmp_path, capsys, "invert", ORDERED)
+    assert (code, err) == (2, "")
+    assert out.splitlines()[:5] == [
+        "design obstruction:",
+        "  - exact inversion impossible for this plant",
+        "  - plant has an unstable zero at s = 1.80393+1.68653j",
+        "  - plant has an unstable zero at s = 1.80393-1.68653j",
+        "  - plant has positive relative degree (n'**-1 improper)",
+    ]
+
+
+# 1 followed by 99 zeros, the longest literal, to the 64th power has 6337
+# digits: within the power cap, past Python's 4300-digit int-to-text limit
+LONGEST = "1" + "0" * (MAX_DIGITS - 1)
+
+
+@pytest.mark.parametrize("plant, zeros", [
+    (f"({LONGEST})^64/(s+1)", 6336),
+    (f"({LONGEST})^64*({LONGEST})^64/(s+1)", 12672),
+], ids=["power", "product"])
+def test_factor_prints_in_cap_values_past_the_int_to_text_limit(tmp_path, capsys, plant, zeros):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_main(tmp_path, capsys, "factor", plant)
+    assert (code, err) == (0, "")
+    assert "\nright numerator n = 1" + "0" * zeros + "\n" in out
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_main_match_realizes_the_scalar_zero_plant(tmp_path, capsys):
     # the restricted-loop feasibility line divides by the plant, so a zero
     # plant goes without it
@@ -800,18 +919,31 @@ def test_main_usage_errors(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    src = str(Path(__file__).resolve().parent.parent / "src")
+# a cubic with a stable pair at real part -2.5e-11, once found by np.roots
+CUBIC = "10000000000/(10000000000*s^3 - 9999999999*s^2 + 10000000000*s - 10000000000)"
+
+
+def test_cli_runs_leave_numpy_and_scipy_unloaded(tmp_path):
+    # numpy and scipy are test oracles only: a fresh process of either
+    # float-using command imports neither
+    cubic = tmp_path / "cubic.ini"
+    cubic.write_text(f"[plant]\nmatrix = {CUBIC}\n")
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, twodof.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")])
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    code = (
+        "import contextlib, io, sys, twodof.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = twodof.cli.main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    for argv in (["factor", cubic], ["simulate", PROBLEMS / "example_simulate.ini"]):
+        out = subprocess.run(
+            [sys.executable, "-c", code, *map(str, argv)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert (argv[0], out.strip()) == (argv[0], "0 []")
 
 
 def test_cli_starts_without_dataclasses_inspect_or_typing():
@@ -845,7 +977,7 @@ def test_cli_starts_without_dataclasses_inspect_or_typing():
 
 def test_cli_runs_leave_sympy_unloaded():
     # factoring is in-house: no subcommand on a shipped problem (simulate
-    # excluded, it only adds scipy) may import sympy, the test-only oracle
+    # excluded) may import sympy, the test-only oracle
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
