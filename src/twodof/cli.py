@@ -514,7 +514,9 @@ def cmd_simulate(pf: ProblemFile, args: argparse.Namespace) -> None:
         raise ValueError("nothing to simulate: give [design] t, a [config], or a [plant]")
     horizon = float(_option(pf, args, "horizon", 10.0, float))
     dt = float(_option(pf, args, "dt", 0.01, float))
-    channel = int(pf.design.get("channel", "1"))
+    if len(text := pf.design.get("channel", "1")) > MAX_DIGITS:
+        raise ValueError(f"channel of {len(text)} characters exceeds the cap of {MAX_DIGITS}")
+    channel = int(text)
     if not 1 <= channel <= target.shape[1]:
         raise ValueError(f"channel {channel} is outside 1..{target.shape[1]}")
     trace = simulate_step(target, horizon=horizon, dt=dt)

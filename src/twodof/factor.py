@@ -10,7 +10,7 @@ fixed Hurwitz factor (s + shift) yields a fraction P = N' * D'**-1 whose
 factors are themselves proper and stable, together with a Bezout witness
 U*N' + V*D' = I certifying coprimeness over the proper stable rationals.
 Each row of a witness is read off W and L by division, with at most one
-coefficient-matching elimination (``poly_row_diophantine``) per row.
+coefficient-matching elimination (``poly_row_diophantine``) per degree.
 ``StableMFD`` holds that fraction and is the one analysis of a plant:
 what the designs need beyond it (D'**-1, the proper-stable left
 fraction) it computes once, on first use.
@@ -316,28 +316,27 @@ def _reduce(
 def poly_row_diophantine(
     nmat: PolyMat,
     dmat: PolyMat,
-    rhs_row: Sequence[Poly],
+    rhs_rows: Sequence[Sequence[Poly]],
     alpha_bound: int,
     beta_bound: int,
-) -> tuple[list[Poly], list[Poly]] | None:
+) -> list[tuple[list[Poly], list[Poly]]] | None:
     """Solve alpha @ nmat + beta @ dmat = rhs for row vectors of
-    polynomials by equating coefficients, with every entry of alpha of
-    degree at most ``alpha_bound`` and every entry of beta of degree at
-    most ``beta_bound``.
+    polynomials by equating coefficients, for each row rhs of ``rhs_rows``,
+    with every entry of alpha of degree at most ``alpha_bound`` and every
+    entry of beta of degree at most ``beta_bound``.
 
-    Returns ``(alpha, beta)`` or ``None`` when no solution of those
-    degrees exists.  The unknowns are the coefficients of alpha's entries,
-    then beta's, each from s^0 up.
+    Returns one ``(alpha, beta)`` per row, or ``None`` when some row has no
+    solution of those degrees.  The unknowns are the coefficients of
+    alpha's entries, then beta's, each from s^0 up; one elimination serves
+    every row, the right-hand sides riding along.
     """
     p, m = nmat.shape
-    if dmat.shape != (m, m) or len(rhs_row) != m:
+    if dmat.shape != (m, m) or any(len(row) != m for row in rhs_rows):
         raise ShapeError("incompatible shapes in row equation")
     blocks = ((nmat, p, alpha_bound), (dmat, m, beta_bound))
-    top = max(r.degree() or 0 for r in rhs_row)
-    for mat, rows, bound in blocks:
-        for i in range(rows):
-            for j in range(m):
-                top = max(top, bound + (mat.entry(i, j).degree() or 0))
+    top = max(e.degree() or 0 for row in rhs_rows for e in row)
+    for mat, _, bound in blocks:
+        top = max(top, bound + max(e.degree() or 0 for row in mat.rows for e in row))
 
     # The equations of column j, over the lcm of the denominators there,
     # are rows of integers read from the stored numerators.
@@ -345,57 +344,48 @@ def poly_row_diophantine(
     aug: list[list[int]] = []
     for j in range(m):
         polys = [mat.entry(i, j) for mat, rows, _ in blocks for i in range(rows)]
-        polys.append(rhs_row[j])
+        polys += [row[j] for row in rhs_rows]
         lcd = math.lcm(*(e._d for e in polys))
         zs = [[x * (lcd // e._d) for x in e._z] for e in polys]
-        rhs_z = zs.pop()
         for t in range(top + 1):
             row = [
                 z[t - c] if 0 <= t - c < len(z) else 0
                 for z, bound in zip(zs, bounds)
                 for c in range(bound + 1)
             ]
-            row.append(rhs_z[t] if t < len(rhs_z) else 0)
+            row += [z[t] if t < len(z) else 0 for z in zs[len(bounds):]]
             aug.append(row)
     n = sum(bound + 1 for bound in bounds)
     pivots = _rref_z(aug, n)
     if pivots is None:
         return None
-    # unknown col is row[n] / row[col] of its pivot row, and 0 if free
-    value = {col: (row[n], row[col]) for row, col in zip(aug, pivots)}
-    out, col = [], 0
-    for bound in bounds:
-        pairs = [value.get(c, (0, 1)) for c in range(col, col + bound + 1)]
-        lcd = math.lcm(*(q for _, q in pairs))
-        out.append(_lowest([x * (lcd // q) for x, q in pairs], lcd))
-        col += bound + 1
-    return out[:p], out[p:]
+    solutions = []
+    for b in range(n, n + len(rhs_rows)):
+        # unknown col is row[b] / row[col] of its pivot row, and 0 if free
+        value = {col: (row[b], row[col]) for row, col in zip(aug, pivots)}
+        out, col = [], 0
+        for bound in bounds:
+            pairs = [value.get(c, (0, 1)) for c in range(col, col + bound + 1)]
+            lcd = math.lcm(*(q for _, q in pairs))
+            out.append(_lowest([x * (lcd // q) for x, q in pairs], lcd))
+            col += bound + 1
+        solutions.append((out[:p], out[p:]))
+    return solutions
 
 
-def _least_degree_witness(
-    mfd: RightMFD, rhs: list[Poly], shift: Fraction | None, limit: int
-) -> tuple[list[Poly], list[Poly], int] | None:
-    """(alpha, beta, k) with alpha @ n + beta @ d = (s + shift)**k * rhs (rhs
-    when shift is None) and entries of degree at most k, at the least such
-    k <= limit, as ``poly_row_diophantine(n, d, rhs_k, k, k)`` gives it; or
-    None.  Each solution [beta | alpha] is rhs_k @ w plus a combination of
-    kernel rows, and cancelling the top coefficients of x = rhs_k @ w by
-    kernel rows, while they lie in the span of those rows' leading ones,
-    leaves x of least degree (predictable-degree property; Forney, SIAM J.
-    Control 13, 1975).  Below the least kernel row degree x is the only
-    solution; from there on the elimination runs once, for its choice of
-    free coefficients.  The division runs over Z, with x = xz / den."""
-    m = mfd.d.shape[0]
-    rows = [_z_line(row)[0] for row in mfd.kernel.rows]
-    mus = [max(map(len, zs)) - 1 for zs in rows]
-    xz, den = _z_line((PolyMat([rhs]) @ mfd.w).rows[0])
-    k = 0
+def _divided_row(
+    kernel: list, mus: list[int], x: Sequence[Poly], shift: Fraction | None, limit: int
+) -> tuple[list[list[int]], int, int]:
+    """(xz, den, k): the least k <= limit at which the row x = rhs @ w of
+    ``_bezout_rows`` has a solution of degree k, and x for rhs_k, cancelled
+    by the ``kernel`` rows, of degrees ``mus``, to its least degree xz / den."""
+    (xz, den), k = _z_line(x), 0
     while True:
         top = max(map(len, xz)) - 1
         use = [i for i, mu in enumerate(mus) if mu <= top]
         # y @ (the s**mu coefficients of the rows in use) = those of s**top in x
         aug = [
-            [rows[i][j][mus[i]] if mus[i] < len(rows[i][j]) else 0 for i in use]
+            [kernel[i][j][mus[i]] if mus[i] < len(kernel[i][j]) else 0 for i in use]
             + [z[top] if top < len(z) else 0]
             for j, z in enumerate(xz)
         ]
@@ -405,34 +395,62 @@ def _least_degree_witness(
             xz = [[v * q for v in z] + [0] * (top + 1 - len(z)) for z in xz]
             for row, col in zip(aug, pivots):
                 y, i = row[-1] * (q // row[col]), use[col]
-                for z, lz in zip(xz, rows[i]):
+                for z, lz in zip(xz, kernel[i]):
                     for t, v in enumerate(lz, top - mus[i]):
                         z[t] -= y * v
             g = math.gcd(den * q, *(v for z in xz for v in z))
             den = den * q // g
             xz = [_trim([v // g for v in z]) for z in xz]
         elif top <= k:
-            break
+            return xz, den, k
         else:  # no solution of degree k: on to k + 1, with rhs_k times s + shift
             k = top if shift is None else k + 1
             if k > limit:
-                return None  # no witness of degree up to limit
+                raise ArithmeticError(f"no Bezout witness of degree up to {limit}")
             if shift is not None:
                 xz = [_mul(z, [shift.numerator, shift.denominator]) for z in xz]
                 den *= shift.denominator
-    if k < min(mus):
-        x = [_lowest(z, den) for z in xz]
-        return x[m:], x[:m], k
-    scale = ONE if shift is None else hurwitz_shift_polynomial(shift, k)
-    solved = poly_row_diophantine(mfd.n, mfd.d, [scale * e for e in rhs], k, k)
-    return None if solved is None else (*solved, k)
+
+
+def _bezout_rows(
+    source: RightMFD, rhs: Sequence[Sequence[Poly]], shift: Fraction | None, limit: int
+) -> tuple[list[list[Poly]], list[list[Poly]], list[Poly]]:
+    """(alphas, betas, phis) with alphas[i] @ n + betas[i] @ d = phis[i] * rhs[i]
+    for the certified fraction ``source`` = n @ d**-1 and phis[i] = (s + shift)**k
+    (1 when shift is None), k <= limit the least degree of any solution, as
+    ``poly_row_diophantine(n, d, [phis[i] * rhs[i]], k, k)`` gives it.
+
+    Each solution [beta | alpha] is rhs_k @ w plus a combination of kernel
+    rows, and cancelling the top coefficients of x = rhs_k @ w by kernel
+    rows, while they lie in the span of those rows' leading ones, leaves x
+    of least degree (predictable-degree property; Forney, SIAM J. Control
+    13, 1975).  Below the least kernel row degree x is the only solution;
+    from there on one elimination per k serves every row at k.  One identity
+    checks the rows: alpha @ n + beta @ d = diag(phi) @ rhs."""
+    m = source.d.shape[0]
+    kernel = [_z_line(row)[0] for row in source.kernel.rows]
+    mus = [max(map(len, zs)) - 1 for zs in kernel]
+    found = [_divided_row(kernel, mus, x, shift, limit) for x in (PolyMat(rhs) @ source.w).rows]
+    ks = [k for _, _, k in found]
+    phis = [ONE if shift is None else hurwitz_shift_polynomial(shift, k) for k in ks]
+    rows = [[_lowest(z, den) for z in xz] if k < min(mus) else None for xz, den, k in found]
+    for k in sorted({k for k in ks if k >= min(mus)}):
+        group = [i for i, ki in enumerate(ks) if ki == k]
+        rhs_k = [[phis[i] * e for e in rhs[i]] for i in group]
+        solved = poly_row_diophantine(source.n, source.d, rhs_k, k, k)
+        for i, (alpha, beta) in zip(group, solved or ()):  # None: the rows stay None
+            rows[i] = beta + alpha
+    targets = PolyMat([[phi * e for e in row] for row, phi in zip(rhs, phis)])
+    if None in rows or PolyMat(rows) @ vstack(source.d, source.n) != targets:
+        raise ArithmeticError("Bezout witness fails alpha @ n + beta @ d = diag(phi) @ rhs")
+    return [x[m:] for x in rows], [x[:m] for x in rows], phis
 
 
 def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
     """Divide the columns of a right coprime fraction by powers of
     (s + shift), producing proper stable factors and a Bezout witness whose
     rows are read off ``w`` and ``kernel`` by division, with at most one
-    elimination each (``_least_degree_witness``).  A fraction with a kernel
+    elimination per degree (``_bezout_rows``).  A fraction with a kernel
     is taken as it is; any other is column reduced and certified by a
     Hermite elimination.  A fraction of an improper plant is refused: with
     d column reduced, n @ d**-1 is proper exactly when no column of n has
@@ -445,7 +463,6 @@ def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
     if source is None:
         raise ValueError("matrix fraction is not right coprime")
     n, d = source.n, source.d
-    m = d.shape[0]
     col_degrees = tuple(deg if deg is not None else 0 for deg in d.column_degrees())
     if any((deg or 0) > top for deg, top in zip(n.column_degrees(), col_degrees)):
         raise ValueError("plant must be proper")
@@ -454,23 +471,9 @@ def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
         RatMat([[RatFn(e, psi) for e, psi in zip(row, psis)] for row in mat.rows])
         for mat in (n, d)
     )
-
-    base = max(1, max(col_degrees, default=1))
-    solutions = []
-    for i in range(m):
-        # rows are independent: each is solved at its own least degree
-        rhs = [psis[i] if j == i else ZERO for j in range(m)]
-        solved = _least_degree_witness(source, rhs, sigma, base + 40)
-        if solved is None:
-            raise ArithmeticError("no Bezout witness found; fraction may not be coprime")
-        solutions.append(solved)
-    alphas, betas, degrees = zip(*solutions)
-    phis = [hurwitz_shift_polynomial(sigma, k) for k in degrees]
-    # u = diag(phi)**-1 @ alpha and v = diag(phi)**-1 @ beta, so this is
-    # u @ n' + v @ d' = I times diag(phi) on the left and diag(psi) on the right
-    rhs = PolyMat.diag([phi * psi for phi, psi in zip(phis, psis)])
-    if PolyMat(alphas) @ n + PolyMat(betas) @ d != rhs:
-        raise ArithmeticError("Bezout witness fails u @ n' + v @ d' = I")
+    # u = diag(phi)**-1 @ alpha and v = diag(phi)**-1 @ beta solve
+    # alpha @ n + beta @ d = diag(phi * psi), that is u @ n' + v @ d' = I
+    alphas, betas, phis = _bezout_rows(source, PolyMat.diag(psis).rows, sigma, max(1, *col_degrees) + 40)
     u, v = (
         RatMat([[RatFn(e, phi) for e in row] for row, phi in zip(mat, phis)])
         for mat in (alphas, betas)
@@ -558,7 +561,10 @@ def _factor_roots(q: Poly) -> list[Fraction | complex]:
             roots.append(complex(u.real))
         elif u.imag > 0:
             roots.append(complex(0, u.imag) if not any(z[1::2]) and own(i, -u.conjugate()) else u)
-    scaled = [complex(math.ldexp(u.real, e), math.ldexp(u.imag, e)) for u in roots]
+    try:
+        scaled = [complex(math.ldexp(u.real, e), math.ldexp(u.imag, e)) for u in roots]
+    except OverflowError:
+        raise ArithmeticError(f"the roots of a degree-{n} factor lie beyond the float range") from None
     scaled.sort(key=lambda u: -u.real)
     return [v for u in scaled for v in ((u, u.conjugate()) if u.imag else (u,))]
 

@@ -1065,7 +1065,7 @@ def _null_vector(rows: Sequence[Sequence[Scalar]]) -> list[Fraction] | None:
     for row in rows:
         xs = [_scalar(x) for x in row]
         d = math.lcm(*(x.denominator for x in xs))
-        aug.append([x.numerator * (d // x.denominator) for x in xs] + [0])  # b = 0
+        aug.append([x.numerator * (d // x.denominator) for x in xs])
     pivots = _rref_z(aug, n)
     free = next((j for j in range(n) if j not in pivots), None)
     if free is None:
@@ -1087,7 +1087,8 @@ def _rref_z(aug: list[list[int]], n: int) -> list[int] | None:
     and is then divided by its content, so each row stays a nonzero
     multiple of its row in the reduced row echelon form of [A | b] over
     Q.  Returns the pivot columns, or ``None`` when a row beyond them has
-    a nonzero entry in column ``n`` (the system is inconsistent).
+    a nonzero entry in a riding column (that column's system is
+    inconsistent).
     """
     pivots: list[int] = []
     for col in range(n):
@@ -1109,7 +1110,7 @@ def _rref_z(aug: list[list[int]], n: int) -> list[int] | None:
                 c = math.gcd(*new)
                 aug[i] = [x // c for x in new] if c > 1 else new
         pivots.append(col)
-    if any(row[n] for row in aug[len(pivots):]):
+    if any(any(row[n:]) for row in aug[len(pivots):]):
         return None
     return pivots
 

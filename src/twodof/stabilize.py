@@ -42,8 +42,8 @@ from functools import cached_property, lru_cache, reduce
 from .factor import (
     RightMFD,
     StableMFD,
+    _bezout_rows,
     _hermite_certificate,
-    _least_degree_witness,
     right_coprime_mfd,
     stable_mfd,
 )
@@ -101,28 +101,16 @@ def solve_bezout(mfd: RightMFD) -> tuple[PolyMat, PolyMat]:
     coprime fraction.
 
     Each row is the least-degree solution, read off the fraction's
-    certificate w and kernel by division (``factor._least_degree_witness``)
-    with at most one elimination; a fraction without them is certified by
-    a Hermite elimination first.
+    certificate w and kernel by division (``factor._bezout_rows``), with at
+    most one elimination per degree; a fraction without them is certified
+    by a Hermite elimination first.
     """
-    n, d = mfd.n, mfd.d
-    source = mfd if mfd.kernel is not None else _hermite_certificate(n, d)
+    source = mfd if mfd.kernel is not None else _hermite_certificate(mfd.n, mfd.d)
     if source is None:
         raise ValueError("fraction is not right coprime; no Bezout solution exists")
-    m = d.shape[0]
-    degs = [deg if deg is not None else 0 for deg in d.column_degrees()]
-    limit = sum(degs) + max(degs, default=0) + 2
-    rows = []
-    for i in range(m):
-        rhs = [Poly.constant(1 if j == i else 0) for j in range(m)]
-        solved = _least_degree_witness(source, rhs, None, limit)
-        if solved is None:
-            raise ArithmeticError("Bezout solve exceeded the degree budget")
-        rows.append(solved)
-    x2, x1 = (PolyMat([row[block] for row in rows]) for block in (0, 1))
-    if x1 @ d + x2 @ n != PolyMat.identity(m):
-        raise ArithmeticError("Bezout pair fails x1 @ d + x2 @ n = I")
-    return x1, x2
+    degs = [deg or 0 for deg in mfd.d.column_degrees()]
+    x2, x1, _ = _bezout_rows(source, PolyMat.identity(len(degs)).rows, None, sum(degs) + max(degs) + 2)
+    return PolyMat(x1), PolyMat(x2)
 
 
 # Kept for the plant-level API: youla_controller(plant, k) is called

@@ -412,9 +412,11 @@ def inverse_problem(smfd: StableMFD) -> DesignResult:
         # every unstable zero of the square plant is a pole of x' the verdict names
         reasons = ["exact inversion impossible for this plant"]
         for factor in _verdict_zero_factors(smfd.source.n, verdict):
-            for z in _factor_roots(factor):
-                if _root_unstable(z, False):
-                    reasons.append(f"plant has an unstable zero at s = {_fmt_root(z)}")
+            try:
+                zs = [_fmt_root(z) for z in _factor_roots(factor) if _root_unstable(z, False)]
+                reasons += [f"plant has an unstable zero at s = {z}" for z in zs]
+            except ArithmeticError:  # roots no float holds: the factor names them
+                reasons.append(f"plant has an unstable zero among the roots of {factor}")
         if not xprime.is_proper() or not control.is_proper():
             reasons.append("plant has positive relative degree (n'**-1 improper)")
         if not verdict.stable:
@@ -691,11 +693,11 @@ def find_admissible_unity_xprime(smfd: StableMFD) -> RatMat:
             d_x = (S + ONE) ** deg_dx
             # n_x*a - p*d_u = -d_x*b with deg n_x <= deg d_x, deg p <= total - deg d_x
             solved = poly_row_diophantine(
-                PolyMat([[a]]), PolyMat([[-d_u]]), [-(d_x * b)], deg_dx, total - deg_dx
+                PolyMat([[a]]), PolyMat([[-d_u]]), [[-(d_x * b)]], deg_dx, total - deg_dx
             )
             if solved is None:
                 continue
-            candidate = RatMat([[RatFn(solved[0][0], d_x)]])
+            candidate = RatMat([[RatFn(solved[0][0][0], d_x)]])
             if _unity_restriction(smfd, candidate)[1]:
                 return candidate
     raise DesignObstruction(

@@ -29,22 +29,17 @@ ALLOWED = (
     ("cli.py", "sys.exit(main())", "runs only as `python -m twodof.cli`, in a child process"),
     ("factor.py", 'raise ArithmeticError("Hermite pivot block does not divide [d0; n0]")',
      "self-check: det R divides [d0; n0] @ adj R exactly"),
-    ("factor.py", "return None  # no witness of degree up to limit",
+    ("factor.py", 'raise ArithmeticError(f"no Bezout witness of degree up to {limit}")',
      "self-check: a coprime fraction has a witness within stable_mfd's and solve_bezout's limits"),
-    ("factor.py", 'raise ArithmeticError("no Bezout witness found; fraction may not be coprime")',
-     "self-check: the certified fraction is coprime"),
-    ("factor.py", "raise ArithmeticError(\"Bezout witness fails u @ n' + v @ d' = I\")",
-     "self-check: each witness row solves its equation"),
+    ("factor.py", 'raise ArithmeticError("Bezout witness fails alpha @ n + beta @ d = diag(phi) @ rhs")',
+     "self-check: each witness row solves its equation, and an elimination at a degree the "
+     "division reached has a solution"),
     ("polyalg.py", "return None  # no candidate at six points: the caller falls back to the PRS",
      "GCDHEU's give-up; 2.6 million random pairs never reached it"),
     ("polyalg.py", 'raise ArithmeticError("Bareiss elimination lost exactness")',
      "self-check: each division by the previous pivot is exact"),
     ("stability.py", 'raise ValueError("polynomial is not even")',
      "self-check: an irreducible symmetric factor other than s is even"),
-    ("stabilize.py", 'raise ArithmeticError("Bezout solve exceeded the degree budget")',
-     "self-check: a coprime fraction has a witness within the budget"),
-    ("stabilize.py", 'raise ArithmeticError("Bezout pair fails x1 @ d + x2 @ n = I")',
-     "self-check: the pair solves the Bezout identity"),
     ("synthesis.py", 'raise ArithmeticError("realizability solve lost exactness: n @ x != t")',
      "self-check: the elimination's x solves n @ x = t"),
     ("synthesis.py",

@@ -483,19 +483,21 @@ def assert_same_solution(a_rows, rhs):
     of A, against the elimination over `Fraction`."""
     expected = gauss_jordan(a_rows, rhs)
     n = len(a_rows[0])
-    aug = []
-    for row, b in zip(a_rows, rhs):
-        xs = [Fraction(x) for x in (*row, b)]
-        lcd = math.lcm(*(x.denominator for x in xs))
-        aug.append([int(x * lcd) for x in xs])
-    pivots = polyalg._rref_z(aug, n)
-    if expected is None:
-        assert pivots is None
-    else:
-        particular = [Fraction(0)] * n
-        for row, col in zip(aug, pivots):
-            particular[col] = Fraction(row[n], row[col])
-        assert particular == expected[0]
+    # b alone, then riding after A's first column, a consistent right-hand side
+    for ride in (0, 1):
+        aug = []
+        for row, b in zip(a_rows, rhs):
+            xs = [Fraction(x) for x in (*row, *row[:ride], b)]
+            lcd = math.lcm(*(x.denominator for x in xs))
+            aug.append([int(x * lcd) for x in xs])
+        pivots = polyalg._rref_z(aug, n)
+        if expected is None:
+            assert pivots is None
+        else:
+            particular = [Fraction(0)] * n
+            for row, col in zip(aug, pivots):
+                particular[col] = Fraction(row[n + ride], row[col])
+            assert particular == expected[0]
     # the first null vector of A is the first basis vector of [A | 0]
     basis = gauss_jordan(a_rows, [0] * len(a_rows))[1]
     vec = polyalg._null_vector(a_rows)
@@ -934,9 +936,9 @@ def escalation_witness(mfd, rhs_at):
     kept as an oracle: (alpha, beta, k) from poly_row_diophantine at the
     degree bounds k = 0, 1, ... until one is feasible."""
     for k in range(60):
-        solved = poly_row_diophantine(mfd.n, mfd.d, rhs_at(k), k, k)
+        solved = poly_row_diophantine(mfd.n, mfd.d, [rhs_at(k)], k, k)
         if solved is not None:
-            return (*solved, k)
+            return (*solved[0], k)
     raise AssertionError("no witness of degree below 60")
 
 
@@ -948,6 +950,11 @@ def escalation_witness(mfd, rhs_at):
 @example(parse_matrix("(s+1)/(s-2)"))
 @example(parse_matrix("(s-1)^2/(s+1)^2"))
 @example(parse_matrix("5/s^3"))
+# rows that are not unique at one degree share one elimination: every row
+# of a static gain's witnesses at k = 0, both rows of this plant's (x1, x2)
+# at k = 1
+@example(parse_matrix("3, 1; 1, 2"))
+@example(parse_matrix("(s+2)/(s-1), 0; 1/(s+1), (s+3)/(s+4)"))
 def test_witnesses_by_division_match_the_escalation_search(plant):
     mfd = right_coprime_mfd(plant)
     m = plant.shape[1]

@@ -10,6 +10,7 @@ on the fractions it holds, and any other (p, cy) from gang_of_four, which
 hands their fractions to _fraction_loop.
 """
 
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -26,7 +27,7 @@ import twodof.zfactor
 from twodof.cli import load_problem, main, parse_matrix, parse_poly_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat
-from twodof.stabilize import InadmissibleParameter, youla_controller
+from twodof.stabilize import InadmissibleParameter, solve_bezout, youla_controller
 from twodof.synthesis import (
     DesignObstruction,
     denominator_assignment_direct,
@@ -41,6 +42,7 @@ from twodof.synthesis import (
 )
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+SEED5_4X4 = Path(__file__).resolve().parent / "data" / "seed5_4x4.ini"
 UNSTABLE_2X2 = "1/(s-1), 1/(s+2); 1/(s+3), 1/(s+1)"
 
 BIPROPER_2X2 = (
@@ -193,20 +195,7 @@ def test_each_command_eliminates_the_plant_once(monkeypatch, capsys, command, el
     assert counts == {"hermite": eliminations}
 
 
-@pytest.mark.parametrize(
-    "problem, command, eliminations",
-    # the Bezout witnesses of a scalar plant are read off its Hermite
-    # certificate; each row of the 2x2 plant's takes at most one
-    # coefficient-matching elimination (the unity scan's own solves in
-    # synthesis are not counted here)
-    [("example_match.ini", command, 0)
-     for command in ("factor", "stabilize", "match", "unity-parameter", "static-decouple")]
-    + [("example_decouple.ini", "factor", 1), ("example_decouple.ini", "stabilize", 3)],
-)
-def test_each_command_reads_its_witnesses_off_the_certificate(
-    monkeypatch, capsys, problem, command, eliminations
-):
-    twodof.stabilize._rh_data_cached.cache_clear()
+def count_eliminations(monkeypatch):
     calls = []
     original = twodof.factor.poly_row_diophantine
 
@@ -215,9 +204,50 @@ def test_each_command_reads_its_witnesses_off_the_certificate(
         return original(*args)
 
     monkeypatch.setattr(twodof.factor, "poly_row_diophantine", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "problem, command, eliminations",
+    # the Bezout witnesses of a scalar plant are read off its Hermite
+    # certificate; the 2x2 plant's rows that are not unique share one
+    # coefficient-matching elimination per degree: one row of (u, v) and
+    # both rows of (x1, x2) (the unity scan's own solves in synthesis are
+    # not counted here)
+    [("example_match.ini", command, 0)
+     for command in ("factor", "stabilize", "match", "unity-parameter", "static-decouple")]
+    + [("example_decouple.ini", "factor", 1), ("example_decouple.ini", "stabilize", 2)],
+)
+def test_each_command_reads_its_witnesses_off_the_certificate(
+    monkeypatch, capsys, problem, command, eliminations
+):
+    twodof.stabilize._rh_data_cached.cache_clear()
+    calls = count_eliminations(monkeypatch)
     assert main([command, str(PROBLEMS / problem)]) == 0
     capsys.readouterr()
     assert len(calls) == eliminations
+
+
+def test_witness_rows_at_one_degree_share_one_elimination(monkeypatch):
+    # no row of either witness of the seeded 4x4 plant is unique at its
+    # least degree, 5: all four rows ride along in one elimination each
+    mfd = right_coprime_mfd(load_problem(str(SEED5_4X4)).plant)
+    calls = count_eliminations(monkeypatch)
+    smfd = stable_mfd(mfd)
+    assert [(len(args[2]), args[3]) for args in calls] == [(4, 5)]
+    calls.clear()
+    solve_bezout(smfd.source)
+    assert [(len(args[2]), args[3]) for args in calls] == [(4, 5)]
+
+
+def test_seeded_4x4_stabilize_prints_the_bytes_of_one_elimination_per_row(capsys):
+    # the sha256 of the 211233 bytes printed while each witness row ran its
+    # own elimination
+    assert main(["stabilize", str(SEED5_4X4)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "b3a949d5742098f235c446addcb69afa4846cd2f06d5691db038e7c1804717ae"
+    )
 
 
 def count_plant_builds(monkeypatch):

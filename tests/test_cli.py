@@ -669,6 +669,16 @@ def test_main_simulate_refuses_a_channel_outside_the_inputs(tmp_path, capsys, ch
     assert captured.err == f"error: channel {channel} is outside 1..2\n"
 
 
+
+def test_main_simulate_refuses_a_channel_past_the_digit_cap(tmp_path, capsys):
+    # the length is checked before int() reads the text, and not echoed
+    path = tmp_path / "prob.ini"
+    path.write_text(f"[design]\nt = 1/(s+1)\nchannel = {'9' * (MAX_DIGITS + 1)}\n")
+    code = main(["simulate", str(path), "--horizon", "1", "--dt", "0.5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: channel of {MAX_DIGITS + 1} characters exceeds the cap of {MAX_DIGITS}\n"
+
 @pytest.mark.parametrize("plant, zero", [("(s^2-2)/(s+1)^3", "1.41421"), ("(s^2-2*s+5)/(s+1)^3", "1+2j")])
 def test_invert_and_factor_print_an_irrational_zero_alike(tmp_path, capsys, plant, zero):
     path = tmp_path / "prob.ini"
@@ -750,6 +760,30 @@ def test_factor_refuses_roots_no_one_float_scale_holds(tmp_path, capsys):
     assert (code, err) == (1, "error: the roots of a degree-2 factor span more than the float range\n")
     assert out.startswith("plant: 1 outputs, 1 inputs\n") and "pole at" not in out
 
+
+
+def test_factor_refuses_roots_past_the_float_range(tmp_path, capsys):
+    # poles at +-10^320 j: found on u = s / 2**1063, they are refused when
+    # scaled back past the float range, not stopped by a math range error
+    code, out, err = run_main(tmp_path, capsys, "factor", "1/(s^2 + (10^64)^10)")
+    assert (code, err) == (1, "error: the roots of a degree-2 factor lie beyond the float range\n")
+    assert out.endswith("witness v = (s + 3)/(s + 1)\n")
+
+
+@pytest.mark.parametrize("zeros, factor, reason", [
+    # +-10^320 j, past the float range
+    ("s^2 + (10^64)^10", f"s^2 + {10**640}", "imaginary-axis root"),
+    # near 10^448 and 10^-448, which no one float scale holds
+    ("s^2 - (10^64)^7*s + 1", f"s^2 - {10**448}*s + 1", "right-half-plane root"),
+], ids=["past-the-float-range", "no-one-float-scale"])
+def test_invert_names_the_factor_of_zeros_no_float_holds(tmp_path, capsys, zeros, factor, reason):
+    assert run_main(tmp_path, capsys, "invert", f"({zeros})/(s+1)^3") == (2, (
+        "design obstruction:\n"
+        "  - exact inversion impossible for this plant\n"
+        f"  - plant has an unstable zero among the roots of {factor}\n"
+        "  - plant has positive relative degree (n'**-1 improper)\n"
+        f"  - parameter verdict: unstable; offending factors: {factor} ({reason}), improper entry\n"
+    ), "")
 
 # the zeros of s^6 + 2*s^5 - 2*s^4 + 2*s^3 + 36*s^2 + 57*s + 23, one
 # irreducible factor: real part descending, each pair upper root first

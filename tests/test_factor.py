@@ -239,11 +239,17 @@ def test_poly_row_diophantine_bounds_each_block():
     a, d = S - ONE, (S - 2 * ONE) ** 2
     rhs = [(S + ONE) * a + 3 * d]
     nmat, dmat = PolyMat([[a]]), PolyMat([[d]])
-    assert poly_row_diophantine(nmat, dmat, rhs, 1, 0) == ([S + ONE], [Poly.constant(3)])
+    assert poly_row_diophantine(nmat, dmat, [rhs], 1, 0) == [([S + ONE], [Poly.constant(3)])]
     # beta of degree 1 would leave an s^3 term, so beta is a constant and
     # a constant alpha cannot match the rest
-    assert poly_row_diophantine(nmat, dmat, rhs, 0, 1) is None
-    assert poly_row_diophantine(nmat, dmat, rhs, 0, 0) is None
+    assert poly_row_diophantine(nmat, dmat, [rhs], 0, 1) is None
+    assert poly_row_diophantine(nmat, dmat, [rhs], 0, 0) is None
+    # rows ride along in one elimination; one row out of reach refuses all
+    assert poly_row_diophantine(nmat, dmat, [[ONE], rhs], 1, 0) == [
+        ([3 * ONE - S], [ONE]),
+        ([S + ONE], [Poly.constant(3)]),
+    ]
+    assert poly_row_diophantine(nmat, dmat, [rhs, [S**3]], 1, 0) is None
 
 
 def test_poly_row_diophantine_bounds_random():
@@ -252,14 +258,18 @@ def test_poly_row_diophantine_bounds_random():
     for trial in range(12):
         size = 1 + trial % 2
         mfd = right_coprime_mfd(random_proper_plant(rng, size, size, max_den=2))
-        rhs = [ONE] + [ZERO] * (size - 1)
+        rhs, other = [ONE] + [ZERO] * (size - 1), [S] * size
         solved = {}
         for bounds in [(i, j) for i in range(3) for j in range(3)]:
-            solved[bounds] = found = poly_row_diophantine(mfd.n, mfd.d, rhs, *bounds)
+            solved[bounds] = found = poly_row_diophantine(mfd.n, mfd.d, [rhs], *bounds)
             outcomes.append(found is not None)
+            # a second row riding along changes neither solution
+            alone = poly_row_diophantine(mfd.n, mfd.d, [other], *bounds)
+            both = poly_row_diophantine(mfd.n, mfd.d, [rhs, other], *bounds)
+            assert both == (None if None in (found, alone) else found + alone)
             if found is None:
                 continue
-            alpha, beta = found
+            alpha, beta = found[0]
             assert all((e.degree() or 0) <= bounds[0] for e in alpha)
             assert all((e.degree() or 0) <= bounds[1] for e in beta)
             assert PolyMat([alpha]) @ mfd.n + PolyMat([beta]) @ mfd.d == PolyMat([rhs])
@@ -339,7 +349,7 @@ def test_scalar_pole_zero_disjoint_for_coprime_fractions():
      "incompatible fraction shapes (1, 2) and (1, 1)"),
     (lambda: LeftMFD(PolyMat.identity(1), PolyMat([[ONE], [ONE]])), ShapeError,
      "incompatible fraction shapes (1, 1) and (2, 1)"),
-    (lambda: poly_row_diophantine(PolyMat([[ONE]]), PolyMat.identity(2), [ONE, ONE], 0, 0),
+    (lambda: poly_row_diophantine(PolyMat([[ONE]]), PolyMat.identity(2), [[ONE, ONE]], 0, 0),
      ShapeError, "incompatible shapes in row equation"),
     (lambda: column_reduce(PolyMat([[ONE]]), PolyMat([[ZERO]])), SingularMatrixError,
      "denominator matrix is singular"),
