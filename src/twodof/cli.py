@@ -385,14 +385,14 @@ def cmd_stabilize(pf: ProblemFile, args: argparse.Namespace) -> None:
     _print_named("bezout x1 (x1@d + x2@n = I)", x1)
     _print_named("bezout x2", x2)
     # the loop's verdict is decided on its one denominator; its maps are not formed
-    cy, loop = _youla_feedback(smfd)
+    cy, _, loop = _youla_feedback(smfd)
     _print_named("central feedback map cy", cy)
     print(f"internal stability: {loop.verdict.describe()}")
     m_in, p_out = plant.shape[1], plant.shape[0]
     # k is strictly proper, so v - k@nl' equals the nonsingular v at infinity
     # and its cy is proper: the sample is admissible
     sample = RatMat([[RatFn(ONE, S + (1 + smfd.shift)) for _ in range(p_out)] for _ in range(m_in)])
-    cy2, loop2 = _youla_feedback(smfd, sample)
+    cy2, _, loop2 = _youla_feedback(smfd, sample)
     _print_named("sample parameter k", sample)
     _print_named("sample feedback map cy", cy2)
     print(f"internal stability: {loop2.verdict.describe()}")

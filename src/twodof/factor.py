@@ -132,9 +132,8 @@ class StableMFD(namedtuple("StableMFD", "nprime dprime u v shift col_degrees sou
     d**-1 and d'**-1 (from one inversion of d), the polynomial left coprime
     fraction of the plant, the proper-stable left pair
     P = dl_prime**-1 @ nl_prime, the three polynomial factors of the Youla
-    loop (``witness_row``, ``left_row`` and ``stacked``), the central
-    loop's v**-1 (``witness_inverse``) and the unstable part of det d are
-    computed on first use and kept in the instance dict.
+    loop (``witness_row``, ``left_row`` and ``stacked``) and the unstable
+    part of det d are computed on first use and kept in the instance dict.
     """
 
     def plant(self) -> RatMat:
@@ -187,13 +186,6 @@ class StableMFD(namedtuple("StableMFD", "nprime dprime u v shift col_degrees sou
     def witness_row(self) -> tuple[Poly, PolyMat]:
         """(phi, [v^ | u^]) with [v | u] = [v^ | u^] / phi, phi the monic lcd."""
         return _over_lcd(hstack(self.v, self.u))
-
-    @cached_property
-    def witness_inverse(self) -> tuple[Poly, PolyMat]:
-        """(det l, adj l) for l = phi * v of ``witness_row``: v**-1 = phi *
-        adj l / det l.  Raises SingularMatrixError when v is singular."""
-        m = self.dprime.shape[0]
-        return _polymat_det_adj(PolyMat(tuple(row[:m] for row in self.witness_row[1].rows)))
 
     @cached_property
     def left_row(self) -> tuple[Poly, PolyMat]:

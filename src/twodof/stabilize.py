@@ -13,8 +13,8 @@ product [d'; n'] @ [v - K*nl', -(u + K*dl')] over one denominator den*psi
 (``_youla_feedback``): stability is decided on den*psi, the maps formed
 when read.  Two identities certify it: the controller solves
 (v - K*nl') @ Cy = -(u + K*dl'), and
-(v - K*nl') @ d' + (u + K*dl') @ n' = I.  Every other loop has its maps
-formed by ``_fraction_loop`` in the same form, the coprime-factor form
+(v - K*nl') @ d' + (u + K*dl') @ n' = I.  Every other loop is formed by
+``_fraction_loop`` as the same record (``_Loop``), in the coprime-factor form
 [D; N] @ adj M @ [dc*I | Nc] / det M of H(P, C), M = dc*D - Nc*N for
 P = N*D**-1 and Cy = Nc/dc (Vidyasagar, Control System Synthesis, 1985;
 Kailath, Linear Systems, 1980), over det M less a factor every map
@@ -122,12 +122,15 @@ def _rh_data_cached(p: RatMat, shift: Fraction) -> StableMFD:
     return smfd
 
 
-def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, _Loop]:
-    """cy = -(v - k@nl')**-1 @ (u + k@dl') from the witness (u, v) and the
-    left pair of ``smfd``, with the loop of cy and the plant ``smfd`` is a
-    fraction of (``_Loop``), whose verdict says cy is internally
-    stabilizing.  k = None is the central choice k = 0 and needs no left
-    pair; any other k must be proper and stable.
+def _youla_feedback(
+    smfd: StableMFD, k: RatMat | None = None, xprime: RatMat | None = None
+) -> tuple[RatMat, RatMat | None, _Loop]:
+    """(cy, cr, loop): cy = -(v - k@nl')**-1 @ (u + k@dl') from the witness
+    (u, v) and the left pair of ``smfd``, and the loop of cy and the plant
+    (``_Loop``), whose verdict says cy is internally stabilizing.  k = None
+    is the central choice k = 0 and needs no left pair; any other k must
+    be proper and stable.  A design passes its ``xprime`` for its reference
+    map cr = (v - k@nl')**-1 @ x'; cr is None without one.
 
     With lhs = v - k@nl' and rhs = u + k@dl', lhs@d' + rhs@n' = I, so
     I - cy@p = lhs**-1 @ d'**-1 and the maps are affine in k:
@@ -139,14 +142,13 @@ def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, _
     over den*psi, where [l | r] = den*[lhs | rhs] for a common
     denominator den of [v | u] and k @ [-nl' | dl'], and [d^; n^] =
     psi*[d'; n'] (``StableMFD.stacked``).  The loop keeps these factors,
-    decides its verdict on den*psi and forms the maps only when read.
-    An unstable verdict, or a failed one of the two polynomial identities
-    that certify the loop, raises ArithmeticError.  They are l @ C ==
-    -det(l)*r for the numerator C = -adj(l) @ r of cy, so lhs@cy = -rhs;
-    and [l | r] @ [d^; n^] == den*psi*I, the Bezout identity that
-    ``stable_mfd`` has already checked when k = None.  For k = None,
-    (det l, adj l) is the analysis' ``witness_inverse``, from which the
-    designs also form their reference map cr = lhs**-1 @ x'.
+    decides its verdict on den*psi and forms the maps only when read; cy
+    and cr come from the (det l, adj l) taken for every k, as lhs**-1 =
+    den * adj l / det l.  An unstable verdict, or a failed one of the two
+    polynomial identities that certify the loop, raises ArithmeticError.
+    They are l @ C == -det(l)*r for the numerator C = -adj(l) @ r of cy,
+    so lhs@cy = -rhs; and [l | r] @ [d^; n^] == den*psi*I, the Bezout
+    identity that ``stable_mfd`` has already checked when k = None.
     """
     outputs, m = smfd.nprime.shape
     den, lr = smfd.witness_row
@@ -165,7 +167,7 @@ def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, _
     l = PolyMat(tuple(row[:m] for row in lr.rows))
     r = PolyMat(tuple(row[m:] for row in lr.rows))
     try:
-        det, adj = smfd.witness_inverse if k is None else _polymat_det_adj(l)
+        det, adj = _polymat_det_adj(l)
     except SingularMatrixError:
         raise InadmissibleParameter(
             "parameter makes v - k@nl' singular; no compensator exists"
@@ -186,7 +188,13 @@ def _youla_feedback(smfd: StableMFD, k: RatMat | None = None) -> tuple[RatMat, _
         raise ArithmeticError(
             "parametrized compensator failed validation: " + loop.verdict.describe()
         )
-    return cy, loop
+    if xprime is None:
+        return cy, None, loop
+    x_den, x_num = _over_lcd(xprime)
+    cr = _over((adj @ x_num).scale(den), det * x_den)
+    if not cr.is_proper():
+        raise InadmissibleParameter("resulting reference map is improper for this feedback map")
+    return cy, cr, loop
 
 
 def youla_controller(
@@ -237,7 +245,7 @@ class LoopMaps(namedtuple("LoopMaps", "sens sens_cy p_sens p_sens_cy")):
 
 class _Loop(namedtuple("_Loop", "stacked row q")):
     """The four maps of a feedback pair, stacked @ row / q, kept as these
-    polynomial factors (``_youla_feedback``, ``gang_of_four``); the maps
+    polynomial factors (``_youla_feedback``, ``_fraction_loop``); the maps
     (``LoopMaps``) are formed on first read.  The verdict is stable when q
     is Hurwitz and the factors' largest entry degrees add up to at most
     deg q (each reduced map denominator divides the monic q, and
@@ -273,11 +281,11 @@ def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
             f"feedback map must be {p.shape[1]}x{p.shape[0]}, got {cy.shape}"
         )
     d, n = _column_fraction(p)
-    return _fraction_loop(PolyMat.diag(d), n, *_over_lcd(cy))
+    return _fraction_loop(PolyMat.diag(d), n, *_over_lcd(cy)).maps
 
 
-def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> LoopMaps:
-    """The maps of ``gang_of_four`` for the plant n @ d**-1, any right
+def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> _Loop:
+    """The loop of ``gang_of_four`` for the plant n @ d**-1, any right
     fraction with d nonsingular, and the feedback map cy = nc / dc.
 
     With M = dc*d - nc@n, I - cy@p = M @ d**-1 / dc, so the maps are the
@@ -303,7 +311,7 @@ def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> LoopMaps:
         quos = iter(_from_z(z, e._d) for z, e in zip(quos, entries))  # lowest terms: g is primitive
         row = PolyMat(tuple(tuple(next(quos) for _ in r) for r in row.rows))
         det = _from_z(_exact_quo(det._z, g._z), det._d)
-    return _Loop(vstack(d, n), row, det).maps
+    return _Loop(vstack(d, n), row, det)
 
 
 def all_controllers_from_LX(

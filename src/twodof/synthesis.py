@@ -45,9 +45,11 @@ from .polyalg import (
     _polymat_det_adj,
     hstack,
     poly_divmod,
+    polymat_det,
 )
 from .stability import (
     StabilityVerdict,
+    _routh_is_hurwitz,
     is_hurwitz,
     is_stable,
     matrix_is_stable,
@@ -59,7 +61,6 @@ from .stabilize import (
     TwoDofConfig,
     _fraction_loop,
     _youla_feedback,
-    gang_of_four,
 )
 
 __all__ = [
@@ -269,18 +270,13 @@ def _design_result(
     extra: Sequence[Certificate] = (),
 ) -> DesignResult:
     """The two-dof design of parameter x (x' = diag(psi) @ x, dx = d@x):
-    the central cy, and cr = (I - cy@p) @ d@x = v**-1 @ x', formed from
-    ``StableMFD.witness_inverse``, realizing y/r = n@x and u/r = d@x."""
-    cy, loop = _youla_feedback(smfd)
+    the central cy and cr = v**-1 @ x' of ``_youla_feedback``, realizing
+    y/r = n@x and u/r = d@x."""
     if not matrix_is_stable(x):
         raise InadmissibleParameter("parameter x has unstable poles")
     if not dx.is_proper():
         raise InadmissibleParameter("d@x is improper")
-    det, adj = smfd.witness_inverse
-    x_den, x_num = _over_lcd(xprime)
-    cr = _over((adj @ x_num).scale(smfd.witness_row[0]), det * x_den)
-    if not cr.is_proper():
-        raise InadmissibleParameter("resulting reference map is improper for this feedback map")
+    cy, cr, loop = _youla_feedback(smfd, xprime=xprime)
     certs = [
         Certificate("parameter x proper and stable", rh_inf_verdict(x)),
         Certificate("control map d@x proper and stable", rh_inf_verdict(dx)),
@@ -488,26 +484,29 @@ def static_decoupling(
     Stable plants use pure precompensation (cy = 0, cr = P(0)**-1 @ lam);
     unstable plants are first closed with a stabilizing feedback map (the
     central one unless supplied; a supplied one must be internally
-    stabilizing) and cr = G(0)**-1 @ lam for G = P(I - cy P)**-1.  lam and
-    the plant are checked before any controller work."""
+    stabilizing) and cr = G(0)**-1 @ lam for G = P(I - cy P)**-1.  lam,
+    the plant and a supplied cy's shape are checked before any controller
+    work.  The source fraction n @ d**-1 is right coprime, so the plant is
+    stable exactly when det d is Hurwitz; it is not formed."""
     _check_static_target(smfd, lam)
-    plant = smfd.plant()
-    if cy is None and not matrix_is_stable(plant):
-        # the Youla loop's verdict is decided on its one denominator
-        cy, youla = _youla_feedback(smfd)
-        loop, verdict = youla.maps, youla.verdict
+    n, d = smfd.source.n, smfd.source.d
+    shape = n.shape[::-1]
+    if cy is not None and cy.shape != shape:
+        raise ShapeError(f"feedback map must be {shape[0]}x{shape[1]}, got {cy.shape}")
+    if cy is None and not _routh_is_hurwitz(polymat_det(d)):
+        cy, _, loop = _youla_feedback(smfd)
     else:
         if cy is None:
-            cy = RatMat.zeros(plant.shape[1], plant.shape[0])
-        loop = gang_of_four(plant, cy)
-        verdict = loop.verdict
-        if not verdict:
+            cy = RatMat.zeros(*shape)
+        loop = _fraction_loop(d, n, *_over_lcd(cy))
+        if not loop.verdict:
             raise DesignObstruction(
-                ("supplied feedback map is not internally stabilizing: " + verdict.describe(),)
+                ("supplied feedback map is not internally stabilizing: " + loop.verdict.describe(),)
             )
-    cr = _dc_precompensator(loop, lam)
-    achieved_t = loop.p_sens @ cr
-    achieved_m = loop.sens @ cr
+    maps = loop.maps
+    cr = _dc_precompensator(maps, lam)
+    achieved_t = maps.p_sens @ cr
+    achieved_m = maps.sens @ cr
     xprime = smfd.dprime_inv @ achieved_m
     certs = (
         _equality_certificate("dc gain equals lam exactly", _value_at_origin(achieved_t) == lam),
@@ -515,7 +514,7 @@ def static_decoupling(
     )
     return DesignResult(
         configuration=TwoDofConfig(cy=cy, cr=cr),
-        verdict=verdict,
+        verdict=loop.verdict,
         x=_x_from_xprime(smfd, xprime),
         xprime=xprime,
         achieved_t=achieved_t,
@@ -581,7 +580,7 @@ def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
     certs = (
         Certificate("stability condition (d_t + n) @ d**-1", cond_verdict),
         _equality_certificate(
-            "closed loop equals n @ d_t**-1", loop.p_sens_cy == achieved_t
+            "closed loop equals n @ d_t**-1", loop.maps.p_sens_cy == achieved_t
         ),
         _equality_certificate(
             "identity t**-1 + I == cff**-1 @ p**-1", num @ total == mfd.d.scale(det)
@@ -614,7 +613,7 @@ def denominator_assignment_direct(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
     # I - cfb@p = d_t @ d**-1, so the loop is well posed
     loop = _fraction_loop(mfd.d, mfd.n, det, num)
     certs = (
-        _equality_certificate("closed loop equals n @ d_t**-1", loop.p_sens == achieved_t),
+        _equality_certificate("closed loop equals n @ d_t**-1", loop.maps.p_sens == achieved_t),
         _equality_certificate(
             "identity t**-1 - p**-1 == -cfb", num @ mfd.n == gap.scale(det)
         ),
@@ -721,10 +720,10 @@ def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, 
             ("I + x'@n' is singular; the unity loop is ill posed",)
         ) from None
     # I - cff@p = f**-1 @ d'**-1, so the loop is well posed
-    loop = _fraction_loop(smfd.source.d, smfd.source.n, *_over_lcd(cff))
-    if loop.p_sens_cy != smfd.nprime @ xprime:
+    maps = _fraction_loop(smfd.source.d, smfd.source.n, *_over_lcd(cff)).maps
+    if maps.p_sens_cy != smfd.nprime @ xprime:
         raise ArithmeticError("unity loop does not realize n' @ x'")
-    return cff, loop
+    return cff, maps
 
 
 # -- controller realization ----------------------------------------------------------

@@ -38,13 +38,14 @@ ALLOWED = (
      "GCDHEU's give-up; 2.6 million random pairs never reached it"),
     ("polyalg.py", 'raise ArithmeticError("Bareiss elimination lost exactness")',
      "self-check: each division by the previous pivot is exact"),
+    ("stabilize.py",
+     'raise InadmissibleParameter("resulting reference map is improper for this feedback map")',
+     "postcondition: designs pass x' with k = 0, and v(inf) is nonsingular, so cr = v**-1 @ x' "
+     "is proper for a proper x'"),
     ("stability.py", 'raise ValueError("polynomial is not even")',
      "self-check: an irreducible symmetric factor other than s is even"),
     ("synthesis.py", 'raise ArithmeticError("realizability solve lost exactness: n @ x != t")',
      "self-check: the elimination's x solves n @ x = t"),
-    ("synthesis.py",
-     'raise InadmissibleParameter("resulting reference map is improper for this feedback map")',
-     "postcondition: v(inf) is nonsingular, so cr = v**-1 @ x' is proper for a proper x'"),
     ("synthesis.py", "raise ArithmeticError(\"decoupling lost exactness: n' @ x' != diag(targets)\")",
      "self-check: x' = n'**-1 @ diag(targets)"),
     ("synthesis.py", "raise ArithmeticError(\"inversion lost exactness: n' @ n'**-1 != I\")",

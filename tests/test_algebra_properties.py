@@ -850,7 +850,7 @@ def test_youla_loop_normalises_its_maps_only_when_read(monkeypatch):
     assert counter.take() == 8
     gang_of_four(plant, cy)
     assert counter.take() == 16
-    _, loop = _youla_feedback(data, k)
+    _, _, loop = _youla_feedback(data, k)
     assert loop.verdict and counter.take() == 4
     maps = loop.maps
     assert counter.take() == 16

@@ -12,6 +12,7 @@ hands their fractions to _fraction_loop.
 
 import hashlib
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,8 +27,8 @@ import twodof.synthesis
 import twodof.zfactor
 from twodof.cli import load_problem, main, parse_matrix, parse_poly_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
-from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat
-from twodof.stabilize import InadmissibleParameter, solve_bezout, youla_controller
+from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat, ShapeError
+from twodof.stabilize import IllPosedLoop, InadmissibleParameter, solve_bezout, youla_controller
 from twodof.synthesis import (
     DesignObstruction,
     denominator_assignment_direct,
@@ -262,14 +263,15 @@ def count_plant_builds(monkeypatch):
     return builds
 
 
-def test_static_design_builds_the_plant_once(monkeypatch, tmp_path, capsys):
+def test_static_design_forms_neither_the_plant_nor_gang_of_four(monkeypatch, tmp_path, capsys):
     builds = count_plant_builds(monkeypatch)
     counts = count_calls(monkeypatch, LOOP_FORMERS)
-    # cy = 0 on the stable plant: its one loop (maps I, 0, P, 0) gives the
-    # dc gain, the achieved maps and the certificate
+    # cy = 0 on the stable plant, whose stability is read off det d: its one
+    # loop (maps I, 0, P, 0), formed from the plant's fraction, gives the dc
+    # gain, the achieved maps and the certificate
     assert main(["static-decouple", str(PROBLEMS / "example_static_decouple.ini")]) == 0
     assert (len(builds), counts) == (
-        1, {"gang_of_four": 1, "_youla_feedback": 0, "_fraction_loop": 1}
+        0, {"gang_of_four": 0, "_youla_feedback": 0, "_fraction_loop": 1}
     )
 
     builds.clear()
@@ -279,7 +281,7 @@ def test_static_design_builds_the_plant_once(monkeypatch, tmp_path, capsys):
     assert main(["static-decouple", str(problem)]) == 0
     # the central controller's loop
     assert (len(builds), counts) == (
-        1, {"gang_of_four": 0, "_youla_feedback": 1, "_fraction_loop": 0}
+        0, {"gang_of_four": 0, "_youla_feedback": 1, "_fraction_loop": 0}
     )
     out = capsys.readouterr().out
     assert "dc gain:\n  [ 1  0 ]\n  [ 0  1 ]" in out
@@ -287,16 +289,17 @@ def test_static_design_builds_the_plant_once(monkeypatch, tmp_path, capsys):
 
 def test_static_design_takes_the_youla_loops_verdict(monkeypatch):
     # an unstable plant's central loop is decided on its one denominator,
-    # so the Hurwitz tests left are the entries of the plant (is it
-    # stable?) and of the achieved y/r (the "closed loop stable"
-    # certificate); the loop's four maps, formed for G(0), are not tested
+    # and the plant's on det d by the Routh test alone, so the Hurwitz
+    # tests left are the entries of the achieved y/r (the "closed loop
+    # stable" certificate); the loop's four maps, formed for G(0), are not
+    # tested
     plant = load_problem(str(PROBLEMS / "example_decouple.ini")).plant
     smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
     lam = RatMat.identity(2)
     static_decoupling(smfd, lam)  # the analysis forms its parts once
     counts = count_calls(monkeypatch, ["is_hurwitz"], twodof.stability)
     res = static_decoupling(smfd, lam)
-    assert counts == {"is_hurwitz": 8}
+    assert counts == {"is_hurwitz": 4}
     assert res.verdict and all(c.passed for c in res.certificates)
 
 
@@ -306,13 +309,28 @@ def test_static_decoupling_checks_a_supplied_feedback_map(monkeypatch):
     lam = RatMat.identity(2)
     cy = youla_controller(plant, shift=1)
     builds = count_plant_builds(monkeypatch)
-    counts = count_calls(monkeypatch, ["gang_of_four"])
+    counts = count_calls(monkeypatch, LOOP_FORMERS)
     res = static_decoupling(smfd, lam, cy)
-    assert (len(builds), counts["gang_of_four"]) == (1, 1)
+    # the supplied map's loop is formed from the plant's fraction
+    assert (len(builds), counts) == (
+        0, {"gang_of_four": 0, "_youla_feedback": 0, "_fraction_loop": 1}
+    )
     assert res.configuration.cy == cy and res.verdict
     assert res.configuration.cr == static_decoupling(smfd, lam).configuration.cr
-    with pytest.raises(DesignObstruction, match="supplied feedback map"):
+    # a wrong shape is refused before any loop is formed; cy = p**-1 makes
+    # I - cy@p = 0, so its loop is ill posed; cy = 0 leaves the pole at 1
+    counts.update(dict.fromkeys(counts, 0))
+    with pytest.raises(ShapeError, match=re.escape("feedback map must be 2x2, got (1, 2)")):
+        static_decoupling(smfd, lam, RatMat.zeros(1, 2))
+    assert counts == dict.fromkeys(LOOP_FORMERS, 0)
+    with pytest.raises(IllPosedLoop, match=re.escape("I - cy@p is singular; the loop is ill posed")):
+        static_decoupling(smfd, lam, plant.inv())
+    with pytest.raises(DesignObstruction) as err:
         static_decoupling(smfd, lam, RatMat.zeros(2, 2))
+    assert err.value.reasons == (
+        "supplied feedback map is not internally stabilizing: "
+        "unstable; offending factors: s - 1 (right-half-plane root)",
+    )
 
 
 def count_inversions(monkeypatch):
@@ -335,7 +353,7 @@ def count_inversions(monkeypatch):
 DESIGNS = {
     "static, stable plant": (
         "1/(s+1), 1/(s+2); 0, 1/(s+3)", 1,
-        lambda smfd: static_decoupling(smfd, RatMat.identity(2)), (1, 0, 1, 2),
+        lambda smfd: static_decoupling(smfd, RatMat.identity(2)), (0, 0, 1, 2),
     ),
     "static, unstable plant": (
         UNSTABLE_2X2, 1, lambda smfd: static_decoupling(smfd, RatMat.identity(2)), (0, 1, 0, 2)
@@ -394,7 +412,7 @@ def test_cli_designs_form_each_loop_once(monkeypatch, tmp_path, capsys):
     # cross-check, from the printed controller through gang_of_four, and
     # inverts d alone, for the unity loop's stability condition
     runs = {
-        ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (1, 0, 1, 2),
+        ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (0, 0, 1, 2),
         ("static-decouple", str(problem)): (0, 1, 0, 2),
         ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (1, 0, 2, 1),
         ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (0, 0, 1, 2),

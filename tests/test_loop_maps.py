@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import pytest
 
-import twodof.factor
 import twodof.stabilize
 import twodof.synthesis
 import twodof.verify
@@ -27,7 +26,7 @@ from test_acceptance import criterion_3_instances
 from twodof.cli import parse_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat, SingularMatrixError
-from twodof.stability import is_hurwitz
+from twodof.stability import is_hurwitz, matrix_is_stable
 from twodof.stabilize import (
     IllPosedLoop,
     InadmissibleParameter,
@@ -42,6 +41,7 @@ from twodof.synthesis import (
     denominator_assignment_direct,
     denominator_assignment_unity,
     find_admissible_unity_xprime,
+    model_matching,
     unity_feedback_controller,
 )
 
@@ -187,7 +187,7 @@ def test_youla_loop_maps_equal_gang_of_four_and_the_oracle():
         plant = random_matrix(rng, rows, cols, 2, range(-3, 4), strict=True)
         data = stable_mfd(right_coprime_mfd(plant), Fraction(1 + trial % 3))
         for k in (None, random_matrix(rng, cols, rows, 1, range(1, 6))):
-            cy, loop = _youla_feedback(data, k)
+            cy, _, loop = _youla_feedback(data, k)
             expected = gang_of_four(plant, cy)
             assert tuple(loop.maps) == tuple(expected) == oracle_gang_of_four(plant, cy)
             assert loop.maps.verdicts == expected.verdicts
@@ -201,11 +201,55 @@ def test_youla_loops_of_drawn_2x2_plants_agree_with_gang_of_four():
     for _ in range(10):
         plant = random_matrix(rng, 2, 2, 2, range(-3, 4), strict=True)
         k = random_matrix(rng, 2, 2, 1, range(1, 6))
-        cy, loop = _youla_feedback(stable_mfd(right_coprime_mfd(plant), 1), k)
+        cy, _, loop = _youla_feedback(stable_mfd(right_coprime_mfd(plant), 1), k)
         expected = gang_of_four(plant, cy)
         assert loop.maps == expected
         assert loop.maps.verdicts == expected.verdicts
         assert loop.verdict == expected.verdict and expected.verdict
+
+
+# the three plants of the youla-mimo benchmark workload, the first of them
+# UNSTABLE_2X2, and the unstable 2x2 plant of test_central_controller
+ROUND_TRIP_PLANTS = (
+    "1/(s-1), 2/(s+2); 1/(s+3), 1/(s+1)",
+    "1/(s-2), 1/(s+1); 1/(s+2), (s-1)/((s+3)*(s+1))",
+    "2/(s-1), 1/(s+3); 1/(s+1), 1/(s-2)",
+    "1/(s-1), 1/(s+2); 1/(s+3), 1/(s+1)",
+)
+
+
+def test_youla_parameter_round_trips_through_its_controller():
+    # K = (v@cy + u) @ (nl'@cy - dl')**-1 recovers the parameter of cy =
+    # -(v - K@nl')**-1 @ (u + K@dl'), youla_controller gives cy back, and
+    # the reference map of an x' is (v - K@nl')**-1 @ x', here formed by
+    # RatMat.inv, not through the adjugate
+    rng = random.Random(76)
+
+    def draw(rows, cols, *args):
+        # a matrix with no zero entry
+        while True:
+            mat = random_matrix(rng, rows, cols, *args)
+            if all(not e.num.is_zero() for row in mat.rows for e in row):
+                return mat
+
+    scalar = draw(1, 1, 2, range(-3, 4), True)
+    while matrix_is_stable(scalar):
+        scalar = draw(1, 1, 2, range(-3, 4), True)
+    plants = [scalar] + [parse_matrix(text) for text in ROUND_TRIP_PLANTS]
+    for plant in plants:
+        m, outputs = plant.shape[1], plant.shape[0]
+        data = stable_mfd(right_coprime_mfd(plant), 1)
+        xprime = draw(m, m, 1, range(1, 6))
+        res = model_matching(data, data.nprime @ xprime)
+        assert res.configuration.cr == data.v.inv() @ res.xprime
+        for k in (None, draw(m, outputs, 1, range(1, 6)), draw(m, outputs, 1, range(1, 6))):
+            cy, cr, loop = _youla_feedback(data, k, xprime)
+            k = RatMat.zeros(m, outputs) if k is None else k
+            left = data.nl_prime @ cy - data.dl_prime
+            assert (data.v @ cy + data.u) @ left.inv() == k
+            assert youla_controller(plant, k) == cy
+            assert cr == (data.v - k @ data.nl_prime).inv() @ xprime
+            assert loop.verdict
 
 
 def fraction_loops(monkeypatch):
@@ -225,12 +269,13 @@ def fraction_loops(monkeypatch):
 def assert_loop_is_the_reference(formed, plant, controller, verdict):
     """The one loop a design formed from its fractions has the maps, the
     per-map verdicts and the verdict of gang_of_four on (plant,
-    controller), and the design returned that verdict."""
+    controller), its verdict decided on its one denominator equals the
+    one read off its maps, and the design returned that verdict."""
     (loop,) = formed
     expected = gang_of_four(plant, controller)
-    assert loop == expected
-    assert loop.verdicts == expected.verdicts
-    assert loop.verdict == expected.verdict == verdict
+    assert loop.maps == expected
+    assert loop.maps.verdicts == expected.verdicts
+    assert loop.verdict == loop.maps.verdict == expected.verdict == verdict
     formed.clear()
 
 
@@ -328,7 +373,7 @@ def test_a_cancelled_unstable_factor_is_decided_on_the_reduced_maps():
     )
     g = RatFn(S + ONE, S - ONE)
     object.__setattr__(scaled, "_left", tuple(mat.scale(g) for mat in data._left))
-    cy, loop = _youla_feedback(scaled, RatMat.zeros(2, 2))
+    cy, _, loop = _youla_feedback(scaled, RatMat.zeros(2, 2))
     assert not is_hurwitz(loop.q)
     assert all(e % (S - ONE) == ZERO for row in loop.row.rows for e in row)
     assert "maps" in vars(loop) and loop.verdict
@@ -345,10 +390,8 @@ def test_a_wrong_adjugate_fails_the_compensator_certificate(monkeypatch):
         det, adj = original(a)
         return det, adj.scale(2)
 
+    # every k, the central k = 0 included, takes its adjugate in _youla_feedback
     monkeypatch.setattr(twodof.stabilize, "_polymat_det_adj", wrong)
-    # the central loop's adjugate is the analysis' own (witness_inverse),
-    # formed on first use: a copy of the analysis has none yet
-    monkeypatch.setattr(twodof.factor, "_polymat_det_adj", wrong)
     fresh = StableMFD(
         data.nprime, data.dprime, data.u, data.v, data.shift, data.col_degrees, data.source
     )
@@ -371,5 +414,5 @@ def test_closed_loop_forms_its_maps_through_gang_of_four(monkeypatch):
     report = twodof.verify.closed_loop(UNSTABLE_2X2, config)
     assert calls == [(UNSTABLE_2X2, cy)]
     assert tuple(mat for _, mat, _ in report.internal_maps) == tuple(
-        _youla_feedback(stable_mfd(right_coprime_mfd(UNSTABLE_2X2), 1), K_2X2)[1].maps
+        _youla_feedback(stable_mfd(right_coprime_mfd(UNSTABLE_2X2), 1), K_2X2)[2].maps
     )

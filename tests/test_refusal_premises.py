@@ -78,5 +78,5 @@ def test_the_sample_parameter_is_admissible_wherever_the_central_controller_is(p
     assert not v_inf.det().is_zero()
     outputs, inputs = plant.shape
     k = RatMat([[RatFn(ONE, S + (1 + smfd.shift)) for _ in range(outputs)] for _ in range(inputs)])
-    cy, loop = _youla_feedback(smfd, k)
+    cy, _, loop = _youla_feedback(smfd, k)
     assert cy.is_proper() and loop.verdict
