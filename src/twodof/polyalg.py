@@ -20,11 +20,15 @@ Conventions
   `poly_divmod` (pseudo-division, scaled by the divisor's leading
   coefficient only where a quotient coefficient is not an integer),
   `poly_gcd`, `poly_lcm` and `RatFn` normalisation go through the integer
-  kernel below (``_mul``, ``_pdivmod``, ``_exact_quo`` and ``_gcd``: the
-  heuristic gcd of Char, Geddes & Gonnet 1989, with the primitive
-  remainder sequence of Collins 1967 / Brown 1971 as its fallback), and
-  each result is brought to lowest terms with one gcd of its numerators
-  and its denominator.  No `Fraction` is built on the way.
+  kernel below (``_mul``, ``_pdivmod``, ``_exact_quo``, and ``_gcd`` of
+  two polynomials or ``_gcd_all`` of several: the heuristic gcd of Char,
+  Geddes & Gonnet 1989, at one evaluation of each input per point, whose
+  cofactors are read off the values and certified by a coefficient bound
+  instead of a trial division where the bound holds, with the primitive
+  remainder sequence of Collins 1967 / Brown 1971, or a pairwise fold, as
+  its fallback), and each result is brought to lowest terms with one gcd
+  of its numerators and its denominator.  No `Fraction` is built on the
+  way.
   :mod:`twodof.zfactor` factors over the same helpers.
 * `PolyMat` / `RatMat` are immutable row-major grids that share one
   ring-independent base, ``_Grid``; each names only its entry coercion
@@ -363,6 +367,10 @@ def _primitive(a: Sequence[int]) -> list[int]:
 def _horner(a: Sequence[int], u: int, v: int) -> int:
     """v**deg(a) * a(u / v), an integer, for a nonzero ``a`` and v > 0."""
     acc, vk = 0, 1
+    if v == 1:  # an integer point, such as GCDHEU's
+        for x in reversed(a):
+            acc = acc * u + x
+        return acc
     for x in reversed(a):
         acc = acc * u + x * vk
         vk *= v
@@ -393,9 +401,7 @@ def _dot(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _exact_quo(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
-    """``a / b`` if ``b`` divides ``a`` in Z[s], else ``None``."""
-    if not a:
-        return []
+    """``a / b`` if ``b`` divides the nonzero ``a`` in Z[s], else ``None``."""
     if len(a) < len(b) or (a[0] % b[0] if b[0] else a[0]):
         return None  # the constant terms already rule it out
     r, db, lb = list(a), len(b) - 1, b[-1]
@@ -432,9 +438,10 @@ def _pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], 
 
 def _gcd(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     """(g, a / g, b / g) with g the primitive gcd, with a positive leading
-    coefficient, of ``a`` (nonzero) and ``b``: the heuristic gcd first, else
-    the primitive remainder sequence.  The quotients are exact over Z by
-    Gauss's lemma."""
+    coefficient, of ``a`` (nonzero) and ``b``: the heuristic gcd first, its
+    cofactors certified by a coefficient bound or by division
+    (``_heu_gcd``), else the primitive remainder sequence.  The quotients
+    are exact over Z by Gauss's lemma."""
     if not b:
         g = _primitive(a)
         return g, [a[-1] // g[-1]], []
@@ -445,6 +452,25 @@ def _gcd(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], list
         return found
     g = _prs_gcd(a, b)
     return g, _exact_quo(a, g), _exact_quo(b, g)
+
+
+def _gcd_all(*fs: Sequence[int]) -> tuple[list[int], ...]:
+    """(g, f1 / g, f2 / g, ...) as ``_gcd`` gives it, for integer
+    polynomials fs of which two or more are nonzero (a zero input's
+    quotient is zero): GCDHEU at one evaluation of every input, else a
+    pairwise fold of ``_gcd``."""
+    live = [f for f in fs if f]
+    if min(map(len, live)) < 2:
+        found = ([1], *map(list, live))
+    else:
+        found = _heu_gcd(*live)
+        if found is None:  # one point gave no gcd of them all: fold pairwise
+            g = live[0]
+            for f in live[1:]:
+                g = _gcd(g, f)[0]
+            found = (g, *(_exact_quo(f, g) for f in live))
+    quos = iter(found[1:])
+    return (found[0], *(next(quos) if f else [] for f in fs))
 
 
 def _prs_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -461,66 +487,86 @@ def _prs_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _interpolate(h: int, x: int) -> list[int]:
     """The polynomial with coefficients in (-x/2, x/2] that takes h at x."""
-    out = []
+    out, half = [], x // 2
     while h:
-        c = h % x
-        if c > x // 2:
+        h, c = divmod(h, x)
+        if c > half:
             c -= x
+            h += 1
         out.append(c)
-        h = (h - c) // x
     return out
 
 
-def _heu_gcd(
-    a: Sequence[int], b: Sequence[int]
-) -> tuple[list[int], list[int], list[int]] | None:
-    """``_gcd`` of two nonconstant ``a`` and ``b`` by GCDHEU (Char, Geddes &
-    Gonnet, J. Symbolic Comput. 1989), or ``None`` when six evaluation
-    points give no candidate.
+def _heu_gcd(*fs: Sequence[int]) -> tuple[list[int], ...] | None:
+    """``_gcd`` of two or more nonconstant ``fs`` by GCDHEU (Char, Geddes &
+    Gonnet, J. Symbolic Comput. 1989), or ``None`` when no evaluation point
+    gives a candidate: six points for two inputs, one for more.
 
-    The gcd is read off gcd(a(x), b(x)) (or a cofactor off a(x) / gcd, or
-    b(x) / gcd) by x-adic interpolation.  A candidate counts only if it
-    divides both inputs exactly.  Every x exceeds twice a root bound
+    Each input is evaluated once at each point x, and the gcd is read off h,
+    the gcd of the values, by x-adic interpolation: g = g0 / c, g0 taking h
+    at x and c its content, signed to make lc(g) positive.  Each quotient
+    q = f / g is read off f(x) / (h / c) the same way, and is certified
+    without a division when 2 * max(|f|, |g|_1 * |q|) < x (max norms, and
+    the 1-norm of g) over every input f: then g * q and f both take f(x) at
+    x and have coefficients of size below x / 2, so they are equal (their
+    difference vanishes at x, so its lowest nonzero coefficient would be a
+    multiple of x smaller than x; von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 8).  Otherwise g counts only if it divides every input
+    exactly, and for two inputs a cofactor read off a(x) / h or b(x) / h
+    gets the same trial.  Every x exceeds twice a root bound
     1 + |f|/|lc f| of one input f, so a common divisor found that way is
     the gcd itself: a further common factor q would have |q(x)| > x/2,
     more than any interpolated coefficient can hold.  For the same reason
-    a constant candidate needs no division check.  The first x is
-    min(2m + 29, 99 * sqrt(2m + 29)), m the smaller input's largest
-    coefficient, shifted left by min(len(a), len(b)) bits: room for the
-    2**deg growth of a divisor's coefficients (Mignotte), so a second x is
-    rarely needed, while the square-root cut keeps long inputs' x short.
+    a constant candidate needs no check.  The first x is
+    min(2m + 29, 99 * sqrt(2m + 29)), m the smallest of the inputs' largest
+    coefficients, shifted left by the least input length in bits: room for
+    the 2**deg growth of a divisor's coefficients (Mignotte), so a second x
+    is rarely needed, while the square-root cut keeps long inputs' x short.
     Where the cut acts, m is taken over the inputs' primitive parts, so a
     long content does not inflate x.
     """
-    na, nb = max(map(abs, a)), max(map(abs, b))
-    bound = 2 * min(na, nb) + 29
+    norms = [max(map(abs, f)) for f in fs]
+    bound = 2 * min(norms) + 29
     cut = 99 * math.isqrt(bound)
+    x = min(bound, cut) << min(map(len, fs))
     if cut < bound:  # long coefficients: evaluate the primitive parts
-        ca, cb = math.gcd(*a), math.gcd(*b)
-        if ca != 1 or cb != 1:
-            found = _heu_gcd([x // ca for x in a], [x // cb for x in b])
-            return found and (found[0], [x * ca for x in found[1]], [x * cb for x in found[2]])
-    x = max(min(bound, cut) << min(len(a), len(b)), 2 * min(na // abs(a[-1]), nb // abs(b[-1])) + 4)
+        contents = [math.gcd(*f) for f in fs]
+        if contents.count(1) < len(fs):
+            found = _heu_gcd(*([y // c for y in f] for f, c in zip(fs, contents)))
+            return found and (found[0], *([y * c for y in q] for q, c in zip(found[1:], contents)))
+        # uncut, x = (2m + 29) << len already exceeds this bound
+        x = max(x, 2 * min([n // abs(f[-1]) for n, f in zip(norms, fs)]) + 4)
+    top = 2 * max(norms)
     for _ in range(6):
-        fa, fb = _horner(a, x, 1), _horner(b, x, 1)
-        if fa and fb:  # x may be a root of the input with the larger bound
-            h = math.gcd(fa, fb)
+        values = [_horner(f, x, 1) for f in fs]
+        if all(values):  # x may be a root of an input with a larger bound
+            h = math.gcd(*values)
             g = _interpolate(h, x)
             if len(g) == 1:
-                return [1], list(a), list(b)
-            g = _primitive(g)
-            qa = _exact_quo(a, g)
-            qb = None if qa is None else _exact_quo(b, g)
-            if qb is not None:
-                return g, qa, qb
-            for f, other, cf in ((a, b, fa // h), (b, a, fb // h)):
-                cf = _interpolate(cf, x)
-                g = _exact_quo(f, cf)
-                q = None if g is None else _exact_quo(other, g)
-                if q is not None:
-                    c = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
-                    g, cf, q = [y // c for y in g], [y * c for y in cf], [y * c for y in q]
-                    return (g, cf, q) if f is a else (g, q, cf)
+                return ([1], *map(list, fs))
+            c = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
+            g, gx = [y // c for y in g], h // c
+            quos = None
+            if top < x:  # the quotients, certified by their size
+                quos = [_interpolate(v // gx, x) for v in values]
+                if 2 * sum(map(abs, g)) * max(max(map(abs, q)) for q in quos) >= x:
+                    quos = None
+            if quos is None:  # else by trial division
+                quos = [_exact_quo(f, g) for f in fs]
+            if None not in quos:
+                return (g, *quos)
+            if len(fs) == 2:
+                (a, b), (fa, fb) = fs, values
+                for f, other, cf in ((a, b, fa // h), (b, a, fb // h)):
+                    cf = _interpolate(cf, x)
+                    g = _exact_quo(f, cf)
+                    q = None if g is None else _exact_quo(other, g)
+                    if q is not None:
+                        c = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
+                        g, cf, q = [y // c for y in g], [y * c for y in cf], [y * c for y in q]
+                        return (g, cf, q) if f is a else (g, q, cf)
+        if len(fs) > 2:
+            return None  # several inputs get one point: the caller folds pairwise
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
     return None  # no candidate at six points: the caller falls back to the PRS
 

@@ -54,14 +54,12 @@ from .polyalg import (
     ShapeError,
     SingularMatrixError,
     _column_fraction,
-    _exact_quo,
     _from_z,
-    _monic_z,
+    _gcd_all,
     _over,
     _over_lcd,
     _polymat_det_adj,
     hstack,
-    poly_gcd,
     poly_lcm,
     vstack,
 )
@@ -293,9 +291,10 @@ def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> _Loop:
     (``_Loop``), and the loop is ill posed exactly when det M = 0.  A
     common divisor of det M and every entry of row cancels from every map,
     so the maps are normalised over det M / g, g the gcd of det M and the
-    entries of row: g starts at det M and drops to gcd(g, e) at each entry
-    e of row that it does not divide.  For m = 1, row = [dc | nc] and
-    g = 1 when dc and nc are coprime, so a scalar loop runs no gcd.
+    entries of row, taken by one call of the gcd kernel (``_gcd_all``), which
+    evaluates each of them once and returns every quotient.  For m = 1,
+    row = [dc | nc] and g = 1 when dc and nc are coprime, so a scalar loop
+    runs no gcd.
     """
     m = d.shape[0]
     try:
@@ -305,12 +304,10 @@ def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> _Loop:
     row = adj @ hstack(PolyMat.diag([dc] * m), nc)
     if m > 1:
         entries = [e for r in row.rows for e in r]
-        g = _monic_z(det._z)
-        while None in (quos := [_exact_quo(e._z, g._z) for e in entries]):
-            g = poly_gcd(g, entries[quos.index(None)])
+        _, det_z, *quos = _gcd_all(det._z, *(e._z for e in entries))
         quos = iter(_from_z(z, e._d) for z, e in zip(quos, entries))  # lowest terms: g is primitive
         row = PolyMat(tuple(tuple(next(quos) for _ in r) for r in row.rows))
-        det = _from_z(_exact_quo(det._z, g._z), det._d)
+        det = _from_z(det_z, det._d)
     return _Loop(vstack(d, n), row, det)
 
 

@@ -59,6 +59,7 @@ from .stabilize import (
     InadmissibleParameter,
     LoopMaps,
     TwoDofConfig,
+    _Loop,
     _fraction_loop,
     _youla_feedback,
 )
@@ -704,10 +705,12 @@ def find_admissible_unity_xprime(smfd: StableMFD) -> RatMat:
     )
 
 
-def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, LoopMaps]:
+def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, _Loop]:
     """Forward compensator cff = f**-1 @ x' realizing y/r = n'@x' in the
-    unity-feedback configuration, for an admissible x', with the loop maps
-    of (plant, cff), whose last map it checks equals n'@x'."""
+    unity-feedback configuration, for an admissible x', with the loop of
+    (plant, cff) as ``_fraction_loop`` forms it: its ``verdict`` is decided
+    on its one denominator, and its last map (of ``maps``) is checked to
+    equal n'@x'."""
     f, verdict = _unity_restriction(smfd, xprime)
     if not verdict:
         raise DesignObstruction(
@@ -720,10 +723,10 @@ def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, 
             ("I + x'@n' is singular; the unity loop is ill posed",)
         ) from None
     # I - cff@p = f**-1 @ d'**-1, so the loop is well posed
-    maps = _fraction_loop(smfd.source.d, smfd.source.n, *_over_lcd(cff)).maps
-    if maps.p_sens_cy != smfd.nprime @ xprime:
+    loop = _fraction_loop(smfd.source.d, smfd.source.n, *_over_lcd(cff))
+    if loop.maps.p_sens_cy != smfd.nprime @ xprime:
         raise ArithmeticError("unity loop does not realize n' @ x'")
-    return cff, maps
+    return cff, loop
 
 
 # -- controller realization ----------------------------------------------------------

@@ -293,6 +293,99 @@ def test_gcd_returns_cofactors_on_every_heuristic_path(a, b):
     assert polyalg._from_z(g, g[-1]) == expected
 
 
+# Pairs by how GCDHEU finds the cofactors at its first point x: certified
+# by their size, with no division ((s+1)(s+2) and (s+1)(s+3), x = 280); by
+# trial division where the bound fails, b's coefficients 10**30 times a's;
+# and at the bound itself.  For a = (s+1)(s+2) and b = 71s^2 - 140s + 70,
+# x = 280 and the candidate s + 1 leaves the cofactor 70s + 70 read off
+# b(x), with 2 * |s + 1|_1 * 70 = 2 * |b| = x: only a strict bound refuses
+# it, as s + 1 does not divide b (their gcd is 1).
+CERTIFIED, DIVIDED = "certified", "divided"
+CERTIFICATE_PATHS = [
+    ([2, 3, 1], [3, 4, 1], CERTIFIED),
+    ([2, 3, 1], polyalg._mul([1, 1], [10**30 + 7, -3 * 10**29, 11]), DIVIDED),
+    ([2, 3, 1], [70, -140, 71], DIVIDED),
+]
+
+
+@pytest.mark.parametrize("a, b, route", CERTIFICATE_PATHS)
+def test_heuristic_cofactors_are_certified_by_a_coefficient_bound(a, b, route, monkeypatch):
+    divisions = []
+    exact_quo = polyalg._exact_quo
+
+    def counted(f, g):
+        divisions.append((f, g))
+        return exact_quo(f, g)
+
+    monkeypatch.setattr(polyalg, "_exact_quo", counted)
+    g, qa, qb = polyalg._heu_gcd(a, b)
+    assert g == polyalg._prs_gcd(a, b)
+    assert polyalg._mul(g, qa) == a and polyalg._mul(g, qb) == b
+    assert (route == DIVIDED) == bool(divisions)
+
+
+# Lists on which the several-polynomial route takes each of its paths:
+# certified, divided (b's coefficients 10**30 times the others'), with
+# zero inputs, and the pairwise fold, where the one point x = 45 << 3 = 360
+# leaves a candidate that does not divide every input (the gcd is 2s - 1).
+GCDHEU_LISTS = [
+    [[2, 3, 1], [3, 4, 1], [0, 1, 1]],
+    [[2, 3, 1], polyalg._mul([1, 1], [10**30 + 7, -3 * 10**29, 11]), [0, 5, 5]],
+    [[2, 3, 1], [], [0, 2, 2], [], [4, 4]],
+    [[0, 5, -8, -4], [5, -8, -4], [5, -15, 13, -6]],
+]
+
+
+def assert_gcd_of_all(fs, found):
+    """``found`` is (g, f1 / g, ...) with g the primitive gcd of fs by a
+    fold of the primitive remainder sequence."""
+    live = [f for f in fs if f]
+    g = reduce(polyalg._prs_gcd, live[1:], polyalg._primitive(live[0]))
+    assert found[0] == g and len(found) == len(fs) + 1
+    assert all(polyalg._mul(g, q) == f for f, q in zip(fs, found[1:]))
+
+
+@pytest.mark.parametrize("fs", GCDHEU_LISTS)
+def test_gcd_of_several_polynomials_on_every_path(fs, monkeypatch):
+    pairwise = []
+    gcd = polyalg._gcd
+
+    def counted(a, b):
+        pairwise.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(polyalg, "_gcd", counted)
+    found = polyalg._gcd_all(*fs)
+    assert_gcd_of_all(fs, found)
+    # the fold of the last list computes the gcd pairwise; the others
+    # take one evaluation of the nonzero inputs
+    folded = fs is GCDHEU_LISTS[-1]
+    assert folded == bool(pairwise)
+    live = [f for f in fs if f]
+    assert polyalg._heu_gcd(*live) is None if folded else polyalg._heu_gcd(*live)[0] == found[0]
+
+
+@st.composite
+def polys_with_a_common_factor(draw):
+    """2 to 5 integer polynomials g * f, some possibly zero (not the first two),
+    each f with coefficients up to 10**e, e drawn in 0..30 for each, so the
+    inputs' sizes lie up to 10**30 apart."""
+    small = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(polyalg._trim)
+    g = draw(small.filter(bool))
+    fs = []
+    for i in range(draw(st.integers(2, 5))):
+        e = draw(st.integers(0, 30))
+        f = polyalg._trim(draw(st.lists(st.integers(-(10**e), 10**e), max_size=5)))
+        fs.append(polyalg._mul(g, f or [1] if i < 2 else f))
+    return fs
+
+
+@SETTINGS
+@given(polys_with_a_common_factor())
+def test_gcd_of_several_polynomials_matches_the_remainder_sequence(fs):
+    assert_gcd_of_all(fs, polyalg._gcd_all(*fs))
+
+
 @st.composite
 def big_gcd_products(draw):
     """(g * f1, g * f2) over Z with g's coefficients larger than those of
@@ -321,17 +414,23 @@ def test_gcd_matches_the_remainder_sequence(pair):
 
 def heu_points(monkeypatch) -> list[int]:
     """The number of evaluation points of each `_heu_gcd` call, while
-    active: the distinct x at which it evaluates its inputs."""
+    active: the distinct x at which it evaluates its inputs.  A call that
+    evaluates at no point must hand its inputs' primitive parts to a
+    nested call, else the count has gone blind."""
     counts: list[int] = []
     points: list[set] = []
     heu_gcd, horner = polyalg._heu_gcd, polyalg._horner
 
-    def counting_heu_gcd(a, b):
+    def counting_heu_gcd(*fs):
         points.append(set())
+        nested = len(counts)
         try:
-            return heu_gcd(a, b)
+            return heu_gcd(*fs)
         finally:
-            counts.append(len(points.pop()))
+            seen = points.pop()
+            if not seen and len(counts) == nested:
+                pytest.fail(f"a _heu_gcd call recorded no evaluation point: {fs}")
+            counts.append(len(seen))
 
     def recording_horner(a, u, v):
         if points and v == 1:

@@ -303,6 +303,21 @@ def test_static_design_takes_the_youla_loops_verdict(monkeypatch):
     assert res.verdict and all(c.passed for c in res.certificates)
 
 
+def test_unity_parameter_takes_its_loops_verdict(monkeypatch, capsys):
+    # the admissible-x' scan and the unity restriction make 8 Hurwitz tests
+    # (each one Routh test) and one Routh test more; the printed verdict is
+    # the loop record's, one Routh test on its denominator, and the four
+    # maps, formed to check y/r = n'@x', are not tested
+    problem = str(PROBLEMS / "example_unity.ini")
+    assert main(["unity-parameter", problem]) == 0
+    expected = capsys.readouterr().out
+    counts = count_calls(monkeypatch, ["is_hurwitz", "_routh_is_hurwitz"], twodof.stability)
+    assert main(["unity-parameter", problem]) == 0
+    assert counts == {"is_hurwitz": 8, "_routh_is_hurwitz": 10}
+    out = capsys.readouterr().out
+    assert out == expected and out.endswith("internal stability: stable\n")
+
+
 def test_static_decoupling_checks_a_supplied_feedback_map(monkeypatch):
     plant = parse_matrix(UNSTABLE_2X2)
     smfd = stable_mfd(right_coprime_mfd(plant), shift=1)

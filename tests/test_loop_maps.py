@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+import twodof.polyalg
 import twodof.stabilize
 import twodof.synthesis
 import twodof.verify
@@ -105,27 +106,55 @@ def test_loop_maps_equal_the_inversion_formula():
 
 
 def count_gcds(monkeypatch):
-    calls = []
-    original = twodof.stabilize.poly_gcd
+    """The gcd kernel calls ``_fraction_loop`` makes, each as its inputs and
+    the pairwise ``polyalg._gcd`` calls made inside it (the fold the kernel
+    falls back to)."""
+    calls, inside = [], []
+    kernel, gcd = twodof.stabilize._gcd_all, twodof.polyalg._gcd
 
-    def counted(a, b):
-        calls.append((a, b))
-        return original(a, b)
+    def counted_kernel(*fs):
+        calls.append((fs, []))
+        inside.append(calls[-1][1])
+        try:
+            return kernel(*fs)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(twodof.stabilize, "poly_gcd", counted)
+    def counted_gcd(a, b):
+        if inside:
+            inside[-1].append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(twodof.stabilize, "_gcd_all", counted_kernel)
+    monkeypatch.setattr(twodof.polyalg, "_gcd", counted_gcd)
     return calls
 
 
+# det M = (s+1)^2 (s^2+3s+1); the entries (s+1)^3, (s+1)(s^2+3s+1) and
+# s^2+3s+1 of adj M @ [dc*I | nc] leave it a gcd of 1 with them
+COMMON_FACTOR_PLANT = RatMat([[RatFn(ONE, S + 2 * ONE), 0], [0, RatFn(S + ONE, S + 2 * ONE)]])
+COMMON_FACTOR_CY = RatMat([[RatFn(ONE, S + ONE), 0], [0, RatFn(ONE, S + ONE)]])
+
+
 def test_a_common_factor_smaller_than_its_start_is_found(monkeypatch):
-    # g starts at det M = (s+1)^2 (s^2+3s+1); the entries (s+1)^3,
-    # (s+1)(s^2+3s+1) and s^2+3s+1 of adj M @ [dc*I | nc] each leave a
-    # remainder, and g drops to (s+1)^2, s+1 and 1 in turn
-    plant = RatMat([[RatFn(ONE, S + 2 * ONE), 0], [0, RatFn(S + ONE, S + 2 * ONE)]])
-    cy = RatMat([[RatFn(ONE, S + ONE), 0], [0, RatFn(ONE, S + ONE)]])
+    # one kernel call on det M and the eight entries, zero ones included,
+    # finds it by one evaluation, with no pairwise gcd
+    plant, cy = COMMON_FACTOR_PLANT, COMMON_FACTOR_CY
     calls = count_gcds(monkeypatch)
     assert tuple(gang_of_four(plant, cy)) == oracle_gang_of_four(plant, cy)
-    s1, q = S + ONE, S**2 + 3 * S + ONE
-    assert calls == [(s1**2 * q, s1**3), (s1**2, s1 * q), (s1, q)]
+    det_m = (S + ONE) ** 2 * (S**2 + 3 * S + ONE)
+    assert [(fs[0], len(fs), pairs) for fs, pairs in calls] == [(det_m._z, 9, [])]
+
+
+def test_a_loop_whose_evaluation_gives_no_gcd_folds_pairwise(monkeypatch):
+    # with no candidate from the several-polynomial evaluation, the kernel
+    # folds pairwise gcds over det M and the nonzero entries, to the same maps
+    plant, cy = COMMON_FACTOR_PLANT, COMMON_FACTOR_CY
+    heu_gcd = twodof.polyalg._heu_gcd
+    monkeypatch.setattr(twodof.polyalg, "_heu_gcd", lambda *fs: None if len(fs) > 2 else heu_gcd(*fs))
+    calls = count_gcds(monkeypatch)
+    assert tuple(gang_of_four(plant, cy)) == oracle_gang_of_four(plant, cy)
+    assert len(calls) == 1 and calls[0][1]
 
 
 def test_loop_maps_of_larger_and_non_square_plants():

@@ -412,9 +412,9 @@ def test_find_admissible_unity_xprime_stable_plant_shortcut():
 def test_unity_closed_loop_matches_parameter():
     plant, smfd = example_plant_data()
     witness = RatMat([[rf(3 * S - 42 * ONE, (S + ONE) ** 2)]])
-    cff, maps = unity_feedback_controller(smfd, witness)
+    cff, formed = unity_feedback_controller(smfd, witness)
     loop = (RatMat.identity(1) - plant @ cff).inv() @ plant @ cff
-    assert maps.p_sens_cy == loop
+    assert formed.maps.p_sens_cy == loop
     assert loop == smfd.nprime @ witness
     control = (RatMat.identity(1) - cff @ plant).inv() @ cff
     assert control == smfd.dprime @ witness
