@@ -26,8 +26,8 @@ denominator would exceed degree MAX_DEGREE, and any power that could have
 a coefficient of more than MAX_DIGITS * MAX_EXPONENT digits, are refused
 before they are computed: exact normalisation of a high-degree fraction
 with long coefficients can take minutes, a power of a power of a power
-can take minutes and gigabytes, and each level of nesting takes four
-frames of the recursive parser.
+can take minutes and gigabytes, and each level of nesting takes three
+frames of the recursive parser (expression, term, factor).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .factor import StableMFD, _fmt_root, right_coprime_mfd, stable_mfd, zeros_and_poles
-from .polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat, ShapeError, _as_ratfn
+from .polyalg import ONE, S, PolyMat, RatFn, RatMat, ShapeError, _dot, _from_z, _mul, _trim
 from .stabilize import IllPosedLoop, TwoDofConfig, _youla_feedback, solve_bezout
 from .synthesis import (
     DesignObstruction,
@@ -81,148 +81,153 @@ MAX_DIGITS = 100
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
-        self.position = position
+        self.message, self.position = message, position
 
 
-_SYMBOLS = set("s+-*/^()")
-_BINARY = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-    "^": operator.pow,
-}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_TOKEN = re.compile(r"[0-9]+|\S")
+# the first literal past the digit cap or character of no token: [0-9], not
+# \d or str.isdigit, which take superscript and Arabic-Indic digits
+_REFUSED = re.compile(r"[0-9]{%d,}|[^\s0-9s+\-*/^()]" % (MAX_DIGITS + 1))
 
 
-def _apply(op: str, a: Poly | RatFn, b: Poly | RatFn | int, pos: int) -> Poly | RatFn:
-    """a op b (b an int exponent for '^'), refused past the degree cap or,
-    for '^', the digit cap of a power (see the module docstring).  It stays a
-    `Poly` until a '/', or a `Poly` meeting a `RatFn`, makes it a `RatFn`."""
-    an, ad = _degrees(a)
-    if op == "^":
-        degree = b * max(an, ad)
-        # each integer storing a**b is at most (sum of |c|)**b over those storing a
-        size = max(max(sum(map(abs, p._z)), p._d) for p in _parts(a))
-        if b * math.log10(size) > MAX_DIGITS * MAX_EXPONENT:
-            raise ParseError(f"power exceeds the cap of {MAX_DIGITS * MAX_EXPONENT} digits", pos)
-    else:
-        bn, bd = _degrees(b)
-        if op == "/":  # a / b multiplies a by bd / bn
-            bn, bd = bd, bn
-        degree = max(max(an + bd, bn + ad) if op in "+-" else an + bn, ad + bd)
-    if degree > MAX_DEGREE:
-        raise ParseError(f"degree {degree} exceeds the cap of {MAX_DEGREE}", pos)
-    if op == "/" and a.__class__ is b.__class__ is Poly:
-        return RatFn(a, b)
-    if op != "^" and a.__class__ is not b.__class__:
-        a, b = _as_ratfn(a), _as_ratfn(b)
-    return _BINARY[op](a, b)
-
-
-def _parts(x: Poly | RatFn) -> tuple[Poly, Poly]:
-    return (x, ONE) if x.__class__ is Poly else (x.num, x.den)
-
-
-def _degrees(x: Poly | RatFn) -> tuple[int, int]:
-    num, den = _parts(x)
-    return num.degree() or 0, den.degree() or 0
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    # [0-9], not \d or str.isdigit, which take superscript and Arabic-Indic digits
-    for match in re.finditer(r"[0-9]+|\S", text):
-        tok, i = match.group(), match.start()
-        if tok[0] in "0123456789":
-            if len(tok) > MAX_DIGITS:
-                raise ParseError(f"literal of {len(tok)} digits exceeds the cap of {MAX_DIGITS}", i)
-            tokens.append(("int", tok, i))
-        elif tok in _SYMBOLS:
-            tokens.append((tok, tok, i))
-        else:
-            raise ParseError(f"unexpected character {tok!r}", i)
-    return tokens + [("end", "", len(text))]
+def _degrees(x: list[int] | RatFn) -> tuple[int, int]:
+    return (max(len(x) - 1, 0), 0) if x.__class__ is list else (x.num.degree() or 0, x.den.degree())
 
 
 class _Parser:
+    """Recursive descent over one text's tokens, ASCII once the refusals pass.
+    A polynomial is carried as its integer coefficients (no trailing zeros)
+    until a '/', or meeting a `RatFn`, makes it a `RatFn`."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        bad = _REFUSED.search(text)
+        if bad:
+            tok, i = bad.group(), bad.start()
+            if tok[0] in "0123456789":
+                raise ParseError(f"literal of {len(tok)} digits exceeds the cap of {MAX_DIGITS}", i)
+            raise ParseError(f"unexpected character {tok!r}", i)
+        self.text = text
+        self.tokens = _TOKEN.findall(text) + [""]  # "": the end of input
         self.k = 0
         self.depth = 0  # parentheses open
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.k]
+    def error(self, message: str, k: int) -> ParseError:
+        """``message`` at the position of token ``k``, worked out only here."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return ParseError(message, starts[k])
 
-    def take(self, kind: str | None = None) -> tuple[str, str, int]:
+    def take(self, want: str) -> None:
         tok = self.tokens[self.k]
-        if kind is not None and tok[0] != kind:
-            want = "end of input" if kind == "end" else repr(kind)
-            raise ParseError(f"expected {want}, found {tok[1] or 'end of input'!r}", tok[2])
+        if tok != want:
+            want = repr(want) if want else "end of input"
+            raise self.error(f"expected {want}, found {tok or 'end of input'!r}", self.k)
         self.k += 1
-        return tok
 
-    def expression(self) -> Poly | RatFn:
-        negate = self.peek()[0] == "-"
+    def expression(self) -> list[int] | RatFn:
+        tokens = self.tokens
+        negate = tokens[self.k] == "-"
+        self.k += negate
+        value = self.term()
         if negate:
-            self.take()
-        value = -self.term() if negate else self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.take()
-            value = _apply(op, value, self.term(), pos)
+            value = [-x for x in value] if value.__class__ is list else -value
+        while tokens[self.k] in ("+", "-"):
+            self.k += 1
+            value = self.apply(self.k - 1, value, self.term())
         return value
 
-    def term(self) -> Poly | RatFn:
+    def term(self) -> list[int] | RatFn:
+        tokens = self.tokens
         value = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.take()
+        while tokens[self.k] in ("*", "/"):
+            k = self.k
+            self.k += 1
             rhs = self.factor()
-            if op == "/" and rhs.is_zero():
-                raise ParseError("zero denominator", pos)
-            value = _apply(op, value, rhs, pos)
+            if tokens[k] == "/" and (rhs.is_zero() if rhs.__class__ is RatFn else not rhs):
+                raise self.error("zero denominator", k)
+            value = self.apply(k, value, rhs)
         return value
 
-    def factor(self) -> Poly | RatFn:
-        value = self.base()
-        if self.peek()[0] == "^":
-            pos = self.take()[2]
-            _, text, exp_pos = self.take("int")
-            k = int(text)
-            if k > MAX_EXPONENT:
-                raise ParseError(f"exponent {k} exceeds the cap of {MAX_EXPONENT}", exp_pos)
-            value = _apply("^", value, k, pos)
-        return value
-
-    def base(self) -> Poly | RatFn:
-        kind, text, pos = self.peek()
-        if kind == "s":
-            self.take()
-            return S
-        if kind == "int":
-            self.take()
-            return Poly((int(text),))
-        if kind == "(":
+    def factor(self) -> list[int] | RatFn:
+        k = self.k
+        tok = self.tokens[k]
+        self.k += 1
+        if tok == "s":
+            value = [0, 1]
+        elif tok.isdigit():
+            value = [int(tok)] if tok.strip("0") else []
+        elif tok == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            self.take()
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", k)
             self.depth += 1
-            inner = self.expression()
+            value = self.expression()
             self.take(")")
             self.depth -= 1
-            return inner
-        raise ParseError(
-            f"expected 's', a number, or '(', found {text or 'end of input'!r}", pos
-        )
+        else:
+            raise self.error(f"expected 's', a number, or '(', found {tok or 'end of input'!r}", k)
+        if self.tokens[self.k] == "^":
+            k = self.k
+            exp = self.tokens[k + 1]
+            if not exp.isdigit():
+                raise self.error(f"expected 'int', found {exp or 'end of input'!r}", k + 1)
+            self.k += 2
+            if int(exp) > MAX_EXPONENT:
+                raise self.error(f"exponent {int(exp)} exceeds the cap of {MAX_EXPONENT}", k + 1)
+            value = self.apply(k, value, int(exp))
+        return value
+
+    def apply(self, k: int, a, b) -> list[int] | RatFn:
+        """a op b for the operator token ``k`` (b an int exponent for '^'),
+        refused there past the degree cap or, for '^', the digit cap of a
+        power (see the module docstring)."""
+        op, (an, ad) = self.tokens[k], _degrees(a)
+        if op == "^":
+            degree = b * max(an, ad)
+            # each integer storing a**b is at most (sum of |c|)**b over those storing a
+            parts = ((a, 1),) if a.__class__ is list else ((a.num._z, a.num._d), (a.den._z, a.den._d))
+            size = max(max(sum(map(abs, z)), d) for z, d in parts)
+            if b * math.log10(size) > MAX_DIGITS * MAX_EXPONENT:
+                raise self.error(f"power exceeds the cap of {MAX_DIGITS * MAX_EXPONENT} digits", k)
+        else:
+            bn, bd = _degrees(b)
+            if op == "/":  # a / b multiplies a by bd / bn
+                bn, bd = bd, bn
+            degree = max(max(an + bd, bn + ad) if op in "+-" else an + bn, ad + bd)
+        if degree > MAX_DEGREE:
+            raise self.error(f"degree {degree} exceeds the cap of {MAX_DEGREE}", k)
+        if op == "^":
+            return list((_from_z(a) ** b)._z) if a.__class__ is list else a**b
+        if a.__class__ is list and b.__class__ is list:
+            if op == "/":
+                return RatFn(_from_z(a), _from_z(b))
+            if op == "*":
+                return _mul(a, b)
+            return _trim(_dot((a, b), ((1,), (1 if op == "+" else -1,))))  # (a, b).(1, +-1)
+        a, b = (RatFn(_from_z(x)) if x.__class__ is list else x for x in (a, b))
+        return _BINARY[op](a, b)
 
 
 def parse_rational(text: str) -> RatFn:
     parser = _Parser(text)
     value = parser.expression()
-    parser.take("end")
-    return _as_ratfn(value)
+    parser.take("")
+    return RatFn(_from_z(value)) if value.__class__ is list else value
 
 
 def parse_matrix(text: str) -> RatMat:
-    rows = [[parse_rational(cell) for cell in row.split(",")] for row in text.split(";")]
+    """Entries split by ',' and rows by ';'; error positions are in ``text``."""
+    rows, start = [], 0
+    try:
+        for line in text.split(";"):
+            rows.append([])
+            for cell in line.split(","):
+                rows[-1].append(parse_rational(cell))
+                start += len(cell) + 1
+    except ParseError as err:
+        raise ParseError(err.message, start + err.position) from None
     if len({len(row) for row in rows}) != 1:
         raise ValueError("matrix rows have unequal lengths")
-    return RatMat(rows)
+    return RatMat(tuple(map(tuple, rows)))
 
 
 def parse_poly_matrix(text: str) -> PolyMat:
@@ -391,7 +396,7 @@ def cmd_stabilize(pf: ProblemFile, args: argparse.Namespace) -> None:
     m_in, p_out = plant.shape[1], plant.shape[0]
     # k is strictly proper, so v - k@nl' equals the nonsingular v at infinity
     # and its cy is proper: the sample is admissible
-    sample = RatMat([[RatFn(ONE, S + (1 + smfd.shift)) for _ in range(p_out)] for _ in range(m_in)])
+    sample = RatMat(((RatFn(ONE, S + (1 + smfd.shift)),) * p_out,) * m_in)
     cy2, _, loop2 = _youla_feedback(smfd, sample)
     _print_named("sample parameter k", sample)
     _print_named("sample feedback map cy", cy2)

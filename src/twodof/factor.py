@@ -155,7 +155,7 @@ class StableMFD(namedtuple("StableMFD", "nprime dprime u v shift col_degrees sou
     def dprime_inv(self) -> RatMat:
         """d'**-1 = diag(scaling) @ d**-1."""
         rows = zip(self.d_inv.rows, self.scaling)
-        return RatMat([[e * psi for e in row] for row, psi in rows])
+        return RatMat(tuple(tuple(e * psi for e in row) for row, psi in rows))
 
     @cached_property
     def left(self) -> LeftMFD:
@@ -230,7 +230,7 @@ def right_coprime_mfd(p: RatMat) -> RightMFD:
         if any(not rem.is_zero() for row in quotients for _, rem in row):
             raise ArithmeticError("Hermite pivot block does not divide [d0; n0]")
         d, n = (
-            PolyMat([[q for q, _ in row] for row in rows])
+            PolyMat(tuple(tuple(q for q, _ in row) for row in rows))
             for rows in (quotients[:cols], quotients[cols:])
         )
     return _certified(*_column_reduce(n, d, PolyMat(u.rows[:cols])), _reduce(u.rows[cols:]))
@@ -268,7 +268,8 @@ def _column_reduce(
     m = d.shape[0]
     wrows = None if w is None else [list(row) for row in w.rows]
     rows = _reduce(vstack(d, n).transpose().rows, m, wrows).transpose().rows
-    return PolyMat(rows[m:]), PolyMat(rows[:m]), None if w is None else PolyMat(wrows)
+    w = None if w is None else PolyMat(tuple(map(tuple, wrows)))
+    return PolyMat(rows[m:]), PolyMat(rows[:m]), w
 
 
 def _reduce(
@@ -302,7 +303,7 @@ def _reduce(
             wrows[target] = [e * (1 / c[target]) for e in wrows[target]]
             for j, mult in mults.items():
                 wrows[j] = [e - mult * g for e, g in zip(wrows[j], wrows[target])]
-    return PolyMat(vecs)
+    return PolyMat(tuple(map(tuple, vecs)))
 
 
 def poly_row_diophantine(
@@ -432,8 +433,8 @@ def _bezout_rows(
         solved = poly_row_diophantine(source.n, source.d, rhs_k, k, k)
         for i, (alpha, beta) in zip(group, solved or ()):  # None: the rows stay None
             rows[i] = beta + alpha
-    targets = PolyMat([[phi * e for e in row] for row, phi in zip(rhs, phis)])
-    if None in rows or PolyMat(rows) @ vstack(source.d, source.n) != targets:
+    targets = PolyMat(tuple(tuple(phi * e for e in row) for row, phi in zip(rhs, phis)))
+    if None in rows or PolyMat(tuple(map(tuple, rows))) @ vstack(source.d, source.n) != targets:
         raise ArithmeticError("Bezout witness fails alpha @ n + beta @ d = diag(phi) @ rhs")
     return [x[m:] for x in rows], [x[:m] for x in rows], phis
 
@@ -460,14 +461,14 @@ def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
         raise ValueError("plant must be proper")
     psis = [hurwitz_shift_polynomial(sigma, deg) for deg in col_degrees]
     nprime, dprime = (
-        RatMat([[RatFn(e, psi) for e, psi in zip(row, psis)] for row in mat.rows])
+        RatMat(tuple(tuple(RatFn(e, psi) for e, psi in zip(row, psis)) for row in mat.rows))
         for mat in (n, d)
     )
     # u = diag(phi)**-1 @ alpha and v = diag(phi)**-1 @ beta solve
     # alpha @ n + beta @ d = diag(phi * psi), that is u @ n' + v @ d' = I
     alphas, betas, phis = _bezout_rows(source, PolyMat.diag(psis).rows, sigma, max(1, *col_degrees) + 40)
     u, v = (
-        RatMat([[RatFn(e, phi) for e in row] for row, phi in zip(mat, phis)])
+        RatMat(tuple(tuple(RatFn(e, phi) for e in row) for row, phi in zip(mat, phis)))
         for mat in (alphas, betas)
     )
     return StableMFD(nprime, dprime, u, v, sigma, col_degrees, source)
@@ -479,7 +480,7 @@ def stable_left_mfd(left: LeftMFD, shift: Fraction | int = 1) -> tuple[RatMat, R
     is divided by (s + shift) to the power of the row degree of dl."""
     psis = [hurwitz_shift_polynomial(shift, deg or 0) for deg in left.dl.row_degrees()]
     dl_prime, nl_prime = (
-        RatMat([[RatFn(e, psi) for e in row] for row, psi in zip(mat.rows, psis)])
+        RatMat(tuple(tuple(RatFn(e, psi) for e in row) for row, psi in zip(mat.rows, psis)))
         for mat in (left.dl, left.nl)
     )
     return dl_prime, nl_prime
@@ -612,7 +613,7 @@ def _zero_polynomial(n: PolyMat) -> Poly:
     for rows, cols in itertools.product(
         itertools.combinations(range(p), rank), itertools.combinations(range(m), rank)
     ):
-        minor = polymat_det(PolyMat([[n.entry(i, j) for j in cols] for i in rows]))
+        minor = polymat_det(PolyMat(tuple(tuple(n.entry(i, j) for j in cols) for i in rows)))
         if not minor.is_zero():
             zero_poly = minor if zero_poly.is_zero() else poly_gcd(zero_poly, minor)
             if zero_poly.is_constant():

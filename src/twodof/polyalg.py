@@ -92,8 +92,8 @@ def _frac(x: Scalar) -> Fraction:
 
 
 class _Value:
-    """Base of the immutable value types: ``__init__`` sets each slot once
-    through ``object.__setattr__``, and nothing is assigned or deleted after."""
+    """Base of the immutable value types: ``__init__`` sets each slot once by
+    its descriptor's ``__set__``, and nothing is assigned or deleted after."""
 
     __slots__ = ()
 
@@ -129,8 +129,8 @@ class Poly(_Value):
         # numerators coprime to it, so the pair is already in lowest terms.
         d = math.lcm(*(c.denominator for c in cs))
         z = _trim([c.numerator * (d // c.denominator) for c in cs])
-        object.__setattr__(self, "_z", tuple(z))
-        object.__setattr__(self, "_d", d if z else 1)
+        _set_z(self, tuple(z))
+        _set_d(self, d if z else 1)
 
     def __reduce__(self):
         return _from_z, (self._z, self._d)
@@ -274,11 +274,15 @@ class Poly(_Value):
         return f"Poly({self})"
 
 
+# the slot setters, bound once: a value is built by its data alone
+_set_z, _set_d = Poly._z.__set__, Poly._d.__set__
+
+
 def _from_z(a: Sequence[int], d: int = 1) -> Poly:
     """The Poly a / d for ``a`` and ``d`` already in lowest terms."""
     p = object.__new__(Poly)
-    object.__setattr__(p, "_z", tuple(a))
-    object.__setattr__(p, "_d", d)
+    _set_z(p, tuple(a))
+    _set_d(p, d)
     return p
 
 
@@ -599,8 +603,8 @@ class RatFn(_Value):
             if len(g) > 1 or b[-1] != den._d:  # else coprime and monic already
                 num = _lowest([x * den._d for x in a], num._d * b[-1])
                 den = _monic_z(b)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __reduce__(self):
         return RatFn, (self.num, self.den)
@@ -691,16 +695,13 @@ class RatFn(_Value):
         return f"RatFn({self})"
 
 
+_set_num, _set_den = RatFn.num.__set__, RatFn.den.__set__
 RF_ZERO = RatFn(ZERO)
 RF_ONE = RatFn(ONE)
 
 
 def _as_ratfn(x: "RatFn | Poly | Scalar") -> RatFn:
-    if isinstance(x, RatFn):
-        return x
-    if isinstance(x, Poly):
-        return RatFn(x)
-    return RatFn(_as_poly(x))
+    return x if isinstance(x, RatFn) else RatFn(x)
 
 
 def common_denominator(entries: Iterable[RatFn]) -> tuple[Poly, list[Poly]]:
@@ -732,7 +733,7 @@ def _over_lcd(mat: RatMat) -> tuple[Poly, PolyMat]:
     """(den, num) with mat = num / den, den the monic lcd of the entries."""
     cols = mat.shape[1]
     den, nums = common_denominator(e for row in mat.rows for e in row)
-    return den, PolyMat(tuple(nums[i : i + cols] for i in range(0, len(nums), cols)))
+    return den, PolyMat(tuple(tuple(nums[i : i + cols]) for i in range(0, len(nums), cols)))
 
 
 def _column_fraction(mat: RatMat) -> tuple[list[Poly], PolyMat]:
@@ -754,24 +755,25 @@ def _over(mat: PolyMat, den: Poly) -> RatMat:
 class _Grid(_Value):
     """Immutable row-major matrix over a ring, with at least one row and one
     column: the half of `PolyMat` and `RatMat` that does not depend on the
-    ring.  A subclass names its ring: ``_coerce`` makes an entry of a value,
-    ``_zero`` and ``_one`` are the ring's zero and one.  Equality and
-    hashing follow ``rows`` within one kind of matrix.
-    """
+    ring.  A subclass names its ring: ``_coerce`` makes an entry of a value
+    (rows already built of the class of ``_zero`` are kept), ``_zero`` and
+    ``_one`` are the ring's zero and one.  Equality and hashing follow
+    ``rows`` within one kind of matrix."""
 
     # no instance dict, so that no attribute can be added to a subclass's
     # instance either; a subclass declares empty slots
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]) -> None:
-        coerce = self._coerce
-        rows = tuple(tuple(coerce(e) for e in row) for row in rows)
-        if not rows or not rows[0]:
-            raise ShapeError("matrix must have at least one row and one column")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ShapeError("ragged matrix rows")
-        object.__setattr__(self, "rows", rows)
+        if not _built(rows, self._zero.__class__):
+            coerce = self._coerce
+            rows = tuple(tuple(coerce(e) for e in row) for row in rows)
+            if not rows or not rows[0]:
+                raise ShapeError("matrix must have at least one row and one column")
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
+                raise ShapeError("ragged matrix rows")
+        _set_rows(self, rows)
 
     def __reduce__(self):
         return type(self), (self.rows,)
@@ -838,6 +840,23 @@ class _Grid(_Value):
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
 
     __repr__ = __str__
+
+
+_set_rows = _Grid.rows.__set__
+
+
+def _built(rows: Sequence[Sequence], ring: type) -> bool:
+    """Whether ``rows`` is a tuple of nonempty equal-width tuples of ``ring``."""
+    if rows.__class__ is not tuple or not rows or rows[0].__class__ is not tuple:
+        return False
+    width = len(rows[0])
+    for row in rows:
+        if row.__class__ is not tuple or len(row) != width or not width:
+            return False
+        for e in row:
+            if e.__class__ is not ring:
+                return False
+    return True
 
 
 def _same_kind(a: _Grid, b: _Grid, name: str) -> type:

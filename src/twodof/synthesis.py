@@ -137,11 +137,11 @@ DesignResult = namedtuple(
 
 
 def _x_from_xprime(smfd: StableMFD, xprime: RatMat) -> RatMat:
-    return RatMat([[e / psi for e in row] for row, psi in zip(xprime.rows, smfd.scaling)])
+    return RatMat(tuple(tuple(e / psi for e in row) for row, psi in zip(xprime.rows, smfd.scaling)))
 
 
 def _xprime_from_x(smfd: StableMFD, x: RatMat) -> RatMat:
-    return RatMat([[e * psi for e in row] for row, psi in zip(x.rows, smfd.scaling)])
+    return RatMat(tuple(tuple(e * psi for e in row) for row, psi in zip(x.rows, smfd.scaling)))
 
 
 def _verdict_zero_factors(n: PolyMat, verdict: StabilityVerdict) -> list[Poly]:
@@ -206,7 +206,7 @@ def _solve_polymat(a: PolyMat, b: RatMat) -> RatMat | None:
     x_rows = [[ZERO] * b.shape[1] for _ in range(cols)]
     for row, col in zip(aug, pivots):
         x_rows[col] = row[cols:]
-    return _over(PolyMat(x_rows), last * den)
+    return _over(PolyMat(tuple(map(tuple, x_rows))), last * den)
 
 
 def check_realizable(
@@ -693,11 +693,11 @@ def find_admissible_unity_xprime(smfd: StableMFD) -> RatMat:
             d_x = (S + ONE) ** deg_dx
             # n_x*a - p*d_u = -d_x*b with deg n_x <= deg d_x, deg p <= total - deg d_x
             solved = poly_row_diophantine(
-                PolyMat([[a]]), PolyMat([[-d_u]]), [[-(d_x * b)]], deg_dx, total - deg_dx
+                PolyMat(((a,),)), PolyMat(((-d_u,),)), [[-(d_x * b)]], deg_dx, total - deg_dx
             )
             if solved is None:
                 continue
-            candidate = RatMat([[RatFn(solved[0][0][0], d_x)]])
+            candidate = RatMat(((RatFn(solved[0][0][0], d_x),),))
             if _unity_restriction(smfd, candidate)[1]:
                 return candidate
     raise DesignObstruction(
@@ -742,8 +742,8 @@ def ff_fb_realization(controller: TwoDofConfig, shift: Fraction | int = 1) -> Ff
         raise ValueError("realization requires a proper controller")
     dc, nl = stable_left_mfd(left_coprime_mfd(hstack(cy, cr)), shift)
     p_cols = cy.shape[1]
-    cfb = RatMat([row[:p_cols] for row in nl.rows])
-    r_map = RatMat([row[p_cols:] for row in nl.rows])
+    cfb = RatMat(tuple(row[:p_cols] for row in nl.rows))
+    r_map = RatMat(tuple(row[p_cols:] for row in nl.rows))
     cff = dc.inv()
     if cff @ cfb != cy or cff @ r_map != cr:
         raise ArithmeticError("realization blocks do not reproduce (cy, cr)")

@@ -65,7 +65,23 @@ from twodof.verify import closed_loop
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
-coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+# The 217 values of st.fractions(min_value=-9, max_value=9, max_denominator=6),
+# simplest first (denominator, then size, positive first): sampled_from draws
+# and shrinks them at a fraction of that strategy's cost.
+COEFFICIENT_VALUES = sorted(
+    {Fraction(p, q) for q in range(1, 7) for p in range(-9 * q, 9 * q + 1)},
+    key=lambda x: (x.denominator, abs(x), x < 0),
+)
+coefficients = st.sampled_from(COEFFICIENT_VALUES)
+
+
+@SETTINGS
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=6))
+def test_sampled_coefficients_are_the_fraction_strategys_values(x):
+    assert x in COEFFICIENT_VALUES
+    assert len(COEFFICIENT_VALUES) == len(set(COEFFICIENT_VALUES)) == 217
+    assert COEFFICIENT_VALUES[:4] == [0, 1, -1, 2]
+    assert all(-9 <= v <= 9 and v.denominator <= 6 for v in COEFFICIENT_VALUES)
 
 
 def polys(max_degree=4):

@@ -93,6 +93,30 @@ def test_parse_rational_refuses_non_ascii_digits(text, position):
     assert str(err.value) == f"unexpected character {text[position]!r} at position {position}"
 
 
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ("s s, 1; 1, 1", "s"),
+        ("1/(s-1), 2/(s\u00b2+2); 1/(s+3), 1", "\u00b2"),
+        ("1/(s-1), 2/(s+2); 1/(s+3)), 1/(s+1)", ")"),
+        ("s, 1; 1/0, s^99", "/"),
+        ("s, 1; 1, s^99", "99"),
+        ("1, 2; (s+1)^41, 1", "^"),
+        ("1, 2/(s+; 1, 1", ";"),  # the cell ends where its separator stands
+        ("1/(s-1), 2/(s+2); 1/(s+3), 1/(s+", None),  # the text ends early
+    ],
+)
+def test_parse_matrix_error_positions_point_into_the_text(text, token):
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text)
+    pos = err.value.position
+    if token is None:
+        assert pos == len(text)
+    else:
+        assert text.startswith(token, pos)
+    assert str(err.value).endswith(f" at position {pos}")
+
+
 def test_parse_rational_zero_denominator():
     for text, position in [("1/0", 1), ("1/(s-s)", 1), ("s/(s-s)", 1), ("s/(s+1)/0", 7)]:
         with pytest.raises(ParseError) as err:
@@ -168,7 +192,7 @@ def test_parse_rational_at_the_caps():
 
 
 def test_parse_rational_nesting_cap():
-    # each level of nesting takes four frames of the recursive parser
+    # each level of nesting takes three frames of the recursive parser
     assert MAX_NESTING == 64
     assert parse_rational("(" * 64 + "s+1" + ")" * 64) == rf(S + ONE)
     with pytest.raises(ParseError) as err:

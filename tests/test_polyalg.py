@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from twodof.factor import RightMFD
+from twodof.cli import parse_matrix
+from twodof.factor import RightMFD, right_coprime_mfd, stable_mfd
 from twodof.polyalg import (
     ONE,
     S,
@@ -29,7 +30,8 @@ from twodof.polyalg import (
     vstack,
 )
 from twodof.stability import matrix_is_stable
-from twodof.synthesis import DesignObstruction, check_realizable
+from twodof.synthesis import DesignObstruction, check_realizable, model_matching
+from twodof.verify import closed_loop
 
 
 def p(*coeffs):
@@ -325,7 +327,8 @@ def test_the_grid_behaves_alike_for_both_kinds(kind, ring):
     assert pickle.loads(pickle.dumps(a)) == copy.deepcopy(a) == a
     with pytest.raises(ShapeError):
         a + a.transpose()
-    for bad in ([], [[]], [[S], [S, ONE]]):
+    # the shape checks hold for tuples too, which a grid may store as given
+    for bad in ([], [[]], [[S], [S, ONE]], (), ((),), ((S,), (S, ONE))):
         with pytest.raises(ShapeError):
             kind(bad)
     for name in ("rows", "extra"):
@@ -333,10 +336,34 @@ def test_the_grid_behaves_alike_for_both_kinds(kind, ring):
             setattr(a, name, ())
 
 
+def test_kernel_built_grids_are_not_coerced_again(monkeypatch):
+    # The first unstable plant perfbench's siso-design draws (seed 1).  Its
+    # analysis, design and verification build about 70 grids, nearly all of
+    # them rows of tuples that a kernel already built; only a change of ring
+    # (to_ratmat) and the factor of a scale are coerced, where every entry of
+    # every grid was once (109 calls).
+    plant = parse_matrix("-2*(s+5)*(s-2)/((s-3)*(s+1)*(s+3))")
+    target = parse_matrix("-2*(s+5)*(s-2)/(s+4)^3")
+    calls = []
+    for kind in (PolyMat, RatMat):
+        coerce = kind._coerce
+        monkeypatch.setattr(
+            kind, "_coerce", staticmethod(lambda e, c=coerce, k=kind: calls.append(k) or c(e))
+        )
+    result = model_matching(stable_mfd(right_coprime_mfd(plant)), target)
+    closed_loop(plant, result.configuration)
+    assert (calls.count(PolyMat), calls.count(RatMat)) == (3, 2)
+
+
 def test_the_two_kinds_of_matrix_do_not_mix():
     p = PolyMat([[S, ONE]])
     r = p.to_ratmat()
     assert p != r and tuple(e.num for e in r.rows[0]) == p.rows[0]
+    # rows of tuples are stored uncoerced only when every entry is of the
+    # grid's own ring: Poly entries become RatFn, a RatFn is no Poly
+    assert RatMat(p.rows) == r and all(e.__class__ is RatFn for e in RatMat(p.rows).rows[0])
+    with pytest.raises(TypeError):
+        PolyMat(((S, RatFn(ONE, S)),))
     for stack in (hstack, vstack):
         for x, y in ((p, r), (r, p)):
             with pytest.raises(TypeError):
