@@ -281,10 +281,7 @@ def _option(pf: ProblemFile, args: argparse.Namespace, name: str, default, conv)
     if cli_value is not None:
         return cli_value
     if name in pf.options:
-        try:
-            return conv(pf.options[name])
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(str(exc)) from None
+        return conv(pf.options[name])
     return default
 
 
@@ -517,11 +514,11 @@ def cmd_simulate(pf: ProblemFile, args: argparse.Namespace) -> None:
         target = pf.plant
     else:
         raise ValueError("nothing to simulate: give [design] t, a [config], or a [plant]")
-    horizon = float(_option(pf, args, "horizon", 10.0, float))
-    dt = float(_option(pf, args, "dt", 0.01, float))
+    horizon = _option(pf, args, "horizon", 10.0, _float)
+    dt = _option(pf, args, "dt", 0.01, _float)
     if len(text := pf.design.get("channel", "1")) > MAX_DIGITS:
         raise ValueError(f"channel of {len(text)} characters exceeds the cap of {MAX_DIGITS}")
-    channel = int(text)
+    channel = int(_ascii(text, "channel"))
     if not 1 <= channel <= target.shape[1]:
         raise ValueError(f"channel {channel} is outside 1..{target.shape[1]}")
     trace = simulate_step(target, horizon=horizon, dt=dt)
@@ -558,12 +555,27 @@ class _UsageError(ValueError):
     pass
 
 
+def _ascii(text: str, kind: str) -> str:
+    """``text``, refused unless ASCII with no '_', as the grammar's literals
+    are: int, float and Fraction also read '٢' (Arabic-Indic) and '_'."""
+    if not text.isascii() or "_" in text:
+        raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}")
+    return text
+
+
+def _float(text: str) -> float:
+    return float(_ascii(text, "float"))
+
+
+_float.__name__ = "float"  # argparse names a refused value's type by it
+
+
 def _fraction(text: str) -> Fraction:
     """``Fraction(text)``, refused as a usage error rather than a traceback
     when malformed, with a zero denominator, or with a numerator or
     denominator of more than MAX_DIGITS digits; an exponent past MAX_DIGITS
     plus the mantissa's length breaks that cap before 10**exponent is formed."""
-    mantissa, _, exponent = text.lower().partition("e")
+    mantissa, _, exponent = _ascii(text, "Fraction").lower().partition("e")
     try:
         big = bool(exponent) and abs(int(exponent)) > MAX_DIGITS + len(mantissa)
         value = None if big else Fraction(text)
@@ -601,23 +613,19 @@ def build_parser() -> argparse.ArgumentParser:
     add("unity-parameter", cmd_unity_parameter, help="search an admissible unity-feedback parameter")
     add("verify", cmd_verify, help="closed-loop maps and stability report for a configuration")
     p_sim = add("simulate", cmd_simulate, help="step-response CSV for a transfer matrix or configuration")
-    p_sim.add_argument("--horizon", type=float, default=None, help="simulation length in seconds")
-    p_sim.add_argument("--dt", type=float, default=None, help="fixed step size in seconds")
+    p_sim.add_argument("--horizon", type=_float, default=None, help="simulation length in seconds")
+    p_sim.add_argument("--dt", type=_float, default=None, help="fixed step size in seconds")
     p_sim.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    # in-cap values can outgrow Python's 4300-digit int-to-text limit (README)
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(argv)  # a usage error is a ValueError
+        # in-cap values can outgrow Python's 4300-digit int-to-text limit (README)
+        sys.set_int_max_str_digits(0)
         args.func(load_problem(args.problem), args)
         return 0
     except DesignObstruction as exc:
@@ -631,7 +639,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ShapeError, ArithmeticError, OSError, configparser.Error) as exc:
+    except (ValueError, argparse.ArgumentTypeError, ShapeError, ArithmeticError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -2,8 +2,8 @@
 
 A rational transfer matrix P is written as a right fraction P = N * D**-1
 with N, D polynomial and right coprime, or as a left fraction
-P = Dl**-1 * Nl.  One Hermite transform gives the right fraction with a
-certificate W @ [D; N] = I of its coprimeness (``RightMFD.w``) and a
+P = Dl**-1 * Nl.  The Hermite transform of a right fraction's [D; N] gives
+a certificate W @ [D; N] = I of its coprimeness (``RightMFD.w``) and a
 row-reduced basis L of the left kernel of [D; N] (``RightMFD.kernel``).
 Dividing the columns of a column-reduced right fraction by powers of a
 fixed Hurwitz factor (s + shift) yields a fraction P = N' * D'**-1 whose
@@ -73,9 +73,9 @@ __all__ = [
 class RightMFD:
     """Right polynomial fraction P = n * d**-1 with d nonsingular.
 
-    ``w`` and ``kernel`` are None unless ``_certified`` attached them: ``w``
-    certifies that n and d are right coprime by the generalized Bezout
-    identity w @ [d; n] == I (Kailath, Linear Systems, 1980, ch. 6), and
+    ``w`` and ``kernel`` are None unless ``_certified`` read them off the
+    Hermite transform of this [d; n]: ``w`` certifies that n and d are right
+    coprime by w @ [d; n] == I (Kailath, Linear Systems, 1980, ch. 6), and
     ``kernel`` is a row-reduced basis of the left kernel of [d; n]; the
     fractions ``right_coprime_mfd`` certifies are column reduced.
     Equality and hashing follow n and d alone."""
@@ -126,9 +126,8 @@ class StableMFD(namedtuple("StableMFD", "nprime dprime u v shift col_degrees sou
     the one analysis of a plant that every design reads.
 
     ``u`` and ``v`` witness coprimeness: u @ nprime + v @ dprime == I.
-    ``col_degrees`` records the column degrees of the polynomial fraction
-    ``source`` = n * d**-1 (with its certificate ``w`` when it came from
-    ``right_coprime_mfd``), i.e. the powers of (s + shift) divided out.
+    ``col_degrees`` records the column degrees of the certified polynomial
+    fraction ``source`` = n * d**-1, i.e. the powers of (s + shift) divided out.
     d**-1 and d'**-1 (from one inversion of d), the polynomial left coprime
     fraction of the plant, the proper-stable left pair
     P = dl_prime**-1 @ nl_prime, the three polynomial factors of the Youla
@@ -204,36 +203,36 @@ class StableMFD(namedtuple("StableMFD", "nprime dprime u v shift col_degrees sou
         return out
 
 
-def _certified(n: PolyMat, d: PolyMat, w: PolyMat, kernel: PolyMat) -> RightMFD:
-    """n @ d**-1 carrying the rows w and kernel of one Hermite transform of
-    [d; n]; a w that fails w @ [d; n] = I raises ValueError."""
-    mfd = RightMFD(n, d)
-    if w @ vstack(d, n) != PolyMat.identity(d.shape[0]):
+def _certified(n: PolyMat, d: PolyMat, u: PolyMat) -> RightMFD:
+    """n @ d**-1 with w = u[:m] and the kernel u[m:], row reduced, of its
+    Hermite transform u @ [d; n] = [r; 0]; a w that fails w @ [d; n] = I
+    (r is not I) raises ValueError."""
+    mfd, m = RightMFD(n, d), d.shape[0]
+    mfd.w, mfd.kernel = PolyMat(u.rows[:m]), _reduce(u.rows[m:])
+    if mfd.w @ vstack(d, n) != PolyMat.identity(m):
         raise ValueError("coprimeness certificate fails w @ [d; n] = I")
-    mfd.w, mfd.kernel = w, kernel
     return mfd
 
 
 def right_coprime_mfd(p: RatMat) -> RightMFD:
     """Extract a right coprime, column-reduced fraction of a rational matrix,
-    certified by one Hermite transform: u @ [d0; n0] = [r; 0] for the
-    column fraction p = n0 @ d0**-1 gives [d; n] = [d0; n0] @ r**-1 (exact
-    division by det r, and none when r is I, as for every scalar plant),
-    the certificate w = u[:m] of w @ [d; n] = I and the kernel u[m:]."""
+    certified by its own Hermite transform: u @ [d0; n0] = [r; 0] for the
+    column fraction p = n0 @ d0**-1 serves when r is I, as for every scalar
+    plant (d0, a diagonal of monic lcds, is column reduced); else
+    [d; n] = [d0; n0] @ r**-1 (exact division by det r) is column reduced
+    and eliminated once more."""
     cols = p.shape[1]
-    d0_cols, n0 = _column_fraction(p)
-    d, n = PolyMat.diag(d0_cols), n0
+    d, n = _column_fraction(p)
     h, u = hermite(vstack(d, n))
     if PolyMat(h.rows[:cols]) != PolyMat.identity(cols):
         det, adj = _polymat_det_adj(PolyMat(h.rows[:cols]))
         quotients = [[divmod(e, det) for e in row] for row in (vstack(d, n) @ adj).rows]
         if any(not rem.is_zero() for row in quotients for _, rem in row):
             raise ArithmeticError("Hermite pivot block does not divide [d0; n0]")
-        d, n = (
-            PolyMat(tuple(tuple(q for q, _ in row) for row in rows))
-            for rows in (quotients[:cols], quotients[cols:])
-        )
-    return _certified(*_column_reduce(n, d, PolyMat(u.rows[:cols])), _reduce(u.rows[cols:]))
+        rows = [tuple(q for q, _ in row) for row in quotients]
+        n, d = column_reduce(PolyMat(tuple(rows[cols:])), PolyMat(tuple(rows[:cols])))
+        h, u = hermite(vstack(d, n))  # a quotient left with a common divisor fails w
+    return _certified(n, d, u)
 
 
 def left_coprime_mfd(p: RatMat) -> LeftMFD:
@@ -250,35 +249,24 @@ def _hermite_certificate(n: PolyMat, d: PolyMat) -> RightMFD | None:
     h, u = hermite(vstack(d, n))
     if PolyMat(h.rows[:m]) != PolyMat.identity(m):
         return None
-    return _certified(n, d, PolyMat(u.rows[:m]), _reduce(u.rows[m:]))
+    return _certified(n, d, u)
 
 
 def column_reduce(n: PolyMat, d: PolyMat) -> tuple[PolyMat, PolyMat]:
     """Right-multiply both factors by a unimodular matrix until the
     highest-column-degree coefficient matrix of ``d`` is nonsingular."""
-    return _column_reduce(n, d, None)[:2]
-
-
-def _column_reduce(
-    n: PolyMat, d: PolyMat, w: PolyMat | None
-) -> tuple[PolyMat, PolyMat, PolyMat | None]:
-    """``column_reduce`` carrying a certificate w @ [d; n] = I along."""
     if polymat_det(d).is_zero():
         raise SingularMatrixError("denominator matrix is singular")
     m = d.shape[0]
-    wrows = None if w is None else [list(row) for row in w.rows]
-    rows = _reduce(vstack(d, n).transpose().rows, m, wrows).transpose().rows
-    w = None if w is None else PolyMat(tuple(map(tuple, wrows)))
-    return PolyMat(rows[m:]), PolyMat(rows[:m]), w
+    rows = _reduce(vstack(d, n).transpose().rows, m).transpose().rows
+    return PolyMat(rows[m:]), PolyMat(rows[:m])
 
 
-def _reduce(
-    rows: Sequence[Sequence[Poly]], lead: int | None = None, wrows: list | None = None
-) -> PolyMat:
+def _reduce(rows: Sequence[Sequence[Poly]], lead: int | None = None) -> PolyMat:
     """Row-reduce independent polynomial rows by unimodular row operations:
     combine them until the coefficients of s**deg of their first ``lead``
     entries (all by default), deg a row's degree over those entries, are
-    linearly independent.  Each operation is undone on the rows ``wrows``."""
+    linearly independent."""
     vecs = [list(row) for row in rows]
     lead = lead or len(vecs[0])
     while len(vecs) > 1:  # one nonzero row is reduced
@@ -289,20 +277,12 @@ def _reduce(
             break
         used = [j for j in range(len(vecs)) if c[j] != 0]
         target = max(used, key=lambda j: (degs[j], j))
-        mults = {
-            j: Poly.constant(c[j]) * S ** (degs[target] - degs[j]) for j in used if j != target
-        }
         new_vec = [e * c[target] for e in vecs[target]]
-        for j, mult in mults.items():
-            new_vec = [e + mult * g for e, g in zip(new_vec, vecs[j])]
+        for j in used:
+            if j != target:
+                mult = Poly.constant(c[j]) * S ** (degs[target] - degs[j])
+                new_vec = [e + mult * g for e, g in zip(new_vec, vecs[j])]
         vecs[target] = new_vec
-        if wrows is not None:
-            # row target became c_t*row_t + sum_j mult_j*row_j: the
-            # inverse divides row target of w by c_t, then takes mult_j
-            # times it from row j
-            wrows[target] = [e * (1 / c[target]) for e in wrows[target]]
-            for j, mult in mults.items():
-                wrows[j] = [e - mult * g for e, g in zip(wrows[j], wrows[target])]
     return PolyMat(tuple(map(tuple, vecs)))
 
 

@@ -631,9 +631,6 @@ class RatFn(_Value):
     def is_proper(self) -> bool:
         return self.relative_degree() >= 0
 
-    def strict_part(self) -> "RatFn":
-        return RatFn(poly_divmod(self.num, self.den)[1], self.den)
-
     def at_infinity(self) -> Fraction:
         """Limit for s -> oo; raises for improper functions."""
         rd = self.relative_degree()
@@ -736,10 +733,10 @@ def _over_lcd(mat: RatMat) -> tuple[Poly, PolyMat]:
     return den, PolyMat(tuple(tuple(nums[i : i + cols]) for i in range(0, len(nums), cols)))
 
 
-def _column_fraction(mat: RatMat) -> tuple[list[Poly], PolyMat]:
-    """(d, n) with mat = n @ diag(d)**-1, d_j the monic lcd of column j."""
+def _column_fraction(mat: RatMat) -> tuple[PolyMat, PolyMat]:
+    """(d, n) with mat = n @ d**-1, d the diagonal of the monic column lcds."""
     cols = [common_denominator(col) for col in zip(*mat.rows)]
-    return [den for den, _ in cols], PolyMat(tuple(zip(*(nums for _, nums in cols))))
+    return PolyMat.diag([den for den, _ in cols]), PolyMat(tuple(zip(*(nums for _, nums in cols))))
 
 
 def _over(mat: PolyMat, den: Poly) -> RatMat:

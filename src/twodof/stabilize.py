@@ -278,8 +278,7 @@ def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
         raise ShapeError(
             f"feedback map must be {p.shape[1]}x{p.shape[0]}, got {cy.shape}"
         )
-    d, n = _column_fraction(p)
-    return _fraction_loop(PolyMat.diag(d), n, *_over_lcd(cy)).maps
+    return _fraction_loop(*_column_fraction(p), *_over_lcd(cy)).maps
 
 
 def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> _Loop:

@@ -10,7 +10,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
-from .polyalg import RatFn, RatMat, common_denominator, poly_divmod
+from .polyalg import RatFn, RatMat, common_denominator
 from .stability import StabilityVerdict, matrix_is_stable
 from .stabilize import TwoDofConfig, gang_of_four
 from .synthesis import (
@@ -107,16 +107,10 @@ class SimulationTrace(namedtuple("SimulationTrace", "time outputs inputs step_si
 def _column_realization(col: list[RatFn]):
     """Controllable-canonical realization of one input column as lists of
     floats: the rows [A | b] (b the last unit vector), C and d."""
-    den = common_denominator(col)[0]
+    den, nums = common_denominator(col)
     order = den.degree() or 0
-    c_rows = []
-    for entry in col:
-        strict = entry.strict_part()
-        scale, rem = poly_divmod(den, strict.den)
-        if not rem.is_zero():
-            raise ArithmeticError("column denominator does not divide its lcm")
-        scaled_num = strict.num * scale
-        c_rows.append([float(scaled_num.coeff(k)) for k in range(order)])
+    # each entry's strictly proper part is nums[k] % den over den
+    c_rows = [[float((num % den).coeff(k)) for k in range(order)] for num in nums]
     ab = [[float(k == i + 1) if k == order or i < order - 1 else -float(den.coeff(k))
            for k in range(order + 1)] for i in range(order)]
     return ab, c_rows, [float(e.at_infinity()) for e in col]

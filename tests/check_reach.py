@@ -59,8 +59,6 @@ ALLOWED = (
      "self-check: cff = f**-1 @ x' realizes n' @ x'"),
     ("synthesis.py", 'raise ArithmeticError("realization blocks do not reproduce (cy, cr)")',
      "self-check: the left fraction's blocks reproduce (cy, cr)"),
-    ("verify.py", 'raise ArithmeticError("column denominator does not divide its lcm")',
-     "self-check: an entry's denominator divides the column's lcm"),
 )
 
 

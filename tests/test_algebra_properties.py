@@ -981,7 +981,7 @@ def test_gang_of_four_normalises_over_det_m_less_dc(monkeypatch):
     cy = youla_controller(plant, parse_matrix("s/(s+1), 1; 1/(s+2), -2"))
     d, n = polyalg._column_fraction(plant)
     dc, nc = polyalg._over_lcd(cy)
-    det_m, adj_m = polyalg._polymat_det_adj(PolyMat.diag([dc * dj for dj in d]) - nc @ n)
+    det_m, adj_m = polyalg._polymat_det_adj(d.scale(dc) - nc @ n)
     row = adj_m @ polyalg.hstack(PolyMat.diag([dc, dc]), nc)
     g = reduce(poly_gcd, (e for r in row.rows for e in r), det_m)
     dens = []

@@ -703,6 +703,33 @@ def test_main_simulate_refuses_a_channel_past_the_digit_cap(tmp_path, capsys):
     assert (code, captured.out) == (1, "")
     assert captured.err == f"error: channel of {MAX_DIGITS + 1} characters exceeds the cap of {MAX_DIGITS}\n"
 
+
+@pytest.mark.parametrize("text", ["\u0662", "1_0"])
+@pytest.mark.parametrize(
+    "name, kind, argv, section",
+    [
+        ("shift", "Fraction", ["match"], "options"),
+        ("horizon", "float", ["simulate"], "options"),
+        ("dt", "float", ["simulate"], "options"),
+        ("channel", "channel", ["simulate"], "design"),
+        ("shift", "Fraction", ["match", "--shift"], None),
+        ("horizon", "float", ["simulate", "--horizon"], None),
+        ("dt", "float", ["simulate", "--dt"], None),
+    ],
+)
+def test_main_refuses_a_number_that_is_not_ascii_digits(tmp_path, capsys, text, name, kind, argv, section):
+    # int, float and Fraction read the Arabic-Indic digit two and '_' as
+    # digits: `--shift \u0662` once ran with shift 2 and `channel = \u0661`
+    # simulated channel 1
+    path = tmp_path / "prob.ini"
+    value = f"[{section}]\n{name} = {text}\n" if section else ""
+    path.write_text("[plant]\nmatrix = 1/(s-1), 1/(s+2)\n" + value)
+    code = main([argv[0], str(path), *argv[1:], *([text] if not section else [])])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    prefix = "" if section else f"argument --{name}: "
+    assert captured.err == f"error: {prefix}invalid {kind} value: {text!r}\n"
+
 @pytest.mark.parametrize("plant, zero", [("(s^2-2)/(s+1)^3", "1.41421"), ("(s^2-2*s+5)/(s+1)^3", "1+2j")])
 def test_invert_and_factor_print_an_irrational_zero_alike(tmp_path, capsys, plant, zero):
     path = tmp_path / "prob.ini"

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import twodof.factor
-from twodof.cli import parse_matrix
+from twodof.cli import load_problem, parse_matrix
 from twodof.factor import (
     LeftMFD,
     RightMFD,
@@ -33,6 +34,8 @@ from twodof.polyalg import (
 )
 from twodof.stability import rh_inf_verdict
 from twodof.stabilize import solve_bezout
+
+SEED5_4X4 = Path(__file__).resolve().parent / "data" / "seed5_4x4.ini"
 
 
 def rf(num, den=ONE):
@@ -72,6 +75,11 @@ def test_right_mfd_cancels_common_factors():
     assert mfd.d.entry(0, 0) == S + 2 * ONE
 
 
+def assert_certified_by_its_own_transform(mfd):
+    own = _hermite_certificate(mfd.n, mfd.d)
+    assert own is not None and (mfd.w, mfd.kernel) == (own.w, own.kernel)
+
+
 def test_mfd_reconstruction_random():
     rng = random.Random(41)
     shapes = [(1, 1), (2, 2), (2, 3), (3, 2)]
@@ -80,7 +88,7 @@ def test_mfd_reconstruction_random():
         plant = random_proper_plant(rng, rows, cols)
         mfd = right_coprime_mfd(plant)
         assert mfd.plant() == plant
-        assert _hermite_certificate(mfd.n, mfd.d) is not None
+        assert_certified_by_its_own_transform(mfd)
         left = left_coprime_mfd(plant)
         assert left.plant() == plant
         assert _hermite_certificate(left.nl.transpose(), left.dl.transpose()) is not None
@@ -111,10 +119,11 @@ def test_hermite_transform_certifies_the_fraction():
     assert x1 @ mfd.d + x2 @ mfd.n == PolyMat.identity(1)
     left = left_coprime_mfd(plant)
     assert left.dl @ mfd.n == left.nl @ mfd.d
+    # a transform whose first rows are no certificate is refused
     with pytest.raises(ValueError, match="certificate"):
-        _certified(mfd.n, mfd.d, mfd.w.scale(2), mfd.kernel)
+        _certified(mfd.n, mfd.d, vstack(mfd.w.scale(2), mfd.kernel))
     with pytest.raises(ValueError, match="certificate"):
-        _certified(mfd.n, mfd.d, PolyMat([[ZERO, ONE]]), mfd.kernel)
+        _certified(mfd.n, mfd.d, vstack(PolyMat([[ZERO, ONE]]), mfd.kernel))
 
 
 def test_a_certificate_is_attached_only_by_a_hermite_transform():
@@ -146,7 +155,7 @@ def test_non_coprime_fraction_without_certificate_is_refused():
         solve_bezout(mfd)
 
 
-def test_column_reduction_carries_the_certificate():
+def test_a_column_reduced_fraction_is_certified_by_its_own_transform():
     # d is not column reduced; stable_mfd reduces the hand-built fraction
     # and certifies the result by its own Hermite transform
     d = PolyMat([[S ** 2, S ** 2 + ONE], [ZERO, ONE]])
@@ -156,12 +165,25 @@ def test_column_reduction_carries_the_certificate():
     assert source.d != d and source.w is not None and source.kernel is not None
     assert source.w @ vstack(source.d, source.n) == PolyMat.identity(2)
     assert source.n.to_ratmat() @ source.d.to_ratmat().inv() == d.to_ratmat().inv()
-    # this plant's Hermite fraction is not column reduced: right_coprime_mfd
-    # undoes each column operation on w, and RightMFD refuses a w that fails
-    plant = parse_matrix("1/(s+2), 1/(s+2); 1/(s-1), 3")
-    mfd = right_coprime_mfd(plant)
-    assert mfd.w @ vstack(mfd.d, mfd.n) == PolyMat.identity(2)
-    assert mfd.plant() == plant
+    # the Hermite pivot block of these plants' column fractions is not I:
+    # right_coprime_mfd column reduces the quotient and certifies it by the
+    # quotient's own transform, not by the column fraction's
+    for plant in (parse_matrix("1/(s+2), 1/(s+2); 1/(s-1), 3"), load_problem(str(SEED5_4X4)).plant):
+        mfd = right_coprime_mfd(plant)
+        assert mfd.w @ vstack(mfd.d, mfd.n) == PolyMat.identity(plant.shape[1])
+        assert_certified_by_its_own_transform(mfd)
+        assert mfd.plant() == plant
+
+
+def test_a_quotient_left_with_a_common_divisor_fails_its_certificate(monkeypatch):
+    # were the division by the pivot block to leave the common right divisor
+    # diag(s + 1, 1), the quotient's own transform would end in r != I, and
+    # its first rows fail w @ [d; n] = I: no such fraction passes silently
+    reduce = twodof.factor.column_reduce
+    t = PolyMat.diag([S + ONE, ONE])
+    monkeypatch.setattr(twodof.factor, "column_reduce", lambda n, d: tuple(x @ t for x in reduce(n, d)))
+    with pytest.raises(ValueError, match="certificate fails"):
+        right_coprime_mfd(parse_matrix("1/(s+2), 1/(s+2); 1/(s-1), 3"))
 
 
 @pytest.mark.parametrize(

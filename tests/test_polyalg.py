@@ -18,6 +18,7 @@ from twodof.polyalg import (
     RatMat,
     ShapeError,
     SingularMatrixError,
+    _Grid,
     _null_vector,
     _polymat_det_adj,
     common_denominator,
@@ -353,6 +354,18 @@ def test_kernel_built_grids_are_not_coerced_again(monkeypatch):
     result = model_matching(stable_mfd(right_coprime_mfd(plant)), target)
     closed_loop(plant, result.configuration)
     assert (calls.count(PolyMat), calls.count(RatMat)) == (3, 2)
+
+
+def test_a_scalar_analysis_builds_23_grids(monkeypatch):
+    # the plant above: a 1x1 column fraction is column reduced as it stands
+    # and certified by the transform that found it coprime, where reducing
+    # it again and carrying the certificate along built 30 grids
+    plant = parse_matrix("-2*(s+5)*(s-2)/((s-3)*(s+1)*(s+3))")
+    grids = []
+    init = _Grid.__init__
+    monkeypatch.setattr(_Grid, "__init__", lambda g, rows: grids.append(g) or init(g, rows))
+    stable_mfd(right_coprime_mfd(plant))
+    assert len(grids) == 23
 
 
 def test_the_two_kinds_of_matrix_do_not_mix():
