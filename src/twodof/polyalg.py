@@ -21,14 +21,13 @@ Conventions
   coefficient only where a quotient coefficient is not an integer),
   `poly_gcd`, `poly_lcm` and `RatFn` normalisation go through the integer
   kernel below (``_mul``, ``_pdivmod``, ``_exact_quo``, and ``_gcd`` of
-  two polynomials or ``_gcd_all`` of several: the heuristic gcd of Char,
-  Geddes & Gonnet 1989, at one evaluation of each input per point, whose
-  cofactors are read off the values and certified by a coefficient bound
-  instead of a trial division where the bound holds, with the primitive
-  remainder sequence of Collins 1967 / Brown 1971, or a pairwise fold, as
-  its fallback), and each result is brought to lowest terms with one gcd
-  of its numerators and its denominator.  No `Fraction` is built on the
-  way.
+  any number of polynomials: the heuristic gcd of Char, Geddes & Gonnet
+  1989, at one evaluation of each input per point, whose cofactors are
+  read off the values and certified by a coefficient bound instead of a
+  trial division where the bound holds, with a fold of the primitive
+  remainder sequence of Collins 1967 / Brown 1971 as its fallback), and
+  each result is brought to lowest terms with one gcd of its numerators
+  and its denominator.  No `Fraction` is built on the way.
   :mod:`twodof.zfactor` factors over the same helpers.
 * `PolyMat` / `RatMat` are immutable row-major grids that share one
   ring-independent base, ``_Grid``; each names only its entry coercion
@@ -332,8 +331,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor.  gcd(0, 0) is undefined."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero():
-        a, b = b, a
     g = _gcd(a._z, b._z)[0]
     return _from_z(g, g[-1])
 
@@ -440,39 +437,28 @@ def _pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], 
     return q, _trim(r[:db]), m
 
 
-def _gcd(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
-    """(g, a / g, b / g) with g the primitive gcd, with a positive leading
-    coefficient, of ``a`` (nonzero) and ``b``: the heuristic gcd first, its
+def _gcd(*fs: Sequence[int]) -> tuple[list[int], ...]:
+    """(g, f1 / g, f2 / g, ...) with g the primitive gcd, with a positive
+    leading coefficient, of integer polynomials fs of which one or more are
+    nonzero (a zero input's quotient is zero): the heuristic gcd first, its
     cofactors certified by a coefficient bound or by division
-    (``_heu_gcd``), else the primitive remainder sequence.  The quotients
-    are exact over Z by Gauss's lemma."""
-    if not b:
-        g = _primitive(a)
-        return g, [a[-1] // g[-1]], []
-    if len(a) == 1 or len(b) == 1:
-        return [1], list(a), list(b)
-    found = _heu_gcd(a, b)
-    if found is not None:
-        return found
-    g = _prs_gcd(a, b)
-    return g, _exact_quo(a, g), _exact_quo(b, g)
-
-
-def _gcd_all(*fs: Sequence[int]) -> tuple[list[int], ...]:
-    """(g, f1 / g, f2 / g, ...) as ``_gcd`` gives it, for integer
-    polynomials fs of which two or more are nonzero (a zero input's
-    quotient is zero): GCDHEU at one evaluation of every input, else a
-    pairwise fold of ``_gcd``."""
-    live = [f for f in fs if f]
-    if min(map(len, live)) < 2:
+    (``_heu_gcd``), else a fold of the primitive remainder sequence.  The
+    quotients are exact over Z by Gauss's lemma."""
+    live = fs if all(fs) else [f for f in fs if f]
+    if len(live) == 1:
+        g = _primitive(live[0])
+        found = g, [live[0][-1] // g[-1]]
+    elif 1 in map(len, live):  # a constant input
         found = ([1], *map(list, live))
     else:
         found = _heu_gcd(*live)
-        if found is None:  # one point gave no gcd of them all: fold pairwise
+        if found is None:
             g = live[0]
             for f in live[1:]:
-                g = _gcd(g, f)[0]
+                g = _prs_gcd(g, f)
             found = (g, *(_exact_quo(f, g) for f in live))
+    if live is fs:  # no zero input to put back
+        return found
     quos = iter(found[1:])
     return (found[0], *(next(quos) if f else [] for f in fs))
 
@@ -503,8 +489,8 @@ def _interpolate(h: int, x: int) -> list[int]:
 
 def _heu_gcd(*fs: Sequence[int]) -> tuple[list[int], ...] | None:
     """``_gcd`` of two or more nonconstant ``fs`` by GCDHEU (Char, Geddes &
-    Gonnet, J. Symbolic Comput. 1989), or ``None`` when no evaluation point
-    gives a candidate: six points for two inputs, one for more.
+    Gonnet, J. Symbolic Comput. 1989), or ``None`` when none of six
+    evaluation points gives a candidate.
 
     Each input is evaluated once at each point x, and the gcd is read off h,
     the gcd of the values, by x-adic interpolation: g = g0 / c, g0 taking h
@@ -516,12 +502,11 @@ def _heu_gcd(*fs: Sequence[int]) -> tuple[list[int], ...] | None:
     difference vanishes at x, so its lowest nonzero coefficient would be a
     multiple of x smaller than x; von zur Gathen & Gerhard, Modern Computer
     Algebra, ch. 8).  Otherwise g counts only if it divides every input
-    exactly, and for two inputs a cofactor read off a(x) / h or b(x) / h
-    gets the same trial.  Every x exceeds twice a root bound
-    1 + |f|/|lc f| of one input f, so a common divisor found that way is
-    the gcd itself: a further common factor q would have |q(x)| > x/2,
-    more than any interpolated coefficient can hold.  For the same reason
-    a constant candidate needs no check.  The first x is
+    exactly.  Every x exceeds twice a root bound 1 + |f|/|lc f| of one
+    input f, so a common divisor found that way is the gcd itself: a
+    further common factor q would have |q(x)| > x/2, more than any
+    interpolated coefficient can hold.  For the same reason a constant
+    candidate needs no check.  The first x is
     min(2m + 29, 99 * sqrt(2m + 29)), m the smallest of the inputs' largest
     coefficients, shifted left by the least input length in bits: room for
     the 2**deg growth of a divisor's coefficients (Mignotte), so a second x
@@ -559,18 +544,6 @@ def _heu_gcd(*fs: Sequence[int]) -> tuple[list[int], ...] | None:
                 quos = [_exact_quo(f, g) for f in fs]
             if None not in quos:
                 return (g, *quos)
-            if len(fs) == 2:
-                (a, b), (fa, fb) = fs, values
-                for f, other, cf in ((a, b, fa // h), (b, a, fb // h)):
-                    cf = _interpolate(cf, x)
-                    g = _exact_quo(f, cf)
-                    q = None if g is None else _exact_quo(other, g)
-                    if q is not None:
-                        c = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
-                        g, cf, q = [y // c for y in g], [y * c for y in cf], [y * c for y in q]
-                        return (g, cf, q) if f is a else (g, q, cf)
-        if len(fs) > 2:
-            return None  # several inputs get one point: the caller folds pairwise
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
     return None  # no candidate at six points: the caller falls back to the PRS
 

@@ -55,7 +55,7 @@ from .polyalg import (
     SingularMatrixError,
     _column_fraction,
     _from_z,
-    _gcd_all,
+    _gcd,
     _over,
     _over_lcd,
     _polymat_det_adj,
@@ -290,10 +290,10 @@ def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> _Loop:
     (``_Loop``), and the loop is ill posed exactly when det M = 0.  A
     common divisor of det M and every entry of row cancels from every map,
     so the maps are normalised over det M / g, g the gcd of det M and the
-    entries of row, taken by one call of the gcd kernel (``_gcd_all``), which
-    evaluates each of them once and returns every quotient.  For m = 1,
-    row = [dc | nc] and g = 1 when dc and nc are coprime, so a scalar loop
-    runs no gcd.
+    entries of row, taken by one call of the gcd kernel (``_gcd``), which
+    evaluates each of them once per point and returns every quotient.  For
+    m = 1, row = [dc | nc] and g = 1 when dc and nc are coprime, so a
+    scalar loop runs no gcd.
     """
     m = d.shape[0]
     try:
@@ -303,7 +303,7 @@ def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> _Loop:
     row = adj @ hstack(PolyMat.diag([dc] * m), nc)
     if m > 1:
         entries = [e for r in row.rows for e in r]
-        _, det_z, *quos = _gcd_all(det._z, *(e._z for e in entries))
+        _, det_z, *quos = _gcd(det._z, *(e._z for e in entries))
         quos = iter(_from_z(z, e._d) for z, e in zip(quos, entries))  # lowest terms: g is primitive
         row = PolyMat(tuple(tuple(next(quos) for _ in r) for r in row.rows))
         det = _from_z(det_z, det._d)

@@ -56,7 +56,6 @@ from .stability import (
     rh_inf_verdict,
 )
 from .stabilize import (
-    InadmissibleParameter,
     LoopMaps,
     TwoDofConfig,
     _Loop,
@@ -273,10 +272,6 @@ def _design_result(
     """The two-dof design of parameter x (x' = diag(psi) @ x, dx = d@x):
     the central cy and cr = v**-1 @ x' of ``_youla_feedback``, realizing
     y/r = n@x and u/r = d@x."""
-    if not matrix_is_stable(x):
-        raise InadmissibleParameter("parameter x has unstable poles")
-    if not dx.is_proper():
-        raise InadmissibleParameter("d@x is improper")
     cy, cr, loop = _youla_feedback(smfd, xprime=xprime)
     certs = [
         Certificate("parameter x proper and stable", rh_inf_verdict(x)),
@@ -473,37 +468,26 @@ def _dc_precompensator(loop: LoopMaps, lam: RatMat) -> RatMat:
         return _value_at_origin(loop.p_sens).inv() @ lam
     except SingularMatrixError:
         raise DesignObstruction(
-            ("dc gain is singular for this feedback choice; pick another cy",)
+            ("dc gain is singular for the central feedback map",)
         ) from None
 
 
-def static_decoupling(
-    smfd: StableMFD, lam: RatMat, cy: RatMat | None = None
-) -> DesignResult:
+def static_decoupling(smfd: StableMFD, lam: RatMat) -> DesignResult:
     """Constant precompensator cr making the closed-loop DC gain equal lam.
 
     Stable plants use pure precompensation (cy = 0, cr = P(0)**-1 @ lam);
-    unstable plants are first closed with a stabilizing feedback map (the
-    central one unless supplied; a supplied one must be internally
-    stabilizing) and cr = G(0)**-1 @ lam for G = P(I - cy P)**-1.  lam,
-    the plant and a supplied cy's shape are checked before any controller
-    work.  The source fraction n @ d**-1 is right coprime, so the plant is
-    stable exactly when det d is Hurwitz; it is not formed."""
+    unstable plants are first closed with the central stabilizing feedback
+    map and cr = G(0)**-1 @ lam for G = P(I - cy P)**-1.  lam and the plant
+    are checked before any controller work.  The source fraction
+    n @ d**-1 is right coprime, so the plant is stable exactly when det d
+    is Hurwitz; it is not formed."""
     _check_static_target(smfd, lam)
     n, d = smfd.source.n, smfd.source.d
-    shape = n.shape[::-1]
-    if cy is not None and cy.shape != shape:
-        raise ShapeError(f"feedback map must be {shape[0]}x{shape[1]}, got {cy.shape}")
-    if cy is None and not _routh_is_hurwitz(polymat_det(d)):
-        cy, _, loop = _youla_feedback(smfd)
-    else:
-        if cy is None:
-            cy = RatMat.zeros(*shape)
+    if _routh_is_hurwitz(polymat_det(d)):
+        cy = RatMat.zeros(*n.shape[::-1])
         loop = _fraction_loop(d, n, *_over_lcd(cy))
-        if not loop.verdict:
-            raise DesignObstruction(
-                ("supplied feedback map is not internally stabilizing: " + loop.verdict.describe(),)
-            )
+    else:
+        cy, _, loop = _youla_feedback(smfd)
     maps = loop.maps
     cr = _dc_precompensator(maps, lam)
     achieved_t = maps.p_sens @ cr

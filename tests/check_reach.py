@@ -35,7 +35,8 @@ ALLOWED = (
      "self-check: each witness row solves its equation, and an elimination at a degree the "
      "division reached has a solution"),
     ("polyalg.py", "return None  # no candidate at six points: the caller falls back to the PRS",
-     "GCDHEU's give-up; 2.6 million random pairs never reached it"),
+     "GCDHEU's give-up after six points, for any number of inputs; 2.6 million random pairs "
+     "never reached it"),
     ("polyalg.py", 'raise ArithmeticError("Bareiss elimination lost exactness")',
      "self-check: each division by the previous pivot is exact"),
     ("stabilize.py",

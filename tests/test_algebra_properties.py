@@ -274,34 +274,38 @@ def test_gcd_matches_euclid(a, b, h):
     a, b = schoolbook_mul(a, h), schoolbook_mul(b, h)
     expected = euclid_gcd(a, b)
     assert poly_gcd(a, b) == expected
-    with mock.patch.object(polyalg, "_heu_gcd", lambda a, b: None):  # the PRS alone
+    with mock.patch.object(polyalg, "_heu_gcd", lambda *fs: None):  # the PRS alone
         assert poly_gcd(a, b) == expected
 
 
-# Integer pairs on which GCDHEU takes each of its paths: a cofactor of the
-# first input, and of the second (the gcd 10**9*s + 7 is longer than the
-# first point x, which the square-root cut keeps near 99 * sqrt(2 * 10**9)
-# * 2**2); contents (6 and 1) taken out where the cut acts; a second and a
-# third evaluation point; and a third point that proves the gcd constant.
+# Integer pairs on which GCDHEU takes each of its paths, with the
+# evaluation points of each of its calls (``heu_points``): a gcd
+# 10**9*s + 7 longer than the first point x, which the square-root cut
+# keeps near 99 * sqrt(2 * 10**9) * 2**2, found at the second point;
+# contents (6 and 1) taken out where the cut acts, the outer call handing
+# the primitive parts to a nested one; a second and a third evaluation
+# point; a third point that proves the gcd constant; and four more pairs,
+# found at the first or the second point, the last with a gcd of 1.
 GCDHEU_PATHS = [
-    ([7, 10**9 + 7, 10**9], [21, 10**10, 10**18]),
-    ([21, 10**10, 10**18], [7, 10**9 + 7, 10**9]),
-    ([39732, -82578, 70860, -26550], [1892, 2014, -1648, -10284, 7965]),
-    ([-7553, 10323, -3010], [0, 0, 83, -35]),
-    ([220, -1469, -1785], [-11, 63, 159, 107, -170]),
-    ([626, 313, -313, -626], [28796, 5321]),
-    # the cofactor paths, a fourth point and a fifth that proves the gcd
-    # constant, at the first point 2 * min(|a|, |b|) + 29 without the shift
-    ([28, -46, -28, 46], [-84, 222, -138]),
-    ([30432, 81416, 76946, 16411, -9513], [-48, -44, -19, -29, -63]),
-    ([1980, 990, 1980], [0, 2, 1, 0, -1, -2]),
-    ([-18432, 18368, 17344, 6432], [0, 0, -32, 0, -32]),
+    ([7, 10**9 + 7, 10**9], [21, 10**10, 10**18]),  # 2 points
+    ([21, 10**10, 10**18], [7, 10**9 + 7, 10**9]),  # 2 points
+    ([39732, -82578, 70860, -26550], [1892, 2014, -1648, -10284, 7965]),  # 0, nested 1
+    ([-7553, 10323, -3010], [0, 0, 83, -35]),  # 2 points
+    ([220, -1469, -1785], [-11, 63, 159, 107, -170]),  # 3 points
+    ([626, 313, -313, -626], [28796, 5321]),  # 3 points, gcd 1
+    ([28, -46, -28, 46], [-84, 222, -138]),  # 1 point
+    ([30432, 81416, 76946, 16411, -9513], [-48, -44, -19, -29, -63]),  # 1 point
+    ([1980, 990, 1980], [0, 2, 1, 0, -1, -2]),  # 2 points
+    ([-18432, 18368, 17344, 6432], [0, 0, -32, 0, -32]),  # 2 points, gcd 1
 ]
+GCDHEU_POINTS = [[2], [2], [1, 0], [2], [3], [3], [1], [1], [2], [2]]
 
 
 @pytest.mark.parametrize("a, b", GCDHEU_PATHS)
-def test_gcd_returns_cofactors_on_every_heuristic_path(a, b):
+def test_gcd_returns_cofactors_on_every_heuristic_path(a, b, monkeypatch):
+    counts = heu_points(monkeypatch)
     g, qa, qb = polyalg._gcd(a, b)
+    assert counts == GCDHEU_POINTS[GCDHEU_PATHS.index((a, b))]
     assert g == polyalg._primitive(g) == polyalg._prs_gcd(a, b)
     assert polyalg._mul(g, qa) == a and polyalg._mul(g, qb) == b
     assert polyalg._heu_gcd(a, b) == (g, qa, qb)
@@ -340,21 +344,31 @@ def test_heuristic_cofactors_are_certified_by_a_coefficient_bound(a, b, route, m
     assert (route == DIVIDED) == bool(divisions)
 
 
-# Lists on which the several-polynomial route takes each of its paths:
-# certified, divided (b's coefficients 10**30 times the others'), with
-# zero inputs, and the pairwise fold, where the one point x = 45 << 3 = 360
-# leaves a candidate that does not divide every input (the gcd is 2s - 1).
+# Lists on which the kernel takes each of its paths, with the evaluation
+# points of each GCDHEU call and the route of its quotients: certified;
+# divided (b's coefficients 10**30 times the others'); with zero inputs,
+# the first of them zero in the fifth list; found at the second point,
+# where the first, x = 45 << 3 = 360, leaves a candidate that does not
+# divide every input (the gcd is 2s - 1); and one nonzero input, whose
+# primitive part is its gcd with no GCDHEU call.
+PRIMITIVE = "primitive part"
 GCDHEU_LISTS = [
     [[2, 3, 1], [3, 4, 1], [0, 1, 1]],
     [[2, 3, 1], polyalg._mul([1, 1], [10**30 + 7, -3 * 10**29, 11]), [0, 5, 5]],
     [[2, 3, 1], [], [0, 2, 2], [], [4, 4]],
     [[0, 5, -8, -4], [5, -8, -4], [5, -15, 13, -6]],
+    [[], [0, 2, 2], [4, 4]],
+    [[], [-6, -3], []],
+]
+GCDHEU_LIST_ROUTES = [
+    ([1], CERTIFIED), ([1], DIVIDED), ([1], CERTIFIED), ([2], DIVIDED), ([1], CERTIFIED), ([], PRIMITIVE)
 ]
 
 
 def assert_gcd_of_all(fs, found):
     """``found`` is (g, f1 / g, ...) with g the primitive gcd of fs by a
-    fold of the primitive remainder sequence."""
+    fold of the primitive remainder sequence (a zero input's quotient is
+    zero)."""
     live = [f for f in fs if f]
     g = reduce(polyalg._prs_gcd, live[1:], polyalg._primitive(live[0]))
     assert found[0] == g and len(found) == len(fs) + 1
@@ -363,43 +377,45 @@ def assert_gcd_of_all(fs, found):
 
 @pytest.mark.parametrize("fs", GCDHEU_LISTS)
 def test_gcd_of_several_polynomials_on_every_path(fs, monkeypatch):
-    pairwise = []
-    gcd = polyalg._gcd
+    points, route = GCDHEU_LIST_ROUTES[GCDHEU_LISTS.index(fs)]
+    counts = heu_points(monkeypatch)
+    divisions = []
+    exact_quo = polyalg._exact_quo
 
-    def counted(a, b):
-        pairwise.append((a, b))
-        return gcd(a, b)
+    def counted(f, g):
+        divisions.append((f, g))
+        return exact_quo(f, g)
 
-    monkeypatch.setattr(polyalg, "_gcd", counted)
-    found = polyalg._gcd_all(*fs)
+    monkeypatch.setattr(polyalg, "_exact_quo", counted)
+    found = polyalg._gcd(*fs)
     assert_gcd_of_all(fs, found)
-    # the fold of the last list computes the gcd pairwise; the others
-    # take one evaluation of the nonzero inputs
-    folded = fs is GCDHEU_LISTS[-1]
-    assert folded == bool(pairwise)
-    live = [f for f in fs if f]
-    assert polyalg._heu_gcd(*live) is None if folded else polyalg._heu_gcd(*live)[0] == found[0]
+    assert counts == points and (route == DIVIDED) == bool(divisions)
+    # with no candidate from GCDHEU, the fold of the primitive remainder
+    # sequence over the nonzero inputs gives the same gcd and quotients
+    monkeypatch.setattr(polyalg, "_heu_gcd", lambda *_: None)
+    assert polyalg._gcd(*fs) == found
 
 
 @st.composite
 def polys_with_a_common_factor(draw):
-    """2 to 5 integer polynomials g * f, some possibly zero (not the first two),
-    each f with coefficients up to 10**e, e drawn in 0..30 for each, so the
-    inputs' sizes lie up to 10**30 apart."""
+    """1 to 5 integer polynomials g * f, any of them zero as long as one is
+    not, each f with coefficients up to 10**e, e drawn in 0..30 for each,
+    so the inputs' sizes lie up to 10**30 apart."""
     small = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(polyalg._trim)
     g = draw(small.filter(bool))
-    fs = []
-    for i in range(draw(st.integers(2, 5))):
+    fs, n = [], draw(st.integers(1, 5))
+    live = draw(st.integers(0, n - 1))  # the input kept nonzero
+    for i in range(n):
         e = draw(st.integers(0, 30))
         f = polyalg._trim(draw(st.lists(st.integers(-(10**e), 10**e), max_size=5)))
-        fs.append(polyalg._mul(g, f or [1] if i < 2 else f))
+        fs.append(polyalg._mul(g, f or [1] if i == live else f))
     return fs
 
 
 @SETTINGS
 @given(polys_with_a_common_factor())
 def test_gcd_of_several_polynomials_matches_the_remainder_sequence(fs):
-    assert_gcd_of_all(fs, polyalg._gcd_all(*fs))
+    assert_gcd_of_all(fs, polyalg._gcd(*fs))
 
 
 @st.composite

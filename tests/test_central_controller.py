@@ -12,7 +12,6 @@ hands their fractions to _fraction_loop.
 
 import hashlib
 import random
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,8 +26,8 @@ import twodof.synthesis
 import twodof.zfactor
 from twodof.cli import load_problem, main, parse_matrix, parse_poly_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
-from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat, ShapeError
-from twodof.stabilize import IllPosedLoop, InadmissibleParameter, solve_bezout, youla_controller
+from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat
+from twodof.stabilize import InadmissibleParameter, solve_bezout, youla_controller
 from twodof.synthesis import (
     DesignObstruction,
     denominator_assignment_direct,
@@ -249,6 +248,20 @@ def test_seeded_4x4_stabilize_prints_the_bytes_of_one_elimination_per_row(capsys
     assert hashlib.sha256(out).hexdigest() == SEED5_4X4.with_suffix(".sha256").read_text().split()[0]
 
 
+def test_seeded_4x4_factor_prints_the_bytes_of_its_exact_part(capsys):
+    # the sha256 of every line before the first "zero at" (44 lines, 27745
+    # bytes: the fractions, the witness and the zero and pole polynomials,
+    # all exact), in sha256sum's form for CI's installed script too; the
+    # float zero lines are left out, as their last digit may follow the
+    # platform's libm
+    assert main(["factor", str(SEED5_4X4)]) == 0
+    out = capsys.readouterr().out
+    exact = out[: out.index("\nzero at") + 1].encode()
+    assert (len(exact.splitlines()), len(exact)) == (44, 27745)
+    pin = SEED5_4X4.with_name("seed5_4x4_factor.sha256").read_text().split()[0]
+    assert hashlib.sha256(exact).hexdigest() == pin
+
+
 def count_plant_builds(monkeypatch):
     builds = []
     original = StableMFD.plant
@@ -316,34 +329,14 @@ def test_unity_parameter_takes_its_loops_verdict(monkeypatch, capsys):
     assert out == expected and out.endswith("internal stability: stable\n")
 
 
-def test_static_decoupling_checks_a_supplied_feedback_map(monkeypatch):
-    plant = parse_matrix(UNSTABLE_2X2)
-    smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
-    lam = RatMat.identity(2)
-    cy = youla_controller(plant, shift=1)
-    builds = count_plant_builds(monkeypatch)
-    counts = count_calls(monkeypatch, LOOP_FORMERS)
-    res = static_decoupling(smfd, lam, cy)
-    # the supplied map's loop is formed from the plant's fraction
-    assert (len(builds), counts) == (
-        0, {"gang_of_four": 0, "_youla_feedback": 0, "_fraction_loop": 1}
-    )
-    assert res.configuration.cy == cy and res.verdict
-    assert res.configuration.cr == static_decoupling(smfd, lam).configuration.cr
-    # a wrong shape is refused before any loop is formed; cy = p**-1 makes
-    # I - cy@p = 0, so its loop is ill posed; cy = 0 leaves the pole at 1
-    counts.update(dict.fromkeys(counts, 0))
-    with pytest.raises(ShapeError, match=re.escape("feedback map must be 2x2, got (1, 2)")):
-        static_decoupling(smfd, lam, RatMat.zeros(1, 2))
-    assert counts == dict.fromkeys(LOOP_FORMERS, 0)
-    with pytest.raises(IllPosedLoop, match=re.escape("I - cy@p is singular; the loop is ill posed")):
-        static_decoupling(smfd, lam, plant.inv())
-    with pytest.raises(DesignObstruction) as err:
-        static_decoupling(smfd, lam, RatMat.zeros(2, 2))
-    assert err.value.reasons == (
-        "supplied feedback map is not internally stabilizing: "
-        "unstable; offending factors: s - 1 (right-half-plane root)",
-    )
+def test_static_decoupling_refuses_a_singular_dc_gain_of_the_central_loop(tmp_path, capsys):
+    # the plant is nonsingular at s = 0, but its central cy has a pole at
+    # the origin, so G(0) = n'(0) @ v(0) is singular
+    problem = tmp_path / "singular_dc.ini"
+    problem.write_text("[plant]\nmatrix = -2/(s+2), 1/(s-2); 0, -3/(s+3)\n[design]\nlambda = 1, 0; 0, 1\n")
+    assert main(["static-decouple", str(problem)]) == 2
+    out = capsys.readouterr().out
+    assert out == "design obstruction:\n  - dc gain is singular for the central feedback map\n"
 
 
 def count_inversions(monkeypatch):

@@ -107,10 +107,10 @@ def test_loop_maps_equal_the_inversion_formula():
 
 def count_gcds(monkeypatch):
     """The gcd kernel calls ``_fraction_loop`` makes, each as its inputs and
-    the pairwise ``polyalg._gcd`` calls made inside it (the fold the kernel
+    the ``polyalg._prs_gcd`` calls made inside it (the fold the kernel
     falls back to)."""
     calls, inside = [], []
-    kernel, gcd = twodof.stabilize._gcd_all, twodof.polyalg._gcd
+    kernel, prs_gcd = twodof.stabilize._gcd, twodof.polyalg._prs_gcd
 
     def counted_kernel(*fs):
         calls.append((fs, []))
@@ -120,13 +120,13 @@ def count_gcds(monkeypatch):
         finally:
             inside.pop()
 
-    def counted_gcd(a, b):
+    def counted_prs_gcd(a, b):
         if inside:
             inside[-1].append((a, b))
-        return gcd(a, b)
+        return prs_gcd(a, b)
 
-    monkeypatch.setattr(twodof.stabilize, "_gcd_all", counted_kernel)
-    monkeypatch.setattr(twodof.polyalg, "_gcd", counted_gcd)
+    monkeypatch.setattr(twodof.stabilize, "_gcd", counted_kernel)
+    monkeypatch.setattr(twodof.polyalg, "_prs_gcd", counted_prs_gcd)
     return calls
 
 
@@ -138,7 +138,7 @@ COMMON_FACTOR_CY = RatMat([[RatFn(ONE, S + ONE), 0], [0, RatFn(ONE, S + ONE)]])
 
 def test_a_common_factor_smaller_than_its_start_is_found(monkeypatch):
     # one kernel call on det M and the eight entries, zero ones included,
-    # finds it by one evaluation, with no pairwise gcd
+    # finds it by one evaluation, with no remainder sequence
     plant, cy = COMMON_FACTOR_PLANT, COMMON_FACTOR_CY
     calls = count_gcds(monkeypatch)
     assert tuple(gang_of_four(plant, cy)) == oracle_gang_of_four(plant, cy)
@@ -147,14 +147,14 @@ def test_a_common_factor_smaller_than_its_start_is_found(monkeypatch):
 
 
 def test_a_loop_whose_evaluation_gives_no_gcd_folds_pairwise(monkeypatch):
-    # with no candidate from the several-polynomial evaluation, the kernel
-    # folds pairwise gcds over det M and the nonzero entries, to the same maps
+    # with no candidate from GCDHEU, the kernel folds the primitive
+    # remainder sequence over det M and the nonzero entries, one call per
+    # entry, to the same maps
     plant, cy = COMMON_FACTOR_PLANT, COMMON_FACTOR_CY
-    heu_gcd = twodof.polyalg._heu_gcd
-    monkeypatch.setattr(twodof.polyalg, "_heu_gcd", lambda *fs: None if len(fs) > 2 else heu_gcd(*fs))
+    monkeypatch.setattr(twodof.polyalg, "_heu_gcd", lambda *fs: None)
     calls = count_gcds(monkeypatch)
     assert tuple(gang_of_four(plant, cy)) == oracle_gang_of_four(plant, cy)
-    assert len(calls) == 1 and calls[0][1]
+    assert [len(pairs) for _, pairs in calls] == [sum(map(bool, calls[0][0])) - 1]
 
 
 def test_loop_maps_of_larger_and_non_square_plants():

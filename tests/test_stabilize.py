@@ -17,8 +17,6 @@ from twodof.stabilize import (
 from twodof.stability import rh_inf_verdict
 from twodof.synthesis import (
     DesignObstruction,
-    _design_result,
-    _xprime_from_x,
     model_matching,
 )
 
@@ -157,13 +155,11 @@ def test_design_reference_map_places_response_exactly():
 def test_design_reference_map_rejects_bad_parameters():
     plant = RatMat([[rf(ONE, S - 2 * ONE)]])
     smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
-    n, d = smfd.source.n.to_ratmat(), smfd.source.d.to_ratmat()
+    n = smfd.source.n.to_ratmat()
     for x in (
         RatMat([[rf(ONE, S - ONE)]]),  # unstable x
         RatMat([[rf(S, ONE)]]),  # d@x improper
     ):
-        with pytest.raises(InadmissibleParameter):
-            _design_result(smfd, x, _xprime_from_x(smfd, x), d @ x, n @ x)
         with pytest.raises(DesignObstruction):
             model_matching(smfd, n @ x)
 
