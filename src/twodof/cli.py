@@ -43,7 +43,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .factor import StableMFD, _fmt_root, right_coprime_mfd, stable_mfd, zeros_and_poles
-from .polyalg import ONE, S, PolyMat, RatFn, RatMat, ShapeError, _dot, _from_z, _mul, _trim
+from .polyalg import ONE, S, PolyMat, RatFn, RatMat, _dot, _from_z, _mul, _trim
 from .stabilize import IllPosedLoop, TwoDofConfig, _youla_feedback, solve_bezout
 from .synthesis import (
     DesignObstruction,
@@ -285,20 +285,11 @@ def _option(pf: ProblemFile, args: argparse.Namespace, name: str, default, conv)
     return default
 
 
-def _shift(pf: ProblemFile, args: argparse.Namespace) -> Fraction:
-    """The stable divisor shift (--shift, else [options] shift, else 1),
-    refused before anything is printed unless it is positive."""
-    shift = _option(pf, args, "shift", Fraction(1), _fraction)
-    if shift <= 0:
-        raise ValueError("shift must be positive")
-    return shift
-
-
 def _stable_plant_data(pf: ProblemFile, args: argparse.Namespace) -> tuple[RatMat, StableMFD]:
-    """The plant and its one analysis (``stable_mfd``), which refuses an
-    improper plant before anything is printed."""
+    """The plant and its one analysis (``stable_mfd`` at --shift, else [options]
+    shift, else 1), which refuses an improper plant or a shift <= 0 before printing."""
     plant = _require_plant(pf)
-    shift = _shift(pf, args)
+    shift = _option(pf, args, "shift", Fraction(1), _fraction)
     return plant, stable_mfd(right_coprime_mfd(plant), shift=shift)
 
 
@@ -639,7 +630,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, argparse.ArgumentTypeError, ShapeError, ArithmeticError, OSError, configparser.Error) as exc:
+    except (ValueError, argparse.ArgumentTypeError, ArithmeticError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -44,6 +44,7 @@ from .polyalg import (
     _polymat_det_adj,
     _rref_z,
     _trim,
+    _Value,
     _z_line,
     hermite,
     hstack,
@@ -70,14 +71,15 @@ __all__ = [
 ]
 
 
-class RightMFD:
+class RightMFD(_Value):
     """Right polynomial fraction P = n * d**-1 with d nonsingular.
 
     ``w`` and ``kernel`` are None unless ``_certified`` read them off the
     Hermite transform of this [d; n]: ``w`` certifies that n and d are right
     coprime by w @ [d; n] == I (Kailath, Linear Systems, 1980, ch. 6), and
     ``kernel`` is a row-reduced basis of the left kernel of [d; n]; the
-    fractions ``right_coprime_mfd`` certifies are column reduced.
+    fractions ``right_coprime_mfd`` certifies are column reduced.  None
+    of the four is assigned after that, so no certificate is swapped in.
     Equality and hashing follow n and d alone."""
 
     __slots__ = ("n", "d", "w", "kernel")
@@ -85,7 +87,10 @@ class RightMFD:
     def __init__(self, n: PolyMat, d: PolyMat) -> None:
         if n.shape[1] != d.shape[0] or d.shape[0] != d.shape[1]:
             raise ShapeError(f"incompatible fraction shapes {n.shape} and {d.shape}")
-        self.n, self.d, self.w, self.kernel = n, d, None, None
+        _attach(self, n=n, d=d, w=None, kernel=None)
+
+    def __setstate__(self, state) -> None:  # copy, deepcopy and pickle
+        _attach(self, **state[1])
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not RightMFD:
@@ -105,6 +110,12 @@ class RightMFD:
 
     def plant(self) -> RatMat:
         return self.n.to_ratmat() @ self.d.to_ratmat().inv()
+
+
+def _attach(mfd: RightMFD, **slots) -> None:
+    """Set the named slots of mfd by their descriptors."""
+    for name, value in slots.items():
+        getattr(RightMFD, name).__set__(mfd, value)
 
 
 class LeftMFD:
@@ -145,6 +156,14 @@ class StableMFD(namedtuple("StableMFD", "nprime dprime u v shift col_degrees sou
         d' = d @ diag(scaling)**-1."""
         return tuple(hurwitz_shift_polynomial(self.shift, deg) for deg in self.col_degrees)
 
+    def x_of(self, xprime: RatMat) -> RatMat:
+        """x = diag(scaling)**-1 @ x': the parameter of n @ x that n' @ x' is."""
+        return RatMat(tuple(tuple(e / psi for e in row) for row, psi in zip(xprime.rows, self.scaling)))
+
+    def xprime_of(self, x: RatMat) -> RatMat:
+        """x' = diag(scaling) @ x, the inverse of ``x_of``."""
+        return RatMat(tuple(tuple(e * psi for e in row) for row, psi in zip(x.rows, self.scaling)))
+
     @cached_property
     def d_inv(self) -> RatMat:
         """d**-1 for the polynomial denominator d of ``source``."""
@@ -153,8 +172,7 @@ class StableMFD(namedtuple("StableMFD", "nprime dprime u v shift col_degrees sou
     @cached_property
     def dprime_inv(self) -> RatMat:
         """d'**-1 = diag(scaling) @ d**-1."""
-        rows = zip(self.d_inv.rows, self.scaling)
-        return RatMat(tuple(tuple(e * psi for e in row) for row, psi in rows))
+        return self.xprime_of(self.d_inv)
 
     @cached_property
     def left(self) -> LeftMFD:
@@ -208,7 +226,7 @@ def _certified(n: PolyMat, d: PolyMat, u: PolyMat) -> RightMFD:
     Hermite transform u @ [d; n] = [r; 0]; a w that fails w @ [d; n] = I
     (r is not I) raises ValueError."""
     mfd, m = RightMFD(n, d), d.shape[0]
-    mfd.w, mfd.kernel = PolyMat(u.rows[:m]), _reduce(u.rows[m:])
+    _attach(mfd, w=PolyMat(u.rows[:m]), kernel=_reduce(u.rows[m:]))
     if mfd.w @ vstack(d, n) != PolyMat.identity(m):
         raise ValueError("coprimeness certificate fails w @ [d; n] = I")
     return mfd
@@ -447,23 +465,21 @@ def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
     # u = diag(phi)**-1 @ alpha and v = diag(phi)**-1 @ beta solve
     # alpha @ n + beta @ d = diag(phi * psi), that is u @ n' + v @ d' = I
     alphas, betas, phis = _bezout_rows(source, PolyMat.diag(psis).rows, sigma, max(1, *col_degrees) + 40)
-    u, v = (
-        RatMat(tuple(tuple(RatFn(e, phi) for e in row) for row, phi in zip(mat, phis)))
-        for mat in (alphas, betas)
-    )
+    u, v = (_rows_over(mat, phis) for mat in (alphas, betas))
     return StableMFD(nprime, dprime, u, v, sigma, col_degrees, source)
+
+
+def _rows_over(rows: Sequence[Sequence[Poly]], dens: Sequence[Poly]) -> RatMat:
+    """diag(dens)**-1 @ rows: each polynomial row over its own divisor."""
+    return RatMat(tuple(tuple(RatFn(e, den) for e in row) for row, den in zip(rows, dens)))
 
 
 def stable_left_mfd(left: LeftMFD, shift: Fraction | int = 1) -> tuple[RatMat, RatMat]:
     """The left fraction dl**-1 @ nl over the proper stable rationals,
     returned as (dl', nl'): each row of the left coprime fraction ``left``
     is divided by (s + shift) to the power of the row degree of dl."""
-    psis = [hurwitz_shift_polynomial(shift, deg or 0) for deg in left.dl.row_degrees()]
-    dl_prime, nl_prime = (
-        RatMat(tuple(tuple(RatFn(e, psi) for e in row) for row, psi in zip(mat.rows, psis)))
-        for mat in (left.dl, left.nl)
-    )
-    return dl_prime, nl_prime
+    psis = [hurwitz_shift_polynomial(shift, max(e.degree() or 0 for e in row)) for row in left.dl.rows]
+    return _rows_over(left.dl.rows, psis), _rows_over(left.nl.rows, psis)
 
 
 # A zero or pole of a plant: its location, multiplicity, irreducible factor
@@ -603,7 +619,7 @@ def _zero_polynomial(n: PolyMat) -> Poly:
 
 def _roots(poly: Poly):
     """(root, multiplicity, factor, unstable) of each root of poly."""
-    for factor, mult in [] if poly.is_constant() else irreducible_factors(poly):
+    for factor, mult in irreducible_factors(poly):
         hurwitz = _routh_is_hurwitz(factor)
         for root in _factor_roots(factor):
             yield root, mult, factor, _root_unstable(root, hurwitz)

@@ -862,9 +862,6 @@ class PolyMat(_Grid):
             out.append(max(degs) if degs else None)
         return out
 
-    def row_degrees(self) -> list[int | None]:
-        return self.transpose().column_degrees()
-
     def rank(self) -> int:
         """Normal rank: the pivot count of a Bareiss elimination."""
         return len(_bareiss([list(row) for row in self.rows], self.shape[1])[0])
@@ -1068,8 +1065,6 @@ class RatMat(_Grid):
 
     def det(self) -> RatFn:
         """det(num) / den**n of the n x n matrix self = num / den."""
-        if not self.is_square():
-            raise ShapeError("determinant of a non-square matrix")
         den, num = _over_lcd(self)
         return RatFn(polymat_det(num), den ** self.shape[0])
 

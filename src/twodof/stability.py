@@ -183,12 +183,12 @@ def _even_compression(q: Poly) -> Poly:
 
 
 def _classify_irreducible(q: Poly) -> tuple[bool, bool]:
-    """(has_axis_root, has_rhp_root) for a monic irreducible q, exactly.
+    """(has_axis_root, has_rhp_root), exactly, for a monic irreducible q not Hurwitz.
 
     An irreducible polynomial with a purely imaginary root is symmetric
     under s -> -s (the minimal polynomial of j*w contains -j*w and hence
     all sign-flipped roots), so the asymmetric case never touches the
-    axis and a failed Routh test alone certifies a right-half-plane root.
+    axis, and q, not Hurwitz, has a right-half-plane root.
     For the symmetric case, roots come in +/- pairs classified through
     the even compression w(x) = q(sqrt(x)): negative real roots of w are
     axis pairs, and every other root of w (positive, as w(0) != 0, or
@@ -200,7 +200,7 @@ def _classify_irreducible(q: Poly) -> tuple[bool, bool]:
     reflected = q.reflect()
     symmetric = reflected == q or reflected == -q
     if not symmetric:
-        return False, not _routh_is_hurwitz(q)
+        return False, True
     # An irreducible symmetric polynomial other than s itself is even: an
     # odd one has the factor s.
     w = _even_compression(q)
@@ -210,13 +210,11 @@ def _classify_irreducible(q: Poly) -> tuple[bool, bool]:
 
 def is_hurwitz(p: Poly) -> StabilityVerdict:
     """Exact Hurwitz verdict with offending factors when unstable."""
-    if p.is_zero():
-        raise ValueError("stability of the zero polynomial is undefined")
     if _routh_is_hurwitz(p):
         return StabilityVerdict(True)
     offending: list[tuple[Poly, str]] = []
     for q, _mult in irreducible_factors(p):
-        if q.degree() == 0 or _routh_is_hurwitz(q):
+        if _routh_is_hurwitz(q):
             continue
         axis, rhp = _classify_irreducible(q)
         if rhp:

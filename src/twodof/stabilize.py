@@ -146,7 +146,7 @@ def _youla_feedback(
     polynomial identities that certify the loop, raises ArithmeticError.
     They are l @ C == -det(l)*r for the numerator C = -adj(l) @ r of cy,
     so lhs@cy = -rhs; and [l | r] @ [d^; n^] == den*psi*I, the Bezout
-    identity that ``stable_mfd`` has already checked when k = None.
+    identity, checked for every k: a copy of ``smfd`` may hold any witness.
     """
     outputs, m = smfd.nprime.shape
     den, lr = smfd.witness_row
@@ -179,7 +179,7 @@ def _youla_feedback(
             "compensator is improper: v - k@nl' is singular at infinity"
         )
     psi, dn = smfd.stacked
-    if k is not None and lr @ dn != PolyMat.identity(m).scale(den * psi):
+    if lr @ dn != PolyMat.diag([den * psi] * m):
         raise ArithmeticError("parametrized loop fails (v - k@nl')@d' + (u + k@dl')@n' = I")
     loop = _Loop(dn, hstack(l, -r), den * psi)
     if not loop.verdict:

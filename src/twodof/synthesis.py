@@ -48,6 +48,7 @@ from .polyalg import (
     polymat_det,
 )
 from .stability import (
+    REASON_IMPROPER,
     StabilityVerdict,
     _routh_is_hurwitz,
     is_hurwitz,
@@ -135,22 +136,14 @@ DesignResult = namedtuple(
 # -- helpers -------------------------------------------------------------------
 
 
-def _x_from_xprime(smfd: StableMFD, xprime: RatMat) -> RatMat:
-    return RatMat(tuple(tuple(e / psi for e in row) for row, psi in zip(xprime.rows, smfd.scaling)))
-
-
-def _xprime_from_x(smfd: StableMFD, x: RatMat) -> RatMat:
-    return RatMat(tuple(tuple(e * psi for e in row) for row, psi in zip(x.rows, smfd.scaling)))
-
-
 def _verdict_zero_factors(n: PolyMat, verdict: StabilityVerdict) -> list[Poly]:
     """The pole factors ``verdict`` names that divide the zero polynomial of
     n, which is not factored, each once, in ``irreducible_factors`` order:
     degree, then multiplicity in the zero polynomial, then coefficients."""
     zero_poly = _zero_polynomial(n)
     mults: dict[Poly, int] = {}
-    for factor, _reason in verdict.offending_factors:
-        if factor.is_constant() or factor in mults:  # the improper-entry marker
+    for factor, reason in verdict.offending_factors:
+        if reason == REASON_IMPROPER or factor in mults:
             continue
         rest, mult = zero_poly, 0
         while (split := poly_divmod(rest, factor))[1].is_zero():
@@ -208,6 +201,15 @@ def _solve_polymat(a: PolyMat, b: RatMat) -> RatMat | None:
     return _over(PolyMat(tuple(map(tuple, x_rows))), last * den)
 
 
+def _target_reasons(label: str, mat: RatMat) -> list[str]:
+    """The reasons ``mat``, named ``label``, is not a proper stable target."""
+    reasons = [] if mat.is_proper() else [f"{label} is improper"]
+    verdict = matrix_is_stable(mat)
+    if not verdict:
+        reasons.append(f"{label} is unstable: " + verdict.describe())
+    return reasons
+
+
 def check_realizable(
     mfd: RightMFD, t: RatMat, m: RatMat | None = None
 ) -> tuple[RatMat, RatMat, RatMat]:
@@ -220,15 +222,9 @@ def check_realizable(
         raise ShapeError(
             f"control target must be {m_cols}x{t.shape[1]}, got {m.shape}"
         )
-    pre: list[str] = []
-    for label, mat in (("target t", t), ("control target m", m)):
-        if mat is None:
-            continue
-        if not mat.is_proper():
-            pre.append(f"{label} is improper")
-        verdict = matrix_is_stable(mat)
-        if not verdict:
-            pre.append(f"{label} is unstable: " + verdict.describe())
+    pre = _target_reasons("target t", t)
+    if m is not None:
+        pre += _target_reasons("control target m", m)
     if pre:
         raise DesignObstruction(pre)
 
@@ -305,7 +301,7 @@ def model_matching(
         extra.append(
             _equality_certificate("control map equals the prescribed m", dx == m)
         )
-    return _design_result(smfd, x, _xprime_from_x(smfd, x), dx, achieved_t, extra)
+    return _design_result(smfd, x, smfd.xprime_of(x), dx, achieved_t, extra)
 
 
 # -- decoupling and inversion ---------------------------------------------------
@@ -339,13 +335,8 @@ def diagonal_decoupling(smfd: StableMFD, targets: Sequence[RatFn]) -> DesignResu
         raise DesignObstruction(("decoupling requires a square plant",))
     if len(targets) != p_rows:
         raise ShapeError(f"expected {p_rows} targets, got {len(targets)}")
-    pre = []
-    for i, tgt in enumerate(targets):
-        if not tgt.is_proper():
-            pre.append(f"target {i + 1} is improper")
-        tv = is_stable(tgt)
-        if not tv:
-            pre.append(f"target {i + 1} is unstable: {tv.describe()}")
+    pre = [reason for i, tgt in enumerate(targets)
+           for reason in _target_reasons(f"target {i + 1}", RatMat(((tgt,),)))]
     if pre:
         raise DesignObstruction(pre)
     tmat = RatMat.diag(list(targets))
@@ -365,7 +356,7 @@ def diagonal_decoupling(smfd: StableMFD, targets: Sequence[RatFn]) -> DesignResu
         if not control.is_proper():
             reasons.append("control map d'@x' is improper")
         raise DesignObstruction(reasons)
-    x = _x_from_xprime(smfd, xprime)
+    x = smfd.x_of(xprime)
     achieved_t = smfd.nprime @ xprime
     if achieved_t != tmat:
         raise ArithmeticError("decoupling lost exactness: n' @ x' != diag(targets)")
@@ -418,7 +409,7 @@ def inverse_problem(smfd: StableMFD) -> DesignResult:
     achieved_t = smfd.nprime @ xprime
     if achieved_t != identity:
         raise ArithmeticError("inversion lost exactness: n' @ n'**-1 != I")
-    x = _x_from_xprime(smfd, xprime)
+    x = smfd.x_of(xprime)
     extra = [_equality_certificate("closed-loop response equals I", achieved_t == identity)]
     return _design_result(smfd, x, xprime, control, achieved_t, extra)
 
@@ -500,7 +491,7 @@ def static_decoupling(smfd: StableMFD, lam: RatMat) -> DesignResult:
     return DesignResult(
         configuration=TwoDofConfig(cy=cy, cr=cr),
         verdict=loop.verdict,
-        x=_x_from_xprime(smfd, xprime),
+        x=smfd.x_of(xprime),
         xprime=xprime,
         achieved_t=achieved_t,
         achieved_m=achieved_m,
@@ -668,7 +659,7 @@ def find_admissible_unity_xprime(smfd: StableMFD) -> RatMat:
     d_u = smfd.unstable_denominator
     if d_u.is_constant():
         candidate = RatMat.identity(1)
-        if not _unity_restriction(smfd, candidate)[1]:
+        if not unity_feedback_admissible(smfd, candidate):
             raise ArithmeticError("x' = 1 failed the unity-feedback restriction of a stable plant")
         return candidate
     a, b = smfd.nprime.entry(0, 0).num, smfd.nprime.entry(0, 0).den
@@ -682,7 +673,7 @@ def find_admissible_unity_xprime(smfd: StableMFD) -> RatMat:
             if solved is None:
                 continue
             candidate = RatMat(((RatFn(solved[0][0][0], d_x),),))
-            if _unity_restriction(smfd, candidate)[1]:
+            if unity_feedback_admissible(smfd, candidate):
                 return candidate
     raise DesignObstruction(
         (f"no admissible x' found up to total degree {UNITY_SCAN_DEGREE}",)

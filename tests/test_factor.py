@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -135,6 +137,30 @@ def test_a_certificate_is_attached_only_by_a_hermite_transform():
         RightMFD(n, d, w, PolyMat([[ONE, -S, -ONE]]))
     with pytest.raises(ValueError, match="plant must be proper"):
         stable_mfd(RightMFD(n, d))
+
+
+def test_a_certificate_cannot_be_reassigned():
+    # With w and kernel assigned by hand, stable_mfd once took the improper
+    # [1, -s] as certified and returned an analysis; a wrong kernel on a
+    # certified fraction reached "no Bezout witness of degree up to 41"
+    n, d = PolyMat([[ONE, ZERO]]), PolyMat([[ONE, S], [ZERO, ONE]])
+    mfd = RightMFD(n, d)
+    w, kernel = PolyMat([[ONE, -S, ZERO], [ZERO, ONE, ZERO]]), PolyMat([[ONE, -S, -ONE]])
+    for name, value in {"n": n, "d": d, "w": w, "kernel": kernel}.items():
+        with pytest.raises(AttributeError):
+            setattr(mfd, name, value)
+        with pytest.raises(AttributeError):
+            delattr(mfd, name)
+    assert mfd.w is None and mfd.kernel is None
+    with pytest.raises(ValueError, match="^plant must be proper$"):
+        stable_mfd(mfd)
+    certified = right_coprime_mfd(parse_matrix("1/(s+2), 1/(s+2); 1/(s-1), 3"))
+    for copied in (
+        copy.copy(certified), copy.deepcopy(certified), pickle.loads(pickle.dumps(certified))
+    ):
+        assert copied == certified and copied is not certified
+        assert (copied.w, copied.kernel) == (certified.w, certified.kernel)
+        assert stable_mfd(copied) == stable_mfd(certified)
 
 
 def test_right_mfd_equality_ignores_certificate_and_kernel():

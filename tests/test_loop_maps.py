@@ -16,8 +16,11 @@ package did before both were written as adj / det of a polynomial matrix.
 import random
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 import twodof.polyalg
 import twodof.stabilize
@@ -26,8 +29,19 @@ import twodof.verify
 from test_acceptance import criterion_3_instances
 from twodof.cli import parse_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
-from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat, SingularMatrixError
-from twodof.stability import is_hurwitz, matrix_is_stable
+from twodof.polyalg import (
+    ONE,
+    S,
+    ZERO,
+    Poly,
+    PolyMat,
+    RatFn,
+    RatMat,
+    SingularMatrixError,
+    _column_fraction,
+    _over_lcd,
+)
+from twodof.stability import is_hurwitz, matrix_is_stable, rh_inf_verdict
 from twodof.stabilize import (
     IllPosedLoop,
     InadmissibleParameter,
@@ -281,6 +295,56 @@ def test_youla_parameter_round_trips_through_its_controller():
             assert loop.verdict
 
 
+@st.composite
+def proper_matrices(draw, rows, cols):
+    """A rows x cols matrix of proper entries, each over a product of up to
+    two factors s + r, r in -2..3, so poles on the axis and on either side."""
+    def entry():
+        roots = draw(st.lists(st.integers(-2, 3), max_size=2))
+        num = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=len(roots) + 1))
+        return RatFn(Poly(num), prod((S + r * ONE for r in roots), start=ONE))
+
+    return RatMat([[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def plants_and_feedback_maps(draw):
+    """(p, cy), both m x m for m = 1 or 2.  When p(oo) has a nonzero first
+    entry, about half the draws move cy(oo) so that I - cy(oo)@p(oo) is
+    singular: then the loop maps are improper, however stable their
+    denominator."""
+    m = draw(st.sampled_from((1, 2)))
+    plant, cy = draw(proper_matrices(m, m)), draw(proper_matrices(m, m))
+    corner = plant.entry(0, 0).at_infinity()
+    if corner and draw(st.booleans()):
+        edge = [[Fraction(i == j == 0) / corner for j in range(m)] for i in range(m)]
+        cy = cy - RatMat(cy.at_infinity()) + RatMat(edge)
+    return plant, cy
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(plants_and_feedback_maps())
+def test_a_feedback_map_stabilizes_exactly_when_its_youla_parameter_is_proper_and_stable(pair):
+    # Youla et al. 1976; Vidyasagar 1985, Thm 5.2.1: a well-posed cy
+    # stabilizes p exactly when K(cy) = (v@cy + u)@(nl'@cy - dl')**-1 is
+    # proper and stable, and then youla_controller(p, K(cy)) is cy.  The
+    # verdict of gang_of_four is read off the formed maps; the designs'
+    # loops decide theirs on one denominator first (_Loop.verdict).
+    plant, cy = pair
+    try:
+        maps = gang_of_four(plant, cy)
+    except IllPosedLoop:
+        assume(False)
+    data = stable_mfd(right_coprime_mfd(plant))
+    k = (data.v @ cy + data.u) @ (data.nl_prime @ cy - data.dl_prime).inv()
+    admissible = rh_inf_verdict(k)
+    event(f"{plant.shape[0]}x{plant.shape[0]} {'stable' if maps.verdict else 'unstable'}")
+    decided = twodof.stabilize._fraction_loop(*_column_fraction(plant), *_over_lcd(cy)).verdict
+    assert bool(maps.verdict) == bool(decided) == bool(admissible)
+    if admissible:
+        assert youla_controller(plant, k) == cy
+
+
 def fraction_loops(monkeypatch):
     """The loops ``_fraction_loop`` forms, in order, as they are returned."""
     formed = []
@@ -374,13 +438,25 @@ def test_a_wrong_witness_fails_the_bezout_certificate():
         _youla_feedback(bad, K_2X2)
 
 
+def test_a_wrong_central_witness_fails_the_bezout_certificate():
+    # k = 0 reads the witness of the analysis it is given: with u = 5 the
+    # design once passed every certificate, yet its loop gave y/r other
+    # than the target
+    plant, target = parse_matrix("(s+2)/((s-1)*(s+3))"), parse_matrix("(s+2)/(s+1)^2")
+    data = stable_mfd(right_coprime_mfd(plant))
+    with pytest.raises(ArithmeticError, match=re.escape("parametrized loop fails")):
+        model_matching(data._replace(u=RatMat([[RatFn(5)]])), target)
+
+
 def test_an_unstable_witness_fails_the_loop_verdict():
-    # Nothing checks the central witness of a copy of the analysis: den*psi
-    # then has the root 1, the verdict falls back to the formed maps, and
-    # the refusal names the factor.
+    # The witness of an unstable parameter, u + k@dl' and v - k@nl' with
+    # k = [1/(s-1), 0; 0, 0], still solves u@n' + v@d' = I: den*psi then
+    # has the root 1, the verdict falls back to the formed maps, and the
+    # refusal names the factor.
     data = stable_mfd(right_coprime_mfd(UNSTABLE_2X2), 1)
-    u = data.u + RatMat([[RatFn(ONE, S - ONE), 0], [0, 0]])
-    bad = StableMFD(data.nprime, data.dprime, u, data.v, data.shift, data.col_degrees, data.source)
+    k = RatMat([[RatFn(ONE, S - ONE), 0], [0, 0]])
+    u, v = data.u + k @ data.dl_prime, data.v - k @ data.nl_prime
+    bad = StableMFD(data.nprime, data.dprime, u, v, data.shift, data.col_degrees, data.source)
     with pytest.raises(
         ArithmeticError,
         match=re.escape(
