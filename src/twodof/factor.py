@@ -37,6 +37,7 @@ from .polyalg import (
     ShapeError,
     SingularMatrixError,
     _column_fraction,
+    _is_product,
     _lowest,
     _mul,
     _null_vector,
@@ -227,7 +228,7 @@ def _certified(n: PolyMat, d: PolyMat, u: PolyMat) -> RightMFD:
     (r is not I) raises ValueError."""
     mfd, m = RightMFD(n, d), d.shape[0]
     _attach(mfd, w=PolyMat(u.rows[:m]), kernel=_reduce(u.rows[m:]))
-    if mfd.w @ vstack(d, n) != PolyMat.identity(m):
+    if not _is_product(mfd.w, vstack(d, n), ONE, PolyMat.identity(m)):
         raise ValueError("coprimeness certificate fails w @ [d; n] = I")
     return mfd
 
@@ -432,7 +433,8 @@ def _bezout_rows(
         for i, (alpha, beta) in zip(group, solved or ()):  # None: the rows stay None
             rows[i] = beta + alpha
     targets = PolyMat(tuple(tuple(phi * e for e in row) for row, phi in zip(rhs, phis)))
-    if None in rows or PolyMat(tuple(map(tuple, rows))) @ vstack(source.d, source.n) != targets:
+    stacked = vstack(source.d, source.n)
+    if None in rows or not _is_product(PolyMat(tuple(map(tuple, rows))), stacked, ONE, targets):
         raise ArithmeticError("Bezout witness fails alpha @ n + beta @ d = diag(phi) @ rhs")
     return [x[m:] for x in rows], [x[:m] for x in rows], phis
 

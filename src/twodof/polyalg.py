@@ -46,6 +46,12 @@ Conventions
   left factor and each column of the right factor to Z[s] over one
   integer (``_z_line``), ``RatMat @`` does so after taking the line over
   its lcd, and each entry is one dot product over Z[s], normalised once.
+  A matrix over one shared denominator (``_over``) is normalised in one
+  pass: one GCDHEU point for every entry, at which the denominator is
+  evaluated once (``_heu_gcds``), an entry whose candidate fails its
+  certificate taking ``_gcd``.  An identity a @ b == f * c is decided at
+  one point x = 2**k beyond a bound on both sides' coefficients
+  (``_is_product``), with neither side formed.
 * Linear systems over Q run on one fraction-free Gauss-Jordan
   elimination over Z, ``_rref_z``, with the pivots of the elimination
   over Q; each updated row is divided by its content, and a value is read
@@ -530,22 +536,64 @@ def _heu_gcd(*fs: Sequence[int]) -> tuple[list[int], ...] | None:
         values = [_horner(f, x, 1) for f in fs]
         if all(values):  # x may be a root of an input with a larger bound
             h = math.gcd(*values)
-            g = _interpolate(h, x)
-            if len(g) == 1:
+            if h <= x >> 1:  # a constant candidate
                 return ([1], *map(list, fs))
-            c = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
-            g, gx = [y // c for y in g], h // c
-            quos = None
-            if top < x:  # the quotients, certified by their size
-                quos = [_interpolate(v // gx, x) for v in values]
-                if 2 * sum(map(abs, g)) * max(max(map(abs, q)) for q in quos) >= x:
-                    quos = None
-            if quos is None:  # else by trial division
+            # the quotients certified by their size where top < x, else by
+            # trial division
+            g, quos = _read_off(h, x, values if top < x else ())
+            if quos is None:
                 quos = [_exact_quo(f, g) for f in fs]
             if None not in quos:
                 return (g, *quos)
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
     return None  # no candidate at six points: the caller falls back to the PRS
+
+
+def _read_off(h: int, x: int, values: Sequence[int]) -> tuple[list[int], list[list[int]] | None]:
+    """GCDHEU's candidate at x, for h > x / 2 the gcd of the nonzero
+    ``values``: g, primitive with lc(g) > 0, read off h by x-adic
+    interpolation, and each value's quotient by g(x) read off the same
+    way, or ``None`` for the quotients unless there are some and
+    2 * |g|_1 * |q| < x for each q (``_heu_gcd`` gives the argument)."""
+    g = _interpolate(h, x)
+    c = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
+    g, gx = [y // c for y in g], h // c
+    quos = [_interpolate(v // gx, x) for v in values]
+    if not quos or 2 * sum(map(abs, g)) * max(max(map(abs, q)) for q in quos) >= x:
+        return g, None
+    return g, quos
+
+
+def _heu_gcds(d: Sequence[int], fs: Sequence[Sequence[int]]) -> list[tuple | None]:
+    """``_gcd(f, d)`` for each f of ``fs``, d nonconstant, by GCDHEU at one
+    shared point x, at which d is evaluated once; ``None`` for a zero or
+    constant f, and for an f whose candidate fails its certificate.
+
+    x = (2 * top + 29) << len(d), top the largest coefficient of d and of
+    every f, exceeds twice every input's norm and twice d's root bound
+    1 + |d| / |lc d|.  Each f reads h = gcd(f(x), d(x)).  Where h <= x / 2
+    the pair is coprime: a common factor q of f and d divides h at x, and
+    |q(x)| > x / 2, since q's roots are d's.  Else the gcd and both
+    cofactors are read off the values by x-adic interpolation and
+    certified by their size, as in ``_heu_gcd``, whose argument shows a
+    certified candidate is the gcd itself.
+    """
+    top = max(max(map(abs, f), default=0) for f in (d, *fs))
+    x = (2 * top + 29) << len(d)
+    dv = _horner(d, x, 1)
+    out: list[tuple | None] = []
+    for f in fs:
+        found = None
+        if len(f) > 1:
+            fv = _horner(f, x, 1)
+            h = math.gcd(fv, dv)
+            if h <= x >> 1:
+                found = [1], f, d
+            else:
+                g, quos = _read_off(h, x, (fv, dv))
+                found = quos and (g, *quos)
+        out.append(found)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -559,25 +607,7 @@ class RatFn(_Value):
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = ONE) -> None:
-        if num.__class__ is not Poly:
-            num = _as_poly(num)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = ZERO, ONE
-        elif den.is_constant():
-            if den != ONE:  # (a / da) / (b0 / db) = (a * db) / (da * b0)
-                num, den = _lowest([x * den._d for x in num._z], num._d * den._z[0]), ONE
-        else:
-            # (a / da) / (b / db) = (a * db) / (b * da); divided by g = gcd(a, b)
-            # and made monic, the denominator is b / lc(b) and the numerator
-            # a * db / (da * lc(b))
-            g, a, b = _gcd(num._z, den._z)
-            if len(g) > 1 or b[-1] != den._d:  # else coprime and monic already
-                num = _lowest([x * den._d for x in a], num._d * b[-1])
-                den = _monic_z(b)
-        _set_num(self, num)
-        _set_den(self, den)
+        _normalise(self, num if num.__class__ is Poly else _as_poly(num), den)
 
     def __reduce__(self):
         return RatFn, (self.num, self.den)
@@ -666,6 +696,33 @@ class RatFn(_Value):
 
 
 _set_num, _set_den = RatFn.num.__set__, RatFn.den.__set__
+
+
+def _normalise(r: RatFn, num: Poly, den: Poly, found: tuple | None = None) -> RatFn:
+    """Set ``r`` to num / den in lowest terms with a monic denominator and
+    return it: every `RatFn`, and every entry of ``_over``, is normalised
+    here once.  ``found`` is (g, a, b) = ``_gcd(num._z, den._z)`` when the
+    caller already holds it, for a nonconstant ``num`` and ``den``."""
+    if den.is_zero():
+        raise ZeroDivisionError("rational function with zero denominator")
+    if num.is_zero():
+        num, den = ZERO, ONE
+    elif den.is_constant():
+        if den != ONE:  # (a / da) / (b0 / db) = (a * db) / (da * b0)
+            num, den = _lowest([x * den._d for x in num._z], num._d * den._z[0]), ONE
+    else:
+        # (a / da) / (b / db) = (a * db) / (b * da); divided by g = gcd(a, b)
+        # and made monic, the denominator is b / lc(b) and the numerator
+        # a * db / (da * lc(b))
+        g, a, b = found or _gcd(num._z, den._z)
+        if len(g) > 1 or b[-1] != den._d:  # else coprime and monic already
+            num = _lowest([x * den._d for x in a], num._d * b[-1])
+            den = _monic_z(b)
+    _set_num(r, num)
+    _set_den(r, den)
+    return r
+
+
 RF_ZERO = RatFn(ZERO)
 RF_ONE = RatFn(ONE)
 
@@ -713,8 +770,16 @@ def _column_fraction(mat: RatMat) -> tuple[PolyMat, PolyMat]:
 
 
 def _over(mat: PolyMat, den: Poly) -> RatMat:
-    """mat / den, each entry normalised once."""
-    return RatMat(tuple(tuple(RatFn(e, den) for e in row) for row in mat.rows))
+    """mat / den, each entry normalised once (``_normalise``): over a
+    nonconstant den, with every entry's gcd with den taken at one shared
+    point (``_heu_gcds``), unless mat has one entry."""
+    rows = mat.rows
+    if len(den._z) < 2 or len(rows) * len(rows[0]) < 2:
+        return RatMat(tuple(tuple(RatFn(e, den) for e in row) for row in rows))
+    entries = [e for row in rows for e in row]
+    found = _heu_gcds(den._z, [e._z for e in entries])
+    cells = iter([_normalise(object.__new__(RatFn), e, den, f) for e, f in zip(entries, found)])
+    return RatMat(tuple(tuple(next(cells) for _ in row) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +933,66 @@ class PolyMat(_Grid):
 
     def to_ratmat(self) -> "RatMat":
         return RatMat(self.rows)
+
+
+def _is_product(a: PolyMat, b: PolyMat, f: Poly, c: PolyMat) -> bool:
+    """Whether a @ b == f * c, decided at one point without forming either
+    side.
+
+    Row i of a is a_i / p_i, column j of b is b_j / q_j and c is c' / r,
+    each over Z[s] by one integer (``_scaled_line``), and f = fz / fd, so
+    entry (i, j) holds exactly when L = fd * r * sum_t a_i[t] * b_j[t] and
+    R = p_i * q_j * fz * c'[i][j] are equal over Z[s].  A product u * v of
+    integer polynomials has coefficients of size at most min(len u, len v)
+    * |u| * |v| (max norms), so the largest sizes, lengths and integers of
+    each kind bound every coefficient of every L and R by one B.  Both
+    sides are compared at x = 2**k > 2 * B: L - R has coefficients of size
+    below x, so were it nonzero, with lowest nonzero coefficient e at s**j,
+    its value x**j * (e + x * t), t an integer, could not vanish, as
+    0 < |e| < x (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 8).
+    So L == R exactly when L(x) == R(x), and no product is formed.
+    """
+    inner = len(b.rows)
+    if len(a.rows[0]) != inner:
+        raise ShapeError(f"cannot multiply {a.shape} @ {b.shape}")
+    if len(c.rows) != len(a.rows) or len(c.rows[0]) != len(b.rows[0]):
+        return False
+    left = [_scaled_line(row) for row in a.rows]
+    right = [_scaled_line(col) for col in zip(*b.rows)]
+    r, c_line, c_size, c_len = _scaled_line([e for row in c.rows for e in row])
+    p_max, _, a_size, a_len = map(max, zip(*left))
+    q_max, _, b_size, b_len = map(max, zip(*right))
+    fz = f._z
+    bound = max(
+        f._d * r * inner * min(a_len, b_len) * a_size * b_size,
+        p_max * q_max * min(len(fz), c_len) * max(map(abs, fz), default=0) * c_size,
+    )
+    x = 1 << (bound.bit_length() + 1)
+    fd, fv = f._d * r, _horner(fz, x, 1)
+    right = [(q, [_horner(z, x, 1) * k for z, k in line]) for q, line, _, _ in right]
+    c_line = iter(c_line)
+    for p, line, _, _ in left:
+        values = [_horner(z, x, 1) * k for z, k in line]
+        for q, b_values in right:
+            z, k = next(c_line)
+            if fd * sum(u * v for u, v in zip(values, b_values)) != p * q * fv * _horner(z, x, 1) * k:
+                return False
+    return True
+
+
+def _scaled_line(entries: Sequence[Poly]) -> tuple[int, list[tuple[Sequence[int], int]], int, int]:
+    """(p, [(z, k)], size, length): each entry is z * k / p over Z[s], z its
+    stored integers and p the lcm of the denominators, with the largest
+    coefficient size and length among the z * k."""
+    p = math.lcm(*(e._d for e in entries))
+    line, size, length = [], 0, 0
+    for e in entries:
+        z, k = e._z, p // e._d
+        line.append((z, k))
+        if z:
+            size = max(size, max(map(abs, z)) * k)
+            length = max(length, len(z))
+    return p, line, size, length
 
 
 def hermite(a: PolyMat) -> tuple[PolyMat, PolyMat]:

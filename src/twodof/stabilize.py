@@ -11,15 +11,18 @@ is -adj(L)*R / det L for the polynomial numerators [L, R] of
 [v - K*nl', u + K*dl'].  Its maps, affine in K, are the blocks of one
 product [d'; n'] @ [v - K*nl', -(u + K*dl')] over one denominator den*psi
 (``_youla_feedback``): stability is decided on den*psi, the maps formed
-when read.  Two identities certify it: the controller solves
-(v - K*nl') @ Cy = -(u + K*dl'), and
+when read and normalised over that one denominator in one pass
+(``polyalg._over``).  Two identities certify it, each decided at one
+point with no product formed (``polyalg._is_product``): the controller
+solves (v - K*nl') @ Cy = -(u + K*dl'), and
 (v - K*nl') @ d' + (u + K*dl') @ n' = I.  Every other loop is formed by
 ``_fraction_loop`` as the same record (``_Loop``), in the coprime-factor form
 [D; N] @ adj M @ [dc*I | Nc] / det M of H(P, C), M = dc*D - Nc*N for
 P = N*D**-1 and Cy = Nc/dc (Vidyasagar, Control System Synthesis, 1985;
 Kailath, Linear Systems, 1980), over det M less a factor every map
 cancels, from the fractions a design holds or those ``gang_of_four``
-reads off a pair of rational matrices.  All stabilizing feedback
+reads off a pair of rational matrices (the plant's column fraction once
+per plant).  All stabilizing feedback
 compensators are swept out by a single free parameter K ranging over the
 proper stable rationals.  The sweep is anchored at a Bezout witness of
 the proper-stable fraction data: a witness over polynomials alone
@@ -56,6 +59,7 @@ from .polyalg import (
     _column_fraction,
     _from_z,
     _gcd,
+    _is_product,
     _over,
     _over_lcd,
     _polymat_det_adj,
@@ -120,6 +124,11 @@ def _rh_data_cached(p: RatMat, shift: Fraction) -> StableMFD:
     return smfd
 
 
+# gang_of_four is called repeatedly on the same plant too, as in a Youla
+# sweep: its column fraction is read off once per plant
+_plant_fraction = lru_cache(maxsize=64)(_column_fraction)
+
+
 def _youla_feedback(
     smfd: StableMFD, k: RatMat | None = None, xprime: RatMat | None = None
 ) -> tuple[RatMat, RatMat | None, _Loop]:
@@ -171,7 +180,7 @@ def _youla_feedback(
             "parameter makes v - k@nl' singular; no compensator exists"
         ) from None
     c = -(adj @ r)
-    if l @ c != r.scale(-det):
+    if not _is_product(l, c, -det, r):
         raise ArithmeticError("compensator fails (v - k@nl') @ cy = -(u + k@dl')")
     cy = _over(c, det)
     if not cy.is_proper():
@@ -179,7 +188,7 @@ def _youla_feedback(
             "compensator is improper: v - k@nl' is singular at infinity"
         )
     psi, dn = smfd.stacked
-    if lr @ dn != PolyMat.diag([den * psi] * m):
+    if not _is_product(lr, dn, den * psi, PolyMat.identity(m)):
         raise ArithmeticError("parametrized loop fails (v - k@nl')@d' + (u + k@dl')@n' = I")
     loop = _Loop(dn, hstack(l, -r), den * psi)
     if not loop.verdict:
@@ -278,7 +287,7 @@ def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
         raise ShapeError(
             f"feedback map must be {p.shape[1]}x{p.shape[0]}, got {cy.shape}"
         )
-    return _fraction_loop(*_column_fraction(p), *_over_lcd(cy)).maps
+    return _fraction_loop(*_plant_fraction(p), *_over_lcd(cy)).maps
 
 
 def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> _Loop:

@@ -40,6 +40,7 @@ from .polyalg import (
     ShapeError,
     SingularMatrixError,
     _bareiss,
+    _is_product,
     _over,
     _over_lcd,
     _polymat_det_adj,
@@ -559,7 +560,7 @@ def denominator_assignment_unity(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
             "closed loop equals n @ d_t**-1", loop.maps.p_sens_cy == achieved_t
         ),
         _equality_certificate(
-            "identity t**-1 + I == cff**-1 @ p**-1", num @ total == mfd.d.scale(det)
+            "identity t**-1 + I == cff**-1 @ p**-1", _is_product(num, total, det, mfd.d)
         ),
         Certificate("unity loop internally stabilizing", loop.verdict),
     )
@@ -591,7 +592,7 @@ def denominator_assignment_direct(mfd: RightMFD, d_t: PolyMat) -> DesignResult:
     certs = (
         _equality_certificate("closed loop equals n @ d_t**-1", loop.maps.p_sens == achieved_t),
         _equality_certificate(
-            "identity t**-1 - p**-1 == -cfb", num @ mfd.n == gap.scale(det)
+            "identity t**-1 - p**-1 == -cfb", _is_product(num, mfd.n, det, gap)
         ),
         Certificate("loop internally stabilizing", loop.verdict),
     )

@@ -444,32 +444,176 @@ def test_gcd_matches_the_remainder_sequence(pair):
     assert polyalg._gcd(a, b) == (g, polyalg._exact_quo(a, g), polyalg._exact_quo(b, g))
 
 
+# -- one denominator shared by a matrix, and identities at one point --------
+
+
+@st.composite
+def shared_denominator_matrices(draw):
+    """(mat, den): 1 x 1 to 3 x 3 polynomial matrices and a nonzero den
+    with rational coefficients and any leading coefficient, constant ones
+    included.  Each entry is zero, constant, drawn, drawn times a factor g
+    that den holds in about half the draws, or drawn times 10**3 to 10**12,
+    past den's coefficients."""
+    g = draw(nonzero_mixed)
+    den = draw(nonzero_mixed)
+    if draw(st.booleans()):
+        den = den * g
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kinds = st.sampled_from(["zero", "constant", "drawn", "shared", "large"])
+
+    def entry():
+        kind, e = draw(kinds), draw(mixed_polys(max_degree=3))
+        if kind == "zero":
+            return ZERO
+        if kind == "constant":
+            return Poly((draw(coefficients),))
+        if kind == "shared":
+            return e * g
+        return e * 10 ** draw(st.integers(3, 12)) if kind == "large" else e
+
+    return PolyMat([[entry() for _ in range(cols)] for _ in range(rows)]), den
+
+
+@SETTINGS
+@given(shared_denominator_matrices())
+@example((PolyMat.zeros(2, 3), S * S - 3 * S + ONE))
+@example((PolyMat([[ONE, -2 * ONE], [ZERO, Poly((Fraction(1, 3),))]]), (S + ONE) * (S - 2 * ONE)))
+@example((PolyMat([[S + ONE, S * S - ONE]]), Poly((Fraction(5, 2),))))
+def test_a_matrix_over_one_denominator_is_each_entry_normalised(case):
+    mat, den = case
+    over = polyalg._over(mat, den)
+    assert over.rows == tuple(tuple(RatFn(e, den) for e in row) for row in mat.rows)
+    assert [(v.num, v.den) for row in over.rows for v in row] == [
+        normalised(e, den) for row in mat.rows for e in row
+    ]
+
+
+def gcd_kernel_calls(monkeypatch) -> list:
+    """The inputs of each ``polyalg._gcd`` call while active."""
+    calls, kernel = [], polyalg._gcd
+    monkeypatch.setattr(polyalg, "_gcd", lambda *fs: calls.append(fs) or kernel(*fs))
+    return calls
+
+
+def test_the_shared_point_reads_gcds_and_cofactors_off_one_evaluation(monkeypatch):
+    # (s+1)(s+2) and s+1 share s+1 with den = (s+1)(s+3), s - 4 shares
+    # nothing: every pair is decided at the one point, with no gcd call
+    den = (S + ONE) * (S + 3 * ONE)
+    calls = gcd_kernel_calls(monkeypatch)
+    over = polyalg._over(PolyMat([[(S + ONE) * (S + 2 * ONE), S + ONE, S - 4 * ONE]]), den)
+    monkeypatch.undo()
+    assert over.rows[0] == (
+        RatFn(S + 2 * ONE, S + 3 * ONE), RatFn(ONE, S + 3 * ONE), RatFn(S - 4 * ONE, den)
+    )
+    assert calls == []
+
+
+def test_a_shared_candidate_that_fails_its_certificate_takes_the_gcd_kernel(monkeypatch):
+    # den = -6s^2 - 6s and the entry 28s - 58 are coprime; at the shared
+    # point x = (2 * 58 + 29) << 3 = 1160 their values have a gcd above
+    # x / 2, read off as s + 87, which divides neither.  Its cofactors fail
+    # the size bound, so the entry takes _gcd, once; taken uncertified they
+    # would give a wrong value.
+    den = -6 * S * S - 6 * S
+    calls = gcd_kernel_calls(monkeypatch)
+    over = polyalg._over(PolyMat([[28 * S - 58 * ONE, ZERO]]), den)
+    monkeypatch.undo()
+    assert over.rows[0] == (RatFn(28 * S - 58 * ONE, den), RatFn(ZERO))
+    assert calls == [((-58, 28), (0, -6, -6))]
+
+
+def test_a_common_root_beyond_the_coefficients_is_found_at_the_shared_point():
+    # den = (s - 100)(s + 1) has the root bound 1 + 100 = 101.  At a point
+    # x below twice that bound (s - 100)(x) can divide the values' gcd and
+    # still lie below x / 2, as at x = 129, where the gcd is 29: the pair
+    # would pass for coprime.  At the shared point s - 100 cancels.
+    den = (S - 100 * ONE) * (S + ONE)
+    over = polyalg._over(PolyMat([[S - 100 * ONE, ONE]]), den)
+    assert over.rows[0] == (RatFn(ONE, S + ONE), RatFn(ONE, den))
+
+
+@st.composite
+def identity_triples(draw):
+    """(a, b, f, c) with a @ b == f * c, f nonzero: a is r x m, b is m x n
+    (1 to 3 each) with rational entries, and c = a0 @ b for a = a0 scaled
+    by f, or f = 1 and a = a0."""
+    r, m, n = (draw(st.integers(1, 3)) for _ in range(3))
+    entries = mixed_polys(max_degree=3)
+    a0 = PolyMat([[draw(entries) for _ in range(m)] for _ in range(r)])
+    b = PolyMat([[draw(entries) for _ in range(n)] for _ in range(m)])
+    f = draw(nonzero_mixed) if draw(st.booleans()) else ONE
+    return a0.scale(f), b, f, a0 @ b
+
+
+@SETTINGS
+@given(identity_triples(), st.data())
+def test_an_identity_is_decided_at_one_point(triple, data):
+    a, b, f, c = triple
+    assert polyalg._is_product(a, b, f, c)
+    # one coefficient of one entry of c off by 1 / d, d its denominator
+    i, j = data.draw(st.integers(0, c.shape[0] - 1)), data.draw(st.integers(0, c.shape[1] - 1))
+    e = c.rows[i][j]
+    z = list(e._z) + [0]
+    z[data.draw(st.integers(0, len(z) - 1))] += data.draw(st.sampled_from([1, -1]))
+    rows = [list(row) for row in c.rows]
+    rows[i][j] = polyalg._lowest(z, e._d)
+    assert not polyalg._is_product(a, b, f, PolyMat(rows))
+    # any other c: the kernel agrees with forming both sides
+    other = PolyMat([[data.draw(mixed_polys(max_degree=3)) for _ in row] for row in c.rows])
+    assert polyalg._is_product(a, b, f, other) == (a @ b == other.scale(f))
+
+
+@pytest.mark.parametrize("k", [3, 10, 64, 300])
+def test_a_difference_that_vanishes_at_half_the_point_is_refused(k):
+    # a @ b = s - 3 * 2**(k-2) against c = 2**(k-2): every coefficient of
+    # either side is at most B = 3 * 2**(k-2), which has k bits, so the
+    # kernel compares at x = 2**(k+1) > 2B.  The difference s - 2**k
+    # vanishes at x / 2, where a bound one bit short would compare.
+    a = PolyMat([[S - 3 * 2 ** (k - 2) * ONE]])
+    c = PolyMat([[Poly((2 ** (k - 2),))]])
+    assert not polyalg._is_product(a, PolyMat([[ONE]]), ONE, c)
+    assert polyalg._is_product(a, PolyMat([[ONE]]), ONE, a)
+
+
+def test_an_identity_of_mismatched_shapes():
+    a, b = PolyMat([[S, ONE]]), PolyMat([[ONE], [S]])
+    assert polyalg._is_product(a, b, ONE, PolyMat([[2 * S]]))
+    assert not polyalg._is_product(a, b, ONE, PolyMat([[2 * S, ZERO]]))
+    with pytest.raises(polyalg.ShapeError):
+        polyalg._is_product(a, a, ONE, PolyMat([[S]]))
+
+
 def heu_points(monkeypatch) -> list[int]:
-    """The number of evaluation points of each `_heu_gcd` call, while
-    active: the distinct x at which it evaluates its inputs.  A call that
+    """The number of evaluation points of each GCDHEU call, while active:
+    the distinct x at which a `_heu_gcd` call, or the shared pass
+    `_heu_gcds` of ``polyalg._over``, evaluates its inputs.  A call that
     evaluates at no point must hand its inputs' primitive parts to a
     nested call, else the count has gone blind."""
     counts: list[int] = []
     points: list[set] = []
-    heu_gcd, horner = polyalg._heu_gcd, polyalg._horner
+    horner = polyalg._horner
 
-    def counting_heu_gcd(*fs):
-        points.append(set())
-        nested = len(counts)
-        try:
-            return heu_gcd(*fs)
-        finally:
-            seen = points.pop()
-            if not seen and len(counts) == nested:
-                pytest.fail(f"a _heu_gcd call recorded no evaluation point: {fs}")
-            counts.append(len(seen))
+    def counting(kernel):
+        def counted(*fs):
+            points.append(set())
+            nested = len(counts)
+            try:
+                return kernel(*fs)
+            finally:
+                seen = points.pop()
+                if not seen and len(counts) == nested:
+                    pytest.fail(f"a {kernel.__name__} call recorded no evaluation point: {fs}")
+                counts.append(len(seen))
+
+        return counted
 
     def recording_horner(a, u, v):
         if points and v == 1:
             points[-1].add(u)
         return horner(a, u, v)
 
-    monkeypatch.setattr(polyalg, "_heu_gcd", counting_heu_gcd)
+    for name in ("_heu_gcd", "_heu_gcds"):
+        monkeypatch.setattr(polyalg, name, counting(getattr(polyalg, name)))
     monkeypatch.setattr(polyalg, "_horner", recording_horner)
     return counts
 
@@ -949,17 +1093,18 @@ def test_plant_analysis_builds_few_fractions(monkeypatch):
 
 
 class RatFnCounter:
-    """Counts `RatFn` normalisations while active (patched ``__init__``)."""
+    """Counts `RatFn` normalisations while active: ``polyalg._normalise``,
+    which every `RatFn` and every entry of ``polyalg._over`` passes."""
 
     def __init__(self, monkeypatch):
         self.count = 0
-        original = RatFn.__init__
+        original = polyalg._normalise
 
-        def counting_init(ratfn, *args, **kwargs):
+        def counting(*args):
             self.count += 1
-            original(ratfn, *args, **kwargs)
+            return original(*args)
 
-        monkeypatch.setattr(RatFn, "__init__", counting_init)
+        monkeypatch.setattr(polyalg, "_normalise", counting)
 
     def take(self) -> int:
         count, self.count = self.count, 0
@@ -1001,13 +1146,13 @@ def test_gang_of_four_normalises_over_det_m_less_dc(monkeypatch):
     row = adj_m @ polyalg.hstack(PolyMat.diag([dc, dc]), nc)
     g = reduce(poly_gcd, (e for r in row.rows for e in r), det_m)
     dens = []
-    original = RatFn.__init__
+    original = polyalg._normalise
 
-    def recording_init(ratfn, num, den=ONE):
+    def recording(ratfn, num, den, *found):
         dens.append(den)
-        original(ratfn, num, den)
+        return original(ratfn, num, den, *found)
 
-    monkeypatch.setattr(RatFn, "__init__", recording_init)
+    monkeypatch.setattr(polyalg, "_normalise", recording)
     maps = gang_of_four(plant, cy)
     monkeypatch.undo()
     lcm = reduce(poly_lcm, (e.den for mat in maps for r in mat.rows for e in r))
