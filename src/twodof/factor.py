@@ -2,9 +2,10 @@
 
 A rational transfer matrix P is written as a right fraction P = N * D**-1
 with N, D polynomial and right coprime, or as a left fraction
-P = Dl**-1 * Nl.  The Hermite transform of a right fraction's [D; N] gives
-a certificate W @ [D; N] = I of its coprimeness (``RightMFD.w``) and a
-row-reduced basis L of the left kernel of [D; N] (``RightMFD.kernel``).
+P = Dl**-1 * Nl.  ``_certified`` alone certifies a right fraction, one
+built by hand too, by the Hermite transform of its [D; N]: a row-reduced
+basis L of its left kernel, rows primitive over Z (``RightMFD.kernel``),
+and W @ [D; N] = I, W reduced modulo L once (``RightMFD.w``).
 Dividing the columns of a column-reduced right fraction by powers of a
 fixed Hurwitz factor (s + shift) yields a fraction P = N' * D'**-1 whose
 factors are themselves proper and stable, together with a Bezout witness
@@ -37,12 +38,14 @@ from .polyalg import (
     ShapeError,
     SingularMatrixError,
     _column_fraction,
+    _from_z,
     _is_product,
     _lowest,
     _mul,
     _null_vector,
     _over_lcd,
     _polymat_det_adj,
+    _row_lowest,
     _rref_z,
     _trim,
     _Value,
@@ -76,10 +79,10 @@ class RightMFD(_Value):
     """Right polynomial fraction P = n * d**-1 with d nonsingular.
 
     ``w`` and ``kernel`` are None unless ``_certified`` read them off the
-    Hermite transform of this [d; n]: ``w`` certifies that n and d are right
-    coprime by w @ [d; n] == I (Kailath, Linear Systems, 1980, ch. 6), and
-    ``kernel`` is a row-reduced basis of the left kernel of [d; n]; the
-    fractions ``right_coprime_mfd`` certifies are column reduced.  None
+    Hermite transform of this [d; n]: ``kernel`` is a row-reduced basis of
+    its left kernel, rows primitive over Z, and ``w``, reduced modulo it,
+    certifies right coprimeness by w @ [d; n] == I (Kailath, Linear Systems,
+    1980, ch. 6); the fractions of ``right_coprime_mfd`` are column reduced.  None
     of the four is assigned after that, so no certificate is swapped in.
     Equality and hashing follow n and d alone."""
 
@@ -222,14 +225,25 @@ class StableMFD(namedtuple("StableMFD", "nprime dprime u v shift col_degrees sou
         return out
 
 
-def _certified(n: PolyMat, d: PolyMat, u: PolyMat) -> RightMFD:
-    """n @ d**-1 with w = u[:m] and the kernel u[m:], row reduced, of its
-    Hermite transform u @ [d; n] = [r; 0]; a w that fails w @ [d; n] = I
-    (r is not I) raises ValueError."""
-    mfd, m = RightMFD(n, d), d.shape[0]
-    _attach(mfd, w=PolyMat(u.rows[:m]), kernel=_reduce(u.rows[m:]))
-    if not _is_product(mfd.w, vstack(d, n), ONE, PolyMat.identity(m)):
-        raise ValueError("coprimeness certificate fails w @ [d; n] = I")
+def _certified(n: PolyMat, d: PolyMat, u: PolyMat | None = None) -> RightMFD:
+    """n @ d**-1 certified by the Hermite transform u @ [d; n] = [r; 0],
+    formed here unless given: the kernel u[m:], row reduced with each row
+    primitive over Z, and w = u[:m] reduced modulo it once (``_divided_row``).
+    w @ [d; n] is r, so a fraction that is not right coprime (r is not I)
+    raises ValueError."""
+    m, stacked = d.shape[0], vstack(d, n)
+    if u is None:
+        u = hermite(stacked)[1]
+    # each row primitive before row reduction too, as the transform's are long
+    rows = [list(map(_from_z, _row_lowest(_z_line(row)[0], 0)[0])) for row in u.rows[m:]]
+    kernel = [_row_lowest(_z_line(row)[0], 0)[0] for row in _reduce(rows)]
+    mus = [max(map(len, zs)) - 1 for zs in kernel]
+    reduced = (_divided_row(kernel, mus, row, None, math.inf) for row in u.rows[:m])
+    w = PolyMat(tuple(tuple(_lowest(z, den) for z in xz) for xz, den, _ in reduced))
+    if not _is_product(w, stacked, ONE, PolyMat.identity(m)):
+        raise ValueError("fraction is not right coprime: its certificate fails w @ [d; n] = I")
+    mfd = RightMFD(n, d)
+    _attach(mfd, w=w, kernel=PolyMat(tuple(tuple(map(_from_z, zs)) for zs in kernel)))
     return mfd
 
 
@@ -239,19 +253,19 @@ def right_coprime_mfd(p: RatMat) -> RightMFD:
     column fraction p = n0 @ d0**-1 serves when r is I, as for every scalar
     plant (d0, a diagonal of monic lcds, is column reduced); else
     [d; n] = [d0; n0] @ r**-1 (exact division by det r) is column reduced
-    and eliminated once more."""
+    and ``_certified`` eliminates it once more."""
     cols = p.shape[1]
     d, n = _column_fraction(p)
     h, u = hermite(vstack(d, n))
-    if PolyMat(h.rows[:cols]) != PolyMat.identity(cols):
-        det, adj = _polymat_det_adj(PolyMat(h.rows[:cols]))
-        quotients = [[divmod(e, det) for e in row] for row in (vstack(d, n) @ adj).rows]
-        if any(not rem.is_zero() for row in quotients for _, rem in row):
-            raise ArithmeticError("Hermite pivot block does not divide [d0; n0]")
-        rows = [tuple(q for q, _ in row) for row in quotients]
-        n, d = column_reduce(PolyMat(tuple(rows[cols:])), PolyMat(tuple(rows[:cols])))
-        h, u = hermite(vstack(d, n))  # a quotient left with a common divisor fails w
-    return _certified(n, d, u)
+    if PolyMat(h.rows[:cols]) == PolyMat.identity(cols):
+        return _certified(n, d, u)
+    det, adj = _polymat_det_adj(PolyMat(h.rows[:cols]))
+    quotients = [[divmod(e, det) for e in row] for row in (vstack(d, n) @ adj).rows]
+    if any(not rem.is_zero() for row in quotients for _, rem in row):
+        raise ArithmeticError("Hermite pivot block does not divide [d0; n0]")
+    rows = [tuple(q for q, _ in row) for row in quotients]
+    # a quotient left with a common divisor fails its certificate
+    return _certified(*column_reduce(PolyMat(tuple(rows[cols:])), PolyMat(tuple(rows[:cols]))))
 
 
 def left_coprime_mfd(p: RatMat) -> LeftMFD:
@@ -260,28 +274,17 @@ def left_coprime_mfd(p: RatMat) -> LeftMFD:
     return LeftMFD(dl=right.d.transpose(), nl=right.n.transpose())
 
 
-def _hermite_certificate(n: PolyMat, d: PolyMat) -> RightMFD | None:
-    """n @ d**-1 with w = u[:m] and the kernel u[m:] of the Hermite transform
-    u @ [d; n] = [r; 0], or None when r is not I: its pivots are monic, so
-    r is I exactly when n and d are right coprime."""
-    m = d.shape[1]
-    h, u = hermite(vstack(d, n))
-    if PolyMat(h.rows[:m]) != PolyMat.identity(m):
-        return None
-    return _certified(n, d, u)
-
-
 def column_reduce(n: PolyMat, d: PolyMat) -> tuple[PolyMat, PolyMat]:
     """Right-multiply both factors by a unimodular matrix until the
     highest-column-degree coefficient matrix of ``d`` is nonsingular."""
     if polymat_det(d).is_zero():
         raise SingularMatrixError("denominator matrix is singular")
     m = d.shape[0]
-    rows = _reduce(vstack(d, n).transpose().rows, m).transpose().rows
+    rows = tuple(zip(*_reduce(tuple(zip(*d.rows, *n.rows)), m)))
     return PolyMat(rows[m:]), PolyMat(rows[:m])
 
 
-def _reduce(rows: Sequence[Sequence[Poly]], lead: int | None = None) -> PolyMat:
+def _reduce(rows: Sequence[Sequence[Poly]], lead: int | None = None) -> list[list[Poly]]:
     """Row-reduce independent polynomial rows by unimodular row operations:
     combine them until the coefficients of s**deg of their first ``lead``
     entries (all by default), deg a row's degree over those entries, are
@@ -302,7 +305,7 @@ def _reduce(rows: Sequence[Sequence[Poly]], lead: int | None = None) -> PolyMat:
                 mult = Poly.constant(c[j]) * S ** (degs[target] - degs[j])
                 new_vec = [e + mult * g for e, g in zip(new_vec, vecs[j])]
         vecs[target] = new_vec
-    return PolyMat(tuple(map(tuple, vecs)))
+    return vecs
 
 
 def poly_row_diophantine(
@@ -337,8 +340,7 @@ def poly_row_diophantine(
     for j in range(m):
         polys = [mat.entry(i, j) for mat, rows, _ in blocks for i in range(rows)]
         polys += [row[j] for row in rhs_rows]
-        lcd = math.lcm(*(e._d for e in polys))
-        zs = [[x * (lcd // e._d) for x in e._z] for e in polys]
+        zs = _z_line(polys)[0]
         for t in range(top + 1):
             row = [
                 z[t - c] if 0 <= t - c < len(z) else 0
@@ -366,11 +368,13 @@ def poly_row_diophantine(
 
 
 def _divided_row(
-    kernel: list, mus: list[int], x: Sequence[Poly], shift: Fraction | None, limit: int
+    kernel: list, mus: list[int], x: Sequence[Poly], shift: Fraction | None, limit: float
 ) -> tuple[list[list[int]], int, int]:
     """(xz, den, k): the least k <= limit at which the row x = rhs @ w of
     ``_bezout_rows`` has a solution of degree k, and x for rhs_k, cancelled
-    by the ``kernel`` rows, of degrees ``mus``, to its least degree xz / den."""
+    by the ``kernel`` rows, of degrees ``mus``, to its least degree xz / den.
+    With shift None, x itself is reduced modulo the kernel, and k is its
+    least degree (``_certified`` reduces w so, with no limit)."""
     (xz, den), k = _z_line(x), 0
     while True:
         top = max(map(len, xz)) - 1
@@ -390,9 +394,7 @@ def _divided_row(
                 for z, lz in zip(xz, kernel[i]):
                     for t, v in enumerate(lz, top - mus[i]):
                         z[t] -= y * v
-            g = math.gcd(den * q, *(v for z in xz for v in z))
-            den = den * q // g
-            xz = [_trim([v // g for v in z]) for z in xz]
+            xz, den = _row_lowest([_trim(z) for z in xz], den * q)
         elif top <= k:
             return xz, den, k
         else:  # no solution of degree k: on to k + 1, with rhs_k times s + shift
@@ -444,17 +446,15 @@ def stable_mfd(mfd: RightMFD, shift: Fraction | int = 1) -> StableMFD:
     (s + shift), producing proper stable factors and a Bezout witness whose
     rows are read off ``w`` and ``kernel`` by division, with at most one
     elimination per degree (``_bezout_rows``).  A fraction with a kernel
-    is taken as it is; any other is column reduced and certified by a
-    Hermite elimination.  A fraction of an improper plant is refused: with
+    is taken as it is; any other is column reduced and certified
+    (``_certified``).  A fraction of an improper plant is refused: with
     d column reduced, n @ d**-1 is proper exactly when no column of n has
     a higher degree than the same column of d (Kailath, Linear Systems,
     1980, section 6.3)."""
     sigma = Fraction(shift)
     if sigma <= 0:
         raise ValueError("shift must be positive")
-    source = mfd if mfd.kernel is not None else _hermite_certificate(*column_reduce(mfd.n, mfd.d))
-    if source is None:
-        raise ValueError("matrix fraction is not right coprime")
+    source = mfd if mfd.kernel is not None else _certified(*column_reduce(mfd.n, mfd.d))
     n, d = source.n, source.d
     col_degrees = tuple(deg if deg is not None else 0 for deg in d.column_degrees())
     if any((deg or 0) > top for deg, top in zip(n.column_degrees(), col_degrees)):

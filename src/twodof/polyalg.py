@@ -1051,7 +1051,8 @@ def hermite(a: PolyMat) -> tuple[PolyMat, PolyMat]:
 
 
 def _row_lowest(zs: list[list[int]], c: int) -> tuple[list[list[int]], int]:
-    """The row zs / c in lowest terms, with c > 0."""
+    """The row zs / c in lowest terms, with c > 0; for c = 0, zs over its
+    content."""
     g = math.gcd(c, *(x for e in zs for x in e)) * (-1 if c < 0 else 1)
     return ([[x // g for x in e] for e in zs], c // g) if g != 1 else (zs, c)
 

@@ -46,7 +46,7 @@ from .factor import (
     RightMFD,
     StableMFD,
     _bezout_rows,
-    _hermite_certificate,
+    _certified,
     right_coprime_mfd,
     stable_mfd,
 )
@@ -105,11 +105,9 @@ def solve_bezout(mfd: RightMFD) -> tuple[PolyMat, PolyMat]:
     Each row is the least-degree solution, read off the fraction's
     certificate w and kernel by division (``factor._bezout_rows``), with at
     most one elimination per degree; a fraction without them is certified
-    by a Hermite elimination first.
+    as it stands (``factor._certified``) first.
     """
-    source = mfd if mfd.kernel is not None else _hermite_certificate(mfd.n, mfd.d)
-    if source is None:
-        raise ValueError("fraction is not right coprime; no Bezout solution exists")
+    source = mfd if mfd.kernel is not None else _certified(mfd.n, mfd.d)
     degs = [deg or 0 for deg in mfd.d.column_degrees()]
     x2, x1, _ = _bezout_rows(source, PolyMat.identity(len(degs)).rows, None, sum(degs) + max(degs) + 2)
     return PolyMat(x1), PolyMat(x2)

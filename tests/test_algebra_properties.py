@@ -32,7 +32,7 @@ from twodof import polyalg
 from twodof.cli import ParseError, load_problem, parse_matrix, parse_rational
 from twodof.factor import (
     RightMFD,
-    _hermite_certificate,
+    _certified,
     poly_row_diophantine,
     right_coprime_mfd,
     stable_mfd,
@@ -1187,7 +1187,7 @@ def test_hermite_transform_certifies_the_coprime_fraction(plant):
     mfd = right_coprime_mfd(plant)
     assert mfd.w @ vstack(mfd.d, mfd.n) == PolyMat.identity(plant.shape[1])
     assert mfd.plant() == plant
-    assert _hermite_certificate(mfd.n, mfd.d) is not None
+    assert _certified(mfd.n, mfd.d) is not None
 
 
 @SETTINGS

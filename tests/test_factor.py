@@ -1,18 +1,19 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import twodof.factor
+import twodof.polyalg
 from twodof.cli import load_problem, parse_matrix
 from twodof.factor import (
     LeftMFD,
     RightMFD,
     _certified,
-    _hermite_certificate,
     column_reduce,
     left_coprime_mfd,
     poly_row_diophantine,
@@ -65,7 +66,7 @@ def test_right_mfd_example_plant():
     mfd = right_coprime_mfd(plant)
     assert mfd.n.entry(0, 0) == (S - ONE) * (S + 2 * ONE)
     assert mfd.d.entry(0, 0) == (S - 2 * ONE) ** 2
-    assert _hermite_certificate(mfd.n, mfd.d) is not None
+    assert _certified(mfd.n, mfd.d) is not None
     assert mfd.plant() == plant
 
 
@@ -78,7 +79,7 @@ def test_right_mfd_cancels_common_factors():
 
 
 def assert_certified_by_its_own_transform(mfd):
-    own = _hermite_certificate(mfd.n, mfd.d)
+    own = _certified(mfd.n, mfd.d)
     assert own is not None and (mfd.w, mfd.kernel) == (own.w, own.kernel)
 
 
@@ -93,7 +94,7 @@ def test_mfd_reconstruction_random():
         assert_certified_by_its_own_transform(mfd)
         left = left_coprime_mfd(plant)
         assert left.plant() == plant
-        assert _hermite_certificate(left.nl.transpose(), left.dl.transpose()) is not None
+        assert _certified(left.nl.transpose(), left.dl.transpose()) is not None
         # the two fractions describe the same object: dl@n == nl@d
         assert left.dl @ mfd.n == left.nl @ mfd.d
 
@@ -210,6 +211,58 @@ def test_a_quotient_left_with_a_common_divisor_fails_its_certificate(monkeypatch
     monkeypatch.setattr(twodof.factor, "column_reduce", lambda n, d: tuple(x @ t for x in reduce(n, d)))
     with pytest.raises(ValueError, match="certificate fails"):
         right_coprime_mfd(parse_matrix("1/(s+2), 1/(s+2); 1/(s-1), 3"))
+
+
+def degree_and_bits(mat):
+    """The largest entry degree and the longest stored integer, in bits."""
+    entries = [e for row in mat.rows for e in row]
+    bits = max(abs(x).bit_length() for e in entries for x in (*e._z, e._d))
+    return max(e.degree() or 0 for e in entries), bits
+
+
+def test_the_seeded_4x4_analysis_does_pinned_work(monkeypatch):
+    # Work pins: exact counts and sizes, the same on any machine, of the
+    # certification, stable_mfd and solve_bezout of the seeded 4x4 plant.
+    # Re-derive each by running this analysis with these hooks and reading
+    # the lists.  _certified stores the kernel's rows primitive and w reduced
+    # modulo them once: left as the Hermite transform gives them, w has
+    # degree 51 and the kernel 483-bit coefficients, and the steps read
+    # [0, 156, 114], as every reader reduces w again.
+    steps, systems, points = [0], [], []
+    rref, horner, is_product = twodof.factor._rref_z, twodof.polyalg._horner, twodof.factor._is_product
+
+    def counted_rref(aug, n):
+        # a _divided_row step is one elimination that cancels the top
+        # coefficients of its row; poly_row_diophantine's systems are
+        # recorded as (rows, columns, longest entry in bits) as built
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "poly_row_diophantine":
+            bits = max(abs(x).bit_length() for row in aug for x in row)
+            systems.append((len(aug), len(aug[0]), bits))
+        pivots = rref(aug, n)
+        steps[-1] += caller == "_divided_row" and pivots is not None
+        return pivots
+
+    def recorded_horner(a, u, v):
+        if sys._getframe(1).f_code.co_name == "_is_product":
+            points[-1].add(u.bit_length())  # one point 2**k per identity
+        return horner(a, u, v)
+
+    monkeypatch.setattr(twodof.factor, "_rref_z", counted_rref)
+    monkeypatch.setattr(twodof.polyalg, "_horner", recorded_horner)
+    monkeypatch.setattr(
+        twodof.factor, "_is_product", lambda *args: points.append(set()) or is_product(*args)
+    )
+    mfd = right_coprime_mfd(load_problem(str(SEED5_4X4)).plant)
+    steps.append(0)
+    stable_mfd(mfd)
+    steps.append(0)
+    solve_bezout(mfd)
+    assert (degree_and_bits(mfd.w), degree_and_bits(mfd.kernel)) == ((5, 561), (6, 39))
+    assert steps == [114, 42, 0]  # certification, stable_mfd, solve_bezout
+    assert systems == [(48, 52, 40)] * 2  # stable_mfd's, solve_bezout's
+    # w @ [d; n] = I, then the two Bezout identities
+    assert points == [{609}, {181}, {173}]
 
 
 @pytest.mark.parametrize(
