@@ -47,11 +47,11 @@ Conventions
   integer (``_z_line``), ``RatMat @`` does so after taking the line over
   its lcd, and each entry is one dot product over Z[s], normalised once.
   A matrix over one shared denominator (``_over``) is normalised in one
-  pass: one GCDHEU point for every entry, at which the denominator is
-  evaluated once (``_heu_gcds``), an entry whose candidate fails its
-  certificate taking ``_gcd``.  An identity a @ b == f * c is decided at
-  one point x = 2**k beyond a bound on both sides' coefficients
-  (``_is_product``), with neither side formed.
+  pass of read-offs at one point (``_read_offs``), an entry whose
+  candidate fails its certificate taking ``_gcd``, and so is a product
+  over one (``_over_product``), read off its factors' values.  An identity
+  a @ b == f * c is decided at one point x = 2**k beyond a bound on both
+  sides' coefficients (``_is_product``), with neither side formed.
 * Linear systems over Q run on one fraction-free Gauss-Jordan
   elimination over Z, ``_rref_z``, with the pivots of the elimination
   over Q; each updated row is divided by its content, and a value is read
@@ -550,45 +550,42 @@ def _heu_gcd(*fs: Sequence[int]) -> tuple[list[int], ...] | None:
 
 
 def _read_off(h: int, x: int, values: Sequence[int]) -> tuple[list[int], list[list[int]] | None]:
-    """GCDHEU's candidate at x, for h > x / 2 the gcd of the nonzero
-    ``values``: g, primitive with lc(g) > 0, read off h by x-adic
-    interpolation, and each value's quotient by g(x) read off the same
-    way, or ``None`` for the quotients unless there are some and
-    2 * |g|_1 * |q| < x for each q (``_heu_gcd`` gives the argument)."""
+    """GCDHEU's candidate at x, for h the gcd of ``values`` (one or more of
+    them nonzero): g, primitive with lc(g) > 0, read off h by x-adic
+    interpolation (g = 1 where h <= x / 2), and each value's quotient by
+    g(x) read off the same way, or ``None`` for the quotients unless there
+    are some and 2 * |g|_1 * |q| < x for each q (``_heu_gcd`` argues it)."""
     g = _interpolate(h, x)
     c = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
     g, gx = [y // c for y in g], h // c
     quos = [_interpolate(v // gx, x) for v in values]
-    if not quos or 2 * sum(map(abs, g)) * max(max(map(abs, q)) for q in quos) >= x:
+    if not quos or 2 * sum(map(abs, g)) * max(max(map(abs, q), default=0) for q in quos) >= x:
         return g, None
     return g, quos
 
 
 def _heu_gcds(d: Sequence[int], fs: Sequence[Sequence[int]]) -> list[tuple | None]:
-    """``_gcd(f, d)`` for each f of ``fs``, d nonconstant, by GCDHEU at one
-    shared point x, at which d is evaluated once; ``None`` for a zero or
-    constant f, and for an f whose candidate fails its certificate.
-
-    x = (2 * top + 29) << len(d), top the largest coefficient of d and of
-    every f, exceeds twice every input's norm and twice d's root bound
-    1 + |d| / |lc d|.  Each f reads h = gcd(f(x), d(x)).  Where h <= x / 2
-    the pair is coprime: a common factor q of f and d divides h at x, and
-    |q(x)| > x / 2, since q's roots are d's.  Else the gcd and both
-    cofactors are read off the values by x-adic interpolation and
-    certified by their size, as in ``_heu_gcd``, whose argument shows a
-    certified candidate is the gcd itself.
-    """
+    """``_read_offs`` of each f of ``fs`` and the nonconstant d at the GCDHEU
+    point x = (2 * top + 29) << len(d), top the largest coefficient of all."""
     top = max(max(map(abs, f), default=0) for f in (d, *fs))
     x = (2 * top + 29) << len(d)
-    dv = _horner(d, x, 1)
+    return _read_offs(x, d, _horner(d, x, 1), [_horner(f, x, 1) for f in fs])
+
+
+def _read_offs(x: int, d: Sequence[int], dv: int, values: Sequence[int]) -> list[tuple | None]:
+    """``_gcd(f, d)`` for each value f(x) of a polynomial f, given dv = d(x)
+    at x above twice every coefficient of d and f and twice d's root bound;
+    ``None`` for a zero f or a candidate failing its certificate.  Where
+    h = gcd(f(x), d(x)) <= x / 2 the pair is coprime (a common factor q has
+    |q(x)| > x / 2, its roots being d's) and f is read off f(x); else the
+    gcd and cofactors are read off and certified as in ``_heu_gcd``."""
     out: list[tuple | None] = []
-    for f in fs:
+    for fv in values:
         found = None
-        if len(f) > 1:
-            fv = _horner(f, x, 1)
+        if fv:
             h = math.gcd(fv, dv)
             if h <= x >> 1:
-                found = [1], f, d
+                found = [1], _interpolate(fv, x), d
             else:
                 g, quos = _read_off(h, x, (fv, dv))
                 found = quos and (g, *quos)
@@ -702,7 +699,8 @@ def _normalise(r: RatFn, num: Poly, den: Poly, found: tuple | None = None) -> Ra
     """Set ``r`` to num / den in lowest terms with a monic denominator and
     return it: every `RatFn`, and every entry of ``_over``, is normalised
     here once.  ``found`` is (g, a, b) = ``_gcd(num._z, den._z)`` when the
-    caller already holds it, for a nonconstant ``num`` and ``den``."""
+    caller holds it, den nonconstant; num / g may stand for num, as only its
+    ``_d``, the same for both (g is primitive), is read where g is not 1."""
     if den.is_zero():
         raise ZeroDivisionError("rational function with zero denominator")
     if num.is_zero():
@@ -771,7 +769,7 @@ def _column_fraction(mat: RatMat) -> tuple[PolyMat, PolyMat]:
 
 def _over(mat: PolyMat, den: Poly) -> RatMat:
     """mat / den, each entry normalised once (``_normalise``): over a
-    nonconstant den, with every entry's gcd with den taken at one shared
+    nonconstant den, with every entry's gcd with den read off one shared
     point (``_heu_gcds``), unless mat has one entry."""
     rows = mat.rows
     if len(den._z) < 2 or len(rows) * len(rows[0]) < 2:
@@ -780,6 +778,37 @@ def _over(mat: PolyMat, den: Poly) -> RatMat:
     found = _heu_gcds(den._z, [e._z for e in entries])
     cells = iter([_normalise(object.__new__(RatFn), e, den, f) for e, f in zip(entries, found)])
     return RatMat(tuple(tuple(next(cells) for _ in row) for row in rows))
+
+
+def _over_product(a: PolyMat, b: PolyMat, den: Poly, at: tuple | None = None) -> RatMat:
+    """a @ b / den, each entry normalised once, with the product not formed.
+    Row i of a is a_i / p_i and column j of b is b_j / q_j over Z[s]
+    (``_z_line``), so entry (i, j) is N / (p_i q_j den), N = a_i . b_j, with
+    coefficients at most B, the largest sum_t |a_i[t]|_1 |b_j[t]|_1 or
+    coefficient of den.  At x = 2**k > 2B + 4, N(x) is a dot product of
+    integers, and N (exactly: ``_is_product``) and its gcd with the monic
+    den (``_read_offs``) are read off the values.  ``at`` = (x, a_i values,
+    b_j values, den._z(x)), a point the caller evaluated, serves if large."""
+    left = [_z_line(row) for row in a.rows]
+    right = [_z_line(col) for col in zip(*b.rows)]
+    norms = [[[sum(map(abs, z)) for z in line] for line, _ in side] for side in (left, right)]
+    pairs = [sum(s * t for s, t in zip(u, v)) for u in norms[0] for v in norms[1]]
+    bound = max(max(map(abs, den._z)), *pairs)
+    if at is None or at[0] <= 2 * bound + 4:
+        x = 1 << (2 * bound + 4).bit_length()
+        sides = ([[_horner(z, x, 1) for z in line] for line, _ in side] for side in (left, right))
+        at = x, *sides, _horner(den._z, x, 1)
+    x, a_values, b_values, dv = at
+    values = [sum(s * t for s, t in zip(u, v)) for u in a_values for v in b_values]
+    scales = [p * q * den._z[-1] for _, p in left for _, q in right]
+    mono = _monic_z(den._z)  # den = mono * den._z[-1] / den._d
+    found = _read_offs(x, mono._z, dv // (den._z[-1] // mono._z[-1]), values)
+    cells = []
+    for v, c, f in zip(values, scales, found):
+        z = f[1] if f else _interpolate(v, x)  # N / g, or N
+        num = _lowest([y * den._d for y in z] if den._d != 1 else z, c)
+        cells.append(_normalise(object.__new__(RatFn), num, mono, f and (f[0], num._z, f[2])))
+    return RatMat(tuple(tuple(cells[i : i + len(right)]) for i in range(0, len(cells), len(right))))
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,18 @@ are all proper with no closed right-half-plane poles.  The Youla controller
 is -adj(L)*R / det L for the polynomial numerators [L, R] of
 [v - K*nl', u + K*dl'].  Its maps, affine in K, are the blocks of one
 product [d'; n'] @ [v - K*nl', -(u + K*dl')] over one denominator den*psi
-(``_youla_feedback``): stability is decided on den*psi, the maps formed
-when read and normalised over that one denominator in one pass
-(``polyalg._over``).  Two identities certify it, each decided at one
-point with no product formed (``polyalg._is_product``): the controller
-solves (v - K*nl') @ Cy = -(u + K*dl'), and
-(v - K*nl') @ d' + (u + K*dl') @ n' = I.  Every other loop is formed by
-``_fraction_loop`` as the same record (``_Loop``), in the coprime-factor form
+(``_youla_feedback``), on which stability is decided.  Two identities
+certify it, each decided at one point with no product formed
+(``polyalg._is_product``): the controller solves (v - K*nl') @ Cy =
+-(u + K*dl'), and (v - K*nl') @ d' + (u + K*dl') @ n' = I.  Every other
+loop is the same record (``_Loop``) in the coprime-factor form
 [D; N] @ adj M @ [dc*I | Nc] / det M of H(P, C), M = dc*D - Nc*N for
 P = N*D**-1 and Cy = Nc/dc (Vidyasagar, Control System Synthesis, 1985;
-Kailath, Linear Systems, 1980), over det M less a factor every map
-cancels, from the fractions a design holds or those ``gang_of_four``
-reads off a pair of rational matrices (the plant's column fraction once
-per plant).  All stabilizing feedback
+Kailath, Linear Systems, 1980), less a factor every map cancels, read off
+integers at one point x = 2**k (``_fraction_loop``) from the fractions a
+design holds or those ``gang_of_four`` reads off a pair of rational
+matrices.  Every loop's maps are read off one point when first read, with
+no product formed (``polyalg._over_product``).  All stabilizing feedback
 compensators are swept out by a single free parameter K ranging over the
 proper stable rationals.  The sweep is anchored at a Bezout witness of
 the proper-stable fraction data: a witness over polynomials alone
@@ -38,6 +37,7 @@ plant again.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -56,13 +56,20 @@ from .polyalg import (
     RatMat,
     ShapeError,
     SingularMatrixError,
+    _bareiss_det_adj,
     _column_fraction,
     _from_z,
     _gcd,
+    _horner,
+    _interpolate,
     _is_product,
+    _lowest,
     _over,
     _over_lcd,
+    _over_product,
     _polymat_det_adj,
+    _read_off,
+    _z_line,
     hstack,
     poly_lcm,
     vstack,
@@ -251,15 +258,17 @@ class LoopMaps(namedtuple("LoopMaps", "sens sens_cy p_sens p_sens_cy")):
 class _Loop(namedtuple("_Loop", "stacked row q")):
     """The four maps of a feedback pair, stacked @ row / q, kept as these
     polynomial factors (``_youla_feedback``, ``_fraction_loop``); the maps
-    (``LoopMaps``) are formed on first read.  The verdict is stable when q
-    is Hurwitz and the factors' largest entry degrees add up to at most
-    deg q (each reduced map denominator divides the monic q, and
+    (``LoopMaps``) are read off one point on first read.  The verdict is
+    stable when q is Hurwitz and the factors' largest entry degrees add up
+    to at most deg q (each reduced map denominator divides the monic q, and
     cancellation keeps relative degree), else the maps'."""
+
+    _at = None  # _fraction_loop's point: (x, stacked values, row values by column, q value)
 
     @cached_property
     def maps(self) -> LoopMaps:
         m = self.row.shape[0]
-        maps = _over(self.stacked @ self.row, self.q).rows
+        maps = _over_product(self.stacked, self.row, self.q, self._at).rows
         halves = (slice(m), slice(m, None))
         return LoopMaps(
             *(RatMat(tuple(row[cols] for row in maps[rows])) for rows in halves for cols in halves)
@@ -294,27 +303,56 @@ def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> _Loop:
 
     With M = dc*d - nc@n, I - cy@p = M @ d**-1 / dc, so the maps are the
     blocks of [d; n] @ row / det M with row = adj M @ [dc*I | nc]
-    (``_Loop``), and the loop is ill posed exactly when det M = 0.  A
-    common divisor of det M and every entry of row cancels from every map,
-    so the maps are normalised over det M / g, g the gcd of det M and the
-    entries of row, taken by one call of the gcd kernel (``_gcd``), which
-    evaluates each of them once per point and returns every quotient.  For
-    m = 1, row = [dc | nc] and g = 1 when dc and nc are coprime, so a
-    scalar loop runs no gcd.
+    (``_Loop``), ill posed exactly when det M = 0, and the loop keeps
+    row / g and det M / g, g their gcd.  Each is read off integers at one
+    point x = 2**k, the inputs cleared to Z[s] over one integer (its powers
+    cancel from the maps).  With 1-norms, |M_ij| <= |dc| |d_ij| + sum_t
+    |nc_it| |n_tj|, so every minor of M is at most P, the product of M's
+    row sums (each at least 1), and every coefficient of det M and row at
+    most B = m P max(|dc|, |nc_ij|).  At x > 2B + 4, none is misread and
+    det M(x) = 0 only if det M = 0 (``polyalg._is_product``); g = 1 if
+    h = gcd(det M(x), row(x)) <= x / 2, x being above twice det M's root
+    bound 1 + B, else g and the quotients are read off h and certified by
+    size (``_read_off``), or else taken by ``_gcd``.
     """
-    m = d.shape[0]
-    try:
-        det, adj = _polymat_det_adj(d.scale(dc) - nc @ n)
-    except SingularMatrixError:
-        raise IllPosedLoop("I - cy@p is singular; the loop is ill posed") from None
-    row = adj @ hstack(PolyMat.diag([dc] * m), nc)
-    if m > 1:
-        entries = [e for r in row.rows for e in r]
-        _, det_z, *quos = _gcd(det._z, *(e._z for e in entries))
-        quos = iter(_from_z(z, e._d) for z, e in zip(quos, entries))  # lowest terms: g is primitive
-        row = PolyMat(tuple(tuple(next(quos) for _ in r) for r in row.rows))
-        det = _from_z(det_z, det._d)
-    return _Loop(vstack(d, n), row, det)
+    m, w = d.shape[0], d.shape[0] + n.shape[0]
+    stacked, right = vstack(d, n), hstack(PolyMat.diag([dc] * m), nc)
+    zs = _z_line([e for mat in (stacked, right) for row in mat.rows for e in row])[0]
+    grid = lambda flat, k: [flat[i : i + k] for i in range(0, len(flat), k)]
+    split = lambda ks: (grid(ks[: w * m], m), grid(ks[w * m :], w))  # [d; n] and [dc*I | nc]
+    dot = lambda a, b: [[sum(s * t for s, t in zip(r, col)) for col in zip(*b)] for r in a]
+    s_norms, r_norms = split([sum(map(abs, z)) for z in zs])  # M's are at most r_norms @ s_norms
+    bound = m * math.prod(max(sum(r), 1) for r in dot(r_norms, s_norms)) * max(map(max, r_norms))
+    x = 1 << (2 * bound + 4).bit_length()
+    s_x, r_x = split([_horner(z, x, 1) for z in zs])
+    det, adj = _det_adj_z(dot([r[:m] + [-v for v in r[m:]] for r in r_x], s_x))  # M(x)
+    if not det:
+        raise IllPosedLoop("I - cy@p is singular; the loop is ill posed")
+    values = [det, *(v for r in dot(adj, r_x) for v in r)]
+    g, quos = _read_off(math.gcd(*values), x, values)
+    if quos is None:  # a candidate that fails its certificate
+        g, *quos = _gcd(*(_interpolate(v, x) for v in values))
+    gx = _horner(g, x, 1)
+    values = [v // gx for v in values]
+    q, *row = map(_from_z, quos)
+    cleared = PolyMat(tuple(tuple(map(_from_z, r)) for r in split(zs)[0]))  # [d; n] over Z
+    loop = _Loop(cleared, PolyMat(tuple(map(tuple, grid(row, w)))), q)
+    loop._at = x, s_x, list(zip(*grid(values[1:], w))), values[0]
+    return loop
+
+
+def _det_adj_z(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det a, adj a) of a square integer matrix, det a = 0 if singular."""
+    if len(a) > 2:
+        try:
+            det, adj = _bareiss_det_adj(PolyMat(tuple(tuple(_lowest([v], 1) for v in r) for r in a)))
+        except SingularMatrixError:
+            return 0, None
+        return det._z[0], [[e._z[0] if e._z else 0 for e in r] for r in adj.rows]
+    if len(a) == 1:
+        return a[0][0], [[1]]
+    (a00, a01), (a10, a11) = a
+    return a00 * a11 - a01 * a10, [[a11, -a01], [-a10, a00]]
 
 
 def all_controllers_from_LX(

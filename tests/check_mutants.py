@@ -1,0 +1,111 @@
+"""Each mutant of ``src/twodof`` named here fails one of the tests named with it.
+
+A mutant is a file of ``src/twodof``, an exact source text that must occur
+exactly once in it, its replacement, and the ids of the tests that must
+catch it.  The script copies ``src/`` to a temporary directory and runs
+every named test against the copy, unmutated, which must pass.  Then it
+applies each mutant to the copy in turn and runs its tests there, which
+must fail.  Exits 1 when the unmutated copy fails, when a source text does
+not occur exactly once, or when a mutant passes its tests or fails them
+only by an error other than a failed test.  Run from anywhere, outside
+tier-1:
+
+    python tests/check_mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+LOOP = "tests/test_loop_maps.py::"
+ALGEBRA = "tests/test_algebra_properties.py::"
+FACTOR = "tests/test_factor.py::"
+
+# (what the mutant breaks, file, source text, replacement, test ids)
+MUTANTS = (
+    ("the read-off's size certificate dropped", "polyalg.py",
+     "if not quos or 2 * sum(map(abs, g)) * max(max(map(abs, q), default=0) for q in quos) >= x:",
+     "if not quos:",
+     [ALGEBRA + "test_a_shared_candidate_that_fails_its_certificate_takes_the_gcd_kernel"]),
+    ("the loop's point taken from the inputs' norms, not the product bound", "stabilize.py",
+     "x = 1 << (2 * bound + 4).bit_length()",
+     "x = 1 << (2 * max(map(max, s_norms + r_norms)) + 4).bit_length()",
+     [LOOP + "test_gang_of_four_equals_the_inversion_formula_on_drawn_pairs"]),
+    ("the loop's det M(x) = 0 test removed", "stabilize.py",
+     '    if not det:\n        raise IllPosedLoop("I - cy@p is singular; the loop is ill posed")\n',
+     "",
+     [LOOP + "test_ill_posed_loop_is_refused",
+      LOOP + "test_gang_of_four_equals_the_inversion_formula_on_drawn_pairs"]),
+    ("the (l, x) sweep's cy = f**-1 @ l taken as l @ f**-1, which only a 2x2 tells apart",
+     "stabilize.py",
+     "    cy = f_inv @ l\n",
+     "    cy = l @ f_inv\n",
+     ["tests/test_stabilize.py::test_all_controllers_from_lx_roundtrip"]),
+    ("the certificate's kernel left unprimitive", "factor.py",
+     "kernel = [_row_lowest(_z_line(row)[0], 0)[0] for row in _reduce(rows)]",
+     "kernel = [_z_line(row)[0] for row in _reduce(rows)]",
+     [FACTOR + "test_the_seeded_4x4_analysis_does_pinned_work"]),
+    ("the certificate's w stored unreduced", "factor.py",
+     "reduced = (_divided_row(kernel, mus, row, None, math.inf) for row in u.rows[:m])",
+     "reduced = ((*_z_line(row), None) for row in u.rows[:m])",
+     [FACTOR + "test_the_seeded_4x4_analysis_does_pinned_work"]),
+    ("_certified's identity check dropped", "factor.py",
+     "if not _is_product(w, stacked, ONE, PolyMat.identity(m)):",
+     "if False:",
+     [FACTOR + "test_hermite_transform_certifies_the_fraction",
+      FACTOR + "test_a_quotient_left_with_a_common_divisor_fails_its_certificate"]),
+    ("_is_product's margin bit dropped", "polyalg.py",
+     "x = 1 << (bound.bit_length() + 1)",
+     "x = 1 << bound.bit_length()",
+     [ALGEBRA + "test_a_difference_that_vanishes_at_half_the_point_is_refused[3]"]),
+    ("the shared pass taking its cofactors without the size certificate", "polyalg.py",
+     "found = quos and (g, *quos)",
+     "found = (g, *(quos or [_interpolate(v // _horner(g, x, 1), x) for v in (fv, dv)]))",
+     [ALGEBRA + "test_a_shared_candidate_that_fails_its_certificate_takes_the_gcd_kernel"]),
+)
+
+
+def run_tests(src: Path, ids: list[str]) -> int:
+    """pytest's exit code for ``ids`` with ``twodof`` imported from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "-o", f"pythonpath={src}", *ids]
+    return subprocess.run(command, cwd=ROOT, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        every = list(dict.fromkeys(test for *_, ids in MUTANTS for test in ids))
+        code = run_tests(src, every)
+        print(f"unmutated: {len(every)} tests, exit {code}")
+        if code != 0:
+            return 1
+        for what, name, old, new, ids in MUTANTS:
+            path = src / "twodof" / name
+            text = path.read_text()
+            if text.count(old) != 1:
+                problems.append(f"{what}: its source text occurs {text.count(old)} times in {name}")
+                continue
+            path.write_text(text.replace(old, new))
+            code = run_tests(src, ids)
+            path.write_text(text)
+            # pytest exits 1 when a test failed, and otherwise 0 or 2 to 5
+            print(f"{'killed' if code == 1 else f'NOT KILLED (exit {code})'}: {what}")
+            if code != 1:
+                problems.append(f"{what}: pytest exit {code}")
+    print("\n".join(problems) or f"all {len(MUTANTS)} mutants killed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

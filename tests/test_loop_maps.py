@@ -1,11 +1,12 @@
 """gang_of_four and the Youla controller, formed over one polynomial
 denominator, agree with the inversion formulas over rational entries, and
-the loop maps of a Youla design, formed as one product when read, agree
+the loop maps of a Youla design, read off one point when read, agree
 with both; its verdict, decided on their one denominator, agrees too.
-gang_of_four divides the gcd of det M and its row out first; it agrees
-on pairs where that gcd is found in several steps, on 3x3 and non-square
-plants, and runs no gcd for a scalar loop.  The one loop a restricted-loop
-design forms from its own fractions (``_fraction_loop``) equals
+gang_of_four divides the gcd of det M and its row out first, reading the
+loop and its maps off integers at one point; it agrees on drawn pairs,
+on 3x3 and non-square plants, where the read-off is refused and where
+the maps need a second point, and runs no gcd for a scalar loop.  The
+one loop a restricted-loop design forms from its own fractions (``_fraction_loop``) equals
 gang_of_four's on the plant and the design's controller, and the (L, X)
 sweep returns a Youla controller pulled back into it.
 
@@ -150,25 +151,92 @@ COMMON_FACTOR_PLANT = RatMat([[RatFn(ONE, S + 2 * ONE), 0], [0, RatFn(S + ONE, S
 COMMON_FACTOR_CY = RatMat([[RatFn(ONE, S + ONE), 0], [0, RatFn(ONE, S + ONE)]])
 
 
-def test_a_common_factor_smaller_than_its_start_is_found(monkeypatch):
-    # one kernel call on det M and the eight entries, zero ones included,
-    # finds it by one evaluation, with no remainder sequence
-    plant, cy = COMMON_FACTOR_PLANT, COMMON_FACTOR_CY
+def recorded_points(monkeypatch) -> set:
+    """The points x at which ``polyalg._horner`` evaluates while active."""
+    points, horner = set(), twodof.polyalg._horner
+
+    def recording(a, u, v):
+        points.add(u)
+        return horner(a, u, v)
+
+    monkeypatch.setattr(twodof.polyalg, "_horner", recording)
+    return points
+
+
+def test_the_loop_forms_no_polynomial_product_adjugate_or_gcd(monkeypatch):
+    # _fraction_loop reads det M, row / g and q off integers at one point:
+    # on COMMON_FACTOR_PLANT (g = 1) and on the youla-mimo plants (g of
+    # degree 10 to 14) it calls neither PolyMat @, the polynomial adjugate
+    # nor the gcd kernel, and the maps, read at the same point with nothing
+    # evaluated again, are the oracle's
+    rng = random.Random(77)
+    pairs = [(COMMON_FACTOR_PLANT, COMMON_FACTOR_CY)]
+    for text in ROUND_TRIP_PLANTS[:3]:
+        plant = parse_matrix(text)
+        for _ in range(2):
+            pairs.append((plant, youla_controller(plant, random_matrix(rng, 2, 2, 1, range(1, 6)))))
+    for plant, cy in pairs:
+        args = (*_column_fraction(plant), *_over_lcd(cy))
+        calls = []
+
+        def recording(name, fn):
+            return lambda *a: calls.append(name) or fn(*a)
+
+        monkeypatch.setattr(PolyMat, "__matmul__", recording("@", PolyMat.__matmul__))
+        for module in (twodof.stabilize, twodof.polyalg):
+            for name in ("_polymat_det_adj", "_gcd"):
+                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        loop = twodof.stabilize._fraction_loop(*args)
+        monkeypatch.undo()
+        assert calls == []
+        points = recorded_points(monkeypatch)
+        maps = loop.maps
+        monkeypatch.undo()
+        assert points == set()
+        assert tuple(maps) == oracle_gang_of_four(plant, cy)
+
+
+def test_a_refused_read_off_takes_the_gcd_kernel_once(monkeypatch):
+    # On UNSTABLE_2X2 and the Youla controller of K_2X2, g has degree 10.
+    # With the candidate at the loop's point refused, det M and the eight
+    # entries of row are read off their values and take one kernel call,
+    # which finds g by one evaluation, with no remainder sequence: the loop
+    # is the same.
+    cy = youla_controller(UNSTABLE_2X2, K_2X2)
+    args = (*_column_fraction(UNSTABLE_2X2), *_over_lcd(cy))
+    expected = twodof.stabilize._fraction_loop(*args)
+    monkeypatch.setattr(twodof.stabilize, "_read_off", lambda h, x, values: ([1], None))
     calls = count_gcds(monkeypatch)
-    assert tuple(gang_of_four(plant, cy)) == oracle_gang_of_four(plant, cy)
-    det_m = (S + ONE) ** 2 * (S**2 + 3 * S + ONE)
-    assert [(fs[0], len(fs), pairs) for fs, pairs in calls] == [(det_m._z, 9, [])]
+    assert twodof.stabilize._fraction_loop(*args) == expected
+    assert [(len(fs), pairs) for fs, pairs in calls] == [(9, [])]
+    det_m = twodof.polyalg._polymat_det_adj(args[0].scale(args[2]) - args[3] @ args[1])[0]
+    assert (det_m.degree(), expected.q.degree()) == (16, 6)
 
 
 def test_a_loop_whose_evaluation_gives_no_gcd_folds_pairwise(monkeypatch):
-    # with no candidate from GCDHEU, the kernel folds the primitive
-    # remainder sequence over det M and the nonzero entries, one call per
-    # entry, to the same maps
-    plant, cy = COMMON_FACTOR_PLANT, COMMON_FACTOR_CY
+    # with no candidate from GCDHEU, at the loop's point or in the kernel,
+    # the kernel folds the primitive remainder sequence over det M and the
+    # nonzero entries, one call per entry, to the same maps
+    cy = youla_controller(UNSTABLE_2X2, K_2X2)
+    monkeypatch.setattr(twodof.stabilize, "_read_off", lambda h, x, values: ([1], None))
     monkeypatch.setattr(twodof.polyalg, "_heu_gcd", lambda *fs: None)
     calls = count_gcds(monkeypatch)
-    assert tuple(gang_of_four(plant, cy)) == oracle_gang_of_four(plant, cy)
+    assert tuple(gang_of_four(UNSTABLE_2X2, cy)) == oracle_gang_of_four(UNSTABLE_2X2, cy)
     assert [len(pairs) for _, pairs in calls] == [sum(map(bool, calls[0][0])) - 1]
+
+
+def test_maps_beyond_the_loops_point_are_read_at_a_second_point(monkeypatch):
+    # cy = 0 on (3s+3)/s^2: det M = s^2 and row = [1 | 0] have coefficients
+    # at most B = 1, so the loop's point is x = 8 > 2B + 4; the map numerator
+    # 3s+3 has 1-norm 6, so the maps are read at the least x = 2**k > 16
+    plant, cy = parse_matrix("(3*s+3)/s^2"), parse_matrix("0")
+    loop = twodof.stabilize._fraction_loop(*_column_fraction(plant), *_over_lcd(cy))
+    assert loop._at[0] == 8
+    points = recorded_points(monkeypatch)
+    maps = loop.maps
+    monkeypatch.undo()
+    assert points == {32}
+    assert tuple(maps) == oracle_gang_of_four(plant, cy)
 
 
 def test_loop_maps_of_larger_and_non_square_plants():
@@ -296,13 +364,14 @@ def test_youla_parameter_round_trips_through_its_controller():
 
 
 @st.composite
-def proper_matrices(draw, rows, cols):
-    """A rows x cols matrix of proper entries, each over a product of up to
-    two factors s + r, r in -2..3, so poles on the axis and on either side."""
+def proper_matrices(draw, rows, cols, strict=False, roots=st.integers(-2, 3)):
+    """A rows x cols matrix of proper entries (strictly proper if
+    ``strict``), each over a product of up to two factors s + r, r in -2..3
+    by default, so poles on the axis and on either side."""
     def entry():
-        roots = draw(st.lists(st.integers(-2, 3), max_size=2))
-        num = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=len(roots) + 1))
-        return RatFn(Poly(num), prod((S + r * ONE for r in roots), start=ONE))
+        den = draw(st.lists(roots, min_size=int(strict), max_size=2))
+        num = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=len(den) + 1 - strict))
+        return RatFn(Poly(num), prod((S + r * ONE for r in den), start=ONE))
 
     return RatMat([[entry() for _ in range(cols)] for _ in range(rows)])
 
@@ -343,6 +412,49 @@ def test_a_feedback_map_stabilizes_exactly_when_its_youla_parameter_is_proper_an
     assert bool(maps.verdict) == bool(decided) == bool(admissible)
     if admissible:
         assert youla_controller(plant, k) == cy
+
+
+@st.composite
+def feedback_pairs(draw):
+    """(p, cy) with p r x m, r and m in 1..3.  cy is the Youla controller
+    of a proper stable parameter on a strictly proper p (which makes it
+    proper), a drawn proper m x r matrix, or a map that makes the loop ill
+    posed: cy = E_0k / p[k][0] for a nonzero p[k][0], so (I - cy@p) @ e_0
+    = 0."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("youla", "drawn", "ill-posed")))
+    if kind == "youla":
+        plant = draw(proper_matrices(rows, cols, strict=True))
+        k = draw(proper_matrices(cols, rows, roots=st.integers(1, 4)))
+        try:
+            return plant, youla_controller(plant, k)
+        except InadmissibleParameter:
+            kind = "drawn"  # a singular v - k@nl'
+    plant = draw(proper_matrices(rows, cols))
+    column = [i for i in range(rows) if not plant.entry(i, 0).is_zero()]
+    if kind == "ill-posed" and column:
+        k = draw(st.sampled_from(column))
+        return plant, RatMat(
+            [[plant.entry(k, 0).inv() if (i, j) == (0, k) else 0 for j in range(rows)] for i in range(cols)]
+        )
+    return plant, draw(proper_matrices(cols, rows))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(feedback_pairs())
+def test_gang_of_four_equals_the_inversion_formula_on_drawn_pairs(pair):
+    # the loop read off one point, with its maps, against RatMat.inv of
+    # I - cy@p: the same maps, or IllPosedLoop on both sides
+    plant, cy = pair
+    try:
+        expected = oracle_gang_of_four(plant, cy)
+    except IllPosedLoop:
+        event("ill posed")
+        with pytest.raises(IllPosedLoop):
+            gang_of_four(plant, cy)
+        return
+    event(f"{plant.shape[0]}x{plant.shape[1]}")
+    assert tuple(gang_of_four(plant, cy)) == expected
 
 
 def fraction_loops(monkeypatch):

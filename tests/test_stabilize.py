@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from twodof.cli import parse_matrix
 from twodof.factor import left_coprime_mfd, right_coprime_mfd, stable_mfd
@@ -164,19 +167,45 @@ def test_design_reference_map_rejects_bad_parameters():
             model_matching(smfd, n @ x)
 
 
-def test_all_controllers_from_lx_roundtrip():
-    plant = RatMat([[rf(ONE, S - 2 * ONE)]])
+@st.composite
+def parametrized_plants(draw):
+    """(plant, k): a strictly proper r x m plant, r and m in 1..2, each
+    entry over a product of up to two factors s + a, a in -2..3, and a
+    proper stable m x r Youla parameter, or k = None (the central one)."""
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def entry(roots, strict):
+        den = draw(st.lists(roots, min_size=int(strict), max_size=2))
+        num = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=len(den) + 1 - strict))
+        return rf(Poly(num), prod((S + a * ONE for a in den), start=ONE))
+
+    plant = RatMat([[entry(st.integers(-2, 3), True) for _ in range(cols)] for _ in range(rows)])
+    if draw(st.booleans()):
+        return plant, None
+    return plant, RatMat([[entry(st.integers(1, 4), False) for _ in range(rows)] for _ in range(cols)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(parametrized_plants())
+@example((RatMat([[rf(ONE, S - 2 * ONE)]]), None))
+def test_all_controllers_from_lx_roundtrip(case):
+    # pull an admissible (l, x) back from a stabilizing feedback map cy:
+    # l = d**-1 @ cy @ (I - p@cy)**-1, and x = I / (s+1)**top, so that d@x
+    # is proper; the sweep rebuilds cy, calls its loop stable, and its
+    # closed loop realizes n@x
+    plant, k = case
+    try:
+        cy = youla_controller(plant, k)
+    except InadmissibleParameter:
+        assume(False)  # a singular v - k@nl'
     mfd = right_coprime_mfd(plant)
-    cy = youla_controller(plant, shift=1)
-    # pull an admissible l back from a known stabilizing feedback map
-    q = cy @ (RatMat.identity(1) - plant @ cy).inv()
-    l = mfd.d.to_ratmat().inv() @ q
-    x = RatMat([[rf(ONE, (S + ONE) ** 2)]])
+    l = mfd.d.to_ratmat().inv() @ cy @ (RatMat.identity(plant.shape[0]) - plant @ cy).inv()
+    top = max(e.degree() or 0 for row in mfd.d.rows for e in row)
+    x = RatMat.identity(mfd.inputs).scale(rf(ONE, (S + ONE) ** top))
     controller, verdict = all_controllers_from_LX(mfd, l, x)
     assert controller.cy == cy
     assert verdict.stable
-    # the closed-loop response is n@x again
-    sens = (RatMat.identity(1) - controller.cy @ plant).inv()
+    sens = (RatMat.identity(mfd.inputs) - controller.cy @ plant).inv()
     assert plant @ sens @ controller.cr == mfd.n.to_ratmat() @ x
 
 
