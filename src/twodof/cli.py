@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .factor import StableMFD, _fmt_root, right_coprime_mfd, stable_mfd, zeros_and_poles
 from .polyalg import ONE, S, PolyMat, RatFn, RatMat, _dot, _from_z, _mul, _trim
-from .stabilize import IllPosedLoop, TwoDofConfig, _youla_feedback, solve_bezout
+from .stabilize import IllPosedLoop, TwoDofConfig, _stabilizing_feedback, _youla_feedback, solve_bezout
 from .synthesis import (
     DesignObstruction,
     DesignResult,
@@ -378,13 +378,18 @@ def cmd_stabilize(pf: ProblemFile, args: argparse.Namespace) -> None:
     _print_named("bezout x1 (x1@d + x2@n = I)", x1)
     _print_named("bezout x2", x2)
     # the loop's verdict is decided on its one denominator; its maps are not formed
-    cy, _, loop = _youla_feedback(smfd)
-    _print_named("central feedback map cy", cy)
+    k, cy, _, loop = _stabilizing_feedback(smfd)
+    if k is not None:  # k = 0 is refused on this stable plant
+        _print_named("parameter k = -u@dl'**-1", k)
+    _print_named("central feedback map cy" if k is None else "feedback map cy", cy)
     print(f"internal stability: {loop.verdict.describe()}")
     m_in, p_out = plant.shape[1], plant.shape[0]
-    # k is strictly proper, so v - k@nl' equals the nonsingular v at infinity
-    # and its cy is proper: the sample is admissible
+    # the sample is k plus a strictly proper term, so v - sample@nl' equals
+    # the nonsingular v - k@nl' at infinity and its cy is proper: the sample
+    # is admissible
     sample = RatMat(((RatFn(ONE, S + (1 + smfd.shift)),) * p_out,) * m_in)
+    if k is not None:
+        sample = k + sample
     cy2, _, loop2 = _youla_feedback(smfd, sample)
     _print_named("sample parameter k", sample)
     _print_named("sample feedback map cy", cy2)

@@ -46,12 +46,14 @@ Conventions
   left factor and each column of the right factor to Z[s] over one
   integer (``_z_line``), ``RatMat @`` does so after taking the line over
   its lcd, and each entry is one dot product over Z[s], normalised once.
-  A matrix over one shared denominator (``_over``) is normalised in one
-  pass of read-offs at one point (``_read_offs``), an entry whose
-  candidate fails its certificate taking ``_gcd``, and so is a product
-  over one (``_over_product``), read off its factors' values.  An identity
-  a @ b == f * c is decided at one point x = 2**k beyond a bound on both
-  sides' coefficients (``_is_product``), with neither side formed.
+  A matrix over one shared denominator (``_over``) and a product over one
+  (``_over_product``, read off its factors' values) are normalised in one
+  pass of read-offs at one point (``_values_over``), an entry whose
+  candidate fails its certificate taking ``_gcd``.  An identity
+  a @ b == f * c is decided at one point (``_is_product``), with neither
+  side formed.  These kernels and ``stabilize._fraction_loop`` take their
+  point by one rule, ``_point``: the least x = 2**k > 2B + 4, for B a
+  bound on the coefficients they read.
 * Linear systems over Q run on one fraction-free Gauss-Jordan
   elimination over Z, ``_rref_z``, with the pivots of the elimination
   over Q; each updated row is divided by its content, and a value is read
@@ -493,6 +495,20 @@ def _interpolate(h: int, x: int) -> list[int]:
     return out
 
 
+def _point(bound: int) -> int:
+    """The one-point kernels' point: the least x = 2**k > 2 * bound + 4,
+    for ``bound`` at least every coefficient size the caller reads.  An
+    integer polynomial with coefficients of size below x is zero exactly
+    when its value at x is: were it nonzero, with lowest nonzero coefficient
+    e at s**j, its value x**j * (e + x * t), t an integer, could not vanish,
+    as 0 < |e| < x (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 8).  So one with coefficients of size below x / 2 is read off its
+    value (``_interpolate``).  And x exceeds twice the root bound 1 + bound
+    of a polynomial with coefficients of size at most ``bound``, so each of
+    its factors q over Z has |q(x)| > x / 2 (``_values_over``)."""
+    return 1 << (2 * bound + 4).bit_length()
+
+
 def _heu_gcd(*fs: Sequence[int]) -> tuple[list[int], ...] | None:
     """``_gcd`` of two or more nonconstant ``fs`` by GCDHEU (Char, Geddes &
     Gonnet, J. Symbolic Comput. 1989), or ``None`` when none of six
@@ -505,14 +521,12 @@ def _heu_gcd(*fs: Sequence[int]) -> tuple[list[int], ...] | None:
     without a division when 2 * max(|f|, |g|_1 * |q|) < x (max norms, and
     the 1-norm of g) over every input f: then g * q and f both take f(x) at
     x and have coefficients of size below x / 2, so they are equal (their
-    difference vanishes at x, so its lowest nonzero coefficient would be a
-    multiple of x smaller than x; von zur Gathen & Gerhard, Modern Computer
-    Algebra, ch. 8).  Otherwise g counts only if it divides every input
-    exactly.  Every x exceeds twice a root bound 1 + |f|/|lc f| of one
-    input f, so a common divisor found that way is the gcd itself: a
-    further common factor q would have |q(x)| > x/2, more than any
-    interpolated coefficient can hold.  For the same reason a constant
-    candidate needs no check.  The first x is
+    difference vanishes at x; ``_point``).  Otherwise g counts only if it
+    divides every input exactly.  Every x exceeds twice a root bound
+    1 + |f|/|lc f| of one input f, so a common divisor found that way is
+    the gcd itself: a further common factor q would have |q(x)| > x/2, more
+    than any interpolated coefficient can hold.  For the same reason a
+    constant candidate needs no check.  The first x is
     min(2m + 29, 99 * sqrt(2m + 29)), m the smallest of the inputs' largest
     coefficients, shifted left by the least input length in bits: room for
     the 2**deg growth of a divisor's coefficients (Mignotte), so a second x
@@ -562,35 +576,6 @@ def _read_off(h: int, x: int, values: Sequence[int]) -> tuple[list[int], list[li
     if not quos or 2 * sum(map(abs, g)) * max(max(map(abs, q), default=0) for q in quos) >= x:
         return g, None
     return g, quos
-
-
-def _heu_gcds(d: Sequence[int], fs: Sequence[Sequence[int]]) -> list[tuple | None]:
-    """``_read_offs`` of each f of ``fs`` and the nonconstant d at the GCDHEU
-    point x = (2 * top + 29) << len(d), top the largest coefficient of all."""
-    top = max(max(map(abs, f), default=0) for f in (d, *fs))
-    x = (2 * top + 29) << len(d)
-    return _read_offs(x, d, _horner(d, x, 1), [_horner(f, x, 1) for f in fs])
-
-
-def _read_offs(x: int, d: Sequence[int], dv: int, values: Sequence[int]) -> list[tuple | None]:
-    """``_gcd(f, d)`` for each value f(x) of a polynomial f, given dv = d(x)
-    at x above twice every coefficient of d and f and twice d's root bound;
-    ``None`` for a zero f or a candidate failing its certificate.  Where
-    h = gcd(f(x), d(x)) <= x / 2 the pair is coprime (a common factor q has
-    |q(x)| > x / 2, its roots being d's) and f is read off f(x); else the
-    gcd and cofactors are read off and certified as in ``_heu_gcd``."""
-    out: list[tuple | None] = []
-    for fv in values:
-        found = None
-        if fv:
-            h = math.gcd(fv, dv)
-            if h <= x >> 1:
-                found = [1], _interpolate(fv, x), d
-            else:
-                g, quos = _read_off(h, x, (fv, dv))
-                found = quos and (g, *quos)
-        out.append(found)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -740,18 +725,12 @@ def common_denominator(entries: Iterable[RatFn]) -> tuple[Poly, list[Poly]]:
     return den, [e.num if e.den == den else e.num * (den // e.den) for e in entries]
 
 
-def _integer_line(entries: Iterable[RatFn]) -> tuple[Poly, list[list[int]], int]:
-    """(den, zs, c) with entry k = zs[k] / (c * den), den the monic lcd of
-    ``entries`` and zs[k] over Z[s]."""
-    den, nums = common_denominator(entries)
-    return (den, *_z_line(nums))
-
-
-def _z_line(polys: Sequence[Poly]) -> tuple[list[list[int]], int]:
-    """(zs, c) with polys[k] = zs[k] / c, zs[k] over Z[s] and c the lcm of
-    the denominators."""
+def _z_line(polys: Sequence[Poly]) -> tuple[list[Sequence[int]], int]:
+    """(zs, c) with polys[k] = zs[k] / c, zs[k] over Z[s] (the stored
+    integers themselves where the denominator is c; no caller writes to
+    them) and c the lcm of the denominators."""
     c = math.lcm(*(p._d for p in polys))
-    return [[x * (c // p._d) for x in p._z] for p in polys], c
+    return [p._z if p._d == c else [x * (c // p._d) for x in p._z] for p in polys], c
 
 
 def _over_lcd(mat: RatMat) -> tuple[Poly, PolyMat]:
@@ -769,46 +748,58 @@ def _column_fraction(mat: RatMat) -> tuple[PolyMat, PolyMat]:
 
 def _over(mat: PolyMat, den: Poly) -> RatMat:
     """mat / den, each entry normalised once (``_normalise``): over a
-    nonconstant den, with every entry's gcd with den read off one shared
-    point (``_heu_gcds``), unless mat has one entry."""
+    nonconstant den, with every entry read off its value at one point
+    (``_values_over``), unless mat has one entry."""
     rows = mat.rows
     if len(den._z) < 2 or len(rows) * len(rows[0]) < 2:
         return RatMat(tuple(tuple(RatFn(e, den) for e in row) for row in rows))
     entries = [e for row in rows for e in row]
-    found = _heu_gcds(den._z, [e._z for e in entries])
-    cells = iter([_normalise(object.__new__(RatFn), e, den, f) for e, f in zip(entries, found)])
-    return RatMat(tuple(tuple(next(cells) for _ in row) for row in rows))
+    top = max(max(map(abs, z), default=0) for z in (den._z, *(e._z for e in entries)))
+    x = _point(top << len(den._z))  # room for the 2**deg growth of cofactors (Mignotte)
+    values = [_horner(e._z, x, 1) for e in entries]
+    return _values_over(x, den, values, [e._d for e in entries], len(rows[0]))
 
 
-def _over_product(a: PolyMat, b: PolyMat, den: Poly, at: tuple | None = None) -> RatMat:
+def _over_product(a: PolyMat, b: PolyMat, den: Poly) -> RatMat:
     """a @ b / den, each entry normalised once, with the product not formed.
     Row i of a is a_i / p_i and column j of b is b_j / q_j over Z[s]
     (``_z_line``), so entry (i, j) is N / (p_i q_j den), N = a_i . b_j, with
     coefficients at most B, the largest sum_t |a_i[t]|_1 |b_j[t]|_1 or
-    coefficient of den.  At x = 2**k > 2B + 4, N(x) is a dot product of
-    integers, and N (exactly: ``_is_product``) and its gcd with the monic
-    den (``_read_offs``) are read off the values.  ``at`` = (x, a_i values,
-    b_j values, den._z(x)), a point the caller evaluated, serves if large."""
+    coefficient of den.  At x = ``_point(B)``, N(x) is a dot product of
+    integers, read off by ``_values_over``."""
     left = [_z_line(row) for row in a.rows]
     right = [_z_line(col) for col in zip(*b.rows)]
     norms = [[[sum(map(abs, z)) for z in line] for line, _ in side] for side in (left, right)]
     pairs = [sum(s * t for s, t in zip(u, v)) for u in norms[0] for v in norms[1]]
-    bound = max(max(map(abs, den._z)), *pairs)
-    if at is None or at[0] <= 2 * bound + 4:
-        x = 1 << (2 * bound + 4).bit_length()
-        sides = ([[_horner(z, x, 1) for z in line] for line, _ in side] for side in (left, right))
-        at = x, *sides, _horner(den._z, x, 1)
-    x, a_values, b_values, dv = at
+    x = _point(max(max(map(abs, den._z)), *pairs))
+    a_values, b_values = ([[_horner(z, x, 1) for z in line] for line, _ in side] for side in (left, right))
     values = [sum(s * t for s, t in zip(u, v)) for u in a_values for v in b_values]
-    scales = [p * q * den._z[-1] for _, p in left for _, q in right]
-    mono = _monic_z(den._z)  # den = mono * den._z[-1] / den._d
-    found = _read_offs(x, mono._z, dv // (den._z[-1] // mono._z[-1]), values)
+    return _values_over(x, den, values, [p * q for _, p in left for _, q in right], len(right))
+
+
+def _values_over(x: int, den: Poly, values: Sequence[int], scales: Sequence[int], cols: int) -> RatMat:
+    """The matrix, ``cols`` entries a row, of N / (c * den) for each value
+    N(x) of an integer polynomial N and its integer c, x = ``_point(B)`` for
+    B at least every coefficient of N and den, each entry normalised once
+    (``_normalise``) over the monic mono = den * den._d / lc, lc the leading
+    entry of den._z.  Where h = gcd(N(x), mono(x)) <= x / 2, N and mono are
+    coprime (a common factor q has |q(x)| > x / 2, its roots being mono's)
+    and N is read off N(x); else their gcd and cofactors are read off h and
+    certified by size (``_read_off``), and a pair whose candidate fails
+    takes ``_gcd``."""
+    mono, lc = _monic_z(den._z), den._z[-1]
+    dv = _horner(mono._z, x, 1)
     cells = []
-    for v, c, f in zip(values, scales, found):
-        z = f[1] if f else _interpolate(v, x)  # N / g, or N
-        num = _lowest([y * den._d for y in z] if den._d != 1 else z, c)
-        cells.append(_normalise(object.__new__(RatFn), num, mono, f and (f[0], num._z, f[2])))
-    return RatMat(tuple(tuple(cells[i : i + len(right)]) for i in range(0, len(cells), len(right))))
+    for v, c in zip(values, scales):
+        if not v:
+            cells.append(RF_ZERO)
+            continue
+        h = math.gcd(v, dv)
+        g, quos = ([1], [_interpolate(v, x), mono._z]) if h <= x >> 1 else _read_off(h, x, (v, dv))
+        z = quos[0] if quos else _interpolate(v, x)  # N / g, or N
+        num = _lowest([y * den._d for y in z] if den._d != 1 else z, c * lc)
+        cells.append(_normalise(object.__new__(RatFn), num, mono, quos and (g, num._z, quos[1])))
+    return RatMat(tuple(tuple(cells[i : i + cols]) for i in range(0, len(cells), cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -969,59 +960,39 @@ def _is_product(a: PolyMat, b: PolyMat, f: Poly, c: PolyMat) -> bool:
     side.
 
     Row i of a is a_i / p_i, column j of b is b_j / q_j and c is c' / r,
-    each over Z[s] by one integer (``_scaled_line``), and f = fz / fd, so
-    entry (i, j) holds exactly when L = fd * r * sum_t a_i[t] * b_j[t] and
+    each over Z[s] by one integer (``_z_line``), and f = fz / fd, so entry
+    (i, j) holds exactly when L = fd * r * sum_t a_i[t] * b_j[t] and
     R = p_i * q_j * fz * c'[i][j] are equal over Z[s].  A product u * v of
-    integer polynomials has coefficients of size at most min(len u, len v)
-    * |u| * |v| (max norms), so the largest sizes, lengths and integers of
-    each kind bound every coefficient of every L and R by one B.  Both
-    sides are compared at x = 2**k > 2 * B: L - R has coefficients of size
-    below x, so were it nonzero, with lowest nonzero coefficient e at s**j,
-    its value x**j * (e + x * t), t an integer, could not vanish, as
-    0 < |e| < x (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 8).
-    So L == R exactly when L(x) == R(x), and no product is formed.
+    integer polynomials has coefficients of size at most |u| * |v|_1 (the
+    max norm and the 1-norm), so the largest norms and integers of each
+    kind bound every coefficient of every L and R by one B.  L - R has
+    coefficients of size at most 2 * B, below x = ``_point(B)``, so L == R
+    exactly when L(x) == R(x), and no product is formed.
     """
     inner = len(b.rows)
     if len(a.rows[0]) != inner:
         raise ShapeError(f"cannot multiply {a.shape} @ {b.shape}")
     if len(c.rows) != len(a.rows) or len(c.rows[0]) != len(b.rows[0]):
         return False
-    left = [_scaled_line(row) for row in a.rows]
-    right = [_scaled_line(col) for col in zip(*b.rows)]
-    r, c_line, c_size, c_len = _scaled_line([e for row in c.rows for e in row])
-    p_max, _, a_size, a_len = map(max, zip(*left))
-    q_max, _, b_size, b_len = map(max, zip(*right))
-    fz = f._z
+    left = [_z_line(row) for row in a.rows]
+    right = [_z_line(col) for col in zip(*b.rows)]
+    c_line, r = _z_line([e for row in c.rows for e in row])
+    norm = lambda lines, size: max((size(map(abs, z)) for zs, _ in lines for z in zs if z), default=0)
+    scale = max(p for _, p in left) * max(q for _, q in right)
     bound = max(
-        f._d * r * inner * min(a_len, b_len) * a_size * b_size,
-        p_max * q_max * min(len(fz), c_len) * max(map(abs, fz), default=0) * c_size,
+        f._d * r * inner * norm(left, max) * norm(right, sum),
+        scale * sum(map(abs, f._z)) * norm([(c_line, r)], max),
     )
-    x = 1 << (bound.bit_length() + 1)
-    fd, fv = f._d * r, _horner(fz, x, 1)
-    right = [(q, [_horner(z, x, 1) * k for z, k in line]) for q, line, _, _ in right]
-    c_line = iter(c_line)
-    for p, line, _, _ in left:
-        values = [_horner(z, x, 1) * k for z, k in line]
+    x = _point(bound)
+    fd, fv = f._d * r, _horner(f._z, x, 1)
+    right = [(q, [_horner(z, x, 1) for z in zs]) for zs, q in right]
+    c_values = (_horner(z, x, 1) for z in c_line)
+    for zs, p in left:
+        values = [_horner(z, x, 1) for z in zs]
         for q, b_values in right:
-            z, k = next(c_line)
-            if fd * sum(u * v for u, v in zip(values, b_values)) != p * q * fv * _horner(z, x, 1) * k:
+            if fd * sum(u * v for u, v in zip(values, b_values)) != p * q * fv * next(c_values):
                 return False
     return True
-
-
-def _scaled_line(entries: Sequence[Poly]) -> tuple[int, list[tuple[Sequence[int], int]], int, int]:
-    """(p, [(z, k)], size, length): each entry is z * k / p over Z[s], z its
-    stored integers and p the lcm of the denominators, with the largest
-    coefficient size and length among the z * k."""
-    p = math.lcm(*(e._d for e in entries))
-    line, size, length = [], 0, 0
-    for e in entries:
-        z, k = e._z, p // e._d
-        line.append((z, k))
-        if z:
-            size = max(size, max(map(abs, z)) * k)
-            length = max(length, len(z))
-    return p, line, size, length
 
 
 def hermite(a: PolyMat) -> tuple[PolyMat, PolyMat]:
@@ -1201,8 +1172,8 @@ class RatMat(_Grid):
         # row i of self is a_i / (ca_i * ad_i) and column j of other is
         # b_j / (cb_j * bd_j), a_i and b_j over Z[s]: entry (i, j) is one
         # dot product over Z[s], normalised once
-        left = [_integer_line(row) for row in self.rows]
-        right = [_integer_line(col) for col in zip(*other.rows)]
+        left = [(den, *_z_line(nums)) for den, nums in map(common_denominator, self.rows)]
+        right = [(den, *_z_line(nums)) for den, nums in map(common_denominator, zip(*other.rows))]
         return RatMat(
             tuple(
                 tuple(RatFn(_lowest(_dot(a, b), ca * cb), ad * bd) for bd, b, cb in right)

@@ -32,7 +32,8 @@ satisfies u@n' + v@d' = I inside the proper-stable ring.  Those fractions,
 the witness and the left pair (dl', nl') are one ``factor.StableMFD``,
 which ``stable_mfd`` builds (refusing an improper plant), and the designs
 and ``twodof stabilize`` read the Youla data from it without factoring the
-plant again.
+plant again.  They take the central K = 0, or K = -u@dl'**-1 where K = 0
+is refused on a stable plant (``_stabilizing_feedback``).
 """
 
 from __future__ import annotations
@@ -67,11 +68,13 @@ from .polyalg import (
     _over,
     _over_lcd,
     _over_product,
+    _point,
     _polymat_det_adj,
     _read_off,
     _z_line,
     hstack,
     poly_lcm,
+    polymat_det,
     vstack,
 )
 from .stability import (
@@ -209,6 +212,23 @@ def _youla_feedback(
     return cy, cr, loop
 
 
+def _stabilizing_feedback(
+    smfd: StableMFD, xprime: RatMat | None = None
+) -> tuple[RatMat | None, RatMat, RatMat | None, _Loop]:
+    """(k, cy, cr, loop) of ``_youla_feedback`` at the central k = 0 (k is
+    None), or, where that is refused on a stable plant, at
+    k = -u @ dl'**-1.  That k is proper and stable, as dl'**-1 is stable
+    exactly when the plant is; it gives u + k@dl' = 0, so cy = 0, and
+    v - k@nl' = v + u@p = d'**-1, nonsingular as (v + u@p) @ d' = I."""
+    try:
+        return None, *_youla_feedback(smfd, xprime=xprime)
+    except InadmissibleParameter:
+        if not _routh_is_hurwitz(polymat_det(smfd.source.d)):
+            raise
+    k = -(smfd.u @ smfd.dl_prime.inv())
+    return k, *_youla_feedback(smfd, k, xprime)
+
+
 def youla_controller(
     plant: RatMat,
     k: RatMat | None = None,
@@ -263,12 +283,10 @@ class _Loop(namedtuple("_Loop", "stacked row q")):
     to at most deg q (each reduced map denominator divides the monic q, and
     cancellation keeps relative degree), else the maps'."""
 
-    _at = None  # _fraction_loop's point: (x, stacked values, row values by column, q value)
-
     @cached_property
     def maps(self) -> LoopMaps:
         m = self.row.shape[0]
-        maps = _over_product(self.stacked, self.row, self.q, self._at).rows
+        maps = _over_product(self.stacked, self.row, self.q).rows
         halves = (slice(m), slice(m, None))
         return LoopMaps(
             *(RatMat(tuple(row[cols] for row in maps[rows])) for rows in halves for cols in halves)
@@ -309,11 +327,10 @@ def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> _Loop:
     cancel from the maps).  With 1-norms, |M_ij| <= |dc| |d_ij| + sum_t
     |nc_it| |n_tj|, so every minor of M is at most P, the product of M's
     row sums (each at least 1), and every coefficient of det M and row at
-    most B = m P max(|dc|, |nc_ij|).  At x > 2B + 4, none is misread and
-    det M(x) = 0 only if det M = 0 (``polyalg._is_product``); g = 1 if
-    h = gcd(det M(x), row(x)) <= x / 2, x being above twice det M's root
-    bound 1 + B, else g and the quotients are read off h and certified by
-    size (``_read_off``), or else taken by ``_gcd``.
+    most B = m P max(|dc|, |nc_ij|).  At x = ``polyalg._point(B)``, none is
+    misread, det M(x) = 0 only if det M = 0, and g = 1 if
+    h = gcd(det M(x), row(x)) <= x / 2, else g and the quotients are read
+    off h and certified by size (``_read_off``), or else taken by ``_gcd``.
     """
     m, w = d.shape[0], d.shape[0] + n.shape[0]
     stacked, right = vstack(d, n), hstack(PolyMat.diag([dc] * m), nc)
@@ -323,22 +340,18 @@ def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> _Loop:
     dot = lambda a, b: [[sum(s * t for s, t in zip(r, col)) for col in zip(*b)] for r in a]
     s_norms, r_norms = split([sum(map(abs, z)) for z in zs])  # M's are at most r_norms @ s_norms
     bound = m * math.prod(max(sum(r), 1) for r in dot(r_norms, s_norms)) * max(map(max, r_norms))
-    x = 1 << (2 * bound + 4).bit_length()
+    x = _point(bound)
     s_x, r_x = split([_horner(z, x, 1) for z in zs])
     det, adj = _det_adj_z(dot([r[:m] + [-v for v in r[m:]] for r in r_x], s_x))  # M(x)
     if not det:
         raise IllPosedLoop("I - cy@p is singular; the loop is ill posed")
     values = [det, *(v for r in dot(adj, r_x) for v in r)]
-    g, quos = _read_off(math.gcd(*values), x, values)
+    quos = _read_off(math.gcd(*values), x, values)[1]
     if quos is None:  # a candidate that fails its certificate
-        g, *quos = _gcd(*(_interpolate(v, x) for v in values))
-    gx = _horner(g, x, 1)
-    values = [v // gx for v in values]
+        quos = _gcd(*(_interpolate(v, x) for v in values))[1:]
     q, *row = map(_from_z, quos)
     cleared = PolyMat(tuple(tuple(map(_from_z, r)) for r in split(zs)[0]))  # [d; n] over Z
-    loop = _Loop(cleared, PolyMat(tuple(map(tuple, grid(row, w)))), q)
-    loop._at = x, s_x, list(zip(*grid(values[1:], w))), values[0]
-    return loop
+    return _Loop(cleared, PolyMat(tuple(map(tuple, grid(row, w)))), q)
 
 
 def _det_adj_z(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:

@@ -62,6 +62,7 @@ from .stabilize import (
     TwoDofConfig,
     _Loop,
     _fraction_loop,
+    _stabilizing_feedback,
     _youla_feedback,
 )
 
@@ -267,9 +268,10 @@ def _design_result(
     extra: Sequence[Certificate] = (),
 ) -> DesignResult:
     """The two-dof design of parameter x (x' = diag(psi) @ x, dx = d@x):
-    the central cy and cr = v**-1 @ x' of ``_youla_feedback``, realizing
+    cy and cr = (v - k@nl')**-1 @ x' of ``_stabilizing_feedback``, the
+    central k = 0 unless it is refused on a stable plant, realizing
     y/r = n@x and u/r = d@x."""
-    cy, cr, loop = _youla_feedback(smfd, xprime=xprime)
+    cy, cr, loop = _stabilizing_feedback(smfd, xprime)[1:]
     certs = [
         Certificate("parameter x proper and stable", rh_inf_verdict(x)),
         Certificate("control map d@x proper and stable", rh_inf_verdict(dx)),

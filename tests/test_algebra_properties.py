@@ -509,17 +509,18 @@ def test_the_shared_point_reads_gcds_and_cofactors_off_one_evaluation(monkeypatc
 
 
 def test_a_shared_candidate_that_fails_its_certificate_takes_the_gcd_kernel(monkeypatch):
-    # den = -6s^2 - 6s and the entry 28s - 58 are coprime; at the shared
-    # point x = (2 * 58 + 29) << 3 = 1160 their values have a gcd above
-    # x / 2, read off as s + 87, which divides neither.  Its cofactors fail
-    # the size bound, so the entry takes _gcd, once; taken uncertified they
-    # would give a wrong value.
+    # den = -6s^2 - 6s and the entry 3s - 16 are coprime; at the point
+    # x = 512, the least 2**k > 2 * (16 << 3) + 4, the values of the entry
+    # and of the monic s^2 + s have the gcd 304 = 16 * 19 above x / 2, read
+    # off as s - 208, which divides neither.  Its cofactors 5 and 2s - 160
+    # fail the size bound, so the entry, over den's leading coefficient,
+    # takes _gcd, once; taken uncertified they would give a wrong value.
     den = -6 * S * S - 6 * S
     calls = gcd_kernel_calls(monkeypatch)
-    over = polyalg._over(PolyMat([[28 * S - 58 * ONE, ZERO]]), den)
+    over = polyalg._over(PolyMat([[3 * S - 16 * ONE, ZERO]]), den)
     monkeypatch.undo()
-    assert over.rows[0] == (RatFn(28 * S - 58 * ONE, den), RatFn(ZERO))
-    assert calls == [((-58, 28), (0, -6, -6))]
+    assert over.rows[0] == (RatFn(3 * S - 16 * ONE, den), RatFn(ZERO))
+    assert calls == [((16, -3), (0, 1, 1))]
 
 
 def test_a_common_root_beyond_the_coefficients_is_found_at_the_shared_point():
@@ -530,6 +531,38 @@ def test_a_common_root_beyond_the_coefficients_is_found_at_the_shared_point():
     den = (S - 100 * ONE) * (S + ONE)
     over = polyalg._over(PolyMat([[S - 100 * ONE, ONE]]), den)
     assert over.rows[0] == (RatFn(ONE, S + ONE), RatFn(ONE, den))
+
+
+@st.composite
+def products_over_one_denominator(draw):
+    """(a, b, den): a is r x m and b is m x n (1 to 3 each) with rational
+    entries, each zero, drawn, or drawn times a factor g of den, and den
+    with a leading coefficient other than 1 or -1 and a stored denominator
+    ``_d`` other than 1, constant ones included."""
+    g = draw(nonzero_mixed)
+    den = draw(mixed_polys(max_degree=3).filter(lambda p: not p.is_zero())) * g
+    if den._d == 1 or abs(den.leading) == 1:
+        reject()
+    r, m, n = (draw(st.integers(1, 3)) for _ in range(3))
+    kinds = st.sampled_from(["zero", "drawn", "shared"])
+
+    def entry():
+        kind, e = draw(kinds), draw(mixed_polys(max_degree=3))
+        return ZERO if kind == "zero" else e * g if kind == "shared" else e
+
+    a = PolyMat([[entry() for _ in range(m)] for _ in range(r)])
+    return a, PolyMat([[entry() for _ in range(n)] for _ in range(m)]), den
+
+
+@SETTINGS
+@given(products_over_one_denominator())
+def test_a_product_over_one_denominator_is_the_product_over_it(case):
+    # _over_product reads a @ b / den off the factors' values; the loops
+    # hand it integer factors only, so the draws give it rational ones
+    a, b, den = case
+    product = polyalg._over_product(a, b, den)
+    assert product == polyalg._over(a @ b, den)
+    assert product.rows == tuple(tuple(RatFn(e, den) for e in row) for row in (a @ b).rows)
 
 
 @st.composite
@@ -566,9 +599,10 @@ def test_an_identity_is_decided_at_one_point(triple, data):
 @pytest.mark.parametrize("k", [3, 10, 64, 300])
 def test_a_difference_that_vanishes_at_half_the_point_is_refused(k):
     # a @ b = s - 3 * 2**(k-2) against c = 2**(k-2): every coefficient of
-    # either side is at most B = 3 * 2**(k-2), which has k bits, so the
-    # kernel compares at x = 2**(k+1) > 2B.  The difference s - 2**k
-    # vanishes at x / 2, where a bound one bit short would compare.
+    # either side is at most B = 3 * 2**(k-2), so the kernel compares at
+    # x = _point(B), the least 2**j > 2B + 4: 2**(k+1) from k = 4 on.  The
+    # difference s - 2**k vanishes at x / 2 there, where a point one bit
+    # short would compare.
     a = PolyMat([[S - 3 * 2 ** (k - 2) * ONE]])
     c = PolyMat([[Poly((2 ** (k - 2),))]])
     assert not polyalg._is_product(a, PolyMat([[ONE]]), ONE, c)
@@ -585,35 +619,32 @@ def test_an_identity_of_mismatched_shapes():
 
 def heu_points(monkeypatch) -> list[int]:
     """The number of evaluation points of each GCDHEU call, while active:
-    the distinct x at which a `_heu_gcd` call, or the shared pass
-    `_heu_gcds` of ``polyalg._over``, evaluates its inputs.  A call that
-    evaluates at no point must hand its inputs' primitive parts to a
+    the distinct x at which a `_heu_gcd` call evaluates its inputs.  A call
+    that evaluates at no point must hand its inputs' primitive parts to a
     nested call, else the count has gone blind."""
     counts: list[int] = []
     points: list[set] = []
     horner = polyalg._horner
 
-    def counting(kernel):
-        def counted(*fs):
-            points.append(set())
-            nested = len(counts)
-            try:
-                return kernel(*fs)
-            finally:
-                seen = points.pop()
-                if not seen and len(counts) == nested:
-                    pytest.fail(f"a {kernel.__name__} call recorded no evaluation point: {fs}")
-                counts.append(len(seen))
+    kernel = polyalg._heu_gcd
 
-        return counted
+    def counted(*fs):
+        points.append(set())
+        nested = len(counts)
+        try:
+            return kernel(*fs)
+        finally:
+            seen = points.pop()
+            if not seen and len(counts) == nested:
+                pytest.fail(f"a _heu_gcd call recorded no evaluation point: {fs}")
+            counts.append(len(seen))
 
     def recording_horner(a, u, v):
         if points and v == 1:
             points[-1].add(u)
         return horner(a, u, v)
 
-    for name in ("_heu_gcd", "_heu_gcds"):
-        monkeypatch.setattr(polyalg, name, counting(getattr(polyalg, name)))
+    monkeypatch.setattr(polyalg, "_heu_gcd", counted)
     monkeypatch.setattr(polyalg, "_horner", recording_horner)
     return counts
 
@@ -624,9 +655,10 @@ def test_heuristic_gcd_rarely_needs_a_second_point(monkeypatch):
     # parameters.  The first point makes room for the 2**deg growth of a
     # divisor's coefficients; at the smaller point 2 * min(|a|, |b|) + 29
     # (cut to 99 times its square root) 133 of these 476 calls needed a
-    # second point.  The loops' gcds and maps are read off a point of their
-    # own (stabilize._fraction_loop, polyalg._over_product), which calls
-    # neither kernel, so 15 plants, not 12, keep the sample above 300.
+    # second point.  The loops' gcds and maps and every matrix over one
+    # denominator are read off a point of their own (stabilize._fraction_loop,
+    # polyalg._over_product, polyalg._over), which calls GCDHEU only for a
+    # candidate that fails its certificate: these 15 plants make 342 calls.
     rng = random.Random(22)
     counts = heu_points(monkeypatch)
 

@@ -162,6 +162,41 @@ def test_improper_central_controller_is_rejected(tmp_path, capsys):
     assert "improper" in err
 
 
+@pytest.mark.parametrize("text", ["2", "(s+1)/(s+2)", "1/(s+1), 0; 0, 2"])
+def test_a_stable_plant_refusing_the_central_parameter_takes_cy_zero(text):
+    # v is singular, so k = 0 is refused; k = -u@dl'**-1 gives cy = 0 with a
+    # stable loop, and k plus a strictly proper sample is admissible
+    plant = parse_matrix(text)
+    smfd = stable_mfd(right_coprime_mfd(plant))
+    with pytest.raises(InadmissibleParameter, match="singular"):
+        twodof.stabilize._youla_feedback(smfd)
+    k, cy, _, loop = twodof.stabilize._stabilizing_feedback(smfd)
+    assert k == -(smfd.u @ smfd.dl_prime.inv())
+    assert cy == RatMat.zeros(*cy.shape) and loop.verdict.stable
+    sample = k + RatMat(((rf(ONE, S + 2 * ONE),) * plant.shape[0],) * plant.shape[1])
+    cy, _, loop = twodof.stabilize._youla_feedback(smfd, sample)
+    assert loop.verdict.stable and cy.is_proper()
+
+
+def test_the_central_parameter_stays_where_it_is_admissible_or_the_plant_unstable():
+    # a stable plant with v nonsingular keeps k = 0; an unstable plant with
+    # v = 0 is refused as before
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix("1/(s+1)")))
+    assert twodof.stabilize._stabilizing_feedback(smfd)[0] is None
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s+1)/(s-2)")))
+    with pytest.raises(InadmissibleParameter, match="singular"):
+        twodof.stabilize._stabilizing_feedback(smfd)
+
+
+def test_a_design_on_a_stable_static_gain_takes_cy_zero():
+    problem = load_problem(str(PROBLEMS / "example_stable_gain.ini"))
+    smfd = stable_mfd(right_coprime_mfd(problem.plant))
+    res = model_matching(smfd, parse_matrix(problem.design["t"]))
+    assert res.configuration.cy == RatMat.zeros(1, 1)
+    assert res.configuration.cr == RatMat([[rf(ONE, S + ONE)]])
+    assert res.verdict.stable and all(c.passed for c in res.certificates)
+
+
 def test_stabilize_command_checks_each_controller_once(monkeypatch, capsys):
     counts = count_calls(monkeypatch, LOOP_FORMERS)
     assert main(["stabilize", str(PROBLEMS / "example_match.ini")]) == 0
