@@ -379,8 +379,9 @@ def cmd_stabilize(pf: ProblemFile, args: argparse.Namespace) -> None:
     _print_named("bezout x2", x2)
     # the loop's verdict is decided on its one denominator; its maps are not formed
     k, cy, _, loop = _stabilizing_feedback(smfd)
-    if k is not None:  # k = 0 is refused on this stable plant
-        _print_named("parameter k = -u@dl'**-1", k)
+    if k is not None:  # k = 0 is refused; of the other k, only -u@dl'**-1 gives cy = 0
+        zero_cy = cy == RatMat.zeros(*cy.shape)
+        _print_named("parameter k = -u@dl'**-1" if zero_cy else "scanned parameter k", k)
     _print_named("central feedback map cy" if k is None else "feedback map cy", cy)
     print(f"internal stability: {loop.verdict.describe()}")
     m_in, p_out = plant.shape[1], plant.shape[0]

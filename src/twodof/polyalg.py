@@ -30,18 +30,18 @@ Conventions
   and its denominator.  No `Fraction` is built on the way.
   :mod:`twodof.zfactor` factors over the same helpers.
 * `PolyMat` / `RatMat` are immutable row-major grids that share one
-  ring-independent base, ``_Grid``; each names only its entry coercion
-  and its ring's zero and one.  Over the polynomial ring, `hermite` gives the row Hermite form (and its unimodular
-  transform), and one fraction-free Gauss-Jordan kernel, ``_bareiss``
-  (Bareiss 1968), gives determinants, adjugates and ranks.  Its exact
-  division by the previous pivot divides by the pivot's primitive part
-  over Z (by Gauss's lemma that division is exact in Z[s]) and then by
-  its content as a rational.  Every
-  rational-matrix solve runs through that kernel on the numerators over
-  one least common denominator (``_over_lcd``): ``RatMat.inv`` is
-  den * adj(num) / det(num), ``RatMat.det`` is det(num) / den**n,
-  ``RatMat.rank`` is the rank of num, and ``synthesis.check_realizable``
-  eliminates [n | t_num]; each result entry is normalised once.
+  ring-independent base, ``_Grid``; each names only its entry coercion and its
+  ring's zero and one.  Over the polynomial ring, `hermite` gives the row
+  Hermite form (and its unimodular transform), and one fraction-free
+  Gauss-Jordan kernel, ``_bareiss`` (Bareiss 1968), gives determinants, ranks
+  and the adjugates from 3x3 on (``_polymat_det_adj``; over Z,
+  ``_det_adj_z``).  Its exact division by the previous pivot divides by the
+  pivot's primitive part over Z (by Gauss's lemma that division is exact in
+  Z[s]) and then by its content as a rational.  Every rational-matrix solve
+  runs through that kernel on the numerators over one lcd (``_over_lcd``):
+  ``RatMat.inv`` is den * adj(num) / det(num), ``RatMat.det`` is det(num) /
+  den**n, ``RatMat.rank`` is the rank of num, and ``_solve_polymat``
+  eliminates [a | b_num]; each result entry is normalised once.
   Both products run on one kernel: ``PolyMat @`` takes each row of the
   left factor and each column of the right factor to Z[s] over one
   integer (``_z_line``), ``RatMat @`` does so after taking the line over
@@ -1105,6 +1105,22 @@ def _bareiss(rows: list[list[Poly]], ncols: int) -> tuple[list[int], Poly, int]:
     return cols, prev, sign
 
 
+def _solve_polymat(a: PolyMat, b: RatMat) -> RatMat | None:
+    """x with a @ x = b, its rows at free columns of a zero, or None when b
+    lies outside the range of a.  [a | b_num] for b = b_num / den is
+    eliminated: each pivot row ends as [last * I | last * x]."""
+    cols = a.shape[1]
+    den, b_num = _over_lcd(b)
+    aug = [list(ar) + list(br) for ar, br in zip(a.rows, b_num.rows)]
+    pivots, last, _ = _bareiss(aug, cols)
+    if any(not e.is_zero() for row in aug[len(pivots):] for e in row[cols:]):
+        return None
+    x_rows = [[ZERO] * b.shape[1] for _ in range(cols)]
+    for row, col in zip(aug, pivots):
+        x_rows[col] = row[cols:]
+    return _over(PolyMat(tuple(map(tuple, x_rows))), last * den)
+
+
 def polymat_det(a: PolyMat) -> Poly:
     """Determinant by fraction-free Bareiss elimination (exact divisions)."""
     r, c = a.shape
@@ -1120,13 +1136,20 @@ def _polymat_det_adj(a: PolyMat) -> tuple[Poly, PolyMat]:
     """(det a, adj a) of a nonsingular square polynomial matrix; a**-1 =
     adj a / det a.  Raises SingularMatrixError when det a = 0.  Up to 2x2,
     det a and adj a are read off the cofactors with no division; from 3x3,
-    ``_bareiss_det_adj``."""
+    one Bareiss elimination of [a | I] reaches det(perm @ a) * a**-1 =
+    sign * adj a."""
     r, c = a.shape
     if r != c:
         raise ShapeError("adjugate of a non-square matrix")
-    if r > 2:
-        return _bareiss_det_adj(a)
     x = a.rows
+    if r > 2:
+        rows = [list(row) + [ONE if i == j else ZERO for j in range(r)]
+                for i, row in enumerate(x)]
+        cols, last, sign = _bareiss(rows, r)
+        if len(cols) < r:  # a singular a still has a nonzero last pivot
+            raise SingularMatrixError("matrix is singular")
+        adj = PolyMat(tuple(tuple(row[r:]) for row in rows))
+        return (-last, -adj) if sign < 0 else (last, adj)
     if r == 1:
         adj = ((ONE,),)
     else:
@@ -1137,17 +1160,18 @@ def _polymat_det_adj(a: PolyMat) -> tuple[Poly, PolyMat]:
     return det, PolyMat(adj)
 
 
-def _bareiss_det_adj(a: PolyMat) -> tuple[Poly, PolyMat]:
-    """``_polymat_det_adj`` by one Bareiss elimination of [a | I]."""
-    r = a.shape[0]
-    rows = [list(row) + [ONE if i == j else ZERO for j in range(r)]
-            for i, row in enumerate(a.rows)]
-    cols, last, sign = _bareiss(rows, r)
-    if len(cols) < r:
-        raise SingularMatrixError("matrix is singular")
-    # the elimination reaches det(perm @ a) * a**-1 = sign * adj a
-    adj = PolyMat(tuple(tuple(row[r:]) for row in rows))
-    return (-last, -adj) if sign < 0 else (last, adj)
+def _det_adj_z(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det a, adj a) of a square integer matrix, det a = 0 if singular."""
+    if len(a) > 2:
+        try:
+            det, adj = _polymat_det_adj(PolyMat(tuple(tuple(_lowest([v], 1) for v in r) for r in a)))
+        except SingularMatrixError:
+            return 0, None
+        return det._z[0], [[e._z[0] if e._z else 0 for e in r] for r in adj.rows]
+    if len(a) == 1:
+        return a[0][0], [[1]]
+    (a00, a01), (a10, a11) = a
+    return a00 * a11 - a01 * a10, [[a11, -a01], [-a10, a00]]
 
 
 # ---------------------------------------------------------------------------

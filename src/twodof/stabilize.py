@@ -32,8 +32,9 @@ satisfies u@n' + v@d' = I inside the proper-stable ring.  Those fractions,
 the witness and the left pair (dl', nl') are one ``factor.StableMFD``,
 which ``stable_mfd`` builds (refusing an improper plant), and the designs
 and ``twodof stabilize`` read the Youla data from it without factoring the
-plant again.  They take the central K = 0, or K = -u@dl'**-1 where K = 0
-is refused on a stable plant (``_stabilizing_feedback``).
+plant again.  They take the central K = 0, or, where K = 0 is refused,
+K = -u@dl'**-1 on a stable plant and the first admissible constant of
+K = 1, -1, 2, -2 on an unstable scalar plant (``_stabilizing_feedback``).
 """
 
 from __future__ import annotations
@@ -57,14 +58,13 @@ from .polyalg import (
     RatMat,
     ShapeError,
     SingularMatrixError,
-    _bareiss_det_adj,
     _column_fraction,
+    _det_adj_z,
     _from_z,
     _gcd,
     _horner,
     _interpolate,
     _is_product,
-    _lowest,
     _over,
     _over_lcd,
     _over_product,
@@ -212,21 +212,35 @@ def _youla_feedback(
     return cy, cr, loop
 
 
+# the constant parameters an unstable scalar plant refused at k = 0 tries, in order
+_SCAN = tuple(RatMat(((c,),)) for c in (1, -1, 2, -2))
+
+
 def _stabilizing_feedback(
     smfd: StableMFD, xprime: RatMat | None = None
 ) -> tuple[RatMat | None, RatMat, RatMat | None, _Loop]:
     """(k, cy, cr, loop) of ``_youla_feedback`` at the central k = 0 (k is
-    None), or, where that is refused on a stable plant, at
-    k = -u @ dl'**-1.  That k is proper and stable, as dl'**-1 is stable
-    exactly when the plant is; it gives u + k@dl' = 0, so cy = 0, and
-    v - k@nl' = v + u@p = d'**-1, nonsingular as (v + u@p) @ d' = I."""
+    None), or, where that is refused, at k = -u @ dl'**-1 on a stable plant
+    and at the first admissible k of ``_SCAN`` on an unstable scalar plant;
+    a plant that admits none is refused with k = 0's reason.  k = -u @
+    dl'**-1 is proper and stable, as dl'**-1 is stable exactly when the
+    plant is; it gives u + k@dl' = 0, so cy = 0, and v - k@nl' = v + u@p =
+    d'**-1, nonsingular as (v + u@p) @ d' = I.  A scanned k gives cy != 0,
+    as cy = 0 does not stabilize an unstable plant.  A scalar plant refuses
+    k = 0 only where v(oo) = 0; then nl'(oo) != 0 ([v | -nl'](oo) has full
+    rank), and k = 1 is admitted."""
     try:
         return None, *_youla_feedback(smfd, xprime=xprime)
     except InadmissibleParameter:
-        if not _routh_is_hurwitz(polymat_det(smfd.source.d)):
-            raise
-    k = -(smfd.u @ smfd.dl_prime.inv())
-    return k, *_youla_feedback(smfd, k, xprime)
+        if _routh_is_hurwitz(polymat_det(smfd.source.d)):
+            k = -(smfd.u @ smfd.dl_prime.inv())
+            return k, *_youla_feedback(smfd, k, xprime)
+        for k in _SCAN if smfd.nprime.shape == (1, 1) else ():
+            try:
+                return k, *_youla_feedback(smfd, k, xprime)
+            except InadmissibleParameter:
+                pass
+        raise
 
 
 def youla_controller(
@@ -352,20 +366,6 @@ def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> _Loop:
     q, *row = map(_from_z, quos)
     cleared = PolyMat(tuple(tuple(map(_from_z, r)) for r in split(zs)[0]))  # [d; n] over Z
     return _Loop(cleared, PolyMat(tuple(map(tuple, grid(row, w)))), q)
-
-
-def _det_adj_z(a: list[list[int]]) -> tuple[int, list[list[int]] | None]:
-    """(det a, adj a) of a square integer matrix, det a = 0 if singular."""
-    if len(a) > 2:
-        try:
-            det, adj = _bareiss_det_adj(PolyMat(tuple(tuple(_lowest([v], 1) for v in r) for r in a)))
-        except SingularMatrixError:
-            return 0, None
-        return det._z[0], [[e._z[0] if e._z else 0 for e in r] for r in adj.rows]
-    if len(a) == 1:
-        return a[0][0], [[1]]
-    (a00, a01), (a10, a11) = a
-    return a00 * a11 - a01 * a10, [[a11, -a01], [-a10, a00]]
 
 
 def all_controllers_from_LX(

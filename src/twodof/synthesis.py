@@ -31,7 +31,6 @@ from .factor import (
 )
 from .polyalg import (
     ONE,
-    ZERO,
     Poly,
     PolyMat,
     RatFn,
@@ -39,11 +38,11 @@ from .polyalg import (
     S,
     ShapeError,
     SingularMatrixError,
-    _bareiss,
     _is_product,
     _over,
     _over_lcd,
     _polymat_det_adj,
+    _solve_polymat,
     hstack,
     poly_divmod,
     polymat_det,
@@ -63,7 +62,6 @@ from .stabilize import (
     _Loop,
     _fraction_loop,
     _stabilizing_feedback,
-    _youla_feedback,
 )
 
 __all__ = [
@@ -187,22 +185,6 @@ def _unstable_zero_diagnosis(mfd: RightMFD, t: RatMat, xv: StabilityVerdict) -> 
 # -- model matching ------------------------------------------------------------
 
 
-def _solve_polymat(a: PolyMat, b: RatMat) -> RatMat | None:
-    """x with a @ x = b, its rows at free columns of a zero, or None when b
-    lies outside the range of a.  [a | b_num] for b = b_num / den is
-    eliminated: each pivot row ends as [last * I | last * x]."""
-    cols = a.shape[1]
-    den, b_num = _over_lcd(b)
-    aug = [list(ar) + list(br) for ar, br in zip(a.rows, b_num.rows)]
-    pivots, last, _ = _bareiss(aug, cols)
-    if any(not e.is_zero() for row in aug[len(pivots):] for e in row[cols:]):
-        return None
-    x_rows = [[ZERO] * b.shape[1] for _ in range(cols)]
-    for row, col in zip(aug, pivots):
-        x_rows[col] = row[cols:]
-    return _over(PolyMat(tuple(map(tuple, x_rows))), last * den)
-
-
 def _target_reasons(label: str, mat: RatMat) -> list[str]:
     """The reasons ``mat``, named ``label``, is not a proper stable target."""
     reasons = [] if mat.is_proper() else [f"{label} is improper"]
@@ -269,8 +251,7 @@ def _design_result(
 ) -> DesignResult:
     """The two-dof design of parameter x (x' = diag(psi) @ x, dx = d@x):
     cy and cr = (v - k@nl')**-1 @ x' of ``_stabilizing_feedback``, the
-    central k = 0 unless it is refused on a stable plant, realizing
-    y/r = n@x and u/r = d@x."""
+    central k = 0 unless it is refused, realizing y/r = n@x and u/r = d@x."""
     cy, cr, loop = _stabilizing_feedback(smfd, xprime)[1:]
     certs = [
         Certificate("parameter x proper and stable", rh_inf_verdict(x)),
@@ -470,18 +451,18 @@ def static_decoupling(smfd: StableMFD, lam: RatMat) -> DesignResult:
     """Constant precompensator cr making the closed-loop DC gain equal lam.
 
     Stable plants use pure precompensation (cy = 0, cr = P(0)**-1 @ lam);
-    unstable plants are first closed with the central stabilizing feedback
-    map and cr = G(0)**-1 @ lam for G = P(I - cy P)**-1.  lam and the plant
-    are checked before any controller work.  The source fraction
-    n @ d**-1 is right coprime, so the plant is stable exactly when det d
-    is Hurwitz; it is not formed."""
+    unstable plants are first closed with the feedback map of
+    ``_stabilizing_feedback`` and cr = G(0)**-1 @ lam for
+    G = P(I - cy P)**-1.  lam and the plant are checked before any
+    controller work.  The source fraction n @ d**-1 is right coprime, so
+    the plant is stable exactly when det d is Hurwitz; it is not formed."""
     _check_static_target(smfd, lam)
     n, d = smfd.source.n, smfd.source.d
     if _routh_is_hurwitz(polymat_det(d)):
         cy = RatMat.zeros(*n.shape[::-1])
         loop = _fraction_loop(d, n, *_over_lcd(cy))
     else:
-        cy, _, loop = _youla_feedback(smfd)
+        cy, _, loop = _stabilizing_feedback(smfd)[1:]
     maps = loop.maps
     cr = _dc_precompensator(maps, lam)
     achieved_t = maps.p_sens @ cr

@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LOOP = "tests/test_loop_maps.py::"
 ALGEBRA = "tests/test_algebra_properties.py::"
 FACTOR = "tests/test_factor.py::"
+POLYALG = "tests/test_polyalg.py::"
 
 # (what the mutant breaks, file, source text, replacement, test ids)
 MUTANTS = (
@@ -76,6 +77,26 @@ MUTANTS = (
      "num = _lowest([y * den._d for y in z] if den._d != 1 else z, c * lc)",
      "num = _lowest(z, c * lc)",
      [ALGEBRA + "test_a_product_over_one_denominator_is_the_product_over_it"]),
+    ("_polymat_det_adj's rank test dropped", "polyalg.py",
+     '        if len(cols) < r:  # a singular a still has a nonzero last pivot\n'
+     '            raise SingularMatrixError("matrix is singular")\n',
+     "",
+     [POLYALG + "test_ratmat_solves_match_ratfn_gauss_jordan",
+      LOOP + "test_gang_of_four_equals_the_inversion_formula_on_drawn_pairs"]),
+    ("the scan's candidate list emptied", "stabilize.py",
+     "for c in (1, -1, 2, -2)",
+     "for c in ()",
+     ["tests/test_central_controller.py::"
+      "test_an_unstable_scalar_plant_refused_at_k_zero_designs_with_a_scanned_constant"]),
+    ("_built without its entry-class check", "polyalg.py",
+     "        for e in row:\n            if e.__class__ is not ring:\n                return False\n",
+     "",
+     [POLYALG + "test_the_grid_behaves_alike_for_both_kinds[PolyMat]",
+      POLYALG + "test_the_grid_behaves_alike_for_both_kinds[RatMat]"]),
+    ("_gcd not putting back a zero input's []", "polyalg.py",
+     "    if live is fs:  # no zero input to put back\n",
+     "    if True:\n",
+     [ALGEBRA + "test_gcd_of_several_polynomials_on_every_path[fs2]"]),
 )
 
 # the errors of a replacement that names what no longer exists

@@ -17,6 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twodof.factor
 import twodof.polyalg
@@ -27,7 +29,7 @@ import twodof.zfactor
 from twodof.cli import load_problem, main, parse_matrix, parse_poly_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat
-from twodof.stabilize import InadmissibleParameter, solve_bezout, youla_controller
+from twodof.stabilize import InadmissibleParameter, gang_of_four, solve_bezout, youla_controller
 from twodof.synthesis import (
     DesignObstruction,
     denominator_assignment_direct,
@@ -179,11 +181,49 @@ def test_a_stable_plant_refusing_the_central_parameter_takes_cy_zero(text):
 
 
 def test_the_central_parameter_stays_where_it_is_admissible_or_the_plant_unstable():
-    # a stable plant with v nonsingular keeps k = 0; an unstable plant with
-    # v = 0 is refused as before
+    # a stable plant with v nonsingular keeps k = 0; an unstable scalar plant
+    # with v = 0 takes the first scanned constant, k = 1; an unstable 2x2
+    # plant refused at k = 0 is refused with k = 0's reason
     smfd = stable_mfd(right_coprime_mfd(parse_matrix("1/(s+1)")))
     assert twodof.stabilize._stabilizing_feedback(smfd)[0] is None
     smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s+1)/(s-2)")))
+    with pytest.raises(InadmissibleParameter, match="singular"):
+        twodof.stabilize._youla_feedback(smfd)
+    k, cy, _, loop = twodof.stabilize._stabilizing_feedback(smfd)
+    assert k == RatMat([[rf(ONE)]]) and cy == RatMat([[rf(2 * S - ONE, S + ONE)]])
+    assert loop.verdict.stable
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix(BIPROPER_2X2)))
+    with pytest.raises(InadmissibleParameter, match="improper"):
+        twodof.stabilize._stabilizing_feedback(smfd)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(st.sampled_from([1, -1, 2, -2, 3, -3]), st.integers(1, 5), st.integers(1, 3))
+def test_an_unstable_scalar_plant_refused_at_k_zero_designs_with_a_scanned_constant(c, b, sigma):
+    # at shift sigma the witness of c*(s+sigma)/(s-b) has v = 0, as that of
+    # (s+1)/(s-2) has at shift 1, so k = 0 is refused; a scanned k gives a
+    # proper cy with a stable loop, and the design passes every certificate
+    plant = parse_matrix(f"{c}*(s+{sigma})/(s-{b})")
+    smfd = stable_mfd(right_coprime_mfd(plant), shift=sigma)
+    with pytest.raises(InadmissibleParameter, match="singular"):
+        twodof.stabilize._youla_feedback(smfd)
+    k, cy, _, _ = twodof.stabilize._stabilizing_feedback(smfd)
+    assert k in twodof.stabilize._SCAN and cy.is_proper()
+    assert gang_of_four(plant, cy).verdict.stable
+    res = model_matching(smfd, parse_matrix(f"(s+{sigma})/(s+{sigma})^2"))
+    assert res.verdict.stable and all(cert.passed for cert in res.certificates)
+
+
+def test_the_scan_passes_over_a_refused_candidate_and_keeps_k_zeros_reason(monkeypatch):
+    # for (s+1)/(s-2), v = 0: k = 0 is singular, and k = 1/(s+3) gives an
+    # improper cy; the scan passes over a refused candidate to the next one
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s+1)/(s-2)")))
+    improper = RatMat([[rf(ONE, S + 3 * ONE)]])
+    with pytest.raises(InadmissibleParameter, match="improper"):
+        twodof.stabilize._youla_feedback(smfd, improper)
+    monkeypatch.setattr(twodof.stabilize, "_SCAN", (improper, RatMat([[rf(-ONE)]])))
+    assert twodof.stabilize._stabilizing_feedback(smfd)[0] == RatMat([[rf(-ONE)]])
+    monkeypatch.setattr(twodof.stabilize, "_SCAN", (improper,))
     with pytest.raises(InadmissibleParameter, match="singular"):
         twodof.stabilize._stabilizing_feedback(smfd)
 

@@ -20,12 +20,11 @@ from hypothesis import strategies as st
 
 from twodof.cli import parse_matrix
 from twodof.factor import _fmt_root, right_coprime_mfd, stable_mfd, zeros_and_poles
-from twodof.polyalg import ONE, S, ZERO, RatFn, RatMat, SingularMatrixError
+from twodof.polyalg import ONE, S, ZERO, RatFn, RatMat, SingularMatrixError, _solve_polymat
 from twodof.stability import matrix_is_stable, rh_inf_verdict
 from twodof.synthesis import (
     DesignObstruction,
     _decoupling_zero_diagnosis,
-    _solve_polymat,
     _unstable_zero_diagnosis,
     inverse_problem,
 )
