@@ -49,11 +49,11 @@ Conventions
   A matrix over one shared denominator (``_over``) and a product over one
   (``_over_product``, read off its factors' values) are normalised in one
   pass of read-offs at one point (``_values_over``), an entry whose
-  candidate fails its certificate taking ``_gcd``.  An identity
-  a @ b == f * c is decided at one point (``_is_product``), with neither
-  side formed.  These kernels and ``stabilize._fraction_loop`` take their
-  point by one rule, ``_point``: the least x = 2**k > 2B + 4, for B a
-  bound on the coefficients they read.
+  candidate fails its certificate taking ``_gcd``, and so are the
+  factors of a feedback loop (``_loop_over``).  An identity a @ b == f * c
+  is decided at one point (``_is_product``), with neither side formed.
+  These kernels take their point by one rule, ``_point``: the least
+  x = 2**k > 2B + 4, for B a bound on the coefficients they read.
 * Linear systems over Q run on one fraction-free Gauss-Jordan
   elimination over Z, ``_rref_z``, with the pivots of the elimination
   over Q; each updated row is divided by its content, and a value is read
@@ -775,6 +775,40 @@ def _over_product(a: PolyMat, b: PolyMat, den: Poly) -> RatMat:
     a_values, b_values = ([[_horner(z, x, 1) for z in line] for line, _ in side] for side in (left, right))
     values = [sum(s * t for s, t in zip(u, v)) for u in a_values for v in b_values]
     return _values_over(x, den, values, [p * q for _, p in left for _, q in right], len(right))
+
+
+def _loop_over(a: PolyMat, b: PolyMat) -> tuple[PolyMat, PolyMat, Poly] | None:
+    """(a over Z, row / g, det M / g), or None where det M = 0, for a =
+    [d; n], b = [dc*I | nc], M = dc*d - nc@n, row = adj M @ b and g the gcd
+    of det M and row: the feedback loop of n @ d**-1 and nc / dc has the
+    maps a @ row / (det M / g).  They are read off integers at one point x,
+    the inputs cleared to Z[s] over one integer (its powers cancel from the
+    maps).  With 1-norms, |M_ij| <= |dc| |d_ij| + sum_t |nc_it| |n_tj|, so
+    every minor of M is at most P, the product of M's row sums (each at
+    least 1), and every coefficient of det M and row at most
+    B = m P max(|dc|, |nc_ij|).  At x = ``_point(B)``, none is misread,
+    det M(x) = 0 only if det M = 0, and g = 1 if h = gcd(det M(x), row(x))
+    <= x / 2, else g and the quotients are read off h and certified by size
+    (``_read_off``), or else taken by ``_gcd``."""
+    m, w = b.shape
+    zs = _z_line([e for mat in (a, b) for row in mat.rows for e in row])[0]
+    grid = lambda flat, k: [flat[i : i + k] for i in range(0, len(flat), k)]
+    split = lambda ks: (grid(ks[: w * m], m), grid(ks[w * m :], w))  # a and b
+    dot = lambda u, v: [[sum(s * t for s, t in zip(r, col)) for col in zip(*v)] for r in u]
+    a_norms, b_norms = split([sum(map(abs, z)) for z in zs])  # M's are at most b_norms @ a_norms
+    bound = m * math.prod(max(sum(r), 1) for r in dot(b_norms, a_norms)) * max(map(max, b_norms))
+    x = _point(bound)
+    a_x, b_x = split([_horner(z, x, 1) for z in zs])
+    det, adj = _det_adj_z(dot([r[:m] + [-v for v in r[m:]] for r in b_x], a_x))  # M(x)
+    if not det:
+        return None
+    values = [det, *(v for r in dot(adj, b_x) for v in r)]
+    quos = _read_off(math.gcd(*values), x, values)[1]
+    if quos is None:  # a candidate that fails its certificate
+        quos = _gcd(*(_interpolate(v, x) for v in values))[1:]
+    q, *row = map(_from_z, quos)
+    a_z = PolyMat(tuple(tuple(map(_from_z, r)) for r in split(zs)[0]))
+    return a_z, PolyMat(tuple(map(tuple, grid(row, w)))), q
 
 
 def _values_over(x: int, den: Poly, values: Sequence[int], scales: Sequence[int], cols: int) -> RatMat:

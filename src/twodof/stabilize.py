@@ -18,11 +18,11 @@ loop is the same record (``_Loop``) in the coprime-factor form
 [D; N] @ adj M @ [dc*I | Nc] / det M of H(P, C), M = dc*D - Nc*N for
 P = N*D**-1 and Cy = Nc/dc (Vidyasagar, Control System Synthesis, 1985;
 Kailath, Linear Systems, 1980), less a factor every map cancels, read off
-integers at one point x = 2**k (``_fraction_loop``) from the fractions a
-design holds or those ``gang_of_four`` reads off a pair of rational
-matrices.  Every loop's maps are read off one point when first read, with
-no product formed (``polyalg._over_product``).  All stabilizing feedback
-compensators are swept out by a single free parameter K ranging over the
+integers at one point (``_fraction_loop``, ``polyalg._loop_over``) from
+the fractions a design holds or those ``gang_of_four`` reads off a pair of
+rational matrices.  Every loop's maps are read off one point when first
+read, with no product formed (``polyalg._over_product``).  All
+stabilizing compensators are swept out by one free parameter K over the
 proper stable rationals.  The sweep is anchored at a Bezout witness of
 the proper-stable fraction data: a witness over polynomials alone
 produces improper loop maps (the central candidate -x1**-1 @ x2 has
@@ -33,16 +33,17 @@ the witness and the left pair (dl', nl') are one ``factor.StableMFD``,
 which ``stable_mfd`` builds (refusing an improper plant), and the designs
 and ``twodof stabilize`` read the Youla data from it without factoring the
 plant again.  They take the central K = 0, or, where K = 0 is refused,
-K = -u@dl'**-1 on a stable plant and the first admissible constant of
-K = 1, -1, 2, -2 on an unstable scalar plant (``_stabilizing_feedback``).
+K = -u@dl'**-1 on a stable plant and the first admissible constant of a
+bounded scan on an unstable one (``_stabilizing_feedbacks``).
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from itertools import islice, product
 
 from .factor import (
     RightMFD,
@@ -59,19 +60,12 @@ from .polyalg import (
     ShapeError,
     SingularMatrixError,
     _column_fraction,
-    _det_adj_z,
-    _from_z,
-    _gcd,
-    _horner,
-    _interpolate,
     _is_product,
+    _loop_over,
     _over,
     _over_lcd,
     _over_product,
-    _point,
     _polymat_det_adj,
-    _read_off,
-    _z_line,
     hstack,
     poly_lcm,
     polymat_det,
@@ -212,35 +206,57 @@ def _youla_feedback(
     return cy, cr, loop
 
 
-# the constant parameters an unstable scalar plant refused at k = 0 tries, in order
-_SCAN = tuple(RatMat(((c,),)) for c in (1, -1, 2, -2))
+# the entries of the constant parameters an unstable plant refused at k = 0
+# tries, and the most it tries: the 624 nonzero 2x2 constants
+_ENTRIES, _SCAN_LIMIT = (0, 1, -1, 2, -2), 5**4 - 1
+
+
+def _candidates(smfd: StableMFD) -> Iterator[RatMat | None]:
+    """The parameters k the designs try, in order: the central k = 0
+    (None); then k = -u @ dl'**-1 on a stable plant, and on an unstable one
+    the scan: the first ``_SCAN_LIMIT`` nonzero constants with entries in
+    ``_ENTRIES``, row-major in product order (k = 1, -1, 2, -2 for a scalar
+    plant)."""
+    yield None
+    if _routh_is_hurwitz(polymat_det(smfd.source.d)):
+        yield -(smfd.u @ smfd.dl_prime.inv())
+    else:
+        outputs, m = smfd.nprime.shape
+        for c in islice(product(_ENTRIES, repeat=m * outputs), 1, _SCAN_LIMIT + 1):
+            yield RatMat(tuple(c[i : i + outputs] for i in range(0, m * outputs, outputs)))
+
+
+def _stabilizing_feedbacks(
+    smfd: StableMFD, xprime: RatMat | None = None
+) -> Iterator[tuple[RatMat | None, RatMat, RatMat | None, _Loop]]:
+    """(k, cy, cr, loop) of ``_youla_feedback`` at each k of ``_candidates``
+    it admits, in order; a plant that admits none is refused with k = 0's
+    reason.  k = -u @ dl'**-1 is proper and stable, as dl'**-1 is stable
+    exactly when the plant is; it gives u + k@dl' = 0, so cy = 0, and
+    v - k@nl' = v + u@p = d'**-1, nonsingular as (v + u@p) @ d' = I.  A
+    scanned k gives cy != 0, as cy = 0 does not stabilize an unstable
+    plant.  Where k = 0 gives an improper cy, v(oo) is singular, and as
+    [v; -nl'](oo) has full column rank some constant k makes v(oo) -
+    k@nl'(oo) nonsingular; for a scalar plant, v(oo) = 0, nl'(oo) != 0 and
+    k = 1 is admitted."""
+    refusal, admitted = None, False
+    for k in _candidates(smfd):
+        try:
+            found = k, *_youla_feedback(smfd, k, xprime)
+        except InadmissibleParameter as exc:
+            refusal = refusal or exc
+            continue
+        admitted = True
+        yield found
+    if not admitted:
+        raise refusal
 
 
 def _stabilizing_feedback(
     smfd: StableMFD, xprime: RatMat | None = None
 ) -> tuple[RatMat | None, RatMat, RatMat | None, _Loop]:
-    """(k, cy, cr, loop) of ``_youla_feedback`` at the central k = 0 (k is
-    None), or, where that is refused, at k = -u @ dl'**-1 on a stable plant
-    and at the first admissible k of ``_SCAN`` on an unstable scalar plant;
-    a plant that admits none is refused with k = 0's reason.  k = -u @
-    dl'**-1 is proper and stable, as dl'**-1 is stable exactly when the
-    plant is; it gives u + k@dl' = 0, so cy = 0, and v - k@nl' = v + u@p =
-    d'**-1, nonsingular as (v + u@p) @ d' = I.  A scanned k gives cy != 0,
-    as cy = 0 does not stabilize an unstable plant.  A scalar plant refuses
-    k = 0 only where v(oo) = 0; then nl'(oo) != 0 ([v | -nl'](oo) has full
-    rank), and k = 1 is admitted."""
-    try:
-        return None, *_youla_feedback(smfd, xprime=xprime)
-    except InadmissibleParameter:
-        if _routh_is_hurwitz(polymat_det(smfd.source.d)):
-            k = -(smfd.u @ smfd.dl_prime.inv())
-            return k, *_youla_feedback(smfd, k, xprime)
-        for k in _SCAN if smfd.nprime.shape == (1, 1) else ():
-            try:
-                return k, *_youla_feedback(smfd, k, xprime)
-            except InadmissibleParameter:
-                pass
-        raise
+    """The first of ``_stabilizing_feedbacks``: k = None is k = 0."""
+    return next(_stabilizing_feedbacks(smfd, xprime))
 
 
 def youla_controller(
@@ -331,41 +347,14 @@ def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
 
 def _fraction_loop(d: PolyMat, n: PolyMat, dc: Poly, nc: PolyMat) -> _Loop:
     """The loop of ``gang_of_four`` for the plant n @ d**-1, any right
-    fraction with d nonsingular, and the feedback map cy = nc / dc.
-
-    With M = dc*d - nc@n, I - cy@p = M @ d**-1 / dc, so the maps are the
-    blocks of [d; n] @ row / det M with row = adj M @ [dc*I | nc]
-    (``_Loop``), ill posed exactly when det M = 0, and the loop keeps
-    row / g and det M / g, g their gcd.  Each is read off integers at one
-    point x = 2**k, the inputs cleared to Z[s] over one integer (its powers
-    cancel from the maps).  With 1-norms, |M_ij| <= |dc| |d_ij| + sum_t
-    |nc_it| |n_tj|, so every minor of M is at most P, the product of M's
-    row sums (each at least 1), and every coefficient of det M and row at
-    most B = m P max(|dc|, |nc_ij|).  At x = ``polyalg._point(B)``, none is
-    misread, det M(x) = 0 only if det M = 0, and g = 1 if
-    h = gcd(det M(x), row(x)) <= x / 2, else g and the quotients are read
-    off h and certified by size (``_read_off``), or else taken by ``_gcd``.
-    """
-    m, w = d.shape[0], d.shape[0] + n.shape[0]
-    stacked, right = vstack(d, n), hstack(PolyMat.diag([dc] * m), nc)
-    zs = _z_line([e for mat in (stacked, right) for row in mat.rows for e in row])[0]
-    grid = lambda flat, k: [flat[i : i + k] for i in range(0, len(flat), k)]
-    split = lambda ks: (grid(ks[: w * m], m), grid(ks[w * m :], w))  # [d; n] and [dc*I | nc]
-    dot = lambda a, b: [[sum(s * t for s, t in zip(r, col)) for col in zip(*b)] for r in a]
-    s_norms, r_norms = split([sum(map(abs, z)) for z in zs])  # M's are at most r_norms @ s_norms
-    bound = m * math.prod(max(sum(r), 1) for r in dot(r_norms, s_norms)) * max(map(max, r_norms))
-    x = _point(bound)
-    s_x, r_x = split([_horner(z, x, 1) for z in zs])
-    det, adj = _det_adj_z(dot([r[:m] + [-v for v in r[m:]] for r in r_x], s_x))  # M(x)
-    if not det:
+    fraction with d nonsingular, and the feedback map cy = nc / dc: with
+    M = dc*d - nc@n, I - cy@p = M @ d**-1 / dc, so the maps are the blocks
+    of [d; n] @ adj M @ [dc*I | nc] / det M, ill posed exactly when det M =
+    0 (``_Loop``; ``polyalg._loop_over`` reads the factors off one point)."""
+    factors = _loop_over(vstack(d, n), hstack(PolyMat.diag([dc] * d.shape[0]), nc))
+    if factors is None:
         raise IllPosedLoop("I - cy@p is singular; the loop is ill posed")
-    values = [det, *(v for r in dot(adj, r_x) for v in r)]
-    quos = _read_off(math.gcd(*values), x, values)[1]
-    if quos is None:  # a candidate that fails its certificate
-        quos = _gcd(*(_interpolate(v, x) for v in values))[1:]
-    q, *row = map(_from_z, quos)
-    cleared = PolyMat(tuple(tuple(map(_from_z, r)) for r in split(zs)[0]))  # [d; n] over Z
-    return _Loop(cleared, PolyMat(tuple(map(tuple, grid(row, w)))), q)
+    return _Loop(*factors)
 
 
 def all_controllers_from_LX(

@@ -57,11 +57,11 @@ from .stability import (
     rh_inf_verdict,
 )
 from .stabilize import (
-    LoopMaps,
     TwoDofConfig,
     _Loop,
     _fraction_loop,
     _stabilizing_feedback,
+    _stabilizing_feedbacks,
 )
 
 __all__ = [
@@ -436,35 +436,33 @@ def _check_static_target(smfd: StableMFD, lam: RatMat) -> None:
         )
 
 
-def _dc_precompensator(loop: LoopMaps, lam: RatMat) -> RatMat:
-    """cr = G(0)**-1 @ lam for the closed loop G = P(I - cy P)**-1, which
-    has no pole at 0: every caller's loop has a stable verdict."""
-    try:
-        return _value_at_origin(loop.p_sens).inv() @ lam
-    except SingularMatrixError:
-        raise DesignObstruction(
-            ("dc gain is singular for the central feedback map",)
-        ) from None
-
-
 def static_decoupling(smfd: StableMFD, lam: RatMat) -> DesignResult:
     """Constant precompensator cr making the closed-loop DC gain equal lam.
 
     Stable plants use pure precompensation (cy = 0, cr = P(0)**-1 @ lam);
-    unstable plants are first closed with the feedback map of
-    ``_stabilizing_feedback`` and cr = G(0)**-1 @ lam for
-    G = P(I - cy P)**-1.  lam and the plant are checked before any
+    unstable plants are first closed with the first feedback map of
+    ``_stabilizing_feedbacks`` whose dc gain G(0) is nonsingular, and
+    cr = G(0)**-1 @ lam for G = P(I - cy P)**-1, which has no pole at 0:
+    every loop tried is stable.  lam and the plant are checked before any
     controller work.  The source fraction n @ d**-1 is right coprime, so
     the plant is stable exactly when det d is Hurwitz; it is not formed."""
     _check_static_target(smfd, lam)
     n, d = smfd.source.n, smfd.source.d
     if _routh_is_hurwitz(polymat_det(d)):
         cy = RatMat.zeros(*n.shape[::-1])
-        loop = _fraction_loop(d, n, *_over_lcd(cy))
+        loops = [(cy, _fraction_loop(d, n, *_over_lcd(cy)))]
     else:
-        cy, _, loop = _stabilizing_feedback(smfd)[1:]
-    maps = loop.maps
-    cr = _dc_precompensator(maps, lam)
+        loops = ((cy, loop) for _, cy, _, loop in _stabilizing_feedbacks(smfd))
+    for cy, loop in loops:
+        maps = loop.maps
+        dc_gain = _value_at_origin(maps.p_sens)
+        if dc_gain.rank() == len(dc_gain.rows):
+            break
+    else:
+        raise DesignObstruction(
+            ("dc gain is singular for the feedback map of k = 0 and of every scanned constant k",)
+        )
+    cr = dc_gain.inv() @ lam
     achieved_t = maps.p_sens @ cr
     achieved_m = maps.sens @ cr
     xprime = smfd.dprime_inv @ achieved_m

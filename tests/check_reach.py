@@ -41,8 +41,9 @@ ALLOWED = (
      "self-check: each division by the previous pivot is exact"),
     ("stabilize.py",
      'raise InadmissibleParameter("resulting reference map is improper for this feedback map")',
-     "postcondition: designs pass x' with k = 0, and v(inf) is nonsingular, so cr = v**-1 @ x' "
-     "is proper for a proper x'"),
+     "postcondition: a design passes x' = d'**-1 @ (d@x), proper as d@x is, and the k it "
+     "takes gives a proper cy, so v - k@nl' is nonsingular at infinity and "
+     "cr = (v - k@nl')**-1 @ x' is proper"),
     ("stability.py", 'raise ValueError("polynomial is not even")',
      "self-check: an irreducible symmetric factor other than s is even"),
     ("synthesis.py", 'raise ArithmeticError("realizability solve lost exactness: n @ x != t")',

@@ -656,7 +656,7 @@ def test_heuristic_gcd_rarely_needs_a_second_point(monkeypatch):
     # divisor's coefficients; at the smaller point 2 * min(|a|, |b|) + 29
     # (cut to 99 times its square root) 133 of these 476 calls needed a
     # second point.  The loops' gcds and maps and every matrix over one
-    # denominator are read off a point of their own (stabilize._fraction_loop,
+    # denominator are read off a point of their own (polyalg._loop_over,
     # polyalg._over_product, polyalg._over), which calls GCDHEU only for a
     # candidate that fails its certificate: these 15 plants make 342 calls.
     rng = random.Random(22)

@@ -14,6 +14,7 @@ import hashlib
 import random
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -121,25 +122,25 @@ def test_scalar_design_analyses_its_plant_once(monkeypatch):
 
 
 def test_design_controller_matches_plant_level_youla_controller():
+    # a design's cy is youla_controller's at the k the design chose: k = 0
+    # on 12 plants, and a scanned constant on the 4 2x2 plants whose k = 0
+    # gives an improper cy
     rng = random.Random(43)
-    designed = refused = 0
+    scanned = 0
     for trial in range(16):
         size = 1 + trial % 2
         shift = Fraction(1 + trial % 3, 1 + trial % 2)
         plant = random_proper_plant(rng, size, size)
         smfd = stable_mfd(right_coprime_mfd(plant), shift=shift)
-        try:
-            expected = youla_controller(plant, shift=shift)
-        except InadmissibleParameter:
-            with pytest.raises(InadmissibleParameter):
-                model_matching(smfd, smfd.nprime)
-            refused += 1
-            continue
+        k = twodof.stabilize._stabilizing_feedback(smfd)[0]
+        if k is not None:
+            with pytest.raises(InadmissibleParameter, match="improper"):
+                youla_controller(plant, shift=shift)
+            scanned += 1
         res = model_matching(smfd, smfd.nprime)
-        assert res.configuration.cy == expected, (plant, shift)
+        assert res.configuration.cy == youla_controller(plant, k, shift=shift), (plant, shift)
         assert res.verdict
-        designed += 1
-    assert designed >= 10 and designed + refused == 16
+    assert scanned == 4
 
 
 def test_static_design_uses_the_central_controller():
@@ -152,16 +153,18 @@ def test_static_design_uses_the_central_controller():
 
 
 def test_improper_central_controller_is_rejected(tmp_path, capsys):
+    # youla_controller takes k = 0 as given and refuses its improper cy;
+    # twodof stabilize passes over it to the scanned k = [0 0; 0 1]
     plant = parse_matrix(BIPROPER_2X2)
     with pytest.raises(InadmissibleParameter, match="improper"):
         youla_controller(plant, shift=1)
 
     problem = tmp_path / "biproper.ini"
     problem.write_text(f"[plant]\nmatrix = {BIPROPER_2X2}\n")
-    assert main(["stabilize", str(problem)]) == 1
+    assert main(["stabilize", str(problem)]) == 0
     out, err = capsys.readouterr()
-    assert "internal stability: stable" not in out
-    assert "improper" in err
+    assert "scanned parameter k =\n  [ 0  0 ]\n  [ 0  1 ]\n" in out
+    assert out.count("internal stability: stable") == 2 and err == ""
 
 
 @pytest.mark.parametrize("text", ["2", "(s+1)/(s+2)", "1/(s+1), 0; 0, 2"])
@@ -182,8 +185,8 @@ def test_a_stable_plant_refusing_the_central_parameter_takes_cy_zero(text):
 
 def test_the_central_parameter_stays_where_it_is_admissible_or_the_plant_unstable():
     # a stable plant with v nonsingular keeps k = 0; an unstable scalar plant
-    # with v = 0 takes the first scanned constant, k = 1; an unstable 2x2
-    # plant refused at k = 0 is refused with k = 0's reason
+    # with v = 0 takes the first scanned constant, k = 1, and an unstable 2x2
+    # plant whose k = 0 gives an improper cy the first 2x2 one, [0 0; 0 1]
     smfd = stable_mfd(right_coprime_mfd(parse_matrix("1/(s+1)")))
     assert twodof.stabilize._stabilizing_feedback(smfd)[0] is None
     smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s+1)/(s-2)")))
@@ -194,7 +197,9 @@ def test_the_central_parameter_stays_where_it_is_admissible_or_the_plant_unstabl
     assert loop.verdict.stable
     smfd = stable_mfd(right_coprime_mfd(parse_matrix(BIPROPER_2X2)))
     with pytest.raises(InadmissibleParameter, match="improper"):
-        twodof.stabilize._stabilizing_feedback(smfd)
+        twodof.stabilize._youla_feedback(smfd)
+    k, cy, _, loop = twodof.stabilize._stabilizing_feedback(smfd)
+    assert k == RatMat([[0, 0], [0, 1]]) and cy.is_proper() and loop.verdict.stable
 
 
 @settings(derandomize=True, deadline=None, max_examples=30, database=None)
@@ -208,7 +213,7 @@ def test_an_unstable_scalar_plant_refused_at_k_zero_designs_with_a_scanned_const
     with pytest.raises(InadmissibleParameter, match="singular"):
         twodof.stabilize._youla_feedback(smfd)
     k, cy, _, _ = twodof.stabilize._stabilizing_feedback(smfd)
-    assert k in twodof.stabilize._SCAN and cy.is_proper()
+    assert k in list(twodof.stabilize._candidates(smfd))[1:] and cy.is_proper()
     assert gang_of_four(plant, cy).verdict.stable
     res = model_matching(smfd, parse_matrix(f"(s+{sigma})/(s+{sigma})^2"))
     assert res.verdict.stable and all(cert.passed for cert in res.certificates)
@@ -221,11 +226,78 @@ def test_the_scan_passes_over_a_refused_candidate_and_keeps_k_zeros_reason(monke
     improper = RatMat([[rf(ONE, S + 3 * ONE)]])
     with pytest.raises(InadmissibleParameter, match="improper"):
         twodof.stabilize._youla_feedback(smfd, improper)
-    monkeypatch.setattr(twodof.stabilize, "_SCAN", (improper, RatMat([[rf(-ONE)]])))
+    scan = lambda *ks: lambda smfd: iter((None, *ks))
+    monkeypatch.setattr(twodof.stabilize, "_candidates", scan(improper, RatMat([[rf(-ONE)]])))
     assert twodof.stabilize._stabilizing_feedback(smfd)[0] == RatMat([[rf(-ONE)]])
-    monkeypatch.setattr(twodof.stabilize, "_SCAN", (improper,))
+    monkeypatch.setattr(twodof.stabilize, "_candidates", scan(improper))
     with pytest.raises(InadmissibleParameter, match="singular"):
         twodof.stabilize._stabilizing_feedback(smfd)
+
+
+def biproper_plant(m: int, seed: int) -> str:
+    """A drawn biproper m x m plant: each entry is (c0 + ... + ck*s^k) /
+    prod (s + b) over k factors, with k in 1..2, c0..c(k-1) in -9..9, ck in
+    +-1..+-3 and each b in -3..9 (0 taken as 1), from
+    random.Random(f"{m}:{seed}")."""
+    rng = random.Random(f"{m}:{seed}")
+    entries = []
+    for _ in range(m * m):
+        k = rng.randint(1, 2)
+        cs = [rng.randint(-9, 9) for _ in range(k)] + [rng.choice([1, -1, 2, -2, 3, -3])]
+        bs = [rng.randint(-3, 9) or 1 for _ in range(k)]
+        num = " + ".join(f"({c})*s^{i}" for i, c in enumerate(cs))
+        entries.append(f"({num})/(" + "*".join(f"(s + ({b}))" for b in bs) + ")")
+    return "; ".join(", ".join(entries[i : i + m]) for i in range(0, m * m, m))
+
+
+@pytest.mark.parametrize("m, refused, scanned", [(2, 13, 11), (3, 17, 15)])
+def test_a_drawn_square_plant_refused_at_k_zero_designs_with_the_next_candidate(m, refused, scanned):
+    # of 20 drawn biproper m x m plants, k = 0 is refused on `refused` (cy
+    # improper, or v singular); each of them takes the candidate after k = 0:
+    # k = -u@dl'**-1 on a stable plant, else the first scanned constant, a 1
+    # in the last entry, with a proper cy that stabilizes the plant
+    counts = [0, 0]
+    first = RatMat([[int(i == j == m - 1) for j in range(m)] for i in range(m)])
+    for seed in range(20):
+        plant = parse_matrix(biproper_plant(m, seed))
+        smfd = stable_mfd(right_coprime_mfd(plant))
+        try:
+            twodof.stabilize._youla_feedback(smfd)
+            continue
+        except InadmissibleParameter:
+            counts[0] += 1
+        k, cy, _, _ = twodof.stabilize._stabilizing_feedback(smfd)
+        assert k == list(islice(twodof.stabilize._candidates(smfd), 2))[1]
+        assert cy.is_proper() and gang_of_four(plant, cy).verdict.stable
+        counts[1] += k == first
+    assert counts == [refused, scanned]
+
+
+@pytest.mark.parametrize("text, last", [
+    ("(s+1)/(s-2)", [[-2]]),
+    (UNSTABLE_2X2, [[-2, -2], [-2, -2]]),
+    ("1/(s-1), 0, 0; 0, 1/(s+1), 0; 0, 0, 1/(s+2)", [[0, 0, 0], [0, 0, -2], [-2, -2, -2]]),
+], ids=["1x1", "2x2", "3x3"])
+def test_the_scan_tries_at_most_its_bound_and_keeps_k_zeros_reason(monkeypatch, text, last):
+    # with every k refused, an unstable plant tries k = 0 and then the
+    # nonzero constants with entries in 0, 1, -1, 2, -2 in product order, at
+    # most 624 of them (every 2x2 one; 4 for a scalar plant), each once, and
+    # is refused with k = 0's reason
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix(text)))
+    tried = []
+
+    def refused(smfd, k=None, xprime=None):
+        tried.append(k)
+        raise InadmissibleParameter(f"refused {len(tried)}")
+
+    monkeypatch.setattr(twodof.stabilize, "_youla_feedback", refused)
+    with pytest.raises(InadmissibleParameter, match="^refused 1$"):
+        twodof.stabilize._stabilizing_feedback(smfd)
+    m = len(last)
+    assert len(tried) == 1 + min(5 ** (m * m) - 1, 624) == 1 + len(set(tried[1:]))
+    assert tried[0] is None
+    assert tried[1] == RatMat([[int(i == j == m - 1) for j in range(m)] for i in range(m)])
+    assert tried[-1] == RatMat(last)
 
 
 def test_a_design_on_a_stable_static_gain_takes_cy_zero():
@@ -404,14 +476,25 @@ def test_unity_parameter_takes_its_loops_verdict(monkeypatch, capsys):
     assert out == expected and out.endswith("internal stability: stable\n")
 
 
-def test_static_decoupling_refuses_a_singular_dc_gain_of_the_central_loop(tmp_path, capsys):
+def test_static_decoupling_refuses_a_singular_dc_gain_of_the_central_loop(monkeypatch, capsys):
     # the plant is nonsingular at s = 0, but its central cy has a pole at
-    # the origin, so G(0) = n'(0) @ v(0) is singular
-    problem = tmp_path / "singular_dc.ini"
-    problem.write_text("[plant]\nmatrix = -2/(s+2), 1/(s-2); 0, -3/(s+3)\n[design]\nlambda = 1, 0; 0, 1\n")
-    assert main(["static-decouple", str(problem)]) == 2
-    out = capsys.readouterr().out
-    assert out == "design obstruction:\n  - dc gain is singular for the central feedback map\n"
+    # the origin, so G(0) = n'(0) @ v(0) is singular: the design passes over
+    # k = 0 to the first scanned constant, k = [0 0; 0 1], whose dc gain is
+    # nonsingular, and refuses the plant where the scan is cut to nothing
+    problem = str(PROBLEMS / "example_static_decouple_scanned.ini")
+    pf = load_problem(problem)
+    smfd = stable_mfd(right_coprime_mfd(pf.plant))
+    counts = count_calls(monkeypatch, ["_youla_feedback"])
+    res = static_decoupling(smfd, parse_matrix(pf.design["lambda"]))
+    assert counts == {"_youla_feedback": 2}
+    assert res.configuration.cy == youla_controller(pf.plant, RatMat([[0, 0], [0, 1]]))
+    assert res.verdict and all(c.passed for c in res.certificates)
+    monkeypatch.setattr(twodof.stabilize, "_SCAN_LIMIT", 0)
+    assert main(["static-decouple", problem]) == 2
+    assert capsys.readouterr().out == (
+        "design obstruction:\n"
+        "  - dc gain is singular for the feedback map of k = 0 and of every scanned constant k\n"
+    )
 
 
 def count_inversions(monkeypatch):

@@ -121,13 +121,22 @@ def test_loop_maps_equal_the_inversion_formula():
 
 
 def count_gcds(monkeypatch):
-    """The gcd kernel calls ``_fraction_loop`` makes, each as its inputs and
-    the ``polyalg._prs_gcd`` calls made inside it (the fold the kernel
-    falls back to)."""
-    calls, inside = [], []
-    kernel, prs_gcd = twodof.stabilize._gcd, twodof.polyalg._prs_gcd
+    """The gcd kernel calls the loop's kernel ``polyalg._loop_over`` makes,
+    each as its inputs and the ``polyalg._prs_gcd`` calls made inside it
+    (the fold the kernel falls back to)."""
+    calls, inside, loops = [], [], []
+    loop_over, kernel, prs_gcd = twodof.polyalg._loop_over, twodof.polyalg._gcd, twodof.polyalg._prs_gcd
+
+    def counted_loop_over(a, b):
+        loops.append(None)
+        try:
+            return loop_over(a, b)
+        finally:
+            loops.pop()
 
     def counted_kernel(*fs):
+        if not loops:
+            return kernel(*fs)
         calls.append((fs, []))
         inside.append(calls[-1][1])
         try:
@@ -140,9 +149,24 @@ def count_gcds(monkeypatch):
             inside[-1].append((a, b))
         return prs_gcd(a, b)
 
-    monkeypatch.setattr(twodof.stabilize, "_gcd", counted_kernel)
+    monkeypatch.setattr(twodof.stabilize, "_loop_over", counted_loop_over)
+    monkeypatch.setattr(twodof.polyalg, "_gcd", counted_kernel)
     monkeypatch.setattr(twodof.polyalg, "_prs_gcd", counted_prs_gcd)
     return calls
+
+
+def refuse_the_first_read_off(monkeypatch):
+    """Make the first ``polyalg._read_off`` call, the loop's own, refuse
+    its candidate; later calls (GCDHEU's, the maps') read off as before."""
+    read_off, refused = twodof.polyalg._read_off, []
+
+    def refusing(h, x, values):
+        if refused:
+            return read_off(h, x, values)
+        refused.append(h)
+        return [1], None
+
+    monkeypatch.setattr(twodof.polyalg, "_read_off", refusing)
 
 
 # det M = (s+1)^2 (s^2+3s+1); the entries (s+1)^3, (s+1)(s^2+3s+1) and
@@ -183,9 +207,8 @@ def test_the_loop_forms_no_polynomial_product_adjugate_or_gcd(monkeypatch):
             return lambda *a: calls.append(name) or fn(*a)
 
         monkeypatch.setattr(PolyMat, "__matmul__", recording("@", PolyMat.__matmul__))
-        for module in (twodof.stabilize, twodof.polyalg):
-            for name in ("_polymat_det_adj", "_gcd"):
-                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        for name in ("_polymat_det_adj", "_gcd"):
+            monkeypatch.setattr(twodof.polyalg, name, recording(name, getattr(twodof.polyalg, name)))
         loop = twodof.stabilize._fraction_loop(*args)
         monkeypatch.undo()
         assert calls == []
@@ -205,7 +228,7 @@ def test_a_refused_read_off_takes_the_gcd_kernel_once(monkeypatch):
     cy = youla_controller(UNSTABLE_2X2, K_2X2)
     args = (*_column_fraction(UNSTABLE_2X2), *_over_lcd(cy))
     expected = twodof.stabilize._fraction_loop(*args)
-    monkeypatch.setattr(twodof.stabilize, "_read_off", lambda h, x, values: ([1], None))
+    refuse_the_first_read_off(monkeypatch)
     calls = count_gcds(monkeypatch)
     assert twodof.stabilize._fraction_loop(*args) == expected
     assert [(len(fs), pairs) for fs, pairs in calls] == [(9, [])]
@@ -218,10 +241,12 @@ def test_a_loop_whose_evaluation_gives_no_gcd_folds_pairwise(monkeypatch):
     # the kernel folds the primitive remainder sequence over det M and the
     # nonzero entries, one call per entry, to the same maps
     cy = youla_controller(UNSTABLE_2X2, K_2X2)
-    monkeypatch.setattr(twodof.stabilize, "_read_off", lambda h, x, values: ([1], None))
+    refuse_the_first_read_off(monkeypatch)
     monkeypatch.setattr(twodof.polyalg, "_heu_gcd", lambda *fs: None)
     calls = count_gcds(monkeypatch)
-    assert tuple(gang_of_four(UNSTABLE_2X2, cy)) == oracle_gang_of_four(UNSTABLE_2X2, cy)
+    maps = tuple(gang_of_four(UNSTABLE_2X2, cy))
+    monkeypatch.undo()
+    assert maps == oracle_gang_of_four(UNSTABLE_2X2, cy)
     assert [len(pairs) for _, pairs in calls] == [sum(map(bool, calls[0][0])) - 1]
 
 
