@@ -381,7 +381,7 @@ def cmd_stabilize(pf: ProblemFile, args: argparse.Namespace) -> None:
     k, cy, _, loop = _stabilizing_feedback(smfd)
     if k is not None:  # k = 0 is refused; of the other k, only -u@dl'**-1 gives cy = 0
         zero_cy = cy == RatMat.zeros(*cy.shape)
-        _print_named("parameter k = -u@dl'**-1" if zero_cy else "scanned parameter k", k)
+        _print_named("parameter k = -u@dl'**-1" if zero_cy else "constant parameter k", k)
     _print_named("central feedback map cy" if k is None else "feedback map cy", cy)
     print(f"internal stability: {loop.verdict.describe()}")
     m_in, p_out = plant.shape[1], plant.shape[0]

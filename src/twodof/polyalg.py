@@ -58,9 +58,10 @@ Conventions
   elimination over Z, ``_rref_z``, with the pivots of the elimination
   over Q; each updated row is divided by its content, and a value is read
   out as a quotient of two entries of its pivot row only at the end.
-  ``_null_vector`` clears each row of a constant matrix to integers and
-  reads off its first null vector; ``factor.poly_row_diophantine`` runs
-  ``_rref_z`` on rows read from the stored integers.
+  ``_null_vector`` clears each row of a constant matrix to integers
+  (``_cleared``) and reads off its first null vector;
+  ``factor.poly_row_diophantine`` runs ``_rref_z`` on rows read from the
+  stored integers.
 * Evaluation at a rational point reports poles explicitly (``None``
   entries) instead of raising.
 
@@ -1268,18 +1269,25 @@ class RatMat(_Grid):
         return tuple(tuple(e.at(s0) for e in row) for row in self.rows)
 
 
-def _null_vector(rows: Sequence[Sequence[Scalar]]) -> list[Fraction] | None:
-    """The first null vector of the reduced row echelon form of the
-    rational matrix ``rows``: 1 at its first free column, -row[free] /
-    row[pivot] at each pivot and 0 elsewhere; ``None`` when the columns
-    are independent.  Each row is cleared to integers by the lcm of its
-    denominators and eliminated over Z (``_rref_z``)."""
-    n = len(rows[0])
+def _cleared(rows: Iterable[Sequence[Scalar]]) -> list[list[int]]:
+    """Each row of the rational matrix ``rows`` times the lcm of its
+    denominators: integer rows with the pivots of ``rows`` over Q."""
     aug = []
     for row in rows:
         xs = [_scalar(x) for x in row]
         d = math.lcm(*(x.denominator for x in xs))
         aug.append([x.numerator * (d // x.denominator) for x in xs])
+    return aug
+
+
+def _null_vector(rows: Sequence[Sequence[Scalar]]) -> list[Fraction] | None:
+    """The first null vector of the reduced row echelon form of the
+    rational matrix ``rows``: 1 at its first free column, -row[free] /
+    row[pivot] at each pivot and 0 elsewhere; ``None`` when the columns
+    are independent.  The rows are cleared to integers (``_cleared``) and
+    eliminated over Z (``_rref_z``)."""
+    n = len(rows[0])
+    aug = _cleared(rows)
     pivots = _rref_z(aug, n)
     free = next((j for j in range(n) if j not in pivots), None)
     if free is None:

@@ -6,44 +6,30 @@ u = Cy*y + Cr*r, so a compensator stabilizes P when the four maps
     (I - Cy*P)**-1         (I - Cy*P)**-1 * Cy
     P*(I - Cy*P)**-1       P*(I - Cy*P)**-1 * Cy
 
-are all proper with no closed right-half-plane poles.  The Youla controller
-is -adj(L)*R / det L for the polynomial numerators [L, R] of
-[v - K*nl', u + K*dl'].  Its maps, affine in K, are the blocks of one
-product [d'; n'] @ [v - K*nl', -(u + K*dl')] over one denominator den*psi
-(``_youla_feedback``), on which stability is decided.  Two identities
-certify it, each decided at one point with no product formed
-(``polyalg._is_product``): the controller solves (v - K*nl') @ Cy =
--(u + K*dl'), and (v - K*nl') @ d' + (u + K*dl') @ n' = I.  Every other
-loop is the same record (``_Loop``) in the coprime-factor form
-[D; N] @ adj M @ [dc*I | Nc] / det M of H(P, C), M = dc*D - Nc*N for
-P = N*D**-1 and Cy = Nc/dc (Vidyasagar, Control System Synthesis, 1985;
-Kailath, Linear Systems, 1980), less a factor every map cancels, read off
-integers at one point (``_fraction_loop``, ``polyalg._loop_over``) from
-the fractions a design holds or those ``gang_of_four`` reads off a pair of
-rational matrices.  Every loop's maps are read off one point when first
-read, with no product formed (``polyalg._over_product``).  All
-stabilizing compensators are swept out by one free parameter K over the
-proper stable rationals.  The sweep is anchored at a Bezout witness of
-the proper-stable fraction data: a witness over polynomials alone
-produces improper loop maps (the central candidate -x1**-1 @ x2 has
-(I - Cy*P)**-1 = d@x1, a polynomial), so the parametrization is
-evaluated on the (s + shift)-scaled fractions where the witness (u, v)
-satisfies u@n' + v@d' = I inside the proper-stable ring.  Those fractions,
-the witness and the left pair (dl', nl') are one ``factor.StableMFD``,
-which ``stable_mfd`` builds (refusing an improper plant), and the designs
-and ``twodof stabilize`` read the Youla data from it without factoring the
-plant again.  They take the central K = 0, or, where K = 0 is refused,
-K = -u@dl'**-1 on a stable plant and the first admissible constant of a
-bounded scan on an unstable one (``_stabilizing_feedbacks``).
+are all proper with no closed right-half-plane poles.  All of them are
+swept out by one free parameter K over the proper stable rationals
+(Youla, Jabr & Bongiorno, IEEE TAC 1976; Vidyasagar, Control System
+Synthesis, 1985) as -(v - K*nl')**-1 @ (u + K*dl'), from the Bezout
+witness (u, v), u@n' + v@d' = I, and the left pair (dl', nl') of the
+(s + shift)-scaled proper-stable fractions of one ``factor.StableMFD``; a
+witness over polynomials alone gives improper maps (the central candidate
+-x1**-1 @ x2 has (I - Cy*P)**-1 = d@x1, a polynomial).  A Youla loop's
+maps, affine in K, are the blocks of one product over one denominator
+(``_youla_feedback``), certified by two identities decided at one point
+(``polyalg._is_product``).  Every other loop is the same record
+(``_Loop``) in the coprime-factor form [D; N] @ adj M @ [dc*I | Nc] / det M
+of H(P, C), M = dc*D - Nc*N for P = N*D**-1 and Cy = Nc/dc (Kailath,
+Linear Systems, 1980), read off integers at one point (``_fraction_loop``).
+The designs take K = 0, else K = -u@dl'**-1 on a stable plant and on an
+unstable one a constant K read off one elimination (``_candidates``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import islice, product
 
 from .factor import (
     RightMFD,
@@ -59,6 +45,7 @@ from .polyalg import (
     RatMat,
     ShapeError,
     SingularMatrixError,
+    _cleared,
     _column_fraction,
     _is_product,
     _loop_over,
@@ -66,6 +53,7 @@ from .polyalg import (
     _over_lcd,
     _over_product,
     _polymat_det_adj,
+    _rref_z,
     hstack,
     poly_lcm,
     polymat_det,
@@ -167,36 +155,28 @@ def _youla_feedback(
         if not rh_inf_verdict(k):
             raise InadmissibleParameter("parameter must be proper and stable")
         # [v | u] + k @ [-nl' | dl'] over the lcm of the two denominators
-        dk, kn = _over_lcd(k)
-        psi_l, w = smfd.left_row
+        (dk, kn), (psi_l, w) = _over_lcd(k), smfd.left_row
         dkw = dk * psi_l
         lcm = poly_lcm(den, dkw)
         lr = lr.scale(lcm // den) + (kn @ w).scale(lcm // dkw)
         den = lcm
-    l = PolyMat(tuple(row[:m] for row in lr.rows))
-    r = PolyMat(tuple(row[m:] for row in lr.rows))
+    l, r = (PolyMat(tuple(row[cols] for row in lr.rows)) for cols in (slice(m), slice(m, None)))
     try:
         det, adj = _polymat_det_adj(l)
     except SingularMatrixError:
-        raise InadmissibleParameter(
-            "parameter makes v - k@nl' singular; no compensator exists"
-        ) from None
+        raise InadmissibleParameter("this parameter k makes v - k@nl' singular") from None
     c = -(adj @ r)
     if not _is_product(l, c, -det, r):
         raise ArithmeticError("compensator fails (v - k@nl') @ cy = -(u + k@dl')")
     cy = _over(c, det)
     if not cy.is_proper():
-        raise InadmissibleParameter(
-            "compensator is improper: v - k@nl' is singular at infinity"
-        )
+        raise InadmissibleParameter("compensator is improper: v - k@nl' is singular at infinity")
     psi, dn = smfd.stacked
     if not _is_product(lr, dn, den * psi, PolyMat.identity(m)):
         raise ArithmeticError("parametrized loop fails (v - k@nl')@d' + (u + k@dl')@n' = I")
     loop = _Loop(dn, hstack(l, -r), den * psi)
     if not loop.verdict:
-        raise ArithmeticError(
-            "parametrized compensator failed validation: " + loop.verdict.describe()
-        )
+        raise ArithmeticError("parametrized compensator failed validation: " + loop.verdict.describe())
     if xprime is None:
         return cy, None, loop
     x_den, x_num = _over_lcd(xprime)
@@ -206,24 +186,44 @@ def _youla_feedback(
     return cy, cr, loop
 
 
-# the entries of the constant parameters an unstable plant refused at k = 0
-# tries, and the most it tries: the 624 nonzero 2x2 constants
-_ENTRIES, _SCAN_LIMIT = (0, 1, -1, 2, -2), 5**4 - 1
+def _completion(v: Sequence[Sequence], nl: Sequence[Sequence]) -> list[list[int]]:
+    """The 0/1 matrix k with v - k@nl nonsingular, for constant v (m x m)
+    and nl (p x m) with [v; nl] of rank m.  The pivot columns of one
+    elimination (``_rref_z``) of the matrix whose columns are v's rows in
+    order, then nl's rows last first, are a maximal independent set I of
+    v's rows and rows J of nl extending v_I to a basis; k[d, j] = 1 pairs
+    the other rows D of v, in order, with J.  v - k@nl has rows v_I and
+    v_d - nl_j, and as each v_d lies in v_I's span, row operations take
+    them to [v_I; -nl_J], which is nonsingular."""
+    m, order = len(v), range(len(nl))[::-1]  # nl's rows, last first
+    pivots = _rref_z(_cleared(zip(*v, *(nl[j] for j in order))), m + len(nl))
+    rest = [i for i in range(m) if i not in pivots]  # D: v's rows outside I
+    pairs = dict(zip(rest, [order[c - m] for c in pivots if c >= m]))
+    return [[int(pairs.get(i) == j) for j in range(len(nl))] for i in range(m)]
 
 
 def _candidates(smfd: StableMFD) -> Iterator[RatMat | None]:
     """The parameters k the designs try, in order: the central k = 0
-    (None); then k = -u @ dl'**-1 on a stable plant, and on an unstable one
-    the scan: the first ``_SCAN_LIMIT`` nonzero constants with entries in
-    ``_ENTRIES``, row-major in product order (k = 1, -1, 2, -2 for a scalar
-    plant)."""
+    (None); then k = -u @ dl'**-1 on a stable plant, and on an unstable
+    one each distinct nonzero k(t) = (1 - t)*k_oo + t*k_0, t = 0, ...,
+    2m, for k_oo and k_0 the ``_completion`` of (v, nl') at infinity and
+    at s = 0: as [[v, u], [-nl', dl']] is unimodular over the proper
+    stable rationals, [v; -nl'] has full column rank at both (Vidyasagar
+    1985, ch. 5).  The determinants of (v - k(t)@nl')(oo) and
+    (v - k(t)@nl')(0) are polynomials in t of degree at most m, nonzero at
+    t = 0 and at t = 1, so some k(t) gives a proper cy and a dc gain
+    n'(0) @ (v - k@nl')(0) that is nonsingular wherever n'(0) is."""
     yield None
     if _routh_is_hurwitz(polymat_det(smfd.source.d)):
         yield -(smfd.u @ smfd.dl_prime.inv())
     else:
-        outputs, m = smfd.nprime.shape
-        for c in islice(product(_ENTRIES, repeat=m * outputs), 1, _SCAN_LIMIT + 1):
-            yield RatMat(tuple(c[i : i + outputs] for i in range(0, m * outputs, outputs)))
+        v, nl = smfd.v, smfd.nl_prime
+        k_oo = _completion(v.at_infinity(), nl.at_infinity())
+        k_0 = _completion(v.eval_at(0), nl.eval_at(0))
+        for t in range(2 * len(k_oo) + 1 if k_oo != k_0 else 1):  # each k(t) once
+            k = [[(1 - t) * a + t * b for a, b in zip(*rows)] for rows in zip(k_oo, k_0)]
+            if any(map(any, k)):
+                yield RatMat(k)
 
 
 def _stabilizing_feedbacks(
@@ -233,12 +233,11 @@ def _stabilizing_feedbacks(
     it admits, in order; a plant that admits none is refused with k = 0's
     reason.  k = -u @ dl'**-1 is proper and stable, as dl'**-1 is stable
     exactly when the plant is; it gives u + k@dl' = 0, so cy = 0, and
-    v - k@nl' = v + u@p = d'**-1, nonsingular as (v + u@p) @ d' = I.  A
-    scanned k gives cy != 0, as cy = 0 does not stabilize an unstable
-    plant.  Where k = 0 gives an improper cy, v(oo) is singular, and as
-    [v; -nl'](oo) has full column rank some constant k makes v(oo) -
-    k@nl'(oo) nonsingular; for a scalar plant, v(oo) = 0, nl'(oo) != 0 and
-    k = 1 is admitted."""
+    v - k@nl' = v + u@p = d'**-1, nonsingular as (v + u@p) @ d' = I.  Where
+    k = 0 is refused on an unstable plant, v(oo) is singular and k_oo != 0
+    comes next: constant, with v - k@nl' nonsingular at infinity, it gives
+    a proper cy and a stable loop (Youla et al. 1976), and is admitted; a
+    scalar plant has v(oo) = 0, nl'(oo) != 0 and k_oo = 1."""
     refusal, admitted = None, False
     for k in _candidates(smfd):
         try:
@@ -268,16 +267,12 @@ def youla_controller(
     plant, given as a rational matrix, and a free proper stable parameter
     k; k = None selects the central choice k = 0.
 
-    Every such compensator internally stabilizes the plant, and every
-    internally stabilizing compensator arises this way.  The formula is
-    evaluated on the proper-stable fraction data of the plant (witness
-    (u, v) and the row-scaled left pair); each produced compensator is
-    checked rather than trusted: an improper one raises
-    InadmissibleParameter, and its loop must pass two polynomial
-    identities (it solves (v - k@nl') @ cy = -(u + k@dl'), and
-    (v - k@nl') @ d' + (u + k@dl') @ n' = I) and be internally stable,
-    decided on the one denominator of its four maps, which are not formed,
-    else ArithmeticError is raised.
+    Every such compensator with v - k@nl' nonsingular at infinity
+    internally stabilizes the plant, and every internally stabilizing
+    compensator arises this way.  Each is checked, not trusted
+    (``_youla_feedback``): a singular v - k@nl' or an improper compensator
+    raises InadmissibleParameter, and a failed identity or an unstable
+    loop ArithmeticError.
     """
     return _youla_feedback(_rh_data_cached(plant, Fraction(shift)), k)[0]
 

@@ -441,11 +441,12 @@ def static_decoupling(smfd: StableMFD, lam: RatMat) -> DesignResult:
 
     Stable plants use pure precompensation (cy = 0, cr = P(0)**-1 @ lam);
     unstable plants are first closed with the first feedback map of
-    ``_stabilizing_feedbacks`` whose dc gain G(0) is nonsingular, and
-    cr = G(0)**-1 @ lam for G = P(I - cy P)**-1, which has no pole at 0:
-    every loop tried is stable.  lam and the plant are checked before any
-    controller work.  The source fraction n @ d**-1 is right coprime, so
-    the plant is stable exactly when det d is Hurwitz; it is not formed."""
+    ``_stabilizing_feedbacks`` whose dc gain G(0) is nonsingular (one is,
+    as n'(0) is), and cr = G(0)**-1 @ lam for G = P(I - cy P)**-1, which
+    has no pole at 0: every loop tried is stable.  lam and the plant are
+    checked before any controller work.  The source fraction n @ d**-1 is
+    right coprime, so the plant is stable exactly when det d is Hurwitz;
+    it is not formed."""
     _check_static_target(smfd, lam)
     n, d = smfd.source.n, smfd.source.d
     if _routh_is_hurwitz(polymat_det(d)):
@@ -453,15 +454,11 @@ def static_decoupling(smfd: StableMFD, lam: RatMat) -> DesignResult:
         loops = [(cy, _fraction_loop(d, n, *_over_lcd(cy)))]
     else:
         loops = ((cy, loop) for _, cy, _, loop in _stabilizing_feedbacks(smfd))
-    for cy, loop in loops:
+    for cy, loop in loops:  # some loop's dc gain is nonsingular (``_candidates``)
         maps = loop.maps
         dc_gain = _value_at_origin(maps.p_sens)
         if dc_gain.rank() == len(dc_gain.rows):
             break
-    else:
-        raise DesignObstruction(
-            ("dc gain is singular for the feedback map of k = 0 and of every scanned constant k",)
-        )
     cr = dc_gain.inv() @ lam
     achieved_t = maps.p_sens @ cr
     achieved_m = maps.sens @ cr

@@ -84,19 +84,20 @@ MUTANTS = (
      "",
      [POLYALG + "test_ratmat_solves_match_ratfn_gauss_jordan",
       LOOP + "test_gang_of_four_equals_the_inversion_formula_on_drawn_pairs"]),
-    ("the scan's candidate list emptied", "stabilize.py",
-     "(0, 1, -1, 2, -2)",
-     "(0,)",
-     [CENTRAL + "test_an_unstable_scalar_plant_refused_at_k_zero_designs_with_a_scanned_constant"]),
-    ("the scan restricted to scalar plants again", "stabilize.py",
-     "        for c in islice(product(",
-     "        if (outputs, m) != (1, 1):\n            return\n        for c in islice(product(",
-     [CENTRAL + "test_a_drawn_square_plant_refused_at_k_zero_designs_with_the_next_candidate[2-13-11]"]),
-    ("the scan's bound one short", "stabilize.py",
-     "1, _SCAN_LIMIT + 1)",
-     "1, _SCAN_LIMIT)",
-     [CENTRAL + "test_the_scan_tries_at_most_its_bound_and_keeps_k_zeros_reason[1x1]",
-      CENTRAL + "test_the_scan_tries_at_most_its_bound_and_keeps_k_zeros_reason[2x2]"]),
+    ("the construction's extension step dropped (J empty)", "stabilize.py",
+     "[order[c - m] for c in pivots if c >= m]",
+     "[]",
+     [CENTRAL + "test_an_unstable_scalar_plant_refused_at_k_zero_designs_with_k_one",
+      CENTRAL + "test_the_constructed_k_designs_what_the_scan_missed[first-row]"]),
+    ("the construction taking nl's rows in forward order", "stabilize.py",
+     "range(len(nl))[::-1]",
+     "range(len(nl))",
+     [CENTRAL + "test_the_central_parameter_stays_where_it_is_admissible_or_the_plant_unstable",
+      CENTRAL + "test_a_plant_refused_at_k_zero_designs_with_the_constructed_k[biproper]"]),
+    ("the reference map cr scaled by the witness's lcd, not the parameter's", "stabilize.py",
+     "cr = _over((adj @ x_num).scale(den), det * x_den)",
+     "cr = _over((adj @ x_num).scale(smfd.witness_row[0]), det * x_den)",
+     [CENTRAL + "test_every_admitted_k_gives_the_designs_response"]),
     ("static decoupling without its dc-gain test", "synthesis.py",
      "if dc_gain.rank() == len(dc_gain.rows):",
      "if True:",

@@ -14,11 +14,12 @@ import hashlib
 import random
 import sys
 from fractions import Fraction
-from itertools import islice
+from functools import lru_cache
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twodof.factor
@@ -30,7 +31,13 @@ import twodof.zfactor
 from twodof.cli import load_problem, main, parse_matrix, parse_poly_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat
-from twodof.stabilize import InadmissibleParameter, gang_of_four, solve_bezout, youla_controller
+from twodof.stabilize import (
+    InadmissibleParameter,
+    TwoDofConfig,
+    gang_of_four,
+    solve_bezout,
+    youla_controller,
+)
 from twodof.synthesis import (
     DesignObstruction,
     denominator_assignment_direct,
@@ -43,6 +50,7 @@ from twodof.synthesis import (
     unity_feedback_admissible,
     unity_feedback_controller,
 )
+from twodof.verify import closed_loop
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SEED5_4X4 = Path(__file__).resolve().parent / "data" / "seed5_4x4.ini"
@@ -123,10 +131,10 @@ def test_scalar_design_analyses_its_plant_once(monkeypatch):
 
 def test_design_controller_matches_plant_level_youla_controller():
     # a design's cy is youla_controller's at the k the design chose: k = 0
-    # on 12 plants, and a scanned constant on the 4 2x2 plants whose k = 0
-    # gives an improper cy
+    # on 12 plants, and the constructed constant on the 4 2x2 plants whose
+    # k = 0 gives an improper cy
     rng = random.Random(43)
-    scanned = 0
+    constructed = 0
     for trial in range(16):
         size = 1 + trial % 2
         shift = Fraction(1 + trial % 3, 1 + trial % 2)
@@ -136,11 +144,11 @@ def test_design_controller_matches_plant_level_youla_controller():
         if k is not None:
             with pytest.raises(InadmissibleParameter, match="improper"):
                 youla_controller(plant, shift=shift)
-            scanned += 1
+            constructed += 1
         res = model_matching(smfd, smfd.nprime)
         assert res.configuration.cy == youla_controller(plant, k, shift=shift), (plant, shift)
         assert res.verdict
-    assert scanned == 4
+    assert constructed == 4
 
 
 def test_static_design_uses_the_central_controller():
@@ -154,7 +162,7 @@ def test_static_design_uses_the_central_controller():
 
 def test_improper_central_controller_is_rejected(tmp_path, capsys):
     # youla_controller takes k = 0 as given and refuses its improper cy;
-    # twodof stabilize passes over it to the scanned k = [0 0; 0 1]
+    # twodof stabilize passes over it to the constructed k = [0 0; 0 1]
     plant = parse_matrix(BIPROPER_2X2)
     with pytest.raises(InadmissibleParameter, match="improper"):
         youla_controller(plant, shift=1)
@@ -163,7 +171,7 @@ def test_improper_central_controller_is_rejected(tmp_path, capsys):
     problem.write_text(f"[plant]\nmatrix = {BIPROPER_2X2}\n")
     assert main(["stabilize", str(problem)]) == 0
     out, err = capsys.readouterr()
-    assert "scanned parameter k =\n  [ 0  0 ]\n  [ 0  1 ]\n" in out
+    assert "constant parameter k =\n  [ 0  0 ]\n  [ 0  1 ]\n" in out
     assert out.count("internal stability: stable") == 2 and err == ""
 
 
@@ -185,8 +193,8 @@ def test_a_stable_plant_refusing_the_central_parameter_takes_cy_zero(text):
 
 def test_the_central_parameter_stays_where_it_is_admissible_or_the_plant_unstable():
     # a stable plant with v nonsingular keeps k = 0; an unstable scalar plant
-    # with v = 0 takes the first scanned constant, k = 1, and an unstable 2x2
-    # plant whose k = 0 gives an improper cy the first 2x2 one, [0 0; 0 1]
+    # with v = 0 takes the constructed constant, k = 1, and an unstable 2x2
+    # plant whose k = 0 gives an improper cy the constructed [0 0; 0 1]
     smfd = stable_mfd(right_coprime_mfd(parse_matrix("1/(s+1)")))
     assert twodof.stabilize._stabilizing_feedback(smfd)[0] is None
     smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s+1)/(s-2)")))
@@ -204,32 +212,33 @@ def test_the_central_parameter_stays_where_it_is_admissible_or_the_plant_unstabl
 
 @settings(derandomize=True, deadline=None, max_examples=30, database=None)
 @given(st.sampled_from([1, -1, 2, -2, 3, -3]), st.integers(1, 5), st.integers(1, 3))
-def test_an_unstable_scalar_plant_refused_at_k_zero_designs_with_a_scanned_constant(c, b, sigma):
+def test_an_unstable_scalar_plant_refused_at_k_zero_designs_with_k_one(c, b, sigma):
     # at shift sigma the witness of c*(s+sigma)/(s-b) has v = 0, as that of
-    # (s+1)/(s-2) has at shift 1, so k = 0 is refused; a scanned k gives a
-    # proper cy with a stable loop, and the design passes every certificate
+    # (s+1)/(s-2) has at shift 1, so k = 0 is refused; nl'(oo) != 0, so the
+    # constructed k is 1, which gives a proper cy with a stable loop, and the
+    # design passes every certificate
     plant = parse_matrix(f"{c}*(s+{sigma})/(s-{b})")
     smfd = stable_mfd(right_coprime_mfd(plant), shift=sigma)
     with pytest.raises(InadmissibleParameter, match="singular"):
         twodof.stabilize._youla_feedback(smfd)
     k, cy, _, _ = twodof.stabilize._stabilizing_feedback(smfd)
-    assert k in list(twodof.stabilize._candidates(smfd))[1:] and cy.is_proper()
+    assert k == RatMat([[1]]) and cy.is_proper()
     assert gang_of_four(plant, cy).verdict.stable
     res = model_matching(smfd, parse_matrix(f"(s+{sigma})/(s+{sigma})^2"))
     assert res.verdict.stable and all(cert.passed for cert in res.certificates)
 
 
-def test_the_scan_passes_over_a_refused_candidate_and_keeps_k_zeros_reason(monkeypatch):
+def test_a_refused_candidate_is_passed_over_and_k_zeros_reason_kept(monkeypatch):
     # for (s+1)/(s-2), v = 0: k = 0 is singular, and k = 1/(s+3) gives an
-    # improper cy; the scan passes over a refused candidate to the next one
+    # improper cy; the designs pass over a refused candidate to the next one
     smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s+1)/(s-2)")))
     improper = RatMat([[rf(ONE, S + 3 * ONE)]])
     with pytest.raises(InadmissibleParameter, match="improper"):
         twodof.stabilize._youla_feedback(smfd, improper)
-    scan = lambda *ks: lambda smfd: iter((None, *ks))
-    monkeypatch.setattr(twodof.stabilize, "_candidates", scan(improper, RatMat([[rf(-ONE)]])))
+    given_ks = lambda *ks: lambda smfd: iter((None, *ks))
+    monkeypatch.setattr(twodof.stabilize, "_candidates", given_ks(improper, RatMat([[rf(-ONE)]])))
     assert twodof.stabilize._stabilizing_feedback(smfd)[0] == RatMat([[rf(-ONE)]])
-    monkeypatch.setattr(twodof.stabilize, "_candidates", scan(improper))
+    monkeypatch.setattr(twodof.stabilize, "_candidates", given_ks(improper))
     with pytest.raises(InadmissibleParameter, match="singular"):
         twodof.stabilize._stabilizing_feedback(smfd)
 
@@ -250,14 +259,202 @@ def biproper_plant(m: int, seed: int) -> str:
     return "; ".join(", ".join(entries[i : i + m]) for i in range(0, m * m, m))
 
 
-@pytest.mark.parametrize("m, refused, scanned", [(2, 13, 11), (3, 17, 15)])
-def test_a_drawn_square_plant_refused_at_k_zero_designs_with_the_next_candidate(m, refused, scanned):
+def block_diagonal(blocks) -> str:
+    """The block-diagonal plant of the square plants ``blocks``, each given
+    as text, in order."""
+    parsed = [[row.split(", ") for row in block.split("; ")] for block in blocks]
+    size, col, rows = sum(map(len, parsed)), 0, []
+    for block in parsed:
+        rows += [["0"] * col + row + ["0"] * (size - col - len(row)) for row in block]
+        col += len(block)
+    return "; ".join(", ".join(row) for row in rows)
+
+
+# c*(s+1)/(s-b) has v = 0 at shift 1, so each such block puts a zero row in
+# v(oo); the other blocks are stable scalars and drawn biproper 2x2 plants
+UNSTABLE_SCALAR = st.builds(
+    "{}*(s+1)/(s-{})".format, st.sampled_from([1, -1, 2, -2, 3, -3]), st.integers(1, 5)
+)
+BLOCK = st.one_of(
+    UNSTABLE_SCALAR,
+    st.integers(1, 5).map("1/(s+{})".format),
+    st.integers(0, 19).map(lambda seed: biproper_plant(2, seed)),
+)
+# drawn block-diagonal plants of up to 4 rows, with a zero row of v(oo) in
+# any position
+BLOCK_DIAGONAL = (
+    st.tuples(UNSTABLE_SCALAR, st.lists(BLOCK, min_size=1, max_size=2))
+    .flatmap(lambda drawn: st.permutations([drawn[0], *drawn[1]]))
+    .map(block_diagonal)
+    .filter(lambda text: text.count(";") < 4)
+)
+THE_SCANS_MISS = "(s+1)/(s-2), 0, 0; 0, 1/(s+1), 0; 0, 0, 1/(s+1)"
+
+
+def exact_rank(rows) -> int:
+    """The rank of a constant matrix, by Gaussian elimination over Fraction."""
+    rows, rank = [[Fraction(x) for x in row] for row in rows], 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def lhs_at(v, k, nl):
+    """v - k@nl for constant matrices, as rows of Fractions."""
+    return [[a - sum(c * nl[l][j] for l, c in enumerate(kr) if c) for j, a in enumerate(vr)]
+            for vr, kr in zip(v, k)]
+
+
+def scan_oracle(v, nl):
+    """The first constant k, in the order of the scan the designs used to
+    make, that makes the constant v - k@nl nonsingular; None if none of the
+    scan's 624 constants does.  The scan tried the nonzero constants with
+    entries in 0, 1, -1, 2, -2, row-major in product order, so for m*p >= 5
+    only the last four entries were ever nonzero; a constant k is admitted
+    exactly when v(oo) - k@nl'(oo) is nonsingular."""
+    m, p = len(v), len(nl)
+    for c in islice(product((0, 1, -1, 2, -2), repeat=m * p), 1, 625):
+        k = [c[i : i + p] for i in range(0, m * p, p)]
+        if exact_rank(lhs_at(v, k, nl)) == m:
+            return RatMat(k)
+    return None
+
+
+def check_the_constructed_k(text: str) -> RatMat | None:
+    """The k the designs take on the plant ``text`` where k = 0 is refused,
+    else None, checked: k = -u@dl'**-1 (cy = 0) on a stable plant, and on
+    an unstable one a 0/1 constant with at most one 1 in each row and
+    column that makes v(oo) - k@nl'(oo) nonsingular and is the scan's first
+    admitted constant wherever the scan admits one; either gives a proper
+    cy with a stable loop, and static decoupling closes a plant of up to
+    three rows wherever n'(0) is nonsingular."""
+    plant = parse_matrix(text)
+    smfd = stable_mfd(right_coprime_mfd(plant))
+    try:
+        twodof.stabilize._youla_feedback(smfd)
+        return None
+    except InadmissibleParameter:
+        pass
+    k, cy, _, loop = twodof.stabilize._stabilizing_feedback(smfd)
+    assert cy.is_proper() and loop.verdict.stable
+    if cy == RatMat.zeros(*cy.shape):
+        assert k == -(smfd.u @ smfd.dl_prime.inv())
+        return k
+    v, nl = smfd.v.at_infinity(), smfd.nl_prime.at_infinity()
+    ones = [[int(e == RatFn(ONE)) for e in row] for row in k.rows]
+    assert k == RatMat(ones) and all(sum(row) <= 1 for row in ones + list(zip(*ones)))
+    assert exact_rank(lhs_at(v, ones, nl)) == len(v)
+    first = scan_oracle(v, nl)
+    assert first is None or first == k, first
+    m = plant.shape[0]
+    if m < 4 and exact_rank(smfd.nprime.eval_at(0)) == m:
+        res = static_decoupling(smfd, RatMat.identity(m))
+        assert res.verdict.stable and all(cert.passed for cert in res.certificates)
+    return k
+
+
+PLANT_FAMILIES = {
+    "biproper": st.builds(biproper_plant, st.sampled_from([4, 3, 2, 1]), st.integers(0, 19)),
+    "block-diagonal": BLOCK_DIAGONAL,
+}
+
+
+@pytest.mark.parametrize("family", PLANT_FAMILIES)
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(data=st.data())
+def test_a_plant_refused_at_k_zero_designs_with_the_constructed_k(family, data):
+    # drawn biproper plants up to 4x4, and block-diagonal ones with zero
+    # rows of v(oo) in any position (``check_the_constructed_k``)
+    check_the_constructed_k(data.draw(PLANT_FAMILIES[family]))
+
+
+@pytest.mark.parametrize("text, k", [
+    (THE_SCANS_MISS, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    ("1/(s+1), 0, 0; 0, 1/(s+1), 0; 0, 0, (s+1)/(s-2)", [[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+    ("(s+1)/(s-2), 0; 0, 1/(s+1)", [[1, 0], [0, 0]]),
+], ids=["first-row", "last-row", "2x2"])
+def test_the_constructed_k_designs_what_the_scan_missed(text, k):
+    # the scan's constants are nonzero in the last four entries alone, and
+    # the first plant needs a 1 in k's first row: none of the 624 admits it;
+    # the same plant with its unstable entry last, and the 2x2, it admitted
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix(text)))
+    scanned = scan_oracle(smfd.v.at_infinity(), smfd.nl_prime.at_infinity())
+    assert (scanned is None) == (text == THE_SCANS_MISS)
+    assert check_the_constructed_k(text) == RatMat(k)
+
+
+# plants of up to 3 rows from the draws above; a drawn biproper 3x3 plant's
+# closed loop takes tens of milliseconds to form, so one is enough
+RESPONSE_PLANTS = [biproper_plant(m, seed) for m in (1, 2) for seed in range(3)] + [
+    biproper_plant(3, 1),
+    THE_SCANS_MISS,
+    "(s+1)/(s-2), 0; 0, 1/(s+1)",
+    block_diagonal(["1/(s+2)", "2*(s+1)/(s-3)"]),
+]
+
+
+@lru_cache(maxsize=None)
+def analysed(text: str):
+    """The plant, its analysis and the k the designs take on it, once."""
+    plant = parse_matrix(text)
+    smfd = stable_mfd(right_coprime_mfd(plant))
+    return plant, smfd, twodof.stabilize._stabilizing_feedback(smfd)[0]
+
+
+def proper_stable(rows: int, cols: int):
+    """Drawn rows x cols matrices whose entries are each a constant a in
+    -3..3 or (a*s + b)/(s + c) with c in 1..4: proper and stable."""
+    entry = st.tuples(st.booleans(), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
+    build = lambda lag, a, b, c: RatFn(a * S + b * ONE, S + c * ONE) if lag else RatFn(a * ONE)
+    return st.lists(entry, min_size=rows * cols, max_size=rows * cols).map(
+        lambda es: RatMat([[build(*e) for e in es[i : i + cols]] for i in range(0, rows * cols, cols)])
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(data=st.data())
+def test_every_admitted_k_gives_the_designs_response(data):
+    # the response half of the characterization: for a realizable target
+    # t = n'@x', every proper stable k with v(oo) - k@nl'(oo) nonsingular
+    # is admitted and gives y/r = n'@x' and u/r = d'@x' exactly, with a
+    # stable loop, through cy = -(v - k@nl')**-1 @ (u + k@dl') and
+    # cr = (v - k@nl')**-1 @ x'; every other k is refused; and
+    # model_matching's (cy, cr) is the pair at the k it takes
+    text = data.draw(st.sampled_from(RESPONSE_PLANTS))
+    plant, smfd, k_design = analysed(text)
+    m = plant.shape[0]
+    xprime, k = data.draw(proper_stable(m, m)), data.draw(proper_stable(m, m))
+    lhs = lhs_at(smfd.v.at_infinity(), k.at_infinity(), smfd.nl_prime.at_infinity())
+    try:
+        cy, cr, loop = twodof.stabilize._youla_feedback(smfd, k, xprime)
+    except InadmissibleParameter:
+        assert exact_rank(lhs) < m
+        return
+    assert exact_rank(lhs) == m and loop.verdict.stable
+    report = closed_loop(plant, TwoDofConfig(cy=cy, cr=cr))
+    assert report.t_yr == smfd.nprime @ xprime and report.t_ur == smfd.dprime @ xprime
+    assert all(verdict.stable for _, _, verdict in report.internal_maps)
+    res = model_matching(smfd, smfd.nprime @ xprime)
+    assert res.xprime == xprime
+    assert res.configuration == twodof.stabilize._youla_feedback(smfd, k_design, xprime)[:2]
+
+
+@pytest.mark.parametrize("m, refused, unstable", [(2, 13, 11), (3, 17, 15)])
+def test_a_drawn_square_plant_refused_at_k_zero_designs_with_the_next_candidate(m, refused, unstable):
     # of 20 drawn biproper m x m plants, k = 0 is refused on `refused` (cy
     # improper, or v singular); each of them takes the candidate after k = 0:
-    # k = -u@dl'**-1 on a stable plant, else the first scanned constant, a 1
-    # in the last entry, with a proper cy that stabilizes the plant
+    # k = -u@dl'**-1 on a stable plant, else the constructed constant, here a
+    # 1 in the last entry on each of the `unstable` ones, with a proper cy
+    # that stabilizes the plant
     counts = [0, 0]
-    first = RatMat([[int(i == j == m - 1) for j in range(m)] for i in range(m)])
+    last = RatMat([[int(i == j == m - 1) for j in range(m)] for i in range(m)])
     for seed in range(20):
         plant = parse_matrix(biproper_plant(m, seed))
         smfd = stable_mfd(right_coprime_mfd(plant))
@@ -269,20 +466,21 @@ def test_a_drawn_square_plant_refused_at_k_zero_designs_with_the_next_candidate(
         k, cy, _, _ = twodof.stabilize._stabilizing_feedback(smfd)
         assert k == list(islice(twodof.stabilize._candidates(smfd), 2))[1]
         assert cy.is_proper() and gang_of_four(plant, cy).verdict.stable
-        counts[1] += k == first
-    assert counts == [refused, scanned]
+        counts[1] += k == last
+    assert counts == [refused, unstable]
 
 
-@pytest.mark.parametrize("text, last", [
-    ("(s+1)/(s-2)", [[-2]]),
-    (UNSTABLE_2X2, [[-2, -2], [-2, -2]]),
-    ("1/(s-1), 0, 0; 0, 1/(s+1), 0; 0, 0, 1/(s+2)", [[0, 0, 0], [0, 0, -2], [-2, -2, -2]]),
+@pytest.mark.parametrize("text, line", [
+    ("(s+1)/(s-2)", [[[1]]]),
+    (BIPROPER_2X2, [[[0, 0], [0, c]] for c in (1, -1, -2, -3)]),
+    ("(s+1)/(s-2), 0, 0; 0, -2/(s+2), 1/(s-2); 0, 0, -3/(s+3)",
+     [[[1 - t, 0, t], [0, 0, 0], [t, 0, 0]] for t in range(7)]),
 ], ids=["1x1", "2x2", "3x3"])
-def test_the_scan_tries_at_most_its_bound_and_keeps_k_zeros_reason(monkeypatch, text, last):
-    # with every k refused, an unstable plant tries k = 0 and then the
-    # nonzero constants with entries in 0, 1, -1, 2, -2 in product order, at
-    # most 624 of them (every 2x2 one; 4 for a scalar plant), each once, and
-    # is refused with k = 0's reason
+def test_the_candidates_are_k_zero_then_the_constructed_line(monkeypatch, text, line):
+    # with every k refused, an unstable plant tries k = 0 and then each
+    # distinct nonzero k(t) = (1 - t)*k_oo + t*k_0, t = 0, ..., 2m, once,
+    # and is refused with k = 0's reason: k_oo = k_0 = 1 for the scalar
+    # plant, k_0 = 0 for the 2x2 and k_0 = [0 0 1; 0 0 0; 1 0 0] for the 3x3
     smfd = stable_mfd(right_coprime_mfd(parse_matrix(text)))
     tried = []
 
@@ -293,11 +491,7 @@ def test_the_scan_tries_at_most_its_bound_and_keeps_k_zeros_reason(monkeypatch, 
     monkeypatch.setattr(twodof.stabilize, "_youla_feedback", refused)
     with pytest.raises(InadmissibleParameter, match="^refused 1$"):
         twodof.stabilize._stabilizing_feedback(smfd)
-    m = len(last)
-    assert len(tried) == 1 + min(5 ** (m * m) - 1, 624) == 1 + len(set(tried[1:]))
-    assert tried[0] is None
-    assert tried[1] == RatMat([[int(i == j == m - 1) for j in range(m)] for i in range(m)])
-    assert tried[-1] == RatMat(last)
+    assert tried == [None, *map(RatMat, line)]
 
 
 def test_a_design_on_a_stable_static_gain_takes_cy_zero():
@@ -476,25 +670,22 @@ def test_unity_parameter_takes_its_loops_verdict(monkeypatch, capsys):
     assert out == expected and out.endswith("internal stability: stable\n")
 
 
-def test_static_decoupling_refuses_a_singular_dc_gain_of_the_central_loop(monkeypatch, capsys):
+def test_static_decoupling_refuses_a_singular_dc_gain_of_the_central_loop(monkeypatch):
     # the plant is nonsingular at s = 0, but its central cy has a pole at
-    # the origin, so G(0) = n'(0) @ v(0) is singular: the design passes over
-    # k = 0 to the first scanned constant, k = [0 0; 0 1], whose dc gain is
-    # nonsingular, and refuses the plant where the scan is cut to nothing
-    problem = str(PROBLEMS / "example_static_decouple_scanned.ini")
-    pf = load_problem(problem)
+    # the origin, so G(0) = n'(0) @ v(0) is singular: v(oo) is nonsingular,
+    # so k_oo = 0, and the design passes over k = 0 to k(1) = k_0 =
+    # [0 0; 0 1], which makes v(0) - k@nl'(0), and so the dc gain,
+    # nonsingular
+    pf = load_problem(str(PROBLEMS / "example_static_decouple_scanned.ini"))
     smfd = stable_mfd(right_coprime_mfd(pf.plant))
+    k_0 = RatMat([[0, 0], [0, 1]])
+    line = [RatMat([[0, 0], [0, t]]) for t in range(1, 5)]  # k(t) = t*k_0, t = 1, ..., 4
+    assert list(twodof.stabilize._candidates(smfd)) == [None, *line]
     counts = count_calls(monkeypatch, ["_youla_feedback"])
     res = static_decoupling(smfd, parse_matrix(pf.design["lambda"]))
     assert counts == {"_youla_feedback": 2}
-    assert res.configuration.cy == youla_controller(pf.plant, RatMat([[0, 0], [0, 1]]))
+    assert res.configuration.cy == youla_controller(pf.plant, k_0)
     assert res.verdict and all(c.passed for c in res.certificates)
-    monkeypatch.setattr(twodof.stabilize, "_SCAN_LIMIT", 0)
-    assert main(["static-decouple", problem]) == 2
-    assert capsys.readouterr().out == (
-        "design obstruction:\n"
-        "  - dc gain is singular for the feedback map of k = 0 and of every scanned constant k\n"
-    )
 
 
 def count_inversions(monkeypatch):

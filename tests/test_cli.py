@@ -251,7 +251,7 @@ def test_parse_rational_short_degree_40_input_is_fast():
 def test_shipped_problem_files_parse():
     matrix_keys = {"t", "m", "lambda", "d_t", "targets", "cy", "cr", "r", "cff", "cfb"}
     problems = sorted(PROBLEMS.glob("*.ini"))
-    assert len(problems) == 16
+    assert len(problems) == 17
     for path in problems:
         pf = load_problem(str(path))
         for section in (pf.design, pf.configuration):
@@ -1080,4 +1080,4 @@ def test_cli_runs_leave_sympy_unloaded():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "144 [False, False]"
+    assert out.strip() == "153 [False, False]"

@@ -49,7 +49,7 @@ def golden():
 
 
 def test_golden_covers_every_run(golden):
-    assert len(RUNS) == 144
+    assert len(RUNS) == 153
     assert sorted(golden) == sorted(RUNS)
 
 
