@@ -531,7 +531,8 @@ def cmd_simulate(pf: ProblemFile, args: argparse.Namespace) -> None:
 
 def cmd_unity_parameter(pf: ProblemFile, args: argparse.Namespace) -> None:
     # convenience used by `match` problem files with loop = unity when no
-    # target is known yet: search for an admissible scalar parameter
+    # target is known yet: x' read off the Youla controller, so that the
+    # printed cff is the feedback map cy that `stabilize` prints
     _, smfd = _stable_plant_data(pf, args)
     xprime = find_admissible_unity_xprime(smfd)
     _print_named("admissible x'", xprime)
@@ -607,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("invert", cmd_invert, help="exact inversion (y/r = I)")
     add("static-decouple", cmd_static_decouple, help="constant precompensator for a diagonal dc gain")
     add("assign-denominator", cmd_assign_denominator, help="closed-loop denominator assignment")
-    add("unity-parameter", cmd_unity_parameter, help="search an admissible unity-feedback parameter")
+    add("unity-parameter", cmd_unity_parameter, help="unity-loop parameter read off the Youla controller")
     add("verify", cmd_verify, help="closed-loop maps and stability report for a configuration")
     p_sim = add("simulate", cmd_simulate, help="step-response CSV for a transfer matrix or configuration")
     p_sim.add_argument("--horizon", type=_float, default=None, help="simulation length in seconds")

@@ -309,16 +309,11 @@ def _reduce(rows: Sequence[Sequence[Poly]], lead: int | None = None) -> list[lis
 
 
 def poly_row_diophantine(
-    nmat: PolyMat,
-    dmat: PolyMat,
-    rhs_rows: Sequence[Sequence[Poly]],
-    alpha_bound: int,
-    beta_bound: int,
+    nmat: PolyMat, dmat: PolyMat, rhs_rows: Sequence[Sequence[Poly]], bound: int
 ) -> list[tuple[list[Poly], list[Poly]]] | None:
     """Solve alpha @ nmat + beta @ dmat = rhs for row vectors of
     polynomials by equating coefficients, for each row rhs of ``rhs_rows``,
-    with every entry of alpha of degree at most ``alpha_bound`` and every
-    entry of beta of degree at most ``beta_bound``.
+    with every entry of alpha and beta of degree at most ``bound``.
 
     Returns one ``(alpha, beta)`` per row, or ``None`` when some row has no
     solution of those degrees.  The unknowns are the coefficients of
@@ -328,28 +323,22 @@ def poly_row_diophantine(
     p, m = nmat.shape
     if dmat.shape != (m, m) or any(len(row) != m for row in rhs_rows):
         raise ShapeError("incompatible shapes in row equation")
-    blocks = ((nmat, p, alpha_bound), (dmat, m, beta_bound))
-    top = max(e.degree() or 0 for row in rhs_rows for e in row)
-    for mat, _, bound in blocks:
-        top = max(top, bound + max(e.degree() or 0 for row in mat.rows for e in row))
+    stacked = vstack(nmat, dmat)
+    degree = lambda rows: max(e.degree() or 0 for row in rows for e in row)
+    top = max(degree(rhs_rows), bound + degree(stacked.rows))
 
     # The equations of column j, over the lcm of the denominators there,
     # are rows of integers read from the stored numerators.
-    bounds = [bound for _, rows, bound in blocks for _ in range(rows)]
     aug: list[list[int]] = []
     for j in range(m):
-        polys = [mat.entry(i, j) for mat, rows, _ in blocks for i in range(rows)]
-        polys += [row[j] for row in rhs_rows]
-        zs = _z_line(polys)[0]
+        zs = _z_line([row[j] for row in stacked.rows] + [row[j] for row in rhs_rows])[0]
         for t in range(top + 1):
             row = [
-                z[t - c] if 0 <= t - c < len(z) else 0
-                for z, bound in zip(zs, bounds)
-                for c in range(bound + 1)
+                z[t - c] if 0 <= t - c < len(z) else 0 for z in zs[: p + m] for c in range(bound + 1)
             ]
-            row += [z[t] if t < len(z) else 0 for z in zs[len(bounds):]]
+            row += [z[t] if t < len(z) else 0 for z in zs[p + m :]]
             aug.append(row)
-    n = sum(bound + 1 for bound in bounds)
+    n = (p + m) * (bound + 1)
     pivots = _rref_z(aug, n)
     if pivots is None:
         return None
@@ -357,12 +346,11 @@ def poly_row_diophantine(
     for b in range(n, n + len(rhs_rows)):
         # unknown col is row[b] / row[col] of its pivot row, and 0 if free
         value = {col: (row[b], row[col]) for row, col in zip(aug, pivots)}
-        out, col = [], 0
-        for bound in bounds:
+        out = []
+        for col in range(0, n, bound + 1):
             pairs = [value.get(c, (0, 1)) for c in range(col, col + bound + 1)]
             lcd = math.lcm(*(q for _, q in pairs))
             out.append(_lowest([x * (lcd // q) for x, q in pairs], lcd))
-            col += bound + 1
         solutions.append((out[:p], out[p:]))
     return solutions
 
@@ -412,7 +400,7 @@ def _bezout_rows(
     """(alphas, betas, phis) with alphas[i] @ n + betas[i] @ d = phis[i] * rhs[i]
     for the certified fraction ``source`` = n @ d**-1 and phis[i] = (s + shift)**k
     (1 when shift is None), k <= limit the least degree of any solution, as
-    ``poly_row_diophantine(n, d, [phis[i] * rhs[i]], k, k)`` gives it.
+    ``poly_row_diophantine(n, d, [phis[i] * rhs[i]], k)`` gives it.
 
     Each solution [beta | alpha] is rhs_k @ w plus a combination of kernel
     rows, and cancelling the top coefficients of x = rhs_k @ w by kernel
@@ -431,7 +419,7 @@ def _bezout_rows(
     for k in sorted({k for k in ks if k >= min(mus)}):
         group = [i for i, ki in enumerate(ks) if ki == k]
         rhs_k = [[phis[i] * e for e in rhs[i]] for i in group]
-        solved = poly_row_diophantine(source.n, source.d, rhs_k, k, k)
+        solved = poly_row_diophantine(source.n, source.d, rhs_k, k)
         for i, (alpha, beta) in zip(group, solved or ()):  # None: the rows stay None
             rows[i] = beta + alpha
     targets = PolyMat(tuple(tuple(phi * e for e in row) for row, phi in zip(rhs, phis)))

@@ -230,25 +230,23 @@ def _stabilizing_feedbacks(
     smfd: StableMFD, xprime: RatMat | None = None
 ) -> Iterator[tuple[RatMat | None, RatMat, RatMat | None, _Loop]]:
     """(k, cy, cr, loop) of ``_youla_feedback`` at each k of ``_candidates``
-    it admits, in order; a plant that admits none is refused with k = 0's
-    reason.  k = -u @ dl'**-1 is proper and stable, as dl'**-1 is stable
-    exactly when the plant is; it gives u + k@dl' = 0, so cy = 0, and
+    it admits, in order; running out of them raises ArithmeticError, a
+    failed construction, as every plant admits one k below and static
+    decoupling takes one with a nonsingular dc gain.  k = -u @ dl'**-1 is
+    proper and stable, as dl'**-1 is stable exactly when the plant is; it
+    gives u + k@dl' = 0, so cy = 0, and
     v - k@nl' = v + u@p = d'**-1, nonsingular as (v + u@p) @ d' = I.  Where
     k = 0 is refused on an unstable plant, v(oo) is singular and k_oo != 0
     comes next: constant, with v - k@nl' nonsingular at infinity, it gives
     a proper cy and a stable loop (Youla et al. 1976), and is admitted; a
     scalar plant has v(oo) = 0, nl'(oo) != 0 and k_oo = 1."""
-    refusal, admitted = None, False
     for k in _candidates(smfd):
         try:
             found = k, *_youla_feedback(smfd, k, xprime)
-        except InadmissibleParameter as exc:
-            refusal = refusal or exc
+        except InadmissibleParameter:
             continue
-        admitted = True
         yield found
-    if not admitted:
-        raise refusal
+    raise ArithmeticError("the constructed parameters k ran out; the construction failed")
 
 
 def _stabilizing_feedback(

@@ -26,7 +26,6 @@ from .factor import (
     _root_unstable,
     _zero_polynomial,
     left_coprime_mfd,
-    poly_row_diophantine,
     stable_left_mfd,
 )
 from .polyalg import (
@@ -35,7 +34,6 @@ from .polyalg import (
     PolyMat,
     RatFn,
     RatMat,
-    S,
     ShapeError,
     SingularMatrixError,
     _is_product,
@@ -624,39 +622,20 @@ def _unity_restriction(
     return f, verdict
 
 
-# the unity scan's largest total degree deg d_x + deg p
-UNITY_SCAN_DEGREE = 16
-
-
 def find_admissible_unity_xprime(smfd: StableMFD) -> RatMat:
-    """Scalar solver for the unity-feedback restriction: scan candidate
-    degrees (deg d_x, deg p) in increasing total degree, up to
-    UNITY_SCAN_DEGREE, and solve d_x*b + n_x*a = p*d_u by coefficient
-    matching; d_x = (s+1)^k."""
-    if smfd.nprime.shape != (1, 1):
-        raise ValueError("the scan solver handles scalar plants only")
-    d_u = smfd.unstable_denominator
-    if d_u.is_constant():
-        candidate = RatMat.identity(1)
-        if not unity_feedback_admissible(smfd, candidate):
-            raise ArithmeticError("x' = 1 failed the unity-feedback restriction of a stable plant")
-        return candidate
-    a, b = smfd.nprime.entry(0, 0).num, smfd.nprime.entry(0, 0).den
-    for total in range(0, UNITY_SCAN_DEGREE + 1):
-        for deg_dx in range(0, total + 1):
-            d_x = (S + ONE) ** deg_dx
-            # n_x*a - p*d_u = -d_x*b with deg n_x <= deg d_x, deg p <= total - deg d_x
-            solved = poly_row_diophantine(
-                PolyMat(((a,),)), PolyMat(((-d_u,),)), [[-(d_x * b)]], deg_dx, total - deg_dx
-            )
-            if solved is None:
-                continue
-            candidate = RatMat(((RatFn(solved[0][0][0], d_x),),))
-            if unity_feedback_admissible(smfd, candidate):
-                return candidate
-    raise DesignObstruction(
-        (f"no admissible x' found up to total degree {UNITY_SCAN_DEGREE}",)
-    )
+    """An admissible x' for the unity loop u = cff@(r + y), read off the
+    Youla controller: x' = -(u + k@dl') for the k of
+    ``_stabilizing_feedback`` (x' = -u where k = None is k = 0).
+
+    The unity loop is the 2-DOF loop with cr = cy, and the Bezout identity
+    (v - k@nl')@d' + (u + k@dl')@n' = I gives I + x'@n' = (v - k@nl')@d',
+    so f = (I + x'@n')@d'**-1 = v - k@nl' is proper and stable and
+    cff = f**-1@x' = -(v - k@nl')**-1@(u + k@dl') = cy (Youla, Jabr &
+    Bongiorno 1976; Vidyasagar 1985, ch. 5).  ``_youla_feedback`` checks
+    that identity for this k.
+    """
+    k = _stabilizing_feedback(smfd)[0]
+    return -(smfd.u if k is None else smfd.u + k @ smfd.dl_prime)
 
 
 def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, _Loop]:

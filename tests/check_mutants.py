@@ -102,6 +102,12 @@ MUTANTS = (
      "if dc_gain.rank() == len(dc_gain.rows):",
      "if True:",
      [CENTRAL + "test_static_decoupling_refuses_a_singular_dc_gain_of_the_central_loop"]),
+    ("the unity parameter's k term dropped (x' = -u for every k)", "synthesis.py",
+     "return -(smfd.u if k is None else smfd.u + k @ smfd.dl_prime)",
+     "return -smfd.u",
+     [CENTRAL + "test_the_unity_parameter_is_read_off_the_youla_controller",
+      "tests/test_cli_golden.py::test_cli_output_matches_golden"
+      "[unity-parameter example_scanned_parameter.ini]"]),
     ("_built without its entry-class check", "polyalg.py",
      "        for e in row:\n            if e.__class__ is not ring:\n                return False\n",
      "",

@@ -54,9 +54,6 @@ ALLOWED = (
      "self-check: x' = n'**-1"),
     ("synthesis.py", 'raise ArithmeticError("scalar divisibility form disagrees with the matrix form")',
      "self-check: the two forms of the unity restriction agree"),
-    ("synthesis.py",
-     "raise ArithmeticError(\"x' = 1 failed the unity-feedback restriction of a stable plant\")",
-     "self-check: a stable plant admits x' = 1"),
     ("synthesis.py", "raise ArithmeticError(\"unity loop does not realize n' @ x'\")",
      "self-check: cff = f**-1 @ x' realizes n' @ x'"),
     ("synthesis.py", 'raise ArithmeticError("realization blocks do not reproduce (cy, cr)")',

@@ -1242,9 +1242,9 @@ def test_stable_mfd_refuses_exactly_the_improper_plants(plant):
 def escalation_witness(mfd, rhs_at):
     """The least-degree search the witnesses are read off by division,
     kept as an oracle: (alpha, beta, k) from poly_row_diophantine at the
-    degree bounds k = 0, 1, ... until one is feasible."""
+    degree bound k = 0, 1, ... until one is feasible."""
     for k in range(60):
-        solved = poly_row_diophantine(mfd.n, mfd.d, [rhs_at(k)], k, k)
+        solved = poly_row_diophantine(mfd.n, mfd.d, [rhs_at(k)], k)
         if solved is not None:
             return (*solved[0], k)
     raise AssertionError("no witness of degree below 60")

@@ -228,9 +228,10 @@ def test_an_unstable_scalar_plant_refused_at_k_zero_designs_with_k_one(c, b, sig
     assert res.verdict.stable and all(cert.passed for cert in res.certificates)
 
 
-def test_a_refused_candidate_is_passed_over_and_k_zeros_reason_kept(monkeypatch):
+def test_a_refused_candidate_is_passed_over_and_running_out_raises(monkeypatch):
     # for (s+1)/(s-2), v = 0: k = 0 is singular, and k = 1/(s+3) gives an
-    # improper cy; the designs pass over a refused candidate to the next one
+    # improper cy; the designs pass over a refused candidate to the next
+    # one, and a list with none admitted fails the construction's self-check
     smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s+1)/(s-2)")))
     improper = RatMat([[rf(ONE, S + 3 * ONE)]])
     with pytest.raises(InadmissibleParameter, match="improper"):
@@ -239,7 +240,7 @@ def test_a_refused_candidate_is_passed_over_and_k_zeros_reason_kept(monkeypatch)
     monkeypatch.setattr(twodof.stabilize, "_candidates", given_ks(improper, RatMat([[rf(-ONE)]])))
     assert twodof.stabilize._stabilizing_feedback(smfd)[0] == RatMat([[rf(-ONE)]])
     monkeypatch.setattr(twodof.stabilize, "_candidates", given_ks(improper))
-    with pytest.raises(InadmissibleParameter, match="singular"):
+    with pytest.raises(ArithmeticError, match="parameters k ran out"):
         twodof.stabilize._stabilizing_feedback(smfd)
 
 
@@ -446,6 +447,35 @@ def test_every_admitted_k_gives_the_designs_response(data):
     assert res.configuration == twodof.stabilize._youla_feedback(smfd, k_design, xprime)[:2]
 
 
+# scalar plants with an unstable pole of multiplicity up to 12, and a zero
+# in either half-plane (a cancelled pole leaves one fewer)
+MULTIPLE_POLE = st.builds(
+    "{}*(s + ({}))/((s-{})^{}*(s+1))".format,
+    st.sampled_from([1, -1, 2, -3]), st.integers(-3, 3), st.integers(1, 3), st.integers(1, 12),
+)
+UNITY_PLANTS = st.one_of(
+    st.builds(biproper_plant, st.sampled_from([3, 2, 1]), st.integers(0, 19)),
+    BLOCK_DIAGONAL,
+    MULTIPLE_POLE,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(text=UNITY_PLANTS, shift=st.sampled_from([1, 2]))
+@example(text="-(s+1)/(s+2)", shift=1)
+@example(text="1/(s-1)^12", shift=1)
+def test_the_unity_parameter_is_read_off_the_youla_controller(text, shift):
+    # x' = -(u + k@dl') for the k the designs take: the Bezout identity
+    # gives I + x'@n' = (v - k@nl')@d', so x' is admissible, and the unity
+    # loop's cff = f**-1@x' is that k's feedback map cy, with a stable loop
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix(text)), shift)
+    cy = twodof.stabilize._stabilizing_feedback(smfd)[1]
+    xprime = find_admissible_unity_xprime(smfd)
+    assert unity_feedback_admissible(smfd, xprime)
+    cff, loop = unity_feedback_controller(smfd, xprime)
+    assert cff == cy and loop.verdict.stable
+
+
 @pytest.mark.parametrize("m, refused, unstable", [(2, 13, 11), (3, 17, 15)])
 def test_a_drawn_square_plant_refused_at_k_zero_designs_with_the_next_candidate(m, refused, unstable):
     # of 20 drawn biproper m x m plants, k = 0 is refused on `refused` (cy
@@ -479,8 +509,9 @@ def test_a_drawn_square_plant_refused_at_k_zero_designs_with_the_next_candidate(
 def test_the_candidates_are_k_zero_then_the_constructed_line(monkeypatch, text, line):
     # with every k refused, an unstable plant tries k = 0 and then each
     # distinct nonzero k(t) = (1 - t)*k_oo + t*k_0, t = 0, ..., 2m, once,
-    # and is refused with k = 0's reason: k_oo = k_0 = 1 for the scalar
-    # plant, k_0 = 0 for the 2x2 and k_0 = [0 0 1; 0 0 0; 1 0 0] for the 3x3
+    # and running out fails the construction's self-check, which no plant
+    # reaches: k_oo = k_0 = 1 for the scalar plant, k_0 = 0 for the 2x2 and
+    # k_0 = [0 0 1; 0 0 0; 1 0 0] for the 3x3
     smfd = stable_mfd(right_coprime_mfd(parse_matrix(text)))
     tried = []
 
@@ -489,7 +520,7 @@ def test_the_candidates_are_k_zero_then_the_constructed_line(monkeypatch, text, 
         raise InadmissibleParameter(f"refused {len(tried)}")
 
     monkeypatch.setattr(twodof.stabilize, "_youla_feedback", refused)
-    with pytest.raises(InadmissibleParameter, match="^refused 1$"):
+    with pytest.raises(ArithmeticError, match="parameters k ran out"):
         twodof.stabilize._stabilizing_feedback(smfd)
     assert tried == [None, *map(RatMat, line)]
 
@@ -553,8 +584,7 @@ def count_eliminations(monkeypatch):
     # the Bezout witnesses of a scalar plant are read off its Hermite
     # certificate; the 2x2 plant's rows that are not unique share one
     # coefficient-matching elimination per degree: one row of (u, v) and
-    # both rows of (x1, x2) (the unity scan's own solves in synthesis are
-    # not counted here)
+    # both rows of (x1, x2)
     [("example_match.ini", command, 0)
      for command in ("factor", "stabilize", "match", "unity-parameter", "static-decouple")]
     + [("example_decouple.ini", "factor", 1), ("example_decouple.ini", "stabilize", 2)],
@@ -656,16 +686,18 @@ def test_static_design_takes_the_youla_loops_verdict(monkeypatch):
 
 
 def test_unity_parameter_takes_its_loops_verdict(monkeypatch, capsys):
-    # the admissible-x' scan and the unity restriction make 8 Hurwitz tests
-    # (each one Routh test) and one Routh test more; the printed verdict is
-    # the loop record's, one Routh test on its denominator, and the four
-    # maps, formed to check y/r = n'@x', are not tested
+    # x' is read off the Youla loop k = 0 admits, one Routh test on that
+    # loop's denominator; the unity restriction makes 4 Hurwitz tests (each
+    # one Routh test) and one Routh test more, on det d for its scalar
+    # divisibility form; the printed verdict is the unity loop record's, one
+    # Routh test on its denominator, and the four maps, formed to check
+    # y/r = n'@x', are not tested
     problem = str(PROBLEMS / "example_unity.ini")
     assert main(["unity-parameter", problem]) == 0
     expected = capsys.readouterr().out
     counts = count_calls(monkeypatch, ["is_hurwitz", "_routh_is_hurwitz"], twodof.stability)
     assert main(["unity-parameter", problem]) == 0
-    assert counts == {"is_hurwitz": 8, "_routh_is_hurwitz": 10}
+    assert counts == {"is_hurwitz": 4, "_routh_is_hurwitz": 7}
     out = capsys.readouterr().out
     assert out == expected and out.endswith("internal stability: stable\n")
 
@@ -765,12 +797,14 @@ def test_cli_designs_form_each_loop_once(monkeypatch, tmp_path, capsys):
     # argv -> (gang_of_four, _youla_feedback, _fraction_loop, RatMat.inv)
     # calls; assign-denominator forms a second loop in its closed-loop
     # cross-check, from the printed controller through gang_of_four, and
-    # inverts d alone, for the unity loop's stability condition
+    # inverts d alone, for the unity loop's stability condition;
+    # unity-parameter forms the Youla loop that admits its k, then the
+    # unity loop that certifies cff
     runs = {
         ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (0, 0, 1, 2),
         ("static-decouple", str(problem)): (0, 1, 0, 2),
         ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (1, 0, 2, 1),
-        ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (0, 0, 1, 2),
+        ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (0, 1, 1, 2),
     }
     counts = count_calls(monkeypatch, LOOP_FORMERS)
     inversions = count_inversions(monkeypatch)

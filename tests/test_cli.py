@@ -2,6 +2,7 @@ import argparse
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -538,6 +539,30 @@ def test_main_unity_parameter(capsys):
     assert "internal stability: stable" in out
 
 
+def printed_value(out: str, label: str) -> str:
+    """The value a ``_print_named`` line of ``out`` prints under a label
+    matching the pattern ``label``: the rest of its line and the matrix rows
+    below it."""
+    return re.search(rf"^{label} =(.*\n(?:  \[.*\n)*)", out, re.M).group(1)
+
+
+@pytest.mark.parametrize(
+    "name", [p.name for p in sorted(PROBLEMS.glob("*.ini")) if "[plant]" in p.read_text()]
+)
+def test_unity_parameter_prints_the_feedback_map_stabilize_prints(capsys, name):
+    # the unity loop is the 2-DOF loop with cr = cy, and x' = -(u + k@dl')
+    # makes cff = f**-1@x' the Youla feedback map cy of the same k
+    problem = str(PROBLEMS / name)
+    assert main(["unity-parameter", problem]) == 0
+    unity = capsys.readouterr().out
+    assert unity.endswith("internal stability: stable\n")
+    assert main(["stabilize", problem]) == 0
+    stabilize = capsys.readouterr().out
+    assert printed_value(unity, "unity-loop cff") == printed_value(
+        stabilize, "(?:central )?feedback map cy"
+    )
+
+
 def test_main_verify_feedback_direct(tmp_path, capsys):
     path = tmp_path / "prob.ini"
     path.write_text(
@@ -942,8 +967,6 @@ SCALAR_PLANT = "[plant]\nmatrix = 1/(s+1)\n"
      "[design]\ntargets = 1/(s+1), 1/(s+1)\n",
      _obstruction("parameter x' not proper-stable: unstable; offending factors: improper entry",
                   "control map d'@x' is improper")),
-    ("unity-parameter", "[plant]\nmatrix = 1/(s-1)^17\n",
-     _obstruction("no admissible x' found up to total degree 16")),
     ("static-decouple", SCALAR_PLANT + "[design]\nlambda = 1/s\n",
      _error("lam must be a constant matrix")),
     ("static-decouple", DIAGONAL_PLANT + "[design]\nlambda = 1\n",
@@ -952,7 +975,7 @@ SCALAR_PLANT = "[plant]\nmatrix = 1/(s+1)\n"
      _error("target must have 1 rows, got 2")),
 ], ids=["decouple-row", "invert-row", "one-target", "improper-target", "unstable-target",
         "singular-plant", "unknown-loop", "improper-x", "improper-control-map",
-        "unity-scan-exhausted", "lambda-pole", "lambda-shape", "target-rows"])
+        "lambda-pole", "lambda-shape", "target-rows"])
 def test_main_refuses_a_design_it_cannot_make(tmp_path, capsys, command, text, expected):
     path = tmp_path / "prob.ini"
     path.write_text(text)
@@ -973,7 +996,11 @@ def test_main_refuses_a_design_it_cannot_make(tmp_path, capsys, command, text, e
      + "".join(f"internal map {name} proper and stable: PASS (stable)\n"
                for name in ("(I - cy@p)**-1", "(I - cy@p)**-1 @ cy",
                             "p @ (I - cy@p)**-1", "p @ (I - cy@p)**-1 @ cy")), ""),
-], ids=["unity-loop-ill-posed", "control-target-shape", "zero-plant", "target-not-realized"])
+    # x' is read off the Youla controller, so a pole of multiplicity 17 is
+    # designed like any other unstable plant
+    ("unity-parameter", "[plant]\nmatrix = 1/(s-1)^17\n", 0, "internal stability: stable\n", ""),
+], ids=["unity-loop-ill-posed", "control-target-shape", "zero-plant", "target-not-realized",
+        "unity-high-multiplicity"])
 def test_main_ends_its_report_with(tmp_path, capsys, command, text, code, out_tail, err):
     path = tmp_path / "prob.ini"
     path.write_text(text)

@@ -7,7 +7,7 @@ from twodof.cli import main, parse_matrix, parse_poly_matrix
 from twodof.factor import right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, ZERO, Poly, PolyMat, RatFn, RatMat, ShapeError
 from twodof.stability import StabilityVerdict, rh_inf_verdict
-from twodof.stabilize import TwoDofConfig, gang_of_four
+from twodof.stabilize import TwoDofConfig, _stabilizing_feedback, gang_of_four
 from twodof.synthesis import (
     Certificate,
     DesignObstruction,
@@ -403,10 +403,17 @@ def test_find_admissible_unity_xprime_scans():
     assert rem.is_zero()
 
 
-def test_find_admissible_unity_xprime_stable_plant_shortcut():
-    plant = RatMat([[rf(ONE, S + ONE)]])
-    smfd = stable_mfd(right_coprime_mfd(plant), shift=1)
-    assert find_admissible_unity_xprime(smfd) == RatMat.identity(1)
+def test_find_admissible_unity_xprime_of_a_static_gain():
+    # p = 2 has the witness u = 1/2, v = 0, so k = 0 is refused and the
+    # stable plant takes k = -u@dl'**-1 = -1/2: x' = -(u + k@dl') = 0, and
+    # cff = 0, the feedback map cy = 0 of that k
+    smfd = stable_mfd(right_coprime_mfd(RatMat([[2]])), shift=1)
+    k = _stabilizing_feedback(smfd)[0]
+    assert k == RatMat([[Fraction(-1, 2)]])
+    xprime = find_admissible_unity_xprime(smfd)
+    assert xprime == RatMat([[0]]) == -(smfd.u + k @ smfd.dl_prime)
+    cff, loop = unity_feedback_controller(smfd, xprime)
+    assert cff == RatMat([[0]]) and loop.verdict
 
 
 def test_unity_closed_loop_matches_parameter():
