@@ -405,8 +405,8 @@ def cmd_match(pf: ProblemFile, args: argparse.Namespace) -> None:
     if sign is None:
         raise ValueError(f"invalid sign: {text!r} (choose from 'pos', 'neg')")
     unity = pf.configuration.get("loop") == "unity"
-    if unity and (plant.shape[1], t.shape[1]) != (1, 1):  # the shape of x'
-        raise ValueError("unity-loop realization is implemented for scalar designs")
+    if unity and t.shape[1] != plant.shape[0]:  # cff = f**-1 @ x' is driven by y
+        raise ValueError(f"a unity loop needs t with {plant.shape[0]} columns, one per plant output")
     if plant.shape == (1, 1) and t.shape == (1, 1) and not plant.entry(0, 0).is_zero():
         feas = siso_conditions(plant.entry(0, 0), t.entry(0, 0), sign=sign)
         print(f"scalar restricted-loop feasibility ((1{'+' if sign >= 0 else '-'}t)/d, t/n): {feas.describe()}")

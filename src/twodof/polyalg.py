@@ -49,8 +49,8 @@ Conventions
   A matrix over one shared denominator (``_over``) and a product over one
   (``_over_product``, read off its factors' values) are normalised in one
   pass of read-offs at one point (``_values_over``), an entry whose
-  candidate fails its certificate taking ``_gcd``, and so are the
-  factors of a feedback loop (``_loop_over``).  An identity a @ b == f * c
+  candidate fails its certificate taking ``_gcd``, and so are the factors
+  of a feedback loop (``_loop_over``, ``_youla_over``).  An identity a @ b == f * c
   is decided at one point (``_is_product``), with neither side formed.
   These kernels take their point by one rule, ``_point``: the least
   x = 2**k > 2B + 4, for B a bound on the coefficients they read.
@@ -486,9 +486,10 @@ def _prs_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _interpolate(h: int, x: int) -> list[int]:
     """The polynomial with coefficients in (-x/2, x/2] that takes h at x."""
-    out, half = [], x // 2
+    out, half, k, mask = [], x // 2, x.bit_length() - 1, x - 1
+    shifts = not x & mask  # x = 2**k, as _point's: read by shifts
     while h:
-        h, c = divmod(h, x)
+        h, c = (h >> k, h & mask) if shifts else divmod(h, x)
         if c > half:
             c -= x
             h += 1
@@ -738,7 +739,7 @@ def _over_lcd(mat: RatMat) -> tuple[Poly, PolyMat]:
     """(den, num) with mat = num / den, den the monic lcd of the entries."""
     cols = mat.shape[1]
     den, nums = common_denominator(e for row in mat.rows for e in row)
-    return den, PolyMat(tuple(tuple(nums[i : i + cols]) for i in range(0, len(nums), cols)))
+    return den, PolyMat(tuple(map(tuple, _grid(nums, cols))))
 
 
 def _column_fraction(mat: RatMat) -> tuple[PolyMat, PolyMat]:
@@ -785,31 +786,72 @@ def _loop_over(a: PolyMat, b: PolyMat) -> tuple[PolyMat, PolyMat, Poly] | None:
     maps a @ row / (det M / g).  They are read off integers at one point x,
     the inputs cleared to Z[s] over one integer (its powers cancel from the
     maps).  With 1-norms, |M_ij| <= |dc| |d_ij| + sum_t |nc_it| |n_tj|, so
-    every minor of M is at most P, the product of M's row sums (each at
-    least 1), and every coefficient of det M and row at most
-    B = m P max(|dc|, |nc_ij|).  At x = ``_point(B)``, none is misread,
-    det M(x) = 0 only if det M = 0, and g = 1 if h = gcd(det M(x), row(x))
-    <= x / 2, else g and the quotients are read off h and certified by size
-    (``_read_off``), or else taken by ``_gcd``."""
+    every minor of M, a sum of products of entries from distinct rows, is
+    at most P, the product of M's row sums (each at least 1), and every
+    coefficient of det M, adj M and row at most B = m P max(|dc|, |nc_ij|).
+    At x = ``_point(B)`` none is misread, det M(x) = 0 only if det M = 0,
+    and g = 1 if h = gcd(det M(x), row(x)) <= x / 2, else g and the
+    quotients are read off h and certified by size (``_read_off``), or else
+    taken by ``_gcd``."""
     m, w = b.shape
     zs = _z_line([e for mat in (a, b) for row in mat.rows for e in row])[0]
-    grid = lambda flat, k: [flat[i : i + k] for i in range(0, len(flat), k)]
-    split = lambda ks: (grid(ks[: w * m], m), grid(ks[w * m :], w))  # a and b
-    dot = lambda u, v: [[sum(s * t for s, t in zip(r, col)) for col in zip(*v)] for r in u]
+    split = lambda ks: (_grid(ks[: w * m], m), _grid(ks[w * m :], w))  # a and b
     a_norms, b_norms = split([sum(map(abs, z)) for z in zs])  # M's are at most b_norms @ a_norms
-    bound = m * math.prod(max(sum(r), 1) for r in dot(b_norms, a_norms)) * max(map(max, b_norms))
+    bound = m * math.prod(max(sum(r), 1) for r in _dot_z(b_norms, a_norms)) * max(map(max, b_norms))
     x = _point(bound)
     a_x, b_x = split([_horner(z, x, 1) for z in zs])
-    det, adj = _det_adj_z(dot([r[:m] + [-v for v in r[m:]] for r in b_x], a_x))  # M(x)
+    det, adj = _det_adj_z(_dot_z([r[:m] + [-v for v in r[m:]] for r in b_x], a_x))  # M(x)
     if not det:
         return None
-    values = [det, *(v for r in dot(adj, b_x) for v in r)]
+    values = [det, *(v for r in _dot_z(adj, b_x) for v in r)]
     quos = _read_off(math.gcd(*values), x, values)[1]
     if quos is None:  # a candidate that fails its certificate
         quos = _gcd(*(_interpolate(v, x) for v in values))[1:]
     q, *row = map(_from_z, quos)
     a_z = PolyMat(tuple(tuple(map(_from_z, r)) for r in split(zs)[0]))
-    return a_z, PolyMat(tuple(map(tuple, grid(row, w)))), q
+    return a_z, PolyMat(tuple(map(tuple, _grid(row, w)))), q
+
+
+def _youla_over(phi: Poly, vu: PolyMat, *term) -> tuple[Poly, PolyMat, Poly, PolyMat, PolyMat] | None:
+    """(q, [l | r], det l, adj l, c = -adj l @ r), or None where det l = 0,
+    for [l | r] = q * (vu / phi + kn @ w / dk) over Z[s], l its first m
+    columns, term = (dk, kn, w) (none: kn and w zero) and q an integer
+    times lcm(phi, dk).  With vu, kn, w = vu', kn', w' / e over Z[s]
+    (``_z_line``), phi = g p and dk = g d (``_gcd``), [l | r] =
+    e phi._d d vu' + dk._d p kn' @ w' and q = e**2 g p d; that sum of
+    1-norms bounds each entry's, and B as in ``_loop_over`` (M = l, b = r)
+    every coefficient read off at x = ``_point(B)`` (``_interpolate``)."""
+    m, width = vu.shape
+    dk, kn, w = term or (ONE, PolyMat.zeros(m, 1), PolyMat.zeros(1, width))
+    zs, e = _z_line([y for mat in (vu, kn, w) for row in mat.rows for y in row])
+    _, p, d = _gcd(phi._z, dk._z)
+    f1, f2, n, t = [e * phi._d * y for y in d], [dk._d * y for y in p], m * width, len(w.rows)
+
+    def at(key):  # [l | r] with each polynomial over Z[s] taken to its key
+        ks, k1, k2 = [key(z) for z in zs], key(f1), key(f2)
+        kw = _dot_z(_grid(ks[n : n + m * t], t), _grid(ks[n + m * t :], width))
+        return [[k1 * u + k2 * v for u, v in zip(*rows)] for rows in zip(_grid(ks[:n], width), kw)]
+
+    norms = at(lambda z: sum(map(abs, z)))
+    x = _point(m * math.prod(max(sum(r[:m]), 1) for r in norms) * max(1, *(v for r in norms for v in r[m:])))
+    lr = at(lambda z: _horner(z, x, 1))
+    det, adj = _det_adj_z([r[:m] for r in lr])
+    if not det:
+        return None
+    read = lambda rows, s=1: PolyMat(tuple(tuple(_from_z(_interpolate(s * v, x)) for v in r) for r in rows))
+    q = _from_z([e * e * y for y in _mul(phi._z, d)])
+    return q, read(lr), _from_z(_interpolate(det, x)), read(adj), read(_dot_z(adj, [r[m:] for r in lr]), -1)
+
+
+def _grid(flat: Sequence, k: int) -> list[Sequence]:
+    """``flat`` cut into rows of k entries."""
+    return [flat[i : i + k] for i in range(0, len(flat), k)]
+
+
+def _dot_z(u: Sequence[Sequence[int]], v: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer matrix product u @ v."""
+    cols = list(zip(*v))
+    return [[sum(map(int.__mul__, r, col)) for col in cols] for r in u]
 
 
 def _values_over(x: int, den: Poly, values: Sequence[int], scales: Sequence[int], cols: int) -> RatMat:
@@ -817,24 +859,31 @@ def _values_over(x: int, den: Poly, values: Sequence[int], scales: Sequence[int]
     N(x) of an integer polynomial N and its integer c, x = ``_point(B)`` for
     B at least every coefficient of N and den, each entry normalised once
     (``_normalise``) over the monic mono = den * den._d / lc, lc the leading
-    entry of den._z.  Where h = gcd(N(x), mono(x)) <= x / 2, N and mono are
-    coprime (a common factor q has |q(x)| > x / 2, its roots being mono's)
-    and N is read off N(x); else their gcd and cofactors are read off h and
-    certified by size (``_read_off``), and a pair whose candidate fails
-    takes ``_gcd``."""
+    entry of den._z.  For each h = gcd(N(x), mono(x)), once, g for
+    gcd(N, mono) and b = mono / g are read off h and certified by size
+    (``_read_off``; g = 1 where h <= x / 2: a common factor q of N and mono
+    has |q(x)| > x / 2, its roots being mono's).  An entry reads q = N / g
+    off N(x) / g(x); where 2 |g|_1 |q| < x too, g q = N (coprime pairs pass,
+    as 2B < x), and it is q den._d lc(g) / (c lc) over the monic b, formed
+    with one ``_lowest``; else N over mono takes ``_gcd``."""
     mono, lc = _monic_z(den._z), den._z[-1]
     dv = _horner(mono._z, x, 1)
-    cells = []
+    shared, cells = {1: (1, 2, den._d, mono)}, []  # h -> (g(x), 2 |g|_1, den._d lc(g), monic b)
     for v, c in zip(values, scales):
         if not v:
             cells.append(RF_ZERO)
             continue
-        h = math.gcd(v, dv)
-        g, quos = ([1], [_interpolate(v, x), mono._z]) if h <= x >> 1 else _read_off(h, x, (v, dv))
-        z = quos[0] if quos else _interpolate(v, x)  # N / g, or N
-        num = _lowest([y * den._d for y in z] if den._d != 1 else z, c * lc)
-        cells.append(_normalise(object.__new__(RatFn), num, mono, quos and (g, num._z, quos[1])))
-    return RatMat(tuple(tuple(cells[i : i + cols]) for i in range(0, len(cells), cols)))
+        h = gv if (gv := math.gcd(v, dv)) > x >> 1 else 1  # 1: coprime
+        if h not in shared:
+            g, quos = _read_off(h, x, [dv])
+            shared[h] = quos and (_horner(g, x, 1), 2 * sum(map(abs, g)), den._d * g[-1], _monic_z(quos[0]))
+        gx, size, t, b = shared[h] or (1, x, 1, None)  # size x: every entry fails
+        z = _interpolate(v // gx, x)  # N / g
+        if size * max(map(abs, z)) >= x:  # the candidate, or this quotient, fails its certificate
+            z, t, b = _interpolate(v, x), den._d, None
+        num = _lowest([y * t for y in z] if t != 1 else z, c * lc)
+        cells.append(_normalise(object.__new__(RatFn), num, b or mono, b and ([1], num._z, b._z)))
+    return RatMat(tuple(map(tuple, _grid(cells, cols))))
 
 
 # ---------------------------------------------------------------------------
@@ -887,12 +936,7 @@ class _Grid(_Value):
     @classmethod
     def diag(cls, entries: Sequence):
         n = len(entries)
-        return cls(
-            tuple(
-                tuple(entries[i] if i == j else cls._zero for j in range(n))
-                for i in range(n)
-            )
-        )
+        return cls(tuple(tuple(entries[i] if i == j else cls._zero for j in range(n)) for i in range(n)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -910,11 +954,7 @@ class _Grid(_Value):
     def __add__(self, other):
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return type(self)(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return type(self)(tuple(tuple(a + b for a, b in zip(*rows)) for rows in zip(self.rows, other.rows)))
 
     def __neg__(self):
         return type(self)(tuple(tuple(-e for e in row) for row in self.rows))
@@ -969,9 +1009,7 @@ class PolyMat(_Grid):
         # a_i and b_j over Z[s]: entry (i, j) is one dot product over Z[s]
         left = [_z_line(row) for row in self.rows]
         right = [_z_line(col) for col in zip(*other.rows)]
-        return PolyMat(
-            tuple(tuple(_lowest(_dot(a, b), ca * cb) for b, cb in right) for a, ca in left)
-        )
+        return PolyMat(tuple(tuple(_lowest(_dot(a, b), ca * cb) for b, cb in right) for a, ca in left))
 
     def column_degrees(self) -> list[int | None]:
         """Per-column maximum entry degree (``None`` for a zero column)."""
@@ -1178,8 +1216,7 @@ def _polymat_det_adj(a: PolyMat) -> tuple[Poly, PolyMat]:
         raise ShapeError("adjugate of a non-square matrix")
     x = a.rows
     if r > 2:
-        rows = [list(row) + [ONE if i == j else ZERO for j in range(r)]
-                for i, row in enumerate(x)]
+        rows = [list(row) + [ONE if i == j else ZERO for j in range(r)] for i, row in enumerate(x)]
         cols, last, sign = _bareiss(rows, r)
         if len(cols) < r:  # a singular a still has a nonzero last pivot
             raise SingularMatrixError("matrix is singular")

@@ -15,8 +15,9 @@ witness (u, v), u@n' + v@d' = I, and the left pair (dl', nl') of the
 witness over polynomials alone gives improper maps (the central candidate
 -x1**-1 @ x2 has (I - Cy*P)**-1 = d@x1, a polynomial).  A Youla loop's
 maps, affine in K, are the blocks of one product over one denominator
-(``_youla_feedback``), certified by two identities decided at one point
-(``polyalg._is_product``).  Every other loop is the same record
+(``_youla_feedback``), read off integers at one point
+(``polyalg._youla_over``) and certified by two identities decided at one
+point (``polyalg._is_product``).  Every other loop is the same record
 (``_Loop``) in the coprime-factor form [D; N] @ adj M @ [dc*I | Nc] / det M
 of H(P, C), M = dc*D - Nc*N for P = N*D**-1 and Cy = Nc/dc (Kailath,
 Linear Systems, 1980), read off integers at one point (``_fraction_loop``).
@@ -52,10 +53,9 @@ from .polyalg import (
     _over,
     _over_lcd,
     _over_product,
-    _polymat_det_adj,
     _rref_z,
+    _youla_over,
     hstack,
-    poly_lcm,
     polymat_det,
     vstack,
 )
@@ -136,51 +136,48 @@ def _youla_feedback(
         p@(I - cy@p)**-1 = n'@lhs      p@(I - cy@p)**-1 @ cy = -n'@rhs
 
     They are the blocks of one polynomial product [d^; n^] @ [l | -r]
-    over den*psi, where [l | r] = den*[lhs | rhs] for a common
-    denominator den of [v | u] and k @ [-nl' | dl'], and [d^; n^] =
-    psi*[d'; n'] (``StableMFD.stacked``).  The loop keeps these factors,
-    decides its verdict on den*psi and forms the maps only when read; cy
-    and cr come from the (det l, adj l) taken for every k, as lhs**-1 =
-    den * adj l / det l.  An unstable verdict, or a failed one of the two
-    polynomial identities that certify the loop, raises ArithmeticError.
-    They are l @ C == -det(l)*r for the numerator C = -adj(l) @ r of cy,
-    so lhs@cy = -rhs; and [l | r] @ [d^; n^] == den*psi*I, the Bezout
-    identity, checked for every k: a copy of ``smfd`` may hold any witness.
+    over den*psi, where [l | r] = den*[lhs | rhs] over Z[s], den an
+    integer times the lcm of the denominators of [v | u] and
+    k @ [-nl' | dl'], and [d^; n^] = psi*[d'; n'] (``StableMFD.stacked``).
+    For every k, [l | r], det l, adj l and c = -adj l @ r are read off
+    integers at one point (``polyalg._youla_over``); det l = 0 refuses k,
+    and lhs**-1 = den * adj l / det l gives cy = c / det l and cr.  The
+    loop keeps these factors, decides its verdict on den*psi and forms the
+    maps only when read.  An unstable verdict, or a failed identity of the
+    two that certify the loop and the read-off, raises ArithmeticError:
+    l @ c == -det(l)*r, so lhs@cy = -rhs, and [l | r] @ [d^; n^] ==
+    den*psi*I, checked for every k: a copy of ``smfd`` may hold any witness.
     """
     outputs, m = smfd.nprime.shape
-    den, lr = smfd.witness_row
+    term = ()
     if k is not None:
         if k.shape != (m, outputs):
             raise ShapeError(f"parameter must be {m}x{outputs}, got {k.shape}")
         if not rh_inf_verdict(k):
             raise InadmissibleParameter("parameter must be proper and stable")
-        # [v | u] + k @ [-nl' | dl'] over the lcm of the two denominators
         (dk, kn), (psi_l, w) = _over_lcd(k), smfd.left_row
-        dkw = dk * psi_l
-        lcm = poly_lcm(den, dkw)
-        lr = lr.scale(lcm // den) + (kn @ w).scale(lcm // dkw)
-        den = lcm
+        term = dk * psi_l, kn, w  # k @ [-nl' | dl'] = kn @ w / (dk * psi_l)
+    found = _youla_over(*smfd.witness_row, *term)
+    if found is None:
+        raise InadmissibleParameter("this parameter k makes v - k@nl' singular")
+    den, lr, det, adj, c = found
     l, r = (PolyMat(tuple(row[cols] for row in lr.rows)) for cols in (slice(m), slice(m, None)))
-    try:
-        det, adj = _polymat_det_adj(l)
-    except SingularMatrixError:
-        raise InadmissibleParameter("this parameter k makes v - k@nl' singular") from None
-    c = -(adj @ r)
     if not _is_product(l, c, -det, r):
         raise ArithmeticError("compensator fails (v - k@nl') @ cy = -(u + k@dl')")
     cy = _over(c, det)
     if not cy.is_proper():
         raise InadmissibleParameter("compensator is improper: v - k@nl' is singular at infinity")
     psi, dn = smfd.stacked
-    if not _is_product(lr, dn, den * psi, PolyMat.identity(m)):
+    q = den * psi
+    if not _is_product(lr, dn, q, PolyMat.identity(m)):
         raise ArithmeticError("parametrized loop fails (v - k@nl')@d' + (u + k@dl')@n' = I")
-    loop = _Loop(dn, hstack(l, -r), den * psi)
+    loop = _Loop(dn, hstack(l, -r), q)
     if not loop.verdict:
         raise ArithmeticError("parametrized compensator failed validation: " + loop.verdict.describe())
     if xprime is None:
         return cy, None, loop
     x_den, x_num = _over_lcd(xprime)
-    cr = _over((adj @ x_num).scale(den), det * x_den)
+    cr = _over_product(adj, x_num.scale(den), det * x_den)
     if not cr.is_proper():
         raise InadmissibleParameter("resulting reference map is improper for this feedback map")
     return cy, cr, loop
@@ -332,9 +329,7 @@ def gang_of_four(p: RatMat, cy: RatMat) -> LoopMaps:
     the lcd of cy, go to ``_fraction_loop``.
     """
     if cy.shape != (p.shape[1], p.shape[0]):
-        raise ShapeError(
-            f"feedback map must be {p.shape[1]}x{p.shape[0]}, got {cy.shape}"
-        )
+        raise ShapeError(f"feedback map must be {p.shape[1]}x{p.shape[0]}, got {cy.shape}")
     return _fraction_loop(*_plant_fraction(p), *_over_lcd(cy)).maps
 
 
@@ -365,9 +360,7 @@ def all_controllers_from_LX(
     d_r = mfd.d.to_ratmat()
     m = mfd.inputs
     if l.shape != (m, mfd.outputs):
-        raise ShapeError(
-            f"feedback parameter must be {m}x{mfd.outputs}, got {l.shape}"
-        )
+        raise ShapeError(f"feedback parameter must be {m}x{mfd.outputs}, got {l.shape}")
     if not matrix_is_stable(l):
         raise InadmissibleParameter("feedback parameter l has unstable poles")
     if not matrix_is_stable(x):

@@ -37,14 +37,14 @@ MUTANTS = (
     ("the read-off's size certificate dropped", "polyalg.py",
      "if not quos or 2 * sum(map(abs, g)) * max(max(map(abs, q), default=0) for q in quos) >= x:",
      "if not quos:",
-     [ALGEBRA + "test_a_shared_candidate_that_fails_its_certificate_takes_the_gcd_kernel"]),
+     [ALGEBRA + "test_the_read_off_tail_reads_each_gcd_once_and_each_entry_over_den"]),
     ("the loop's point taken from the inputs' norms, not the product bound", "polyalg.py",
      "    x = _point(bound)\n    a_x, b_x",
      "    x = _point(max(map(max, a_norms + b_norms)))\n    a_x, b_x",
      [LOOP + "test_gang_of_four_equals_the_inversion_formula_on_drawn_pairs"]),
     ("the loop's det M(x) = 0 test removed", "polyalg.py",
-     "    if not det:\n        return None\n",
-     "",
+     "    if not det:\n        return None\n    values = [det",
+     "    values = [det",
      [LOOP + "test_ill_posed_loop_is_refused",
       LOOP + "test_gang_of_four_equals_the_inversion_formula_on_drawn_pairs"]),
     ("the (l, x) sweep's cy = f**-1 @ l taken as l @ f**-1, which only a 2x2 tells apart",
@@ -70,14 +70,25 @@ MUTANTS = (
      "    x = _point(bound) >> 1\n    fd, fv",
      [ALGEBRA + "test_a_difference_that_vanishes_at_half_the_point_is_refused[10]"]),
     ("the shared pass taking its cofactors without the size certificate", "polyalg.py",
-     "else _read_off(h, x, (v, dv))",
-     "else (lambda g: (g, [_interpolate(u // _horner(g, x, 1), x) for u in (v, dv)]))"
-     "(_read_off(h, x, ())[0])",
+     "            g, quos = _read_off(h, x, [dv])\n"
+     "            shared[h] = quos and (_horner(g, x, 1), 2 * sum(map(abs, g)),",
+     "            g = _read_off(h, x, ())[0]\n"
+     "            quos = [_interpolate(dv // _horner(g, x, 1), x)]\n"
+     "            shared[h] = quos and (_horner(g, x, 1), 0,",
      [ALGEBRA + "test_a_shared_candidate_that_fails_its_certificate_takes_the_gcd_kernel"]),
     ("the shared read-off tail dropping den's denominator", "polyalg.py",
-     "num = _lowest([y * den._d for y in z] if den._d != 1 else z, c * lc)",
-     "num = _lowest(z, c * lc)",
+     "den._d * g[-1], _monic_z(quos[0])",
+     "g[-1], _monic_z(quos[0])",
      [ALGEBRA + "test_a_product_over_one_denominator_is_the_product_over_it"]),
+    ("the shared read-off tail's memo reusing the first entry's gcd for every later entry", "polyalg.py",
+     "        h = gv if (gv := math.gcd(v, dv)) > x >> 1 else 1  # 1: coprime\n",
+     "        h = next(iter(shared.keys() - {1}), 0) or (gv if (gv := math.gcd(v, dv)) > x >> 1 else 1)\n",
+     [ALGEBRA + "test_the_read_off_tail_reads_each_gcd_once_and_each_entry_over_den",
+      ALGEBRA + "test_a_product_over_one_denominator_is_the_product_over_it"]),
+    ("the Youla kernel's point taken from the inputs' norms, not the det/adj bound", "polyalg.py",
+     "    x = _point(m * math.prod(max(sum(r[:m]), 1) for r in norms) * max(1, *(v for r in norms for v in r[m:])))",
+     "    x = _point(max(1, *(v for r in norms for v in r)))",
+     [CENTRAL + "test_the_youla_kernel_reads_the_polynomial_factors"]),
     ("_polymat_det_adj's rank test dropped", "polyalg.py",
      '        if len(cols) < r:  # a singular a still has a nonzero last pivot\n'
      '            raise SingularMatrixError("matrix is singular")\n',
@@ -95,8 +106,8 @@ MUTANTS = (
      [CENTRAL + "test_the_central_parameter_stays_where_it_is_admissible_or_the_plant_unstable",
       CENTRAL + "test_a_plant_refused_at_k_zero_designs_with_the_constructed_k[biproper]"]),
     ("the reference map cr scaled by the witness's lcd, not the parameter's", "stabilize.py",
-     "cr = _over((adj @ x_num).scale(den), det * x_den)",
-     "cr = _over((adj @ x_num).scale(smfd.witness_row[0]), det * x_den)",
+     "cr = _over_product(adj, x_num.scale(den), det * x_den)",
+     "cr = _over_product(adj, x_num.scale(smfd.witness_row[0]), det * x_den)",
      [CENTRAL + "test_every_admitted_k_gives_the_designs_response"]),
     ("static decoupling without its dc-gain test", "synthesis.py",
      "if dc_gain.rank() == len(dc_gain.rows):",

@@ -534,6 +534,56 @@ def test_a_common_root_beyond_the_coefficients_is_found_at_the_shared_point():
 
 
 @st.composite
+def values_sharing_factors(draw):
+    """(den, nums, scales, shift): den = g1 * g2 * f with rational
+    coefficients; 2 to 12 integer numerators, each zero, drawn, or drawn
+    times g1, g2 or g1 * g2, so that several share each factor with den;
+    a nonzero integer scale for each; and the bits the point takes above
+    the least one the values allow (0, or den's length as ``_over`` takes)."""
+    g1, g2, f = (draw(nonzero_mixed) for _ in range(3))
+    den = g1 * g2 * f
+    factors = {"zero": ZERO, "drawn": ONE, "g1": g1, "g2": g2, "both": g1 * g2}
+    nums = [(draw(mixed_polys(max_degree=3)) * factors[draw(st.sampled_from(list(factors)))])._z
+            for _ in range(draw(st.integers(2, 12)))]
+    scales = [draw(st.integers(1, 30)) * draw(st.sampled_from([1, -1])) for _ in nums]
+    return den, nums, scales, draw(st.sampled_from([0, len(den._z)]))
+
+
+@SETTINGS
+@given(values_sharing_factors())
+# 3s - 16 and s^2 + s at x = 512: the candidate s - 208 fails its certificate
+@example((-6 * S * S - 6 * S, [(-16, 3), ()], [1, 1], 3))
+# 4s + 4 over s + 1 at x = 16: the gcd s + 1 is read, but 2 * 2 * 4 = x
+@example((2 * S + 2 * ONE, [(), (4, 4), (4, 4)], [1, 1, 3], 0))
+# s + 200 and s^2 - 128 at x = 512: 712 divides both values, and the
+# cofactor s - 144 read off 368 fails its certificate
+@example((S * S - 128 * ONE, [(200, 1)], [1], 0))
+# s + 1 and s + 2 over (s + 1)(s + 2): two gcds, each read once
+@example(((S + ONE) * (S + 2 * ONE), [(1, 1), (2, 1)], [1, 1], 0))
+def test_the_read_off_tail_reads_each_gcd_once_and_each_entry_over_den(case):
+    # _values_over reads g = gcd(N, den), its value and den / g once for
+    # each gcd h of the values above x / 2 (g = 1 below), and each entry
+    # N / (c * den) off its value
+    den, nums, scales, shift = case
+    x = polyalg._point(max(max(map(abs, z), default=0) for z in (den._z, *nums)) << shift)
+    values = [polyalg._horner(z, x, 1) for z in nums]
+    dv = polyalg._horner(polyalg._monic_z(den._z)._z, x, 1)
+    calls, read_off, gcd = [], polyalg._read_off, polyalg._gcd
+
+    def kernel(*fs):  # an entry that fails its certificate: _gcd's own read-offs
+        with mock.patch.object(polyalg, "_read_off", read_off):
+            return gcd(*fs)
+
+    with mock.patch.object(polyalg, "_read_off", lambda h, *rest: calls.append(h) or read_off(h, *rest)), \
+            mock.patch.object(polyalg, "_gcd", kernel):
+        over = polyalg._values_over(x, den, values, scales, 1)
+    assert sorted(calls) == sorted({h for v in values if v and (h := math.gcd(v, dv)) > x >> 1})
+    assert [e for row in over.rows for e in row] == [
+        RatFn(polyalg._from_z(z), den * c) for z, c in zip(nums, scales)
+    ]
+
+
+@st.composite
 def products_over_one_denominator(draw):
     """(a, b, den): a is r x m and b is m x n (1 to 3 each) with rational
     entries, each zero, drawn, or drawn times a factor g of den, and den
@@ -1168,8 +1218,8 @@ def test_youla_loop_normalises_its_maps_only_when_read(monkeypatch):
 
 def test_gang_of_four_normalises_over_det_m_less_dc(monkeypatch):
     # g = gcd(det M, every entry of adj M @ [dc*I | nc]) cancels from every
-    # map, so the 16 map entries are normalised over det M / g, of degree 6
-    # here, the degree of the maps' lcm (10 over det M / dc, 16 over det M)
+    # map, so the 16 map entries are read over det M / g, of degree 6 here,
+    # the degree of the maps' lcm (10 over det M / dc, 16 over det M)
     plant = parse_matrix("1/(s-1), 2/(s+2); 1/(s+3), 1/(s+1)")
     cy = youla_controller(plant, parse_matrix("s/(s+1), 1; 1/(s+2), -2"))
     d, n = polyalg._column_fraction(plant)
@@ -1178,13 +1228,13 @@ def test_gang_of_four_normalises_over_det_m_less_dc(monkeypatch):
     row = adj_m @ polyalg.hstack(PolyMat.diag([dc, dc]), nc)
     g = reduce(poly_gcd, (e for r in row.rows for e in r), det_m)
     dens = []
-    original = polyalg._normalise
+    original = polyalg._values_over
 
-    def recording(ratfn, num, den, *found):
-        dens.append(den)
-        return original(ratfn, num, den, *found)
+    def recording(x, den, values, *rest):
+        dens.extend([den] * len(values))
+        return original(x, den, values, *rest)
 
-    monkeypatch.setattr(polyalg, "_normalise", recording)
+    monkeypatch.setattr(polyalg, "_values_over", recording)
     maps = gang_of_four(plant, cy)
     monkeypatch.undo()
     lcm = reduce(poly_lcm, (e.den for mat in maps for r in mat.rows for e in r))

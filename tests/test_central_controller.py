@@ -30,7 +30,7 @@ import twodof.synthesis
 import twodof.zfactor
 from twodof.cli import load_problem, main, parse_matrix, parse_poly_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
-from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat
+from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat, poly_lcm, polymat_det
 from twodof.stabilize import (
     InadmissibleParameter,
     TwoDofConfig,
@@ -374,6 +374,41 @@ def test_a_plant_refused_at_k_zero_designs_with_the_constructed_k(family, data):
     # drawn biproper plants up to 4x4, and block-diagonal ones with zero
     # rows of v(oo) in any position (``check_the_constructed_k``)
     check_the_constructed_k(data.draw(PLANT_FAMILIES[family]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(
+    text=st.one_of(st.builds(biproper_plant, st.sampled_from([3, 2, 1]), st.integers(0, 19)), BLOCK_DIAGONAL),
+    data=st.data(),
+)
+def test_the_youla_kernel_reads_the_polynomial_factors(text, data):
+    # polyalg._youla_over reads [l | r] = q*([v | u] + k@[-nl' | dl']), det l,
+    # adj l and c = -adj l @ r off one point, q an integer times the lcm of
+    # the two denominators, for k = 0 (None), constants and first-order
+    # entries; det l = 0 where l keeps a zero row of v (k = 0, or a zeroed
+    # row of k, on a block c*(s+1)/(s-b)), and the kernel says so
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix(text)))
+    outputs, m = smfd.nprime.shape
+    phi, vu = smfd.witness_row
+    k, term, lcm, lr = data.draw(st.none() | proper_stable(m, outputs)), (), phi, vu
+    if k is not None:
+        if data.draw(st.booleans()):  # zero k's rows where v is zero
+            zero = [all(e.is_zero() for e in row) for row in smfd.v.rows]
+            k = RatMat([[0 if z else e for e in row] for z, row in zip(zero, k.rows)])
+        (dk, kn), (psi_l, w) = twodof.polyalg._over_lcd(k), smfd.left_row
+        term = dk * psi_l, kn, w
+        lcm = poly_lcm(phi, dk * psi_l)
+        lr = vu.scale(lcm // phi) + (kn @ w).scale(lcm // (dk * psi_l))
+    found = twodof.polyalg._youla_over(phi, vu, *term)
+    if polymat_det(PolyMat([row[:m] for row in lr.rows])).is_zero():
+        assert found is None
+        return
+    q, lr_read, det, adj, c = found
+    scale = q // lcm
+    assert scale.is_constant() and q == lcm * scale
+    l, r = (PolyMat([row[cols] for row in lr.scale(scale).rows]) for cols in (slice(m), slice(m, None)))
+    det_l, adj_l = twodof.polyalg._polymat_det_adj(l)
+    assert (lr_read, det, adj, c) == (lr.scale(scale), det_l, adj_l, -(adj_l @ r))
 
 
 @pytest.mark.parametrize("text, k", [

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import twodof.cli
+import twodof.factor
 import twodof.synthesis
 from twodof.cli import (
     MAX_DEGREE,
@@ -920,14 +921,37 @@ def test_main_match_realizes_the_scalar_zero_plant(tmp_path, capsys):
     assert "PASS" in captured.out and "FAIL" not in captured.out
 
 
-def test_main_match_refuses_a_non_scalar_unity_loop_before_designing(tmp_path, capsys):
+def test_main_match_refuses_a_unity_target_of_the_wrong_width_before_designing(tmp_path, capsys):
+    # the unity loop feeds back y, so t needs one column per plant output
     path = tmp_path / "prob.ini"
     diag = "1/(s+1), 0; 0, 1/(s+2)"
-    path.write_text(f"[plant]\nmatrix = {diag}\n[design]\nt = {diag}\n[config]\nloop = unity\n")
+    path.write_text(f"[plant]\nmatrix = {diag}\n[design]\nt = 1/(s+1); 1/(s+2)\n[config]\nloop = unity\n")
     code = main(["match", str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err == "error: unity-loop realization is implemented for scalar designs\n"
+    assert captured.err == "error: a unity loop needs t with 2 columns, one per plant output\n"
+
+
+# t = n'@x' for the x' of find_admissible_unity_xprime on the unstable 2x2
+UNITY_2X2 = "1/(s-1), 1/(s+2); 1/(s+3), 1/(s+1)"
+UNITY_2X2_T = (
+    "(-1/3*s^2 - 10/3*s - 13/3)/(s^3 + 3*s^2 + 3*s + 1), (s + 3)/(s^2 + 2*s + 1); "
+    "(-1/3*s^2 - 1/3*s + 2/3)/(s^3 + 3*s^2 + 3*s + 1), (s - 1)/(s^2 + 2*s + 1)"
+)
+
+
+def test_main_match_closes_a_mimo_unity_loop(tmp_path, capsys):
+    smfd = twodof.factor.stable_mfd(twodof.factor.right_coprime_mfd(parse_matrix(UNITY_2X2)))
+    assert smfd.nprime @ twodof.synthesis.find_admissible_unity_xprime(smfd) == parse_matrix(UNITY_2X2_T)
+    path = tmp_path / "prob.ini"
+    problem = f"[plant]\nmatrix = {UNITY_2X2}\n[design]\nt = {{}}\n[config]\nloop = unity\n"
+    path.write_text(problem.format(UNITY_2X2_T))
+    assert main(["match", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "unity-loop cff" in out and "closed-loop cross-check" in out and "FAIL" not in out
+    path.write_text(problem.format("1/(s+1)^2, 0; 0, 1/(s+1)^2"))
+    assert main(["match", str(path)]) == 2
+    assert "unity-feedback restriction failed" in capsys.readouterr().out
 
 
 def _obstruction(*reasons):

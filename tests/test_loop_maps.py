@@ -625,14 +625,15 @@ def test_a_cancelled_unstable_factor_is_decided_on_the_reduced_maps():
 def test_a_wrong_adjugate_fails_the_compensator_certificate(monkeypatch):
     data = stable_mfd(right_coprime_mfd(UNSTABLE_2X2), 1)
     data.dl_prime  # the left pair, formed before the adjugate is broken
-    original = twodof.stabilize._polymat_det_adj
+    original = twodof.polyalg._det_adj_z
 
     def wrong(a):
         det, adj = original(a)
-        return det, adj.scale(2)
+        return det, [[2 * v for v in row] for row in adj]
 
-    # every k, the central k = 0 included, takes its adjugate in _youla_feedback
-    monkeypatch.setattr(twodof.stabilize, "_polymat_det_adj", wrong)
+    # every k, the central k = 0 included, takes its adjugate at one point
+    # in _youla_feedback's kernel
+    monkeypatch.setattr(twodof.polyalg, "_det_adj_z", wrong)
     fresh = StableMFD(
         data.nprime, data.dprime, data.u, data.v, data.shift, data.col_degrees, data.source
     )
