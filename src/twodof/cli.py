@@ -51,10 +51,10 @@ from .synthesis import (
     FeedbackDirectRConfig,
     FfFbRConfig,
     UnityFeedbackConfig,
+    _unity_xprime,
     denominator_assignment_direct,
     denominator_assignment_unity,
     diagonal_decoupling,
-    find_admissible_unity_xprime,
     inverse_problem,
     model_matching,
     siso_conditions,
@@ -530,13 +530,12 @@ def cmd_simulate(pf: ProblemFile, args: argparse.Namespace) -> None:
 
 
 def cmd_unity_parameter(pf: ProblemFile, args: argparse.Namespace) -> None:
-    # convenience used by `match` problem files with loop = unity when no
-    # target is known yet: x' read off the Youla controller, so that the
-    # printed cff is the feedback map cy that `stabilize` prints
+    # convenience for `match` files with loop = unity and no target yet: x' =
+    # -(u + k@dl') read off one Youla loop, which is the unity loop of that
+    # x', so cff is the cy `stabilize` prints and the verdict is the loop's
     _, smfd = _stable_plant_data(pf, args)
-    xprime = find_admissible_unity_xprime(smfd)
-    _print_named("admissible x'", xprime)
-    cff, loop = unity_feedback_controller(smfd, xprime)
+    k, cff, _, loop = _stabilizing_feedback(smfd)
+    _print_named("admissible x'", _unity_xprime(smfd, k))
     _print_named("unity-loop cff", cff)
     print(f"internal stability: {loop.verdict.describe()}")
 

@@ -38,7 +38,6 @@ from .polyalg import (
     SingularMatrixError,
     _is_product,
     _over,
-    _over_lcd,
     _polymat_det_adj,
     _solve_polymat,
     hstack,
@@ -55,11 +54,13 @@ from .stability import (
     rh_inf_verdict,
 )
 from .stabilize import (
+    InadmissibleParameter,
     TwoDofConfig,
     _Loop,
     _fraction_loop,
     _stabilizing_feedback,
     _stabilizing_feedbacks,
+    _youla_feedback,
 )
 
 __all__ = [
@@ -437,19 +438,18 @@ def _check_static_target(smfd: StableMFD, lam: RatMat) -> None:
 def static_decoupling(smfd: StableMFD, lam: RatMat) -> DesignResult:
     """Constant precompensator cr making the closed-loop DC gain equal lam.
 
-    Stable plants use pure precompensation (cy = 0, cr = P(0)**-1 @ lam);
-    unstable plants are first closed with the first feedback map of
-    ``_stabilizing_feedbacks`` whose dc gain G(0) is nonsingular (one is,
-    as n'(0) is), and cr = G(0)**-1 @ lam for G = P(I - cy P)**-1, which
-    has no pole at 0: every loop tried is stable.  lam and the plant are
-    checked before any controller work.  The source fraction n @ d**-1 is
-    right coprime, so the plant is stable exactly when det d is Hurwitz;
-    it is not formed."""
+    Stable plants use pure precompensation (cy = 0, cr = P(0)**-1 @ lam),
+    the central loop of the witness (0, d'**-1); unstable plants are first
+    closed with the first feedback map of ``_stabilizing_feedbacks`` whose
+    dc gain G(0) is nonsingular (one is, as n'(0) is), and
+    cr = G(0)**-1 @ lam for G = P(I - cy P)**-1, which has no pole at 0:
+    every loop tried is stable.  lam and the plant are checked before any
+    controller work.  The source fraction n @ d**-1 is right coprime, so
+    the plant is stable exactly when det d is Hurwitz; it is not formed."""
     _check_static_target(smfd, lam)
-    n, d = smfd.source.n, smfd.source.d
-    if _routh_is_hurwitz(polymat_det(d)):
-        cy = RatMat.zeros(*n.shape[::-1])
-        loops = [(cy, _fraction_loop(d, n, *_over_lcd(cy)))]
+    if _routh_is_hurwitz(polymat_det(smfd.source.d)):
+        cy, _, loop = _youla_feedback(smfd._replace(u=RatMat.zeros(*smfd.u.shape), v=smfd.dprime_inv))
+        loops = [(cy, loop)]
     else:
         loops = ((cy, loop) for _, cy, _, loop in _stabilizing_feedbacks(smfd))
     for cy, loop in loops:  # some loop's dc gain is nonsingular (``_candidates``)
@@ -622,6 +622,11 @@ def _unity_restriction(
     return f, verdict
 
 
+def _unity_xprime(smfd: StableMFD, k: RatMat | None) -> RatMat:
+    """x' = -(u + k@dl') of ``find_admissible_unity_xprime`` for the k given."""
+    return -(smfd.u if k is None else smfd.u + k @ smfd.dl_prime)
+
+
 def find_admissible_unity_xprime(smfd: StableMFD) -> RatMat:
     """An admissible x' for the unity loop u = cff@(r + y), read off the
     Youla controller: x' = -(u + k@dl') for the k of
@@ -634,31 +639,26 @@ def find_admissible_unity_xprime(smfd: StableMFD) -> RatMat:
     Bongiorno 1976; Vidyasagar 1985, ch. 5).  ``_youla_feedback`` checks
     that identity for this k.
     """
-    k = _stabilizing_feedback(smfd)[0]
-    return -(smfd.u if k is None else smfd.u + k @ smfd.dl_prime)
+    return _unity_xprime(smfd, _stabilizing_feedback(smfd)[0])
 
 
 def unity_feedback_controller(smfd: StableMFD, xprime: RatMat) -> tuple[RatMat, _Loop]:
     """Forward compensator cff = f**-1 @ x' realizing y/r = n'@x' in the
-    unity-feedback configuration, for an admissible x', with the loop of
-    (plant, cff) as ``_fraction_loop`` forms it: its ``verdict`` is decided
-    on its one denominator, and its last map (of ``maps``) is checked to
-    equal n'@x'."""
+    unity-feedback configuration, for an admissible x', with its loop: the
+    central loop (``_youla_feedback``) of the proper stable witness
+    (-x', f), as f@d' - x'@n' = I.  f**-1 = d' - cff@n', so cff is improper
+    exactly when f(oo) is singular, and the loop ill posed when det f = 0."""
     f, verdict = _unity_restriction(smfd, xprime)
     if not verdict:
         raise DesignObstruction(
             ("unity-feedback restriction failed: " + verdict.describe(),)
         )
     try:
-        cff = f.inv() @ xprime
-    except SingularMatrixError:
-        raise DesignObstruction(
-            ("I + x'@n' is singular; the unity loop is ill posed",)
-        ) from None
-    # I - cff@p = f**-1 @ d'**-1, so the loop is well posed
-    loop = _fraction_loop(smfd.source.d, smfd.source.n, *_over_lcd(cff))
-    if loop.maps.p_sens_cy != smfd.nprime @ xprime:
-        raise ArithmeticError("unity loop does not realize n' @ x'")
+        cff, _, loop = _youla_feedback(smfd._replace(u=-xprime, v=f))
+    except InadmissibleParameter:
+        if f.rank() < len(f.rows):
+            raise DesignObstruction(("I + x'@n' is singular; the unity loop is ill posed",)) from None
+        raise DesignObstruction(("unity-loop cff = f**-1@x' is improper: f is singular at infinity",)) from None
     return cff, loop
 
 

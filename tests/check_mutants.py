@@ -128,6 +128,14 @@ MUTANTS = (
      "    if live is fs:  # no zero input to put back\n",
      "    if True:\n",
      [ALGEBRA + "test_gcd_of_several_polynomials_on_every_path[fs2]"]),
+    ("the unity loop's witness taken with u = x', not -x'", "synthesis.py",
+     "_youla_feedback(smfd._replace(u=-xprime, v=f))",
+     "_youla_feedback(smfd._replace(u=xprime, v=f))",
+     [CENTRAL + "test_the_unity_loop_is_the_central_loop_of_its_witness"]),
+    ("the improper-cff refusal given the ill-posed text", "synthesis.py",
+     "(\"unity-loop cff = f**-1@x' is improper: f is singular at infinity\",)",
+     "(\"I + x'@n' is singular; the unity loop is ill posed\",)",
+     ["tests/test_cli.py::test_main_ends_its_report_with[unity-loop-improper-cff]"]),
 )
 
 # the errors of a replacement that names what no longer exists

@@ -4,10 +4,12 @@ A design receives a proper-stable fraction with its Bezout witness
 (u, v); the central feedback map cy = -v**-1 @ u is built from that
 witness and checked once, without refactoring the plant.  Each design
 forms its closed loop once and reads its internal-stability certificate
-from that one formation: a Youla controller's loop comes from the one
-product in _youla_feedback, a restricted-loop design's from _fraction_loop
-on the fractions it holds, and any other (p, cy) from gang_of_four, which
-hands their fractions to _fraction_loop.
+from that one formation: a design that holds the analysis takes the one
+product in _youla_feedback, on the analysis or on a copy with another
+witness (the unity loop's (-x', f), pure precompensation's (0, d'**-1)),
+a denominator assignment takes _fraction_loop on the fractions it holds,
+and any other (p, cy) takes gang_of_four, which hands their fractions to
+_fraction_loop.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ from itertools import islice, product
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import twodof.factor
@@ -31,6 +33,7 @@ import twodof.zfactor
 from twodof.cli import load_problem, main, parse_matrix, parse_poly_matrix
 from twodof.factor import StableMFD, right_coprime_mfd, stable_mfd
 from twodof.polyalg import ONE, S, Poly, PolyMat, RatFn, RatMat, poly_lcm, polymat_det
+from twodof.stability import rh_inf_verdict
 from twodof.stabilize import (
     InadmissibleParameter,
     TwoDofConfig,
@@ -511,6 +514,83 @@ def test_the_unity_parameter_is_read_off_the_youla_controller(text, shift):
     assert cff == cy and loop.verdict.stable
 
 
+# plants of up to 3 rows, each analysed once: drawn biproper ones, and
+# blocks c*(s+1)/(s-b), alone or on the diagonal, whose zero row of v a
+# drawn k's row turns into a row of f = v - k@nl' that is zero or zero at
+# infinity
+UNITY_LOOP_PLANTS = st.sampled_from(
+    [biproper_plant(m, seed) for m in (1, 2) for seed in range(6)] + [biproper_plant(3, 1)]
+) | st.sampled_from([
+    "(s+1)/(s-2)",
+    "-2*(s+1)/(s-3)",
+    "(s+1)/(s-2), 0; 0, 1/(s+1)",
+    block_diagonal(["1/(s+2)", "2*(s+1)/(s-3)"]),
+    block_diagonal(["-3*(s+1)/(s-1)", biproper_plant(2, 3)]),
+])
+UNITY_REFUSALS = {
+    "ill posed": "I + x'@n' is singular; the unity loop is ill posed",
+    "improper": "unity-loop cff = f**-1@x' is improper: f is singular at infinity",
+}
+
+
+def unity_oracle(smfd: StableMFD, xprime: RatMat) -> tuple[str, RatMat | None]:
+    """The unity loop's cff as the route through f**-1 formed it, with what
+    decides the outcome, all exact: "restriction" where x' or
+    f = (I + x'@n') @ d'**-1 is not proper and stable, "ill posed" where
+    det f = 0, "improper" where f(oo) loses rank, else "designed"."""
+    m = smfd.dprime.shape[0]
+    f = (RatMat.identity(m) + xprime @ smfd.nprime) @ smfd.dprime_inv
+    if not (rh_inf_verdict(xprime) and rh_inf_verdict(f)):
+        return "restriction", None
+    if polymat_det(twodof.polyalg._over_lcd(f)[1]).is_zero():
+        return "ill posed", None
+    cff = f.inv() @ xprime
+    if exact_rank(f.at_infinity()) < m:
+        assert not cff.is_proper()
+        return "improper", cff
+    return "designed", cff
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(data=st.data())
+def test_the_unity_loop_is_the_central_loop_of_its_witness(data):
+    # cff = f**-1@x' is the central cy of the witness (-x', f); x' is
+    # -(u + k@dl') for a drawn k, admitted or not, or the x' of
+    # model_matching on a drawn realizable t; where the route through f**-1
+    # designs, the unity loop has its cff, a stable loop, y/r = n'@x' and
+    # the maps of gang_of_four, and else the refusal names what the exact
+    # oracle found
+    text = data.draw(UNITY_LOOP_PLANTS)
+    plant, smfd, _ = analysed(text)
+    m = plant.shape[0]
+    if data.draw(st.sampled_from(["youla", "youla", "matching"])) == "youla":
+        k = data.draw(proper_stable(m, m))
+        # where v's row is zero, k's row kept, zeroed (det f = 0) or made
+        # strictly proper (f(oo) singular)
+        strict = lambda e: e - e.at_infinity() + RatFn(ONE, S + ONE)
+        keep = data.draw(st.sampled_from([lambda e: e, lambda e: 0, strict]))
+        zero = [all(e.is_zero() for e in row) for row in smfd.v.rows]
+        k = RatMat([[keep(e) if z else e for e in row] for z, row in zip(zero, k.rows)])
+        xprime = -(smfd.u + k @ smfd.dl_prime)
+    else:
+        xprime = model_matching(smfd, smfd.nprime @ data.draw(proper_stable(m, m))).xprime
+    outcome, expected = unity_oracle(smfd, xprime)
+    event(outcome)
+    if outcome != "designed":
+        with pytest.raises(DesignObstruction) as err:
+            unity_feedback_controller(smfd, xprime)
+        (reason,) = err.value.reasons
+        if outcome == "restriction":
+            assert reason.startswith("unity-feedback restriction failed: ")
+        else:
+            assert reason == UNITY_REFUSALS[outcome]
+        return
+    cff, loop = unity_feedback_controller(smfd, xprime)
+    assert cff == expected and loop.verdict.stable
+    assert loop.maps.p_sens_cy == smfd.nprime @ xprime
+    assert tuple(loop.maps) == tuple(gang_of_four(plant, expected))
+
+
 @pytest.mark.parametrize("m, refused, unstable", [(2, 13, 11), (3, 17, 15)])
 def test_a_drawn_square_plant_refused_at_k_zero_designs_with_the_next_candidate(m, refused, unstable):
     # of 20 drawn biproper m x m plants, k = 0 is refused on `refused` (cy
@@ -684,11 +764,11 @@ def test_static_design_forms_neither_the_plant_nor_gang_of_four(monkeypatch, tmp
     builds = count_plant_builds(monkeypatch)
     counts = count_calls(monkeypatch, LOOP_FORMERS)
     # cy = 0 on the stable plant, whose stability is read off det d: its one
-    # loop (maps I, 0, P, 0), formed from the plant's fraction, gives the dc
-    # gain, the achieved maps and the certificate
+    # loop (maps I, 0, P, 0), the central Youla loop of the witness
+    # (0, d'**-1), gives the dc gain, the achieved maps and the certificate
     assert main(["static-decouple", str(PROBLEMS / "example_static_decouple.ini")]) == 0
     assert (len(builds), counts) == (
-        0, {"gang_of_four": 0, "_youla_feedback": 0, "_fraction_loop": 1}
+        0, {"gang_of_four": 0, "_youla_feedback": 1, "_fraction_loop": 0}
     )
 
     builds.clear()
@@ -721,18 +801,16 @@ def test_static_design_takes_the_youla_loops_verdict(monkeypatch):
 
 
 def test_unity_parameter_takes_its_loops_verdict(monkeypatch, capsys):
-    # x' is read off the Youla loop k = 0 admits, one Routh test on that
-    # loop's denominator; the unity restriction makes 4 Hurwitz tests (each
-    # one Routh test) and one Routh test more, on det d for its scalar
-    # divisibility form; the printed verdict is the unity loop record's, one
-    # Routh test on its denominator, and the four maps, formed to check
-    # y/r = n'@x', are not tested
+    # x', cff = cy and the printed verdict are read off the one Youla loop
+    # k = 0 admits, one Routh test on that loop's denominator; as that loop
+    # is the unity loop of its x', neither the unity restriction nor a
+    # second loop is tested
     problem = str(PROBLEMS / "example_unity.ini")
     assert main(["unity-parameter", problem]) == 0
     expected = capsys.readouterr().out
     counts = count_calls(monkeypatch, ["is_hurwitz", "_routh_is_hurwitz"], twodof.stability)
     assert main(["unity-parameter", problem]) == 0
-    assert counts == {"is_hurwitz": 4, "_routh_is_hurwitz": 7}
+    assert counts == {"is_hurwitz": 0, "_routh_is_hurwitz": 1}
     out = capsys.readouterr().out
     assert out == expected and out.endswith("internal stability: stable\n")
 
@@ -771,11 +849,13 @@ def count_inversions(monkeypatch):
 # _youla_feedback, _fraction_loop, RatMat.inv) calls): fixed instances of
 # each design, whose one closed loop is formed without inverting a RatMat;
 # the denominator assignments form d_t**-1 from the adjugate they take, and
-# only the unity loop inverts a RatMat, d, for its stability condition
+# only the unity loop inverts a RatMat, d, for its stability condition; the
+# stable plant's static design takes the Youla loop of the witness
+# (0, d'**-1)
 DESIGNS = {
     "static, stable plant": (
         "1/(s+1), 1/(s+2); 0, 1/(s+3)", 1,
-        lambda smfd: static_decoupling(smfd, RatMat.identity(2)), (0, 0, 1, 2),
+        lambda smfd: static_decoupling(smfd, RatMat.identity(2)), (0, 1, 0, 2),
     ),
     "static, unstable plant": (
         UNSTABLE_2X2, 1, lambda smfd: static_decoupling(smfd, RatMat.identity(2)), (0, 1, 0, 2)
@@ -830,16 +910,17 @@ def test_cli_designs_form_each_loop_once(monkeypatch, tmp_path, capsys):
     problem = tmp_path / "unstable.ini"
     problem.write_text(f"[plant]\nmatrix = {UNSTABLE_2X2}\n[design]\nlambda = 1, 0; 0, 1\n")
     # argv -> (gang_of_four, _youla_feedback, _fraction_loop, RatMat.inv)
-    # calls; assign-denominator forms a second loop in its closed-loop
-    # cross-check, from the printed controller through gang_of_four, and
-    # inverts d alone, for the unity loop's stability condition;
-    # unity-parameter forms the Youla loop that admits its k, then the
-    # unity loop that certifies cff
+    # calls; the stable plant's static design takes the Youla loop of the
+    # witness (0, d'**-1); assign-denominator forms a second loop in its
+    # closed-loop cross-check, from the printed controller through
+    # gang_of_four, and inverts d alone, for the unity loop's stability
+    # condition; unity-parameter forms only the Youla loop that admits its
+    # k, which is the unity loop of its x', and so inverts nothing
     runs = {
-        ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (0, 0, 1, 2),
+        ("static-decouple", str(PROBLEMS / "example_static_decouple.ini")): (0, 1, 0, 2),
         ("static-decouple", str(problem)): (0, 1, 0, 2),
         ("assign-denominator", str(PROBLEMS / "example_assign_denominator.ini")): (1, 0, 2, 1),
-        ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (0, 1, 1, 2),
+        ("unity-parameter", str(PROBLEMS / "example_unity.ini")): (0, 1, 0, 0),
     }
     counts = count_calls(monkeypatch, LOOP_FORMERS)
     inversions = count_inversions(monkeypatch)
@@ -901,8 +982,9 @@ def test_unity_design_inverts_the_plant_denominator_once(monkeypatch):
     xprime = find_admissible_unity_xprime(smfd)
     assert unity_feedback_admissible(smfd, xprime)
     unity_feedback_controller(smfd, xprime)
-    # d, for d'**-1 and the plant, then f = (I + x'@n') @ d'**-1
-    assert len(inversions) == 2
+    # d alone, for d'**-1 and the plant: cff is the central map of the
+    # witness (-x', f), so f = (I + x'@n') @ d'**-1 is not inverted
+    assert len(inversions) == 1
     assert inversions[0] == smfd.source.d.to_ratmat()
 
 
@@ -911,8 +993,10 @@ def test_unity_parameter_factors_the_plant_denominator_once(monkeypatch, capsys,
     counts = count_calls(monkeypatch, ["irreducible_factors"], twodof.stability)
     assert main(["unity-parameter", str(PROBLEMS / name)]) == 0
     capsys.readouterr()
-    # det d alone: its unstable factor, s - 2, is picked by the Routh test
-    assert counts == {"irreducible_factors": 1}
+    # none: x' is read off the one Youla loop whose verdict is printed, so
+    # the unity restriction, whose scalar divisibility form factors det d
+    # for its unstable part, does not run
+    assert counts == {"irreducible_factors": 0}
 
 
 def test_factor_command_factors_the_zero_and_pole_polynomials_once(monkeypatch, capsys):

@@ -1011,6 +1011,9 @@ def test_main_refuses_a_design_it_cannot_make(tmp_path, capsys, command, text, e
 @pytest.mark.parametrize("command, text, code, out_tail, err", [
     ("match", "[plant]\nmatrix = (s+2)/(s+1)\n[design]\nt = -1\n[config]\nloop = unity\n", 2,
      "design obstruction:\n  - I + x'@n' is singular; the unity loop is ill posed\n", ""),
+    # t(oo) = -p(oo), so f = (I + x'@n') @ d'**-1 vanishes at infinity
+    ("match", "[plant]\nmatrix = (s+1)/(s-2)\n[design]\nt = (-s^2-5)/(s+1)^2\n[config]\nloop = unity\n", 2,
+     "design obstruction:\n  - unity-loop cff = f**-1@x' is improper: f is singular at infinity\n", ""),
     ("match", SCALAR_PLANT + "[design]\nt = 1/(s+1)\nm = 1, 1\n", 1,
      "scalar restricted-loop feasibility ((1+t)/d, t/n): stable\n",
      "error: control target must be 1x1, got (1, 2)\n"),
@@ -1023,8 +1026,8 @@ def test_main_refuses_a_design_it_cannot_make(tmp_path, capsys, command, text, e
     # x' is read off the Youla controller, so a pole of multiplicity 17 is
     # designed like any other unstable plant
     ("unity-parameter", "[plant]\nmatrix = 1/(s-1)^17\n", 0, "internal stability: stable\n", ""),
-], ids=["unity-loop-ill-posed", "control-target-shape", "zero-plant", "target-not-realized",
-        "unity-high-multiplicity"])
+], ids=["unity-loop-ill-posed", "unity-loop-improper-cff", "control-target-shape", "zero-plant",
+        "target-not-realized", "unity-high-multiplicity"])
 def test_main_ends_its_report_with(tmp_path, capsys, command, text, code, out_tail, err):
     path = tmp_path / "prob.ini"
     path.write_text(text)

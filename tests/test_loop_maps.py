@@ -534,11 +534,15 @@ def test_restricted_loop_designs_form_the_loop_of_gang_of_four(monkeypatch):
         assert all(c.passed for c in res.certificates)
         assert_loop_is_the_reference(formed, plant, res.configuration.cfb, res.verdict)
 
+    # the unity loop is the central Youla loop of the witness (-x', f): it
+    # forms no fraction loop, and the loop it returns is the reference
     smfd = stable_mfd(right_coprime_mfd(parse_matrix("(s-1)*(s+2)/(s-2)^2")), 2)
     witness = RatMat([[RatFn(3 * S - 42 * ONE, (S + ONE) ** 2)]])
     for xprime in (find_admissible_unity_xprime(smfd), witness):
-        cff, maps = unity_feedback_controller(smfd, xprime)
-        assert_loop_is_the_reference(formed, smfd.plant(), cff, maps.verdict)
+        cff, loop = unity_feedback_controller(smfd, xprime)
+        assert formed == []
+        formed.append(loop)
+        assert_loop_is_the_reference(formed, smfd.plant(), cff, loop.verdict)
 
 
 def test_lx_sweep_returns_the_pulled_back_youla_controller(monkeypatch):

@@ -86,12 +86,15 @@ def test_every_public_function_has_a_user():
 def test_the_package_itself_uses_all_but_the_library_only_names():
     # library API that no subcommand reaches; every other public definition
     # has a reader in src/ itself; unity_feedback_admissible has none, as
-    # x' is read off the Youla controller with no candidate to test
+    # x' is read off the Youla controller with no candidate to test, and
+    # find_admissible_unity_xprime none, as `unity-parameter` reads x' off
+    # the one Youla loop it forms
     assert unused_public_definitions([]) == [
         "factor.py:ZeroReport.unstable_zeros",
         "stabilize.py:youla_controller",
         "stabilize.py:all_controllers_from_LX",
         "synthesis.py:unity_feedback_admissible",
+        "synthesis.py:find_admissible_unity_xprime",
         "synthesis.py:ff_fb_realization",
     ]
 

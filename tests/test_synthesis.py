@@ -393,7 +393,7 @@ def test_unity_feedback_controller_rejects_inadmissible():
         unity_feedback_controller(smfd, RatMat([[rf(S + 2 * ONE, (S + ONE) ** 2)]]))
 
 
-def test_find_admissible_unity_xprime_scans():
+def test_find_admissible_unity_xprime_passes_the_restriction():
     plant, smfd = example_plant_data()
     xprime = find_admissible_unity_xprime(smfd)
     assert unity_feedback_admissible(smfd, xprime)
@@ -401,6 +401,23 @@ def test_find_admissible_unity_xprime_scans():
     combo = entry.den * (S + 2 * ONE) + entry.num * (S - ONE)
     _, rem = divmod(combo, (S - 2 * ONE) ** 2)
     assert rem.is_zero()
+
+
+@pytest.mark.parametrize("plant, t, reason", [
+    # t(oo) = -1 = -n'(oo), so f = (1 + t) @ d'**-1 passes the restriction
+    # and vanishes at infinity: cff = f**-1@x' is improper
+    ("(s+1)/(s-2)", "(-s^2-5)/(s+1)^2",
+     "unity-loop cff = f**-1@x' is improper: f is singular at infinity"),
+    # t = -1 makes f = 0
+    ("(s+2)/(s+1)", "-1", "I + x'@n' is singular; the unity loop is ill posed"),
+], ids=["improper-cff", "ill-posed"])
+def test_unity_feedback_controller_refuses_a_singular_f(plant, t, reason):
+    smfd = stable_mfd(right_coprime_mfd(parse_matrix(plant)))
+    xprime = model_matching(smfd, parse_matrix(t)).xprime
+    assert unity_feedback_admissible(smfd, xprime)
+    with pytest.raises(DesignObstruction) as err:
+        unity_feedback_controller(smfd, xprime)
+    assert err.value.reasons == (reason,)
 
 
 def test_find_admissible_unity_xprime_of_a_static_gain():
